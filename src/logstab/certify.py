@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergedError, EvaluationError, InvalidInputError, InvalidRateError
+from .errors import DimensionError, DivergedError, EvaluationError, InvalidInputError, InvalidRateError
 from .integrate import IntegratorConfig, Trajectory, integrate
 from .linalg import NormKind, sym_eig_max, vec_norm
 from .lognorm import log_norm
@@ -207,6 +207,8 @@ def check_demidovich(sys: SystemSpec, p, domain: Domain, plan: SamplingPlan) -> 
     """
     kind = NormKind.weighted(p)
     pm = kind.weight
+    if pm.shape[0] != sys.dim:
+        raise DimensionError(f"weight is {pm.shape[0]}x{pm.shape[0]} but system has dim {sys.dim}")
     if domain.dim != sys.dim:
         raise InvalidInputError(f"domain dimension {domain.dim} != system dimension {sys.dim}")
     points = sample_states(domain, plan)

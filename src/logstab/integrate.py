@@ -341,14 +341,10 @@ def integrate_fundamental(
     return FundamentalTrajectory(grid, mats, error_estimate=total_err, n_steps=total_steps)
 
 
-def _cumulative_simpson(g: Callable[[float], float], times: np.ndarray) -> np.ndarray:
-    """Cumulative integral of g on the grid, Simpson per subinterval."""
+def _cumulative_simpson(times: np.ndarray, g_nodes: np.ndarray, g_mids: np.ndarray) -> np.ndarray:
+    """Cumulative integral on the grid from g at the nodes and midpoints, Simpson per subinterval."""
     out = np.zeros(times.size)
-    g_nodes = [g(t) for t in times]
-    for i in range(times.size - 1):
-        h = times[i + 1] - times[i]
-        mid = g(0.5 * (times[i] + times[i + 1]))
-        out[i + 1] = out[i] + (h / 6.0) * (g_nodes[i] + 4.0 * mid + g_nodes[i + 1])
+    np.cumsum((np.diff(times) / 6.0) * (g_nodes[:-1] + 4.0 * g_mids + g_nodes[1:]), out=out[1:])
     return out
 
 
@@ -397,26 +393,13 @@ def check_transition_bounds(
     """
     fund = integrate_fundamental(a_fn, t0, tf, cfg)
     times = fund.times
-    mu_plus_nodes = {}
-    mu_minus_nodes = {}
-
-    def mu_plus(t: float) -> float:
-        if t not in mu_plus_nodes:
-            mp, mm = log_norm_pair(np.asarray(a_fn(t), dtype=float), kind)
-            mu_plus_nodes[t] = mp
-            mu_minus_nodes[t] = mm
-        return mu_plus_nodes[t]
-
-    def mu_minus(t: float) -> float:
-        if t not in mu_minus_nodes:
-            mu_plus(t)
-        return mu_minus_nodes[t]
-
-    int_plus = _cumulative_simpson(mu_plus, times)
-    int_minus = _cumulative_simpson(mu_minus, times)
+    m = times.size
+    nodes = np.concatenate([times, 0.5 * (times[:-1] + times[1:])])
+    mu_plus, mu_minus = log_norm_pair(np.stack([np.asarray(a_fn(t), dtype=float) for t in nodes]), kind)
+    int_plus = _cumulative_simpson(times, mu_plus[:m], mu_plus[m:])
+    int_minus = _cumulative_simpson(times, mu_minus[:m], mu_minus[m:])
 
     rng = np.random.default_rng(seed)
-    m = times.size
     worst_up = -np.inf
     worst_lo = -np.inf
     max_cond = 1.0

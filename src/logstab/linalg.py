@@ -1,14 +1,13 @@
-"""Dense small-matrix linear algebra: norms, symmetric eigenvalues, SPD roots.
+"""Dense small-matrix linear algebra: validating wrappers over numpy.linalg.
 
-Everything here targets small dense problems (n <= 64). The symmetric
-eigensolver is a cyclic Jacobi iteration, which is simple, unconditionally
-robust for symmetric input, and accurate to ~1e-12 * ||S|| for the sizes we
-care about. Vector/matrix containers are plain numpy float arrays.
+The numerics are numpy.linalg's. What this module adds is input checking
+(shape, finiteness, symmetry), the mapping of numpy's LinAlgError onto the
+package's error types, and the norm kinds. Symmetric eigenvalues accept
+stacks of shape (..., n, n). Vector/matrix containers are plain numpy float
+arrays.
 """
 
 from __future__ import annotations
-
-from math import hypot
 
 import numpy as np
 
@@ -36,117 +35,71 @@ def as_vector(v) -> np.ndarray:
     return arr
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-D float array."""
+def as_square_stack(a) -> np.ndarray:
+    """Coerce to a finite float array of square matrices, shape (..., n, n)."""
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {arr.shape}")
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError("matrix must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("matrix has non-finite entries")
     return arr
 
 
 def as_square(a) -> np.ndarray:
-    arr = as_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
+    """Coerce to one finite square float matrix."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2:
+        raise DimensionError(f"expected a matrix, got shape {arr.shape}")
+    return as_square_stack(arr)
+
+
+def float_or_array(x: np.ndarray):
+    """A Python float for a 0-d result (one matrix in), the array for a stack."""
+    return float(x) if x.ndim == 0 else x
 
 
 def check_symmetric(s: np.ndarray, rtol: float = SYMMETRY_RTOL) -> None:
-    """Raise SymmetryError if max |S - S^T| exceeds rtol * max(1, |S|_max)."""
-    asym = np.abs(s - s.T).max()
-    scale = max(1.0, np.abs(s).max())
-    if asym > rtol * scale:
-        raise SymmetryError(f"matrix asymmetry {asym:.3e} exceeds tolerance {rtol * scale:.3e}")
+    """Raise SymmetryError if max |S - S^T| exceeds rtol * max(1, |S|_max).
+
+    For a stack the test is made per matrix, each against its own scale.
+    """
+    asym = np.abs(s - np.swapaxes(s, -1, -2)).max(axis=(-2, -1))
+    tol = rtol * np.maximum(1.0, np.abs(s).max(axis=(-2, -1)))
+    if (asym > tol).any():
+        k = np.argmax(asym / tol)
+        raise SymmetryError(f"matrix asymmetry {asym.flat[k]:.3e} exceeds tolerance {tol.flat[k]:.3e}")
 
 
 def sym_eig(s, need_vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """All eigenvalues (and optionally eigenvectors) of a symmetric matrix.
+    """All eigenvalues (and optionally eigenvectors) of symmetric matrices.
 
-    Cyclic Jacobi rotations; sweeps until the off-diagonal mass is negligible
-    relative to the matrix scale. Returns eigenvalues in ascending order and,
-    when requested, the orthogonal matrix of column eigenvectors.
-
-    The rotation loop runs on plain float lists: at the target sizes (n <= 64,
-    typically n <= 8) that is several times faster than sliced array updates.
+    numpy.linalg.eigh (eigvalsh when only eigenvalues are needed) on one
+    matrix or a stack. Each matrix is checked for symmetry to SYMMETRY_RTOL
+    first; numpy then reads its lower triangle. Returns eigenvalues in
+    ascending order along the last axis and, when requested, the orthogonal
+    matrices of column eigenvectors.
 
     Parameters
     ----------
-    s : array_like (n, n)
-        Symmetric matrix (checked to SYMMETRY_RTOL).
+    s : array_like (..., n, n)
+        Symmetric matrix or stack of them.
     need_vectors : bool
-        Skip eigenvector accumulation when only eigenvalues are needed.
+        Skip the eigenvectors when only eigenvalues are needed.
     """
-    mat = as_square(s)
+    mat = as_square_stack(s)
     check_symmetric(mat)
-    a = (0.5 * (mat + mat.T)).tolist()  # exact symmetry for the rotation loop
-    n = len(a)
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if need_vectors else None
-
-    scale = max(max(abs(x) for x in row) for row in a)
-    if n == 1 or scale == 0.0:
-        eigvals = np.array([a[i][i] for i in range(n)])
-        return eigvals, (np.array(v) if v is not None else None)
-    stop = 1e-16 * n * scale
-
-    for _ in range(40):  # quadratic convergence; ~6 sweeps typical at n<=16
-        off = 0.0
-        for i in range(n - 1):
-            row = a[i]
-            for j in range(i + 1, n):
-                x = abs(row[j])
-                if x > off:
-                    off = x
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                if abs(apq) <= stop:
-                    continue
-                aq = a[q]
-                tau = (aq[q] - ap[p]) / (2.0 * apq)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + hypot(1.0, tau))
-                c = 1.0 / hypot(1.0, t)
-                sn = t * c
-                for k in range(n):
-                    ak = a[k]
-                    akp = ak[p]
-                    akq = ak[q]
-                    ak[p] = c * akp - sn * akq
-                    ak[q] = sn * akp + c * akq
-                for k in range(n):
-                    akp = ap[k]
-                    akq = aq[k]
-                    ap[k] = c * akp - sn * akq
-                    aq[k] = sn * akp + c * akq
-                ap[q] = 0.0
-                aq[p] = 0.0
-                if v is not None:
-                    for k in range(n):
-                        vk = v[k]
-                        vkp = vk[p]
-                        vkq = vk[q]
-                        vk[p] = c * vkp - sn * vkq
-                        vk[q] = sn * vkp + c * vkq
-
-    diag = np.array([a[i][i] for i in range(n)])
-    order = np.argsort(diag)
-    eigvals = diag[order]
-    vecs = None
-    if v is not None:
-        vecs = np.array(v)[:, order]
+    if not need_vectors:
+        return np.linalg.eigvalsh(mat), None
+    eigvals, vecs = np.linalg.eigh(mat)
     return eigvals, vecs
 
 
-def sym_eig_max(s) -> float:
-    """Largest eigenvalue of a symmetric matrix."""
+def sym_eig_max(s):
+    """Largest eigenvalue of a symmetric matrix (an array of them for a stack)."""
     eigvals, _ = sym_eig(s, need_vectors=False)
-    return float(eigvals[-1])
+    return float_or_array(eigvals[..., -1])
 
 
 def matrix_sqrt_spd(p) -> np.ndarray:
@@ -161,12 +114,10 @@ def spd_sqrt_pair(p) -> tuple[np.ndarray, np.ndarray]:
     Inverting through the eigendecomposition keeps both factors exactly
     symmetric, which the similarity transforms downstream rely on.
     """
-    a = as_square(p)
     try:
-        check_symmetric(a)
+        eigvals, vecs = sym_eig(as_square(p))
     except SymmetryError as exc:
         raise InvalidInputError(f"SPD input is not symmetric: {exc}") from exc
-    eigvals, vecs = sym_eig(a, need_vectors=True)
     if eigvals[-1] <= 0.0 or eigvals[0] <= SPD_EIG_RTOL * eigvals[-1]:
         raise InvalidInputError(
             f"matrix is not positive definite (eigenvalues in [{eigvals[0]:.3e}, {eigvals[-1]:.3e}])"
@@ -229,6 +180,19 @@ class NormKind:
     def weighted(cls, weight) -> "NormKind":
         return cls("weighted", weight)
 
+    def similarity(self, m: np.ndarray) -> np.ndarray:
+        """sqrt(P) M sqrt(P)^-1 for a weighted kind, M itself otherwise.
+
+        M may be a stack (..., n, n). The l2 norm and l2 log norm of the
+        result are the weighted norm and log norm of M.
+        """
+        if self.tag != "weighted":
+            return m
+        k = self.weight_sqrt.shape[0]
+        if k != m.shape[-1]:
+            raise DimensionError(f"weight is {k}x{k} but matrix is {m.shape[-1]}x{m.shape[-1]}")
+        return self.weight_sqrt @ m @ self.weight_sqrt_inv
+
     def __repr__(self):
         if self.tag == "weighted":
             return f"NormKind.weighted({self.weight.tolist()})"
@@ -263,91 +227,40 @@ def vec_norm(v, kind: NormKind) -> float:
     return float(np.sqrt(max(q, 0.0)))
 
 
-def _sym_eig_max_psd(s: np.ndarray) -> float:
-    """Largest eigenvalue of a PSD product matrix, clamping roundoff negatives."""
-    lam = sym_eig_max(0.5 * (s + s.T))
-    if lam < 0.0:
-        if lam < -1e-14 * max(1.0, np.abs(s).max()):
-            raise InvalidInputError(f"expected PSD matrix, got largest eigenvalue {lam:.3e}")
-        lam = 0.0
-    return lam
-
-
 def induced_matrix_norm(a, kind: NormKind) -> float:
     """Operator norm ||A|| induced by the chosen vector norm.
 
     l1: max column absolute sum. linf: max row absolute sum. l2: largest
-    singular value via sqrt(lambda_max(A^T A)). weighted(P): l2 norm of the
-    similarity transform sqrt(P) A sqrt(P)^-1.
+    singular value. weighted(P): l2 norm of the similarity transform
+    sqrt(P) A sqrt(P)^-1.
     """
     m = as_square(a)
     if kind.tag == "l1":
         return float(np.abs(m).sum(axis=0).max())
     if kind.tag == "linf":
         return float(np.abs(m).sum(axis=1).max())
-    if kind.tag == "weighted":
-        p0 = kind.weight_sqrt
-        if p0.shape[0] != m.shape[0]:
-            raise DimensionError(
-                f"weight is {p0.shape[0]}x{p0.shape[0]} but matrix is {m.shape[0]}x{m.shape[0]}"
-            )
-        m = p0 @ m @ kind.weight_sqrt_inv
-    return float(np.sqrt(_sym_eig_max_psd(m.T @ m)))
-
-
-def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """LU decomposition with partial pivoting: returns (LU, perm, sign)."""
-    lu = as_square(a).copy()
-    n = lu.shape[0]
-    perm = np.arange(n)
-    sign = 1
-    scale = max(np.abs(lu).max(), 1.0)
-    for k in range(n - 1):
-        piv = k + int(np.abs(lu[k:, k]).argmax())
-        if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-            sign = -sign
-        if abs(lu[k, k]) <= 1e-300 * scale:
-            raise ConditioningError("matrix is numerically singular")
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    if abs(lu[-1, -1]) <= 1e-300 * scale:
-        raise ConditioningError("matrix is numerically singular")
-    return lu, perm, sign
+    return float(np.linalg.norm(kind.similarity(m), 2))
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve A x = b by Gaussian elimination with partial pivoting."""
-    lu, perm, _ = lu_factor(a)
+    """Solve A x = b (b a vector or a matrix of right-hand sides)."""
+    m = as_square(a)
     rhs = np.asarray(b, dtype=float)
-    vector_rhs = rhs.ndim == 1
-    x = rhs.reshape(-1, 1).copy() if vector_rhs else rhs.copy()
-    if x.shape[0] != lu.shape[0]:
-        raise DimensionError("right-hand side dimension mismatch")
-    x = x[perm]
-    n = lu.shape[0]
-    for k in range(n):  # forward substitution, unit lower triangle
-        x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
-    for k in range(n - 1, -1, -1):  # back substitution
-        x[k] /= lu[k, k]
-        x[:k] -= np.outer(lu[:k, k], x[k])
-    return x[:, 0] if vector_rhs else x
-
-
-def inv(a) -> np.ndarray:
-    return solve(a, np.eye(as_square(a).shape[0]))
-
-
-def det(a) -> float:
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != m.shape[0]:
+        n = m.shape[0]
+        raise DimensionError(f"right-hand side of shape {rhs.shape} does not fit a {n}x{n} matrix")
     try:
-        lu, _, sign = lu_factor(a)
-    except ConditioningError:
-        return 0.0
-    return float(sign * np.prod(lu.diagonal()))
+        return np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"matrix is numerically singular: {exc}") from exc
 
 
 def cond_2(a) -> float:
-    """Spectral condition number ||A||_2 ||A^-1||_2 (small matrices only)."""
+    """Spectral condition number ||A||_2 ||A^-1||_2 (small matrices only).
+
+    The inverse comes from solve, so a singular A raises ConditioningError
+    instead of giving a huge finite number.
+    """
+    m = as_square(a)
     kind = NormKind.l2()
-    return induced_matrix_norm(a, kind) * induced_matrix_norm(inv(a), kind)
+    return induced_matrix_norm(m, kind) * induced_matrix_norm(solve(m, np.eye(m.shape[0])), kind)

@@ -14,44 +14,55 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import NormKind, as_square, induced_matrix_norm, spd_sqrt_pair, sym_eig
+from .linalg import (
+    NormKind,
+    as_square,
+    as_square_stack,
+    float_or_array,
+    induced_matrix_norm,
+    spd_sqrt_pair,
+    sym_eig,
+)
 
 DEFAULT_THETA_SEQ = tuple(10.0 ** (-k) for k in range(1, 8))
 
 
-def log_norm(a, kind: NormKind) -> float:
+def _closed_form_pair(a, kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
+    """(mu[A], mu[-A]) in closed form for A of shape (..., n, n)."""
+    m = as_square_stack(a)
+    if kind.tag in ("l1", "linf"):
+        d = m.diagonal(0, -2, -1)
+        off = np.abs(m).sum(axis=-2 if kind.tag == "l1" else -1) - np.abs(d)
+        return (d + off).max(axis=-1), (off - d).max(axis=-1)
+    t = kind.similarity(m)
+    # t + t^T is exactly symmetric, so sym_eig's symmetry check is skipped
+    eigvals = np.linalg.eigvalsh(t + np.swapaxes(t, -1, -2))
+    return 0.5 * eigvals[..., -1], -0.5 * eigvals[..., 0]
+
+
+def log_norm(a, kind: NormKind):
     """Logarithmic norm mu[A] in closed form.
 
     l2: half the largest eigenvalue of A + A^T. weighted(P): same after the
     similarity transform sqrt(P) A sqrt(P)^-1. l1 (linf): max over columns
     (rows) of the diagonal entry plus the off-diagonal absolute sum.
+
+    A is one matrix (n, n), giving a float, or a stack (..., n, n), giving
+    an array of shape (...) with one value per matrix.
     """
-    m = as_square(a)
-    if kind.tag == "l1":
-        return float((m.diagonal() + np.abs(m).sum(axis=0) - np.abs(m.diagonal())).max())
-    if kind.tag == "linf":
-        return float((m.diagonal() + np.abs(m).sum(axis=1) - np.abs(m.diagonal())).max())
-    if kind.tag == "weighted":
-        m = kind.weight_sqrt @ m @ kind.weight_sqrt_inv
-    s = m + m.T
-    eigvals, _ = sym_eig(s, need_vectors=False)
-    return float(0.5 * eigvals[-1])
+    return float_or_array(_closed_form_pair(a, kind)[0])
 
 
-def log_norm_pair(a, kind: NormKind) -> tuple[float, float]:
+def log_norm_pair(a, kind: NormKind):
     """(mu[A], mu[-A]) sharing one eigendecomposition where possible.
 
     For l2/weighted kinds mu[-A] is -1/2 the smallest eigenvalue of the same
-    symmetrized matrix, so both values cost a single solve. Used heavily by
-    the transition-matrix bound checks.
+    symmetrized matrix, so both values cost a single solve. Like log_norm it
+    takes one matrix (two floats out) or a stack (..., n, n) (two arrays of
+    shape (...) out). Used by the transition-matrix bound checks.
     """
-    m = as_square(a)
-    if kind.tag in ("l1", "linf"):
-        return log_norm(m, kind), log_norm(-m, kind)
-    if kind.tag == "weighted":
-        m = kind.weight_sqrt @ m @ kind.weight_sqrt_inv
-    eigvals, _ = sym_eig(m + m.T, need_vectors=False)
-    return float(0.5 * eigvals[-1]), float(-0.5 * eigvals[0])
+    plus, minus = _closed_form_pair(a, kind)
+    return float_or_array(plus), float_or_array(minus)
 
 
 @dataclass

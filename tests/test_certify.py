@@ -16,7 +16,7 @@ from logstab.certify import (
     verify_incremental_bound,
     verify_origin_convergence,
 )
-from logstab.errors import InvalidInputError, InvalidRateError
+from logstab.errors import DimensionError, InvalidInputError, InvalidRateError
 from logstab.integrate import Trajectory
 from logstab.linalg import NormKind
 from logstab.system import SystemSpec
@@ -138,6 +138,11 @@ class TestDemidovich:
         assert rep_weighted.passed
         assert rep_weighted.max_eigenvalue == pytest.approx((-17.0 + np.sqrt(241.0)) / 2.0, abs=1e-12)
         assert rep_identity.sign_agreement_ok and rep_weighted.sign_agreement_ok
+
+    def test_weight_of_wrong_size_rejected(self):
+        sys = constant_jacobian_system(np.diag([-1.0, -2.0]))
+        with pytest.raises(DimensionError, match="3x3 but system has dim 2"):
+            check_demidovich(sys, np.eye(3), box(2, 1.0), SamplingPlan(n_space=3))
 
     def test_demo_field_passes_with_identity_weight(self, fig1_system):
         rep = check_demidovich(fig1_system, np.eye(2), box(2, 10.0), SamplingPlan(n_space=21, n_time=3))

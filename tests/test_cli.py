@@ -54,6 +54,12 @@ class TestLognormCommand:
         assert main(["lognorm", str(mat), "--norm", f"weighted:{weight}"]) == 0
         assert "quadratic_form" in capsys.readouterr().out
 
+    def test_weight_of_wrong_size_is_usage_error(self, tmp_path, capsys):
+        weight = tmp_path / "P3.txt"
+        weight.write_text("2 0 0\n0 2 0\n0 0 2\n")
+        assert main(["lognorm", "--inline", "1 2; 3 4", "--norm", f"weighted:{weight}"]) == 2
+        assert "weight is 3x3 but matrix is 2x2" in capsys.readouterr().err
+
     def test_missing_matrix_is_usage_error(self):
         assert main(["lognorm"]) == 2
 
@@ -78,6 +84,12 @@ class TestCertifyCommand:
             "[domain]\nlower = -1\nupper = 1\nt_lo = 0\nt_hi = 1\n"
         )
         assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+
+    def test_weight_of_wrong_size_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "weighted.cfg"
+        cfg.write_text(CONFIG + "\n[norm]\nkind = weighted\nweight = 2 0 0; 0 2 0; 0 0 2\n")
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert "weight is 3x3 but matrix is 2x2" in capsys.readouterr().err
 
     def test_config_error_exits_two(self, tmp_path):
         cfg = tmp_path / "broken.cfg"

@@ -11,9 +11,7 @@ from logstab.errors import (
 from logstab.linalg import (
     NormKind,
     cond_2,
-    det,
     induced_matrix_norm,
-    inv,
     matrix_sqrt_spd,
     solve,
     sym_eig,
@@ -102,6 +100,14 @@ class TestSymEig:
     def test_asymmetric_rejected(self):
         with pytest.raises(SymmetryError):
             sym_eig_max([[0.0, 1.0], [0.0, 0.0]])
+        # in a stack each matrix is held to its own scale: a large member
+        # neither hides a small asymmetric one nor is held to the small scale
+        small_asym = [[1.0, 1e-9], [0.0, 1.0]]
+        with pytest.raises(SymmetryError):
+            sym_eig(np.stack([1e6 * np.eye(2), small_asym]))
+        large_within_tol = 1e6 * np.eye(2) + [[0.0, 1e-7], [0.0, 0.0]]
+        lam, _ = sym_eig(np.stack([large_within_tol, np.eye(2)]), need_vectors=False)
+        assert lam.shape == (2, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
     def test_against_reference_eigensolver(self, n):
@@ -170,17 +176,15 @@ class TestSolve:
         b = rng.normal(size=5)
         x = solve(a, b)
         assert np.abs(a @ x - b).max() <= 1e-11
-        assert np.abs(a @ inv(a) - np.eye(5)).max() <= 1e-11
-
-    def test_det_matches_reference(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            a = rng.normal(size=(4, 4))
-            assert det(a) == pytest.approx(np.linalg.det(a), rel=1e-10)
+        assert np.abs(a @ solve(a, np.eye(5)) - np.eye(5)).max() <= 1e-11
 
     def test_singular_raises(self):
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(ConditioningError):
-            solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
+            solve(singular, np.array([1.0, 0.0]))
+        # numpy's own cond returns ~5e16 here instead of raising
+        with pytest.raises(ConditioningError):
+            cond_2(singular)
 
     def test_condition_number_identity(self):
         assert cond_2(np.eye(3)) == pytest.approx(1.0, abs=1e-10)

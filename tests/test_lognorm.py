@@ -60,6 +60,12 @@ class TestClosedForms:
         with pytest.raises(DimensionError):
             log_norm(np.ones((2, 3)), NormKind.l2())
 
+    def test_weight_of_wrong_size_rejected(self):
+        kind = NormKind.weighted(2.0 * np.eye(3))
+        for fn in (log_norm, log_norm_pair):
+            with pytest.raises(DimensionError, match="3x3 but matrix is 2x2"):
+                fn(np.eye(2), kind)
+
 
 class TestLimitEstimate:
     def test_identity_exact(self):
@@ -177,6 +183,20 @@ class TestProperties:
             mp, mm = log_norm_pair(a, kind)
             assert mp == pytest.approx(log_norm(a, kind), abs=1e-13)
             assert mm == pytest.approx(log_norm(-a, kind), abs=1e-13)
+            # a stack gives, member by member, what the per-matrix calls give
+            for n in (1, 2, 5):
+                kind = make_kind(tag, rng, n)
+                stack = rng.normal(size=(2, 3, n, n))
+                mu = log_norm(stack, kind)
+                plus, minus = log_norm_pair(stack, kind)
+                assert mu.shape == plus.shape == minus.shape == (2, 3)
+                for k in np.ndindex(2, 3):
+                    single = log_norm(stack[k], kind)
+                    single_plus, single_minus = log_norm_pair(stack[k], kind)
+                    assert type(single) is float and type(single_minus) is float
+                    assert mu[k] == pytest.approx(single, rel=1e-12)
+                    assert plus[k] == pytest.approx(single_plus, rel=1e-12)
+                    assert minus[k] == pytest.approx(single_minus, rel=1e-12)
 
     def test_all_routes_reports_methods(self):
         rng = np.random.default_rng(47)
