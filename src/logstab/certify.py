@@ -9,7 +9,7 @@ the built-in demo scenarios exhibit, not to prove global statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -384,9 +384,8 @@ def verify_incremental_bound(
                 f"pair {idx} diverged (evidence against the contraction certificate): {exc}",
                 exc.last_time,
             ) from exc
-        d0 = vec_norm(tr_a.states[0] - tr_b.states[0], kind)
-        bound = d0 * np.exp(-alpha0 * (grid - t0))
-        dist = np.array([vec_norm(da - db, kind) for da, db in zip(tr_a.states, tr_b.states)])
+        dist = vec_norm(tr_a.states - tr_b.states, kind)
+        bound = dist[0] * np.exp(-alpha0 * (grid - t0))
         violation = float(np.max(dist - bound))
         if violation > worst:
             worst = violation
@@ -494,7 +493,7 @@ def verify_origin_convergence(
             f"tail window has {tail_len} samples; need >= 10 (trajectory too short)"
         )
     offset = np.zeros(traj.dim) if target is None else np.asarray(target, dtype=float)
-    norms = np.array([vec_norm(x - offset, kind) for x in traj.states])
+    norms = vec_norm(traj.states - offset, kind)
     tail_max = float(norms[-tail_len:].max())
     mid_max = float(norms[m // 3 : max(m // 3 + 1, 2 * m // 3)].max())
     converged = tail_max < tol and tail_max <= 0.5 * mid_max

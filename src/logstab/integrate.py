@@ -6,15 +6,16 @@ the embedded difference used for step control. Dense output between accepted
 nodes is cubic Hermite on the stored derivatives, giving locally 4th-order
 samples, which matches the integration order.
 
-Fundamental matrices of linear time-varying systems are integrated column by
-column with the same machinery; the transition-bound checker then compares
+The fundamental matrix of a linear time-varying system is integrated with
+the same machinery as one n^2-dimensional matrix ODE, so all n columns share
+the integrator's own grid. The transition-bound checker then compares
 propagator norms against the exponential envelopes built from integrals of
-the logarithmic norm along the grid.
+the logarithmic norm along the grid, as stacked array operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -105,7 +106,11 @@ class Trajectory:
 
 @dataclass
 class FundamentalTrajectory:
-    """Fundamental matrix solution on a shared time grid, matrices[0] = I."""
+    """Fundamental matrix solution on one time grid, matrices[0] = I.
+
+    ``error_estimate`` and ``n_steps`` are those of the single matrix-ODE
+    run that produced every column.
+    """
 
     times: np.ndarray
     matrices: np.ndarray
@@ -305,40 +310,28 @@ def integrate_fundamental(
     cfg: IntegratorConfig | None = None,
     sample_times=None,
 ) -> FundamentalTrajectory:
-    """Solve dPhi/dt = A(t) Phi, Phi(t0) = I, column by column.
+    """Solve dPhi/dt = A(t) Phi, Phi(t0) = I, as one matrix ODE.
 
-    The first column runs on its own adaptive grid; the remaining columns are
-    dense-resampled onto that grid (or onto ``sample_times`` when given) so
-    the stack shares one set of time stamps.
+    Phi is integrated as one state of dimension n^2 (row-major), so every
+    column lives on the integrator's own grid, or on ``sample_times`` when
+    given, resampled from that one run. A(t) must keep its shape (n, n)
+    throughout; a change raises DimensionError naming the shape and t.
     """
     a0 = np.asarray(a_fn(t0), dtype=float)
     if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
         raise DimensionError(f"A(t) must be square, got shape {a0.shape}")
     n = a0.shape[0]
 
-    def make_system() -> SystemSpec:
-        return SystemSpec(dim=n, f=lambda x, t: a_fn(t) @ x, jac=lambda x, t: np.asarray(a_fn(t), dtype=float))
+    def matrix_field(x: np.ndarray, t: float) -> np.ndarray:
+        a = np.asarray(a_fn(t), dtype=float)
+        if a.shape != (n, n):
+            raise DimensionError(f"A(t) has shape {a.shape} at t={t}, expected ({n}, {n})")
+        return (a @ x.reshape(n, n)).ravel()
 
-    sys0 = make_system()
-    eye = np.eye(n)
-    first = integrate(sys0, eye[:, 0], t0, tf, cfg)
-    if sample_times is None:
-        grid = first.times
-        cols = [first.states]
-    else:
-        grid = _validate_sample_times(sample_times, t0, tf)
-        cols = [first.sample(grid)]
-    total_err = first.error_estimate
-    total_steps = first.n_steps
-    for j in range(1, n):
-        traj = integrate(make_system(), eye[:, j], t0, tf, cfg, sample_times=grid)
-        cols.append(traj.states)
-        total_err += traj.error_estimate
-        total_steps += traj.n_steps
-
-    mats = np.stack(cols, axis=2)  # states are columns of Phi
-    mats[0] = eye
-    return FundamentalTrajectory(grid, mats, error_estimate=total_err, n_steps=total_steps)
+    sys = SystemSpec(dim=n * n, f=matrix_field)
+    traj = integrate(sys, np.eye(n).ravel(), t0, tf, cfg, sample_times=sample_times)
+    mats = traj.states.reshape(-1, n, n)
+    return FundamentalTrajectory(traj.times, mats, error_estimate=traj.error_estimate, n_steps=traj.n_steps)
 
 
 def _cumulative_simpson(times: np.ndarray, g_nodes: np.ndarray, g_mids: np.ndarray) -> np.ndarray:
@@ -388,11 +381,16 @@ def check_transition_bounds(
     must sit between exp(-int mu[-A]) and exp(int mu[A]); random initial
     states are checked against the same envelopes from t0. The mu-integrals
     use Simpson on the integrator's own grid, so their error is dominated by
-    the ODE tolerance. Tolerance budget: tol_base + 10x the accumulated
-    local-error estimate.
+    the ODE tolerance. Tolerance budget: tol_base + 10x the local-error
+    estimate accumulated by the one matrix-ODE run. The propagators,
+    condition numbers and norms of all pairs and states are computed as
+    stacks, one wrapper call each.
     """
+    if n_pairs < 1 or n_states < 1:
+        raise InvalidInputError(f"need n_pairs >= 1 and n_states >= 1, got {n_pairs} and {n_states}")
     fund = integrate_fundamental(a_fn, t0, tf, cfg)
     times = fund.times
+    phi = fund.matrices
     m = times.size
     nodes = np.concatenate([times, 0.5 * (times[:-1] + times[1:])])
     mu_plus, mu_minus = log_norm_pair(np.stack([np.asarray(a_fn(t), dtype=float) for t in nodes]), kind)
@@ -400,35 +398,29 @@ def check_transition_bounds(
     int_minus = _cumulative_simpson(times, mu_minus[:m], mu_minus[m:])
 
     rng = np.random.default_rng(seed)
-    worst_up = -np.inf
-    worst_lo = -np.inf
-    max_cond = 1.0
-    for _ in range(n_pairs):
+    draws = []
+    for _ in range(n_pairs):  # i_t is drawn from [i_tau, m), so the draws interleave
         i_tau = int(rng.integers(0, m))
-        i_t = int(rng.integers(i_tau, m))
-        phi_tau = fund.matrices[i_tau]
-        phi_t = fund.matrices[i_t]
-        max_cond = max(max_cond, cond_2(phi_tau))
-        prop = solve(phi_tau.T, phi_t.T).T  # Phi(t) Phi(tau)^-1
-        norm_val = induced_matrix_norm(prop, kind)
-        upper = float(np.exp(int_plus[i_t] - int_plus[i_tau]))
-        lower = float(np.exp(-(int_minus[i_t] - int_minus[i_tau])))
-        worst_up = max(worst_up, (norm_val - upper) / upper)
-        worst_lo = max(worst_lo, (lower - norm_val) / lower)
+        draws.append((i_tau, int(rng.integers(i_tau, m))))
+    i_tau, i_t = np.array(draws).T
+    phi_tau = phi[i_tau]
+    max_cond = max(1.0, float(np.max(cond_2(phi_tau))))
+    # Phi(t) Phi(tau)^-1 = X, solved as Phi(tau)^T X^T = Phi(t)^T
+    prop = np.swapaxes(solve(np.swapaxes(phi_tau, -1, -2), np.swapaxes(phi[i_t], -1, -2)), -1, -2)
+    norm_val = induced_matrix_norm(prop, kind)
+    upper = np.exp(int_plus[i_t] - int_plus[i_tau])
+    lower = np.exp(-(int_minus[i_t] - int_minus[i_tau]))
+    worst_up = np.max((norm_val - upper) / upper)
+    worst_lo = np.max((lower - norm_val) / lower)
 
-    worst_sup = -np.inf
-    worst_slo = -np.inf
     t_idx = rng.integers(0, m, size=max(1, n_pairs // 2))
-    for _ in range(n_states):
-        x0 = rng.normal(size=fund.dim)
-        x0n = vec_norm(x0, kind)
-        for i_t in t_idx:
-            xt = fund.matrices[int(i_t)] @ x0
-            xtn = vec_norm(xt, kind)
-            upper = x0n * float(np.exp(int_plus[int(i_t)]))
-            lower = x0n * float(np.exp(-int_minus[int(i_t)]))
-            worst_sup = max(worst_sup, (xtn - upper) / upper)
-            worst_slo = max(worst_slo, (lower - xtn) / lower)
+    x0 = rng.normal(size=(n_states, fund.dim))
+    x0n = vec_norm(x0, kind)
+    xtn = vec_norm(x0 @ np.swapaxes(phi[t_idx], -1, -2), kind)  # |Phi(t) x0|, shape (t, state)
+    upper = np.exp(int_plus[t_idx])[:, None] * x0n
+    lower = np.exp(-int_minus[t_idx])[:, None] * x0n
+    worst_sup = np.max((xtn - upper) / upper)
+    worst_slo = np.max((lower - xtn) / lower)
 
     tolerance = tol_base + 10.0 * fund.error_estimate
     passed = max(worst_up, worst_lo, worst_sup, worst_slo) <= tolerance

@@ -2,9 +2,10 @@
 
 The numerics are numpy.linalg's. What this module adds is input checking
 (shape, finiteness, symmetry), the mapping of numpy's LinAlgError onto the
-package's error types, and the norm kinds. Symmetric eigenvalues accept
-stacks of shape (..., n, n). Vector/matrix containers are plain numpy float
-arrays.
+package's error types, and the norm kinds. Every public wrapper accepts a
+stack: vectors of shape (..., n) and matrices of shape (..., n, n). One
+vector or matrix in gives a Python float out where the result is a scalar.
+Vector/matrix containers are plain numpy float arrays.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ SYMMETRY_RTOL = 1e-12
 SPD_EIG_RTOL = 1e-12
 
 
-def as_vector(v) -> np.ndarray:
-    """Coerce to a finite 1-D float array."""
+def as_vector_stack(v) -> np.ndarray:
+    """Coerce to a finite float array of vectors, shape (..., n)."""
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {arr.shape}")
+    if arr.ndim < 1:
+        raise DimensionError(f"expected a vector or a stack of them, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError("vector must have at least one entry")
     if not np.all(np.isfinite(arr)):
@@ -211,56 +212,74 @@ class NormKind:
         return hash(self.tag)
 
 
-def vec_norm(v, kind: NormKind) -> float:
-    """Vector norm |v| under the given kind."""
-    x = as_vector(v)
+def vec_norm(v, kind: NormKind):
+    """Vector norm |v| under the given kind.
+
+    v is one vector (n,), giving a float, or a stack (..., n), giving an
+    array of shape (...) with one norm per vector.
+    """
+    x = as_vector_stack(v)
     if kind.tag == "l1":
-        return float(np.abs(x).sum())
-    if kind.tag == "linf":
-        return float(np.abs(x).max())
-    if kind.tag == "l2":
-        return float(np.sqrt(x @ x))
-    p = kind.weight
-    if p.shape[0] != x.shape[0]:
-        raise DimensionError(f"weight is {p.shape[0]}x{p.shape[0]} but vector has dim {x.shape[0]}")
-    q = float(x @ p @ x)
-    return float(np.sqrt(max(q, 0.0)))
+        out = np.abs(x).sum(axis=-1)
+    elif kind.tag == "linf":
+        out = np.abs(x).max(axis=-1)
+    elif kind.tag == "l2":
+        out = np.sqrt((x * x).sum(axis=-1))
+    else:
+        p = kind.weight
+        if p.shape[0] != x.shape[-1]:
+            raise DimensionError(f"weight is {p.shape[0]}x{p.shape[0]} but vector has dim {x.shape[-1]}")
+        out = np.sqrt(np.maximum(((x @ p) * x).sum(axis=-1), 0.0))
+    return float_or_array(out)
 
 
-def induced_matrix_norm(a, kind: NormKind) -> float:
+def induced_matrix_norm(a, kind: NormKind):
     """Operator norm ||A|| induced by the chosen vector norm.
 
     l1: max column absolute sum. linf: max row absolute sum. l2: largest
     singular value. weighted(P): l2 norm of the similarity transform
-    sqrt(P) A sqrt(P)^-1.
+    sqrt(P) A sqrt(P)^-1. A is one matrix (n, n), giving a float, or a
+    stack (..., n, n), giving an array of shape (...).
     """
-    m = as_square(a)
+    m = as_square_stack(a)
     if kind.tag == "l1":
-        return float(np.abs(m).sum(axis=0).max())
-    if kind.tag == "linf":
-        return float(np.abs(m).sum(axis=1).max())
-    return float(np.linalg.norm(kind.similarity(m), 2))
+        out = np.abs(m).sum(axis=-2).max(axis=-1)
+    elif kind.tag == "linf":
+        out = np.abs(m).sum(axis=-1).max(axis=-1)
+    else:
+        out = np.linalg.norm(kind.similarity(m), 2, axis=(-2, -1))
+    return float_or_array(out)
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve A x = b (b a vector or a matrix of right-hand sides)."""
-    m = as_square(a)
+    """Solve A x = b for one matrix A (n, n) or a stack (..., n, n).
+
+    b is a vector (n,), shared by every matrix of the stack, or a matrix of
+    right-hand sides (..., n, k) whose leading axes broadcast against A's.
+    A stack of vector right-hand sides must therefore be given as (..., n, 1).
+    Raises ConditioningError if any matrix of the stack is singular.
+    """
+    m = as_square_stack(a)
     rhs = np.asarray(b, dtype=float)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != m.shape[0]:
-        n = m.shape[0]
-        raise DimensionError(f"right-hand side of shape {rhs.shape} does not fit a {n}x{n} matrix")
+    n = m.shape[-1]
+    misfit = f"right-hand side of shape {rhs.shape} does not fit matrices of shape {m.shape}"
+    if rhs.shape != (n,) and (rhs.ndim < 2 or rhs.shape[-2] != n):
+        raise DimensionError(misfit)
     try:
         return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"matrix is numerically singular: {exc}") from exc
+    except ValueError as exc:  # the leading (stack) axes do not broadcast
+        raise DimensionError(misfit) from exc
 
 
-def cond_2(a) -> float:
+def cond_2(a):
     """Spectral condition number ||A||_2 ||A^-1||_2 (small matrices only).
 
-    The inverse comes from solve, so a singular A raises ConditioningError
-    instead of giving a huge finite number.
+    A is one matrix, giving a float, or a stack (..., n, n), giving an
+    array. The inverse comes from solve, so a singular A (any member of a
+    stack) raises ConditioningError instead of giving a huge finite number.
     """
-    m = as_square(a)
+    m = as_square_stack(a)
     kind = NormKind.l2()
-    return induced_matrix_norm(m, kind) * induced_matrix_norm(solve(m, np.eye(m.shape[0])), kind)
+    return induced_matrix_norm(m, kind) * induced_matrix_norm(solve(m, np.eye(m.shape[-1])), kind)

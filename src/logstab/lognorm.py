@@ -95,8 +95,9 @@ def log_norm_limit_table(a, kind: NormKind, theta_seq=None) -> LimitEstimate:
     if any(t2 >= t1 for t1, t2 in zip(thetas, thetas[1:])):
         raise InvalidInputError("theta sequence must be strictly decreasing")
 
-    eye = np.eye(m.shape[0])
-    raw = [(induced_matrix_norm(eye + t * m, kind) - 1.0) / t for t in thetas]
+    th = np.array(thetas)
+    norms = induced_matrix_norm(np.eye(m.shape[0]) + th[:, None, None] * m, kind)
+    raw = ((norms - 1.0) / th).tolist()
     extrap = [
         (t1 * g2 - t2 * g1) / (t1 - t2)
         for (t1, g1), (t2, g2) in zip(zip(thetas, raw), zip(thetas[1:], raw[1:]))

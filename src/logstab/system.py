@@ -9,7 +9,7 @@ check that the quadrature resolved the segment integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logstab.errors import DivergedError, InvalidInputError
+from logstab.errors import DimensionError, DivergedError, InvalidInputError
 from logstab.integrate import (
     FundamentalTrajectory,
     IntegratorConfig,
@@ -10,7 +10,8 @@ from logstab.integrate import (
     integrate,
     integrate_fundamental,
 )
-from logstab.linalg import NormKind
+from logstab.linalg import NormKind, cond_2, induced_matrix_norm, solve, vec_norm
+from logstab.lognorm import log_norm_pair
 from logstab.system import SystemSpec
 
 from conftest import random_spd
@@ -112,7 +113,108 @@ class TestFundamental:
         assert got == pytest.approx(expected, rel=1e-6)
 
 
+    @pytest.mark.parametrize("case", ["upper_triangular", "random_4x4"])
+    def test_every_column_matches_matrix_exponential(self, case):
+        # columns 2..n share column 1's grid, so none carries a resampling error
+        if case == "upper_triangular":
+            a = np.array([[-1.0, 3.0], [0.0, -2.0]])
+        else:
+            a = np.random.default_rng(7).normal(size=(4, 4))
+        fund = integrate_fundamental(lambda t: a, 0.0, 2.0)
+        lam, v = np.linalg.eig(a)
+        v_inv = np.linalg.inv(v)
+        exact = np.real(np.stack([(v * np.exp(lam * t)) @ v_inv for t in fund.times]))
+        col_err = np.abs(fund.matrices - exact).max(axis=(0, 1))
+        assert col_err.max() < 1e-9, col_err
+
+    def test_sample_times_resample_the_one_run(self):
+        ts = np.linspace(0.0, 1.0, 11)
+        fund = integrate_fundamental(lambda t: np.diag([-1.0, -2.0]), 0.0, 1.0, sample_times=ts)
+        assert np.array_equal(fund.times, ts)
+        assert np.array_equal(fund.matrices[0], np.eye(2))
+        exact = np.stack([np.diag([np.exp(-t), np.exp(-2.0 * t)]) for t in ts])
+        # Hermite dense output, same bound as test_dense_output_accuracy
+        assert np.abs(fund.matrices - exact).max() < 1e-7
+
+    def test_shape_change_mid_run_raises_dimension_error(self):
+        with pytest.raises(DimensionError, match=r"shape \(3, 3\) at t=0\.5"):
+            integrate_fundamental(lambda t: -np.eye(3 if t > 0.5 else 2), 0.0, 1.0)
+
+    def test_non_finite_a_mid_run_raises_diverged(self):
+        def a_fn(t):
+            return -np.eye(2) if t <= 0.5 else np.full((2, 2), np.nan)
+
+        with pytest.raises(DivergedError) as err:
+            integrate_fundamental(a_fn, 0.0, 1.0)
+        assert err.value.last_time == pytest.approx(0.5, abs=1e-6)
+
+
+def looped_transition_check(a_fn, kind, t0, tf, n_pairs, n_states, seed):
+    """Per-pair and per-state reference for check_transition_bounds, same rng draw order."""
+    fund = integrate_fundamental(a_fn, t0, tf)
+    times = fund.times
+    m = times.size
+    mids = 0.5 * (times[:-1] + times[1:])
+    mu = np.array([log_norm_pair(a_fn(t), kind) for t in times])
+    mu_mid = np.array([log_norm_pair(a_fn(t), kind) for t in mids])
+    steps = (np.diff(times) / 6.0)[:, None] * (mu[:-1] + 4.0 * mu_mid + mu[1:])
+    ints = np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+    rng = np.random.default_rng(seed)
+    worst_up = worst_lo = worst_sup = worst_slo = -np.inf
+    max_cond = 1.0
+    for _ in range(n_pairs):
+        i_tau = int(rng.integers(0, m))
+        i_t = int(rng.integers(i_tau, m))
+        max_cond = max(max_cond, cond_2(fund.matrices[i_tau]))
+        prop = solve(fund.matrices[i_tau].T, fund.matrices[i_t].T).T
+        norm_val = induced_matrix_norm(prop, kind)
+        upper = np.exp(ints[i_t, 0] - ints[i_tau, 0])
+        lower = np.exp(-(ints[i_t, 1] - ints[i_tau, 1]))
+        worst_up = max(worst_up, (norm_val - upper) / upper)
+        worst_lo = max(worst_lo, (lower - norm_val) / lower)
+    t_idx = rng.integers(0, m, size=max(1, n_pairs // 2))
+    for _ in range(n_states):
+        x0 = rng.normal(size=fund.dim)
+        x0n = vec_norm(x0, kind)
+        for i_t in t_idx:
+            xtn = vec_norm(fund.matrices[i_t] @ x0, kind)
+            upper = x0n * np.exp(ints[i_t, 0])
+            lower = x0n * np.exp(-ints[i_t, 1])
+            worst_sup = max(worst_sup, (xtn - upper) / upper)
+            worst_slo = max(worst_slo, (lower - xtn) / lower)
+    return np.array([worst_up, worst_lo, worst_sup, worst_slo, max_cond])
+
+
 class TestTransitionBounds:
+    @pytest.mark.parametrize("tag", ["l1", "l2", "linf", "weighted"])
+    def test_stacked_check_matches_per_pair_loop(self, tag):
+        # pins that the stacked check samples the same pairs and states as a loop would
+        rng = np.random.default_rng(2024 + len(tag))
+        for trial, n in enumerate((2, 3, 4)):
+            kind = NormKind.weighted(random_spd(rng, n)) if tag == "weighted" else NormKind(tag)
+            coeffs = [rng.normal(size=(n, n)) for _ in range(3)]
+
+            def a_fn(t, c=coeffs):
+                return c[0] + t * c[1] + t * t * c[2]
+
+            rep = check_transition_bounds(a_fn, kind, 0.0, 1.0, n_pairs=20, n_states=5, seed=trial)
+            got = np.array([
+                rep.worst_upper_violation,
+                rep.worst_lower_violation,
+                rep.worst_state_upper_violation,
+                rep.worst_state_lower_violation,
+                rep.max_condition,
+            ])
+            want = looped_transition_check(a_fn, kind, 0.0, 1.0, 20, 5, trial)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (got, want)
+
+    def test_empty_sampling_rejected(self):
+        a = np.diag([-1.0, -2.0])
+        with pytest.raises(InvalidInputError):
+            check_transition_bounds(lambda t: a, NormKind.l2(), 0.0, 1.0, n_pairs=0)
+        with pytest.raises(InvalidInputError):
+            check_transition_bounds(lambda t: a, NormKind.l2(), 0.0, 1.0, n_states=0)
+
     def test_constant_diagonal_l2_is_tight(self):
         # mu[diag(-1,-2)] = -1 and ||Phi(t)Phi(tau)^-1|| = e^{-(t-tau)}: the
         # upper envelope is attained, slack 0 within 1e-7

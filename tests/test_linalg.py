@@ -188,3 +188,87 @@ class TestSolve:
 
     def test_condition_number_identity(self):
         assert cond_2(np.eye(3)) == pytest.approx(1.0, abs=1e-10)
+
+
+def _stack_kind(tag, rng, n):
+    return NormKind.weighted(random_spd(rng, n)) if tag == "weighted" else NormKind(tag)
+
+
+class TestStacks:
+    """Each wrapper on a stack must match its per-item calls."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("tag", ["l1", "l2", "linf", "weighted"])
+    def test_stack_matches_per_item_calls(self, tag, n):
+        rng = np.random.default_rng(100 * n + len(tag))
+        kind = _stack_kind(tag, rng, n)
+        vs = rng.normal(size=(3, 4, n))
+        mats = rng.normal(size=(3, 4, n, n)) + 2.0 * np.eye(n)
+        rhs = rng.normal(size=(3, 4, n, 2))
+
+        got = vec_norm(vs, kind)
+        assert got.shape == (3, 4)
+        want = np.array([[vec_norm(v, kind) for v in row] for row in vs])
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+        got = induced_matrix_norm(mats, kind)
+        want = np.array([[induced_matrix_norm(a, kind) for a in row] for row in mats])
+        assert got.shape == (3, 4)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+        got = cond_2(mats)
+        want = np.array([[cond_2(a) for a in row] for row in mats])
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+        got = solve(mats, rhs)
+        want = np.array([[solve(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(mats, rhs)])
+        assert got.shape == rhs.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_single_item_gives_python_float(self):
+        kind = NormKind.l2()
+        assert type(vec_norm([3.0, 4.0], kind)) is float
+        assert type(induced_matrix_norm(np.eye(2), kind)) is float
+        assert type(cond_2(np.eye(2))) is float
+
+    def test_shared_vector_right_hand_side(self):
+        mats = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        assert np.allclose(solve(mats, np.array([2.0, 4.0])), [[2.0, 4.0], [1.0, 2.0]])
+
+    def test_one_singular_member_raises(self):
+        mats = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2)])
+        with pytest.raises(ConditioningError):
+            solve(mats, np.eye(2))
+        with pytest.raises(ConditioningError):
+            cond_2(mats)
+
+    def test_non_finite_member_rejected(self):
+        kind = NormKind.l2()
+        vs = np.ones((3, 2))
+        vs[1, 0] = np.inf
+        mats = np.stack([np.eye(2)] * 3)
+        mats[2, 1, 1] = np.nan
+        with pytest.raises(InvalidInputError):
+            vec_norm(vs, kind)
+        with pytest.raises(InvalidInputError):
+            induced_matrix_norm(mats, kind)
+        with pytest.raises(InvalidInputError):
+            cond_2(mats)
+        with pytest.raises(InvalidInputError):
+            solve(mats, np.eye(2))
+
+    def test_weight_of_wrong_size_rejected(self):
+        kind = NormKind.weighted(np.eye(3))
+        with pytest.raises(DimensionError, match="3x3"):
+            vec_norm(np.ones((4, 2)), kind)
+        with pytest.raises(DimensionError, match="3x3"):
+            induced_matrix_norm(np.stack([np.eye(2)] * 4), kind)
+
+    def test_right_hand_side_that_does_not_fit_rejected(self):
+        mats = np.stack([np.eye(2)] * 3)
+        with pytest.raises(DimensionError):
+            solve(mats, np.ones(3))
+        with pytest.raises(DimensionError):
+            solve(mats, np.ones((3, 3, 1)))  # rows do not match n = 2
+        with pytest.raises(DimensionError):
+            solve(mats, np.ones((4, 2, 1)))  # stack of 4 against a stack of 3
