@@ -12,19 +12,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .certify import check_forcing_ratio, estimate_contraction_rate
-from .config import (
-    build_domain,
-    build_integrator,
-    build_norm,
-    build_plan,
-    build_system,
-    parse_config,
-)
+from .config import build_domain, build_norm, build_system, parse_config
 from .csvio import (
     export_component_csv,
     export_report_csv,
@@ -77,7 +71,7 @@ def _load_scenario(args):
     text = Path(args.config).read_text()
     cfg = parse_config(text)
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg.plan = replace(cfg.plan, seed=args.seed)
     if getattr(args, "tf", None) is not None:
         cfg.tf = args.tf
     if getattr(args, "out", None):
@@ -90,12 +84,11 @@ def cmd_certify(args) -> int:
     system = build_system(cfg)
     norm = _parse_norm_flag(args.norm) if args.norm else build_norm(cfg, Path(args.config).parent)
     domain = build_domain(cfg)
-    plan = build_plan(cfg)
     alpha_fn = None
     if cfg.alpha_expr:
         alpha_fn = compile_expression(parse_expression(cfg.alpha_expr), ["t"])
 
-    cert = estimate_contraction_rate(system, domain, norm, plan, alpha_fn=alpha_fn)
+    cert = estimate_contraction_rate(system, domain, norm, cfg.plan, alpha_fn=alpha_fn)
     print(f"contraction certificate: {cert.verdict}")
     print(f"  sampled sup of mu[J] = {cert.mu_sup:.7g} over {cert.n_samples} samples")
     if cert.alpha0_estimate is not None:
@@ -123,11 +116,10 @@ def cmd_certify(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
     system = build_system(cfg)
-    icfg = build_integrator(cfg)
     t0 = cfg.t0
     tf = cfg.tf
     grid = np.linspace(t0, tf, max(2, int(round((tf - t0) / 0.05)) + 1))
-    traj = integrate(system, np.array(cfg.x0), t0, tf, icfg, sample_times=grid)
+    traj = integrate(system, np.array(cfg.x0), t0, tf, cfg.integrator, sample_times=grid)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [export_trajectory_csv(traj, out_dir / "trajectory.csv")]

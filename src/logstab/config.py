@@ -1,10 +1,13 @@
 """Scenario configuration: a flat INI-style text format and its builders.
 
 Format: `[section]` headers, `key = value` lines, `#` starts a comment.
-Sections and keys are validated against the documented schema; errors carry
-line numbers. A parsed ScenarioConfig holds only plain Python values so that
-parse -> serialize -> parse round-trips to an equal object; the build_*
-functions turn it into live toolkit objects.
+Syntax errors are reported together, each with its line. Every key is then
+checked at parse time, and a bad value is reported with its line. [system]
+has its own parser, because its keys are per component. Every other key is
+read through one table, SCHEMA, which also drives serialize_config, so
+parse -> serialize -> parse round-trips to an equal ScenarioConfig.
+Sampling and integrator keys are applied with dataclasses.replace, so the
+checks of SamplingPlan and IntegratorConfig run on each of them.
 
 Sections (all optional except [system]):
 
@@ -27,14 +30,15 @@ Sections (all optional except [system]):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .certify import Domain, SamplingPlan
 from .csvio import parse_matrix_text, read_matrix_file
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .expr import (
     ExprSyntaxError,
     NonDifferentiableError,
@@ -47,22 +51,12 @@ from .integrate import IntegratorConfig
 from .linalg import NormKind
 from .system import SystemSpec
 
-_KNOWN_KEYS = {
-    "system": {"type", "name", "b", "phi", "dim", "x0", "t0"},  # plus f{i}/delta{i}
-    "norm": {"kind", "weight", "weight_file"},
-    "domain": {"lower", "upper", "t_lo", "t_hi"},
-    "sampling": {"n_space", "n_time", "scheme", "seed"},
-    "integrator": {"method", "step", "rel_tol", "abs_tol", "max_step", "max_steps", "tf"},
-    "certify": {"alpha"},
-    "output": {"dir"},
-}
-
 BUILTIN_NAMES = ("example1",)
 
 
 @dataclass
 class ScenarioConfig:
-    """Parsed scenario; every field is a plain Python value."""
+    """Parsed scenario: plain Python values, the sampling plan and the integrator settings."""
 
     system_kind: str = "builtin"
     builtin_name: str = ""
@@ -79,19 +73,110 @@ class ScenarioConfig:
     domain_upper: list = field(default_factory=list)
     t_lo: float = 0.0
     t_hi: float = 2.0
-    n_space: int = 33
-    n_time: int = 5
-    scheme: str = "uniform_grid"
-    seed: int = 42
-    method: str = "rkf45"
-    step: float = 0.01
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_step: float = 0.1
-    max_steps: int = 1_000_000
+    plan: SamplingPlan = field(default_factory=SamplingPlan)
+    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     tf: float = 20.0
     alpha_expr: str = ""
     out_dir: str = "out"
+
+
+# coercions: text -> value, raising InvalidInputError on a bad value
+def _number(text: str) -> float:
+    try:
+        out = float(text)
+    except ValueError:
+        raise InvalidInputError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(out):
+        raise InvalidInputError(f"number must be finite, got {text!r}")
+    return out
+
+
+def _numbers(text: str) -> list[float]:
+    return [_number(part) for part in text.replace(",", " ").split()]
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError(f"expected an integer, got {text!r}") from None
+
+
+def _expression_in(*names: str):
+    """Coercion that checks an expression parses and uses only ``names``; keeps the text."""
+
+    def check(text: str) -> str:
+        try:
+            node = parse_expression(text)
+        except ExprSyntaxError as exc:
+            raise InvalidInputError(f"bad expression {text!r}: {exc}") from None
+        extra = free_variables(node) - set(names)
+        if extra:
+            raise InvalidInputError(f"expression references undeclared symbol(s) {sorted(extra)}")
+        return text
+
+    return check
+
+
+_expression_in_t = _expression_in("t")
+
+
+def _norm_tag(text: str) -> str:
+    tag = text.lower()
+    if tag not in NormKind.TAGS:
+        raise InvalidInputError(f"norm kind must be one of {', '.join(NormKind.TAGS)}, got {tag!r}")
+    return tag
+
+
+def _matrix_text(text: str) -> str:
+    try:
+        parse_matrix_text(text)
+    except (InvalidInputError, ValueError) as exc:
+        raise InvalidInputError(f"bad weight matrix: {exc}") from None
+    return text
+
+
+# section -> key -> (owner, attribute, coercion). The owner is the ScenarioConfig
+# field ("plan" or "integrator") whose dataclass holds the attribute, or None for
+# an attribute of ScenarioConfig itself. [system] has its own parser below.
+SCHEMA = {
+    "norm": {
+        "kind": (None, "norm_kind", _norm_tag),
+        "weight": (None, "norm_weight", _matrix_text),
+        "weight_file": (None, "norm_weight_file", str),
+    },
+    "domain": {
+        "lower": (None, "domain_lower", _numbers),
+        "upper": (None, "domain_upper", _numbers),
+        "t_lo": (None, "t_lo", _number),
+        "t_hi": (None, "t_hi", _number),
+    },
+    "sampling": {
+        "n_space": ("plan", "n_space", _integer),
+        "n_time": ("plan", "n_time", _integer),
+        "scheme": ("plan", "scheme", str),
+        "seed": ("plan", "seed", _integer),
+    },
+    "integrator": {
+        "method": ("integrator", "method", str.lower),
+        "step": ("integrator", "step", _number),
+        "rel_tol": ("integrator", "rel_tol", _number),
+        "abs_tol": ("integrator", "abs_tol", _number),
+        "max_step": ("integrator", "max_step", _number),
+        "max_steps": ("integrator", "max_steps", _integer),
+        "tf": (None, "tf", _number),
+    },
+    "certify": {"alpha": (None, "alpha_expr", _expression_in_t)},
+    "output": {"dir": (None, "out_dir", str)},
+}
+
+
+def _at(lineno, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with an InvalidInputError reported as a ConfigError at ``lineno``."""
+    try:
+        return fn(*args, **kwargs)
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc), lineno) from None
 
 
 def _read_sections(text: str):
@@ -109,7 +194,7 @@ def _read_sections(text: str):
                 current = None
                 continue
             name = line[1:-1].strip().lower()
-            if name not in _KNOWN_KEYS:
+            if name != "system" and name not in SCHEMA:
                 problems.append((lineno, f"unknown section [{name}]"))
                 current = None
                 continue
@@ -131,43 +216,63 @@ def _read_sections(text: str):
     return sections
 
 
-def _floats(value: str, lineno: int) -> list[float]:
-    parts = [p for p in value.replace(",", " ").split() if p]
-    try:
-        out = [float(p) for p in parts]
-    except ValueError:
-        raise ConfigError(f"expected numbers, got {value!r}", lineno)
-    if not all(np.isfinite(v) for v in out):
-        raise ConfigError(f"numbers must be finite, got {value!r}", lineno)
-    return out
+def _parse_system(cfg: ScenarioConfig, sec: dict) -> None:
+    kind, lineno = sec.pop("type", ("builtin", None))
+    cfg.system_kind = kind.lower()
+    if cfg.system_kind == "builtin":
+        name, lineno = sec.pop("name", ("", None))
+        if name not in BUILTIN_NAMES:
+            raise ConfigError(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}", lineno)
+        cfg.builtin_name = name
+        cfg.dim = 2
+        for key, coerce in (("b", _number), ("phi", _expression_in_t)):
+            if key in sec:
+                value, lineno = sec.pop(key)
+                _at(lineno, coerce, value)
+                cfg.builtin_params[key] = value
+    elif cfg.system_kind == "expression":
+        if "dim" not in sec:
+            raise ConfigError("expression system needs dim")
+        value, lineno = sec.pop("dim")
+        cfg.dim = _at(lineno, _integer, value)
+        if cfg.dim <= 0:
+            raise ConfigError("dim must be positive", lineno)
+        in_state = _expression_in(*(f"x{i + 1}" for i in range(cfg.dim)), "t")
+        for i in range(cfg.dim):
+            key = f"f{i + 1}"
+            if key not in sec:
+                raise ConfigError(f"expression system with dim={cfg.dim} needs {key}")
+            value, lineno = sec.pop(key)
+            cfg.f_exprs.append(_at(lineno, in_state, value))
+    else:
+        raise ConfigError(f"system type must be builtin or expression, got {cfg.system_kind!r}", lineno)
 
+    # perturbation components are allowed for both system kinds
+    deltas = {}
+    for key in list(sec):
+        if key.startswith("delta") and key[5:].isdigit():
+            idx = int(key[5:])
+            value, lineno = sec.pop(key)
+            if not 1 <= idx <= cfg.dim:
+                raise ConfigError(f"{key} is outside the state dimension {cfg.dim}", lineno)
+            deltas[idx] = _at(lineno, _expression_in_t, value)
+        elif key.startswith("f") and key[1:].isdigit():
+            value, lineno = sec.pop(key)
+            raise ConfigError(f"component {key} is outside the state dimension {cfg.dim}", lineno)
+    if deltas:
+        cfg.delta_exprs = [deltas.get(i + 1, "0") for i in range(cfg.dim)]
 
-def _float(value: str, lineno: int) -> float:
-    try:
-        out = float(value)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {value!r}", lineno)
-    if not np.isfinite(out):
-        raise ConfigError(f"number must be finite, got {value!r}", lineno)
-    return out
-
-
-def _int(value: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {value!r}", lineno)
-
-
-def _check_expression(text: str, allowed: list[str], lineno: int) -> str:
-    try:
-        node = parse_expression(text)
-    except ExprSyntaxError as exc:
-        raise ConfigError(f"bad expression {text!r}: {exc}", lineno)
-    extra = free_variables(node) - set(allowed)
-    if extra:
-        raise ConfigError(f"expression references undeclared symbol(s) {sorted(extra)}", lineno)
-    return text
+    cfg.x0 = [0.0] * cfg.dim
+    if "x0" in sec:
+        value, lineno = sec.pop("x0")
+        cfg.x0 = _at(lineno, _numbers, value)
+        if len(cfg.x0) != cfg.dim:
+            raise ConfigError(f"x0 has {len(cfg.x0)} entries, system dimension is {cfg.dim}", lineno)
+    if "t0" in sec:
+        value, lineno = sec.pop("t0")
+        cfg.t0 = _at(lineno, _number, value)
+    for key, (_, lineno) in sec.items():
+        raise ConfigError(f"unknown key {key!r} in [system]", lineno)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -176,216 +281,58 @@ def parse_config(text: str) -> ScenarioConfig:
     if "system" not in sections:
         raise ConfigError("missing required [system] section")
     cfg = ScenarioConfig()
-    sys_sec = dict(sections["system"])
+    _parse_system(cfg, dict(sections["system"]))
+    for name, keys in SCHEMA.items():
+        for key, (raw, lineno) in sections.get(name, {}).items():
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in [{name}]", lineno)
+            owner, attr, coerce = keys[key]
+            value = _at(lineno, coerce, raw)
+            if owner is not None:
+                attr, value = owner, _at(lineno, replace, getattr(cfg, owner), **{attr: value})
+            setattr(cfg, attr, value)
 
-    kind, lineno = sys_sec.pop("type", ("builtin", 0))
-    kind = kind.lower()
-    if kind not in ("builtin", "expression"):
-        raise ConfigError(f"system type must be builtin or expression, got {kind!r}", lineno)
-    cfg.system_kind = kind
-
-    if kind == "builtin":
-        name, lineno = sys_sec.pop("name", ("", 0))
-        if name not in BUILTIN_NAMES:
-            raise ConfigError(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}", lineno)
-        cfg.builtin_name = name
-        cfg.dim = 2
-        params = {}
-        if "b" in sys_sec:
-            value, lineno = sys_sec.pop("b")
-            _float(value, lineno)
-            params["b"] = value
-        if "phi" in sys_sec:
-            value, lineno = sys_sec.pop("phi")
-            params["phi"] = _check_expression(value, ["t"], lineno)
-        cfg.builtin_params = params
-    else:
-        if "dim" not in sys_sec:
-            raise ConfigError("expression system needs dim")
-        value, lineno = sys_sec.pop("dim")
-        cfg.dim = _int(value, lineno)
-        if cfg.dim <= 0:
-            raise ConfigError("dim must be positive", lineno)
-        state_names = [f"x{i + 1}" for i in range(cfg.dim)]
-        for i in range(cfg.dim):
-            key = f"f{i + 1}"
-            if key not in sys_sec:
-                raise ConfigError(f"expression system with dim={cfg.dim} needs {key}")
-            value, lineno = sys_sec.pop(key)
-            cfg.f_exprs.append(_check_expression(value, state_names + ["t"], lineno))
-
-    # perturbation components are allowed for both system kinds
-    deltas = {}
-    for key in list(sys_sec):
-        if key.startswith("delta") and key[5:].isdigit():
-            idx = int(key[5:])
-            value, lineno = sys_sec.pop(key)
-            if not 1 <= idx <= cfg.dim:
-                raise ConfigError(f"{key} is outside the state dimension {cfg.dim}", lineno)
-            deltas[idx] = _check_expression(value, ["t"], lineno)
-        elif key.startswith("f") and key[1:].isdigit():
-            value, lineno = sys_sec.pop(key)
-            raise ConfigError(f"component {key} is outside the state dimension {cfg.dim}", lineno)
-    if deltas:
-        cfg.delta_exprs = [deltas.get(i + 1, "0") for i in range(cfg.dim)]
-
-    if "x0" in sys_sec:
-        value, lineno = sys_sec.pop("x0")
-        cfg.x0 = _floats(value, lineno)
-        if len(cfg.x0) != cfg.dim:
-            raise ConfigError(f"x0 has {len(cfg.x0)} entries, system dimension is {cfg.dim}", lineno)
-    else:
-        cfg.x0 = [0.0] * cfg.dim
-    if "t0" in sys_sec:
-        value, lineno = sys_sec.pop("t0")
-        cfg.t0 = _float(value, lineno)
-    for key, (_, lineno) in sys_sec.items():
-        raise ConfigError(f"unknown key {key!r} in [system]", lineno)
-
-    for sec_name, handler in (
-        ("norm", _parse_norm),
-        ("domain", _parse_domain),
-        ("sampling", _parse_sampling),
-        ("integrator", _parse_integrator),
-        ("certify", _parse_certify),
-        ("output", _parse_output),
-    ):
-        if sec_name in sections:
-            known = _KNOWN_KEYS[sec_name]
-            for key, (_, lineno) in sections[sec_name].items():
-                if key not in known:
-                    raise ConfigError(f"unknown key {key!r} in [{sec_name}]", lineno)
-            handler(cfg, sections[sec_name])
+    if cfg.norm_kind == "weighted" and not (cfg.norm_weight or cfg.norm_weight_file):
+        raise ConfigError("weighted norm needs weight or weight_file")
+    if len(cfg.domain_lower) != len(cfg.domain_upper):
+        raise ConfigError("domain lower and upper have different lengths")
+    if cfg.domain_lower and len(cfg.domain_lower) != cfg.dim:
+        raise ConfigError(f"domain has {len(cfg.domain_lower)} components, system dimension is {cfg.dim}")
     return cfg
 
 
-def _parse_norm(cfg: ScenarioConfig, sec):
-    if "kind" in sec:
-        value, lineno = sec["kind"]
-        value = value.lower()
-        if value not in ("l1", "l2", "linf", "weighted"):
-            raise ConfigError(f"norm kind must be l1, l2, linf or weighted, got {value!r}", lineno)
-        cfg.norm_kind = value
-    if "weight" in sec:
-        value, lineno = sec["weight"]
-        try:
-            parse_matrix_text(value)
-        except Exception as exc:
-            raise ConfigError(f"bad weight matrix: {exc}", lineno)
-        cfg.norm_weight = value
-    if "weight_file" in sec:
-        cfg.norm_weight_file = sec["weight_file"][0]
-    if cfg.norm_kind == "weighted" and not (cfg.norm_weight or cfg.norm_weight_file):
-        raise ConfigError("weighted norm needs weight or weight_file")
-
-
-def _parse_domain(cfg: ScenarioConfig, sec):
-    if "lower" in sec:
-        cfg.domain_lower = _floats(*sec["lower"])
-    if "upper" in sec:
-        cfg.domain_upper = _floats(*sec["upper"])
-    if "t_lo" in sec:
-        cfg.t_lo = _float(*sec["t_lo"])
-    if "t_hi" in sec:
-        cfg.t_hi = _float(*sec["t_hi"])
-    if len(cfg.domain_lower) != len(cfg.domain_upper):
-        raise ConfigError("domain lower and upper have different lengths")
-    if cfg.domain_lower and cfg.dim and len(cfg.domain_lower) != cfg.dim:
-        raise ConfigError(f"domain has {len(cfg.domain_lower)} components, system dimension is {cfg.dim}")
-
-
-def _parse_sampling(cfg: ScenarioConfig, sec):
-    if "n_space" in sec:
-        cfg.n_space = _int(*sec["n_space"])
-    if "n_time" in sec:
-        cfg.n_time = _int(*sec["n_time"])
-    if "scheme" in sec:
-        value, lineno = sec["scheme"]
-        if value not in ("uniform_grid", "latin_hypercube", "uniform_random"):
-            raise ConfigError(f"unknown sampling scheme {value!r}", lineno)
-        cfg.scheme = value
-    if "seed" in sec:
-        cfg.seed = _int(*sec["seed"])
-
-
-def _parse_integrator(cfg: ScenarioConfig, sec):
-    if "method" in sec:
-        value, lineno = sec["method"]
-        value = value.lower()
-        if value not in ("rk4", "rkf45"):
-            raise ConfigError(f"integrator method must be rk4 or rkf45, got {value!r}", lineno)
-        cfg.method = value
-    for key in ("step", "rel_tol", "abs_tol", "max_step", "tf"):
-        if key in sec:
-            setattr(cfg, key, _float(*sec[key]))
-    if "max_steps" in sec:
-        cfg.max_steps = _int(*sec["max_steps"])
-
-
-def _parse_certify(cfg: ScenarioConfig, sec):
-    if "alpha" in sec:
-        value, lineno = sec["alpha"]
-        cfg.alpha_expr = _check_expression(value, ["t"], lineno)
-
-
-def _parse_output(cfg: ScenarioConfig, sec):
-    if "dir" in sec:
-        cfg.out_dir = sec["dir"][0]
+def _render(value) -> str:
+    if isinstance(value, list):
+        return ", ".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
-    """Render a config back to the INI format parse_config accepts."""
+    """Render a config back to the INI format parse_config accepts.
+
+    [system] is written in full; a table key is written when its value
+    differs from the default, and a section only when it has such a key.
+    """
     lines = ["[system]", f"type = {cfg.system_kind}"]
     if cfg.system_kind == "builtin":
         lines.append(f"name = {cfg.builtin_name}")
-        for key in sorted(cfg.builtin_params):
-            lines.append(f"{key} = {cfg.builtin_params[key]}")
+        lines += [f"{key} = {cfg.builtin_params[key]}" for key in sorted(cfg.builtin_params)]
     else:
         lines.append(f"dim = {cfg.dim}")
-        for i, e in enumerate(cfg.f_exprs):
-            lines.append(f"f{i + 1} = {e}")
-    for i, e in enumerate(cfg.delta_exprs):
-        if e != "0":
-            lines.append(f"delta{i + 1} = {e}")
-    lines.append("x0 = " + ", ".join(repr(v) for v in cfg.x0))
-    lines.append(f"t0 = {cfg.t0!r}")
+        lines += [f"f{i + 1} = {e}" for i, e in enumerate(cfg.f_exprs)]
+    lines += [f"delta{i + 1} = {e}" for i, e in enumerate(cfg.delta_exprs)]
+    lines += [f"x0 = {_render(cfg.x0)}", f"t0 = {cfg.t0!r}"]
 
-    lines += ["", "[norm]", f"kind = {cfg.norm_kind}"]
-    if cfg.norm_weight:
-        lines.append(f"weight = {cfg.norm_weight}")
-    if cfg.norm_weight_file:
-        lines.append(f"weight_file = {cfg.norm_weight_file}")
-
-    if cfg.domain_lower:
-        lines += [
-            "",
-            "[domain]",
-            "lower = " + ", ".join(repr(v) for v in cfg.domain_lower),
-            "upper = " + ", ".join(repr(v) for v in cfg.domain_upper),
-            f"t_lo = {cfg.t_lo!r}",
-            f"t_hi = {cfg.t_hi!r}",
-        ]
-    lines += [
-        "",
-        "[sampling]",
-        f"n_space = {cfg.n_space}",
-        f"n_time = {cfg.n_time}",
-        f"scheme = {cfg.scheme}",
-        f"seed = {cfg.seed}",
-        "",
-        "[integrator]",
-        f"method = {cfg.method}",
-        f"step = {cfg.step!r}",
-        f"rel_tol = {cfg.rel_tol!r}",
-        f"abs_tol = {cfg.abs_tol!r}",
-        f"max_step = {cfg.max_step!r}",
-        f"max_steps = {cfg.max_steps}",
-        f"tf = {cfg.tf!r}",
-    ]
-    if cfg.alpha_expr:
-        lines += ["", "[certify]", f"alpha = {cfg.alpha_expr}"]
-    lines += ["", "[output]", f"dir = {cfg.out_dir}", ""]
-    return "\n".join(lines)
+    default = ScenarioConfig()
+    for name, keys in SCHEMA.items():
+        body = []
+        for key, (owner, attr, _) in keys.items():
+            value, unset = (getattr(getattr(c, owner) if owner else c, attr) for c in (cfg, default))
+            if value != unset:
+                body.append(f"{key} = {_render(value)}")
+        if body:
+            lines += ["", f"[{name}]", *body]
+    return "\n".join(lines + [""])
 
 
 def build_norm(cfg: ScenarioConfig, base_dir=".") -> NormKind:
@@ -400,21 +347,6 @@ def build_domain(cfg: ScenarioConfig) -> Domain:
     if not cfg.domain_lower:
         raise ConfigError("scenario has no [domain] section")
     return Domain(np.array(cfg.domain_lower), np.array(cfg.domain_upper), cfg.t_lo, cfg.t_hi)
-
-
-def build_plan(cfg: ScenarioConfig) -> SamplingPlan:
-    return SamplingPlan(n_space=cfg.n_space, n_time=cfg.n_time, scheme=cfg.scheme, seed=cfg.seed)
-
-
-def build_integrator(cfg: ScenarioConfig) -> IntegratorConfig:
-    return IntegratorConfig(
-        method=cfg.method,
-        step=cfg.step,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        max_steps=cfg.max_steps,
-    )
 
 
 def _compile_delta(cfg: ScenarioConfig):
@@ -446,7 +378,6 @@ def build_system(cfg: ScenarioConfig) -> SystemSpec:
         args = (*x, t)
         return np.array([fn(*args) for fn in fns])
 
-    jac = None
     try:
         rows = [[differentiate(node, f"x{j + 1}") for j in range(cfg.dim)] for node in nodes]
         jac_fns = [[compile_expression(d, names) for d in row] for row in rows]

@@ -360,7 +360,9 @@ def _diff_power(u: Node, v: Node, du: Node, dv: Node) -> Node:
     return _mul(Bin("^", u, v), inner)
 
 
-_FN_PYTHON = {"sin": "_sin", "cos": "_cos", "exp": "_exp", "log": "_log", "sqrt": "_sqrt", "abs": "abs", "pow": "_pow"}
+# what compiled expressions call: _<fn> for every known function, and _nan
+_NAMESPACE = {f"_{fn}": getattr(math, fn) for fn in FUNCTIONS_1 + FUNCTIONS_2 if fn != "abs"}
+_NAMESPACE.update(_abs=abs, _nan=math.nan)
 
 
 def to_source(node: Node) -> str:
@@ -387,11 +389,12 @@ def _to_python(node: Node) -> str:
     if isinstance(node, Neg):
         return f"(-{_to_python(node.child)})"
     if isinstance(node, Bin):
-        op = "**" if node.op == "^" else node.op
-        return f"({_to_python(node.left)} {op} {_to_python(node.right)})"
+        if node.op == "^":
+            return f"_pow({_to_python(node.left)}, {_to_python(node.right)})"
+        return f"({_to_python(node.left)} {node.op} {_to_python(node.right)})"
     if isinstance(node, Call):
         args = ", ".join(_to_python(a) for a in node.args)
-        return f"{_FN_PYTHON[node.fn]}({args})"
+        return f"_{node.fn}({args})"
     raise AssertionError(f"unknown node {node!r}")
 
 
@@ -400,19 +403,19 @@ def compile_expression(node: Node, arg_names: list[str]):
 
     Rejects free variables outside ``arg_names``. The generated source only
     ever contains our own rendering of the parsed tree, so exec here is a
-    code generator, not an evaluator of user text.
+    code generator, not an evaluator of user text. Powers are real
+    (math.pow), and a point where the expression is undefined (log of a
+    negative number, division by zero, overflow) evaluates to NaN, so the
+    callers' finiteness checks report it.
     """
     unknown = free_variables(node) - set(arg_names)
     if unknown:
         raise ExprSyntaxError(f"unknown symbol(s) {sorted(unknown)}; declared: {arg_names}", 0)
-    src = f"def _compiled({', '.join(arg_names)}):\n    return {_to_python(node)}\n"
-    namespace = {
-        "_sin": math.sin,
-        "_cos": math.cos,
-        "_exp": math.exp,
-        "_log": math.log,
-        "_sqrt": math.sqrt,
-        "_pow": math.pow,
-    }
+    src = (
+        f"def _compiled({', '.join(arg_names)}):\n"
+        f"    try:\n        return {_to_python(node)}\n"
+        "    except (ArithmeticError, ValueError):\n        return _nan\n"
+    )
+    namespace = dict(_NAMESPACE)
     exec(compile(src, "<expression>", "exec"), namespace)
     return namespace["_compiled"]

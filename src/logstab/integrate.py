@@ -253,6 +253,7 @@ def _integrate_rkf45(rhs, x0, t0, tf, cfg: IntegratorConfig) -> Trajectory:
     total_err = 0.0
     n_steps = 0
     n_rejected = 0
+    non_finite = False  # a stage went non-finite since the last accepted step
     tiny = 1e-12 * max(1.0, abs(tf - t0))
 
     while t < tf - tiny:
@@ -260,6 +261,8 @@ def _integrate_rkf45(rhs, x0, t0, tf, cfg: IntegratorConfig) -> Trajectory:
             raise DivergedError(f"step budget {cfg.max_steps} exhausted at t={t}", t)
         h = min(h, tf - t)
         if h < 1e-14 * max(1.0, abs(t)):
+            if non_finite:
+                raise DivergedError(f"field non-finite near t={t}: steps shrank to underflow", t)
             raise DivergedError(f"step size underflow at t={t}", t)
         k1 = f_cur
         k2 = rhs(t + _C2 * h, y + (h * _A21) * k1)
@@ -270,7 +273,9 @@ def _integrate_rkf45(rhs, x0, t0, tf, cfg: IntegratorConfig) -> Trajectory:
         y5 = y + h * (_B51 * k1 + _B53 * k3 + _B54 * k4 + _B55 * k5 + _B56 * k6)
         err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6)
         if not (np.all(np.isfinite(y5)) and np.all(np.isfinite(err_vec))):
+            # an oversized step can overflow, so shrink before giving up
             n_rejected += 1
+            non_finite = True
             h *= 0.1
             continue
 
@@ -279,6 +284,7 @@ def _integrate_rkf45(rhs, x0, t0, tf, cfg: IntegratorConfig) -> Trajectory:
         if err <= 1.0:
             t = t + h
             y = y5
+            non_finite = False
             f_cur = rhs(t, y)
             if not np.all(np.isfinite(f_cur)):
                 raise DivergedError(f"field non-finite after step to t={t}", times[-1])

@@ -142,11 +142,11 @@ class NormKind:
 
     __slots__ = ("tag", "weight", "weight_sqrt", "weight_sqrt_inv")
 
-    _TAGS = ("l1", "l2", "linf", "weighted")
+    TAGS = ("l1", "l2", "linf", "weighted")
 
     def __init__(self, tag: str, weight=None):
-        if tag not in self._TAGS:
-            raise InvalidNormError(f"unknown norm tag {tag!r}; expected one of {self._TAGS}")
+        if tag not in self.TAGS:
+            raise InvalidNormError(f"unknown norm tag {tag!r}; expected one of {self.TAGS}")
         if tag == "weighted":
             if weight is None:
                 raise InvalidNormError("weighted norm requires a weight matrix")

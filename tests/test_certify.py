@@ -18,10 +18,11 @@ from logstab.certify import (
 )
 from logstab.errors import DimensionError, InvalidInputError, InvalidRateError
 from logstab.integrate import Trajectory
-from logstab.linalg import NormKind
-from logstab.system import SystemSpec
+from logstab.linalg import NormKind, sym_eig_max
+from logstab.lognorm import log_norm
+from logstab.system import SystemSpec, jacobian
 
-from conftest import planar_demo_mu_l2
+from conftest import planar_demo_mu_l2, random_spd
 from logstab.demos import default_rate
 
 
@@ -143,6 +144,26 @@ class TestDemidovich:
         sys = constant_jacobian_system(np.diag([-1.0, -2.0]))
         with pytest.raises(DimensionError, match="3x3 but system has dim 2"):
             check_demidovich(sys, np.eye(3), box(2, 1.0), SamplingPlan(n_space=3))
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_matches_per_sample_loop(self, fig1_system, seed):
+        p = random_spd(np.random.default_rng(seed), 2)
+        domain, plan = box(2, 10.0), SamplingPlan(n_space=21, n_time=3)
+        rep = check_demidovich(fig1_system, p, domain, plan)
+        kind = NormKind.weighted(p)
+        max_eig, signs_agree = -np.inf, True
+        for t in np.linspace(0.0, 2.0, 3):
+            for x in sample_states(domain, plan):
+                j = jacobian(fig1_system, x, t)
+                lam = sym_eig_max(0.5 * (p @ j + j.T @ p))
+                mu = log_norm(j, kind)
+                max_eig = max(max_eig, lam)
+                if (abs(lam) > 1e-12 or abs(mu) > 1e-12) and np.sign(lam) != np.sign(mu):
+                    signs_agree = False
+        assert rep.max_eigenvalue == pytest.approx(max_eig, rel=1e-12, abs=1e-12)
+        assert rep.sign_agreement_ok == signs_agree
+        assert rep.passed == (max_eig < 0.0)
+        assert rep.n_samples == 21 * 21 * 3
 
     def test_demo_field_passes_with_identity_weight(self, fig1_system):
         rep = check_demidovich(fig1_system, np.eye(2), box(2, 10.0), SamplingPlan(n_space=21, n_time=3))

@@ -91,10 +91,59 @@ class TestCertifyCommand:
         assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert "weight is 3x3 but matrix is 2x2" in capsys.readouterr().err
 
+    def test_negative_seed_override_exits_two(self, config_file, tmp_path, capsys):
+        argv = ["certify", "--config", str(config_file), "--out", str(tmp_path / "r"), "--seed", "-1"]
+        assert main(argv) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     def test_config_error_exits_two(self, tmp_path):
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("[system]\ntype = builtin\nname = unknown_demo\n")
         assert main(["certify", "--config", str(cfg)]) == 2
+
+
+class TestUndefinedExpressions:
+    """A field undefined at a point evaluates to NaN and exits 3, naming t."""
+
+    def run(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "undefined.cfg"
+        cfg.write_text(text)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--tf", "1"])
+        return code, capsys.readouterr().err
+
+    def test_log_of_negative_state(self, tmp_path, capsys):
+        text = "[system]\ntype = expression\ndim = 1\nf1 = log(x1) - x1\nx0 = -1\n"
+        code, err = self.run(tmp_path, capsys, "simulate", text)
+        assert code == 3
+        assert "non-finite" in err and "t=0" in err
+
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    def test_overflow(self, tmp_path, capsys, command):
+        text = (
+            "[system]\ntype = expression\ndim = 1\nf1 = -x1 + exp(x1^2)\nx0 = 30\n\n"
+            "[domain]\nlower = -30\nupper = 30\nt_lo = 0\nt_hi = 1\n"
+        )
+        code, err = self.run(tmp_path, capsys, command, text)
+        assert code == 3
+        assert "non-finite" in err and "t=0" in err
+
+    def test_division_by_zero_in_delta(self, tmp_path, capsys):
+        text = "[system]\ntype = builtin\nname = example1\ndelta1 = 1/t\nx0 = 1, 1\n"
+        code, err = self.run(tmp_path, capsys, "simulate", text)
+        assert code == 3
+        assert "delta returned non-finite values at t=0" in err
+
+    def test_fractional_power_of_negative_base(self, tmp_path, capsys):
+        # Python's ** would give a complex number here, silently truncated to its real part
+        text = "[system]\ntype = builtin\nname = example1\ndelta1 = (t - 1)^0.5\nx0 = 1, 1\n"
+        code, err = self.run(tmp_path, capsys, "simulate", text)
+        assert code == 3
+        assert "delta returned non-finite values at t=0" in err
+
+    def test_undefined_rate(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, "certify", CONFIG.replace("alpha = 0.5 + t^3", "alpha = log(t - 1)"))
+        assert code == 3
+        assert "alpha(t) is non-finite at t=0" in err
 
 
 class TestSimulateCommand:

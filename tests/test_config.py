@@ -1,12 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from logstab.certify import SamplingPlan, estimate_contraction_rate
+from logstab.integrate import IntegratorConfig
 from logstab.config import (
     build_domain,
-    build_integrator,
     build_norm,
-    build_plan,
     build_system,
     parse_config,
     serialize_config,
@@ -153,6 +155,38 @@ class TestParsing:
         assert kind.tag == "weighted"
         assert np.allclose(kind.weight, [[2.0, 1.0], [1.0, 2.0]])
 
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("sampling", "n_space = 0", "sampling counts must be positive"),
+            ("sampling", "scheme = bogus", "unknown sampling scheme 'bogus'"),
+            ("sampling", "seed = -1", "sampling seed must be non-negative"),
+            ("sampling", "seed = 1.5", "expected an integer"),
+            ("integrator", "step = -1", "step sizes must be positive"),
+            ("integrator", "method = euler", "unknown integrator method 'euler'"),
+            ("integrator", "max_steps = 0", "max_steps must be positive"),
+            ("integrator", "rel_tol = inf", "number must be finite"),
+            ("norm", "kind = l3", "norm kind must be one of"),
+            ("norm", "weight = 1 x", "bad weight matrix"),
+            ("certify", "alpha = 1 + x1", "expression references undeclared symbol"),
+        ],
+    )
+    def test_bad_value_reports_its_line(self, section, line, message):
+        text = f"[system]\ntype = builtin\nname = example1\n[{section}]\n{line}\n"
+        with pytest.raises(ConfigError, match=f"^line 5: {re.escape(message)}"):
+            parse_config(text)
+
+    def test_sampling_and_integrator_keys_build_their_objects(self):
+        cfg = parse_config(DEMO_CONFIG.replace("method = rkf45", "method = RK4\nstep = 0.02\nmax_steps = 500"))
+        assert cfg.plan == SamplingPlan(n_space=41, n_time=5, scheme="uniform_grid", seed=42)
+        assert cfg.integrator == IntegratorConfig(
+            method="rk4", step=0.02, rel_tol=1e-9, abs_tol=1e-12, max_step=0.1, max_steps=500
+        )
+        assert cfg.tf == 20.0
+
+    def test_norm_kind_is_case_insensitive(self):
+        assert parse_config(DEMO_CONFIG.replace("kind = l2", "kind = LInf")).norm_kind == "linf"
+
     def test_weighted_norm_requires_matrix(self):
         with pytest.raises(ConfigError, match="weight"):
             parse_config("[system]\ntype = builtin\nname = example1\n\n[norm]\nkind = weighted\n")
@@ -165,14 +199,32 @@ class TestRoundTrip:
         again = parse_config(serialize_config(once))
         assert once == again
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[system]\ntype = expression\ndim = 1\nf1 = -x1\ndelta1 = 0\n",
+            "[system]\ntype = builtin\nname = example1\n\n[domain]\nt_hi = 5\n",
+        ],
+    )
+    def test_values_the_serializer_once_dropped(self, text):
+        once = parse_config(text)
+        assert parse_config(serialize_config(once)) == once
+
+    def test_readme_block_parses_and_round_trips(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        cfg = parse_config(blocks[0])
+        assert cfg.system_kind == "expression" and cfg.alpha_expr == "0.5 + t^3"
+        assert cfg.plan.n_space == 41 and cfg.integrator.max_step == 0.1
+        assert parse_config(serialize_config(cfg)) == cfg
+
     def test_builders_from_round_tripped_config(self):
         cfg = parse_config(serialize_config(parse_config(DEMO_CONFIG)))
         dom = build_domain(cfg)
         assert dom.t_hi == 2.0
-        plan = build_plan(cfg)
-        assert plan.seed == 42
-        icfg = build_integrator(cfg)
-        assert icfg.method == "rkf45"
+        assert cfg.plan.seed == 42
+        assert cfg.integrator.method == "rkf45"
 
 
 class TestExpressionSystems:

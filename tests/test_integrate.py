@@ -144,7 +144,7 @@ class TestFundamental:
         def a_fn(t):
             return -np.eye(2) if t <= 0.5 else np.full((2, 2), np.nan)
 
-        with pytest.raises(DivergedError) as err:
+        with pytest.raises(DivergedError, match=r"non-finite near t=0\.49") as err:
             integrate_fundamental(a_fn, 0.0, 1.0)
         assert err.value.last_time == pytest.approx(0.5, abs=1e-6)
 
