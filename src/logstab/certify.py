@@ -28,6 +28,12 @@ INCONCLUSIVE = "inconclusive"
 DIVERGENT_INTEGRAL = "divergent_integral"
 CONVERGENT_INTEGRAL = "convergent_integral"
 
+# check_forcing_ratio thresholds on the log-log slope and level of the ratio
+VANISH_SLOPE = -0.1
+FLAT_SLOPE_BAND = 0.05
+VANISH_DROP_FACTOR = 0.1
+PERSIST_LEVEL = 0.01
+
 
 @dataclass
 class Domain:
@@ -251,8 +257,9 @@ class ConvergenceReport:
     """Finite-horizon classification of the forcing-to-rate ratio.
 
     The asymptotic statement (ratio -> 0) is approximated by a log-log slope
-    fit over the last decade of a log-spaced grid; the thresholds are
-    pragmatic knobs, exposed so callers can tighten them.
+    fit over the last decade of a log-spaced grid. The thresholds are the
+    module constants VANISH_SLOPE, FLAT_SLOPE_BAND, VANISH_DROP_FACTOR and
+    PERSIST_LEVEL, recorded here so every report states what it was judged by.
     """
 
     ratio_samples: list[tuple[float, float]]
@@ -275,19 +282,15 @@ def check_forcing_ratio(
     t_hi: float,
     n_samples: int = 200,
     kind: NormKind | None = None,
-    vanish_slope: float = -0.1,
-    flat_slope_band: float = 0.05,
-    vanish_drop_factor: float = 0.1,
-    persist_level: float = 0.01,
 ) -> ConvergenceReport:
     """Sample |f(0,t) + delta(t)| / alpha(t) and classify its trend.
 
     Verdicts: ratio_vanishes when the log-log slope over the last decade is
-    below ``vanish_slope`` and the final ratio dropped below
-    ``vanish_drop_factor`` times the sampled peak (the peak, not the first
+    below VANISH_SLOPE and the final ratio dropped below
+    VANISH_DROP_FACTOR times the sampled peak (the peak, not the first
     sample, is the drop reference: ratios that rise from zero before decaying
     would otherwise defeat the test); ratio_persists when the slope sits
-    within ``flat_slope_band`` of zero at a level above ``persist_level``;
+    within FLAT_SLOPE_BAND of zero at a level above PERSIST_LEVEL;
     inconclusive otherwise.
     """
     if kind is None:
@@ -324,9 +327,9 @@ def check_forcing_ratio(
         log_t = np.log10(tail[positive, 0])
         log_r = np.log10(tail[positive, 1])
         slope = float(np.polyfit(log_t, log_r, 1)[0])
-        if slope < vanish_slope and final_ratio < vanish_drop_factor * peak_ratio:
+        if slope < VANISH_SLOPE and final_ratio < VANISH_DROP_FACTOR * peak_ratio:
             verdict = RATIO_VANISHES
-        elif abs(slope) <= flat_slope_band and final_ratio > persist_level:
+        elif abs(slope) <= FLAT_SLOPE_BAND and final_ratio > PERSIST_LEVEL:
             verdict = RATIO_PERSISTS
         else:
             verdict = INCONCLUSIVE
@@ -339,10 +342,10 @@ def check_forcing_ratio(
         final_ratio=final_ratio,
         verdict=verdict,
         kind_tag=kind.tag,
-        vanish_slope=vanish_slope,
-        flat_slope_band=flat_slope_band,
-        vanish_drop_factor=vanish_drop_factor,
-        persist_level=persist_level,
+        vanish_slope=VANISH_SLOPE,
+        flat_slope_band=FLAT_SLOPE_BAND,
+        vanish_drop_factor=VANISH_DROP_FACTOR,
+        persist_level=PERSIST_LEVEL,
     )
 
 
@@ -439,6 +442,8 @@ def classify_rate_integral(
     Convergent: the increments shrink geometrically (each at most 3/4 of the
     previous across the last doublings). Anything else is inconclusive. This
     can only ever be evidence, not proof; the verdict says so via ``note``.
+    A rate that is non-finite at a quadrature node raises EvaluationError
+    naming that t.
     """
     if horizon <= t0:
         raise InvalidInputError("horizon must exceed t0")
@@ -447,7 +452,7 @@ def classify_rate_integral(
 
     def simpson(a: float, b: float) -> float:
         xs = np.linspace(a, b, 2 * panels_per_segment + 1)
-        vals = np.array([float(alpha_fn(x)) for x in xs])
+        vals = np.array([_rate(alpha_fn, x) for x in xs])
         h = (b - a) / (2 * panels_per_segment)
         return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()))
 

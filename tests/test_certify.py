@@ -16,7 +16,8 @@ from logstab.certify import (
     verify_incremental_bound,
     verify_origin_convergence,
 )
-from logstab.errors import DimensionError, InvalidInputError, InvalidRateError
+from logstab.errors import DimensionError, EvaluationError, InvalidInputError, InvalidRateError
+from logstab.expr import compile_expression, parse_expression
 from logstab.integrate import Trajectory
 from logstab.linalg import NormKind, sym_eig_max
 from logstab.lognorm import log_norm
@@ -257,6 +258,13 @@ class TestRateIntegral:
     def test_partial_totals_recorded(self):
         rep = classify_rate_integral(lambda t: 1.0, 0.0, 8.0, n_doublings=3)
         assert rep.partial_totals == pytest.approx([1.0, 2.0, 4.0, 8.0], abs=1e-12)
+
+    def test_undefined_rate_names_t(self):
+        # log(t - 1) evaluates to NaN for t < 1
+        alpha = compile_expression(parse_expression("log(t - 1)"), ["t"])
+        with pytest.raises(EvaluationError, match="non-finite at t=0") as err:
+            classify_rate_integral(alpha, 0.0, 100.0)
+        assert err.value.t == 0.0
 
 
 class TestOriginConvergence:

@@ -146,6 +146,21 @@ class TestUndefinedExpressions:
         assert "alpha(t) is non-finite at t=0" in err
 
 
+class TestExpressionConfigErrors:
+    """Expressions the grammar cannot take are config errors naming their line."""
+
+    @pytest.mark.parametrize(
+        "f1",
+        ["(" * 250 + "-x1" + ")" * 250, "-" * 1500 + "x1", "-x1 + 1e400"],
+        ids=["250 parentheses", "1500 unary minus signs", "non-finite literal"],
+    )
+    def test_exits_two_naming_the_line(self, tmp_path, capsys, f1):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[system]\ntype = expression\ndim = 1\nf1 = {f1}\nx0 = 1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--tf", "1"]) == 2
+        assert "line 4: bad expression" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_writes_loadable_trajectory(self, config_file, tmp_path):
         out_dir = tmp_path / "sim"

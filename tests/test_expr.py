@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from logstab.expr import (
+    MAX_DEPTH,
     ExprSyntaxError,
     NonDifferentiableError,
     compile_expression,
@@ -62,6 +63,58 @@ class TestParseAndEval:
     def test_undeclared_symbol_rejected_at_compile(self):
         with pytest.raises(ExprSyntaxError):
             compile_expression(parse_expression("x1 + y"), ["x1", "t"])
+
+    # Python's parser accepts every one of these; the grammar accepts none
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0x10",
+            "1_0",
+            "1j",
+            "x**2",
+            "a.b",
+            "sin(x=1)",
+            "sin(*x)",
+            "(1, 2)",
+            "x if t else 1",
+            "x < 1",
+            "not x",
+            "x % 2",
+            "x // 2",
+            "~x",
+            "True",
+            "'s'",
+            "[x]",
+            "lambda: 1",
+            "\uff58 + t",  # fullwidth x, which Python reads as x
+            "(sin)(x)",
+            "sin(x,)",
+            "x # comment",
+            "...",
+        ],
+    )
+    def test_python_syntax_outside_the_grammar_rejected(self, text):
+        with pytest.raises(ExprSyntaxError):
+            compile_expression(parse_expression(text), ["x", "t"])
+
+    def test_argument_hiding_a_function_rejected(self):
+        with pytest.raises(ExprSyntaxError, match="would hide a name"):
+            compile_expression(parse_expression("sin(sin)"), ["sin"])
+
+    def test_error_position_is_in_the_users_text(self):
+        # Python reports the unclosed '(' at index 7 of "x**2 + (1"
+        err = pytest.raises(ExprSyntaxError, parse_expression, "x^2 + (1")
+        assert err.value.pos == 6
+        err = pytest.raises(ExprSyntaxError, parse_expression, "x^2 +")
+        assert err.value.pos == 5  # the end of the text
+
+    def test_depth_limit(self):
+        # nested general powers give the deepest derivative, about four times the depth
+        at_limit = "(" * (MAX_DEPTH - 1) + "x" + ")^x" * (MAX_DEPTH - 1)
+        derivative = compile_expression(differentiate(parse_expression(at_limit), "x"), ["x"])
+        assert np.isfinite(derivative(1.01))
+        with pytest.raises(ExprSyntaxError, match="nested more than"):
+            parse_expression(f"({at_limit})^x")
 
 
 CORPUS = [
