@@ -6,6 +6,9 @@ checked at parse time, and a bad value is reported with its line. [system]
 has its own parser, because its keys are per component. Every other key is
 read through one table, SCHEMA, which also drives serialize_config, so
 parse -> serialize -> parse round-trips to an equal ScenarioConfig.
+The [domain] box (lower < upper, t_lo < t_hi) is checked only when
+build_domain builds it for certify, with the line of the offending key, so a
+config that only simulate uses may leave it unfinished.
 Sampling and integrator keys are applied with dataclasses.replace, so the
 checks of SamplingPlan and IntegratorConfig run on each of them.
 
@@ -23,7 +26,7 @@ Sections (all optional except [system]):
                 weight = 2 1; 1 2          (inline rows)   or  weight_file = P.txt
     [domain]    lower = -10, -10   upper = 10, 10   t_lo = 0   t_hi = 2
     [sampling]  n_space = 33   n_time = 5   scheme = uniform_grid   seed = 42
-    [integrator] method = rkf45 | rk4, step, rel_tol, abs_tol, max_step, max_steps, tf
+    [integrator] method = auto | rkf45 | rk4 | ndf, step, rel_tol, abs_tol, max_step, max_steps, tf
     [certify]   alpha = 0.5 + t^3          (analytic rate, expression in t)
     [output]    dir = out
 """
@@ -78,6 +81,8 @@ class ScenarioConfig:
     tf: float = 20.0
     alpha_expr: str = ""
     out_dir: str = "out"
+    # (section, key) -> line of each SCHEMA key read; not part of the scenario's value
+    key_lines: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 # coercions: text -> value, raising InvalidInputError on a bad value
@@ -287,6 +292,7 @@ def parse_config(text: str) -> ScenarioConfig:
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in [{name}]", lineno)
             owner, attr, coerce = keys[key]
+            cfg.key_lines[name, key] = lineno
             value = _at(lineno, coerce, raw)
             if owner is not None:
                 attr, value = owner, _at(lineno, replace, getattr(cfg, owner), **{attr: value})
@@ -344,9 +350,15 @@ def build_norm(cfg: ScenarioConfig, base_dir=".") -> NormKind:
 
 
 def build_domain(cfg: ScenarioConfig) -> Domain:
+    """The certification box; a box that cannot form is a ConfigError at its key's line."""
     if not cfg.domain_lower:
         raise ConfigError("scenario has no [domain] section")
-    return Domain(np.array(cfg.domain_lower), np.array(cfg.domain_upper), cfg.t_lo, cfg.t_hi)
+    lower, upper = np.array(cfg.domain_lower), np.array(cfg.domain_upper)
+    # Domain checks lower < upper before t_lo < t_hi; blame the later line of the failing pair
+    pair = ("lower", "upper") if not np.all(lower < upper) else ("t_lo", "t_hi")
+    lines = [cfg.key_lines.get(("domain", key)) for key in pair]
+    lineno = max((ln for ln in lines if ln is not None), default=None)
+    return _at(lineno, Domain, lower, upper, cfg.t_lo, cfg.t_hi)
 
 
 def _compile_delta(cfg: ScenarioConfig):

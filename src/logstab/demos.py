@@ -163,7 +163,10 @@ def run_demo_example1(
         export_report_csv(ratio_report, out_dir / "ratio.csv", name="forcing ratio"),
         export_report_csv(convergence, out_dir / "convergence.csv", name="limit check"),
     ]
-    files.append(_write_summary(out_dir / "report.txt", variant, certificate, ratio_report, convergence, final_state, tf))
+    method = (cfg or IntegratorConfig()).method
+    files.append(
+        _write_summary(out_dir / "report.txt", variant, certificate, ratio_report, convergence, trajectory, method, tf)
+    )
 
     return DemoResult(
         variant=variant,
@@ -178,8 +181,17 @@ def run_demo_example1(
     )
 
 
-def _write_summary(path: Path, variant, certificate, ratio_report, convergence, final_state, tf) -> Path:
+def _integrator_path(method: str, traj: Trajectory) -> str:
+    """One line naming the method, where an auto run switched, and the step counts."""
+    if method == "auto":
+        switch = "rkf45 throughout" if traj.stiff_from is None else f"rkf45 to t={traj.stiff_from:.2f} then ndf"
+        method = f"auto, {switch}"
+    return f"integrator: {method}; {traj.n_steps} accepted, {traj.n_rejected} rejected steps"
+
+
+def _write_summary(path: Path, variant, certificate, ratio_report, convergence, trajectory, method, tf) -> Path:
     limit = "the origin" if variant == "fig1" else "(0, 4)"
+    final_state = trajectory.states[-1]
     lines = [
         f"demo example1 variant={variant}",
         "",
@@ -193,6 +205,7 @@ def _write_summary(path: Path, variant, certificate, ratio_report, convergence, 
         f" (slope {ratio_report.trend_slope:.3f}, final {ratio_report.final_ratio:.3e})",
         "",
         f"trajectory to tf={tf}: final state {final_state.tolist()}",
+        _integrator_path(method, trajectory),
         f"expected limit {limit}: converged={convergence.converged}"
         f" (tail max {convergence.tail_max:.3e}, tol {convergence.tol})",
         "",

@@ -1,10 +1,27 @@
-"""Explicit ODE integration for trajectories and fundamental matrices.
+"""ODE integration for trajectories and fundamental matrices.
 
-Two schemes: a classic fixed-step RK4 and an adaptive Runge-Kutta-Fehlberg
-4(5) pair with the 5th-order solution propagated (local extrapolation) and
-the embedded difference used for step control. Dense output between accepted
-nodes is cubic Hermite on the stored derivatives, giving locally 4th-order
-samples, which matches the integration order.
+Four methods. ``rk4`` is a classic fixed-step RK4. ``rkf45`` is an adaptive
+Runge-Kutta-Fehlberg 4(5) pair with the 5th-order solution propagated (local
+extrapolation) and the embedded difference used for step control. ``ndf`` is
+the variable-order (1-5), quasi-constant-step NDF of Shampine & Reichelt
+("The MATLAB ODE Suite", 1997): an implicit multistep method for stiff runs,
+solved by a simplified Newton iteration on an explicit inverse of
+I - h/((1 - kappa) gamma_k) J. ``auto``, the default, runs rkf45 and hands the
+rest of the run to ndf once the run has turned stiff.
+
+The stiffness test costs no extra field evaluations. Each accepted RKF45 step
+has two evaluations at t + h: the stage k5 = f(t + h, Y5) and the next first
+stage f(t + h, y5). Their quotient
+
+    sigma = <f(t + h, y5) - k5, y5 - Y5> / |y5 - Y5|^2
+
+samples the numerical range of J, whose upper end is mu2[J] (Hairer &
+Wanner's stiffness test, with the sign kept). ``auto`` switches once
+h * (-sigma) >= STIFF_THETA on STIFF_RUN consecutive accepted steps; a
+rotation has sigma = 0 and an expanding field sigma > 0, so neither switches.
+
+Every method stores the field at its accepted nodes, so one dense-output path,
+cubic Hermite on the stored derivatives, samples every run.
 
 The fundamental matrix of a linear time-varying system is integrated with
 the same machinery as one n^2-dimensional matrix ODE, so all n columns share
@@ -20,10 +37,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, DivergedError, InvalidInputError
+from .errors import ConditioningError, DimensionError, DivergedError, InvalidInputError
 from .linalg import NormKind, cond_2, induced_matrix_norm, solve, vec_norm
 from .lognorm import log_norm_pair
-from .system import SystemSpec, eval_rhs
+from .system import SystemSpec, eval_rhs, jacobian
+
+METHODS = ("auto", "rkf45", "rk4", "ndf")
 
 # Fehlberg 4(5) tableau
 _C2, _C3, _C4, _C5, _C6 = 0.25, 0.375, 12.0 / 13.0, 1.0, 0.5
@@ -36,17 +55,35 @@ _B51, _B53, _B54, _B55, _B56 = 16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0
 # b5 - b4, the embedded local error weights
 _E1, _E3, _E4, _E5, _E6 = 1.0 / 360.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0
 
+# ``auto`` hands over to ndf once h * (-sigma) >= STIFF_THETA on STIFF_RUN
+# consecutive accepted RKF45 steps (see the module docstring)
+STIFF_THETA = 0.25
+STIFF_RUN = 3
+
+# NDF coefficients by order k (index 0 unused): kappa_k, gamma_k = sum_{j<=k} 1/j,
+# the Newton scaling (1 - kappa_k) gamma_k, and the error constant
+# kappa_k gamma_k + 1/(k + 1) of the local error estimate
+_NDF_MAX_ORDER = 5
+_KAPPA = np.array([0.0, -0.1850, -1.0 / 9.0, -0.0823, -0.0415, 0.0])
+_GAMMA = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, _NDF_MAX_ORDER + 1))])
+_NDF_ALPHA = (1.0 - _KAPPA) * _GAMMA
+_NDF_ERR = _KAPPA * _GAMMA + 1.0 / np.arange(1, _NDF_MAX_ORDER + 2)
+_NEWTON_ITERS = 4
+
 
 @dataclass
 class IntegratorConfig:
-    """Step-size and tolerance knobs for both integration schemes.
+    """Step-size and tolerance knobs for every integration method.
 
-    ``step`` is the fixed step for rk4 and the initial step for rkf45.
-    ``max_step`` caps adaptive growth; stiff late-time dynamics (rates like
-    -t^3) otherwise provoke large rejected excursions.
+    ``method`` is one of METHODS: ``auto`` (rkf45, then ndf once the run turns
+    stiff), ``rkf45``, ``rk4`` or ``ndf``. ``step`` is the fixed step for rk4
+    and the initial step of the adaptive methods. ``max_step`` caps adaptive
+    growth; stiff late-time dynamics (rates like -t^3) otherwise provoke large
+    rejected excursions. ``max_steps`` bounds accepted plus rejected steps,
+    over both phases of an ``auto`` run.
     """
 
-    method: str = "rkf45"  # "rk4" | "rkf45"
+    method: str = "auto"
     step: float = 0.01
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -54,8 +91,8 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.method not in ("rk4", "rkf45"):
-            raise InvalidInputError(f"unknown integrator method {self.method!r}")
+        if self.method not in METHODS:
+            raise InvalidInputError(f"unknown integrator method {self.method!r}; expected one of {', '.join(METHODS)}")
         if self.step <= 0.0 or self.max_step <= 0.0:
             raise InvalidInputError("step sizes must be positive")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
@@ -71,7 +108,9 @@ class Trajectory:
     ``derivs`` holds the field evaluations at the grid nodes when the
     trajectory is the integrator's own grid (used for dense resampling);
     resampled trajectories carry None. ``error_estimate`` accumulates the
-    embedded local-error estimates of accepted steps (0 for fixed-step runs).
+    max-abs local-error estimates of accepted steps (0 for fixed-step runs).
+    ``stiff_from`` is the time at which an ``auto`` run switched to ndf, and
+    None when it did not switch or ran another method.
     """
 
     times: np.ndarray
@@ -80,6 +119,7 @@ class Trajectory:
     error_estimate: float = 0.0
     n_steps: int = 0
     n_rejected: int = 0
+    stiff_from: Optional[float] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -177,7 +217,8 @@ def integrate(
 
     Returns the integrator's own grid, or a dense resampling when
     ``sample_times`` is given. Raises DivergedError (carrying the last valid
-    time) on state blow-up, step underflow, or step-budget exhaustion.
+    time) on state blow-up, step underflow, or step-budget exhaustion, and
+    ConditioningError when the ndf iteration matrix is singular.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -192,10 +233,17 @@ def integrate(
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return sys.f(y, t) + sys.delta(t)
 
+    def jac(t: float, y: np.ndarray) -> np.ndarray:
+        return jacobian(sys, y, t)
+
     if cfg.method == "rk4":
         traj = _integrate_rk4(rhs, x0, t0, tf, cfg)
+    elif cfg.method == "ndf":
+        traj = _integrate_ndf(rhs, jac, Trajectory([t0], [x0], [rhs(t0, x0)]), tf, cfg)
     else:
-        traj = _integrate_rkf45(rhs, x0, t0, tf, cfg)
+        traj = _integrate_rkf45(rhs, x0, t0, tf, cfg, watch_stiffness=cfg.method == "auto")
+        if traj.stiff_from is not None:
+            traj = _integrate_ndf(rhs, jac, traj, tf, cfg)
 
     if sample_times is None:
         return traj
@@ -208,6 +256,7 @@ def integrate(
         error_estimate=traj.error_estimate,
         n_steps=traj.n_steps,
         n_rejected=traj.n_rejected,
+        stiff_from=traj.stiff_from,
     )
 
 
@@ -242,18 +291,24 @@ def _integrate_rk4(rhs, x0, t0, tf, cfg: IntegratorConfig) -> Trajectory:
     return Trajectory(times, states, derivs, error_estimate=0.0, n_steps=n)
 
 
-def _integrate_rkf45(rhs, x0, t0, tf, cfg: IntegratorConfig) -> Trajectory:
+def _integrate_rkf45(rhs, x0, t0, tf, cfg: IntegratorConfig, watch_stiffness: bool = False) -> Trajectory:
+    """Adaptive RKF45 run; with ``watch_stiffness`` it stops where the run turns stiff.
+
+    That early end is marked by ``stiff_from``; the caller continues from it.
+    """
     times = [t0]
     states = [x0.copy()]
     f_cur = rhs(t0, x0)
     derivs = [np.asarray(f_cur, dtype=float)]
     t = t0
     y = x0.copy()
-    h = min(cfg.step, cfg.max_step, tf - t0)
+    h = min(cfg.step, cfg.max_step, tf - t)
     total_err = 0.0
     n_steps = 0
     n_rejected = 0
     non_finite = False  # a stage went non-finite since the last accepted step
+    stiff_steps = 0  # consecutive accepted steps with h * (-sigma) >= STIFF_THETA
+    stiff_from = None
     tiny = 1e-12 * max(1.0, abs(tf - t0))
 
     while t < tf - tiny:
@@ -268,7 +323,8 @@ def _integrate_rkf45(rhs, x0, t0, tf, cfg: IntegratorConfig) -> Trajectory:
         k2 = rhs(t + _C2 * h, y + (h * _A21) * k1)
         k3 = rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
         k4 = rhs(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = rhs(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+        y_stage5 = y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+        k5 = rhs(t + _C5 * h, y_stage5)
         k6 = rhs(t + _C6 * h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
         y5 = y + h * (_B51 * k1 + _B53 * k3 + _B54 * k4 + _B55 * k5 + _B56 * k6)
         err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6)
@@ -293,6 +349,13 @@ def _integrate_rkf45(rhs, x0, t0, tf, cfg: IntegratorConfig) -> Trajectory:
             derivs.append(np.asarray(f_cur, dtype=float))
             total_err += float(np.max(np.abs(err_vec)))
             n_steps += 1
+            if watch_stiffness:
+                gap = y5 - y_stage5  # h * (-sigma) >= theta, without dividing by |gap|^2
+                gap2 = gap @ gap
+                stiff_steps = stiff_steps + 1 if gap2 > 0.0 and h * (gap @ (k5 - f_cur)) >= STIFF_THETA * gap2 else 0
+                if stiff_steps >= STIFF_RUN and t < tf - tiny:
+                    stiff_from = t
+                    break
             grow = 0.9 * err ** -0.2 if err > 0.0 else 5.0
             h = min(h * min(5.0, max(0.2, grow)), cfg.max_step)
         else:
@@ -306,6 +369,182 @@ def _integrate_rkf45(rhs, x0, t0, tf, cfg: IntegratorConfig) -> Trajectory:
         error_estimate=total_err,
         n_steps=n_steps,
         n_rejected=n_rejected,
+        stiff_from=stiff_from,
+    )
+
+
+def _rescale_differences(diffs: np.ndarray, order: int, factor: float) -> None:
+    """Re-express the backward differences of the interpolant on the step h * factor, in place.
+
+    Row i of diffs holds the i-th backward difference on steps of h. With
+    R(r)[i, j] = prod_{m=1..i} (m - 1 - r j) / m, the differences on the new
+    step are (R(factor) R(1))^T diffs[:order + 1].
+    """
+
+    def r_matrix(r: float) -> np.ndarray:
+        j = np.arange(1, order + 1)
+        steps = np.zeros((order + 1, order + 1))
+        steps[0] = 1.0
+        steps[1:, 1:] = (j[:, None] - 1.0 - r * j) / j[:, None]
+        return np.cumprod(steps, axis=0)
+
+    diffs[: order + 1] = (r_matrix(factor) @ r_matrix(1.0)).T @ diffs[: order + 1]
+
+
+def _iteration_inverse(j_mat: np.ndarray, c: float, t: float) -> np.ndarray:
+    """Explicit inverse of the Newton matrix I - c J; ConditioningError when it is singular."""
+    m = np.eye(j_mat.shape[0]) - c * j_mat
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        inv = None
+    cond = np.inf if inv is None else np.abs(m).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+    if not cond * np.finfo(float).eps < 1.0:
+        raise ConditioningError(f"ndf iteration matrix I - {c:.6g} J is singular at t={t} (condition {cond:.3g})")
+    return inv
+
+
+def _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, tol):
+    """Simplified Newton iteration for the NDF corrector corr = c f(t_new, y_pred + corr) - psi.
+
+    The iteration matrix is the inverse of I - c J with a possibly stale J.
+    Returns (converged, iterations, y, corr, non_finite).
+    """
+    y = y_pred.copy()
+    corr = np.zeros_like(y)
+    prev = None
+    for it in range(_NEWTON_ITERS):
+        f = rhs(t_new, y)
+        if not np.all(np.isfinite(f)):
+            return False, it + 1, y, corr, True
+        dy = m_inv @ (c * f - psi - corr)
+        size = float(np.max(np.abs(dy) / scale))
+        rate = None if prev is None else size / prev
+        if rate is not None and (rate >= 1.0 or rate ** (_NEWTON_ITERS - it) / (1.0 - rate) * size > tol):
+            return False, it + 1, y, corr, False
+        y = y + dy
+        corr = corr + dy
+        if size == 0.0 or (rate is not None and rate / (1.0 - rate) * size < tol):
+            return True, it + 1, y, corr, False
+        prev = size
+    return False, _NEWTON_ITERS, y, corr, False
+
+
+def _integrate_ndf(rhs, jac, head: Trajectory, tf, cfg: IntegratorConfig) -> Trajectory:
+    """Variable-order NDF run that continues ``head``, the run so far, from its last node to tf.
+
+    For ``ndf`` the head is the initial node alone; for ``auto`` it is the
+    RKF45 phase, whose steps and error estimate the result carries on.
+    """
+    times = list(head.times)
+    states = list(head.states)
+    derivs = list(np.asarray(head.derivs, dtype=float))
+    t = times[-1]
+    y = states[-1].copy()
+    n = y.size
+    h = min(cfg.step, cfg.max_step, tf - t)
+    # rows 0..order hold the backward differences of the interpolant; two spare
+    # rows carry the new correction and its difference for the order change
+    diffs = np.zeros((_NDF_MAX_ORDER + 3, n))
+    diffs[0] = y
+    diffs[1] = h * derivs[-1]
+    order = 1
+    n_equal = 0  # accepted steps since the last change of h or order
+    j_mat = jac(t, y)
+    j_fresh = True  # j_mat was evaluated during the current step
+    m_inv = None
+    newton_tol = max(10.0 * np.finfo(float).eps / cfg.rel_tol, min(0.03, cfg.rel_tol**0.5))
+    total_err = head.error_estimate
+    n_steps = head.n_steps
+    n_rejected = head.n_rejected
+    non_finite = False
+    tiny = 1e-12 * max(1.0, abs(tf - head.times[0]))
+
+    def resize(factor: float) -> None:
+        nonlocal h, n_equal, m_inv
+        _rescale_differences(diffs, order, factor)
+        h *= factor
+        n_equal = 0
+        m_inv = None
+
+    while t < tf - tiny:
+        if n_steps + n_rejected >= cfg.max_steps:
+            raise DivergedError(f"step budget {cfg.max_steps} exhausted at t={t}", t)
+        h_cap = min(cfg.max_step, tf - t)
+        if h > h_cap:
+            resize(h_cap / h)
+            h = h_cap
+        if h < 1e-14 * max(1.0, abs(t)):
+            if non_finite:
+                raise DivergedError(f"field non-finite near t={t}: steps shrank to underflow", t)
+            raise DivergedError(f"step size underflow at t={t}", t)
+        t_new = t + h
+        y_pred = diffs[: order + 1].sum(axis=0)
+        psi = (_GAMMA[1 : order + 1] @ diffs[1 : order + 1]) / _NDF_ALPHA[order]
+        c = h / _NDF_ALPHA[order]
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_pred))
+        while True:
+            if m_inv is None:
+                m_inv = _iteration_inverse(j_mat, c, t)
+            converged, n_iter, y_new, corr, bad = _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, newton_tol)
+            non_finite = non_finite or bad
+            if converged or j_fresh or bad:  # a fresh J cannot help where f is undefined
+                break
+            j_mat = jac(t_new, y_pred)
+            j_fresh = True
+            m_inv = None
+        if not converged:
+            n_rejected += 1
+            resize(0.5)
+            continue
+
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        local_err = _NDF_ERR[order] * corr
+        err = float(np.max(np.abs(local_err) / scale))
+        safety = 0.9 * (2 * _NEWTON_ITERS + 1) / (2 * _NEWTON_ITERS + n_iter)
+        if err > 1.0:
+            n_rejected += 1
+            resize(max(0.2, safety * err ** (-1.0 / (order + 1))))
+            continue
+
+        t = t_new
+        y = y_new
+        non_finite = False
+        j_fresh = False
+        f_new = rhs(t, y)
+        if not np.all(np.isfinite(f_new)):
+            raise DivergedError(f"field non-finite after step to t={t}", times[-1])
+        times.append(t)
+        states.append(y)
+        derivs.append(np.asarray(f_new, dtype=float))
+        total_err += float(np.max(np.abs(local_err)))
+        n_steps += 1
+        n_equal += 1
+        # corr is the (order + 1)-th difference at the new node; fold it in
+        diffs[order + 2] = corr - diffs[order + 1]
+        diffs[order + 1] = corr
+        for i in range(order, -1, -1):
+            diffs[i] += diffs[i + 1]
+        if n_equal < order + 1:
+            continue
+
+        # try orders k - 1, k, k + 1 and take the one that allows the longest step
+        err_lo = np.max(np.abs(_NDF_ERR[order - 1] * diffs[order]) / scale) if order > 1 else np.inf
+        err_hi = np.max(np.abs(_NDF_ERR[order + 1] * diffs[order + 2]) / scale) if order < _NDF_MAX_ORDER else np.inf
+        with np.errstate(divide="ignore"):
+            factors = np.array([err_lo, err, err_hi]) ** (-1.0 / np.arange(order, order + 3))
+        best = int(np.argmax(factors))
+        order += best - 1
+        resize(min(10.0, safety * factors[best]))
+
+    return Trajectory(
+        np.array(times),
+        np.array(states),
+        np.array(derivs),
+        error_estimate=total_err,
+        n_steps=n_steps,
+        n_rejected=n_rejected,
+        stiff_from=head.stiff_from,
     )
 
 

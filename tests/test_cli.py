@@ -1,4 +1,5 @@
 import os
+import re
 import stat
 
 import pytest
@@ -96,6 +97,36 @@ class TestCertifyCommand:
         assert main(argv) == 2
         assert "seed must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "domain, line, message",
+        [
+            ("lower = 1, 1\nupper = 0, 0\n", 7, "lower < upper"),
+            ("lower = -1, -1\nupper = 1, 1\nt_lo = 2\nt_hi = 2\n", 9, "t_lo < t_hi"),
+        ],
+        ids=["lower above upper", "empty time window"],
+    )
+    def test_domain_that_cannot_form_a_box_names_its_line(self, tmp_path, capsys, domain, line, message):
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text(f"[system]\ntype = builtin\nname = example1\nx0 = 1, 1\n[domain]\n{domain}")
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert f"line {line}: domain requires {message}" in capsys.readouterr().err
+        # simulate never builds the box, so the same config still runs
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s"), "--tf", "0.5"]) == 0
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_weight_that_is_not_spd_exits_two(self, tmp_path, capsys, route):
+        weight = tmp_path / "P.txt"
+        weight.write_text("1 2\n2 1\n")
+        argv = ["certify", "--config", str(tmp_path / "w.cfg"), "--out", str(tmp_path / "r")]
+        text = CONFIG
+        if route == "flag":
+            argv += ["--norm", f"weighted:{weight}"]
+        else:
+            text += "\n[norm]\nkind = weighted\nweight_file = P.txt\n"
+        (tmp_path / "w.cfg").write_text(text)
+        assert main(argv) == 2
+        assert "invalid weight matrix: matrix is not positive definite" in capsys.readouterr().err
+
     def test_config_error_exits_two(self, tmp_path):
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("[system]\ntype = builtin\nname = unknown_demo\n")
@@ -162,6 +193,13 @@ class TestExpressionConfigErrors:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("method", ["rkf45", "ndf", "auto"])
+    def test_step_budget_exhaustion_exits_three_naming_t(self, config_file, tmp_path, capsys, method):
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text(config_file.read_text().replace("tf = 3", f"tf = 3\nmethod = {method}\nmax_steps = 50"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 3
+        assert re.search(r"step budget 50 exhausted at t=0\.\d+", capsys.readouterr().err)
+
     def test_writes_loadable_trajectory(self, config_file, tmp_path):
         out_dir = tmp_path / "sim"
         assert main(["simulate", "--config", str(config_file), "--out", str(out_dir), "--tf", "2"]) == 0
@@ -176,7 +214,9 @@ class TestDemoCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "ratio_vanishes" in out
-        assert (tmp_path / "d" / "report.txt").exists()
+        report = (tmp_path / "d" / "report.txt").read_text()
+        path = re.search(r"integrator: auto, rkf45 to t=(\d+\.\d\d) then ndf; (\d+) accepted, \d+ rejected steps", report)
+        assert path and 2.0 <= float(path[1]) <= 8.0 and int(path[2]) <= 2000, report
 
     def test_unknown_demo_name(self, tmp_path):
         assert main(["demo", "other", "--out", str(tmp_path)]) == 2

@@ -184,6 +184,14 @@ class TestParsing:
         )
         assert cfg.tf == 20.0
 
+    @pytest.mark.parametrize("text, method", [("ndf", "ndf"), ("auto", "auto"), ("NDF", "ndf"), ("Auto", "auto")])
+    def test_stiff_aware_methods_parse(self, text, method):
+        cfg = parse_config(DEMO_CONFIG.replace("method = rkf45", f"method = {text}"))
+        assert cfg.integrator == IntegratorConfig(method=method)
+
+    def test_method_defaults_to_auto(self):
+        assert parse_config("[system]\ntype = builtin\nname = example1\n").integrator.method == "auto"
+
     def test_norm_kind_is_case_insensitive(self):
         assert parse_config(DEMO_CONFIG.replace("kind = l2", "kind = LInf")).norm_kind == "linf"
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from logstab.errors import DimensionError, DivergedError, InvalidInputError
+from logstab.demos import build_example1, delta_admissible, delta_borderline
+from logstab.errors import ConditioningError, DimensionError, DivergedError, InvalidInputError
 from logstab.integrate import (
+    _NDF_ALPHA,
     FundamentalTrajectory,
     IntegratorConfig,
     Trajectory,
@@ -263,3 +265,188 @@ class TestTrajectoryContainer:
     def test_empty_trajectory_allowed(self):
         traj = Trajectory(np.zeros(0), np.zeros((0, 2)))
         assert traj.dim == 2
+
+
+def prothero_robinson(lam):
+    """y' = lam (y - sin t) + cos t, whose solution from y(0) = 0 is sin t for every lam."""
+    return SystemSpec(
+        dim=1,
+        f=lambda x, t: lam * (x - np.sin(t)) + np.cos(t),
+        jac=lambda x, t: np.array([[lam]]),
+    )
+
+
+def same_run(a, b):
+    return (
+        np.array_equal(a.times, b.times)
+        and np.array_equal(a.states, b.states)
+        and (a.derivs is None and b.derivs is None or np.array_equal(a.derivs, b.derivs))
+        and a.error_estimate == b.error_estimate
+        and (a.n_steps, a.n_rejected, a.stiff_from) == (b.n_steps, b.n_rejected, b.stiff_from)
+    )
+
+
+class TestNDF:
+    def test_stiff_prothero_robinson_tracks_the_exact_solution(self):
+        sys = prothero_robinson(-1e4)
+        ts = np.linspace(0.0, 1.0, 201)
+        errors = []
+        for rel_tol in (1e-6, 1e-9):
+            cfg = IntegratorConfig(method="ndf", rel_tol=rel_tol)
+            grid = integrate(sys, np.array([0.0]), 0.0, 1.0, cfg)
+            dense = integrate(sys, np.array([0.0]), 0.0, 1.0, cfg, sample_times=ts)
+            err = max(
+                np.abs(grid.states[:, 0] - np.sin(grid.times)).max(),
+                np.abs(dense.states[:, 0] - np.sin(ts)).max(),
+            )
+            assert err <= 10.0 * rel_tol, (rel_tol, err)
+            errors.append(err)
+            # RKF45 cannot reach t = 1 in ten times the NDF step count
+            budget = IntegratorConfig(method="rkf45", rel_tol=rel_tol, max_steps=10 * (grid.n_steps + grid.n_rejected))
+            with pytest.raises(DivergedError, match="step budget"):
+                integrate(sys, np.array([0.0]), 0.0, 1.0, budget)
+        assert errors[1] < errors[0]
+
+    def test_dense_output_from_stored_field_values(self, decay_system):
+        ts = np.linspace(0.0, 1.0, 37)
+        traj = integrate(decay_system, np.array([1.0]), 0.0, 1.0, IntegratorConfig(method="ndf"), sample_times=ts)
+        assert np.abs(traj.states[:, 0] - np.exp(-ts)).max() < 1e-7
+        raw = integrate(decay_system, np.array([1.0]), 0.0, 1.0, IntegratorConfig(method="ndf"))
+        assert np.allclose(raw.derivs, -raw.states, rtol=0.0, atol=0.0)
+
+    def test_honours_max_step(self, decay_system):
+        traj = integrate(decay_system, np.array([1.0]), 0.0, 10.0, IntegratorConfig(method="ndf", max_step=0.05))
+        assert np.diff(traj.times).max() <= 0.05 * (1.0 + 1e-12)
+        assert traj.states[-1, 0] == pytest.approx(np.exp(-10.0), rel=1e-6)
+
+    def test_field_turning_non_finite_names_t(self):
+        sys = SystemSpec(dim=1, f=lambda x, t: -x if t <= 0.5 else x * np.nan, jac=lambda x, t: -np.eye(1))
+        with pytest.raises(DivergedError, match=r"non-finite near t=0\.49") as err:
+            integrate(sys, np.array([1.0]), 0.0, 1.0, IntegratorConfig(method="ndf"))
+        assert err.value.last_time == pytest.approx(0.5, abs=1e-6)
+
+    def test_field_turning_non_finite_without_jacobian_names_t(self):
+        # finite differences are never taken where the field is undefined
+        def a_fn(t):
+            return -np.eye(2) if t <= 0.5 else np.full((2, 2), np.nan)
+
+        with pytest.raises(DivergedError, match=r"non-finite near t=0\.49"):
+            integrate_fundamental(a_fn, 0.0, 1.0, IntegratorConfig(method="ndf"))
+
+    def test_singular_iteration_matrix(self):
+        # the first step has order 1 and h = step, so I - h/alpha_1 J has a zero row
+        h = 0.01
+        j = np.diag([_NDF_ALPHA[1] / h, 0.0])
+        sys = SystemSpec(dim=2, f=lambda x, t: j @ x, jac=lambda x, t: j)
+        with pytest.raises(ConditioningError, match="singular at t=0"):
+            integrate(sys, np.array([1.0, 1.0]), 0.0, 1.0, IntegratorConfig(method="ndf", step=h))
+
+    def test_blowup_raises_diverged_with_last_time(self):
+        sys = SystemSpec(dim=1, f=lambda x, t: x * x)
+        with pytest.raises(DivergedError) as err:
+            integrate(sys, np.array([1.0]), 0.0, 2.0, IntegratorConfig(method="ndf"))
+        assert 0.0 <= err.value.last_time <= 1.05
+
+
+class TestAuto:
+    def test_demo_switches_once_and_needs_few_steps(self, fig1_system):
+        traj = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method="auto"))
+        assert traj.n_steps <= 2000
+        assert 2.0 <= traj.stiff_from <= 8.0
+        assert traj.times[-1] == pytest.approx(20.0, abs=1e-12)
+
+    def test_budget_counts_both_phases(self):
+        sys = prothero_robinson(-1e4)
+        full = integrate(sys, np.array([0.0]), 0.0, 1.0)
+        assert full.stiff_from is not None
+        assert full.times.size == full.n_steps + 1
+        used = full.n_steps + full.n_rejected
+        assert same_run(integrate(sys, np.array([0.0]), 0.0, 1.0, IntegratorConfig(max_steps=used)), full)
+        with pytest.raises(DivergedError, match=f"step budget {used - 1} exhausted at t=") as err:
+            integrate(sys, np.array([0.0]), 0.0, 1.0, IntegratorConfig(max_steps=used - 1))
+        assert err.value.last_time > full.stiff_from
+
+    @pytest.mark.parametrize(
+        "sys, x0, tf, knobs",
+        [
+            (SystemSpec(dim=1, f=lambda x, t: x.copy(), jac=lambda x, t: np.eye(1)), [1.0], 3.0, {}),
+            (
+                SystemSpec(dim=2, f=lambda x, t: np.array([10.0 * x[1], -10.0 * x[0]])),
+                [1.0, 0.0],
+                3.0,
+                {"rel_tol": 1e-6},
+            ),
+            # h * |sigma| passes STIFF_THETA here; only the sign keeps it on RKF45
+            (SystemSpec(dim=1, f=lambda x, t: x.copy()), [1.0], 10.0, {"rel_tol": 1e-3, "max_step": 10.0}),
+            # y5 = Y5 exactly, so sigma is undefined
+            (SystemSpec(dim=2, f=lambda x, t: np.array([1.0, -2.0])), [0.0, 0.0], 3.0, {}),
+        ],
+        ids=["expanding x' = x", "rotation omega = 10", "expanding at a loose tolerance", "constant field"],
+    )
+    def test_no_switch_is_bit_identical_to_rkf45(self, sys, x0, tf, knobs):
+        runs = [integrate(sys, np.array(x0), 0.0, tf, IntegratorConfig(method=m, **knobs)) for m in ("auto", "rkf45")]
+        assert runs[0].stiff_from is None
+        assert same_run(*runs)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_ltv_envelope_systems_do_not_switch(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            c0, c1, c2 = [c * np.sqrt(n) / np.linalg.norm(c) for c in rng.normal(size=(3, n, n))]
+            runs = [
+                integrate_fundamental(lambda t: c0 + t * c1 + t * t * c2, 0.0, 1.0, IntegratorConfig(method=m))
+                for m in ("auto", "rkf45")
+            ]
+            assert np.array_equal(runs[0].times, runs[1].times)
+            assert np.array_equal(runs[0].matrices, runs[1].matrices)
+            assert runs[0].error_estimate == runs[1].error_estimate
+
+    def test_criterion_07_systems_give_the_rkf45_reports(self):
+        # the same 100 systems, kinds and seeds as acceptance criterion 07
+        rng = np.random.default_rng(31415)
+        tags = ("l1", "l2", "linf", "weighted")
+        for i in range(100):
+            n = int(rng.integers(2, 5))
+            kind = NormKind.weighted(random_spd(rng, n)) if tags[i % 4] == "weighted" else NormKind(tags[i % 4])
+            coeffs = [0.7 * rng.normal(size=(n, n)) for _ in range(3)]
+
+            def a_fn(t, c=coeffs):
+                return c[0] + t * c[1] + t * t * c[2]
+
+            reports = [
+                check_transition_bounds(a_fn, kind, 0.0, 1.0, n_pairs=20, seed=i, cfg=IntegratorConfig(method=m))
+                for m in ("auto", "rkf45")
+            ]
+            assert reports[0] == reports[1], i
+
+
+def lsoda_demo_reference(variant, times):
+    """Demo field written out from its definition, integrated by scipy's LSODA far below logstab's tolerances."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    forcing = (lambda t: t) if variant == "fig1" else (lambda t: 4.0 * t**3)
+
+    def rhs(t, x):
+        p = -6.0 - t**3
+        return [
+            p * x[0] + np.sin(x[0]) + 5.0 * np.sin(t) ** 2,
+            5.0 * x[0] + (2.0 + p) * x[1] + np.sin(x[1]) + forcing(t),
+        ]
+
+    def jac(t, x):
+        p = -6.0 - t**3
+        return [[p + np.cos(x[0]), 0.0], [5.0, 2.0 + p + np.cos(x[1])]]
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), [-2.0, 5.0], method="LSODA", t_eval=times, rtol=1e-12, atol=1e-14, jac=jac)
+    assert sol.success
+    return sol.y.T
+
+
+@pytest.mark.parametrize("variant", ["fig1", "fig2"])
+def test_demo_matches_lsoda_under_ndf_and_auto(variant):
+    grid = np.linspace(0.0, 20.0, 401)
+    ref = lsoda_demo_reference(variant, grid)
+    sys = build_example1(delta=delta_admissible if variant == "fig1" else delta_borderline)
+    for method in ("ndf", "auto"):
+        traj = integrate(sys, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method=method), sample_times=grid)
+        err = np.abs(traj.states - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 1e-6, (method, err.max())
