@@ -29,10 +29,13 @@ from .errors import LogstabError
 FUNCTIONS_1 = ("sin", "cos", "exp", "log", "sqrt", "abs")
 FUNCTIONS_2 = ("pow",)
 CONSTANTS = {"pi": math.pi, "e": math.e}
-# Deepest tree parse_expression accepts. differentiate, ast.unparse and compile
-# all recurse over the tree, and a derivative is a few times deeper than the
-# expression, so this keeps each of them well inside Python's limits.
+# Deepest tree parse_expression accepts. differentiate and to_source recurse
+# over the tree, and a derivative is a few times deeper than the expression, so
+# this keeps each of them well inside Python's limits. A chain of sums and
+# differences counts as one level and is walked in a loop, so it is capped by
+# its length instead.
 MAX_DEPTH = 40
+MAX_TERMS = 200
 
 _NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -52,6 +55,24 @@ class NonDifferentiableError(LogstabError):
 
 def _call(fn: str, *args: ast.expr) -> ast.Call:
     return ast.Call(ast.Name(fn, ast.Load()), list(args), [])
+
+
+_SUMS = (ast.Add, ast.Sub)
+_PRODUCTS = (ast.Mult, ast.Div)
+
+
+def _chain(node: ast.expr, ops: tuple) -> tuple[list, list]:
+    """Flatten the left-nested chain a op b op c ... of operators in ``ops``.
+
+    Returns the operands [a, b, c, ...] and the operators between them.
+    """
+    operands, between = [], []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, ops):
+        operands.append(node.right)
+        between.append(node.op)
+        node = node.left
+    operands.append(node)
+    return operands[::-1], between[::-1]
 
 
 def parse_expression(text: str) -> ast.expr:
@@ -107,6 +128,14 @@ def parse_expression(text: str) -> ast.expr:
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             operand = check(node.operand, depth + 1)
             return operand if isinstance(node.op, ast.UAdd) else ast.UnaryOp(ast.USub(), operand)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _SUMS):  # one level for the whole chain
+            terms, ops = _chain(node, _SUMS)
+            if len(terms) > MAX_TERMS:
+                fail(f"a sum has more than {MAX_TERMS} terms", node)
+            out = check(terms[0], depth + 1)
+            for op, term in zip(ops, terms[1:]):
+                out = ast.BinOp(out, op, check(term, depth + 1))
+            return out
         if isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
             left, right = check(node.left, depth + 1), check(node.right, depth + 1)
             return _call("pow", left, right) if isinstance(node.op, ast.Pow) else ast.BinOp(left, node.op, right)
@@ -183,13 +212,15 @@ def differentiate(node: ast.expr, var: str) -> ast.expr:
         return ast.Constant(1.0 if node.id == var else 0.0)
     if isinstance(node, ast.UnaryOp):
         return ast.UnaryOp(ast.USub(), differentiate(node.operand, var))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SUMS):  # walked in a loop, like parsing
+        terms, ops = _chain(node, _SUMS)
+        out = differentiate(terms[0], var)
+        for op, term in zip(ops, terms[1:]):
+            out = (_add if isinstance(op, ast.Add) else _sub)(out, differentiate(term, var))
+        return out
     if isinstance(node, ast.BinOp):
         a, b = node.left, node.right
         da, db = differentiate(a, var), differentiate(b, var)
-        if isinstance(node.op, ast.Add):
-            return _add(da, db)
-        if isinstance(node.op, ast.Sub):
-            return _sub(da, db)
         if isinstance(node.op, ast.Mult):
             return _add(_mul(da, b), _mul(a, db))
         return _div(_sub(_mul(da, b), _mul(a, db)), _call("pow", b, ast.Constant(2.0)))
@@ -228,9 +259,40 @@ _NAMESPACE = {fn: getattr(math, fn) for fn in FUNCTIONS_1 + FUNCTIONS_2 if fn !=
 _NAMESPACE.update(abs=abs, _nan=math.nan)
 
 
+_SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+
+
+def _binding(node: ast.expr) -> int:
+    """How tightly the rendered node binds: 0 for a sum, 1 for a product, 2 for anything else."""
+    if isinstance(node, ast.BinOp):
+        return 0 if isinstance(node.op, _SUMS) else 1
+    return 2
+
+
 def to_source(node: ast.expr) -> str:
-    """Render the expression back in the grammar (powers as pow() calls)."""
-    return ast.unparse(node)
+    """Render the expression back in the grammar (powers as pow() calls).
+
+    The text parses to the same tree as that of ast.unparse, but a chain of
+    sums or of products is rendered in a loop, so only real nesting costs
+    stack depth.
+    """
+    if isinstance(node, (ast.Constant, ast.Name)):
+        return ast.unparse(node)
+    if isinstance(node, ast.UnaryOp):
+        operand = to_source(node.operand)
+        return f"-({operand})" if _binding(node.operand) < 2 else f"-{operand}"
+    if isinstance(node, ast.Call):
+        return f"{node.func.id}({', '.join(to_source(arg) for arg in node.args)})"
+    level = _binding(node)
+    operands, ops = _chain(node, _SUMS if level == 0 else _PRODUCTS)
+    parts = []
+    for i, operand in enumerate(operands):
+        text = to_source(operand)
+        # left-associative: a right operand that binds no tighter than the chain needs parentheses
+        if _binding(operand) < level or (i > 0 and _binding(operand) == level):
+            text = f"({text})"
+        parts.append(text if i == 0 else f"{_SYMBOLS[type(ops[i - 1])]} {text}")
+    return " ".join(parts)
 
 
 def compile_expression(node: ast.expr, arg_names: list[str]):
@@ -238,7 +300,7 @@ def compile_expression(node: ast.expr, arg_names: list[str]):
 
     Rejects free variables outside ``arg_names``, and argument names that
     would hide a name the closure uses. The generated source only ever
-    contains ast.unparse of the parsed tree, so exec here is a code
+    contains to_source of the parsed tree, so exec here is a code
     generator, not an evaluator of user text. Powers are real (math.pow),
     and a point where the expression is undefined (log of a negative number,
     division by zero, overflow) evaluates to NaN, so the callers' finiteness
@@ -252,7 +314,7 @@ def compile_expression(node: ast.expr, arg_names: list[str]):
         raise ExprSyntaxError(f"argument name(s) {sorted(hidden)} would hide a name the closure uses", 0)
     src = (
         f"def _compiled({', '.join(arg_names)}):\n"
-        f"    try:\n        return {ast.unparse(node)}\n"
+        f"    try:\n        return {to_source(node)}\n"
         "    except (ArithmeticError, ValueError):\n        return _nan\n"
     )
     namespace = dict(_NAMESPACE)

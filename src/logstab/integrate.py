@@ -20,6 +20,13 @@ Wanner's stiffness test, with the sign kept). ``auto`` switches once
 h * (-sigma) >= STIFF_THETA on STIFF_RUN consecutive accepted steps; a
 rotation has sigma = 0 and an expanding field sigma > 0, so neither switches.
 
+The adaptive methods share one run object, ``_Run``. It holds the accepted
+nodes and the counters, and it alone ends or fails a run (tf reached, step
+budget spent, step size underflow) and accepts a node (evaluate f there,
+require it finite, store it). ``rkf45`` and ``ndf`` are step rules that
+propose steps to it; ``auto`` hands the same run from one to the other. ``rk4``
+knows its step count up front and never rejects, so it fills its own arrays.
+
 Every method stores the field at its accepted nodes, so one dense-output path,
 cubic Hermite on the stored derivatives, samples every run.
 
@@ -32,7 +39,7 @@ the logarithmic norm along the grid, as stacked array operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -233,34 +240,24 @@ def integrate(
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return sys.f(y, t) + sys.delta(t)
 
-    def jac(t: float, y: np.ndarray) -> np.ndarray:
-        return jacobian(sys, y, t)
-
     if cfg.method == "rk4":
         traj = _integrate_rk4(rhs, x0, t0, tf, cfg)
-    elif cfg.method == "ndf":
-        traj = _integrate_ndf(rhs, jac, Trajectory([t0], [x0], [rhs(t0, x0)]), tf, cfg)
     else:
-        traj = _integrate_rkf45(rhs, x0, t0, tf, cfg, watch_stiffness=cfg.method == "auto")
-        if traj.stiff_from is not None:
-            traj = _integrate_ndf(rhs, jac, traj, tf, cfg)
+        run = _Run(rhs, x0, t0, tf, cfg)
+        if cfg.method != "ndf":
+            _rkf45_steps(run, watch_stiffness=cfg.method == "auto")
+        if cfg.method == "ndf" or run.stiff_from is not None:
+            _ndf_steps(run, lambda t, y: jacobian(sys, y, t))
+        traj = run.trajectory()
 
     if sample_times is None:
         return traj
     ts = _validate_sample_times(sample_times, t0, tf)
-    states = traj.sample(ts)
-    return Trajectory(
-        times=ts,
-        states=states,
-        derivs=None,
-        error_estimate=traj.error_estimate,
-        n_steps=traj.n_steps,
-        n_rejected=traj.n_rejected,
-        stiff_from=traj.stiff_from,
-    )
+    return replace(traj, times=ts, states=traj.sample(ts), derivs=None)
 
 
 def _integrate_rk4(rhs, x0, t0, tf, cfg: IntegratorConfig) -> Trajectory:
+    """Fixed-step RK4; a non-finite field shows up as the state blowing up one step later."""
     h_target = min(cfg.step, cfg.max_step)
     n = max(1, int(np.ceil((tf - t0) / h_target - 1e-12)))
     if n > cfg.max_steps:
@@ -291,34 +288,79 @@ def _integrate_rk4(rhs, x0, t0, tf, cfg: IntegratorConfig) -> Trajectory:
     return Trajectory(times, states, derivs, error_estimate=0.0, n_steps=n)
 
 
-def _integrate_rkf45(rhs, x0, t0, tf, cfg: IntegratorConfig, watch_stiffness: bool = False) -> Trajectory:
-    """Adaptive RKF45 run; with ``watch_stiffness`` it stops where the run turns stiff.
+class _Run:
+    """The accepted nodes and counters of one adaptive run (see the module docstring).
 
-    That early end is marked by ``stiff_from``; the caller continues from it.
+    A step rule loops while ``running()``, calls ``check(h)`` before it tries
+    a step of size h, and reports the outcome through ``accept`` or ``reject``.
     """
-    times = [t0]
-    states = [x0.copy()]
-    f_cur = rhs(t0, x0)
-    derivs = [np.asarray(f_cur, dtype=float)]
-    t = t0
-    y = x0.copy()
-    h = min(cfg.step, cfg.max_step, tf - t)
-    total_err = 0.0
-    n_steps = 0
-    n_rejected = 0
-    non_finite = False  # a stage went non-finite since the last accepted step
-    stiff_steps = 0  # consecutive accepted steps with h * (-sigma) >= STIFF_THETA
-    stiff_from = None
-    tiny = 1e-12 * max(1.0, abs(tf - t0))
 
-    while t < tf - tiny:
-        if n_steps + n_rejected >= cfg.max_steps:
-            raise DivergedError(f"step budget {cfg.max_steps} exhausted at t={t}", t)
-        h = min(h, tf - t)
+    def __init__(self, rhs, x0: np.ndarray, t0: float, tf: float, cfg: IntegratorConfig):
+        self.rhs = rhs
+        self.tf = tf
+        self.cfg = cfg
+        self.times = [t0]
+        self.states = [x0.copy()]
+        self.derivs = [np.asarray(rhs(t0, x0), dtype=float)]
+        self.error = 0.0  # sum of the max-abs local-error estimates of accepted steps
+        self.n_steps = 0
+        self.n_rejected = 0
+        self.non_finite = False  # a trial step met a non-finite value since the last accepted node
+        self.stiff_from = None
+        self.tiny = 1e-12 * max(1.0, abs(tf - t0))
+
+    def running(self) -> bool:
+        return self.times[-1] < self.tf - self.tiny
+
+    def check(self, h: float) -> None:
+        """Raise DivergedError when the step budget is spent or h has underflowed."""
+        t = self.times[-1]
+        if self.n_steps + self.n_rejected >= self.cfg.max_steps:
+            raise DivergedError(f"step budget {self.cfg.max_steps} exhausted at t={t}", t)
         if h < 1e-14 * max(1.0, abs(t)):
-            if non_finite:
+            if self.non_finite:
                 raise DivergedError(f"field non-finite near t={t}: steps shrank to underflow", t)
             raise DivergedError(f"step size underflow at t={t}", t)
+
+    def reject(self, non_finite: bool = False) -> None:
+        self.n_rejected += 1
+        self.non_finite = self.non_finite or non_finite
+
+    def accept(self, t: float, y: np.ndarray, err: float) -> np.ndarray:
+        """Store the node (t, y) with a local-error estimate err; returns the field there."""
+        f = self.rhs(t, y)
+        if not np.all(np.isfinite(f)):
+            raise DivergedError(f"field non-finite after step to t={t}", self.times[-1])
+        self.times.append(t)
+        self.states.append(y)
+        self.derivs.append(np.asarray(f, dtype=float))
+        self.error += err
+        self.n_steps += 1
+        self.non_finite = False
+        return f
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(
+            np.array(self.times),
+            np.array(self.states),
+            np.array(self.derivs),
+            error_estimate=self.error,
+            n_steps=self.n_steps,
+            n_rejected=self.n_rejected,
+            stiff_from=self.stiff_from,
+        )
+
+
+def _rkf45_steps(run: _Run, watch_stiffness: bool) -> None:
+    """RKF45 steps to tf; with ``watch_stiffness`` it stops, setting ``stiff_from``, where the run turns stiff."""
+    cfg, rhs, tf = run.cfg, run.rhs, run.tf
+    t, y, f_cur = run.times[-1], run.states[-1], run.derivs[-1]
+    h = min(cfg.step, cfg.max_step, tf - t)
+    stiff_steps = 0  # consecutive accepted steps with h * (-sigma) >= STIFF_THETA
+
+    while run.running():
+        h = min(h, tf - t)
+        run.check(h)
         k1 = f_cur
         k2 = rhs(t + _C2 * h, y + (h * _A21) * k1)
         k3 = rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
@@ -330,47 +372,28 @@ def _integrate_rkf45(rhs, x0, t0, tf, cfg: IntegratorConfig, watch_stiffness: bo
         err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6)
         if not (np.all(np.isfinite(y5)) and np.all(np.isfinite(err_vec))):
             # an oversized step can overflow, so shrink before giving up
-            n_rejected += 1
-            non_finite = True
+            run.reject(non_finite=True)
             h *= 0.1
             continue
 
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.max(np.abs(err_vec) / scale))
-        if err <= 1.0:
-            t = t + h
-            y = y5
-            non_finite = False
-            f_cur = rhs(t, y)
-            if not np.all(np.isfinite(f_cur)):
-                raise DivergedError(f"field non-finite after step to t={t}", times[-1])
-            times.append(t)
-            states.append(y)
-            derivs.append(np.asarray(f_cur, dtype=float))
-            total_err += float(np.max(np.abs(err_vec)))
-            n_steps += 1
-            if watch_stiffness:
-                gap = y5 - y_stage5  # h * (-sigma) >= theta, without dividing by |gap|^2
-                gap2 = gap @ gap
-                stiff_steps = stiff_steps + 1 if gap2 > 0.0 and h * (gap @ (k5 - f_cur)) >= STIFF_THETA * gap2 else 0
-                if stiff_steps >= STIFF_RUN and t < tf - tiny:
-                    stiff_from = t
-                    break
-            grow = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-            h = min(h * min(5.0, max(0.2, grow)), cfg.max_step)
-        else:
-            n_rejected += 1
+        if err > 1.0:
+            run.reject()
             h *= max(0.1, 0.9 * err ** -0.2)
-
-    return Trajectory(
-        np.array(times),
-        np.array(states),
-        np.array(derivs),
-        error_estimate=total_err,
-        n_steps=n_steps,
-        n_rejected=n_rejected,
-        stiff_from=stiff_from,
-    )
+            continue
+        t = t + h
+        y = y5
+        f_cur = run.accept(t, y, float(np.max(np.abs(err_vec))))
+        if watch_stiffness:
+            gap = y5 - y_stage5  # h * (-sigma) >= theta, without dividing by |gap|^2
+            gap2 = gap @ gap
+            stiff_steps = stiff_steps + 1 if gap2 > 0.0 and h * (gap @ (k5 - f_cur)) >= STIFF_THETA * gap2 else 0
+            if stiff_steps >= STIFF_RUN and run.running():
+                run.stiff_from = t
+                return
+        grow = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+        h = min(h * min(5.0, max(0.2, grow)), cfg.max_step)
 
 
 def _rescale_differences(diffs: np.ndarray, order: int, factor: float) -> None:
@@ -430,35 +453,26 @@ def _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, tol):
     return False, _NEWTON_ITERS, y, corr, False
 
 
-def _integrate_ndf(rhs, jac, head: Trajectory, tf, cfg: IntegratorConfig) -> Trajectory:
-    """Variable-order NDF run that continues ``head``, the run so far, from its last node to tf.
+def _ndf_steps(run: _Run, jac) -> None:
+    """Variable-order NDF steps from the last node of ``run`` to tf.
 
-    For ``ndf`` the head is the initial node alone; for ``auto`` it is the
-    RKF45 phase, whose steps and error estimate the result carries on.
+    For ``ndf`` that node is t0; for ``auto`` it is where the RKF45 phase
+    found the run stiff.
     """
-    times = list(head.times)
-    states = list(head.states)
-    derivs = list(np.asarray(head.derivs, dtype=float))
-    t = times[-1]
-    y = states[-1].copy()
-    n = y.size
+    cfg, rhs, tf = run.cfg, run.rhs, run.tf
+    t, y = run.times[-1], run.states[-1]
     h = min(cfg.step, cfg.max_step, tf - t)
     # rows 0..order hold the backward differences of the interpolant; two spare
     # rows carry the new correction and its difference for the order change
-    diffs = np.zeros((_NDF_MAX_ORDER + 3, n))
+    diffs = np.zeros((_NDF_MAX_ORDER + 3, y.size))
     diffs[0] = y
-    diffs[1] = h * derivs[-1]
+    diffs[1] = h * run.derivs[-1]
     order = 1
     n_equal = 0  # accepted steps since the last change of h or order
     j_mat = jac(t, y)
     j_fresh = True  # j_mat was evaluated during the current step
     m_inv = None
     newton_tol = max(10.0 * np.finfo(float).eps / cfg.rel_tol, min(0.03, cfg.rel_tol**0.5))
-    total_err = head.error_estimate
-    n_steps = head.n_steps
-    n_rejected = head.n_rejected
-    non_finite = False
-    tiny = 1e-12 * max(1.0, abs(tf - head.times[0]))
 
     def resize(factor: float) -> None:
         nonlocal h, n_equal, m_inv
@@ -467,17 +481,12 @@ def _integrate_ndf(rhs, jac, head: Trajectory, tf, cfg: IntegratorConfig) -> Tra
         n_equal = 0
         m_inv = None
 
-    while t < tf - tiny:
-        if n_steps + n_rejected >= cfg.max_steps:
-            raise DivergedError(f"step budget {cfg.max_steps} exhausted at t={t}", t)
+    while run.running():
         h_cap = min(cfg.max_step, tf - t)
         if h > h_cap:
             resize(h_cap / h)
             h = h_cap
-        if h < 1e-14 * max(1.0, abs(t)):
-            if non_finite:
-                raise DivergedError(f"field non-finite near t={t}: steps shrank to underflow", t)
-            raise DivergedError(f"step size underflow at t={t}", t)
+        run.check(h)
         t_new = t + h
         y_pred = diffs[: order + 1].sum(axis=0)
         psi = (_GAMMA[1 : order + 1] @ diffs[1 : order + 1]) / _NDF_ALPHA[order]
@@ -487,14 +496,13 @@ def _integrate_ndf(rhs, jac, head: Trajectory, tf, cfg: IntegratorConfig) -> Tra
             if m_inv is None:
                 m_inv = _iteration_inverse(j_mat, c, t)
             converged, n_iter, y_new, corr, bad = _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, newton_tol)
-            non_finite = non_finite or bad
             if converged or j_fresh or bad:  # a fresh J cannot help where f is undefined
                 break
             j_mat = jac(t_new, y_pred)
             j_fresh = True
             m_inv = None
         if not converged:
-            n_rejected += 1
+            run.reject(non_finite=bad)
             resize(0.5)
             continue
 
@@ -503,22 +511,14 @@ def _integrate_ndf(rhs, jac, head: Trajectory, tf, cfg: IntegratorConfig) -> Tra
         err = float(np.max(np.abs(local_err) / scale))
         safety = 0.9 * (2 * _NEWTON_ITERS + 1) / (2 * _NEWTON_ITERS + n_iter)
         if err > 1.0:
-            n_rejected += 1
+            run.reject()
             resize(max(0.2, safety * err ** (-1.0 / (order + 1))))
             continue
 
         t = t_new
         y = y_new
-        non_finite = False
         j_fresh = False
-        f_new = rhs(t, y)
-        if not np.all(np.isfinite(f_new)):
-            raise DivergedError(f"field non-finite after step to t={t}", times[-1])
-        times.append(t)
-        states.append(y)
-        derivs.append(np.asarray(f_new, dtype=float))
-        total_err += float(np.max(np.abs(local_err)))
-        n_steps += 1
+        run.accept(t, y, float(np.max(np.abs(local_err))))
         n_equal += 1
         # corr is the (order + 1)-th difference at the new node; fold it in
         diffs[order + 2] = corr - diffs[order + 1]
@@ -536,16 +536,6 @@ def _integrate_ndf(rhs, jac, head: Trajectory, tf, cfg: IntegratorConfig) -> Tra
         best = int(np.argmax(factors))
         order += best - 1
         resize(min(10.0, safety * factors[best]))
-
-    return Trajectory(
-        np.array(times),
-        np.array(states),
-        np.array(derivs),
-        error_estimate=total_err,
-        n_steps=n_steps,
-        n_rejected=n_rejected,
-        stiff_from=head.stiff_from,
-    )
 
 
 def integrate_fundamental(

@@ -72,24 +72,24 @@ def _check_dim(sys: SystemSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _checked_output(name: str, out, shape: tuple, t: float, x=None) -> np.ndarray:
+    """The output of the user callable ``name`` as a float array, required to have ``shape`` and be finite."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise EvaluationError(f"{name} returned shape {out.shape}, expected {shape}", x=x, t=t)
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError(f"{name} returned non-finite values at t={t}", x=x, t=t)
+    return out
+
+
 def eval_field(sys: SystemSpec, x, t: float) -> np.ndarray:
     """Nominal field f(x,t), validated finite and correctly shaped."""
     x = _check_dim(sys, x)
-    out = np.asarray(sys.f(x, t), dtype=float)
-    if out.shape != (sys.dim,):
-        raise EvaluationError(f"f returned shape {out.shape}, expected ({sys.dim},)", x=x, t=t)
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"f returned non-finite values at t={t}", x=x, t=t)
-    return out
+    return _checked_output("f", sys.f(x, t), (sys.dim,), t, x)
 
 
 def eval_perturbation(sys: SystemSpec, t: float) -> np.ndarray:
-    out = np.asarray(sys.delta(t), dtype=float)
-    if out.shape != (sys.dim,):
-        raise EvaluationError(f"delta returned shape {out.shape}, expected ({sys.dim},)", t=t)
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"delta returned non-finite values at t={t}", t=t)
-    return out
+    return _checked_output("delta", sys.delta(t), (sys.dim,), t)
 
 
 def eval_rhs(sys: SystemSpec, x, t: float) -> np.ndarray:
@@ -107,14 +107,7 @@ def jacobian(sys: SystemSpec, x, t: float) -> np.ndarray:
     """
     x = _check_dim(sys, x)
     if sys.jac is not None:
-        out = np.asarray(sys.jac(x, t), dtype=float)
-        if out.shape != (sys.dim, sys.dim):
-            raise EvaluationError(
-                f"jac returned shape {out.shape}, expected ({sys.dim}, {sys.dim})", x=x, t=t
-            )
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"jac returned non-finite values at t={t}", x=x, t=t)
-        return out
+        return _checked_output("jac", sys.jac(x, t), (sys.dim, sys.dim), t, x)
     return _fd_jacobian(sys, x, t)
 
 

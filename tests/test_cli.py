@@ -2,6 +2,7 @@ import os
 import re
 import stat
 
+import numpy as np
 import pytest
 
 from logstab.cli import main
@@ -182,8 +183,14 @@ class TestExpressionConfigErrors:
 
     @pytest.mark.parametrize(
         "f1",
-        ["(" * 250 + "-x1" + ")" * 250, "-" * 1500 + "x1", "-x1 + 1e400"],
-        ids=["250 parentheses", "1500 unary minus signs", "non-finite literal"],
+        [
+            "(" * 250 + "-x1" + ")" * 250,
+            "-" * 1500 + "x1",
+            "-x1 + 1e400",
+            " + ".join(["-x1"] * 201),
+            " * ".join(["x1"] * 41),
+        ],
+        ids=["250 parentheses", "1500 unary minus signs", "non-finite literal", "201-term sum", "41-factor product"],
     )
     def test_exits_two_naming_the_line(self, tmp_path, capsys, f1):
         cfg = tmp_path / "bad.cfg"
@@ -191,14 +198,26 @@ class TestExpressionConfigErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--tf", "1"]) == 2
         assert "line 4: bad expression" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_terms", [61, 200])
+    def test_long_sum_is_no_config_error(self, tmp_path, n_terms):
+        # x1' = -0.01 x1 written as n terms, so x1(1) = exp(-0.01 n)
+        cfg = tmp_path / "sum.cfg"
+        cfg.write_text(f"[system]\ntype = expression\ndim = 1\nf1 = {' + '.join(['-0.01*x1'] * n_terms)}\nx0 = 1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--tf", "1"]) == 0
+        traj = load_trajectory_csv(tmp_path / "out" / "trajectory.csv")
+        assert traj.states[-1, 0] == pytest.approx(np.exp(-0.01 * n_terms), rel=1e-8)
+
 
 class TestSimulateCommand:
-    @pytest.mark.parametrize("method", ["rkf45", "ndf", "auto"])
+    @pytest.mark.parametrize("method", ["rkf45", "ndf", "auto", "rk4"])
     def test_step_budget_exhaustion_exits_three_naming_t(self, config_file, tmp_path, capsys, method):
         cfg = tmp_path / "budget.cfg"
         cfg.write_text(config_file.read_text().replace("tf = 3", f"tf = 3\nmethod = {method}\nmax_steps = 50"))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 3
-        assert re.search(r"step budget 50 exhausted at t=0\.\d+", capsys.readouterr().err)
+        expected = r"step budget 50 exhausted at t=0\.\d+"
+        if method == "rk4":  # a fixed-step run knows its step count, so it fails before the first step
+            expected = r"fixed-step run needs 300 steps, budget is 50"
+        assert re.search(expected, capsys.readouterr().err)
 
     def test_writes_loadable_trajectory(self, config_file, tmp_path):
         out_dir = tmp_path / "sim"

@@ -1,8 +1,12 @@
+import ast
+import sys
+
 import numpy as np
 import pytest
 
 from logstab.expr import (
     MAX_DEPTH,
+    MAX_TERMS,
     ExprSyntaxError,
     NonDifferentiableError,
     compile_expression,
@@ -117,6 +121,41 @@ class TestParseAndEval:
             parse_expression(f"({at_limit})^x")
 
 
+class TestSumChains:
+    """A flat chain of sums and differences is one level deep, capped at MAX_TERMS terms."""
+
+    def test_chain_length_limit(self):
+        assert evaluate(" - ".join(["x"] * MAX_TERMS), x=1.0) == 2.0 - MAX_TERMS
+        with pytest.raises(ExprSyntaxError, match=f"more than {MAX_TERMS} terms"):
+            parse_expression(" + ".join(["x"] * (MAX_TERMS + 1)))
+
+    def test_products_count_per_factor(self):
+        parse_expression(" * ".join(["x"] * MAX_DEPTH))
+        with pytest.raises(ExprSyntaxError, match="nested more than"):
+            parse_expression(" * ".join(["x"] * (MAX_DEPTH + 1)))
+
+    def test_deep_first_term_differentiates_renders_and_compiles_in_150_frames(self):
+        # the first term sits at the bottom of the left-nested chain; only a
+        # renderer that loops along the chain keeps its derivative shallow
+        deep = "x"
+        for _ in range(MAX_DEPTH - 3):
+            deep = f"pow({deep}, x)"
+        node = parse_expression(" + ".join([deep] + ["x"] * (MAX_TERMS - 1)))
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            derivative = differentiate(node, "x")
+            text = to_source(derivative)
+            fn = compile_expression(derivative, ["x"])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert text.count(" + ") >= MAX_TERMS - 1
+        assert fn(1.0) == pytest.approx(MAX_TERMS)  # every term has slope 1 at x = 1
+
+
 CORPUS = [
     "x^3 - 2*x + 1",
     "sin(x) * cos(2*x)",
@@ -158,6 +197,13 @@ class TestDifferentiate:
     def test_abs_is_non_differentiable(self):
         with pytest.raises(NonDifferentiableError):
             differentiate(parse_expression("abs(x)"), "x")
+
+    @pytest.mark.parametrize("text", CORPUS + ["a - (b - c) / (d * e) * -(f + g)", "-(a * b) - -c + (a - b) * (c + d)"])
+    def test_source_parses_back_to_the_tree_of_ast_unparse(self, text):
+        node = parse_expression(text)
+        names = sorted(free_variables(node))
+        for tree in [node] + [differentiate(node, v) for v in names]:
+            assert ast.dump(ast.parse(to_source(tree))) == ast.dump(ast.parse(ast.unparse(tree)))
 
     def test_source_round_trip(self):
         node = parse_expression("-(x + 2) * sin(t)^2 + pow(x, 3)")

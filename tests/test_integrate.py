@@ -86,6 +86,45 @@ class TestIntegrate:
         assert 12.0 <= ratio <= 20.0
 
 
+class TestFailurePaths:
+    """The message and last valid time of each way a run can fail."""
+
+    @pytest.mark.parametrize("method", ["rkf45", "auto", "ndf"])
+    def test_jump_in_the_field_is_step_size_underflow(self, method):
+        # no step across a jump of 1e12 at t = 0.5 passes the error test
+        sys = SystemSpec(dim=1, f=lambda x, t: np.zeros(1) if t < 0.5 else np.full(1, 1e12))
+        with pytest.raises(DivergedError, match=r"^step size underflow at t=0\.49999") as err:
+            integrate(sys, np.array([1.0]), 0.0, 1.0, IntegratorConfig(method=method))
+        assert err.value.last_time == pytest.approx(0.5, abs=1e-12)
+        assert str(err.value) == f"step size underflow at t={err.value.last_time}"
+
+    @pytest.mark.parametrize("method", ["rkf45", "ndf"])
+    def test_non_finite_trial_step_is_forgotten_once_a_step_is_accepted(self, method):
+        # one NaN early on (the 5th call, inside the first trial step) is survived;
+        # the underflow at the jump is then reported as an underflow, not as the NaN
+        calls = []
+
+        def f(x, t):
+            calls.append(t)
+            return np.full(1, np.nan) if len(calls) == 5 else np.zeros(1) if t < 0.5 else np.full(1, 1e12)
+
+        with pytest.raises(DivergedError, match=r"^step size underflow at t=0\.49999"):
+            integrate(SystemSpec(dim=1, f=f), np.array([1.0]), 0.0, 1.0, IntegratorConfig(method=method))
+
+    def test_rk4_blowup_names_the_step_and_the_last_node(self):
+        # dx/dt = x^2 from 1 has a pole at t = 1; with h = 0.01 the state overflows at t = 1.03
+        sys = SystemSpec(dim=1, f=lambda x, t: x * x)
+        with np.errstate(over="ignore"), pytest.raises(DivergedError, match=r"^state blew up near t=1\.03$") as err:
+            integrate(sys, np.array([1.0]), 0.0, 2.0, IntegratorConfig(method="rk4"))
+        assert err.value.last_time == pytest.approx(1.02, abs=1e-12)
+
+    def test_rk4_budget_is_checked_before_the_first_step(self, decay_system):
+        cfg = IntegratorConfig(method="rk4", max_steps=50)
+        with pytest.raises(DivergedError, match=r"^fixed-step run needs 200 steps, budget is 50$") as err:
+            integrate(decay_system, np.array([1.0]), 0.0, 2.0, cfg)
+        assert err.value.last_time == 0.0
+
+
 class TestFundamental:
     def test_constant_diagonal(self):
         a = np.diag([-1.0, -2.0])

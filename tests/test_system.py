@@ -49,6 +49,53 @@ class TestEvalRhs:
         assert err.value.t == 2.0
 
 
+class TestUserOutputChecks:
+    """Each check of a user callable's output: its message, and the x and t it carries."""
+
+    X = np.array([1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "spec, call, message, has_x",
+        [
+            ({"f": lambda x, t: np.zeros(3)}, eval_rhs, r"^f returned shape \(3,\), expected \(2,\)$", True),
+            ({"f": lambda x, t: np.array([0.0, np.nan])}, eval_rhs, r"^f returned non-finite values at t=0\.5$", True),
+            (
+                {"f": lambda x, t: np.zeros(2), "delta": lambda t: np.zeros((2, 1))},
+                eval_rhs,
+                r"^delta returned shape \(2, 1\), expected \(2,\)$",
+                False,
+            ),
+            (
+                {"f": lambda x, t: np.zeros(2), "delta": lambda t: np.array([np.inf, 0.0])},
+                eval_rhs,
+                r"^delta returned non-finite values at t=0\.5$",
+                False,
+            ),
+            (
+                {"f": lambda x, t: np.zeros(2), "jac": lambda x, t: np.zeros(2)},
+                jacobian,
+                r"^jac returned shape \(2,\), expected \(2, 2\)$",
+                True,
+            ),
+            (
+                {"f": lambda x, t: np.zeros(2), "jac": lambda x, t: np.full((2, 2), np.nan)},
+                jacobian,
+                r"^jac returned non-finite values at t=0\.5$",
+                True,
+            ),
+        ],
+        ids=["f shape", "f non-finite", "delta shape", "delta non-finite", "jac shape", "jac non-finite"],
+    )
+    def test_message_and_location(self, spec, call, message, has_x):
+        with pytest.raises(EvaluationError, match=message) as err:
+            call(SystemSpec(dim=2, **spec), self.X, 0.5)
+        assert err.value.t == 0.5
+        if has_x:
+            assert np.array_equal(err.value.x, self.X)
+        else:
+            assert err.value.x is None
+
+
 class TestJacobian:
     def test_linear_field_constant_jacobian(self, linear_system):
         a, sys = linear_system
