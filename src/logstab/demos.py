@@ -184,7 +184,7 @@ def run_demo_example1(
 def _integrator_path(method: str, traj: Trajectory) -> str:
     """One line naming the method, where an auto run switched, and the step counts."""
     if method == "auto":
-        switch = "rkf45 throughout" if traj.stiff_from is None else f"rkf45 to t={traj.stiff_from:.2f} then ndf"
+        switch = "dop853 throughout" if traj.stiff_from is None else f"dop853 to t={traj.stiff_from:.2f} then ndf"
         method = f"auto, {switch}"
     return f"integrator: {method}; {traj.n_steps} accepted, {traj.n_rejected} rejected steps"
 

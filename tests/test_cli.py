@@ -214,9 +214,14 @@ class TestSimulateCommand:
         cfg = tmp_path / "budget.cfg"
         cfg.write_text(config_file.read_text().replace("tf = 3", f"tf = 3\nmethod = {method}\nmax_steps = 50"))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 3
-        expected = r"step budget 50 exhausted at t=0\.\d+"
-        if method == "rk4":  # a fixed-step run knows its step count, so it fails before the first step
-            expected = r"fixed-step run needs 300 steps, budget is 50"
+        expected = {
+            "rkf45": r"step budget 50 exhausted at t=0\.\d+",
+            "ndf": r"step budget 50 exhausted at t=0\.\d+",
+            # auto does not turn stiff before its budget is spent, so it is dop853 throughout
+            "auto": r"step budget 50 exhausted at t=2\.\d+",
+            # a fixed-step run knows its step count, so it fails before the first step
+            "rk4": r"fixed-step run needs 300 steps, budget is 50",
+        }[method]
         assert re.search(expected, capsys.readouterr().err)
 
     def test_writes_loadable_trajectory(self, config_file, tmp_path):
@@ -234,7 +239,7 @@ class TestDemoCommand:
         assert code == 0
         assert "ratio_vanishes" in out
         report = (tmp_path / "d" / "report.txt").read_text()
-        path = re.search(r"integrator: auto, rkf45 to t=(\d+\.\d\d) then ndf; (\d+) accepted, \d+ rejected steps", report)
+        path = re.search(r"integrator: auto, dop853 to t=(\d+\.\d\d) then ndf; (\d+) accepted, \d+ rejected steps", report)
         assert path and 2.0 <= float(path[1]) <= 8.0 and int(path[2]) <= 2000, report
 
     def test_unknown_demo_name(self, tmp_path):

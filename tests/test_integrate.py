@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,12 @@ from logstab.demos import build_example1, delta_admissible, delta_borderline
 from logstab.errors import ConditioningError, DimensionError, DivergedError, InvalidInputError
 from logstab.integrate import (
     _NDF_ALPHA,
+    METHODS,
     FundamentalTrajectory,
     IntegratorConfig,
     Trajectory,
+    _Run,
+    _simpson_points,
     check_transition_bounds,
     integrate,
     integrate_fundamental,
@@ -18,11 +23,31 @@ from logstab.system import SystemSpec
 
 from conftest import random_spd
 
+integrate_module = importlib.import_module("logstab.integrate")
+
+
+def without_switch(monkeypatch, run):
+    """run() with auto's stiffness switch disabled, so that auto is DOP853 throughout."""
+    with monkeypatch.context() as patch:
+        patch.setattr(integrate_module, "STIFF_THETA", np.inf)
+        return run()
+
 
 def rk4_endpoint_error(sys, x0, tf, exact, step):
     cfg = IntegratorConfig(method="rk4", step=step, max_step=1e9)
     traj = integrate(sys, x0, 0.0, tf, cfg)
     return np.abs(traj.states[-1] - exact).max()
+
+
+def nan_on_call(k):
+    """x' = -x whose field is NaN on its k-th call only."""
+    calls = []
+
+    def f(x, t):
+        calls.append(t)
+        return np.full(1, np.nan) if len(calls) == k else -x
+
+    return SystemSpec(dim=1, f=f)
 
 
 class TestIntegrate:
@@ -98,7 +123,7 @@ class TestFailurePaths:
         assert err.value.last_time == pytest.approx(0.5, abs=1e-12)
         assert str(err.value) == f"step size underflow at t={err.value.last_time}"
 
-    @pytest.mark.parametrize("method", ["rkf45", "ndf"])
+    @pytest.mark.parametrize("method", ["rkf45", "ndf", "auto"])
     def test_non_finite_trial_step_is_forgotten_once_a_step_is_accepted(self, method):
         # one NaN early on (the 5th call, inside the first trial step) is survived;
         # the underflow at the jump is then reported as an underflow, not as the NaN
@@ -110,6 +135,52 @@ class TestFailurePaths:
 
         with pytest.raises(DivergedError, match=r"^step size underflow at t=0\.49999"):
             integrate(SystemSpec(dim=1, f=f), np.array([1.0]), 0.0, 1.0, IntegratorConfig(method=method))
+
+    @pytest.mark.parametrize("method", ["rkf45", "ndf", "auto"])
+    @pytest.mark.parametrize(
+        "f, t_bad",
+        [
+            (lambda x, t: -x if t <= 0.5 else x * np.nan, 0.5),
+            (lambda x, t: -x if x[0] > 0.5 else x * np.nan, np.log(2.0)),
+        ],
+        ids=["by t", "by state"],
+    )
+    def test_field_turning_non_finite_is_underflow_naming_t(self, method, f, t_bad):
+        sys = SystemSpec(dim=1, f=f, jac=lambda x, t: -np.eye(1))
+        with pytest.raises(DivergedError) as err:
+            integrate(sys, np.array([1.0]), 0.0, 1.0, IntegratorConfig(method=method))
+        assert str(err.value) == f"field non-finite near t={err.value.last_time}: steps shrank to underflow"
+        assert err.value.last_time == pytest.approx(t_bad, abs=1e-8)
+
+    @pytest.mark.parametrize("method", ["rkf45", "ndf", "auto"])
+    def test_step_budget_names_the_last_node(self, decay_system, method):
+        # none of these methods rejects a step on the way to t = 10, so the
+        # budget of 3 attempts ends at the 3rd node of the full run
+        full = integrate(decay_system, np.array([1.0]), 0.0, 10.0, IntegratorConfig(method=method))
+        with pytest.raises(DivergedError) as err:
+            integrate(decay_system, np.array([1.0]), 0.0, 10.0, IntegratorConfig(method=method, max_steps=3))
+        assert err.value.last_time == full.times[3]
+        assert str(err.value) == f"step budget 3 exhausted at t={full.times[3]}"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_field_is_evaluated_once_at_the_start(self, method):
+        at_start = []
+
+        def f(x, t):
+            at_start.append(t == 0.0 and x[0] == 1.0)
+            return -x
+
+        sys = SystemSpec(dim=1, f=f, jac=lambda x, t: -np.eye(1))
+        integrate(sys, np.array([1.0]), 0.0, 1.0, IntegratorConfig(method=method))
+        assert sum(at_start) == 1
+
+    @pytest.mark.parametrize("method", ["rkf45", "ndf", "auto"])
+    def test_field_non_finite_on_its_second_call_only_is_survived(self, method):
+        # the value validated at (t0, x0) is the one the run starts from; the
+        # 2nd call is inside the first trial step, which is rejected and retried
+        traj = integrate(nan_on_call(2), np.array([1.0]), 0.0, 1.0, IntegratorConfig(method=method))
+        assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
+        assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-7)
 
     def test_rk4_blowup_names_the_step_and_the_last_node(self):
         # dx/dt = x^2 from 1 has a pole at t = 1; with h = 0.01 the state overflows at t = 1.03
@@ -186,8 +257,17 @@ class TestFundamental:
             return -np.eye(2) if t <= 0.5 else np.full((2, 2), np.nan)
 
         with pytest.raises(DivergedError, match=r"non-finite near t=0\.49") as err:
-            integrate_fundamental(a_fn, 0.0, 1.0)
+            integrate_fundamental(a_fn, 0.0, 1.0, IntegratorConfig(method="rkf45"))
         assert err.value.last_time == pytest.approx(0.5, abs=1e-6)
+
+    def test_non_finite_a_mid_run_raises_diverged_at_the_dop853_node(self):
+        # auto's DOP853 steps 0.01, 0.1, ... and the cap 0.09 put a node exactly on t = 0.5
+        def a_fn(t):
+            return -np.eye(2) if t <= 0.5 else np.full((2, 2), np.nan)
+
+        with pytest.raises(DivergedError, match=r"^field non-finite near t=0\.5: steps shrank to underflow$") as err:
+            integrate_fundamental(a_fn, 0.0, 1.0)
+        assert err.value.last_time == 0.5
 
 
 def looped_transition_check(a_fn, kind, t0, tf, n_pairs, n_states, seed):
@@ -195,11 +275,14 @@ def looped_transition_check(a_fn, kind, t0, tf, n_pairs, n_states, seed):
     fund = integrate_fundamental(a_fn, t0, tf)
     times = fund.times
     m = times.size
-    mids = 0.5 * (times[:-1] + times[1:])
-    mu = np.array([log_norm_pair(a_fn(t), kind) for t in times])
-    mu_mid = np.array([log_norm_pair(a_fn(t), kind) for t in mids])
-    steps = (np.diff(times) / 6.0)[:, None] * (mu[:-1] + 4.0 * mu_mid + mu[1:])
-    ints = np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+    ints = [np.zeros(2)]
+    for a, b in zip(times[:-1], times[1:]):  # composite Simpson, 6 panels in a step of max_step = 0.1
+        n = 2 * max(1, int(np.ceil(6 * (b - a) / 0.1 - 1e-9)))
+        pts = [a + (b - a) * (k / n) for k in range(n)] + [b]
+        g = np.array([log_norm_pair(a_fn(t), kind) for t in pts])
+        panels = [(pts[k + 2] - pts[k]) / 6.0 * (g[k] + 4.0 * g[k + 1] + g[k + 2]) for k in range(0, n, 2)]
+        ints.append(ints[-1] + sum(panels))
+    ints = np.array(ints)
     rng = np.random.default_rng(seed)
     worst_up = worst_lo = worst_sup = worst_slo = -np.inf
     max_cond = 1.0
@@ -263,6 +346,23 @@ class TestTransitionBounds:
         assert rep.passed
         assert abs(rep.worst_upper_violation) < 1e-7
         assert rep.worst_lower_violation <= rep.tolerance
+
+    def test_simpson_panels_follow_the_step_length(self):
+        # 6 panels in a step of max_step, and one in a step of at most max_step / 6, as on a
+        # stiff run's short steps
+        points, nodes = _simpson_points(np.array([0.0, 0.1, 0.11, 0.15]), 0.1)
+        assert list(nodes) == [0, 12, 14, 20]
+        assert np.allclose(points[:13], np.linspace(0.0, 0.1, 13))
+        assert np.allclose(points[12:14], [0.1, 0.105])
+        assert np.allclose(points[14:], 0.11 + np.arange(7) * (0.04 / 6))
+
+    def test_time_varying_diagonal_l2_is_tight(self):
+        # mu2[diag(sin 3t, -2)] = sin 3t and the propagator norm is exp(int sin 3s) wherever that
+        # beats exp(-2 (t - tau)), so the upper slack is the error of the mu-integral; one
+        # Simpson panel per 0.1-long DOP853 step would be off by 1.8e-6, over the tolerance
+        rep = check_transition_bounds(lambda t: np.diag([np.sin(3.0 * t), -2.0]), NormKind.l2(), 0.0, 2.0, n_pairs=200)
+        assert rep.passed
+        assert abs(rep.worst_upper_violation) < 5e-9
 
     def test_skew_symmetric_equality_case(self):
         # both mu[A] and mu[-A] vanish, all envelopes equal 1
@@ -373,18 +473,91 @@ class TestNDF:
             integrate_fundamental(a_fn, 0.0, 1.0, IntegratorConfig(method="ndf"))
 
     def test_singular_iteration_matrix(self):
-        # the first step has order 1 and h = step, so I - h/alpha_1 J has a zero row
-        h = 0.01
+        # f vanishes at x0, so y'' = 0 there and the first step has order 1 and
+        # h = max_step; then I - h/alpha_1 J has a zero row
+        h = 0.1
         j = np.diag([_NDF_ALPHA[1] / h, 0.0])
         sys = SystemSpec(dim=2, f=lambda x, t: j @ x, jac=lambda x, t: j)
         with pytest.raises(ConditioningError, match="singular at t=0"):
-            integrate(sys, np.array([1.0, 1.0]), 0.0, 1.0, IntegratorConfig(method="ndf", step=h))
+            integrate(sys, np.array([0.0, 1.0]), 0.0, 1.0, IntegratorConfig(method="ndf", max_step=h))
+
+    @pytest.mark.parametrize("method", ["ndf", "auto"])
+    def test_start_step_needs_no_rejection_streak(self, fig1_system, monkeypatch, method):
+        # the order-1 start step comes from y'' ~ df/dt, not from ``step``
+        rejected_from = []  # node count of the run at each rejection
+        reject = _Run.reject
+
+        def spy(run, non_finite=False):
+            rejected_from.append(len(run.times))
+            reject(run, non_finite)
+
+        monkeypatch.setattr(_Run, "reject", spy)
+        traj = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method=method))
+        first = 0 if method == "ndf" else int(np.searchsorted(traj.times, traj.stiff_from))
+        assert traj.times[first] == (0.0 if method == "ndf" else traj.stiff_from)
+        assert sum(first < n <= first + 10 for n in rejected_from) <= 1
 
     def test_blowup_raises_diverged_with_last_time(self):
         sys = SystemSpec(dim=1, f=lambda x, t: x * x)
         with pytest.raises(DivergedError) as err:
             integrate(sys, np.array([1.0]), 0.0, 2.0, IntegratorConfig(method="ndf"))
         assert 0.0 <= err.value.last_time <= 1.05
+
+
+class TestDOP853:
+    """auto's explicit phase; none of these fields turns stiff."""
+
+    def test_dense_output_keeps_the_seventh_order_term(self, harmonic_system):
+        # between these 0.1-long steps cubic Hermite alone (Trajectory.sample) is off by
+        # 2.6e-7, the continuous extension that sample_times uses by 1e-14
+        ts = np.linspace(0.0, 2.0 * np.pi, 301)
+        exact = np.column_stack([np.cos(ts), -np.sin(ts)])
+        grid = integrate(harmonic_system, np.array([1.0, 0.0]), 0.0, 2.0 * np.pi)
+        dense = integrate(harmonic_system, np.array([1.0, 0.0]), 0.0, 2.0 * np.pi, sample_times=ts)
+        assert np.diff(grid.times).max() == pytest.approx(0.1)
+        assert np.abs(dense.states - exact).max() < 1e-9
+        assert np.abs(grid.sample(ts) - exact).max() > 1e-7
+
+    def test_intervals_of_the_ndf_phase_carry_no_dense_term(self, fig1_system):
+        grid = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0)
+        mid = 0.5 * (grid.times[:-1] + grid.times[1:])
+        dense = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0, sample_times=mid)
+        hermite = grid.sample(mid)
+        ndf = mid > grid.stiff_from
+        assert dense.stiff_from == grid.stiff_from
+        assert np.array_equal(dense.states[ndf], hermite[ndf])
+        assert np.all(np.abs(dense.states[~ndf] - hermite[~ndf]).max(axis=1) > 0.0)
+
+    def test_dense_stages_are_evaluated_only_for_sample_times(self):
+        # one call at (t0, x0), then 11 stages and f at the new node per step; 3 more with sample_times
+        calls = []
+
+        def f(x, t):
+            calls.append(t)
+            return -x
+
+        sys = SystemSpec(dim=1, f=f)
+        grid = integrate(sys, np.array([1.0]), 0.0, 1.0)
+        assert grid.n_rejected == 0 and len(calls) == 1 + 12 * grid.n_steps
+        calls.clear()
+        dense = integrate(sys, np.array([1.0]), 0.0, 1.0, sample_times=grid.times)
+        assert len(calls) == 1 + 15 * grid.n_steps
+        assert np.array_equal(dense.states, grid.states)
+
+    def test_non_finite_dense_stage_rejects_the_step(self):
+        # call 1 is f(t0, x0); the first step evaluates its stages on calls 2-12,
+        # f at the new node on call 13 and, in a sampled run, the dense-output
+        # stages on calls 14-16, so call 14 is a dense stage only there
+        ts = np.linspace(0.0, 1.0, 11)
+        at_stage = integrate(nan_on_call(2), np.array([1.0]), 0.0, 1.0, sample_times=ts)
+        at_dense_stage = integrate(nan_on_call(14), np.array([1.0]), 0.0, 1.0, sample_times=ts)
+        assert at_dense_stage.n_rejected == at_stage.n_rejected == 1
+        assert same_run(at_dense_stage, at_stage)
+        grid = integrate(nan_on_call(14), np.array([1.0]), 0.0, 1.0)
+        assert grid.n_rejected == 1 and grid.times[1] == 0.01
+        with pytest.raises(DivergedError, match=r"^field non-finite after step to t=0\.01$") as err:
+            integrate(nan_on_call(13), np.array([1.0]), 0.0, 1.0)
+        assert err.value.last_time == 0.0
 
 
 class TestAuto:
@@ -415,32 +588,44 @@ class TestAuto:
                 3.0,
                 {"rel_tol": 1e-6},
             ),
-            # h * |sigma| passes STIFF_THETA here; only the sign keeps it on RKF45
+            # h * |sigma| passes STIFF_THETA here; only the sign keeps it on DOP853
             (SystemSpec(dim=1, f=lambda x, t: x.copy()), [1.0], 10.0, {"rel_tol": 1e-3, "max_step": 10.0}),
             # y5 = Y5 exactly, so sigma is undefined
             (SystemSpec(dim=2, f=lambda x, t: np.array([1.0, -2.0])), [0.0, 0.0], 3.0, {}),
         ],
         ids=["expanding x' = x", "rotation omega = 10", "expanding at a loose tolerance", "constant field"],
     )
-    def test_no_switch_is_bit_identical_to_rkf45(self, sys, x0, tf, knobs):
-        runs = [integrate(sys, np.array(x0), 0.0, tf, IntegratorConfig(method=m, **knobs)) for m in ("auto", "rkf45")]
-        assert runs[0].stiff_from is None
-        assert same_run(*runs)
+    def test_no_switch_is_bit_identical_to_dop853(self, sys, x0, tf, knobs, monkeypatch):
+        def run():
+            return integrate(sys, np.array(x0), 0.0, tf, IntegratorConfig(**knobs))
+
+        auto = run()
+        assert auto.stiff_from is None
+        assert same_run(auto, without_switch(monkeypatch, run))
+
+    @pytest.mark.parametrize("variant", ["fig1", "fig2"])
+    def test_demo_to_tf_1_does_not_switch(self, variant):
+        # accuracy-limited steps of about 0.1 against mu[J] of about -7 put
+        # h * (-sigma) at up to 0.78 on one step here, below STIFF_THETA over three
+        sys = build_example1(delta=delta_admissible if variant == "fig1" else delta_borderline)
+        for x0 in ([5.0, 5.0], [-5.0, -5.0], [5.0, -5.0], [-5.0, 5.0], [-2.0, 5.0], [0.0, 0.0]):
+            assert integrate(sys, np.array(x0), 0.0, 1.0).stiff_from is None, x0
 
     @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_ltv_envelope_systems_do_not_switch(self, n):
+    def test_ltv_envelope_systems_do_not_switch(self, n, monkeypatch):
         rng = np.random.default_rng(n)
         for _ in range(3):
             c0, c1, c2 = [c * np.sqrt(n) / np.linalg.norm(c) for c in rng.normal(size=(3, n, n))]
-            runs = [
-                integrate_fundamental(lambda t: c0 + t * c1 + t * t * c2, 0.0, 1.0, IntegratorConfig(method=m))
-                for m in ("auto", "rkf45")
-            ]
+
+            def run():
+                return integrate_fundamental(lambda t: c0 + t * c1 + t * t * c2, 0.0, 1.0)
+
+            runs = [run(), without_switch(monkeypatch, run)]
             assert np.array_equal(runs[0].times, runs[1].times)
             assert np.array_equal(runs[0].matrices, runs[1].matrices)
             assert runs[0].error_estimate == runs[1].error_estimate
 
-    def test_criterion_07_systems_give_the_rkf45_reports(self):
+    def test_criterion_07_systems_give_the_dop853_reports(self, monkeypatch):
         # the same 100 systems, kinds and seeds as acceptance criterion 07
         rng = np.random.default_rng(31415)
         tags = ("l1", "l2", "linf", "weighted")
@@ -452,11 +637,10 @@ class TestAuto:
             def a_fn(t, c=coeffs):
                 return c[0] + t * c[1] + t * t * c[2]
 
-            reports = [
-                check_transition_bounds(a_fn, kind, 0.0, 1.0, n_pairs=20, seed=i, cfg=IntegratorConfig(method=m))
-                for m in ("auto", "rkf45")
-            ]
-            assert reports[0] == reports[1], i
+            def check(a_fn=a_fn, kind=kind, i=i):
+                return check_transition_bounds(a_fn, kind, 0.0, 1.0, n_pairs=20, seed=i)
+
+            assert check() == without_switch(monkeypatch, check), i
 
 
 def lsoda_demo_reference(variant, times):
