@@ -84,8 +84,12 @@ class SamplingPlan:
 
 
 def _rate(alpha_fn: Callable[[float], float], t: float) -> float:
-    """alpha(t), which must be finite."""
-    a = float(alpha_fn(t))
+    """alpha(t), which must be finite.
+
+    t goes in as a Python float, so a compiled rate that divides by zero
+    gives NaN, not inf and a numpy warning.
+    """
+    a = float(alpha_fn(float(t)))
     if not np.isfinite(a):
         raise EvaluationError(f"alpha(t) is non-finite at t={t}", t=t)
     return a

@@ -364,10 +364,10 @@ def build_domain(cfg: ScenarioConfig) -> Domain:
 def _compile_delta(cfg: ScenarioConfig):
     if not cfg.delta_exprs:
         return None
-    fns = [compile_expression(parse_expression(e), ["t"]) for e in cfg.delta_exprs]
+    fn = compile_expression([parse_expression(e) for e in cfg.delta_exprs], ["t"])
 
     def delta(t: float) -> np.ndarray:
-        return np.array([fn(t) for fn in fns])
+        return np.array(fn(float(t)))
 
     return delta
 
@@ -379,24 +379,22 @@ def build_system(cfg: ScenarioConfig) -> SystemSpec:
 
         b = float(cfg.builtin_params.get("b", "5"))
         phi_text = cfg.builtin_params.get("phi", "-6 - t^3")
-        phi = compile_expression(parse_expression(phi_text), ["t"])
-        return build_example1(b=b, phi=phi, delta=_compile_delta(cfg), t0=cfg.t0)
+        phi_fn = compile_expression(parse_expression(phi_text), ["t"])
+        return build_example1(b=b, phi=lambda t: phi_fn(float(t)), delta=_compile_delta(cfg), t0=cfg.t0)
 
     names = [f"x{i + 1}" for i in range(cfg.dim)] + ["t"]
     nodes = [parse_expression(e) for e in cfg.f_exprs]
-    fns = [compile_expression(node, names) for node in nodes]
+    f_fn = compile_expression(nodes, names)
 
     def f(x: np.ndarray, t: float) -> np.ndarray:
-        args = (*x, t)
-        return np.array([fn(*args) for fn in fns])
+        return np.array(f_fn(*x.tolist(), float(t)))
 
     try:
         rows = [[differentiate(node, f"x{j + 1}") for j in range(cfg.dim)] for node in nodes]
-        jac_fns = [[compile_expression(d, names) for d in row] for row in rows]
+        jac_fn = compile_expression(rows, names)
 
         def jac(x: np.ndarray, t: float) -> np.ndarray:
-            args = (*x, t)
-            return np.array([[fn(*args) for fn in row] for row in jac_fns])
+            return np.array(jac_fn(*x.tolist(), float(t)))
 
     except NonDifferentiableError:
         jac = None  # finite differences take over

@@ -13,9 +13,13 @@ Any other NAME is a free variable (state symbols x1..xn and time t, in this
 toolkit). Python's own parser reads the text, with ^ as ** (same precedence
 and associativity), and its tree is checked node by node against the grammar.
 Parsed expressions are ``ast`` trees in which ^ is a pow() call and pi and e
-are constants. They compile to plain Python closures over math-module
-functions, and differentiate symbolically except through abs, which reports
-itself as non-differentiable so callers can fall back to finite differences.
+are constants. They differentiate symbolically except through abs, which
+reports itself as non-differentiable so callers can fall back to finite
+differences; constants are folded as the derivative is built, so a partial
+derivative that is structurally zero is the constant 0 whatever the signs of
+the coefficients. compile_expression generates one Python function over
+math-module functions for one expression, or for a whole list (field,
+perturbation) or list of lists (Jacobian) of them.
 """
 
 from __future__ import annotations
@@ -164,6 +168,12 @@ def _is_num(node, value=None):
     return isinstance(node, ast.Constant) and (value is None or node.value == value)
 
 
+def _neg(a):
+    if _is_num(a):
+        return ast.Constant(-a.value if a.value else 0.0)
+    return ast.UnaryOp(ast.USub(), a)
+
+
 def _add(a, b):
     if _is_num(a, 0.0):
         return b
@@ -180,7 +190,7 @@ def _sub(a, b):
     if _is_num(a) and _is_num(b):
         return ast.Constant(a.value - b.value)
     if _is_num(a, 0.0):
-        return ast.UnaryOp(ast.USub(), b)
+        return _neg(b)
     return ast.BinOp(a, ast.Sub(), b)
 
 
@@ -211,7 +221,7 @@ def differentiate(node: ast.expr, var: str) -> ast.expr:
     if isinstance(node, ast.Name):
         return ast.Constant(1.0 if node.id == var else 0.0)
     if isinstance(node, ast.UnaryOp):
-        return ast.UnaryOp(ast.USub(), differentiate(node.operand, var))
+        return _neg(differentiate(node.operand, var))
     if isinstance(node, ast.BinOp) and isinstance(node.op, _SUMS):  # walked in a loop, like parsing
         terms, ops = _chain(node, _SUMS)
         out = differentiate(terms[0], var)
@@ -233,7 +243,7 @@ def differentiate(node: ast.expr, var: str) -> ast.expr:
     if fn == "sin":
         return _mul(_call("cos", u), du)
     if fn == "cos":
-        return ast.UnaryOp(ast.USub(), _mul(_call("sin", u), du))
+        return _neg(_mul(_call("sin", u), du))
     if fn == "exp":
         return _mul(_call("exp", u), du)
     if fn == "log":
@@ -295,27 +305,48 @@ def to_source(node: ast.expr) -> str:
     return " ".join(parts)
 
 
-def compile_expression(node: ast.expr, arg_names: list[str]):
-    """Compile the expression to a Python closure over the given arguments.
+def _leaves(tree) -> list[ast.expr]:
+    """The nodes of a node or of a nested list of nodes, in order."""
+    if isinstance(tree, ast.expr):
+        return [tree]
+    return [leaf for item in tree for leaf in _leaves(item)]
 
-    Rejects free variables outside ``arg_names``, and argument names that
-    would hide a name the closure uses. The generated source only ever
-    contains to_source of the parsed tree, so exec here is a code
-    generator, not an evaluator of user text. Powers are real (math.pow),
-    and a point where the expression is undefined (log of a negative number,
-    division by zero, overflow) evaluates to NaN, so the callers' finiteness
-    checks report it.
+
+def _render(tree, leaf) -> str:
+    """Source of a node, or of a list display of the same nesting, with ``leaf`` rendering each node."""
+    if isinstance(tree, ast.expr):
+        return leaf(tree)
+    return f"[{', '.join(_render(item, leaf) for item in tree)}]"
+
+
+def compile_expression(tree, arg_names: list[str]):
+    """Compile an expression, or a nested list of them, to one Python function.
+
+    ``tree`` is one node, giving a function that returns a float, or a list
+    (or a list of lists) of nodes, giving a function that returns a list (or
+    a list of lists) of floats of the same shape: a whole field, Jacobian or
+    perturbation is one call. Rejects free variables outside ``arg_names``,
+    and argument names that would hide a name the function uses. The
+    generated source only ever contains to_source of the parsed trees, so
+    exec here is a code generator, not an evaluator of user text. Powers are
+    real (math.pow). Every entry is evaluated inside one ``try``, so if any
+    of them is undefined at a point (log of a negative number, division by
+    zero, overflow), the whole result is NaN, of the same shape, and the
+    callers' finiteness checks report it. Call the function with Python
+    floats: on numpy scalars a division by zero gives inf and a warning, not
+    an error.
     """
-    unknown = free_variables(node) - set(arg_names)
+    unknown = set().union(*map(free_variables, _leaves(tree))) - set(arg_names)
     if unknown:
         raise ExprSyntaxError(f"unknown symbol(s) {sorted(unknown)}; declared: {arg_names}", 0)
     hidden = set(arg_names) & _NAMESPACE.keys()
     if hidden:
-        raise ExprSyntaxError(f"argument name(s) {sorted(hidden)} would hide a name the closure uses", 0)
+        raise ExprSyntaxError(f"argument name(s) {sorted(hidden)} would hide a name the function uses", 0)
     src = (
         f"def _compiled({', '.join(arg_names)}):\n"
-        f"    try:\n        return {to_source(node)}\n"
-        "    except (ArithmeticError, ValueError):\n        return _nan\n"
+        f"    try:\n        return {_render(tree, to_source)}\n"
+        "    except (ArithmeticError, ValueError):\n"
+        f"        return {_render(tree, lambda node: '_nan')}\n"
     )
     namespace = dict(_NAMESPACE)
     exec(compile(src, "<expression>", "exec"), namespace)

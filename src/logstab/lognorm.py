@@ -27,17 +27,19 @@ from .linalg import (
 DEFAULT_THETA_SEQ = tuple(10.0 ** (-k) for k in range(1, 8))
 
 
-def _closed_form_pair(a, kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
-    """(mu[A], mu[-A]) in closed form for A of shape (..., n, n)."""
+def _closed_form(a, kind: NormKind, pair: bool):
+    """mu[A] in closed form for A of shape (..., n, n); (mu[A], mu[-A]) if ``pair``."""
     m = as_square_stack(a)
     if kind.tag in ("l1", "linf"):
         d = m.diagonal(0, -2, -1)
         off = np.abs(m).sum(axis=-2 if kind.tag == "l1" else -1) - np.abs(d)
-        return (d + off).max(axis=-1), (off - d).max(axis=-1)
+        plus = (d + off).max(axis=-1)
+        return (plus, (off - d).max(axis=-1)) if pair else plus
     t = kind.similarity(m)
     # t + t^T is exactly symmetric, so sym_eig's symmetry check is skipped
     eigvals = np.linalg.eigvalsh(t + np.swapaxes(t, -1, -2))
-    return 0.5 * eigvals[..., -1], -0.5 * eigvals[..., 0]
+    plus = 0.5 * eigvals[..., -1]
+    return (plus, -0.5 * eigvals[..., 0]) if pair else plus
 
 
 def log_norm(a, kind: NormKind):
@@ -50,7 +52,7 @@ def log_norm(a, kind: NormKind):
     A is one matrix (n, n), giving a float, or a stack (..., n, n), giving
     an array of shape (...) with one value per matrix.
     """
-    return float_or_array(_closed_form_pair(a, kind)[0])
+    return float_or_array(_closed_form(a, kind, pair=False))
 
 
 def log_norm_pair(a, kind: NormKind):
@@ -61,7 +63,7 @@ def log_norm_pair(a, kind: NormKind):
     takes one matrix (two floats out) or a stack (..., n, n) (two arrays of
     shape (...) out). Used by the transition-matrix bound checks.
     """
-    plus, minus = _closed_form_pair(a, kind)
+    plus, minus = _closed_form(a, kind, pair=True)
     return float_or_array(plus), float_or_array(minus)
 
 

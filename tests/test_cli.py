@@ -1,6 +1,9 @@
 import os
 import re
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +167,36 @@ class TestUndefinedExpressions:
         code, err = self.run(tmp_path, capsys, "simulate", text)
         assert code == 3
         assert "delta returned non-finite values at t=0" in err
+
+    @pytest.mark.parametrize(
+        "system, certify",
+        [
+            ("type = expression\ndim = 2\nf1 = -x1 + exp(-1/x2)\nf2 = -x2", ""),
+            ("type = builtin\nname = example1\nphi = -6 - exp(-1/t)", ""),
+            # the forcing-ratio check samples the rate up to tf = 2
+            ("type = builtin\nname = example1", "\n[integrator]\ntf = 2\n\n[certify]\nalpha = 0.5 + exp(-1/((t - 2)*(t - 2)))\n"),
+        ],
+        ids=["field", "builtin phi", "rate"],
+    )
+    def test_division_by_zero_exits_three_without_warnings(self, tmp_path, system, certify):
+        # in its own process, so a RuntimeWarning would reach stderr; the 3x2 grid samples x2 = 0 and t = 0
+        cfg = tmp_path / "undefined.cfg"
+        cfg.write_text(
+            f"[system]\n{system}\n\n[domain]\nlower = -1, -1\nupper = 1, 1\nt_lo = 0\nt_hi = 1\n\n"
+            f"[sampling]\nn_space = 3\nn_time = 2\n{certify}"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-W", "default::RuntimeWarning", "-m", "logstab.cli", "certify", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert run.returncode == 3, run.stderr
+        assert "RuntimeWarning" not in run.stderr
+        assert "non-finite" in run.stderr
 
     def test_fractional_power_of_negative_base(self, tmp_path, capsys):
         # Python's ** would give a complex number here, silently truncated to its real part

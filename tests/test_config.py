@@ -13,9 +13,10 @@ from logstab.config import (
     parse_config,
     serialize_config,
 )
-from logstab.errors import ConfigError
+from logstab.errors import ConfigError, EvaluationError
+from logstab.expr import compile_expression, differentiate, parse_expression
 from logstab.linalg import NormKind
-from logstab.system import eval_rhs, jacobian
+from logstab.system import eval_field, eval_rhs, jacobian
 
 from logstab.demos import build_example1, delta_admissible
 
@@ -268,3 +269,65 @@ class TestExpressionSystems:
         assert sys.jac is None
         j = jacobian(sys, np.array([2.0]), 0.0)
         assert j[0, 0] == pytest.approx(-2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("coefficient", ["2", "-2"])
+    def test_negative_coefficient_leaves_no_dead_term_in_the_jacobian(self, coefficient):
+        # d/dx1 of -2*log(x2) is structurally zero; a leftover -0.0 * log(x2) is NaN at x2 < 0
+        cfg = parse_config(f"[system]\ntype = expression\ndim = 2\nf1 = {coefficient}*log(x2) - x1\nf2 = -x2\n")
+        j = jacobian(build_system(cfg), np.array([1.0, -1.0]), 0.0)
+        assert j.tolist() == [[-1.0, -float(coefficient)], [0.0, -1.0]]
+
+    def test_division_by_zero_in_the_field_is_nan(self):
+        cfg = parse_config("[system]\ntype = expression\ndim = 2\nf1 = -x1 + exp(-1/x2)\nf2 = -x2\n")
+        sys = build_system(cfg)
+        assert np.isnan(sys.f(np.array([1.0, 0.0]), 0.0)).all()
+        with pytest.raises(EvaluationError, match="f returned non-finite values at t=0"):
+            eval_field(sys, np.array([1.0, 0.0]), 0.0)
+
+
+def _ring_config(rng, n, with_abs):
+    """A ring shaped like the benchmark's, with coefficients of both signs and a perturbation."""
+    c, e, g, d = (np.round(rng.uniform(-2.0, 2.0, n), 6) for _ in range(4))
+    a = np.round(rng.uniform(3.0, 6.0, n), 6)
+    lines = ["[system]", "type = expression", f"dim = {n}"]
+    for i in range(n):
+        nxt, prev = (i + 1) % n + 1, (i - 1) % n + 1
+        term = f"-({a[i]} + t^2)*x{i + 1} + {e[i]}*sin(x{i + 1}) + {c[i]}*sin(x{nxt})"
+        lines.append(f"f{i + 1} = {term}" + (f" + {g[i]}*abs(x{prev})" if with_abs else ""))
+        lines.append(f"delta{i + 1} = {d[i]}*cos(t)^2 - t/{i + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def _equivalence_configs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    yield "readme", re.findall(r"```ini\n(.*?)```", readme, flags=re.S)[0]
+    rng = np.random.default_rng(2024)
+    for n in (2, 4, 8):
+        for with_abs in (False, True):
+            yield f"ring{n}{'-abs' if with_abs else ''}", _ring_config(rng, n, with_abs)
+
+
+EQUIVALENCE_CONFIGS = dict(_equivalence_configs())
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_CONFIGS)
+def test_one_function_per_system_equals_one_closure_per_entry(name):
+    cfg = parse_config(EQUIVALENCE_CONFIGS[name])
+    sys = build_system(cfg)
+    n = cfg.dim
+    names = [f"x{i + 1}" for i in range(n)] + ["t"]
+    nodes = [parse_expression(e) for e in cfg.f_exprs]
+    f_entries = [compile_expression(node, names) for node in nodes]
+    delta_entries = [compile_expression(parse_expression(e), ["t"]) for e in cfg.delta_exprs]
+    with_abs = any("abs" in e for e in cfg.f_exprs)
+    assert (sys.jac is None) == with_abs
+    if not with_abs:
+        jac_entries = [[compile_expression(differentiate(node, f"x{j + 1}"), names) for j in range(n)] for node in nodes]
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        x = rng.uniform(-10.0, 10.0, size=n)
+        t = float(rng.uniform(0.0, 2.0))
+        assert sys.f(x, t).tolist() == [fn(*x, t) for fn in f_entries]
+        assert sys.delta(t).tolist() == [fn(t) for fn in delta_entries]
+        if not with_abs:
+            assert sys.jac(x, t).tolist() == [[fn(*x, t) for fn in row] for row in jac_entries]

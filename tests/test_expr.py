@@ -1,4 +1,5 @@
 import ast
+import math
 import sys
 
 import numpy as np
@@ -194,6 +195,15 @@ class TestDifferentiate:
         fn = compile_expression(node, ["x"])
         assert fn(123.0) == 0.0
 
+    def test_structurally_zero_partial_is_the_constant_zero(self):
+        # the negated coefficients must not leave -0.0 * x1 or -0.0 * cos(x2) behind
+        assert to_source(differentiate(parse_expression("-2*x1 - 3*sin(x2)"), "x3")) == "0.0"
+        assert to_source(differentiate(parse_expression("-cos(x1) - (1 + t^2)*x2"), "x3")) == "0.0"
+
+    def test_negated_constant_derivative_folds(self):
+        assert to_source(differentiate(parse_expression("-x"), "x")) == "-1.0"
+        assert to_source(differentiate(parse_expression("-2*x"), "x")) == "-2.0"
+
     def test_abs_is_non_differentiable(self):
         with pytest.raises(NonDifferentiableError):
             differentiate(parse_expression("abs(x)"), "x")
@@ -212,3 +222,36 @@ class TestDifferentiate:
         f2 = compile_expression(again, ["x", "t"])
         for x, t in [(0.5, 1.0), (-2.0, 3.0)]:
             assert f1(x, t) == pytest.approx(f2(x, t), abs=1e-15)
+
+
+class TestCompileLists:
+    """A list, or a list of lists, of expressions compiles to one function."""
+
+    NAMES = ["x1", "x2", "t"]
+
+    def test_list_and_nested_list_keep_their_shape(self):
+        row = [parse_expression(e) for e in ("x1 + t", "x2 * x1", "2")]
+        vector = compile_expression(row, self.NAMES)
+        matrix = compile_expression([row, row[::-1]], self.NAMES)
+        assert vector(2.0, 3.0, 0.5) == [2.5, 6.0, 2.0]
+        assert matrix(2.0, 3.0, 0.5) == [[2.5, 6.0, 2.0], [2.0, 6.0, 2.5]]
+
+    def test_one_undefined_entry_makes_every_entry_nan(self):
+        row = [parse_expression(e) for e in ("x1", "log(x2)")]
+        vector = compile_expression(row, self.NAMES)
+        matrix = compile_expression([row, row], self.NAMES)
+        out = vector(1.0, -1.0, 0.0)
+        assert len(out) == 2 and all(math.isnan(v) for v in out)
+        out = matrix(1.0, -1.0, 0.0)
+        assert [len(r) for r in out] == [2, 2] and all(math.isnan(v) for r in out for v in r)
+        assert vector(1.0, 1.0, 0.0) == [1.0, 0.0]
+
+    def test_division_by_zero_is_nan(self):
+        fn = compile_expression([parse_expression("-x1 + exp(-1/x2)"), parse_expression("-x2")], self.NAMES)
+        assert all(math.isnan(v) for v in fn(1.0, 0.0, 0.0))
+
+    def test_symbols_are_checked_over_every_entry(self):
+        with pytest.raises(ExprSyntaxError, match="unknown symbol"):
+            compile_expression([[parse_expression("x1")], [parse_expression("y")]], self.NAMES)
+        with pytest.raises(ExprSyntaxError, match="would hide a name"):
+            compile_expression([parse_expression("pow + 1")], ["pow"])
