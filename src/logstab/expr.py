@@ -89,6 +89,8 @@ def parse_expression(text: str) -> ast.expr:
     chars, where = [], []
     for i, ch in enumerate(text):
         if ch.isspace():
+            if not chars:  # Python would read leading space as indentation
+                continue
             ch = " "
         elif ch == "^":
             ch = "**"

@@ -6,7 +6,15 @@ extrapolation) and the embedded difference used for step control. ``ndf`` is
 the variable-order (1-5), quasi-constant-step NDF of Shampine & Reichelt
 ("The MATLAB ODE Suite", 1997): an implicit multistep method for stiff runs,
 solved by a simplified Newton iteration on an explicit inverse of
-I - h/((1 - kappa) gamma_k) J. ``auto``, the default, runs the explicit
+I - h/((1 - kappa) gamma_k) J. The iteration stops once its predicted
+remaining error is below 0.03 (10 eps / rel_tol at tolerances under 7e-14)
+in the scaled norm of the step's own error test, which accepts a step at 1.
+The matrix is formed anew after every change of h or order, from J
+evaluated at the last accepted node; a rejected step re-forms it from the J
+it already has. Steps of unchanged h reuse it, and when Newton then fails,
+J is evaluated at the predictor and the step tried once more. Where J cannot
+be evaluated because the field is non-finite near the node, the previous J
+stays. ``auto``, the default, runs the explicit
 8th-order Dormand-Prince pair DOP853 of Hairer, Norsett & Wanner (*Solving
 Ordinary Differential Equations I*, II.5-6; step control from their combined
 5th/3rd-order error estimate) and hands the rest of the run to ndf once the
@@ -53,7 +61,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConditioningError, DimensionError, DivergedError, InvalidInputError
+from .errors import ConditioningError, DimensionError, DivergedError, EvaluationError, InvalidInputError
 from .linalg import NormKind, cond_2, induced_matrix_norm, solve, vec_norm
 from .lognorm import log_norm_pair
 from .system import SystemSpec, eval_rhs, jacobian
@@ -701,7 +709,8 @@ def _ndf_steps(run: _Run, jac) -> None:
     """Variable-order NDF steps from the last node of ``run`` to tf.
 
     For ``ndf`` that node is t0; for ``auto`` it is where the DOP853 phase
-    found the run stiff.
+    found the run stiff. The Newton tolerance and when J is evaluated are
+    set out in the module docstring.
     """
     cfg, rhs, tf = run.cfg, run.rhs, run.tf
     t, y = run.times[-1], run.states[-1]
@@ -714,9 +723,10 @@ def _ndf_steps(run: _Run, jac) -> None:
     order = 1
     n_equal = 0  # accepted steps since the last change of h or order
     j_mat = jac(t, y)
-    j_fresh = True  # j_mat was evaluated during the current step
+    j_fresh = True  # j_mat was evaluated since the last accepted node
     m_inv = None
-    newton_tol = max(10.0 * np.finfo(float).eps / cfg.rel_tol, min(0.03, cfg.rel_tol**0.5))
+    # the corrector need only converge well inside the error test, which accepts at 1
+    newton_tol = max(10.0 * np.finfo(float).eps / cfg.rel_tol, 0.03)
 
     def resize(factor: float) -> None:
         nonlocal h, n_equal, m_inv
@@ -724,6 +734,15 @@ def _ndf_steps(run: _Run, jac) -> None:
         h *= factor
         n_equal = 0
         m_inv = None
+
+    def refresh(t_j: float, y_j: np.ndarray) -> None:
+        """J at (t_j, y_j); where it cannot be evaluated (f non-finite nearby) the previous J stays."""
+        nonlocal j_mat, j_fresh
+        try:
+            j_mat = jac(t_j, y_j)
+        except EvaluationError:
+            pass  # J only steers the iteration; the step then fails, or passes, on f itself
+        j_fresh = True
 
     while run.running():
         h_cap = min(cfg.max_step, tf - t)
@@ -738,12 +757,14 @@ def _ndf_steps(run: _Run, jac) -> None:
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_pred))
         while True:
             if m_inv is None:
+                # a new h or order: form the matrix from a J taken at the last accepted node
+                if not j_fresh:
+                    refresh(t, y)
                 m_inv = _iteration_inverse(j_mat, c, t)
             converged, n_iter, y_new, corr, bad = _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, newton_tol)
             if converged or j_fresh or bad:  # a fresh J cannot help where f is undefined
                 break
-            j_mat = jac(t_new, y_pred)
-            j_fresh = True
+            refresh(t_new, y_pred)  # the matrix of an unchanged h outlived its J
             m_inv = None
         if not converged:
             run.reject(non_finite=bad)
@@ -794,21 +815,29 @@ def integrate_fundamental(
     Phi is integrated as one state of dimension n^2 (row-major), so every
     column lives on the integrator's own grid, or on ``sample_times`` when
     given, resampled from that one run. A(t) must keep its shape (n, n)
-    throughout; a change raises DimensionError naming the shape and t.
+    throughout; a change raises DimensionError naming the shape and t. The
+    matrix ODE's Jacobian is kron(A(t), I), so ndf needs no finite differences.
     """
     a0 = np.asarray(a_fn(t0), dtype=float)
     if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
         raise DimensionError(f"A(t) must be square, got shape {a0.shape}")
     n = a0.shape[0]
+    eye = np.eye(n)
 
-    def matrix_field(x: np.ndarray, t: float) -> np.ndarray:
+    def a_at(t: float) -> np.ndarray:
         a = np.asarray(a_fn(t), dtype=float)
         if a.shape != (n, n):
             raise DimensionError(f"A(t) has shape {a.shape} at t={t}, expected ({n}, {n})")
-        return (a @ x.reshape(n, n)).ravel()
+        return a
 
-    sys = SystemSpec(dim=n * n, f=matrix_field)
-    traj = integrate(sys, np.eye(n).ravel(), t0, tf, cfg, sample_times=sample_times)
+    def matrix_field(x: np.ndarray, t: float) -> np.ndarray:
+        return (a_at(t) @ x.reshape(n, n)).ravel()
+
+    def matrix_jac(x: np.ndarray, t: float) -> np.ndarray:
+        return np.kron(a_at(t), eye)
+
+    sys = SystemSpec(dim=n * n, f=matrix_field, jac=matrix_jac)
+    traj = integrate(sys, eye.ravel(), t0, tf, cfg, sample_times=sample_times)
     mats = traj.states.reshape(-1, n, n)
     return FundamentalTrajectory(traj.times, mats, error_estimate=traj.error_estimate, n_steps=traj.n_steps)
 

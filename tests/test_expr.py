@@ -113,6 +113,16 @@ class TestParseAndEval:
         err = pytest.raises(ExprSyntaxError, parse_expression, "x^2 +")
         assert err.value.pos == 5  # the end of the text
 
+    @pytest.mark.parametrize("text", [" x + 1", "\tx", " \t x^2"])
+    def test_leading_whitespace_is_not_indentation(self, text):
+        assert ast.dump(parse_expression(text)) == ast.dump(parse_expression(text.strip()))
+
+    def test_error_position_after_leading_whitespace_is_in_the_users_text(self):
+        err = pytest.raises(ExprSyntaxError, parse_expression, "  x +")
+        assert err.value.pos == 5  # the end of the text
+        err = pytest.raises(ExprSyntaxError, parse_expression, "  x ^ 2 + (1")
+        assert err.value.pos == 10
+
     def test_depth_limit(self):
         # nested general powers give the deepest derivative, about four times the depth
         at_limit = "(" * (MAX_DEPTH - 1) + "x" + ")^x" * (MAX_DEPTH - 1)

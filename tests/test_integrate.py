@@ -19,11 +19,12 @@ from logstab.integrate import (
 )
 from logstab.linalg import NormKind, cond_2, induced_matrix_norm, solve, vec_norm
 from logstab.lognorm import log_norm_pair
-from logstab.system import SystemSpec
+from logstab.system import SystemSpec, _fd_jacobian
 
 from conftest import random_spd
 
 integrate_module = importlib.import_module("logstab.integrate")
+system_module = importlib.import_module("logstab.system")
 
 
 def without_switch(monkeypatch, run):
@@ -269,6 +270,33 @@ class TestFundamental:
             integrate_fundamental(a_fn, 0.0, 1.0)
         assert err.value.last_time == 0.5
 
+    def test_analytic_jacobian_matches_finite_differences(self, monkeypatch):
+        built = []
+
+        def spy(sys, *args, **kwargs):
+            built.append(sys)
+            return integrate(sys, *args, **kwargs)
+
+        monkeypatch.setattr(integrate_module, "integrate", spy)
+        rng = np.random.default_rng(3)
+        c0, c1 = rng.normal(size=(2, 3, 3))
+        integrate_fundamental(lambda t: c0 + np.sin(t) * c1, 0.0, 1.0)
+        (sys,) = built
+        for _ in range(5):
+            x, t = rng.normal(size=9), float(rng.uniform(0.0, 1.0))
+            assert np.abs(sys.jac(x, t) - _fd_jacobian(sys, x, t)).max() <= 1e-7
+
+    def test_ndf_run_takes_no_finite_differences(self, monkeypatch):
+        def no_fd(sys, x, t):
+            raise AssertionError("finite-difference Jacobian taken")
+
+        monkeypatch.setattr(system_module, "_fd_jacobian", no_fd)
+        a = np.random.default_rng(7).normal(size=(4, 4)) - 60.0 * np.eye(4)
+        fund = integrate_fundamental(lambda t: a, 0.0, 1.0, IntegratorConfig(method="ndf"))
+        lam, v = np.linalg.eig(a)
+        exact = np.real((v * np.exp(lam)) @ np.linalg.inv(v))
+        assert np.abs(fund.matrices[-1] - exact).max() < 1e-8
+
 
 def looped_transition_check(a_fn, kind, t0, tf, n_pairs, n_states, seed):
     """Per-pair and per-state reference for check_transition_bounds, same rng draw order."""
@@ -465,7 +493,7 @@ class TestNDF:
         assert err.value.last_time == pytest.approx(0.5, abs=1e-6)
 
     def test_field_turning_non_finite_without_jacobian_names_t(self):
-        # finite differences are never taken where the field is undefined
+        # A(t) is undefined past 0.5, and with it the matrix ODE's Jacobian kron(A, I): the NDF phase keeps the J it has
         def a_fn(t):
             return -np.eye(2) if t <= 0.5 else np.full((2, 2), np.nan)
 
@@ -502,6 +530,44 @@ class TestNDF:
         with pytest.raises(DivergedError) as err:
             integrate(sys, np.array([1.0]), 0.0, 2.0, IntegratorConfig(method="ndf"))
         assert 0.0 <= err.value.last_time <= 1.05
+
+    @pytest.mark.parametrize("method", ["ndf", "auto"])
+    def test_every_new_iteration_matrix_gets_a_jacobian_from_the_last_node(self, fig1_system, monkeypatch, method):
+        # a rejected step re-forms the matrix from the J of its node, so there are more inverses than Jacobians
+        events = []
+
+        def record(name, fn):
+            def spy(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(integrate_module, "jacobian", record("jac", integrate_module.jacobian))
+        monkeypatch.setattr(integrate_module, "_iteration_inverse", record("inv", integrate_module._iteration_inverse))
+        monkeypatch.setattr(_Run, "accept", record("accept", _Run.accept))
+        integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method=method))
+        assert events.count("inv") > 100
+        fresh = True
+        for i, event in enumerate(events):
+            if event == "accept":
+                fresh = False
+            elif event == "jac":
+                fresh = True
+            elif event == "inv":
+                assert fresh, f"iteration matrix {events[:i].count('inv')} formed from a J older than the last node"
+
+    @pytest.mark.parametrize("method", ["ndf", "auto"])
+    def test_jacobian_that_cannot_be_refreshed_keeps_the_previous_one(self, method):
+        # x is drawn to 0.4 e^{-t} at rate 1e4 and the field is undefined below x = 0.5, which x
+        # reaches at t = ln(6)/1e4; under ndf, finite differences fail within 6e-6 of it, before
+        # f does (auto is still in its DOP853 phase there)
+        def f(x, t):
+            return -1e4 * (x - 0.4 * np.exp(-t)) if x[0] > 0.5 else np.full(1, np.nan)
+
+        with pytest.raises(DivergedError, match=r"^field non-finite near t=\S+: steps shrank to underflow$") as err:
+            integrate(SystemSpec(dim=1, f=f), np.array([1.0]), 0.0, 1.0, IntegratorConfig(method=method))
+        assert err.value.last_time == pytest.approx(np.log(6.0) / 1e4, rel=1e-3)
 
 
 class TestDOP853:
@@ -673,3 +739,45 @@ def test_demo_matches_lsoda_under_ndf_and_auto(variant):
         traj = integrate(sys, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method=method), sample_times=grid)
         err = np.abs(traj.states - ref) / np.maximum(1.0, np.abs(ref))
         assert err.max() <= 1e-6, (method, err.max())
+
+
+VDP_MU = 1000.0
+VDP_TIMES = np.linspace(0.0, 2000.0, 401)
+
+
+def vdp_field(x, t):
+    return np.array([x[1], VDP_MU * (1.0 - x[0] ** 2) * x[1] - x[0]])
+
+
+def vdp_jac(x, t):
+    return np.array([[0.0, 1.0], [-2.0 * VDP_MU * x[0] * x[1] - 1.0, VDP_MU * (1.0 - x[0] ** 2)]])
+
+
+@pytest.fixture(scope="module")
+def vdp_reference():
+    """Van der Pol with mu = 1000 from (2, 0) at VDP_TIMES, by scipy's Radau far below the tolerances tested."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    sol = solve_ivp(
+        lambda t, x: vdp_field(x, t),
+        (0.0, VDP_TIMES[-1]),
+        [2.0, 0.0],
+        method="Radau",
+        t_eval=VDP_TIMES,
+        rtol=1e-12,
+        atol=1e-14,
+        jac=lambda t, x: vdp_jac(x, t),
+    )
+    assert sol.success
+    return sol.y.T
+
+
+@pytest.mark.parametrize("rel_tol, bound", [(1e-6, 1e-4), (1e-9, 1e-6)])
+@pytest.mark.parametrize("jac", ["analytic", "finite differences"])
+@pytest.mark.parametrize("method", ["ndf", "auto"])
+def test_van_der_pol_matches_radau(vdp_reference, method, jac, rel_tol, bound):
+    # the Newton iteration stops at 0.03 of the error test's scale; the global error stays at the tolerance's level
+    sys = SystemSpec(dim=2, f=vdp_field, jac=vdp_jac if jac == "analytic" else None)
+    cfg = IntegratorConfig(method=method, rel_tol=rel_tol, abs_tol=1e-3 * rel_tol, max_step=10.0)
+    traj = integrate(sys, np.array([2.0, 0.0]), 0.0, VDP_TIMES[-1], cfg, sample_times=VDP_TIMES)
+    err = np.abs(traj.states[:, 0] - vdp_reference[:, 0]).max()
+    assert err <= bound, err
