@@ -26,7 +26,7 @@ Sections (all optional except [system]):
                 weight = 2 1; 1 2          (inline rows)   or  weight_file = P.txt
     [domain]    lower = -10, -10   upper = 10, 10   t_lo = 0   t_hi = 2
     [sampling]  n_space = 33   n_time = 5   scheme = uniform_grid   seed = 42
-    [integrator] method = auto | rkf45 | rk4 | ndf, step, rel_tol, abs_tol, max_step, max_steps, tf
+    [integrator] method = auto | rk4 | ndf, step, rel_tol, abs_tol, max_step, max_steps, tf
     [certify]   alpha = 0.5 + t^3          (analytic rate, expression in t)
     [output]    dir = out
 """

@@ -1,9 +1,7 @@
 """ODE integration for trajectories and fundamental matrices.
 
-Four methods. ``rk4`` is a classic fixed-step RK4. ``rkf45`` is an adaptive
-Runge-Kutta-Fehlberg 4(5) pair with the 5th-order solution propagated (local
-extrapolation) and the embedded difference used for step control. ``ndf`` is
-the variable-order (1-5), quasi-constant-step NDF of Shampine & Reichelt
+Three methods. ``rk4`` is a classic fixed-step RK4. ``ndf`` is the
+variable-order (1-5), quasi-constant-step NDF of Shampine & Reichelt
 ("The MATLAB ODE Suite", 1997): an implicit multistep method for stiff runs,
 solved by a simplified Newton iteration on an explicit inverse of
 I - h/((1 - kappa) gamma_k) J. The iteration stops once its predicted
@@ -31,14 +29,14 @@ Wanner's stiffness test, with the sign kept). ``auto`` switches once
 h * (-sigma) >= STIFF_THETA on STIFF_RUN consecutive accepted steps; a
 rotation has sigma = 0 and an expanding field sigma > 0, so neither switches.
 
-The adaptive methods share one run object, ``_Run``. It holds the accepted
-nodes and the counters, and it alone ends or fails a run (tf reached, step
-budget spent, step size underflow) and accepts a node (evaluate f there,
-require it finite, store it). ``rkf45``, DOP853 and ``ndf`` are step rules
-that propose steps to it; ``auto`` hands the same run from DOP853 to ndf.
-``rk4`` knows its step count up front and never rejects, so it fills its own
-arrays. Every method starts from the field value that ``integrate`` validated
-at (t0, x0).
+Every method shares one run object, ``_Run``. It holds the accepted nodes
+and the counters, and it alone ends or fails a run (tf reached, step budget
+spent, step size underflow) and accepts a node (evaluate f there, require it
+finite, store it). RK4, DOP853 and ``ndf`` are step rules that propose steps
+to it; ``auto`` hands the same run from DOP853 to ndf. RK4 knows its step
+count up front and never rejects, so it checks the budget once before its
+first step. Every method starts from the field value that ``integrate``
+validated at (t0, x0).
 
 Every method stores the field at its accepted nodes, so one dense-output path,
 cubic Hermite on the stored derivatives, samples every run. When ``integrate``
@@ -66,18 +64,7 @@ from .linalg import NormKind, cond_2, induced_matrix_norm, solve, vec_norm
 from .lognorm import log_norm_pair
 from .system import SystemSpec, eval_rhs, jacobian
 
-METHODS = ("auto", "rkf45", "rk4", "ndf")
-
-# Fehlberg 4(5) tableau
-_C2, _C3, _C4, _C5, _C6 = 0.25, 0.375, 12.0 / 13.0, 1.0, 0.5
-_A21 = 0.25
-_A31, _A32 = 3.0 / 32.0, 9.0 / 32.0
-_A41, _A42, _A43 = 1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0
-_A51, _A52, _A53, _A54 = 439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0
-_A61, _A62, _A63, _A64, _A65 = -8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0
-_B51, _B53, _B54, _B55, _B56 = 16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0
-# b5 - b4, the embedded local error weights
-_E1, _E3, _E4, _E5, _E6 = 1.0 / 360.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0
+METHODS = ("auto", "rk4", "ndf")
 
 
 def _lower_triangular(rows) -> np.ndarray:
@@ -209,10 +196,10 @@ class IntegratorConfig:
     """Step-size and tolerance knobs for every integration method.
 
     ``method`` is one of METHODS: ``auto`` (DOP853, then ndf once the run
-    turns stiff), ``rkf45``, ``rk4`` or ``ndf``. ``step`` is the fixed step
-    for rk4 and the initial step of rkf45 and of auto's DOP853 phase; ndf
-    picks its own first step. ``max_step`` caps adaptive growth; stiff late-time
-    dynamics (rates like -t^3) otherwise provoke large rejected excursions.
+    turns stiff), ``rk4`` or ``ndf``. ``step`` is the fixed step for rk4 and
+    the initial step of auto's DOP853 phase; ndf picks its own first step.
+    ``max_step`` caps adaptive growth; stiff late-time dynamics (rates like
+    -t^3) otherwise provoke large rejected excursions.
     ``max_steps`` bounds accepted plus rejected steps, over both phases of an
     ``auto`` run.
     """
@@ -227,11 +214,12 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown integrator method {self.method!r}; expected one of {', '.join(METHODS)}")
-        if self.step <= 0.0 or self.max_step <= 0.0:
+        # written so that NaN fails; max_step = inf stays valid
+        if not (self.step > 0.0 and self.max_step > 0.0):
             raise InvalidInputError("step sizes must be positive")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise InvalidInputError("tolerances must be positive")
-        if self.max_steps <= 0:
+        if not self.max_steps > 0:
             raise InvalidInputError("max_steps must be positive")
 
 
@@ -379,67 +367,28 @@ def integrate(
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return sys.f(y, t) + sys.delta(t)
 
-    dense = None
+    run = _Run(rhs, x0, f0, t0, tf, cfg)
     if cfg.method == "rk4":
-        traj = _integrate_rk4(rhs, x0, f0, t0, tf, cfg)
-    else:
-        run = _Run(rhs, x0, f0, t0, tf, cfg)
-        if cfg.method == "rkf45":
-            _rkf45_steps(run)
-        elif cfg.method == "auto":
-            _dop853_steps(run, dense=sample_times is not None)
-        if cfg.method == "ndf" or run.stiff_from is not None:
-            _ndf_steps(run, lambda t, y: jacobian(sys, y, t))
-        traj = run.trajectory()
-        dense = run.dense_rows()
+        _rk4_steps(run)
+    elif cfg.method == "auto":
+        _dop853_steps(run, dense=sample_times is not None)
+    if cfg.method == "ndf" or run.stiff_from is not None:
+        _ndf_steps(run, lambda t, y: jacobian(sys, y, t))
+    traj = run.trajectory()
 
     if sample_times is None:
         return traj
     ts = _validate_sample_times(sample_times, t0, tf)
-    states = _hermite_sample(traj.times, traj.states, traj.derivs, ts, dense)
+    states = _hermite_sample(traj.times, traj.states, traj.derivs, ts, run.dense_rows())
     return replace(traj, times=ts, states=states, derivs=None)
 
 
-def _integrate_rk4(rhs, x0, f0, t0, tf, cfg: IntegratorConfig) -> Trajectory:
-    """Fixed-step RK4 from x0 with f0 = f(t0, x0).
-
-    A non-finite field shows up as the state blowing up one step later.
-    """
-    h_target = min(cfg.step, cfg.max_step)
-    n = max(1, int(np.ceil((tf - t0) / h_target - 1e-12)))
-    if n > cfg.max_steps:
-        raise DivergedError(f"fixed-step run needs {n} steps, budget is {cfg.max_steps}", t0)
-    h = (tf - t0) / n
-    times = np.empty(n + 1)
-    states = np.empty((n + 1, x0.size))
-    derivs = np.empty((n + 1, x0.size))
-    t, y = t0, x0.copy()
-    times[0] = t
-    states[0] = y
-    f_cur = f0
-    derivs[0] = f_cur
-    for k in range(n):
-        k1 = f_cur
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + (k + 1) * h
-        if not np.all(np.isfinite(y)):
-            raise DivergedError(f"state blew up near t={t}", times[k])
-        f_cur = rhs(t, y)
-        times[k + 1] = t
-        states[k + 1] = y
-        derivs[k + 1] = f_cur
-    times[-1] = tf
-    return Trajectory(times, states, derivs, error_estimate=0.0, n_steps=n)
-
-
 class _Run:
-    """The accepted nodes and counters of one adaptive run (see the module docstring).
+    """The accepted nodes and counters of one run (see the module docstring).
 
-    A step rule loops while ``running()``, calls ``check(h)`` before it tries
-    a step of size h, and reports the outcome through ``accept`` or ``reject``.
+    An adaptive step rule loops while ``running()``, calls ``check(h)`` before
+    it tries a step of size h, and reports the outcome through ``accept`` or
+    ``reject``. RK4 only accepts.
     """
 
     def __init__(self, rhs, x0: np.ndarray, f0: np.ndarray, t0: float, tf: float, cfg: IntegratorConfig):
@@ -517,40 +466,25 @@ class _Run:
         return np.array([zero if rows is None else rows for rows in self.dense])
 
 
-def _rkf45_steps(run: _Run) -> None:
-    """RKF45 steps to tf."""
+def _rk4_steps(run: _Run) -> None:
+    """Fixed-step RK4 to tf: n equal steps, the budget checked for all n up front, none rejected."""
     cfg, rhs, tf = run.cfg, run.rhs, run.tf
-    t, y, f_cur = run.times[-1], run.states[-1], run.derivs[-1]
-    h = min(cfg.step, cfg.max_step, tf - t)
-
-    while run.running():
-        h = min(h, tf - t)
-        run.check(h)
-        k1 = f_cur
-        k2 = rhs(t + _C2 * h, y + (h * _A21) * k1)
-        k3 = rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-        k4 = rhs(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = rhs(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = rhs(t + _C6 * h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        y5 = y + h * (_B51 * k1 + _B53 * k3 + _B54 * k4 + _B55 * k5 + _B56 * k6)
-        err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6)
-        if not (np.all(np.isfinite(y5)) and np.all(np.isfinite(err_vec))):
-            # an oversized step can overflow, so shrink before giving up
-            run.reject(non_finite=True)
-            h *= 0.1
-            continue
-
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(err_vec) / scale))
-        if err > 1.0:
-            run.reject()
-            h *= max(0.1, 0.9 * err ** -0.2)
-            continue
-        t = t + h
-        y = y5
-        f_cur = run.accept(t, y, float(np.max(np.abs(err_vec))))
-        grow = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-        h = min(h * min(5.0, max(0.2, grow)), cfg.max_step)
+    t0, y, f_cur = run.times[-1], run.states[-1], run.derivs[-1]
+    n = max(1, int(np.ceil((tf - t0) / min(cfg.step, cfg.max_step) - 1e-12)))
+    if n > cfg.max_steps:
+        raise DivergedError(f"fixed-step run needs {n} steps, budget is {cfg.max_steps}", t0)
+    h = (tf - t0) / n
+    t = t0
+    for k in range(1, n + 1):
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * f_cur)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (f_cur + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t0 + k * h
+        if not np.all(np.isfinite(y)):
+            raise DivergedError(f"state blew up near t={t}", run.times[-1])
+        # the last node is stored at tf, which t0 + n h may miss by rounding
+        f_cur = run.accept(tf if k == n else t, y, 0.0, run.node_field(t, y))
 
 
 def _dop853_steps(run: _Run, dense: bool) -> None:
@@ -909,8 +843,8 @@ def check_transition_bounds(
     steps of a stiff run one. mu is only piecewise smooth (l1 and linf have
     kinks), so the quadrature, not the ODE tolerance, dominates: on
     acceptance criterion 07's 100 systems its worst error against a
-    20,001-point reference is 2.9e-5 on DOP853's grid (one panel per step:
-    9.3e-4 there, 1.3e-4 on RKF45's finer grid). Tolerance budget: tol_base
+    20,001-point reference is 2.9e-5 on DOP853's grid (9.3e-4 with one
+    panel per step). Tolerance budget: tol_base
     + 10x the local-error estimate accumulated by the one matrix-ODE run.
     The propagators, condition numbers and norms of all pairs and states
     are computed as stacks, one wrapper call each.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from logstab.certify import SamplingPlan, estimate_contraction_rate
-from logstab.integrate import IntegratorConfig
+from logstab.integrate import METHODS, IntegratorConfig
 from logstab.config import (
     build_domain,
     build_norm,
@@ -48,7 +48,7 @@ scheme = uniform_grid
 seed = 42
 
 [integrator]
-method = rkf45
+method = ndf
 rel_tol = 1e-9
 abs_tol = 1e-12
 max_step = 0.1
@@ -165,6 +165,7 @@ class TestParsing:
             ("sampling", "seed = 1.5", "expected an integer"),
             ("integrator", "step = -1", "step sizes must be positive"),
             ("integrator", "method = euler", "unknown integrator method 'euler'"),
+            ("integrator", "method = rkf45", "unknown integrator method 'rkf45'"),
             ("integrator", "max_steps = 0", "max_steps must be positive"),
             ("integrator", "rel_tol = inf", "number must be finite"),
             ("norm", "kind = l3", "norm kind must be one of"),
@@ -178,7 +179,7 @@ class TestParsing:
             parse_config(text)
 
     def test_sampling_and_integrator_keys_build_their_objects(self):
-        cfg = parse_config(DEMO_CONFIG.replace("method = rkf45", "method = RK4\nstep = 0.02\nmax_steps = 500"))
+        cfg = parse_config(DEMO_CONFIG.replace("method = ndf", "method = RK4\nstep = 0.02\nmax_steps = 500"))
         assert cfg.plan == SamplingPlan(n_space=41, n_time=5, scheme="uniform_grid", seed=42)
         assert cfg.integrator == IntegratorConfig(
             method="rk4", step=0.02, rel_tol=1e-9, abs_tol=1e-12, max_step=0.1, max_steps=500
@@ -187,7 +188,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("text, method", [("ndf", "ndf"), ("auto", "auto"), ("NDF", "ndf"), ("Auto", "auto")])
     def test_stiff_aware_methods_parse(self, text, method):
-        cfg = parse_config(DEMO_CONFIG.replace("method = rkf45", f"method = {text}"))
+        cfg = parse_config(DEMO_CONFIG.replace("method = ndf", f"method = {text}"))
         assert cfg.integrator == IntegratorConfig(method=method)
 
     def test_method_defaults_to_auto(self):
@@ -227,13 +228,15 @@ class TestRoundTrip:
         assert cfg.system_kind == "expression" and cfg.alpha_expr == "0.5 + t^3"
         assert cfg.plan.n_space == 41 and cfg.integrator.max_step == 0.1
         assert parse_config(serialize_config(cfg)) == cfg
+        (methods,) = re.findall(r"^method = \w+ +# (.*)$", blocks[0], flags=re.M)
+        assert tuple(methods.split(" | ")) == METHODS
 
     def test_builders_from_round_tripped_config(self):
         cfg = parse_config(serialize_config(parse_config(DEMO_CONFIG)))
         dom = build_domain(cfg)
         assert dom.t_hi == 2.0
         assert cfg.plan.seed == 42
-        assert cfg.integrator.method == "rkf45"
+        assert cfg.integrator.method == "ndf"
 
 
 class TestExpressionSystems:

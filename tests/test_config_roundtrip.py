@@ -40,7 +40,7 @@ KEY_VALUES = {
     ("sampling", "n_time"): lambda dim: st.integers(1, 10**6).map(str),
     ("sampling", "scheme"): lambda dim: st.sampled_from(["uniform_grid", "latin_hypercube", "uniform_random"]),
     ("sampling", "seed"): lambda dim: st.integers(0, 2**63).map(str),
-    ("integrator", "method"): lambda dim: cased(["auto", "rkf45", "rk4", "ndf"]),
+    ("integrator", "method"): lambda dim: cased(["auto", "rk4", "ndf"]),
     ("integrator", "step"): lambda dim: positive.map(repr),
     ("integrator", "rel_tol"): lambda dim: positive.map(repr),
     ("integrator", "abs_tol"): lambda dim: positive.map(repr),

@@ -96,6 +96,13 @@ class TestIntegrate:
         with pytest.raises(InvalidInputError):
             integrate(decay_system, np.array([1.0]), 1.0, 0.0)
 
+    @pytest.mark.parametrize("knob", ["step", "max_step", "rel_tol", "abs_tol", "max_steps"])
+    def test_config_rejects_nan(self, knob):
+        # NaN fails every comparison, so a NaN knob must not pass a "<= 0" test
+        with pytest.raises(InvalidInputError, match="must be positive"):
+            IntegratorConfig(**{knob: np.nan})
+        assert IntegratorConfig(max_step=np.inf).max_step == np.inf
+
     def test_rk4_order_on_decay(self, decay_system):
         exact = np.array([np.exp(-1.0)])
         ratio = rk4_endpoint_error(decay_system, np.array([1.0]), 1.0, exact, 0.1) / rk4_endpoint_error(
@@ -115,7 +122,7 @@ class TestIntegrate:
 class TestFailurePaths:
     """The message and last valid time of each way a run can fail."""
 
-    @pytest.mark.parametrize("method", ["rkf45", "auto", "ndf"])
+    @pytest.mark.parametrize("method", ["auto", "ndf"])
     def test_jump_in_the_field_is_step_size_underflow(self, method):
         # no step across a jump of 1e12 at t = 0.5 passes the error test
         sys = SystemSpec(dim=1, f=lambda x, t: np.zeros(1) if t < 0.5 else np.full(1, 1e12))
@@ -124,7 +131,7 @@ class TestFailurePaths:
         assert err.value.last_time == pytest.approx(0.5, abs=1e-12)
         assert str(err.value) == f"step size underflow at t={err.value.last_time}"
 
-    @pytest.mark.parametrize("method", ["rkf45", "ndf", "auto"])
+    @pytest.mark.parametrize("method", ["ndf", "auto"])
     def test_non_finite_trial_step_is_forgotten_once_a_step_is_accepted(self, method):
         # one NaN early on (the 5th call, inside the first trial step) is survived;
         # the underflow at the jump is then reported as an underflow, not as the NaN
@@ -137,7 +144,7 @@ class TestFailurePaths:
         with pytest.raises(DivergedError, match=r"^step size underflow at t=0\.49999"):
             integrate(SystemSpec(dim=1, f=f), np.array([1.0]), 0.0, 1.0, IntegratorConfig(method=method))
 
-    @pytest.mark.parametrize("method", ["rkf45", "ndf", "auto"])
+    @pytest.mark.parametrize("method", ["ndf", "auto"])
     @pytest.mark.parametrize(
         "f, t_bad",
         [
@@ -153,7 +160,7 @@ class TestFailurePaths:
         assert str(err.value) == f"field non-finite near t={err.value.last_time}: steps shrank to underflow"
         assert err.value.last_time == pytest.approx(t_bad, abs=1e-8)
 
-    @pytest.mark.parametrize("method", ["rkf45", "ndf", "auto"])
+    @pytest.mark.parametrize("method", ["ndf", "auto"])
     def test_step_budget_names_the_last_node(self, decay_system, method):
         # none of these methods rejects a step on the way to t = 10, so the
         # budget of 3 attempts ends at the 3rd node of the full run
@@ -175,7 +182,7 @@ class TestFailurePaths:
         integrate(sys, np.array([1.0]), 0.0, 1.0, IntegratorConfig(method=method))
         assert sum(at_start) == 1
 
-    @pytest.mark.parametrize("method", ["rkf45", "ndf", "auto"])
+    @pytest.mark.parametrize("method", ["ndf", "auto"])
     def test_field_non_finite_on_its_second_call_only_is_survived(self, method):
         # the value validated at (t0, x0) is the one the run starts from; the
         # 2nd call is inside the first trial step, which is rejected and retried
@@ -184,11 +191,13 @@ class TestFailurePaths:
         assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-7)
 
     def test_rk4_blowup_names_the_step_and_the_last_node(self):
-        # dx/dt = x^2 from 1 has a pole at t = 1; with h = 0.01 the state overflows at t = 1.03
+        # dx/dt = x^2 from 1 has a pole at t = 1; with h = 0.01 the field overflows at the node t = 1.02
         sys = SystemSpec(dim=1, f=lambda x, t: x * x)
-        with np.errstate(over="ignore"), pytest.raises(DivergedError, match=r"^state blew up near t=1\.03$") as err:
+        with np.errstate(over="ignore"), pytest.raises(
+            DivergedError, match=r"^field non-finite after step to t=1\.02$"
+        ) as err:
             integrate(sys, np.array([1.0]), 0.0, 2.0, IntegratorConfig(method="rk4"))
-        assert err.value.last_time == pytest.approx(1.02, abs=1e-12)
+        assert err.value.last_time == pytest.approx(1.01, abs=1e-12)
 
     def test_rk4_budget_is_checked_before_the_first_step(self, decay_system):
         cfg = IntegratorConfig(method="rk4", max_steps=50)
@@ -252,14 +261,6 @@ class TestFundamental:
     def test_shape_change_mid_run_raises_dimension_error(self):
         with pytest.raises(DimensionError, match=r"shape \(3, 3\) at t=0\.5"):
             integrate_fundamental(lambda t: -np.eye(3 if t > 0.5 else 2), 0.0, 1.0)
-
-    def test_non_finite_a_mid_run_raises_diverged(self):
-        def a_fn(t):
-            return -np.eye(2) if t <= 0.5 else np.full((2, 2), np.nan)
-
-        with pytest.raises(DivergedError, match=r"non-finite near t=0\.49") as err:
-            integrate_fundamental(a_fn, 0.0, 1.0, IntegratorConfig(method="rkf45"))
-        assert err.value.last_time == pytest.approx(0.5, abs=1e-6)
 
     def test_non_finite_a_mid_run_raises_diverged_at_the_dop853_node(self):
         # auto's DOP853 steps 0.01, 0.1, ... and the cap 0.09 put a node exactly on t = 0.5
@@ -468,10 +469,6 @@ class TestNDF:
             )
             assert err <= 10.0 * rel_tol, (rel_tol, err)
             errors.append(err)
-            # RKF45 cannot reach t = 1 in ten times the NDF step count
-            budget = IntegratorConfig(method="rkf45", rel_tol=rel_tol, max_steps=10 * (grid.n_steps + grid.n_rejected))
-            with pytest.raises(DivergedError, match="step budget"):
-                integrate(sys, np.array([0.0]), 0.0, 1.0, budget)
         assert errors[1] < errors[0]
 
     def test_dense_output_from_stored_field_values(self, decay_system):
