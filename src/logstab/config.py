@@ -136,7 +136,7 @@ def _norm_tag(text: str) -> str:
 def _matrix_text(text: str) -> str:
     try:
         parse_matrix_text(text)
-    except (InvalidInputError, ValueError) as exc:
+    except InvalidInputError as exc:
         raise InvalidInputError(f"bad weight matrix: {exc}") from None
     return text
 

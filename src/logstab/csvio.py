@@ -17,6 +17,14 @@ from .errors import InvalidInputError
 from .integrate import Trajectory
 
 
+def _number(text: str, where: str) -> float:
+    """float(text); InvalidInputError naming the text and ``where`` it stood when it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidInputError(f"{where}: {text!r} is not a number") from None
+
+
 def format_float(v: float) -> str:
     return f"{float(v):.17g}"
 
@@ -59,12 +67,14 @@ def load_trajectory_csv(path) -> Trajectory:
     n = len(header) - 1
     times = []
     states = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
         if len(parts) != n + 1:
             raise InvalidInputError(f"{path}: row has {len(parts)} fields, expected {n + 1}")
-        times.append(float(parts[0]))
-        states.append([float(p) for p in parts[1:]])
+        where = f"{path}: row {i}"
+        row = [_number(p, where) for p in parts]
+        times.append(row[0])
+        states.append(row[1:])
     return Trajectory(np.array(times), np.array(states).reshape(len(times), n))
 
 
@@ -128,7 +138,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
     data = []
     width = None
     for r in rows:
-        vals = [float(v) for v in r.split()]
+        vals = [_number(v, "matrix entry") for v in r.split()]
         if width is None:
             width = len(vals)
         elif len(vals) != width:

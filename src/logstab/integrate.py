@@ -9,14 +9,14 @@ remaining error is below 0.03 (10 eps / rel_tol at tolerances under 7e-14)
 in the scaled norm of the step's own error test, which accepts a step at 1.
 The matrix is formed anew after every change of h or order, from J
 evaluated at the last accepted node; a rejected step re-forms it from the J
-it already has. Steps of unchanged h reuse it, and when Newton then fails,
-J is evaluated at the predictor and the step tried once more. Where J cannot
-be evaluated because the field is non-finite near the node, the previous J
-stays. ``auto``, the default, runs the explicit
-8th-order Dormand-Prince pair DOP853 of Hairer, Norsett & Wanner (*Solving
-Ordinary Differential Equations I*, II.5-6; step control from their combined
-5th/3rd-order error estimate) and hands the rest of the run to ndf once the
-run has turned stiff.
+it already has. Steps of unchanged h reuse it. A step whose Newton iteration
+fails is rejected and h halved, so the next matrix gets a fresh J when the
+failed one had outlived its node's. Where J cannot be evaluated because the
+field is non-finite near the node, the previous J stays. ``auto``, the
+default, runs the explicit 8th-order Dormand-Prince pair DOP853 of Hairer,
+Norsett & Wanner (*Solving Ordinary Differential Equations I*, II.5-6; step
+control from their combined 5th/3rd-order error estimate) and hands the rest
+of the run to ndf once the run has turned stiff.
 
 The stiffness test costs no extra field evaluations. Each accepted DOP853 step
 has two evaluations at t + h: the last stage K12 = f(t + h, Y12) and the next
@@ -49,7 +49,10 @@ The fundamental matrix of a linear time-varying system is integrated with
 the same machinery as one n^2-dimensional matrix ODE, so all n columns share
 the integrator's own grid. The transition-bound checker then compares
 propagator norms against the exponential envelopes built from integrals of
-the logarithmic norm along the grid, as stacked array operations.
+the logarithmic norm along the grid, as stacked array operations. Its
+Simpson nodes include midpoints the integrator never visits, so A(t) is
+checked there too: the same shape check as the integrator's, then
+finiteness, each failure naming t.
 """
 
 from __future__ import annotations
@@ -480,11 +483,10 @@ def _rk4_steps(run: _Run) -> None:
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (f_cur + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + k * h
+        t = tf if k == n else t0 + k * h  # t0 + n h may miss tf by rounding
         if not np.all(np.isfinite(y)):
             raise DivergedError(f"state blew up near t={t}", run.times[-1])
-        # the last node is stored at tf, which t0 + n h may miss by rounding
-        f_cur = run.accept(tf if k == n else t, y, 0.0, run.node_field(t, y))
+        f_cur = run.accept(t, y, 0.0)
 
 
 def _dop853_steps(run: _Run, dense: bool) -> None:
@@ -669,15 +671,6 @@ def _ndf_steps(run: _Run, jac) -> None:
         n_equal = 0
         m_inv = None
 
-    def refresh(t_j: float, y_j: np.ndarray) -> None:
-        """J at (t_j, y_j); where it cannot be evaluated (f non-finite nearby) the previous J stays."""
-        nonlocal j_mat, j_fresh
-        try:
-            j_mat = jac(t_j, y_j)
-        except EvaluationError:
-            pass  # J only steers the iteration; the step then fails, or passes, on f itself
-        j_fresh = True
-
     while run.running():
         h_cap = min(cfg.max_step, tf - t)
         if h > h_cap:
@@ -689,17 +682,16 @@ def _ndf_steps(run: _Run, jac) -> None:
         psi = (_GAMMA[1 : order + 1] @ diffs[1 : order + 1]) / _NDF_ALPHA[order]
         c = h / _NDF_ALPHA[order]
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_pred))
-        while True:
-            if m_inv is None:
-                # a new h or order: form the matrix from a J taken at the last accepted node
-                if not j_fresh:
-                    refresh(t, y)
-                m_inv = _iteration_inverse(j_mat, c, t)
-            converged, n_iter, y_new, corr, bad = _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, newton_tol)
-            if converged or j_fresh or bad:  # a fresh J cannot help where f is undefined
-                break
-            refresh(t_new, y_pred)  # the matrix of an unchanged h outlived its J
-            m_inv = None
+        if m_inv is None:
+            # a new h or order: form the matrix from a J taken at the last accepted node
+            if not j_fresh:
+                try:  # where f is non-finite near the node, J cannot be evaluated and the previous J stays
+                    j_mat = jac(t, y)
+                except EvaluationError:
+                    pass  # J only steers the iteration; the step then fails, or passes, on f itself
+                j_fresh = True
+            m_inv = _iteration_inverse(j_mat, c, t)
+        converged, n_iter, y_new, corr, bad = _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, newton_tol)
         if not converged:
             run.reject(non_finite=bad)
             resize(0.5)
@@ -737,6 +729,14 @@ def _ndf_steps(run: _Run, jac) -> None:
         resize(min(10.0, safety * factors[best]))
 
 
+def _a_at(a_fn: Callable[[float], np.ndarray], t: float, n: int) -> np.ndarray:
+    """A(t) as a float array, which must keep its shape (n, n); DimensionError naming t otherwise."""
+    a = np.asarray(a_fn(t), dtype=float)
+    if a.shape != (n, n):
+        raise DimensionError(f"A(t) has shape {a.shape} at t={t}, expected ({n}, {n})")
+    return a
+
+
 def integrate_fundamental(
     a_fn: Callable[[float], np.ndarray],
     t0: float,
@@ -758,17 +758,11 @@ def integrate_fundamental(
     n = a0.shape[0]
     eye = np.eye(n)
 
-    def a_at(t: float) -> np.ndarray:
-        a = np.asarray(a_fn(t), dtype=float)
-        if a.shape != (n, n):
-            raise DimensionError(f"A(t) has shape {a.shape} at t={t}, expected ({n}, {n})")
-        return a
-
     def matrix_field(x: np.ndarray, t: float) -> np.ndarray:
-        return (a_at(t) @ x.reshape(n, n)).ravel()
+        return (_a_at(a_fn, t, n) @ x.reshape(n, n)).ravel()
 
     def matrix_jac(x: np.ndarray, t: float) -> np.ndarray:
-        return np.kron(a_at(t), eye)
+        return np.kron(_a_at(a_fn, t, n), eye)
 
     sys = SystemSpec(dim=n * n, f=matrix_field, jac=matrix_jac)
     traj = integrate(sys, eye.ravel(), t0, tf, cfg, sample_times=sample_times)
@@ -858,7 +852,13 @@ def check_transition_bounds(
     phi = fund.matrices
     m = times.size
     points, nodes = _simpson_points(times, cfg.max_step)
-    mu_plus, mu_minus = log_norm_pair(np.stack([np.asarray(a_fn(t), dtype=float) for t in points]), kind)
+    # the integrator never visits the Simpson midpoints, so A(t) is checked here as well
+    a_nodes = np.stack([_a_at(a_fn, t, fund.dim) for t in points])
+    bad = ~np.isfinite(a_nodes).all(axis=(1, 2))
+    if bad.any():
+        t_bad = float(points[int(np.argmax(bad))])
+        raise EvaluationError(f"A(t) has non-finite entries at t={t_bad}", t=t_bad)
+    mu_plus, mu_minus = log_norm_pair(a_nodes, kind)
     int_plus = _cumulative_simpson(points, nodes, mu_plus)
     int_minus = _cumulative_simpson(points, nodes, mu_minus)
 

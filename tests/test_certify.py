@@ -109,6 +109,21 @@ class TestContractionRate:
             estimate_contraction_rate(sys, box(1, 2.0), NormKind.l2(), SamplingPlan(n_space=5))
         assert err.value.x is not None and err.value.x[0] > 0.5
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda sys, dom, plan: estimate_contraction_rate(sys, dom, NormKind.l2(), plan),
+            lambda sys, dom, plan: check_demidovich(sys, np.eye(1), dom, plan),
+        ],
+        ids=["certificate", "demidovich"],
+    )
+    def test_both_sweeps_name_x_and_t_of_a_failing_jacobian(self, sweep):
+        # the 5-point grid on [-2, 2] reaches x = 1 first; t is the window's start
+        jac = lambda x, t: np.array([[np.nan if x[0] > 0.5 else -1.0]])
+        with pytest.raises(EvaluationError, match=r"during sweep at x=\[1\.0\], t=0\.0: jac returned non-finite") as err:
+            sweep(SystemSpec(dim=1, f=lambda x, t: -x, jac=jac), box(1, 2.0), SamplingPlan(n_space=5))
+        assert err.value.x.tolist() == [1.0] and err.value.t == 0.0
+
     def test_per_slice_suprema_decrease_with_rate(self, fig1_system):
         # the demo rate grows like t^3, so later slices must report lower sups
         dom = box(2, 10.0)

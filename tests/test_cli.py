@@ -71,6 +71,17 @@ class TestLognormCommand:
     def test_unreadable_matrix_file(self, tmp_path):
         assert main(["lognorm", str(tmp_path / "nope.txt")]) == 3
 
+    @pytest.mark.parametrize("route", ["inline", "file", "weight flag"])
+    def test_non_numeric_matrix_entry_is_usage_error(self, tmp_path, capsys, route):
+        (tmp_path / "A.txt").write_text("1 a\n2 3\n")
+        argv = {
+            "inline": ["lognorm", "--inline", "1 a; 2 3"],
+            "file": ["lognorm", str(tmp_path / "A.txt")],
+            "weight flag": ["lognorm", "--inline", "1 2; 3 4", "--norm", f"weighted:{tmp_path / 'A.txt'}"],
+        }[route]
+        assert main(argv) == 2
+        assert "'a' is not a number" in capsys.readouterr().err
+
 
 class TestCertifyCommand:
     def test_certified_scenario_exits_zero(self, config_file, tmp_path, capsys):
@@ -130,6 +141,12 @@ class TestCertifyCommand:
         (tmp_path / "w.cfg").write_text(text)
         assert main(argv) == 2
         assert "invalid weight matrix: matrix is not positive definite" in capsys.readouterr().err
+
+    def test_non_numeric_weight_file_entry_exits_two(self, tmp_path, capsys):
+        (tmp_path / "P.txt").write_text("1 0\n0 x\n")
+        (tmp_path / "w.cfg").write_text(CONFIG + "\n[norm]\nkind = weighted\nweight_file = P.txt\n")
+        assert main(["certify", "--config", str(tmp_path / "w.cfg"), "--out", str(tmp_path / "r")]) == 2
+        assert "'x' is not a number" in capsys.readouterr().err
 
     def test_config_error_exits_two(self, tmp_path):
         cfg = tmp_path / "broken.cfg"

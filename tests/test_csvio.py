@@ -49,6 +49,12 @@ class TestTrajectoryExport:
         with pytest.raises(InvalidInputError):
             load_trajectory_csv(bad)
 
+    def test_loader_rejects_non_numeric_cells(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,x1\n0,1\n1,oops\n")
+        with pytest.raises(InvalidInputError, match="row 2: 'oops' is not a number"):
+            load_trajectory_csv(bad)
+
 
 class TestReportExport:
     def test_certificate_report_sections(self, fig1_system, tmp_path):
@@ -79,6 +85,10 @@ class TestMatrixParsing:
         path = tmp_path / "P.txt"
         path.write_text("4 0\n0 1\n")
         assert np.array_equal(read_matrix_file(path), [[4.0, 0.0], [0.0, 1.0]])
+
+    def test_non_numeric_entry_rejected(self):
+        with pytest.raises(InvalidInputError, match="'a' is not a number"):
+            parse_matrix_text("1 a; 2 3")
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(InvalidInputError):

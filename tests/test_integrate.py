@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logstab.demos import build_example1, delta_admissible, delta_borderline
-from logstab.errors import ConditioningError, DimensionError, DivergedError, InvalidInputError
+from logstab.errors import ConditioningError, DimensionError, DivergedError, EvaluationError, InvalidInputError
 from logstab.integrate import (
     _NDF_ALPHA,
     METHODS,
@@ -199,6 +199,13 @@ class TestFailurePaths:
             integrate(sys, np.array([1.0]), 0.0, 2.0, IntegratorConfig(method="rk4"))
         assert err.value.last_time == pytest.approx(1.01, abs=1e-12)
 
+    def test_rk4_last_node_takes_the_field_at_tf(self):
+        # with t0 = 0.3, tf = 1.7 and h = 0.01, t0 + 140 h = 1.7000000000000002, not tf
+        field = lambda x, t: np.array([np.sin(1000.0 * t)])
+        traj = integrate(SystemSpec(dim=1, f=field), np.array([0.0]), 0.3, 1.7, IntegratorConfig(method="rk4"))
+        assert traj.times[-1] == 1.7
+        assert np.array_equal(traj.derivs[-1], field(traj.states[-1], 1.7))
+
     def test_rk4_budget_is_checked_before_the_first_step(self, decay_system):
         cfg = IntegratorConfig(method="rk4", max_steps=50)
         with pytest.raises(DivergedError, match=r"^fixed-step run needs 200 steps, budget is 50$") as err:
@@ -392,6 +399,21 @@ class TestTransitionBounds:
         rep = check_transition_bounds(lambda t: np.diag([np.sin(3.0 * t), -2.0]), NormKind.l2(), 0.0, 2.0, n_pairs=200)
         assert rep.passed
         assert abs(rep.worst_upper_violation) < 5e-9
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (np.full((2, 2), np.nan), EvaluationError, "A(t) has non-finite entries at t=0.005"),
+            (np.eye(3), DimensionError, "A(t) has shape (3, 3) at t=0.005, expected (2, 2)"),
+        ],
+        ids=["nan", "3x3"],
+    )
+    def test_bad_matrix_at_a_simpson_midpoint_names_t(self, bad, error, message):
+        # the first step is 0.01 long, so its Simpson midpoint 0.005 is no point the integrator visits
+        a_fn = lambda t: bad if t == 0.005 else -np.eye(2)
+        with pytest.raises(error) as err:
+            check_transition_bounds(a_fn, NormKind.l2(), 0.0, 1.0)
+        assert str(err.value) == message
 
     def test_skew_symmetric_equality_case(self):
         # both mu[A] and mu[-A] vanish, all envelopes equal 1
