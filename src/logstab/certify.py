@@ -9,6 +9,9 @@ the built-in demo scenarios exhibit, not to prove global statements.
 The contraction sweep and the Demidovich check take every Jacobian through
 one helper that names a failing sample's x and t; every check of a rate
 alpha(t) goes through one helper that names the first t where it is non-finite.
+The Demidovich check asks that helper for a whole time slice at once: one
+stacked Jacobian call per slice (see the stack contract in ``system``). The
+contraction sweep still takes one Jacobian and one log norm per sample.
 """
 
 from __future__ import annotations
@@ -102,13 +105,20 @@ def _rates(alpha_fn: Callable[[float], float], ts) -> np.ndarray:
 
 
 def _sweep_jacobian(sys: SystemSpec, x: np.ndarray, t: float) -> np.ndarray:
-    """J(x, t) at one sample of a sweep; an EvaluationError names that sample's x and t."""
+    """J(x, t) at one sample (n,) of a sweep, or at every sample of a stack (N, n) in one call.
+
+    An EvaluationError names the failing sample's x and t; for a stack, that
+    is the first sample the system's own check found non-finite, and a
+    stacked output of the wrong shape names the stack's shape instead.
+    """
     try:
         return jacobian(sys, x, t)
     except EvaluationError as exc:
+        at = x if x.ndim == 1 else exc.x
+        where = f"a stack of shape {x.shape}" if at is None else f"x={at.tolist()}"
         raise EvaluationError(
-            f"Jacobian evaluation failed during sweep at x={x.tolist()}, t={t}: {exc}",
-            x=x,
+            f"Jacobian evaluation failed during sweep at {where}, t={t}: {exc}",
+            x=at,
             t=t,
         ) from exc
 
@@ -220,10 +230,10 @@ def check_demidovich(sys: SystemSpec, p, domain: Domain, plan: SamplingPlan) -> 
     Also cross-asserts, sample by sample, that the sign of the top eigenvalue
     matches the sign of the weighted log norm of J: the two matrices are
     congruent, so their verdicts must agree even though the values differ.
-    The Jacobians are evaluated per sample and stacked per time slice; the
-    eigenvalues and the log norms are one call each over a slice's stack.
-    Stacking per slice rather than over the whole sweep keeps the stacked
-    temporaries, and so the peak memory, n_time times smaller.
+    The Jacobians, the eigenvalues and the log norms are one call each over a
+    time slice's stack of samples. Stacking per slice rather than over the
+    whole sweep keeps the stacked temporaries, and so the peak memory, n_time
+    times smaller.
     """
     kind = NormKind.weighted(p)
     pm = kind.weight
@@ -235,7 +245,7 @@ def check_demidovich(sys: SystemSpec, p, domain: Domain, plan: SamplingPlan) -> 
     ts = time_slices(domain, plan)
     max_eig, signs_agree = -np.inf, True
     for t in ts:
-        j = np.stack([_sweep_jacobian(sys, x, t) for x in points])
+        j = _sweep_jacobian(sys, points, t)
         pj = pm @ j  # (P J)^T = J^T P
         lam = sym_eig_max(0.5 * (pj + np.swapaxes(pj, -1, -2)))
         mu = log_norm(j, kind)

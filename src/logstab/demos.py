@@ -69,7 +69,7 @@ def build_example1(
     delta: Callable[[float], np.ndarray] | None = None,
     t0: float = 0.0,
 ) -> SystemSpec:
-    """The planar demo system with its analytic Jacobian."""
+    """The planar demo system with its analytic Jacobian, per state and per stack of states."""
     if phi is None:
         phi = default_phi
 
@@ -81,6 +81,21 @@ def build_example1(
         p = phi(t)
         return np.array([[p + np.cos(x[0]), 0.0], [b, 2.0 + p + np.cos(x[1])]])
 
+    def f_stack(xs: np.ndarray, t: float) -> np.ndarray:
+        p = phi(t)
+        x1, x2 = xs[:, 0], xs[:, 1]
+        return np.stack([p * x1 + np.sin(x1), b * x1 + (2.0 + p) * x2 + np.sin(x2)], axis=1)
+
+    def jac_stack(xs: np.ndarray, t: float) -> np.ndarray:
+        p = phi(t)
+        out = np.empty((len(xs), 2, 2))
+        out[:, 0, 0] = p + np.cos(xs[:, 0])
+        out[:, 0, 1] = 0.0
+        out[:, 1, 0] = b
+        out[:, 1, 1] = 2.0 + p + np.cos(xs[:, 1])
+        return out
+
+    f.stack, jac.stack = f_stack, jac_stack
     return SystemSpec(dim=2, f=f, jac=jac, delta=delta, t0=t0, name="example1")
 
 

@@ -229,7 +229,10 @@ def vec_norm(v, kind: NormKind):
         p = kind.weight
         if p.shape[0] != x.shape[-1]:
             raise DimensionError(f"weight is {p.shape[0]}x{p.shape[0]} but vector has dim {x.shape[-1]}")
-        out = np.sqrt(np.maximum(((x @ p) * x).sum(axis=-1), 0.0))
+        # x^T P by broadcasting, not by matmul: BLAS rounds a vector-matrix and a
+        # matrix-matrix product differently, and a vector must read the same alone and in a stack
+        xp = (x[..., :, None] * p).sum(axis=-2)
+        out = np.sqrt(np.maximum((xp * x).sum(axis=-1), 0.0))
     return float_or_array(out)
 
 

@@ -5,6 +5,21 @@ central finite differences otherwise) and a time-only perturbation. The
 averaged Jacobian turns the difference of the field at two states into an
 exact linear map along the connecting segment; its residual is the numerical
 check that the quadrature resolved the segment integral.
+
+Stack contract: ``eval_field`` and ``jacobian`` take one state x (n,) or a
+stack X (N, n) of states at one time t. One state goes to the system's
+per-point ``f`` and ``jac``, which the integrator calls. A stack goes to
+``f.stack(X, t) -> (N, n)`` or ``jac.stack(X, t) -> (N, n, n)`` in one call
+where the callable carries such an attribute (``demos.build_example1`` sets
+both), and to the callable itself once per row otherwise. The stacked form
+lives on the per-point callable, so replacing ``f`` or ``jac`` replaces it
+too: a wrapper that does not copy the attribute (a call counter, say) is
+called once per row.
+A finite-difference Jacobian evaluates the 2n perturbed rows of every state
+of a stack as one stack, and those of one state through ``f`` row by row;
+the averaged Jacobian is one ``jacobian`` call on its quadrature nodes. A
+non-finite value in a stack is reported at the first state whose row holds
+one, with its x and t.
 """
 
 from __future__ import annotations
@@ -42,6 +57,11 @@ class SystemSpec:
     jac : callable (x, t) -> array (n, n), optional
         Analytic Jacobian of f with respect to x. Finite differences are
         used when omitted.
+
+        ``f`` and ``jac`` may each carry an attribute ``stack``, a callable
+        (X (N, n), t) -> array (N, n) or (N, n, n) that gives the same values
+        at every row of a stack in one call. Without one, a stack is
+        evaluated one row at a time.
     delta : callable (t,) -> array (n,), optional
         Time-only perturbation; defaults to zero. User-supplied callables
         must be safe for concurrent invocation.
@@ -72,20 +92,63 @@ def _check_dim(sys: SystemSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _checked_output(name: str, out, shape: tuple, t: float, x=None) -> np.ndarray:
-    """The output of the user callable ``name`` as a float array, required to have ``shape`` and be finite."""
+def _check_states(sys: SystemSpec, x) -> np.ndarray:
+    """One state (n,) or a non-empty stack of them (N, n)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sys.dim,) and not (x.ndim == 2 and x.shape[1] == sys.dim and len(x) > 0):
+        raise DimensionError(f"state has shape {x.shape}, system dimension is {sys.dim}")
+    return x
+
+
+def _shaped(name: str, out, shape: tuple, t: float, x=None) -> np.ndarray:
+    """The output of the callable ``name`` as a float array, required to have ``shape``."""
     out = np.asarray(out, dtype=float)
     if out.shape != shape:
         raise EvaluationError(f"{name} returned shape {out.shape}, expected {shape}", x=x, t=t)
-    if not np.all(np.isfinite(out)):
+    return out
+
+
+def _checked_output(name: str, out, shape: tuple, t: float, x=None) -> np.ndarray:
+    """The output of the callable ``name``, required to have ``shape`` and be finite.
+
+    ``x`` is the state it was evaluated at, or a stack of N states whose
+    values fill ``out`` in N equal consecutive blocks; a non-finite value is
+    then reported at the first state whose block holds one, and a wrong
+    shape at no state.
+    """
+    stacked = x is not None and x.ndim == 2
+    # a stack of the wrong shape has no one state to name
+    out = _shaped(name, out, shape, t, None if stacked else x)
+    finite = np.isfinite(out)
+    if not finite.all():
+        if stacked:
+            x = x[int(np.argmin(finite.reshape(len(x), -1).all(axis=1)))]
         raise EvaluationError(f"{name} returned non-finite values at t={t}", x=x, t=t)
     return out
 
 
+def _rows(name: str, fn, xs: np.ndarray, t: float, shape: tuple, stacked: bool = True) -> np.ndarray:
+    """``fn`` at every state of the stack ``xs``, as one array (N, *shape).
+
+    One call of ``fn.stack`` when ``stacked`` and ``fn`` carries one, one call
+    of ``fn`` per row otherwise; a row of the wrong shape names its state.
+    """
+    stack = getattr(fn, "stack", None) if stacked else None
+    if stack is not None:
+        return stack(xs, t)
+    return np.array([_shaped(name, fn(x, t), shape, t, x) for x in xs])
+
+
 def eval_field(sys: SystemSpec, x, t: float) -> np.ndarray:
-    """Nominal field f(x,t), validated finite and correctly shaped."""
-    x = _check_dim(sys, x)
-    return _checked_output("f", sys.f(x, t), (sys.dim,), t, x)
+    """Nominal field f(x,t), validated finite and correctly shaped.
+
+    x is one state (n,), evaluated by ``sys.f``, or a stack (N, n), giving
+    (N, n) from one call of ``sys.f.stack`` or from ``sys.f`` row by row.
+    """
+    x = _check_states(sys, x)
+    if x.ndim == 1:
+        return _checked_output("f", sys.f(x, t), (sys.dim,), t, x)
+    return _checked_output("f", _rows("f", sys.f, x, t, (sys.dim,)), x.shape, t, x)
 
 
 def eval_perturbation(sys: SystemSpec, t: float) -> np.ndarray:
@@ -104,26 +167,38 @@ def jacobian(sys: SystemSpec, x, t: float) -> np.ndarray:
     finite differences with per-component step eps^(1/3) * max(1, |x_i|),
     which balances truncation against roundoff for C^3 fields. Users with
     rougher fields should expect ~1e-7 absolute accuracy at unit scale.
+
+    x is one state (n,), giving J (n, n) from ``sys.jac``, or a stack (N, n),
+    giving (N, n, n) from one call of ``sys.jac.stack`` or from ``sys.jac``
+    row by row.
     """
-    x = _check_dim(sys, x)
-    if sys.jac is not None:
-        return _checked_output("jac", sys.jac(x, t), (sys.dim, sys.dim), t, x)
-    return _fd_jacobian(sys, x, t)
+    x = _check_states(sys, x)
+    shape = (sys.dim, sys.dim)
+    if sys.jac is None:
+        return _fd_jacobian(sys, x, t)
+    if x.ndim == 1:
+        return _checked_output("jac", sys.jac(x, t), shape, t, x)
+    return _checked_output("jac", _rows("jac", sys.jac, x, t, shape), x.shape + (sys.dim,), t, x)
 
 
 def _fd_jacobian(sys: SystemSpec, x: np.ndarray, t: float) -> np.ndarray:
+    """Central differences at one state (n,) or at each state of a stack (N, n).
+
+    The 2n perturbed rows of every state are evaluated as one stack, in
+    blocks of 2n per state, so a non-finite value is reported at the state
+    whose Jacobian needed it. Those of one state go through ``sys.f`` row by
+    row, as the integrator evaluates f.
+    """
     n = sys.dim
-    out = np.empty((n, n))
-    for i in range(n):
-        h = _EPS_CBRT * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[:, i] = (eval_field(sys, xp, t) - eval_field(sys, xm, t)) / (xp[i] - xm[i])
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"finite-difference Jacobian non-finite at t={t}", x=x, t=t)
-    return out
+    states = x.reshape(-1, n)
+    h = _EPS_CBRT * np.maximum(1.0, np.abs(states))
+    steps = h[:, :, None] * np.eye(n)  # row i of state k: h_ki e_i
+    rows = np.concatenate([states[:, None] + steps, states[:, None] - steps], axis=1).reshape(-1, n)
+    fx = _rows("f", sys.f, rows, t, (n,), stacked=x.ndim == 2)
+    fx = _checked_output("f", fx, rows.shape, t, states).reshape(-1, 2, n, n)
+    # column i of J is (f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i), with the step as represented
+    out = np.swapaxes(fx[:, 0] - fx[:, 1], 1, 2) / ((states + h) - (states - h))[:, None, :]
+    return _checked_output("finite-difference Jacobian", out, out.shape, t, states).reshape(x.shape + (n,))
 
 
 @dataclass
@@ -168,11 +243,9 @@ def averaged_jacobian(sys: SystemSpec, x_star, x, t: float, rule: QuadratureRule
         rule = DEFAULT_QUADRATURE
     x_star = _check_dim(sys, x_star)
     x = _check_dim(sys, x)
-    seg = x - x_star
-    acc = np.zeros((sys.dim, sys.dim))
-    for xi, w in zip(rule.nodes, rule.weights):
-        acc += w * jacobian(sys, x_star + xi * seg, t)
-    return acc
+    nodes = x_star + rule.nodes[:, None] * (x - x_star)
+    # a sum over the leading axis adds the weighted Jacobians node by node, in order
+    return (rule.weights[:, None, None] * jacobian(sys, nodes, t)).sum(axis=0)
 
 
 def averaged_jacobian_residual(

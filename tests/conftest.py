@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,23 @@ def planar_demo_mu_l2(x, t, b=5.0, phi=None):
     c1, c2 = np.cos(x[0]), np.cos(x[1])
     theta = b**2 + (c1 - c2 - 2.0) ** 2
     return phi(t) + 0.5 * (c1 + c2 + np.sqrt(theta)) + 1.0
+
+
+def spy(owner, attr):
+    """Record the arguments of every call of the callable ``owner.<attr>``, which it replaces.
+
+    The recorder keeps the attributes of the callable it replaces, so a spied
+    ``sys.jac`` keeps its ``stack``; ``spy(sys.jac, "stack")`` records that.
+    """
+    calls, inner = [], getattr(owner, attr)
+
+    @functools.wraps(inner)
+    def recorded(*args):
+        calls.append(args)
+        return inner(*args)
+
+    setattr(owner, attr, recorded)
+    return calls
 
 
 def random_spd(rng, n, shift=None):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import logstab.certify as certify_module
 from logstab.certify import (
     CONVERGENT_INTEGRAL,
     DIVERGENT_INTEGRAL,
@@ -23,8 +24,23 @@ from logstab.linalg import NormKind, sym_eig_max
 from logstab.lognorm import log_norm
 from logstab.system import SystemSpec, jacobian
 
-from conftest import planar_demo_mu_l2, random_spd
-from logstab.demos import default_rate
+from conftest import planar_demo_mu_l2, random_spd, spy
+from logstab.config import build_system, parse_config
+from logstab.demos import build_example1, default_rate, delta_admissible
+
+
+def _demo_system(source):
+    """The demo field built three ways: natively stacked, from expressions, and from plain callables."""
+    native = build_example1(delta=delta_admissible)
+    if source == "builtin":
+        return native
+    if source == "expression":
+        return build_system(parse_config(DEMO_EXPRESSION))
+    # wrappers carry no stack: a stack is evaluated row by row
+    return SystemSpec(dim=2, f=lambda x, t: native.f(x, t), jac=lambda x, t: native.jac(x, t), delta=native.delta)
+
+
+DEMO_EXPRESSION = "[system]\ntype = expression\ndim = 2\nf1 = (-6 - t^3)*x1 + sin(x1)\nf2 = 5*x1 + (2 + (-6 - t^3))*x2 + sin(x2)\n"
 
 
 def constant_jacobian_system(a):
@@ -180,6 +196,42 @@ class TestDemidovich:
         assert rep.sign_agreement_ok == signs_agree
         assert rep.passed == (max_eig < 0.0)
         assert rep.n_samples == 21 * 21 * 3
+
+    @pytest.mark.parametrize("source", ["builtin", "expression", "plain callables"])
+    def test_one_jacobian_call_per_time_slice(self, monkeypatch, source):
+        sys = _demo_system(source)
+        point_calls = spy(sys, "jac")
+        stack_calls = spy(sys.jac, "stack") if source == "builtin" else []
+        slices = []
+
+        def counted(system, x, t):
+            slices.append(np.shape(x))
+            return jacobian(system, x, t)
+
+        monkeypatch.setattr(certify_module, "jacobian", counted)
+        plan = SamplingPlan(n_space=9, n_time=4)
+        rep = check_demidovich(sys, np.eye(2), box(2, 10.0), plan)
+        assert slices == [(81, 2)] * 4
+        # the builtin system's native stack takes a slice in one call; the others are evaluated row by row
+        assert len(stack_calls) == (4 if source == "builtin" else 0)
+        assert len(point_calls) == (0 if source == "builtin" else rep.n_samples)
+
+    def test_native_stacks_give_the_row_by_row_report(self):
+        sys, rows = _demo_system("builtin"), _demo_system("plain callables")
+        p = random_spd(np.random.default_rng(13), 2)
+        plan = SamplingPlan(n_space=200, n_time=3, scheme="latin_hypercube", seed=14)
+        rep, want = check_demidovich(sys, p, box(2, 10.0), plan), check_demidovich(rows, p, box(2, 10.0), plan)
+        assert rep.max_eigenvalue == pytest.approx(want.max_eigenvalue, rel=1e-12, abs=1e-12)
+        assert (rep.passed, rep.sign_agreement_ok, rep.n_samples) == (want.passed, want.sign_agreement_ok, 600)
+
+    def test_stacked_jacobian_of_the_wrong_shape_names_the_stack(self):
+        jac = lambda x, t: -np.eye(2)
+        jac.stack = lambda xs, t: -xs
+        sys = SystemSpec(dim=2, f=lambda x, t: -x, jac=jac)
+        pattern = r"^Jacobian evaluation failed during sweep at a stack of shape \(25, 2\), t=0\.0: jac returned shape"
+        with pytest.raises(EvaluationError, match=pattern) as err:
+            check_demidovich(sys, np.eye(2), box(2, 1.0), SamplingPlan(n_space=5))
+        assert err.value.x is None and err.value.t == 0.0
 
     def test_demo_field_passes_with_identity_weight(self, fig1_system):
         rep = check_demidovich(fig1_system, np.eye(2), box(2, 10.0), SamplingPlan(n_space=21, n_time=3))

@@ -192,8 +192,9 @@ class TestUndefinedExpressions:
             ("type = builtin\nname = example1\nphi = -6 - exp(-1/t)", ""),
             # the forcing-ratio check samples the rate up to tf = 2
             ("type = builtin\nname = example1", "\n[integrator]\ntf = 2\n\n[certify]\nalpha = 0.5 + exp(-1/((t - 2)*(t - 2)))\n"),
+            ("type = expression\ndim = 2\nf1 = -x1 + exp(-1/x2) + 0.1*abs(x1)\nf2 = -x2", ""),
         ],
-        ids=["field", "builtin phi", "rate"],
+        ids=["field", "builtin phi", "rate", "finite-difference field"],
     )
     def test_division_by_zero_exits_three_without_warnings(self, tmp_path, system, certify):
         # in its own process, so a RuntimeWarning would reach stderr; the 3x2 grid samples x2 = 0 and t = 0
@@ -214,6 +215,21 @@ class TestUndefinedExpressions:
         assert run.returncode == 3, run.stderr
         assert "RuntimeWarning" not in run.stderr
         assert "non-finite" in run.stderr
+
+    @pytest.mark.parametrize(
+        "f1",
+        ["-x1 + exp(-1/x2)", "-x1 + x2*log(x1 + 2)", "-x1 + (x1 - 1)^0.5", "-x1 + exp(x2^2)", "-x1 + x2/x1"],
+        ids=["exp(-1/x2) at x2 = 0", "log of a negative argument", "fractional power", "overflow", "division by zero"],
+    )
+    def test_finite_difference_certificate_exits_three_naming_x_and_t(self, tmp_path, capsys, f1):
+        # abs leaves no symbolic Jacobian; the 9x9 grid on [-30, 30]^2 reaches 0 and -30 on each axis
+        text = (
+            f"[system]\ntype = expression\ndim = 2\nf1 = {f1} + 0.1*abs(x2)\nf2 = -x2\n\n"
+            "[domain]\nlower = -30, -30\nupper = 30, 30\nt_lo = 0\nt_hi = 1\n\n[sampling]\nn_space = 9\nn_time = 2\n"
+        )
+        code, err = self.run(tmp_path, capsys, "certify", text)
+        assert code == 3
+        assert re.search(r"during sweep at x=\[.+\], t=0\.0: f returned non-finite values", err)
 
     def test_fractional_power_of_negative_base(self, tmp_path, capsys):
         # Python's ** would give a complex number here, silently truncated to its real part

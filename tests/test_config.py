@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logstab.certify import SamplingPlan, estimate_contraction_rate
+from logstab.certify import Domain, SamplingPlan, check_demidovich, estimate_contraction_rate, sample_states
 from logstab.integrate import METHODS, IntegratorConfig
 from logstab.config import (
     build_domain,
@@ -334,3 +334,60 @@ def test_one_function_per_system_equals_one_closure_per_entry(name):
         assert sys.delta(t).tolist() == [fn(t) for fn in delta_entries]
         if not with_abs:
             assert sys.jac(x, t).tolist() == [[fn(*x, t) for fn in row] for row in jac_entries]
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_CONFIGS)
+def test_stacked_evaluation_equals_per_point_evaluation(name):
+    # an expression system evaluates a stack row by row: f and J of a stack, analytic or by
+    # finite differences (abs), equal those of its states one at a time, bit for bit
+    cfg = parse_config(EQUIVALENCE_CONFIGS[name])
+    sys = build_system(cfg)
+    rng = np.random.default_rng(15)
+    for t in rng.uniform(0.0, 2.0, size=3):
+        xs = rng.uniform(-10.0, 10.0, size=(200, cfg.dim))
+        assert eval_field(sys, xs, t).tolist() == [sys.f(x, t).tolist() for x in xs]
+        assert jacobian(sys, xs, t).tolist() == [jacobian(sys, x, t).tolist() for x in xs]
+
+
+UNDEFINED_FIELDS = {
+    "exp(-1/x2) at x2 = 0": "-x1 + exp(-1/x2)",
+    "log of a negative argument": "-x1 + x2*log(x1 + 2)",
+    "fractional power of a negative base": "-x1 + (x1 - 1)^0.5",
+    "overflow": "-x1 + exp(x2^2)",
+    "division by zero": "-x1 + x2/x1",
+}
+
+
+def _jacobian_fails(sys, x, t) -> bool:
+    try:
+        jacobian(sys, x, t)
+    except EvaluationError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("with_abs", [False, True], ids=["analytic J", "finite differences"])
+@pytest.mark.parametrize("f1", UNDEFINED_FIELDS.values(), ids=UNDEFINED_FIELDS.keys())
+def test_undefined_point_of_a_stack_is_reported_at_its_x_and_t(f1, with_abs):
+    text = f"[system]\ntype = expression\ndim = 2\nf1 = {f1}{' + 0.1*abs(x2)' if with_abs else ''}\nf2 = -x2\n"
+    sys = build_system(parse_config(text))
+    assert (sys.jac is None) == with_abs
+    # 81 samples per slice, with 0 and -30 on each axis
+    domain = Domain(np.array([-30.0, -30.0]), np.array([30.0, 30.0]), 0.0, 1.0)
+    plan = SamplingPlan(n_space=9, n_time=2)
+    with pytest.raises(EvaluationError, match=r"during sweep at x=\[.+\], t=0\.0: .*non-finite") as err:
+        check_demidovich(sys, np.eye(2), domain, plan)
+    # the same sample as the first whose J fails when evaluated one state at a time
+    first = next(x for x in sample_states(domain, plan) if _jacobian_fails(sys, x, 0.0))
+    assert err.value.x.tolist() == first.tolist() and err.value.t == 0.0
+
+
+def test_undefined_points_of_a_stack_are_reported_at_the_first():
+    sys = build_system(parse_config("[system]\ntype = expression\ndim = 2\nf1 = -x1 + exp(-1/x2)\nf2 = -x2\n"))
+    xs = np.random.default_rng(17).uniform(-1.0, 1.0, size=(40, 2))
+    xs[20, 1], xs[9, 1], xs[3, 1] = -1e-300, 1e-300, 0.0  # overflow, underflow to 0, undefined
+    assert sys.f(xs[9], 0.0).tolist() == [-xs[9, 0], -1e-300]
+    assert np.isnan(sys.f(xs[20], 0.0)).all() and np.isnan(sys.f(xs[3], 0.0)).all()
+    with pytest.raises(EvaluationError, match=r"^f returned non-finite values at t=0\.0$") as err:
+        eval_field(sys, xs, 0.0)
+    assert err.value.x.tolist() == xs[3].tolist()

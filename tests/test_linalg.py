@@ -225,6 +225,14 @@ class TestStacks:
         assert got.shape == rhs.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_weighted_norm_of_a_vector_is_the_same_alone_and_in_a_stack(self, n):
+        # bit for bit: a matrix-matrix and a vector-matrix BLAS product round differently from n = 4 on
+        rng = np.random.default_rng(400 + n)
+        kind = NormKind.weighted(random_spd(rng, n))
+        vs = 10.0 * rng.normal(size=(200, n))
+        assert vec_norm(vs, kind).tolist() == [vec_norm(v, kind) for v in vs]
+
     def test_single_item_gives_python_float(self):
         kind = NormKind.l2()
         assert type(vec_norm([3.0, 4.0], kind)) is float

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,14 @@ from logstab.system import (
     SystemSpec,
     averaged_jacobian,
     averaged_jacobian_residual,
+    eval_field,
     eval_rhs,
     jacobian,
 )
 
-from logstab.demos import build_example1
+from logstab.demos import build_example1, delta_admissible
+
+from conftest import spy
 
 
 @pytest.fixture
@@ -195,3 +200,136 @@ class TestResidual:
             x_star = rng.uniform(-2.0, 2.0, size=1)
             x = rng.uniform(-2.0, 2.0, size=1)
             assert averaged_jacobian_residual(sys, x_star, x, 0.0, rule) < 1e-14
+
+
+def _with_stack(fn, stack):
+    fn.stack = stack
+    return fn
+
+
+class TestStackContract:
+    """eval_field and jacobian on a stack (N, n): one call of the callable's stack, or one call per row."""
+
+    def test_row_loop_matches_per_point_calls(self, linear_system):
+        _, sys = linear_system
+        xs = np.random.default_rng(9).normal(size=(7, 3))
+        assert eval_field(sys, xs, 0.3).tolist() == [eval_field(sys, x, 0.3).tolist() for x in xs]
+        assert jacobian(sys, xs, 0.3).tolist() == [jacobian(sys, x, 0.3).tolist() for x in xs]
+
+    def test_demo_native_stacks_match_its_per_point_functions(self):
+        sys = build_example1(delta=delta_admissible)
+        rng = np.random.default_rng(10)
+        for t in rng.uniform(0.0, 2.0, size=4):
+            xs = rng.uniform(-10.0, 10.0, size=(200, 2))
+            assert eval_field(sys, xs, t).tolist() == [sys.f(x, t).tolist() for x in xs]
+            assert jacobian(sys, xs, t).tolist() == [sys.jac(x, t).tolist() for x in xs]
+
+    def test_row_loop_calls_the_per_point_callable_of_the_moment(self):
+        sys = SystemSpec(dim=1, f=lambda x, t: -x, jac=lambda x, t: np.array([[-1.0]]))
+        jac_calls, f_calls = spy(sys, "jac"), spy(sys, "f")
+        jacobian(sys, np.zeros((5, 1)), 0.0)
+        eval_field(sys, np.zeros((4, 1)), 0.0)
+        assert (len(jac_calls), len(f_calls)) == (5, 4)
+
+    @pytest.mark.parametrize("how", ["dataclasses.replace", "assignment"])
+    def test_a_replaced_callable_takes_its_stack_with_it(self, how):
+        # the demo's f and jac carry native stacks; g and k carry none, so a stack is theirs row by row
+        g, k = (lambda x, t: -2.0 * x), (lambda x, t: -2.0 * np.eye(2))
+        sys = build_example1()
+        if how == "assignment":
+            sys.f, sys.jac = g, k
+        else:
+            sys = dataclasses.replace(sys, f=g, jac=k)
+        f_calls, jac_calls = spy(sys, "f"), spy(sys, "jac")
+        xs = np.random.default_rng(8).normal(size=(3, 2))
+        assert eval_field(sys, xs, 0.0).tolist() == (-2.0 * xs).tolist()
+        assert jacobian(sys, xs, 0.0).tolist() == [(-2.0 * np.eye(2)).tolist()] * 3
+        assert (len(f_calls), len(jac_calls)) == (3, 3)
+        # without jac, the finite differences of a stack evaluate g too
+        fd = dataclasses.replace(sys, jac=None)
+        assert np.allclose(jacobian(fd, xs, 0.0), -2.0 * np.eye(2), rtol=0.0, atol=1e-9)
+        assert len(f_calls) == 3 + 2 * 2 * 3
+
+    def test_replaced_system_keeps_its_native_stacks(self):
+        sys = dataclasses.replace(build_example1(), name="copy")
+        stack_calls = spy(sys.f, "stack")
+        eval_field(sys, np.zeros((3, 2)), 0.0)
+        assert len(stack_calls) == 1
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 3), (2, 2, 2), ()])
+    def test_states_of_the_wrong_shape_rejected(self, shape):
+        sys = build_example1()
+        with pytest.raises(DimensionError):
+            jacobian(sys, np.zeros(shape), 0.0)
+        with pytest.raises(DimensionError):
+            eval_field(sys, np.zeros(shape), 0.0)
+
+    def test_stacked_output_of_the_wrong_shape_names_no_state(self):
+        jac = _with_stack(lambda x, t: -np.eye(2), lambda xs, t: -xs)
+        sys = SystemSpec(dim=2, f=lambda x, t: -x, jac=jac)
+        with pytest.raises(EvaluationError, match=r"^jac returned shape \(3, 2\), expected \(3, 2, 2\)$") as err:
+            jacobian(sys, np.zeros((3, 2)), 0.5)
+        assert err.value.x is None and err.value.t == 0.5
+
+    def test_per_point_output_of_the_wrong_shape_names_its_point(self):
+        sys = SystemSpec(dim=2, f=lambda x, t: np.zeros(3))
+        xs = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(EvaluationError, match=r"^f returned shape \(3,\), expected \(2,\)$") as err:
+            eval_field(sys, xs, 0.5)
+        assert err.value.x.tolist() == [1.0, 2.0] and err.value.t == 0.5
+
+    @pytest.mark.parametrize("native", [False, True], ids=["row by row", "native"])
+    def test_first_non_finite_row_names_its_state(self, native):
+        jac = lambda x, t: np.array([[np.nan if x[0] > 0.5 else -1.0]])
+        if native:
+            jac = _with_stack(jac, lambda xs, t: np.where(xs[:, :, None] > 0.5, np.nan, -1.0))
+        sys = SystemSpec(dim=1, f=lambda x, t: -x, jac=jac)
+        xs = np.array([[0.0], [0.4], [2.0], [1.0]])
+        with pytest.raises(EvaluationError, match=r"^jac returned non-finite values at t=0\.5$") as err:
+            jacobian(sys, xs, 0.5)
+        assert err.value.x.tolist() == [2.0] and err.value.t == 0.5
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one state", "stack"])
+    def test_finite_difference_failure_names_the_state_whose_jacobian_needed_it(self, stacked):
+        # f is NaN beyond x = 0.5; the perturbed rows of 0.4 stay below it, those of 1.0 do not
+        sys = SystemSpec(dim=1, f=lambda x, t: np.array([np.nan if x[0] > 0.5 else -x[0]]))
+        x = np.array([[0.0], [0.4], [1.0], [2.0]]) if stacked else np.array([1.0])
+        with pytest.raises(EvaluationError, match=r"^f returned non-finite values at t=0\.5$") as err:
+            jacobian(sys, x, 0.5)
+        assert err.value.x.tolist() == [1.0] and err.value.t == 0.5
+
+
+class TestOneStackedCall:
+    """Spies on the SystemSpec callables: which consumers make one stacked call."""
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one state", "stack of 5"])
+    def test_finite_differences_of_a_stack_make_one_stacked_f_call(self, stacked):
+        sys = SystemSpec(dim=2, f=build_example1().f)
+        point_calls = spy(sys, "f")
+        stack_calls = spy(sys.f, "stack")
+        x = np.random.default_rng(11).normal(size=(5, 2) if stacked else 2)
+        j = jacobian(sys, x, 0.5)
+        # one state's 2n perturbed rows go through f, as the integrator evaluates it
+        assert [args[0].shape for args in stack_calls] == ([(2 * 2 * 5, 2)] if stacked else [])
+        assert len(point_calls) == (0 if stacked else 2 * 2)
+        assert j.shape == ((5, 2, 2) if stacked else (2, 2))
+
+    def test_finite_differences_of_a_stack_match_one_state_at_a_time(self):
+        native = build_example1()
+        rng = np.random.default_rng(12)
+        xs = rng.uniform(-10.0, 10.0, size=(50, 2))
+        for f in (native.f, lambda x, t: native.f(x, t)):  # with its native stack, and row by row
+            sys = SystemSpec(dim=2, f=f)
+            assert jacobian(sys, xs, 0.7).tolist() == [jacobian(sys, x, 0.7).tolist() for x in xs]
+
+    def test_averaged_jacobian_makes_one_stacked_jac_call(self):
+        sys = build_example1(delta=delta_admissible)
+        point_calls = spy(sys, "jac")
+        stack_calls = spy(sys.jac, "stack")
+        x_star, x = np.array([0.5, -1.0]), np.array([3.0, 2.0])
+        avg = averaged_jacobian(sys, x_star, x, 0.4)
+        assert len(stack_calls) == 1 and stack_calls[0][0].shape == (16, 2) and not point_calls
+        rule, want = QuadratureRule.gauss_legendre(16), np.zeros((2, 2))
+        for xi, w in zip(rule.nodes, rule.weights):  # the per-node sum, in node order
+            want += w * sys.jac(x_star + xi * (x - x_star), 0.4)
+        assert avg.tolist() == want.tolist()
