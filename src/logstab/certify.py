@@ -6,12 +6,14 @@ scoped to a sampled box and time window ("certified_on_domain") and carries
 its sampling metadata. The checks are designed to catch every failure mode
 the built-in demo scenarios exhibit, not to prove global statements.
 
-The contraction sweep and the Demidovich check take every Jacobian through
-one helper that names a failing sample's x and t; every check of a rate
-alpha(t) goes through one helper that names the first t where it is non-finite.
-The Demidovich check asks that helper for a whole time slice at once: one
-stacked Jacobian call per slice (see the stack contract in ``system``). The
-contraction sweep still takes one Jacobian and one log norm per sample.
+The contraction sweep and the Demidovich check call ``system.jacobian``
+directly; a Jacobian that cannot be evaluated raises EvaluationError naming
+the failing sample's x and t (or, for a stacked output of the wrong shape,
+the stack). The Demidovich check makes one stacked Jacobian call per time
+slice (see the stack contract in ``system``); the contraction sweep still
+takes one Jacobian and one log norm per sample. Every rate alpha(t) is
+evaluated through ``system._at_times``, which names the first t where it is
+not a finite number.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, DivergedError, EvaluationError, InvalidInputError, InvalidRateError
+from .errors import DimensionError, DivergedError, InvalidInputError, InvalidRateError
 from .integrate import IntegratorConfig, Trajectory, integrate
 from .linalg import NormKind, sym_eig_max, vec_norm
 from .lognorm import log_norm
-from .system import SystemSpec, eval_rhs, jacobian
+from .system import SystemSpec, _at_times, eval_rhs, jacobian
 
 CERTIFIED = "certified_on_domain"
 NOT_CERTIFIED = "not_certified"
@@ -90,39 +92,6 @@ class SamplingPlan:
             raise InvalidInputError(f"unknown sampling scheme {self.scheme!r}")
 
 
-def _rates(alpha_fn: Callable[[float], float], ts) -> np.ndarray:
-    """alpha(t) at every t of ``ts``, all of which must be finite.
-
-    Each t goes in as a Python float, so a compiled rate that divides by zero
-    gives NaN, not inf and a numpy warning. The error names the first bad t.
-    """
-    rates = np.array([float(alpha_fn(float(t))) for t in ts])
-    bad = ~np.isfinite(rates)
-    if bad.any():
-        t = float(ts[int(np.argmax(bad))])
-        raise EvaluationError(f"alpha(t) is non-finite at t={t}", t=t)
-    return rates
-
-
-def _sweep_jacobian(sys: SystemSpec, x: np.ndarray, t: float) -> np.ndarray:
-    """J(x, t) at one sample (n,) of a sweep, or at every sample of a stack (N, n) in one call.
-
-    An EvaluationError names the failing sample's x and t; for a stack, that
-    is the first sample the system's own check found non-finite, and a
-    stacked output of the wrong shape names the stack's shape instead.
-    """
-    try:
-        return jacobian(sys, x, t)
-    except EvaluationError as exc:
-        at = x if x.ndim == 1 else exc.x
-        where = f"a stack of shape {x.shape}" if at is None else f"x={at.tolist()}"
-        raise EvaluationError(
-            f"Jacobian evaluation failed during sweep at {where}, t={t}: {exc}",
-            x=at,
-            t=t,
-        ) from exc
-
-
 def sample_states(domain: Domain, plan: SamplingPlan) -> np.ndarray:
     """Spatial sample points (N, dim) for one time slice."""
     d = domain.dim
@@ -140,8 +109,6 @@ def sample_states(domain: Domain, plan: SamplingPlan) -> np.ndarray:
 
 
 def time_slices(domain: Domain, plan: SamplingPlan) -> np.ndarray:
-    if plan.n_time == 1:
-        return np.array([domain.t_lo])
     return np.linspace(domain.t_lo, domain.t_hi, plan.n_time)
 
 
@@ -189,13 +156,13 @@ def estimate_contraction_rate(
     sups, arg_index = [], []
     for t in ts:
         # one jacobian and one log_norm call per sample; perfbench/tests count the spans of both
-        mus = np.array([log_norm(_sweep_jacobian(sys, x, t), kind) for x in points])
+        mus = np.array([log_norm(jacobian(sys, x, t), kind) for x in points])
         arg_index.append(int(np.argmax(mus)))  # the first maximum wins, in each slice and across them
         sups.append(float(mus[arg_index[-1]]))
     best = int(np.argmax(sups))
     mu_sup = sups[best]
     certified = mu_sup < 0.0
-    dominance_margin = None if alpha_fn is None else float(np.max(np.add(sups, _rates(alpha_fn, ts))))
+    dominance_margin = None if alpha_fn is None else float(np.max(np.add(sups, _at_times("alpha", alpha_fn, ts))))
     return ContractionCertificate(
         kind_tag=kind.tag,
         mu_sup=mu_sup,
@@ -245,7 +212,7 @@ def check_demidovich(sys: SystemSpec, p, domain: Domain, plan: SamplingPlan) -> 
     ts = time_slices(domain, plan)
     max_eig, signs_agree = -np.inf, True
     for t in ts:
-        j = _sweep_jacobian(sys, points, t)
+        j = jacobian(sys, points, t)
         pj = pm @ j  # (P J)^T = J^T P
         lam = sym_eig_max(0.5 * (pj + np.swapaxes(pj, -1, -2)))
         mu = log_norm(j, kind)
@@ -313,7 +280,7 @@ def check_forcing_ratio(
     if t_start >= t_hi:
         raise InvalidInputError("time window too short for a log-spaced grid")
     ts = np.geomspace(t_start, t_hi, n_samples)
-    rates = _rates(alpha_fn, ts)
+    rates = _at_times("alpha", alpha_fn, ts)
     if np.any(rates <= 0.0):
         i = int(np.argmax(rates <= 0.0))
         raise InvalidRateError(f"alpha(t) = {rates[i]} <= 0 at t = {ts[i]}")
@@ -448,8 +415,8 @@ def classify_rate_integral(
     Convergent: the increments shrink geometrically (each at most 3/4 of the
     previous across the last doublings). Anything else is inconclusive. This
     can only ever be evidence, not proof; the verdict says so via ``note``.
-    A rate that is non-finite at a quadrature node raises EvaluationError
-    naming that t.
+    A rate that is not a finite number at a quadrature node raises
+    EvaluationError naming that t.
     """
     if horizon <= t0:
         raise InvalidInputError("horizon must exceed t0")
@@ -458,7 +425,7 @@ def classify_rate_integral(
 
     def simpson(a: float, b: float) -> float:
         xs = np.linspace(a, b, 2 * panels_per_segment + 1)
-        vals = _rates(alpha_fn, xs)
+        vals = _at_times("alpha", alpha_fn, xs)
         h = (b - a) / (2 * panels_per_segment)
         return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()))
 

@@ -26,7 +26,7 @@ from .csvio import (
     parse_matrix_text,
     read_matrix_file,
 )
-from .demos import DEMO_VARIANTS, run_demo_example1
+from .demos import DEMO_VARIANTS, _certificate_lines, run_demo_example1
 from .errors import (
     ConfigError,
     DimensionError,
@@ -89,13 +89,7 @@ def cmd_certify(args) -> int:
         alpha_fn = compile_expression(parse_expression(cfg.alpha_expr), ["t"])
 
     cert = estimate_contraction_rate(system, domain, norm, cfg.plan, alpha_fn=alpha_fn)
-    print(f"contraction certificate: {cert.verdict}")
-    print(f"  sampled sup of mu[J] = {cert.mu_sup:.7g} over {cert.n_samples} samples")
-    if cert.alpha0_estimate is not None:
-        print(f"  empirical rate alpha0 = {cert.alpha0_estimate:.7g}")
-    if cert.dominance_ok is not None:
-        print(f"  analytic-rate dominance: {cert.dominance_ok} (margin {cert.dominance_margin:.3e})")
-    print("  note: certified on the sampled domain only; this is not a global proof.")
+    print("\n".join(_certificate_lines(cert)))
 
     ratio_alpha = alpha_fn
     if ratio_alpha is None and cert.alpha0_estimate is not None:

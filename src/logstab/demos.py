@@ -204,17 +204,27 @@ def _integrator_path(method: str, traj: Trajectory) -> str:
     return f"integrator: {method}; {traj.n_steps} accepted, {traj.n_rejected} rejected steps"
 
 
+def _certificate_lines(cert: ContractionCertificate) -> list[str]:
+    """The certificate in the words ``logstab certify`` prints and the demo's report.txt records."""
+    lines = [
+        f"contraction certificate: {cert.verdict}",
+        f"  sampled sup of mu[J] = {cert.mu_sup:.7g} over {cert.n_samples} samples",
+    ]
+    if cert.alpha0_estimate is not None:
+        lines.append(f"  empirical rate alpha0 = {cert.alpha0_estimate:.7g}")
+    if cert.dominance_ok is not None:
+        lines.append(f"  analytic-rate dominance: {cert.dominance_ok} (margin {cert.dominance_margin:.3e})")
+    lines.append("  note: the certificate covers the sampled domain only; it is not a global proof.")
+    return lines
+
+
 def _write_summary(path: Path, variant, certificate, ratio_report, convergence, trajectory, method, tf) -> Path:
     limit = "the origin" if variant == "fig1" else "(0, 4)"
     final_state = trajectory.states[-1]
     lines = [
         f"demo example1 variant={variant}",
         "",
-        f"contraction certificate: {certificate.verdict}",
-        f"  sampled sup of mu[J] = {certificate.mu_sup:.7f} over {certificate.n_samples} samples",
-        f"  empirical rate alpha0 = {certificate.alpha0_estimate}",
-        f"  analytic-rate dominance: {certificate.dominance_ok} (margin {certificate.dominance_margin:.3e})",
-        "  note: the certificate covers the sampled domain only, not all of state space.",
+        *_certificate_lines(certificate),
         "",
         f"forcing ratio: {ratio_report.verdict}"
         f" (slope {ratio_report.trend_slope:.3f}, final {ratio_report.final_ratio:.3e})",

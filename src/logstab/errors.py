@@ -6,7 +6,12 @@ class LogstabError(Exception):
 
 
 class DimensionError(LogstabError):
-    """Operands have incompatible or non-square shapes."""
+    """Arrays passed as arguments have incompatible or non-square shapes.
+
+    That covers x0, states, weights and matrices handed to a function. The
+    output of a user-supplied callable with the wrong shape is an
+    EvaluationError instead.
+    """
 
 
 class SymmetryError(LogstabError):
@@ -22,9 +27,13 @@ class InvalidInputError(LogstabError):
 
 
 class EvaluationError(LogstabError):
-    """A user-supplied function returned non-finite or mis-shaped output.
+    """A user-supplied callable returned non-numeric, mis-shaped or non-finite output.
 
-    Carries the evaluation point so the offending (x, t) can be reported.
+    The callables are f, its Jacobian (analytic, or finite differences of f),
+    delta(t), a rate alpha(t) and a matrix A(t). The message names the
+    callable and where it was evaluated (see ``system``). ``x`` is the state,
+    None for a whole stack of states or for a callable of t alone; ``t`` is
+    the time.
     """
 
     def __init__(self, message, x=None, t=None):

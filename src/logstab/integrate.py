@@ -49,10 +49,11 @@ The fundamental matrix of a linear time-varying system is integrated with
 the same machinery as one n^2-dimensional matrix ODE, so all n columns share
 the integrator's own grid. The transition-bound checker then compares
 propagator norms against the exponential envelopes built from integrals of
-the logarithmic norm along the grid, as stacked array operations. Its
-Simpson nodes include midpoints the integrator never visits, so A(t) is
-checked there too: the same shape check as the integrator's, then
-finiteness, each failure naming t.
+the logarithmic norm along the grid, as stacked array operations. Every
+evaluation of A(t) is checked by ``system``: each call on the integrator's
+path for its shape, A(t0) and the Simpson nodes (midpoints the integrator
+never visits) also for finiteness. A bad A(t) raises EvaluationError naming
+t, as any user callable's bad output does.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ import numpy as np
 from .errors import ConditioningError, DimensionError, DivergedError, EvaluationError, InvalidInputError
 from .linalg import NormKind, cond_2, induced_matrix_norm, solve, vec_norm
 from .lognorm import log_norm_pair
-from .system import SystemSpec, eval_rhs, jacobian
+from .system import SystemSpec, _at_times, _checked_output, _shaped, eval_rhs, jacobian
 
 METHODS = ("auto", "rk4", "ndf")
 
@@ -253,7 +254,7 @@ class Trajectory:
             raise InvalidInputError("trajectory needs 1-D times and 2-D states")
         if self.times.shape[0] != self.states.shape[0]:
             raise InvalidInputError("times and states lengths differ")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0.0):
+        if not np.all(np.diff(self.times) > 0.0):
             raise InvalidInputError("trajectory times must strictly increase")
         if not np.all(np.isfinite(self.states)):
             raise InvalidInputError("trajectory states must be finite")
@@ -265,13 +266,16 @@ class Trajectory:
     def sample(self, ts) -> np.ndarray:
         """States at the requested times via cubic Hermite interpolation.
 
-        Between the long steps of a DOP853 run the cubic alone is far less
-        accurate than the run; pass ``sample_times`` to ``integrate`` to
-        sample with DOP853's continuous extension.
+        The times must strictly increase within the trajectory's first and
+        last time, as ``integrate``'s ``sample_times`` must; nothing is
+        extrapolated. Between the long steps of a DOP853 run the cubic alone
+        is far less accurate than the run; pass ``sample_times`` to
+        ``integrate`` to sample with DOP853's continuous extension.
         """
         if self.derivs is None:
             raise InvalidInputError("trajectory has no stored derivatives to interpolate with")
-        return _hermite_sample(self.times, self.states, self.derivs, np.asarray(ts, dtype=float))
+        ts = _validate_sample_times(ts, self.times[0], self.times[-1])
+        return _hermite_sample(self.times, self.states, self.derivs, ts)
 
 
 @dataclass
@@ -334,10 +338,10 @@ def _validate_sample_times(ts, t0: float, tf: float) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise InvalidInputError("sample_times must be a non-empty 1-D sequence")
-    if ts.size > 1 and not np.all(np.diff(ts) > 0.0):
+    if not np.all(np.diff(ts) > 0.0):
         raise InvalidInputError("sample_times must strictly increase")
     slack = 1e-9 * max(1.0, abs(t0), abs(tf))
-    if ts[0] < t0 - slack or ts[-1] > tf + slack:
+    if not (ts[0] >= t0 - slack and ts[-1] <= tf + slack):  # written so that NaN fails
         raise InvalidInputError(f"sample_times must lie within [{t0}, {tf}]")
     return np.clip(ts, t0, tf)
 
@@ -729,14 +733,6 @@ def _ndf_steps(run: _Run, jac) -> None:
         resize(min(10.0, safety * factors[best]))
 
 
-def _a_at(a_fn: Callable[[float], np.ndarray], t: float, n: int) -> np.ndarray:
-    """A(t) as a float array, which must keep its shape (n, n); DimensionError naming t otherwise."""
-    a = np.asarray(a_fn(t), dtype=float)
-    if a.shape != (n, n):
-        raise DimensionError(f"A(t) has shape {a.shape} at t={t}, expected ({n}, {n})")
-    return a
-
-
 def integrate_fundamental(
     a_fn: Callable[[float], np.ndarray],
     t0: float,
@@ -748,21 +744,21 @@ def integrate_fundamental(
 
     Phi is integrated as one state of dimension n^2 (row-major), so every
     column lives on the integrator's own grid, or on ``sample_times`` when
-    given, resampled from that one run. A(t) must keep its shape (n, n)
-    throughout; a change raises DimensionError naming the shape and t. The
-    matrix ODE's Jacobian is kron(A(t), I), so ndf needs no finite differences.
+    given, resampled from that one run. A(t0) must be a finite square
+    matrix (n, n), and A(t) must keep that shape throughout; otherwise
+    EvaluationError names the shape and t. The matrix ODE's Jacobian is
+    kron(A(t), I), so ndf needs no finite differences.
     """
-    a0 = np.asarray(a_fn(t0), dtype=float)
-    if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
-        raise DimensionError(f"A(t) must be square, got shape {a0.shape}")
-    n = a0.shape[0]
+    a0 = _shaped("A", a_fn(t0), None, t0)
+    n = a0.shape[0] if a0.ndim else 1
+    _checked_output("A", a0, (n, n), t0)
     eye = np.eye(n)
 
     def matrix_field(x: np.ndarray, t: float) -> np.ndarray:
-        return (_a_at(a_fn, t, n) @ x.reshape(n, n)).ravel()
+        return (_shaped("A", a_fn(t), (n, n), t) @ x.reshape(n, n)).ravel()
 
     def matrix_jac(x: np.ndarray, t: float) -> np.ndarray:
-        return np.kron(_a_at(a_fn, t, n), eye)
+        return np.kron(_shaped("A", a_fn(t), (n, n), t), eye)
 
     sys = SystemSpec(dim=n * n, f=matrix_field, jac=matrix_jac)
     traj = integrate(sys, eye.ravel(), t0, tf, cfg, sample_times=sample_times)
@@ -853,12 +849,7 @@ def check_transition_bounds(
     m = times.size
     points, nodes = _simpson_points(times, cfg.max_step)
     # the integrator never visits the Simpson midpoints, so A(t) is checked here as well
-    a_nodes = np.stack([_a_at(a_fn, t, fund.dim) for t in points])
-    bad = ~np.isfinite(a_nodes).all(axis=(1, 2))
-    if bad.any():
-        t_bad = float(points[int(np.argmax(bad))])
-        raise EvaluationError(f"A(t) has non-finite entries at t={t_bad}", t=t_bad)
-    mu_plus, mu_minus = log_norm_pair(a_nodes, kind)
+    mu_plus, mu_minus = log_norm_pair(_at_times("A", a_fn, points, (fund.dim, fund.dim)), kind)
     int_plus = _cumulative_simpson(points, nodes, mu_plus)
     int_minus = _cumulative_simpson(points, nodes, mu_minus)
 

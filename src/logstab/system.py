@@ -17,9 +17,17 @@ too: a wrapper that does not copy the attribute (a call counter, say) is
 called once per row.
 A finite-difference Jacobian evaluates the 2n perturbed rows of every state
 of a stack as one stack, and those of one state through ``f`` row by row;
-the averaged Jacobian is one ``jacobian`` call on its quadrature nodes. A
-non-finite value in a stack is reported at the first state whose row holds
-one, with its x and t.
+the averaged Jacobian is one ``jacobian`` call on its quadrature nodes.
+
+This module is the one place that evaluates a user callable and checks what
+it returns: f, jac and delta here, and the callables of t alone elsewhere (a
+rate alpha(t), a matrix A(t)) through ``_at_times``. Output that is not
+numeric, has the wrong shape or is not finite raises EvaluationError with one
+message, "<name> returned <problem> at <where>", where <where> is
+``x=[...], t=...`` for one state, the first state whose row is non-finite for
+a stack, ``a stack of shape (N, n), t=...`` for a stack output of the wrong
+shape, and ``t=...`` for a callable of t alone (the first bad t of a vector).
+The error carries that x (None for a whole stack or for t alone) and t.
 """
 
 from __future__ import annotations
@@ -100,12 +108,31 @@ def _check_states(sys: SystemSpec, x) -> np.ndarray:
     return x
 
 
-def _shaped(name: str, out, shape: tuple, t: float, x=None) -> np.ndarray:
-    """The output of the callable ``name`` as a float array, required to have ``shape``."""
-    out = np.asarray(out, dtype=float)
-    if out.shape != shape:
-        raise EvaluationError(f"{name} returned shape {out.shape}, expected {shape}", x=x, t=t)
+def _failed(name: str, problem: str, t: float, x=None) -> EvaluationError:
+    """The one error for a bad output of the callable ``name`` at state x (or a stack of states) and t, or at t alone."""
+    if x is None:
+        where = f"t={t}"
+    elif x.ndim == 2:
+        where, x = f"a stack of shape {x.shape}, t={t}", None  # a stack has no one state to carry
+    else:
+        where = f"x={x.tolist()}, t={t}"
+    return EvaluationError(f"{name} returned {problem} at {where}", x=x, t=t)
+
+
+def _shaped(name: str, out, shape: tuple | None, t: float, x=None) -> np.ndarray:
+    """The output of the callable ``name`` as a float array, required to have ``shape`` (any shape if None)."""
+    try:
+        out = np.asarray(out, dtype=float)
+    except (TypeError, ValueError):
+        raise _failed(name, "non-numeric output", t, x) from None
+    if shape is not None and out.shape != shape:
+        raise _failed(name, f"shape {out.shape}, expected {shape}", t, x)
     return out
+
+
+def _first_bad(finite: np.ndarray, n: int) -> int:
+    """The first of the n equal consecutive blocks of ``finite`` that holds a False."""
+    return int(np.argmin(finite.reshape(n, -1).all(axis=1)))
 
 
 def _checked_output(name: str, out, shape: tuple, t: float, x=None) -> np.ndarray:
@@ -114,28 +141,48 @@ def _checked_output(name: str, out, shape: tuple, t: float, x=None) -> np.ndarra
     ``x`` is the state it was evaluated at, or a stack of N states whose
     values fill ``out`` in N equal consecutive blocks; a non-finite value is
     then reported at the first state whose block holds one, and a wrong
-    shape at no state.
+    shape at the stack.
     """
-    stacked = x is not None and x.ndim == 2
-    # a stack of the wrong shape has no one state to name
-    out = _shaped(name, out, shape, t, None if stacked else x)
+    out = _shaped(name, out, shape, t, x)
     finite = np.isfinite(out)
     if not finite.all():
-        if stacked:
-            x = x[int(np.argmin(finite.reshape(len(x), -1).all(axis=1)))]
-        raise EvaluationError(f"{name} returned non-finite values at t={t}", x=x, t=t)
+        if x is not None and x.ndim == 2:
+            x = x[_first_bad(finite, len(x))]
+        raise _failed(name, "non-finite values", t, x)
+    return out
+
+
+def _at_times(name: str, fn, ts, shape: tuple = ()) -> np.ndarray:
+    """The callable of t alone ``name`` at every t of the vector ``ts``: one finite array (N, *shape).
+
+    Each t goes in as a Python float, so a compiled rate that divides by zero
+    gives NaN, not inf and a numpy warning. An error names the first bad t.
+    """
+    ts = np.asarray(ts, dtype=float).tolist()
+    outs = [fn(t) for t in ts]
+    try:
+        out = np.array(outs, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape != (len(ts),) + shape:
+        # one output is not numeric or has the wrong shape: the check of each names the first
+        out = np.array([_shaped(name, o, shape, t) for o, t in zip(outs, ts)])
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise _failed(name, "non-finite values", ts[_first_bad(finite, len(ts))])
     return out
 
 
 def _rows(name: str, fn, xs: np.ndarray, t: float, shape: tuple, stacked: bool = True) -> np.ndarray:
-    """``fn`` at every state of the stack ``xs``, as one array (N, *shape).
+    """``fn`` at every state of the stack ``xs``, as one float array (N, *shape).
 
     One call of ``fn.stack`` when ``stacked`` and ``fn`` carries one, one call
-    of ``fn`` per row otherwise; a row of the wrong shape names its state.
+    of ``fn`` per row otherwise; output of the wrong shape names the stack, or
+    the row, it was evaluated at.
     """
     stack = getattr(fn, "stack", None) if stacked else None
     if stack is not None:
-        return stack(xs, t)
+        return _shaped(name, stack(xs, t), (len(xs),) + shape, t, xs)
     return np.array([_shaped(name, fn(x, t), shape, t, x) for x in xs])
 
 
@@ -151,13 +198,9 @@ def eval_field(sys: SystemSpec, x, t: float) -> np.ndarray:
     return _checked_output("f", _rows("f", sys.f, x, t, (sys.dim,)), x.shape, t, x)
 
 
-def eval_perturbation(sys: SystemSpec, t: float) -> np.ndarray:
-    return _checked_output("delta", sys.delta(t), (sys.dim,), t)
-
-
 def eval_rhs(sys: SystemSpec, x, t: float) -> np.ndarray:
-    """Full right-hand side f(x,t) + delta(t)."""
-    return eval_field(sys, x, t) + eval_perturbation(sys, t)
+    """Full right-hand side f(x,t) + delta(t), each validated finite and correctly shaped."""
+    return eval_field(sys, x, t) + _checked_output("delta", sys.delta(t), (sys.dim,), t)
 
 
 def jacobian(sys: SystemSpec, x, t: float) -> np.ndarray:

@@ -229,7 +229,7 @@ class TestUndefinedExpressions:
         )
         code, err = self.run(tmp_path, capsys, "certify", text)
         assert code == 3
-        assert re.search(r"during sweep at x=\[.+\], t=0\.0: f returned non-finite values", err)
+        assert re.search(r"^error: f returned non-finite values at x=\[.+\], t=0\.0$", err, re.MULTILINE)
 
     def test_fractional_power_of_negative_base(self, tmp_path, capsys):
         # Python's ** would give a complex number here, silently truncated to its real part
@@ -241,7 +241,7 @@ class TestUndefinedExpressions:
     def test_undefined_rate(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, "certify", CONFIG.replace("alpha = 0.5 + t^3", "alpha = log(t - 1)"))
         assert code == 3
-        assert "alpha(t) is non-finite at t=0" in err
+        assert "alpha returned non-finite values at t=0.0" in err
 
 
 class TestExpressionConfigErrors:
@@ -314,6 +314,20 @@ class TestDemoCommand:
         report = (tmp_path / "d" / "report.txt").read_text()
         path = re.search(r"integrator: auto, dop853 to t=(\d+\.\d\d) then ndf; (\d+) accepted, \d+ rejected steps", report)
         assert path and 2.0 <= float(path[1]) <= 8.0 and int(path[2]) <= 2000, report
+
+    def test_certify_prints_the_certificate_as_the_demo_reports_it(self, tmp_path, capsys):
+        # the demo's sweep, written as a scenario: its box, grid and analytic rate
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(
+            CONFIG.replace("n_space = 21\nn_time = 3", "n_space = 41\nn_time = 5").replace("tf = 3", "tf = 15")
+        )
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        printed = capsys.readouterr().out
+        assert main(["demo", "example1", "--variant", "fig1", "--tf", "15", "--out", str(tmp_path / "d")]) == 0
+        report = (tmp_path / "d" / "report.txt").read_text()
+        block = re.search(r"^contraction certificate: .*?\n  note: .*?\n", report, re.MULTILINE | re.DOTALL)
+        assert block and block[0] in printed, (report, printed)
+        assert "  empirical rate alpha0 = 1.307" in block[0]
 
     def test_unknown_demo_name(self, tmp_path):
         assert main(["demo", "other", "--out", str(tmp_path)]) == 2

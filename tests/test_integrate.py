@@ -265,8 +265,8 @@ class TestFundamental:
         # Hermite dense output, same bound as test_dense_output_accuracy
         assert np.abs(fund.matrices - exact).max() < 1e-7
 
-    def test_shape_change_mid_run_raises_dimension_error(self):
-        with pytest.raises(DimensionError, match=r"shape \(3, 3\) at t=0\.5"):
+    def test_shape_change_mid_run_raises_evaluation_error(self):
+        with pytest.raises(EvaluationError, match=r"^A returned shape \(3, 3\), expected \(2, 2\) at t=0\.5\d*$"):
             integrate_fundamental(lambda t: -np.eye(3 if t > 0.5 else 2), 0.0, 1.0)
 
     def test_non_finite_a_mid_run_raises_diverged_at_the_dop853_node(self):
@@ -403,10 +403,11 @@ class TestTransitionBounds:
     @pytest.mark.parametrize(
         "bad, error, message",
         [
-            (np.full((2, 2), np.nan), EvaluationError, "A(t) has non-finite entries at t=0.005"),
-            (np.eye(3), DimensionError, "A(t) has shape (3, 3) at t=0.005, expected (2, 2)"),
+            (np.full((2, 2), np.nan), EvaluationError, "A returned non-finite values at t=0.005"),
+            (np.eye(3), EvaluationError, "A returned shape (3, 3), expected (2, 2) at t=0.005"),
+            ([[-1.0, 0.0], [0.0, "x"]], EvaluationError, "A returned non-numeric output at t=0.005"),
         ],
-        ids=["nan", "3x3"],
+        ids=["nan", "3x3", "non-numeric"],
     )
     def test_bad_matrix_at_a_simpson_midpoint_names_t(self, bad, error, message):
         # the first step is 0.01 long, so its Simpson midpoint 0.005 is no point the integrator visits
@@ -455,6 +456,26 @@ class TestTrajectoryContainer:
     def test_empty_trajectory_allowed(self):
         traj = Trajectory(np.zeros(0), np.zeros((0, 2)))
         assert traj.dim == 2
+
+    @pytest.mark.parametrize(
+        "ts",
+        [[2.0, 5.0], [-0.5, 0.5], [np.nan], [0.2, np.nan], [0.5, 0.25], [], [[0.5]]],
+        ids=["past the end", "before the start", "nan", "nan last", "decreasing", "empty", "2-D"],
+    )
+    def test_sample_takes_only_times_that_integrate_would(self, decay_system, ts):
+        # x' = -x from 1 on [0, 1]: the cubic would extrapolate e^-5 = 0.0067 to -2.27
+        traj = integrate(decay_system, np.array([1.0]), 0.0, 1.0)
+        with pytest.raises(InvalidInputError) as sampled:
+            traj.sample(ts)
+        with pytest.raises(InvalidInputError) as integrated:
+            integrate(decay_system, np.array([1.0]), 0.0, 1.0, sample_times=ts)
+        assert str(sampled.value) == str(integrated.value)
+
+    def test_sample_inside_the_trajectory_interpolates(self, decay_system):
+        traj = integrate(decay_system, np.array([1.0]), 0.0, 1.0)
+        ts = np.linspace(0.0, 1.0, 41)
+        assert np.abs(traj.sample(ts)[:, 0] - np.exp(-ts)).max() < 1e-6
+        assert traj.sample([1.0 + 1e-12])[0, 0] == traj.states[-1, 0]  # within rounding of the end, clipped to it
 
 
 def prothero_robinson(lam):

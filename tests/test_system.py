@@ -3,7 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from logstab.certify import (
+    Domain,
+    SamplingPlan,
+    check_demidovich,
+    check_forcing_ratio,
+    classify_rate_integral,
+    estimate_contraction_rate,
+)
 from logstab.errors import DimensionError, EvaluationError, InvalidInputError
+from logstab.integrate import check_transition_bounds
+from logstab.linalg import NormKind
 from logstab.system import (
     QuadratureRule,
     SystemSpec,
@@ -62,12 +72,12 @@ class TestUserOutputChecks:
     @pytest.mark.parametrize(
         "spec, call, message, has_x",
         [
-            ({"f": lambda x, t: np.zeros(3)}, eval_rhs, r"^f returned shape \(3,\), expected \(2,\)$", True),
-            ({"f": lambda x, t: np.array([0.0, np.nan])}, eval_rhs, r"^f returned non-finite values at t=0\.5$", True),
+            ({"f": lambda x, t: np.zeros(3)}, eval_rhs, r"^f returned shape \(3,\), expected \(2,\) at x=\[1\.0, 2\.0\], t=0\.5$", True),
+            ({"f": lambda x, t: np.array([0.0, np.nan])}, eval_rhs, r"^f returned non-finite values at x=\[1\.0, 2\.0\], t=0\.5$", True),
             (
                 {"f": lambda x, t: np.zeros(2), "delta": lambda t: np.zeros((2, 1))},
                 eval_rhs,
-                r"^delta returned shape \(2, 1\), expected \(2,\)$",
+                r"^delta returned shape \(2, 1\), expected \(2,\) at t=0\.5$",
                 False,
             ),
             (
@@ -79,13 +89,13 @@ class TestUserOutputChecks:
             (
                 {"f": lambda x, t: np.zeros(2), "jac": lambda x, t: np.zeros(2)},
                 jacobian,
-                r"^jac returned shape \(2,\), expected \(2, 2\)$",
+                r"^jac returned shape \(2,\), expected \(2, 2\) at x=\[1\.0, 2\.0\], t=0\.5$",
                 True,
             ),
             (
                 {"f": lambda x, t: np.zeros(2), "jac": lambda x, t: np.full((2, 2), np.nan)},
                 jacobian,
-                r"^jac returned non-finite values at t=0\.5$",
+                r"^jac returned non-finite values at x=\[1\.0, 2\.0\], t=0\.5$",
                 True,
             ),
         ],
@@ -99,6 +109,98 @@ class TestUserOutputChecks:
             assert np.array_equal(err.value.x, self.X)
         else:
             assert err.value.x is None
+
+
+X = np.array([1.0, 2.0])
+BOX = Domain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), 0.0, 1.0)
+ONE_SLICE = SamplingPlan(n_space=2, n_time=1)  # the box's four corners at t = 0, [-1, -1] first
+
+
+def _decay(x, t):
+    return -x
+
+
+# id: (the callable's name in messages, the shape of a good output, a call that evaluates the callable fn,
+# the x and t its first evaluation is named at)
+USER_CALLABLES = {
+    "f": ("f", (2,), lambda fn: eval_rhs(SystemSpec(dim=2, f=fn), X, 0.5), X, 0.5),
+    "jac in the certificate sweep": (
+        "jac",
+        (2, 2),
+        lambda fn: estimate_contraction_rate(SystemSpec(dim=2, f=_decay, jac=fn), BOX, NormKind.l2(), ONE_SLICE),
+        [-1.0, -1.0],
+        0.0,
+    ),
+    "jac in the Demidovich sweep": (
+        "jac",
+        (2, 2),
+        lambda fn: check_demidovich(SystemSpec(dim=2, f=_decay, jac=fn), np.eye(2), BOX, ONE_SLICE),
+        [-1.0, -1.0],
+        0.0,
+    ),
+    "finite-difference J": ("f", (2,), lambda fn: jacobian(SystemSpec(dim=2, f=fn), X, 0.5), X, 0.5),
+    # the ratio's log-spaced grid on [0, 4] starts at 4e-3
+    "delta": (
+        "delta",
+        (2,),
+        lambda fn: check_forcing_ratio(SystemSpec(dim=2, f=_decay, delta=fn), lambda t: 1.0, 0.0, 4.0),
+        None,
+        0.004,
+    ),
+    "alpha in the rate integral": ("alpha", (), lambda fn: classify_rate_integral(fn, 0.0, 4.0), None, 0.0),
+    "alpha in the forcing ratio": (
+        "alpha",
+        (),
+        lambda fn: check_forcing_ratio(SystemSpec(dim=2, f=_decay), fn, 0.0, 4.0),
+        None,
+        0.004,
+    ),
+    "alpha in the certificate's dominance": (
+        "alpha",
+        (),
+        lambda fn: estimate_contraction_rate(SystemSpec(dim=2, f=_decay), BOX, NormKind.l2(), ONE_SLICE, alpha_fn=fn),
+        None,
+        0.0,
+    ),
+    "A": ("A", (2, 2), lambda fn: check_transition_bounds(fn, NormKind.l2(), 0.0, 1.0), None, 0.0),
+}
+
+
+def _bad_output(kind: str, shape: tuple):
+    if kind == "non-finite":
+        return np.full(shape, np.nan)
+    if kind == "wrong shape":
+        return np.zeros(shape + (2,))
+    out = np.zeros(shape).astype(object)
+    out.flat[-1] = "x"
+    return out.tolist()  # [[0.0, 0.0], [0.0, "x"]] for a matrix, "x" for a scalar
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "wrong shape", "non-numeric"])
+@pytest.mark.parametrize("callable_id", USER_CALLABLES)
+def test_every_user_callable_fails_one_way(callable_id, kind):
+    name, shape, evaluate, x, t = USER_CALLABLES[callable_id]
+    bad, calls = _bad_output(kind, shape), []
+
+    def fn(*args):
+        calls.append(args)
+        return bad
+
+    with pytest.raises(EvaluationError) as err:
+        evaluate(fn)
+    if callable_id == "finite-difference J" and kind != "non-finite":
+        # f's output is checked row by row where f was evaluated, at the first perturbed state;
+        # a non-finite value is reported at the state whose Jacobian needed it
+        x = calls[0][0]
+    problem = {
+        "non-finite": "non-finite values",
+        "wrong shape": f"shape {shape + (2,)}, expected {shape}",
+        "non-numeric": "non-numeric output",
+    }[kind]
+    where = f"t={t}" if x is None else f"x={np.asarray(x).tolist()}, t={t}"
+    assert str(err.value) == f"{name} returned {problem} at {where}"
+    assert err.value.t == t
+    assert err.value.x is None if x is None else err.value.x.tolist() == np.asarray(x).tolist()
 
 
 class TestJacobian:
@@ -267,14 +369,14 @@ class TestStackContract:
     def test_stacked_output_of_the_wrong_shape_names_no_state(self):
         jac = _with_stack(lambda x, t: -np.eye(2), lambda xs, t: -xs)
         sys = SystemSpec(dim=2, f=lambda x, t: -x, jac=jac)
-        with pytest.raises(EvaluationError, match=r"^jac returned shape \(3, 2\), expected \(3, 2, 2\)$") as err:
+        with pytest.raises(EvaluationError, match=r"^jac returned shape \(3, 2\), expected \(3, 2, 2\) at a stack of shape \(3, 2\), t=0\.5$") as err:
             jacobian(sys, np.zeros((3, 2)), 0.5)
         assert err.value.x is None and err.value.t == 0.5
 
     def test_per_point_output_of_the_wrong_shape_names_its_point(self):
         sys = SystemSpec(dim=2, f=lambda x, t: np.zeros(3))
         xs = np.array([[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(EvaluationError, match=r"^f returned shape \(3,\), expected \(2,\)$") as err:
+        with pytest.raises(EvaluationError, match=r"^f returned shape \(3,\), expected \(2,\) at x=\[1\.0, 2\.0\], t=0\.5$") as err:
             eval_field(sys, xs, 0.5)
         assert err.value.x.tolist() == [1.0, 2.0] and err.value.t == 0.5
 
@@ -285,7 +387,7 @@ class TestStackContract:
             jac = _with_stack(jac, lambda xs, t: np.where(xs[:, :, None] > 0.5, np.nan, -1.0))
         sys = SystemSpec(dim=1, f=lambda x, t: -x, jac=jac)
         xs = np.array([[0.0], [0.4], [2.0], [1.0]])
-        with pytest.raises(EvaluationError, match=r"^jac returned non-finite values at t=0\.5$") as err:
+        with pytest.raises(EvaluationError, match=r"^jac returned non-finite values at x=\[2\.0\], t=0\.5$") as err:
             jacobian(sys, xs, 0.5)
         assert err.value.x.tolist() == [2.0] and err.value.t == 0.5
 
@@ -294,7 +396,7 @@ class TestStackContract:
         # f is NaN beyond x = 0.5; the perturbed rows of 0.4 stay below it, those of 1.0 do not
         sys = SystemSpec(dim=1, f=lambda x, t: np.array([np.nan if x[0] > 0.5 else -x[0]]))
         x = np.array([[0.0], [0.4], [1.0], [2.0]]) if stacked else np.array([1.0])
-        with pytest.raises(EvaluationError, match=r"^f returned non-finite values at t=0\.5$") as err:
+        with pytest.raises(EvaluationError, match=r"^f returned non-finite values at x=\[1\.0\], t=0\.5$") as err:
             jacobian(sys, x, 0.5)
         assert err.value.x.tolist() == [1.0] and err.value.t == 0.5
 
