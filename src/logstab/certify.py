@@ -18,13 +18,13 @@ not a finite number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionError, DivergedError, InvalidInputError, InvalidRateError
-from .integrate import IntegratorConfig, Trajectory, integrate
+from .integrate import TOL_BASE, Trajectory, integrate
 from .linalg import NormKind, sym_eig_max, vec_norm
 from .lognorm import log_norm
 from .system import SystemSpec, _at_times, eval_rhs, jacobian
@@ -43,10 +43,23 @@ FLAT_SLOPE_BAND = 0.05
 VANISH_DROP_FACTOR = 0.1
 PERSIST_LEVEL = 0.01
 
+# verify_origin_convergence judges the last TAIL_FRACTION of the trajectory's samples
+TAIL_FRACTION = 0.2
+
+
+def _equal_by_value(a, b) -> bool:
+    """``==`` for a dataclass with array fields: field by field, an array by its shape and values."""
+    if type(a) is not type(b):
+        return NotImplemented
+    pairs = [(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)]
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else x == y for x, y in pairs
+    )
+
 
 @dataclass
 class Domain:
-    """Axis-aligned state box crossed with a time window."""
+    """Axis-aligned state box crossed with a time window; ``==`` compares by value."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -62,6 +75,8 @@ class Domain:
             raise InvalidInputError("domain requires lower < upper componentwise")
         if not self.t_lo < self.t_hi:
             raise InvalidInputError("domain requires t_lo < t_hi")
+
+    __eq__ = _equal_by_value
 
     @property
     def dim(self) -> int:
@@ -121,6 +136,7 @@ class ContractionCertificate:
     ``alpha0_estimate`` = -mu_sup is the empirical uniform contraction rate.
     When an analytic rate function is supplied, ``dominance_ok`` records
     whether the sampled suprema stay below its negation on every slice.
+    ``==`` compares by value.
     """
 
     kind_tag: str
@@ -135,6 +151,8 @@ class ContractionCertificate:
     argmax_time: float | None = None
     dominance_ok: Optional[bool] = None
     dominance_margin: Optional[float] = None
+
+    __eq__ = _equal_by_value
 
 
 def estimate_contraction_rate(
@@ -181,7 +199,7 @@ def estimate_contraction_rate(
 
 @dataclass
 class DemidovichReport:
-    """Negative-definiteness sweep of the weighted symmetrized Jacobian."""
+    """Negative-definiteness sweep of the weighted symmetrized Jacobian; ``==`` compares by value."""
 
     max_eigenvalue: float
     passed: bool
@@ -189,6 +207,8 @@ class DemidovichReport:
     n_samples: int
     domain: Domain
     plan: SamplingPlan
+
+    __eq__ = _equal_by_value
 
 
 def check_demidovich(sys: SystemSpec, p, domain: Domain, plan: SamplingPlan) -> DemidovichReport:
@@ -342,16 +362,16 @@ def verify_incremental_bound(
     tf: float,
     alpha0: float,
     kind: NormKind | None = None,
-    cfg: IntegratorConfig | None = None,
     n_output: int = 200,
-    tol_base: float = 1e-6,
 ) -> IncrementalBoundReport:
     """Integrate each pair and compare |x - x*| against its exponential bound.
 
-    The bound is evaluated on a shared output grid in the chosen norm;
-    tolerance budget is tol_base + 10x the accumulated local-error estimates
-    of the two integrations. A divergent trajectory is re-raised as evidence
-    against the certificate that motivated the check.
+    Each state is integrated under the default IntegratorConfig and the
+    bound is evaluated on a shared output grid in the chosen norm; the
+    tolerance budget is the largest over pairs of TOL_BASE + 10x the
+    accumulated local-error estimates of the pair's two integrations. A
+    divergent trajectory is re-raised as evidence against the certificate
+    that motivated the check.
     """
     if kind is None:
         kind = NormKind.l2()
@@ -362,11 +382,11 @@ def verify_incremental_bound(
     grid = np.linspace(t0, tf, n_output)
     worst = -np.inf
     worst_idx = -1
-    tolerance = tol_base
+    tolerance = TOL_BASE
     for idx, (xa, xb) in enumerate(initial_pairs):
         try:
-            tr_a = integrate(sys, np.asarray(xa, dtype=float), t0, tf, cfg, sample_times=grid)
-            tr_b = integrate(sys, np.asarray(xb, dtype=float), t0, tf, cfg, sample_times=grid)
+            tr_a = integrate(sys, np.asarray(xa, dtype=float), t0, tf, sample_times=grid)
+            tr_b = integrate(sys, np.asarray(xb, dtype=float), t0, tf, sample_times=grid)
         except DivergedError as exc:
             raise DivergedError(
                 f"pair {idx} diverged (evidence against the contraction certificate): {exc}",
@@ -378,7 +398,7 @@ def verify_incremental_bound(
         if violation > worst:
             worst = violation
             worst_idx = idx
-        tolerance = max(tolerance, tol_base + 10.0 * (tr_a.error_estimate + tr_b.error_estimate))
+        tolerance = max(tolerance, TOL_BASE + 10.0 * (tr_a.error_estimate + tr_b.error_estimate))
     return IncrementalBoundReport(
         pair_count=len(initial_pairs),
         alpha0=float(alpha0),
@@ -462,12 +482,12 @@ class OriginConvergenceReport:
 def verify_origin_convergence(
     traj: Trajectory,
     kind: NormKind | None = None,
-    tail_fraction: float = 0.2,
     tol: float = 0.01,
     target=None,
 ) -> OriginConvergenceReport:
     """Check the trajectory tail is small and decaying toward ``target``.
 
+    The tail is the last TAIL_FRACTION of the samples, at least 10 of them.
     Converged means the tail max of |x - target| is below ``tol`` and at most
     half the mid-trajectory max (decay evidence, not just smallness). The
     target defaults to the origin; shifted limits pass it explicitly.
@@ -475,7 +495,7 @@ def verify_origin_convergence(
     if kind is None:
         kind = NormKind.l2()
     m = traj.times.size
-    tail_len = int(np.ceil(tail_fraction * m))
+    tail_len = int(np.ceil(TAIL_FRACTION * m))
     if tail_len < 10:
         raise InvalidInputError(
             f"tail window has {tail_len} samples; need >= 10 (trajectory too short)"
@@ -489,7 +509,7 @@ def verify_origin_convergence(
         tail_max=tail_max,
         mid_max=mid_max,
         tol=tol,
-        tail_fraction=tail_fraction,
+        tail_fraction=TAIL_FRACTION,
         converged=bool(converged),
         kind_tag=kind.tag,
     )

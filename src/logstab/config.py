@@ -41,6 +41,7 @@ import numpy as np
 
 from .certify import Domain, SamplingPlan
 from .csvio import parse_matrix_text, read_matrix_file
+from .demos import build_example1
 from .errors import ConfigError, InvalidInputError
 from .expr import (
     ExprSyntaxError,
@@ -375,8 +376,6 @@ def _compile_delta(cfg: ScenarioConfig):
 def build_system(cfg: ScenarioConfig) -> SystemSpec:
     """Instantiate the scenario's SystemSpec (builtin or expression-defined)."""
     if cfg.system_kind == "builtin":
-        from .demos import build_example1  # local import to avoid a cycle
-
         b = float(cfg.builtin_params.get("b", "5"))
         phi_text = cfg.builtin_params.get("phi", "-6 - t^3")
         phi_fn = compile_expression(parse_expression(phi_text), ["t"])

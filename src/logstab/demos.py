@@ -35,7 +35,7 @@ from .certify import (
 )
 from .csvio import export_component_csv, export_report_csv, export_trajectory_csv
 from .errors import InvalidInputError
-from .integrate import IntegratorConfig, Trajectory, integrate
+from .integrate import Trajectory, integrate
 from .linalg import NormKind
 from .system import SystemSpec
 
@@ -119,15 +119,15 @@ def run_demo_example1(
     out_dir,
     tf: float = 20.0,
     seed: int = 42,
-    cfg: IntegratorConfig | None = None,
 ) -> DemoResult:
     """Run one demo variant end to end and write its artifacts.
 
     Certifies the contraction rate on [-10, 10]^2 x [0, 2] (sampled; the
     certificate never claims more than the sampled domain), classifies the
     forcing ratio against the analytic rate, integrates from x0 = (-2, 5) on
-    a fixed output grid, and checks the expected limit: the origin for fig1,
-    (0, 4) for fig2. Writes trajectory/plot/report CSVs plus report.txt.
+    a fixed output grid under the default ``auto`` integrator, and checks the
+    expected limit: the origin for fig1, (0, 4) for fig2. Writes
+    trajectory/plot/report CSVs plus report.txt.
     """
     if variant not in DEMO_VARIANTS:
         raise InvalidInputError(f"unknown demo variant {variant!r}; expected one of {DEMO_VARIANTS}")
@@ -146,20 +146,18 @@ def run_demo_example1(
 
     x0 = np.array([-2.0, 5.0])
     grid = np.linspace(0.0, tf, int(round(tf / 0.05)) + 1)
-    trajectory = integrate(sys, x0, 0.0, tf, cfg, sample_times=grid)
+    trajectory = integrate(sys, x0, 0.0, tf, sample_times=grid)
     final_state = trajectory.states[-1]
 
     if variant == "fig1":
-        convergence = verify_origin_convergence(trajectory, norm, tail_fraction=0.2, tol=0.01)
+        convergence = verify_origin_convergence(trajectory, norm, tol=0.01)
         expected = (
             certificate.verdict == "certified_on_domain"
             and ratio_report.verdict == RATIO_VANISHES
             and convergence.converged
         )
     else:
-        convergence = verify_origin_convergence(
-            trajectory, norm, tail_fraction=0.2, tol=0.05, target=np.array([0.0, 4.0])
-        )
+        convergence = verify_origin_convergence(trajectory, norm, tol=0.05, target=np.array([0.0, 4.0]))
         # the settling value is checked where the transient has clearly died
         idx_mid = int(np.argmin(np.abs(trajectory.times - min(10.0, tf))))
         x2_settled = abs(trajectory.states[idx_mid, 1] - 4.0) < 0.05
@@ -178,10 +176,7 @@ def run_demo_example1(
         export_report_csv(ratio_report, out_dir / "ratio.csv", name="forcing ratio"),
         export_report_csv(convergence, out_dir / "convergence.csv", name="limit check"),
     ]
-    method = (cfg or IntegratorConfig()).method
-    files.append(
-        _write_summary(out_dir / "report.txt", variant, certificate, ratio_report, convergence, trajectory, method, tf)
-    )
+    files.append(_write_summary(out_dir / "report.txt", variant, certificate, ratio_report, convergence, trajectory, tf))
 
     return DemoResult(
         variant=variant,
@@ -196,12 +191,10 @@ def run_demo_example1(
     )
 
 
-def _integrator_path(method: str, traj: Trajectory) -> str:
-    """One line naming the method, where an auto run switched, and the step counts."""
-    if method == "auto":
-        switch = "dop853 throughout" if traj.stiff_from is None else f"dop853 to t={traj.stiff_from:.2f} then ndf"
-        method = f"auto, {switch}"
-    return f"integrator: {method}; {traj.n_steps} accepted, {traj.n_rejected} rejected steps"
+def _integrator_path(traj: Trajectory) -> str:
+    """One line naming where the auto run switched, and the step counts."""
+    switch = "dop853 throughout" if traj.stiff_from is None else f"dop853 to t={traj.stiff_from:.2f} then ndf"
+    return f"integrator: auto, {switch}; {traj.n_steps} accepted, {traj.n_rejected} rejected steps"
 
 
 def _certificate_lines(cert: ContractionCertificate) -> list[str]:
@@ -218,7 +211,7 @@ def _certificate_lines(cert: ContractionCertificate) -> list[str]:
     return lines
 
 
-def _write_summary(path: Path, variant, certificate, ratio_report, convergence, trajectory, method, tf) -> Path:
+def _write_summary(path: Path, variant, certificate, ratio_report, convergence, trajectory, tf) -> Path:
     limit = "the origin" if variant == "fig1" else "(0, 4)"
     final_state = trajectory.states[-1]
     lines = [
@@ -230,7 +223,7 @@ def _write_summary(path: Path, variant, certificate, ratio_report, convergence, 
         f" (slope {ratio_report.trend_slope:.3f}, final {ratio_report.final_ratio:.3e})",
         "",
         f"trajectory to tf={tf}: final state {final_state.tolist()}",
-        _integrator_path(method, trajectory),
+        _integrator_path(trajectory),
         f"expected limit {limit}: converged={convergence.converged}"
         f" (tail max {convergence.tail_max:.3e}, tol {convergence.tol})",
         "",

@@ -36,14 +36,18 @@ finite, store it). RK4, DOP853 and ``ndf`` are step rules that propose steps
 to it; ``auto`` hands the same run from DOP853 to ndf. RK4 knows its step
 count up front and never rejects, so it checks the budget once before its
 first step. Every method starts from the field value that ``integrate``
-validated at (t0, x0).
+validated at (t0, x0). Stages add f and delta unchecked; an accepted node
+checks the shape and type of both outputs, so a callable whose output turns
+bad mid-run raises EvaluationError there, or at the first stage where the
+sum fails, naming the callable, x and t.
 
 Every method stores the field at its accepted nodes, so one dense-output path,
-cubic Hermite on the stored derivatives, samples every run. When ``integrate``
-is asked for sample times, each DOP853 step also evaluates the three extra
-stages of its 7th-order continuous extension; the first three rows of that
-extension are exactly the Hermite cubic, and the sample adds the term of the
-other four. Runs that only return their grid skip those stages.
+cubic Hermite on the stored derivatives, samples every run; ``integrate``'s
+``sample_times`` is the one way to sample. When it is given, each DOP853 step
+also evaluates the three extra stages of its 7th-order continuous extension;
+the first three rows of that extension are exactly the Hermite cubic, and the
+sample adds the term of the other four. Runs that only return their grid skip
+those stages.
 
 The fundamental matrix of a linear time-varying system is integrated with
 the same machinery as one n^2-dimensional matrix ODE, so all n columns share
@@ -69,6 +73,9 @@ from .lognorm import log_norm_pair
 from .system import SystemSpec, _at_times, _checked_output, _shaped, eval_rhs, jacobian
 
 METHODS = ("auto", "rk4", "ndf")
+
+# the tolerance of the bound checks before the integration-error term
+TOL_BASE = 1e-6
 
 
 def _lower_triangular(rows) -> np.ndarray:
@@ -232,9 +239,10 @@ class Trajectory:
     """Time-stamped states of one integration run.
 
     ``derivs`` holds the field evaluations at the grid nodes when the
-    trajectory is the integrator's own grid (used for dense resampling);
-    resampled trajectories carry None. ``error_estimate`` accumulates the
-    max-abs local-error estimates of accepted steps (0 for fixed-step runs).
+    trajectory is the integrator's own grid; resampled trajectories carry
+    None. Sample a run through ``integrate``'s ``sample_times``.
+    ``error_estimate`` accumulates the max-abs local-error estimates of
+    accepted steps (0 for fixed-step runs).
     ``stiff_from`` is the time at which an ``auto`` run switched to ndf, and
     None when it did not switch or ran another method.
     """
@@ -262,20 +270,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-    def sample(self, ts) -> np.ndarray:
-        """States at the requested times via cubic Hermite interpolation.
-
-        The times must strictly increase within the trajectory's first and
-        last time, as ``integrate``'s ``sample_times`` must; nothing is
-        extrapolated. Between the long steps of a DOP853 run the cubic alone
-        is far less accurate than the run; pass ``sample_times`` to
-        ``integrate`` to sample with DOP853's continuous extension.
-        """
-        if self.derivs is None:
-            raise InvalidInputError("trajectory has no stored derivatives to interpolate with")
-        ts = _validate_sample_times(ts, self.times[0], self.times[-1])
-        return _hermite_sample(self.times, self.states, self.derivs, ts)
 
 
 @dataclass
@@ -358,8 +352,10 @@ def integrate(
 
     Returns the integrator's own grid, or a dense resampling when
     ``sample_times`` is given. Raises DivergedError (carrying the last valid
-    time) on state blow-up, step underflow, or step-budget exhaustion, and
-    ConditioningError when the ndf iteration matrix is singular.
+    time) on state blow-up, step underflow, step-budget exhaustion or a
+    non-finite field at a node, ConditioningError when the ndf iteration
+    matrix is singular, and EvaluationError when f or delta returns output
+    that is not numeric or of the wrong shape.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -372,9 +368,16 @@ def integrate(
     f0 = eval_rhs(sys, x0, t0)  # validated once; the loop uses the fast path
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return sys.f(y, t) + sys.delta(t)
+        try:
+            return sys.f(y, t) + sys.delta(t)
+        except (TypeError, ValueError):
+            eval_rhs(sys, y, t)  # names the callable, x and t of an output that cannot be added
+            raise
 
-    run = _Run(rhs, x0, f0, t0, tf, cfg)
+    def node_rhs(t: float, y: np.ndarray) -> np.ndarray:
+        return _shaped("f", sys.f(y, t), (sys.dim,), t, y) + _shaped("delta", sys.delta(t), (sys.dim,), t)
+
+    run = _Run(rhs, node_rhs, x0, f0, t0, tf, cfg)
     if cfg.method == "rk4":
         _rk4_steps(run)
     elif cfg.method == "auto":
@@ -395,11 +398,13 @@ class _Run:
 
     An adaptive step rule loops while ``running()``, calls ``check(h)`` before
     it tries a step of size h, and reports the outcome through ``accept`` or
-    ``reject``. RK4 only accepts.
+    ``reject``. RK4 only accepts. Stages call ``rhs``; a node's field comes
+    from ``node_rhs``, which checks the shape and type of each output.
     """
 
-    def __init__(self, rhs, x0: np.ndarray, f0: np.ndarray, t0: float, tf: float, cfg: IntegratorConfig):
+    def __init__(self, rhs, node_rhs, x0: np.ndarray, f0: np.ndarray, t0: float, tf: float, cfg: IntegratorConfig):
         self.rhs = rhs
+        self.node_rhs = node_rhs
         self.tf = tf
         self.cfg = cfg
         self.times = [t0]
@@ -431,8 +436,11 @@ class _Run:
         self.non_finite = self.non_finite or non_finite
 
     def node_field(self, t: float, y: np.ndarray) -> np.ndarray:
-        """The field at a node about to be accepted; DivergedError when it is non-finite."""
-        f = np.asarray(self.rhs(t, y), dtype=float)
+        """The field at a node about to be accepted; DivergedError when it is non-finite.
+
+        An output of f or delta that is not numeric or of the wrong shape raises EvaluationError.
+        """
+        f = self.node_rhs(t, y)
         if not np.all(np.isfinite(f)):
             raise DivergedError(f"field non-finite after step to t={t}", self.times[-1])
         return f
@@ -818,36 +826,33 @@ def check_transition_bounds(
     t0: float,
     tf: float,
     n_pairs: int = 20,
-    cfg: IntegratorConfig | None = None,
     n_states: int = 5,
     seed: int = 0,
-    tol_base: float = 1e-6,
 ) -> TransitionBoundReport:
     """Verify the exponential transition-matrix and state-norm envelopes.
 
     For sampled grid pairs tau <= t the propagator norm ||Phi(t) Phi(tau)^-1||
     must sit between exp(-int mu[-A]) and exp(int mu[A]); random initial
-    states are checked against the same envelopes from t0. The mu-integrals
+    states are checked against the same envelopes from t0. The fundamental
+    matrix is one run under the default IntegratorConfig. The mu-integrals
     use composite Simpson on the integrator's grid, each step h split into
     ceil(6 h / max_step) panels, so a step of max_step gets 6 and the short
     steps of a stiff run one. mu is only piecewise smooth (l1 and linf have
     kinks), so the quadrature, not the ODE tolerance, dominates: on
     acceptance criterion 07's 100 systems its worst error against a
     20,001-point reference is 2.9e-5 on DOP853's grid (9.3e-4 with one
-    panel per step). Tolerance budget: tol_base
+    panel per step). Tolerance budget: TOL_BASE
     + 10x the local-error estimate accumulated by the one matrix-ODE run.
     The propagators, condition numbers and norms of all pairs and states
     are computed as stacks, one wrapper call each.
     """
     if n_pairs < 1 or n_states < 1:
         raise InvalidInputError(f"need n_pairs >= 1 and n_states >= 1, got {n_pairs} and {n_states}")
-    if cfg is None:
-        cfg = IntegratorConfig()
-    fund = integrate_fundamental(a_fn, t0, tf, cfg)
+    fund = integrate_fundamental(a_fn, t0, tf)
     times = fund.times
     phi = fund.matrices
     m = times.size
-    points, nodes = _simpson_points(times, cfg.max_step)
+    points, nodes = _simpson_points(times, IntegratorConfig().max_step)
     # the integrator never visits the Simpson midpoints, so A(t) is checked here as well
     mu_plus, mu_minus = log_norm_pair(_at_times("A", a_fn, points, (fund.dim, fund.dim)), kind)
     int_plus = _cumulative_simpson(points, nodes, mu_plus)
@@ -878,7 +883,7 @@ def check_transition_bounds(
     worst_sup = np.max((xtn - upper) / upper)
     worst_slo = np.max((lower - xtn) / lower)
 
-    tolerance = tol_base + 10.0 * fund.error_estimate
+    tolerance = TOL_BASE + 10.0 * fund.error_estimate
     passed = max(worst_up, worst_lo, worst_sup, worst_slo) <= tolerance
     return TransitionBoundReport(
         kind_tag=kind.tag,

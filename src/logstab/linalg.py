@@ -61,13 +61,13 @@ def float_or_array(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
-def check_symmetric(s: np.ndarray, rtol: float = SYMMETRY_RTOL) -> None:
-    """Raise SymmetryError if max |S - S^T| exceeds rtol * max(1, |S|_max).
+def check_symmetric(s: np.ndarray) -> None:
+    """Raise SymmetryError if max |S - S^T| exceeds SYMMETRY_RTOL * max(1, |S|_max).
 
     For a stack the test is made per matrix, each against its own scale.
     """
     asym = np.abs(s - np.swapaxes(s, -1, -2)).max(axis=(-2, -1))
-    tol = rtol * np.maximum(1.0, np.abs(s).max(axis=(-2, -1)))
+    tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(s).max(axis=(-2, -1)))
     if (asym > tol).any():
         k = np.argmax(asym / tol)
         raise SymmetryError(f"matrix asymmetry {asym.flat[k]:.3e} exceeds tolerance {tol.flat[k]:.3e}")

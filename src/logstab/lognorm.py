@@ -144,11 +144,11 @@ class LogNormResult:
     method: str  # "closed_form" | "limit_estimate" | "quadratic_form"
 
 
-def log_norm_all_routes(a, kind: NormKind, theta_seq=None) -> list[LogNormResult]:
-    """Evaluate mu[A] by every route applicable to the kind."""
+def log_norm_all_routes(a, kind: NormKind) -> list[LogNormResult]:
+    """Evaluate mu[A] by every route applicable to the kind; the limit estimate takes DEFAULT_THETA_SEQ."""
     results = [
         LogNormResult(log_norm(a, kind), kind, "closed_form"),
-        LogNormResult(log_norm_limit_estimate(a, kind, theta_seq), kind, "limit_estimate"),
+        LogNormResult(log_norm_limit_estimate(a, kind), kind, "limit_estimate"),
     ]
     if kind.tag == "weighted":
         results.append(LogNormResult(log_norm_quadratic_form(a, kind.weight), kind, "quadratic_form"))

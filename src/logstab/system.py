@@ -15,18 +15,19 @@ both), and to the callable itself once per row otherwise. The stacked form
 lives on the per-point callable, so replacing ``f`` or ``jac`` replaces it
 too: a wrapper that does not copy the attribute (a call counter, say) is
 called once per row.
-A finite-difference Jacobian evaluates the 2n perturbed rows of every state
-of a stack as one stack, and those of one state through ``f`` row by row;
-the averaged Jacobian is one ``jacobian`` call on its quadrature nodes.
+A finite-difference Jacobian evaluates the 2n perturbed rows of one state,
+or of every state of a stack, as one stack; the averaged Jacobian is one
+``jacobian`` call on its quadrature nodes.
 
 This module is the one place that evaluates a user callable and checks what
 it returns: f, jac and delta here, and the callables of t alone elsewhere (a
 rate alpha(t), a matrix A(t)) through ``_at_times``. Output that is not
-numeric, has the wrong shape or is not finite raises EvaluationError with one
-message, "<name> returned <problem> at <where>", where <where> is
-``x=[...], t=...`` for one state, the first state whose row is non-finite for
-a stack, ``a stack of shape (N, n), t=...`` for a stack output of the wrong
-shape, and ``t=...`` for a callable of t alone (the first bad t of a vector).
+numeric (complex, text or objects), has the wrong shape or is not finite
+raises EvaluationError with one message, "<name> returned <problem> at
+<where>", where <where> is ``x=[...], t=...`` for one state, the first state
+whose row is non-finite for a stack, ``a stack of shape (N, n), t=...`` for a
+stack output of the wrong shape, and ``t=...`` for a callable of t alone (the
+first bad t of a vector).
 The error carries that x (None for a whole stack or for t alone) and t.
 """
 
@@ -121,8 +122,8 @@ def _failed(name: str, problem: str, t: float, x=None) -> EvaluationError:
 
 def _shaped(name: str, out, shape: tuple | None, t: float, x=None) -> np.ndarray:
     """The output of the callable ``name`` as a float array, required to have ``shape`` (any shape if None)."""
-    try:
-        out = np.asarray(out, dtype=float)
+    try:  # a "same_kind" cast refuses complex (whose real part alone a plain cast would keep), text and objects
+        out = np.asarray(out).astype(float, copy=False, casting="same_kind")
     except (TypeError, ValueError):
         raise _failed(name, "non-numeric output", t, x) from None
     if shape is not None and out.shape != shape:
@@ -161,11 +162,11 @@ def _at_times(name: str, fn, ts, shape: tuple = ()) -> np.ndarray:
     ts = np.asarray(ts, dtype=float).tolist()
     outs = [fn(t) for t in ts]
     try:
-        out = np.array(outs, dtype=float)
+        out = np.array(outs)
     except (TypeError, ValueError):
         out = None
-    if out is None or out.shape != (len(ts),) + shape:
-        # one output is not numeric or has the wrong shape: the check of each names the first
+    if out is None or out.dtype != float or out.shape != (len(ts),) + shape:
+        # one output is not a float or has the wrong shape: the check of each converts it or names the first bad t
         out = np.array([_shaped(name, o, shape, t) for o, t in zip(outs, ts)])
     finite = np.isfinite(out)
     if not finite.all():
@@ -173,14 +174,14 @@ def _at_times(name: str, fn, ts, shape: tuple = ()) -> np.ndarray:
     return out
 
 
-def _rows(name: str, fn, xs: np.ndarray, t: float, shape: tuple, stacked: bool = True) -> np.ndarray:
+def _rows(name: str, fn, xs: np.ndarray, t: float, shape: tuple) -> np.ndarray:
     """``fn`` at every state of the stack ``xs``, as one float array (N, *shape).
 
-    One call of ``fn.stack`` when ``stacked`` and ``fn`` carries one, one call
-    of ``fn`` per row otherwise; output of the wrong shape names the stack, or
-    the row, it was evaluated at.
+    One call of ``fn.stack`` when ``fn`` carries one, one call of ``fn`` per
+    row otherwise; output of the wrong shape names the stack, or the row, it
+    was evaluated at.
     """
-    stack = getattr(fn, "stack", None) if stacked else None
+    stack = getattr(fn, "stack", None)
     if stack is not None:
         return _shaped(name, stack(xs, t), (len(xs),) + shape, t, xs)
     return np.array([_shaped(name, fn(x, t), shape, t, x) for x in xs])
@@ -229,15 +230,14 @@ def _fd_jacobian(sys: SystemSpec, x: np.ndarray, t: float) -> np.ndarray:
 
     The 2n perturbed rows of every state are evaluated as one stack, in
     blocks of 2n per state, so a non-finite value is reported at the state
-    whose Jacobian needed it. Those of one state go through ``sys.f`` row by
-    row, as the integrator evaluates f.
+    whose Jacobian needed it.
     """
     n = sys.dim
     states = x.reshape(-1, n)
     h = _EPS_CBRT * np.maximum(1.0, np.abs(states))
     steps = h[:, :, None] * np.eye(n)  # row i of state k: h_ki e_i
     rows = np.concatenate([states[:, None] + steps, states[:, None] - steps], axis=1).reshape(-1, n)
-    fx = _rows("f", sys.f, rows, t, (n,), stacked=x.ndim == 2)
+    fx = _rows("f", sys.f, rows, t, (n,))
     fx = _checked_output("f", fx, rows.shape, t, states).reshape(-1, 2, n, n)
     # column i of J is (f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i), with the step as represented
     out = np.swapaxes(fx[:, 0] - fx[:, 1], 1, 2) / ((states + h) - (states - h))[:, None, :]

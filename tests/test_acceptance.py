@@ -54,7 +54,7 @@ def test_criterion_01_admissible_perturbation_reaches_origin():
     grid = np.linspace(0.0, 20.0, 401)
     traj = integrate(sys, np.array([-2.0, 5.0]), 0.0, 20.0, sample_times=grid)
     final_inf = float(np.abs(traj.states[-1]).max())
-    conv = verify_origin_convergence(traj, NormKind.l2(), tail_fraction=0.2, tol=0.01)
+    conv = verify_origin_convergence(traj, NormKind.l2(), tol=0.01)
     elapsed = time.perf_counter() - start
     ok = final_inf < 0.01 and conv.converged and elapsed < 5.0
     record(

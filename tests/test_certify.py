@@ -69,6 +69,21 @@ class TestSampling:
             Domain(np.array([0.0]), np.array([1.0]), 1.0, 1.0)
 
 
+def test_reports_with_a_domain_compare_by_value():
+    sys, plan = build_example1(delta=delta_admissible), SamplingPlan(n_space=5, n_time=2)
+    reports = {
+        "domain": lambda dom: dom,
+        "certificate": lambda dom: estimate_contraction_rate(sys, dom, NormKind.l2(), plan, alpha_fn=default_rate),
+        "demidovich": lambda dom: check_demidovich(sys, np.eye(2), dom, plan),
+    }
+    for name, report in reports.items():
+        assert report(box(2, 2.0)) == report(box(2, 2.0)), name
+        assert report(box(2, 2.0)) != report(box(2, 3.0)), name  # a changed bound
+        assert report(box(2, 2.0)) != report(box(2, 2.0, t_hi=3.0)), name
+    assert box(2, 2.0) != box(3, 2.0)  # arrays of another shape
+    assert box(2, 2.0) != "a box"
+
+
 class TestContractionRate:
     def test_scalar_decay_certifies(self):
         cert = estimate_contraction_rate(
@@ -336,7 +351,7 @@ class TestRateIntegral:
 
 class TestOriginConvergence:
     def test_demo_run_converges(self, fig1_trajectory):
-        rep = verify_origin_convergence(fig1_trajectory, NormKind.l2(), tail_fraction=0.2, tol=0.01)
+        rep = verify_origin_convergence(fig1_trajectory, NormKind.l2(), tol=0.01)
         assert rep.converged
         assert rep.tail_max < 0.01
 
@@ -355,4 +370,4 @@ class TestOriginConvergence:
     def test_too_short_trajectory_rejected(self):
         traj = Trajectory(np.linspace(0, 1, 20), np.zeros((20, 1)))
         with pytest.raises(InvalidInputError):
-            verify_origin_convergence(traj, tail_fraction=0.2)
+            verify_origin_convergence(traj)

@@ -12,6 +12,7 @@ from logstab.integrate import (
     IntegratorConfig,
     Trajectory,
     _Run,
+    _hermite_sample,
     _simpson_points,
     check_transition_bounds,
     integrate,
@@ -211,6 +212,24 @@ class TestFailurePaths:
         with pytest.raises(DivergedError, match=r"^fixed-step run needs 200 steps, budget is 50$") as err:
             integrate(decay_system, np.array([1.0]), 0.0, 2.0, cfg)
         assert err.value.last_time == 0.0
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [
+            (np.array([-1.0]), r"shape \(1,\), expected \(2,\)"),  # would broadcast over both components
+            (-1.0, r"shape \(\), expected \(2,\)"),  # so would a scalar
+            (np.zeros(3), r"shape \(3,\), expected \(2,\)"),
+            ([0.0, "x"], "non-numeric output"),
+        ],
+        ids=["shape (1,)", "scalar", "shape (3,)", "non-numeric"],
+    )
+    def test_field_output_turning_bad_mid_run_names_f_x_and_t(self, method, bad, problem):
+        sys = SystemSpec(dim=2, f=lambda x, t: -x if t < 0.5 else bad)
+        with pytest.raises(EvaluationError, match=rf"^f returned {problem} at x=\[\S+, \S+\], t=\S+$") as err:
+            integrate(sys, np.array([1.0, 2.0]), 0.0, 1.0, IntegratorConfig(method=method))
+        assert 0.5 <= err.value.t <= 1.0
+        assert err.value.x.shape == (2,)
 
 
 class TestFundamental:
@@ -458,24 +477,30 @@ class TestTrajectoryContainer:
         assert traj.dim == 2
 
     @pytest.mark.parametrize(
-        "ts",
-        [[2.0, 5.0], [-0.5, 0.5], [np.nan], [0.2, np.nan], [0.5, 0.25], [], [[0.5]]],
+        "ts, message",
+        [
+            ([2.0, 5.0], r"sample_times must lie within \[0\.0, 1\.0\]"),
+            ([-0.5, 0.5], r"sample_times must lie within \[0\.0, 1\.0\]"),
+            ([np.nan], r"sample_times must lie within \[0\.0, 1\.0\]"),
+            ([0.2, np.nan], "sample_times must strictly increase"),
+            ([0.5, 0.25], "sample_times must strictly increase"),
+            ([], "sample_times must be a non-empty 1-D sequence"),
+            ([[0.5]], "sample_times must be a non-empty 1-D sequence"),
+        ],
         ids=["past the end", "before the start", "nan", "nan last", "decreasing", "empty", "2-D"],
     )
-    def test_sample_takes_only_times_that_integrate_would(self, decay_system, ts):
+    def test_sample_takes_only_times_that_integrate_would(self, decay_system, ts, message):
         # x' = -x from 1 on [0, 1]: the cubic would extrapolate e^-5 = 0.0067 to -2.27
-        traj = integrate(decay_system, np.array([1.0]), 0.0, 1.0)
-        with pytest.raises(InvalidInputError) as sampled:
-            traj.sample(ts)
-        with pytest.raises(InvalidInputError) as integrated:
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
             integrate(decay_system, np.array([1.0]), 0.0, 1.0, sample_times=ts)
-        assert str(sampled.value) == str(integrated.value)
 
     def test_sample_inside_the_trajectory_interpolates(self, decay_system):
         traj = integrate(decay_system, np.array([1.0]), 0.0, 1.0)
         ts = np.linspace(0.0, 1.0, 41)
-        assert np.abs(traj.sample(ts)[:, 0] - np.exp(-ts)).max() < 1e-6
-        assert traj.sample([1.0 + 1e-12])[0, 0] == traj.states[-1, 0]  # within rounding of the end, clipped to it
+        sampled = integrate(decay_system, np.array([1.0]), 0.0, 1.0, sample_times=ts)
+        assert np.abs(sampled.states[:, 0] - np.exp(-ts)).max() < 1e-6
+        end = integrate(decay_system, np.array([1.0]), 0.0, 1.0, sample_times=[1.0 + 1e-12])
+        assert end.states[0, 0] == traj.states[-1, 0]  # within rounding of the end, clipped to it
 
 
 def prothero_robinson(lam):
@@ -614,21 +639,21 @@ class TestDOP853:
     """auto's explicit phase; none of these fields turns stiff."""
 
     def test_dense_output_keeps_the_seventh_order_term(self, harmonic_system):
-        # between these 0.1-long steps cubic Hermite alone (Trajectory.sample) is off by
-        # 2.6e-7, the continuous extension that sample_times uses by 1e-14
+        # between these 0.1-long steps cubic Hermite alone is off by 2.6e-7,
+        # the continuous extension that sample_times uses by 1e-14
         ts = np.linspace(0.0, 2.0 * np.pi, 301)
         exact = np.column_stack([np.cos(ts), -np.sin(ts)])
         grid = integrate(harmonic_system, np.array([1.0, 0.0]), 0.0, 2.0 * np.pi)
         dense = integrate(harmonic_system, np.array([1.0, 0.0]), 0.0, 2.0 * np.pi, sample_times=ts)
         assert np.diff(grid.times).max() == pytest.approx(0.1)
         assert np.abs(dense.states - exact).max() < 1e-9
-        assert np.abs(grid.sample(ts) - exact).max() > 1e-7
+        assert np.abs(_hermite_sample(grid.times, grid.states, grid.derivs, ts) - exact).max() > 1e-7
 
     def test_intervals_of_the_ndf_phase_carry_no_dense_term(self, fig1_system):
         grid = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0)
         mid = 0.5 * (grid.times[:-1] + grid.times[1:])
         dense = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0, sample_times=mid)
-        hermite = grid.sample(mid)
+        hermite = _hermite_sample(grid.times, grid.states, grid.derivs, mid)
         ndf = mid > grid.stiff_from
         assert dense.stiff_from == grid.stiff_from
         assert np.array_equal(dense.states[ndf], hermite[ndf])
