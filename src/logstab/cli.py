@@ -2,7 +2,9 @@
 
 Subcommands: ``lognorm`` (matrix in, log norms out), ``certify`` (scenario
 config in, contraction certificate + forcing-ratio report out), ``simulate``
-(scenario config in, trajectory CSV out) and ``demo`` (built-in scenarios).
+(scenario config in, trajectory CSV out) and ``demo`` (the built-in scenario
+config texts of ``demos``). ``certify``, ``simulate`` and ``demo`` run the
+scenario steps of ``config``; this module handles the arguments and prints.
 
 Exit codes: 0 success/verified, 1 a check failed, 2 usage or config error,
 3 runtime/numeric error.
@@ -15,18 +17,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .certify import check_forcing_ratio, estimate_contraction_rate
-from .config import build_domain, build_norm, build_system, parse_config
-from .csvio import (
-    export_component_csv,
-    export_report_csv,
-    export_trajectory_csv,
-    parse_matrix_text,
-    read_matrix_file,
-)
-from .demos import DEMO_VARIANTS, _certificate_lines, run_demo_example1
+from .certify import CERTIFIED
+from .config import build_norm, build_system, parse_config, simulate_scenario
+from .config import certificate_lines, certify_scenario, ratio_line
+from .csvio import parse_matrix_text, read_matrix_file
+from .demos import DEMO_VARIANTS, run_demo_example1
 from .errors import (
     ConfigError,
     DimensionError,
@@ -34,8 +29,7 @@ from .errors import (
     InvalidNormError,
     LogstabError,
 )
-from .expr import ExprSyntaxError, compile_expression, parse_expression
-from .integrate import integrate
+from .expr import ExprSyntaxError
 from .linalg import NormKind
 from .lognorm import log_norm_all_routes
 
@@ -83,43 +77,19 @@ def cmd_certify(args) -> int:
     cfg = _load_scenario(args)
     system = build_system(cfg)
     norm = _parse_norm_flag(args.norm) if args.norm else build_norm(cfg, Path(args.config).parent)
-    domain = build_domain(cfg)
-    alpha_fn = None
-    if cfg.alpha_expr:
-        alpha_fn = compile_expression(parse_expression(cfg.alpha_expr), ["t"])
-
-    cert = estimate_contraction_rate(system, domain, norm, cfg.plan, alpha_fn=alpha_fn)
-    print("\n".join(_certificate_lines(cert)))
-
-    ratio_alpha = alpha_fn
-    if ratio_alpha is None and cert.alpha0_estimate is not None:
-        a0 = cert.alpha0_estimate
-        ratio_alpha = lambda t: a0
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    export_report_csv(cert, out_dir / "certificate.csv", name="contraction certificate")
-    if ratio_alpha is not None:
-        t_lo = system.t0
-        ratio = check_forcing_ratio(system, ratio_alpha, t_lo, cfg.tf, kind=norm)
-        print(f"forcing ratio: {ratio.verdict} (slope {ratio.trend_slope:.3f}, final {ratio.final_ratio:.3e})")
-        export_report_csv(ratio, out_dir / "ratio.csv", name="forcing ratio")
-    print(f"reports written to {out_dir}")
-    return 0 if cert.verdict == "certified_on_domain" else 1
+    certificate, ratio, _ = certify_scenario(cfg, system, norm)
+    print("\n".join(certificate_lines(certificate)))
+    if ratio is not None:
+        print(ratio_line(ratio))
+    print(f"reports written to {Path(cfg.out_dir)}")
+    return 0 if certificate.verdict == CERTIFIED else 1
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
     system = build_system(cfg)
-    t0 = cfg.t0
-    tf = cfg.tf
-    grid = np.linspace(t0, tf, max(2, int(round((tf - t0) / 0.05)) + 1))
-    traj = integrate(system, np.array(cfg.x0), t0, tf, cfg.integrator, sample_times=grid)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = [export_trajectory_csv(traj, out_dir / "trajectory.csv")]
-    for i in range(system.dim):
-        files.append(export_component_csv(traj, i, out_dir / f"x{i + 1}.csv"))
-    print(f"integrated {system.name or 'system'} to t={tf}: final state {traj.states[-1].tolist()}")
+    trajectory, files = simulate_scenario(cfg, system)
+    print(f"integrated {system.name or 'system'} to t={cfg.tf}: final state {trajectory.states[-1].tolist()}")
     print(f"wrote {', '.join(str(f) for f in files)}")
     return 0
 
@@ -127,14 +97,14 @@ def cmd_simulate(args) -> int:
 def cmd_demo(args) -> int:
     if args.name != "example1":
         raise InvalidInputError(f"unknown demo {args.name!r}; available: example1")
-    result = run_demo_example1(args.variant, args.out, tf=args.tf, seed=args.seed)
-    print(f"demo example1 variant={result.variant}")
-    print(f"  certificate: {result.certificate.verdict}")
-    print(f"  forcing ratio: {result.ratio_report.verdict}")
-    print(f"  final state: {result.final_state.tolist()}")
-    print(f"  expected outcome held: {result.expected_outcome_held}")
-    print(f"  artifacts: {', '.join(result.out_files)}")
-    return result.exit_code
+    certificate, ratio, trajectory, files, held = run_demo_example1(args.variant, args.out, tf=args.tf, seed=args.seed)
+    print(f"demo example1 variant={args.variant}")
+    print(f"  certificate: {certificate.verdict}")
+    print(f"  forcing ratio: {ratio.verdict}")
+    print(f"  final state: {trajectory.states[-1].tolist()}")
+    print(f"  expected outcome held: {held}")
+    print(f"  artifacts: {', '.join(str(f) for f in files)}")
+    return 0 if held else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Scenario configuration: a flat INI-style text format and its builders.
+"""Scenario configuration: a flat INI-style text format, its builders and its two steps.
 
 Format: `[section]` headers, `key = value` lines, `#` starts a comment.
 Syntax errors are reported together, each with its line. Every key is then
@@ -12,11 +12,18 @@ config that only simulate uses may leave it unfinished.
 Sampling and integrator keys are applied with dataclasses.replace, so the
 checks of SamplingPlan and IntegratorConfig run on each of them.
 
+A built scenario runs through two steps, which ``logstab certify``,
+``logstab simulate`` and ``logstab demo`` share: ``certify_scenario`` (the
+certificate on the [domain] box, the forcing ratio to tf, and their CSVs)
+and ``simulate_scenario`` (the trajectory from x0 on the output grid, and
+its CSVs). ``certificate_lines`` and ``ratio_line`` put their reports in
+words.
+
 Sections (all optional except [system]):
 
     [system]    type = builtin | expression
                 name = example1            (builtin)
-                b = 5, phi = -6 - t^3      (example1 parameters)
+                b = ..., phi = ...         (example1 parameters, see build_example1)
                 dim = 2                    (expression)
                 f1 = ..., f2 = ...         (expression components, in x1..xn and t)
                 delta1 = ..., delta2 = ... (perturbation components, in t; default 0)
@@ -39,9 +46,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import Domain, SamplingPlan
-from .csvio import parse_matrix_text, read_matrix_file
-from .demos import build_example1
+from .certify import ContractionCertificate, ConvergenceReport, Domain, SamplingPlan
+from .certify import check_forcing_ratio, estimate_contraction_rate
+from .csvio import export_component_csv, export_report_csv, export_trajectory_csv, parse_matrix_text, read_matrix_file
 from .errors import ConfigError, InvalidInputError
 from .expr import (
     ExprSyntaxError,
@@ -51,11 +58,59 @@ from .expr import (
     free_variables,
     parse_expression,
 )
-from .integrate import IntegratorConfig
+from .integrate import IntegratorConfig, Trajectory, integrate
 from .linalg import NormKind
 from .system import SystemSpec
 
 BUILTIN_NAMES = ("example1",)
+
+# spacing of the sample grid that simulate_scenario writes
+OUTPUT_STEP = 0.05
+
+
+def _function_of_t(text: str):
+    """The expression ``text`` in t, compiled to a function of one number."""
+    fn = compile_expression(parse_expression(text), ["t"])
+    return lambda t: fn(float(t))
+
+
+def build_example1(b: float = 5.0, phi="-6 - t^3", delta=None, t0: float = 0.0) -> SystemSpec:
+    """The builtin planar system with its analytic Jacobian, per state and per stack of states.
+
+        f1 = phi(t)*x1 + sin(x1)
+        f2 = b*x1 + (2 + phi(t))*x2 + sin(x2)
+
+    ``phi`` is a callable of t or an expression text in t. The defaults are
+    the paper's example; a scenario's [system] keys ``b`` and ``phi``
+    override them.
+    """
+    if isinstance(phi, str):
+        phi = _function_of_t(phi)
+
+    def f(x: np.ndarray, t: float) -> np.ndarray:
+        p = phi(t)
+        return np.array([p * x[0] + np.sin(x[0]), b * x[0] + (2.0 + p) * x[1] + np.sin(x[1])])
+
+    def jac(x: np.ndarray, t: float) -> np.ndarray:
+        p = phi(t)
+        return np.array([[p + np.cos(x[0]), 0.0], [b, 2.0 + p + np.cos(x[1])]])
+
+    def f_stack(xs: np.ndarray, t: float) -> np.ndarray:
+        p = phi(t)
+        x1, x2 = xs[:, 0], xs[:, 1]
+        return np.stack([p * x1 + np.sin(x1), b * x1 + (2.0 + p) * x2 + np.sin(x2)], axis=1)
+
+    def jac_stack(xs: np.ndarray, t: float) -> np.ndarray:
+        p = phi(t)
+        out = np.empty((len(xs), 2, 2))
+        out[:, 0, 0] = p + np.cos(xs[:, 0])
+        out[:, 0, 1] = 0.0
+        out[:, 1, 0] = b
+        out[:, 1, 1] = 2.0 + p + np.cos(xs[:, 1])
+        return out
+
+    f.stack, jac.stack = f_stack, jac_stack
+    return SystemSpec(dim=2, f=f, jac=jac, delta=delta, t0=t0, name="example1")
 
 
 @dataclass
@@ -234,8 +289,7 @@ def _parse_system(cfg: ScenarioConfig, sec: dict) -> None:
         for key, coerce in (("b", _number), ("phi", _expression_in_t)):
             if key in sec:
                 value, lineno = sec.pop(key)
-                _at(lineno, coerce, value)
-                cfg.builtin_params[key] = value
+                cfg.builtin_params[key] = _at(lineno, coerce, value)
     elif cfg.system_kind == "expression":
         if "dim" not in sec:
             raise ConfigError("expression system needs dim")
@@ -323,7 +377,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     lines = ["[system]", f"type = {cfg.system_kind}"]
     if cfg.system_kind == "builtin":
         lines.append(f"name = {cfg.builtin_name}")
-        lines += [f"{key} = {cfg.builtin_params[key]}" for key in sorted(cfg.builtin_params)]
+        lines += [f"{key} = {_render(cfg.builtin_params[key])}" for key in sorted(cfg.builtin_params)]
     else:
         lines.append(f"dim = {cfg.dim}")
         lines += [f"f{i + 1} = {e}" for i, e in enumerate(cfg.f_exprs)]
@@ -376,10 +430,7 @@ def _compile_delta(cfg: ScenarioConfig):
 def build_system(cfg: ScenarioConfig) -> SystemSpec:
     """Instantiate the scenario's SystemSpec (builtin or expression-defined)."""
     if cfg.system_kind == "builtin":
-        b = float(cfg.builtin_params.get("b", "5"))
-        phi_text = cfg.builtin_params.get("phi", "-6 - t^3")
-        phi_fn = compile_expression(parse_expression(phi_text), ["t"])
-        return build_example1(b=b, phi=lambda t: phi_fn(float(t)), delta=_compile_delta(cfg), t0=cfg.t0)
+        return build_example1(**cfg.builtin_params, delta=_compile_delta(cfg), t0=cfg.t0)
 
     names = [f"x{i + 1}" for i in range(cfg.dim)] + ["t"]
     nodes = [parse_expression(e) for e in cfg.f_exprs]
@@ -406,3 +457,58 @@ def build_system(cfg: ScenarioConfig) -> SystemSpec:
         t0=cfg.t0,
         name="expression",
     )
+
+
+def certify_scenario(
+    cfg: ScenarioConfig, system: SystemSpec, norm: NormKind
+) -> tuple[ContractionCertificate, ConvergenceReport | None, list[Path]]:
+    """The certificate on the [domain] box and the forcing ratio from t0 to tf, each written as a CSV.
+
+    The ratio is judged against the [certify] alpha, or against the
+    certificate's empirical rate alpha0 when the scenario gives no alpha; with
+    neither, there is no ratio (None) and no ratio.csv. Returns the
+    certificate, the ratio report and the files written to the output dir.
+    """
+    alpha_fn = _function_of_t(cfg.alpha_expr) if cfg.alpha_expr else None
+    certificate = estimate_contraction_rate(system, build_domain(cfg), norm, cfg.plan, alpha_fn=alpha_fn)
+    if alpha_fn is None and certificate.alpha0_estimate is not None:
+        alpha0 = certificate.alpha0_estimate
+        alpha_fn = lambda t: alpha0
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = [export_report_csv(certificate, out_dir / "certificate.csv", name="contraction certificate")]
+    ratio = None
+    if alpha_fn is not None:
+        ratio = check_forcing_ratio(system, alpha_fn, cfg.t0, cfg.tf, kind=norm)
+        files.append(export_report_csv(ratio, out_dir / "ratio.csv", name="forcing ratio"))
+    return certificate, ratio, files
+
+
+def simulate_scenario(cfg: ScenarioConfig, system: SystemSpec) -> tuple[Trajectory, list[Path]]:
+    """The trajectory from x0 over [t0, tf], sampled every OUTPUT_STEP, written as trajectory.csv and x1.csv .. xn.csv."""
+    grid = np.linspace(cfg.t0, cfg.tf, max(2, int(round((cfg.tf - cfg.t0) / OUTPUT_STEP)) + 1))
+    trajectory = integrate(system, np.array(cfg.x0), cfg.t0, cfg.tf, cfg.integrator, sample_times=grid)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = [export_trajectory_csv(trajectory, out_dir / "trajectory.csv")]
+    files += [export_component_csv(trajectory, i, out_dir / f"x{i + 1}.csv") for i in range(system.dim)]
+    return trajectory, files
+
+
+def certificate_lines(cert: ContractionCertificate) -> list[str]:
+    """The certificate in words, as ``logstab certify`` prints it and the demo's report.txt records it."""
+    lines = [
+        f"contraction certificate: {cert.verdict}",
+        f"  sampled sup of mu[J] = {cert.mu_sup:.7g} over {cert.n_samples} samples",
+    ]
+    if cert.alpha0_estimate is not None:
+        lines.append(f"  empirical rate alpha0 = {cert.alpha0_estimate:.7g}")
+    if cert.dominance_ok is not None:
+        lines.append(f"  analytic-rate dominance: {cert.dominance_ok} (margin {cert.dominance_margin:.3e})")
+    lines.append("  note: the certificate covers the sampled domain only; it is not a global proof.")
+    return lines
+
+
+def ratio_line(ratio: ConvergenceReport) -> str:
+    """The forcing-ratio verdict in one line, as ``logstab certify`` prints it and report.txt records it."""
+    return f"forcing ratio: {ratio.verdict} (slope {ratio.trend_slope:.3f}, final {ratio.final_ratio:.3e})"

@@ -1,54 +1,73 @@
-"""Built-in demo scenarios for a planar system with a strongly decaying rate.
+"""Built-in demo scenarios: the paper's two figures as scenario config texts.
 
-The demo field is
-
-    f1 = phi(t)*x1 + sin(x1)
-    f2 = b*x1 + (2 + phi(t))*x2 + sin(x2)
-
-with b = 5 and phi(t) = -6 - t^3 by default. Two canned perturbations are
-shipped: the "fig1" variant delta(t) = (5 sin(t)^2, t), under which every
-solution is driven to the origin, and the "fig2" borderline variant
-delta(t) = (5 sin(t)^2, 4 t^3), under which the second component settles at 4
-instead. Both variants stay globally contracting; they differ only in whether
-the forcing-to-rate ratio dies out.
+Both run the builtin planar system ``example1`` (``config.build_example1``,
+b = 5 and phi(t) = -6 - t^3) from x0 = (-2, 5) against the analytic rate
+alpha(t) = 0.5 + t^3. Variant "fig1" has delta(t) = (5 sin(t)^2, t), under
+which every solution is driven to the origin; the borderline "fig2" has
+delta(t) = (5 sin(t)^2, 4 t^3), under which x2 settles at 4 instead. Both
+stay globally contracting; they differ only in whether the forcing-to-rate
+ratio dies out. Each runs through the certify and simulate steps of
+``logstab certify`` and ``logstab simulate``; the demo adds the check of the
+limit its figure shows, and report.txt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .certify import (
-    ContractionCertificate,
-    ConvergenceReport,
-    Domain,
-    OriginConvergenceReport,
-    RATIO_PERSISTS,
-    RATIO_VANISHES,
-    SamplingPlan,
-    check_forcing_ratio,
-    estimate_contraction_rate,
-    verify_origin_convergence,
-)
-from .csvio import export_component_csv, export_report_csv, export_trajectory_csv
+from .certify import CERTIFIED, RATIO_PERSISTS, RATIO_VANISHES, verify_origin_convergence
+# build_example1 is bound here too: perfbench and the tests build the demo system from this module
+from .config import build_example1, build_norm, build_system, parse_config  # noqa: F401
+from .config import certificate_lines, certify_scenario, ratio_line, simulate_scenario
+from .csvio import export_report_csv
 from .errors import InvalidInputError
-from .integrate import Trajectory, integrate
-from .linalg import NormKind
-from .system import SystemSpec
 
-DEMO_VARIANTS = ("fig1", "fig2")
+
+# sin(t)*sin(t) rounds exactly as delta_admissible and delta_borderline do; sin(t)^2 (a pow) does not
+def _demo_config(figure: str, delta2: str) -> str:
+    return f"""\
+# {figure}
+[system]
+type = builtin
+name = example1
+delta1 = 5*sin(t)*sin(t)
+delta2 = {delta2}
+x0 = -2, 5
+
+[domain]
+lower = -10, -10
+upper = 10, 10
+t_lo = 0
+t_hi = 2
+
+[sampling]
+n_space = 41
+n_time = 5
+
+[certify]
+alpha = 0.5 + t^3
+"""
+
+
+DEMO_CONFIGS = {
+    "fig1": _demo_config("fig1: an admissible perturbation; every solution tends to the origin", "t"),
+    "fig2": _demo_config("fig2: a borderline perturbation; x2 settles at 4", "4*t^3"),
+}
+DEMO_VARIANTS = tuple(DEMO_CONFIGS)
+
+# variant -> the forcing-ratio verdict, the limit (in words and as a point) and its tolerance
+EXPECTED = {
+    "fig1": (RATIO_VANISHES, "the origin", (0.0, 0.0), 0.01),
+    "fig2": (RATIO_PERSISTS, "(0, 4)", (0.0, 4.0), 0.05),
+}
 
 
 def default_rate(t: float) -> float:
     """The analytic contraction rate the default demo parameters satisfy."""
     return 0.5 + t**3
-
-
-def default_phi(t: float) -> float:
-    return -6.0 - t**3
 
 
 def delta_admissible(t: float) -> np.ndarray:
@@ -63,170 +82,51 @@ def delta_borderline(t: float) -> np.ndarray:
     return np.array([5.0 * s * s, 4.0 * t**3])
 
 
-def build_example1(
-    b: float = 5.0,
-    phi: Callable[[float], float] | None = None,
-    delta: Callable[[float], np.ndarray] | None = None,
-    t0: float = 0.0,
-) -> SystemSpec:
-    """The planar demo system with its analytic Jacobian, per state and per stack of states."""
-    if phi is None:
-        phi = default_phi
-
-    def f(x: np.ndarray, t: float) -> np.ndarray:
-        p = phi(t)
-        return np.array([p * x[0] + np.sin(x[0]), b * x[0] + (2.0 + p) * x[1] + np.sin(x[1])])
-
-    def jac(x: np.ndarray, t: float) -> np.ndarray:
-        p = phi(t)
-        return np.array([[p + np.cos(x[0]), 0.0], [b, 2.0 + p + np.cos(x[1])]])
-
-    def f_stack(xs: np.ndarray, t: float) -> np.ndarray:
-        p = phi(t)
-        x1, x2 = xs[:, 0], xs[:, 1]
-        return np.stack([p * x1 + np.sin(x1), b * x1 + (2.0 + p) * x2 + np.sin(x2)], axis=1)
-
-    def jac_stack(xs: np.ndarray, t: float) -> np.ndarray:
-        p = phi(t)
-        out = np.empty((len(xs), 2, 2))
-        out[:, 0, 0] = p + np.cos(xs[:, 0])
-        out[:, 0, 1] = 0.0
-        out[:, 1, 0] = b
-        out[:, 1, 1] = 2.0 + p + np.cos(xs[:, 1])
-        return out
-
-    f.stack, jac.stack = f_stack, jac_stack
-    return SystemSpec(dim=2, f=f, jac=jac, delta=delta, t0=t0, name="example1")
-
-
-@dataclass
-class DemoResult:
-    """Everything one demo run produced, plus the exit code the CLI reports."""
-
-    variant: str
-    certificate: ContractionCertificate
-    ratio_report: ConvergenceReport
-    convergence_report: OriginConvergenceReport
-    trajectory: Trajectory
-    final_state: np.ndarray
-    expected_outcome_held: bool
-    out_files: list = field(default_factory=list)
-    exit_code: int = 0
-
-
-def run_demo_example1(
-    variant: str,
-    out_dir,
-    tf: float = 20.0,
-    seed: int = 42,
-) -> DemoResult:
+def run_demo_example1(variant: str, out_dir, tf: float = 20.0, seed: int = 42) -> tuple:
     """Run one demo variant end to end and write its artifacts.
 
-    Certifies the contraction rate on [-10, 10]^2 x [0, 2] (sampled; the
-    certificate never claims more than the sampled domain), classifies the
-    forcing ratio against the analytic rate, integrates from x0 = (-2, 5) on
-    a fixed output grid under the default ``auto`` integrator, and checks the
-    expected limit: the origin for fig1, (0, 4) for fig2. Writes
-    trajectory/plot/report CSVs plus report.txt.
+    Runs the variant's config text, with ``tf``, ``seed`` and ``out_dir`` in
+    place of its defaults, through the certify and simulate steps, then
+    checks the limit the figure shows: the origin for fig1, (0, 4) for fig2,
+    where x2 must also be near 4 at t = 10. Writes the steps' CSVs,
+    convergence.csv and report.txt. Returns the certificate, the ratio
+    report, the trajectory, the files written and whether the expected
+    outcome held.
     """
-    if variant not in DEMO_VARIANTS:
+    if variant not in DEMO_CONFIGS:
         raise InvalidInputError(f"unknown demo variant {variant!r}; expected one of {DEMO_VARIANTS}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = parse_config(DEMO_CONFIGS[variant])
+    cfg = replace(cfg, plan=replace(cfg.plan, seed=seed), tf=tf, out_dir=str(out_dir))
+    system, norm = build_system(cfg), build_norm(cfg)
+    certificate, ratio, report_files = certify_scenario(cfg, system, norm)
+    trajectory, trajectory_files = simulate_scenario(cfg, system)
 
-    delta = delta_admissible if variant == "fig1" else delta_borderline
-    sys = build_example1(delta=delta)
-    norm = NormKind.l2()
-
-    domain = Domain(np.array([-10.0, -10.0]), np.array([10.0, 10.0]), 0.0, 2.0)
-    plan = SamplingPlan(n_space=41, n_time=5, scheme="uniform_grid", seed=seed)
-    certificate = estimate_contraction_rate(sys, domain, norm, plan, alpha_fn=default_rate)
-
-    ratio_report = check_forcing_ratio(sys, default_rate, 0.0, tf, kind=norm)
-
-    x0 = np.array([-2.0, 5.0])
-    grid = np.linspace(0.0, tf, int(round(tf / 0.05)) + 1)
-    trajectory = integrate(sys, x0, 0.0, tf, sample_times=grid)
-    final_state = trajectory.states[-1]
-
-    if variant == "fig1":
-        convergence = verify_origin_convergence(trajectory, norm, tol=0.01)
-        expected = (
-            certificate.verdict == "certified_on_domain"
-            and ratio_report.verdict == RATIO_VANISHES
-            and convergence.converged
-        )
-    else:
-        convergence = verify_origin_convergence(trajectory, norm, tol=0.05, target=np.array([0.0, 4.0]))
+    ratio_verdict, limit, target, tol = EXPECTED[variant]
+    convergence = verify_origin_convergence(trajectory, norm, tol=tol, target=np.array(target))
+    held = certificate.verdict == CERTIFIED and ratio.verdict == ratio_verdict and convergence.converged
+    if variant == "fig2":
         # the settling value is checked where the transient has clearly died
         idx_mid = int(np.argmin(np.abs(trajectory.times - min(10.0, tf))))
-        x2_settled = abs(trajectory.states[idx_mid, 1] - 4.0) < 0.05
-        expected = (
-            certificate.verdict == "certified_on_domain"
-            and ratio_report.verdict == RATIO_PERSISTS
-            and convergence.converged
-            and x2_settled
-        )
+        held = held and abs(trajectory.states[idx_mid, 1] - 4.0) < 0.05
 
-    files = [
-        export_trajectory_csv(trajectory, out_dir / "trajectory.csv"),
-        export_component_csv(trajectory, 0, out_dir / "x1.csv"),
-        export_component_csv(trajectory, 1, out_dir / "x2.csv"),
-        export_report_csv(certificate, out_dir / "certificate.csv", name="contraction certificate"),
-        export_report_csv(ratio_report, out_dir / "ratio.csv", name="forcing ratio"),
-        export_report_csv(convergence, out_dir / "convergence.csv", name="limit check"),
-    ]
-    files.append(_write_summary(out_dir / "report.txt", variant, certificate, ratio_report, convergence, trajectory, tf))
-
-    return DemoResult(
-        variant=variant,
-        certificate=certificate,
-        ratio_report=ratio_report,
-        convergence_report=convergence,
-        trajectory=trajectory,
-        final_state=final_state,
-        expected_outcome_held=bool(expected),
-        out_files=[str(f) for f in files],
-        exit_code=0 if expected else 1,
-    )
-
-
-def _integrator_path(traj: Trajectory) -> str:
-    """One line naming where the auto run switched, and the step counts."""
-    switch = "dop853 throughout" if traj.stiff_from is None else f"dop853 to t={traj.stiff_from:.2f} then ndf"
-    return f"integrator: auto, {switch}; {traj.n_steps} accepted, {traj.n_rejected} rejected steps"
-
-
-def _certificate_lines(cert: ContractionCertificate) -> list[str]:
-    """The certificate in the words ``logstab certify`` prints and the demo's report.txt records."""
-    lines = [
-        f"contraction certificate: {cert.verdict}",
-        f"  sampled sup of mu[J] = {cert.mu_sup:.7g} over {cert.n_samples} samples",
-    ]
-    if cert.alpha0_estimate is not None:
-        lines.append(f"  empirical rate alpha0 = {cert.alpha0_estimate:.7g}")
-    if cert.dominance_ok is not None:
-        lines.append(f"  analytic-rate dominance: {cert.dominance_ok} (margin {cert.dominance_margin:.3e})")
-    lines.append("  note: the certificate covers the sampled domain only; it is not a global proof.")
-    return lines
-
-
-def _write_summary(path: Path, variant, certificate, ratio_report, convergence, trajectory, tf) -> Path:
-    limit = "the origin" if variant == "fig1" else "(0, 4)"
-    final_state = trajectory.states[-1]
+    out_dir = Path(cfg.out_dir)
+    convergence_file = export_report_csv(convergence, out_dir / "convergence.csv", name="limit check")
+    stiff_from = trajectory.stiff_from
+    switch = "dop853 throughout" if stiff_from is None else f"dop853 to t={stiff_from:.2f} then ndf"
     lines = [
         f"demo example1 variant={variant}",
         "",
-        *_certificate_lines(certificate),
+        *certificate_lines(certificate),
         "",
-        f"forcing ratio: {ratio_report.verdict}"
-        f" (slope {ratio_report.trend_slope:.3f}, final {ratio_report.final_ratio:.3e})",
+        ratio_line(ratio),
         "",
-        f"trajectory to tf={tf}: final state {final_state.tolist()}",
-        _integrator_path(trajectory),
+        f"trajectory to tf={tf}: final state {trajectory.states[-1].tolist()}",
+        f"integrator: auto, {switch}; {trajectory.n_steps} accepted, {trajectory.n_rejected} rejected steps",
         f"expected limit {limit}: converged={convergence.converged}"
         f" (tail max {convergence.tail_max:.3e}, tol {convergence.tol})",
         "",
     ]
-    path.write_text("\n".join(lines))
-    return path
+    (out_dir / "report.txt").write_text("\n".join(lines))
+    files = [*trajectory_files, *report_files, convergence_file, out_dir / "report.txt"]
+    return certificate, ratio, trajectory, files, held
+

@@ -36,10 +36,11 @@ finite, store it). RK4, DOP853 and ``ndf`` are step rules that propose steps
 to it; ``auto`` hands the same run from DOP853 to ndf. RK4 knows its step
 count up front and never rejects, so it checks the budget once before its
 first step. Every method starts from the field value that ``integrate``
-validated at (t0, x0). Stages add f and delta unchecked; an accepted node
-checks the shape and type of both outputs, so a callable whose output turns
-bad mid-run raises EvaluationError there, or at the first stage where the
-sum fails, naming the callable, x and t.
+validated at (t0, x0). Stages add f and delta elementwise and check only
+that the sum is real; an accepted node checks the shape and type of both
+outputs, so a callable whose output turns bad mid-run raises
+EvaluationError there, or at the first stage where the sum fails or is not
+real, naming the callable, x and t.
 
 Every method stores the field at its accepted nodes, so one dense-output path,
 cubic Hermite on the stored derivatives, samples every run; ``integrate``'s
@@ -242,7 +243,9 @@ class Trajectory:
     trajectory is the integrator's own grid; resampled trajectories carry
     None. Sample a run through ``integrate``'s ``sample_times``.
     ``error_estimate`` accumulates the max-abs local-error estimates of
-    accepted steps (0 for fixed-step runs).
+    accepted steps. It is None where there is no estimate: for ``rk4`` runs,
+    which estimate no local error, and for a trajectory built by hand or
+    loaded from CSV.
     ``stiff_from`` is the time at which an ``auto`` run switched to ndf, and
     None when it did not switch or ran another method.
     """
@@ -250,7 +253,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     derivs: Optional[np.ndarray] = None
-    error_estimate: float = 0.0
+    error_estimate: Optional[float] = None
     n_steps: int = 0
     n_rejected: int = 0
     stiff_from: Optional[float] = None
@@ -277,12 +280,12 @@ class FundamentalTrajectory:
     """Fundamental matrix solution on one time grid, matrices[0] = I.
 
     ``error_estimate`` and ``n_steps`` are those of the single matrix-ODE
-    run that produced every column.
+    run that produced every column (see Trajectory).
     """
 
     times: np.ndarray
     matrices: np.ndarray
-    error_estimate: float = 0.0
+    error_estimate: Optional[float] = None
     n_steps: int = 0
 
     def __post_init__(self):
@@ -369,9 +372,12 @@ def integrate(
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         try:
-            return sys.f(y, t) + sys.delta(t)
+            out = np.add(sys.f(y, t), sys.delta(t))  # elementwise, also for outputs that are lists
+            if out.dtype.kind not in "biuf":
+                raise TypeError(f"the field has dtype {out.dtype}, which is not real")
+            return out
         except (TypeError, ValueError):
-            eval_rhs(sys, y, t)  # names the callable, x and t of an output that cannot be added
+            eval_rhs(sys, y, t)  # names the callable, x and t of an output that cannot be added or is not real
             raise
 
     def node_rhs(t: float, y: np.ndarray) -> np.ndarray:
@@ -467,7 +473,7 @@ class _Run:
             np.array(self.times),
             np.array(self.states),
             np.array(self.derivs),
-            error_estimate=self.error,
+            error_estimate=None if self.cfg.method == "rk4" else self.error,
             n_steps=self.n_steps,
             n_rejected=self.n_rejected,
             stiff_from=self.stiff_from,

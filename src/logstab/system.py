@@ -10,7 +10,7 @@ Stack contract: ``eval_field`` and ``jacobian`` take one state x (n,) or a
 stack X (N, n) of states at one time t. One state goes to the system's
 per-point ``f`` and ``jac``, which the integrator calls. A stack goes to
 ``f.stack(X, t) -> (N, n)`` or ``jac.stack(X, t) -> (N, n, n)`` in one call
-where the callable carries such an attribute (``demos.build_example1`` sets
+where the callable carries such an attribute (``config.build_example1`` sets
 both), and to the callable itself once per row otherwise. The stacked form
 lives on the per-point callable, so replacing ``f`` or ``jac`` replaces it
 too: a wrapper that does not copy the attribute (a call counter, say) is

@@ -315,6 +315,14 @@ class TestDemoCommand:
         path = re.search(r"integrator: auto, dop853 to t=(\d+\.\d\d) then ndf; (\d+) accepted, \d+ rejected steps", report)
         assert path and 2.0 <= float(path[1]) <= 8.0 and int(path[2]) <= 2000, report
 
+    def test_fig2_variant_settles_at_0_4(self, tmp_path, capsys):
+        code = main(["demo", "example1", "--variant", "fig2", "--tf", "15", "--out", str(tmp_path / "d")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "forcing ratio: ratio_persists" in out and "expected outcome held: True" in out
+        report = (tmp_path / "d" / "report.txt").read_text()
+        assert "expected limit (0, 4): converged=True" in report, report
+
     def test_certify_prints_the_certificate_as_the_demo_reports_it(self, tmp_path, capsys):
         # the demo's sweep, written as a scenario: its box, grid and analytic rate
         cfg = tmp_path / "demo.cfg"

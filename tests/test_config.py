@@ -18,7 +18,7 @@ from logstab.expr import compile_expression, differentiate, parse_expression
 from logstab.linalg import NormKind
 from logstab.system import eval_field, eval_rhs, jacobian
 
-from logstab.demos import build_example1, delta_admissible
+from logstab.demos import DEMO_CONFIGS, build_example1, default_rate, delta_admissible, delta_borderline
 
 DEMO_CONFIG = """
 # demo scenario
@@ -75,7 +75,7 @@ x0 = -2, 5
 
 class TestParsing:
     def test_builtin_demo_scenario(self):
-        cfg = parse_config(DEMO_CONFIG)
+        cfg = parse_config(DEMO_CONFIGS["fig1"])
         assert cfg.system_kind == "builtin"
         assert cfg.builtin_name == "example1"
         assert cfg.x0 == [-2.0, 5.0]
@@ -89,6 +89,16 @@ class TestParsing:
             t = rng.uniform(0, 3)
             assert np.allclose(eval_rhs(sys, x, t), eval_rhs(reference, x, t), atol=1e-12)
             assert np.allclose(jacobian(sys, x, t), jacobian(reference, x, t), atol=1e-12)
+
+    @pytest.mark.parametrize("variant, delta", [("fig1", delta_admissible), ("fig2", delta_borderline)])
+    def test_demo_texts_compile_to_the_reference_callables_bit_for_bit(self, variant, delta):
+        # the demo's CSVs were first written with these callables; 5*sin(t)^2 would differ in the last bit
+        cfg = parse_config(DEMO_CONFIGS[variant])
+        sys = build_system(cfg)
+        alpha = compile_expression(parse_expression(cfg.alpha_expr), ["t"])
+        for t in np.linspace(0.0, 20.0, 20001).tolist():
+            assert np.array_equal(sys.delta(t), delta(t)), t
+            assert alpha(t) == default_rate(t), t
 
     def test_empty_input_needs_system_section(self):
         with pytest.raises(ConfigError, match=r"\[system\]"):
@@ -230,6 +240,10 @@ class TestRoundTrip:
         assert parse_config(serialize_config(cfg)) == cfg
         (methods,) = re.findall(r"^method = \w+ +# (.*)$", blocks[0], flags=re.M)
         assert tuple(methods.split(" | ")) == METHODS
+
+    def test_readme_shows_the_shipped_fig1_text(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        assert f"```\n{DEMO_CONFIGS['fig1']}```" in readme
 
     def test_builders_from_round_tripped_config(self):
         cfg = parse_config(serialize_config(parse_config(DEMO_CONFIG)))

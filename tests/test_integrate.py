@@ -119,6 +119,31 @@ class TestIntegrate:
         )
         assert 12.0 <= ratio <= 20.0
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_error_estimate_is_none_only_for_rk4(self, decay_system, method):
+        # RK4 takes fixed steps and estimates no local error, so it must not report zero
+        cfg = IntegratorConfig(method=method)
+        traj = integrate(decay_system, np.array([1.0]), 0.0, 1.0, cfg)
+        fund = integrate_fundamental(lambda t: -np.eye(2), 0.0, 1.0, cfg)
+        if method == "rk4":
+            assert traj.error_estimate is None and fund.error_estimate is None
+        else:
+            assert traj.error_estimate > 0.0 and fund.error_estimate > 0.0
+        assert Trajectory(traj.times, traj.states).error_estimate is None  # a trajectory built by hand has none
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_list_outputs_are_summed_elementwise(self, method):
+        as_lists = SystemSpec(dim=2, f=lambda x, t: [-x[0], -x[1]], delta=lambda t: [0.0, 1.0])
+        as_arrays = SystemSpec(dim=2, f=lambda x, t: np.array([-x[0], -x[1]]), delta=lambda t: np.array([0.0, 1.0]))
+        cfg = IntegratorConfig(method=method)
+        grid = np.linspace(0.0, 3.0, 7)
+        for sample_times in (None, grid):
+            a, b = (integrate(s, np.array([1.0, 2.0]), 0.0, 3.0, cfg, sample_times) for s in (as_lists, as_arrays))
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+            assert (a.n_steps, a.n_rejected, a.error_estimate) == (b.n_steps, b.n_rejected, b.error_estimate)
+            if sample_times is None:
+                assert np.array_equal(a.derivs, b.derivs)
+
 
 class TestFailurePaths:
     """The message and last valid time of each way a run can fail."""
@@ -230,6 +255,15 @@ class TestFailurePaths:
             integrate(sys, np.array([1.0, 2.0]), 0.0, 1.0, IntegratorConfig(method=method))
         assert 0.5 <= err.value.t <= 1.0
         assert err.value.x.shape == (2,)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_field_output_turning_complex_mid_run_names_f_a_real_x_and_t(self, method):
+        # a stage meets the complex sum before any node does; it must neither warn nor carry it into the state
+        sys = SystemSpec(dim=2, f=lambda x, t: -x if t < 0.5 else -x + 0j)
+        with pytest.raises(EvaluationError, match=r"^f returned non-numeric output at x=\[[^j]+\], t=\S+$") as err:
+            integrate(sys, np.array([1.0, 2.0]), 0.0, 1.0, IntegratorConfig(method=method))
+        assert 0.5 <= err.value.t <= 1.0
+        assert err.value.x.dtype == float and err.value.x.shape == (2,)
 
 
 class TestFundamental:
