@@ -18,6 +18,7 @@ not a finite number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -71,8 +72,13 @@ class Domain:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise InvalidInputError("domain bounds must be matching vectors")
+        # each test is written so that NaN fails
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise InvalidInputError("domain bounds must be finite")
         if not np.all(self.lower < self.upper):
             raise InvalidInputError("domain requires lower < upper componentwise")
+        if not (math.isfinite(self.t_lo) and math.isfinite(self.t_hi)):
+            raise InvalidInputError("domain times must be finite")
         if not self.t_lo < self.t_hi:
             raise InvalidInputError("domain requires t_lo < t_hi")
 
@@ -294,8 +300,8 @@ def check_forcing_ratio(
         kind = NormKind.l2()
     if n_samples < 10:
         raise InvalidInputError("need at least 10 ratio samples")
-    if t_hi <= t_lo:
-        raise InvalidInputError("need t_hi > t_lo")
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):  # written so that NaN fails
+        raise InvalidInputError(f"need finite t_lo < t_hi, got [{t_lo}, {t_hi}]")
     t_start = t_lo if t_lo > 0.0 else t_hi * 1e-3
     if t_start >= t_hi:
         raise InvalidInputError("time window too short for a log-spaced grid")
@@ -438,8 +444,8 @@ def classify_rate_integral(
     A rate that is not a finite number at a quadrature node raises
     EvaluationError naming that t.
     """
-    if horizon <= t0:
-        raise InvalidInputError("horizon must exceed t0")
+    if not (math.isfinite(t0) and math.isfinite(horizon) and t0 < horizon):  # written so that NaN fails
+        raise InvalidInputError(f"need finite t0 < horizon, got [{t0}, {horizon}]")
     span = horizon - t0
     edges = [t0 + span / 2**k for k in range(n_doublings, -1, -1)]
 

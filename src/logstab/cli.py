@@ -13,6 +13,7 @@ Exit codes: 0 success/verified, 1 a check failed, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +35,17 @@ from .linalg import NormKind
 from .lognorm import log_norm_all_routes
 
 _USAGE_ERRORS = (ConfigError, ExprSyntaxError, InvalidNormError, InvalidInputError, DimensionError)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the time flags: nan and inf exit 2 naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_norm_flag(text: str) -> NormKind:
@@ -129,20 +141,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--norm", help="norm override: l1, l2, linf or weighted:PFILE")
     p.add_argument("--seed", type=int, help="sampling seed override")
-    p.add_argument("--tf", type=float, help="ratio-check horizon override")
+    p.add_argument("--tf", type=_finite_float, help="ratio-check horizon override")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="integrate the scenario and export CSV")
     p.add_argument("--config", required=True, help="scenario config path")
     p.add_argument("--out", help="output directory (overrides config)")
-    p.add_argument("--tf", type=float, help="final time override")
+    p.add_argument("--tf", type=_finite_float, help="final time override")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("demo", help="run a built-in demo scenario")
     p.add_argument("name", help="demo name (example1)")
     p.add_argument("--variant", choices=DEMO_VARIANTS, default="fig1")
     p.add_argument("--out", default="demo_out", help="output directory")
-    p.add_argument("--tf", type=float, default=20.0)
+    p.add_argument("--tf", type=_finite_float, default=20.0)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_demo)
     return parser

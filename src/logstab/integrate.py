@@ -16,7 +16,9 @@ field is non-finite near the node, the previous J stays. ``auto``, the
 default, runs the explicit 8th-order Dormand-Prince pair DOP853 of Hairer,
 Norsett & Wanner (*Solving Ordinary Differential Equations I*, II.5-6; step
 control from their combined 5th/3rd-order error estimate) and hands the rest
-of the run to ndf once the run has turned stiff.
+of the run to ndf once the run has turned stiff. The NDF's per-order
+constants, the rescaling matrix R(1) of each order among them, are tabulated
+at import, as are DOP853's per-stage tableau rows.
 
 The stiffness test costs no extra field evaluations. Each accepted DOP853 step
 has two evaluations at t + h: the last stage K12 = f(t + h, Y12) and the next
@@ -25,7 +27,9 @@ first stage f(t + h, y_new). Their quotient
     sigma = <f(t + h, y_new) - K12, y_new - Y12> / |y_new - Y12|^2
 
 samples the numerical range of J, whose upper end is mu2[J] (Hairer &
-Wanner's stiffness test, with the sign kept). ``auto`` switches once
+Wanner's stiffness test, with the sign kept). Y12 is the input of the last
+stage, which the stage loop has already formed; the test does not form it
+again. ``auto`` switches once
 h * (-sigma) >= STIFF_THETA on STIFF_RUN consecutive accepted steps; a
 rotation has sigma = 0 and an expanding field sigma > 0, so neither switches.
 
@@ -63,6 +67,7 @@ t, as any user callable's bad output does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -186,6 +191,8 @@ _DOP_D = np.array([
      -0.43533456590011143754432175058e2, 0.96324553959188282948394950600e2, -0.39177261675615439165231486172e2,
      -0.14972683625798562581422125276e3],
 ])
+# stage s of a step: (c_s, the row of _DOP_A that forms it from stages 0..s-1)
+_DOP_STAGE_ROWS = tuple((_DOP_C[s], _DOP_A[s, :s]) for s in range(_DOP_A.shape[0]))
 
 # ``auto`` hands over to ndf once h * (-sigma) >= STIFF_THETA on STIFF_RUN
 # consecutive accepted DOP853 steps (see the module docstring)
@@ -201,6 +208,19 @@ _GAMMA = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, _NDF_MAX_ORDER + 1)
 _NDF_ALPHA = (1.0 - _KAPPA) * _GAMMA
 _NDF_ERR = _KAPPA * _GAMMA + 1.0 / np.arange(1, _NDF_MAX_ORDER + 2)
 _NEWTON_ITERS = 4
+
+
+def _r_matrix(order: int, r: float) -> np.ndarray:
+    """R(r)[i, j] = prod_{m=1..i} (m - 1 - r j) / m for i, j = 0..order (see ``_rescale_differences``)."""
+    j = np.arange(1, order + 1)
+    steps = np.zeros((order + 1, order + 1))
+    steps[0] = 1.0
+    steps[1:, 1:] = (j[:, None] - 1.0 - r * j) / j[:, None]
+    return np.cumprod(steps, axis=0)
+
+
+# R(1) by order (index 0 unused): every change of h rescales with it
+_R_ONE = (None,) + tuple(_r_matrix(order, 1.0) for order in range(1, _NDF_MAX_ORDER + 1))
 
 
 @dataclass
@@ -331,6 +351,12 @@ def _hermite_sample(times, states, derivs, ts, dense=None) -> np.ndarray:
     return out
 
 
+def _check_window(t0: float, tf: float) -> None:
+    """InvalidInputError unless t0 < tf are both finite."""
+    if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):  # written so that NaN fails
+        raise InvalidInputError(f"need finite t0 < tf, got [{t0}, {tf}]")
+
+
 def _validate_sample_times(ts, t0: float, tf: float) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -362,8 +388,7 @@ def integrate(
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    if tf <= t0:
-        raise InvalidInputError(f"need tf > t0, got [{t0}, {tf}]")
+    _check_window(t0, tf)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.dim,):
         raise DimensionError(f"x0 has shape {x0.shape}, system dimension is {sys.dim}")
@@ -447,7 +472,7 @@ class _Run:
         An output of f or delta that is not numeric or of the wrong shape raises EvaluationError.
         """
         f = self.node_rhs(t, y)
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise DivergedError(f"field non-finite after step to t={t}", self.times[-1])
         return f
 
@@ -520,18 +545,25 @@ def _dop853_steps(run: _Run, dense: bool) -> None:
     h = min(cfg.step, cfg.max_step, tf - t)
     stages = np.empty((_DOP_A.shape[0], y.size))
     stages[0] = run.derivs[-1]
+    abs_y = np.abs(y)
     stiff_steps = 0  # consecutive accepted steps with h * (-sigma) >= STIFF_THETA
 
-    def fill(first: int, last: int) -> bool:
-        """Stages first..last-1 of the step (t, y, h) from the ones before; False when one is non-finite."""
+    def fill(first: int, last: int) -> Optional[np.ndarray]:
+        """Stages first..last-1 of the step (t, y, h) from the ones before.
+
+        Returns the input of stage last-1, or None when a stage is non-finite.
+        """
         for s in range(first, last):
-            stages[s] = rhs(t + _DOP_C[s] * h, y + h * (_DOP_A[s, :s] @ stages[:s]))
-        return bool(np.all(np.isfinite(stages[first:last])))
+            c_s, a_s = _DOP_STAGE_ROWS[s]
+            y_s = y + h * (a_s @ stages[:s])
+            stages[s] = rhs(t + c_s * h, y_s)
+        return y_s if np.isfinite(stages[first:last]).all() else None
 
     while run.running():
         h = min(h, tf - t)
         run.check(h)
-        if not fill(1, _DOP_STAGES):
+        y12 = fill(1, _DOP_STAGES)
+        if y12 is None:
             run.reject(non_finite=True)  # an oversized step can overflow, so shrink before giving up
             h *= 0.1
             continue
@@ -541,14 +573,16 @@ def _dop853_steps(run: _Run, dense: bool) -> None:
         e3 = _DOP_E3 @ k
         # Hairer's combined estimate h |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2), per component
         den = np.hypot(e5, 0.1 * e3)
-        err_vec = h * np.abs(e5) * (np.abs(e5) / np.where(den > 0.0, den, 1.0))
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
+        abs_e5 = np.abs(e5)
+        err_vec = h * abs_e5 * (abs_e5 / np.where(den > 0.0, den, 1.0))
+        if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
             run.reject(non_finite=True)
             h *= 0.1
             continue
 
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.max(err_vec / scale))
+        abs_y_new = np.abs(y_new)  # |y| of the next step's error scale
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y_new)
+        err = float((err_vec / scale).max())
         if err > 1.0:
             run.reject()
             h *= max(0.2, 0.9 * err ** -0.125)
@@ -557,15 +591,15 @@ def _dop853_steps(run: _Run, dense: bool) -> None:
         stages[_DOP_STAGES] = f_new = run.node_field(t_new, y_new)
         rows = None
         if dense:
-            if not fill(_DOP_STAGES + 1, stages.shape[0]):
+            if fill(_DOP_STAGES + 1, stages.shape[0]) is None:
                 run.reject(non_finite=True)
                 h *= 0.1
                 continue
             rows = h * (_DOP_D @ stages)
-        run.accept(t_new, y_new, float(np.max(err_vec)), f_new, rows)
+        run.accept(t_new, y_new, float(err_vec.max()), f_new, rows)
         # the last stage K12 = f(t + h, Y12) and f_new give sigma (see the module docstring);
         # h * (-sigma) >= theta is tested without dividing by |gap|^2
-        gap = y_new - (y + h * (_DOP_A[_DOP_STAGES - 1, : _DOP_STAGES - 1] @ k[:-1]))
+        gap = y_new - y12
         gap2 = gap @ gap
         stiff_steps = stiff_steps + 1 if gap2 > 0.0 and h * (gap @ (k[-1] - f_new)) >= STIFF_THETA * gap2 else 0
         if stiff_steps >= STIFF_RUN and run.running():
@@ -573,6 +607,7 @@ def _dop853_steps(run: _Run, dense: bool) -> None:
             return
         t = t_new
         y = y_new
+        abs_y = abs_y_new
         stages[0] = f_new
         grow = 0.9 * err ** -0.125 if err > 0.0 else 10.0
         h = min(h * min(10.0, max(0.2, grow)), cfg.max_step)
@@ -583,17 +618,21 @@ def _rescale_differences(diffs: np.ndarray, order: int, factor: float) -> None:
 
     Row i of diffs holds the i-th backward difference on steps of h. With
     R(r)[i, j] = prod_{m=1..i} (m - 1 - r j) / m, the differences on the new
-    step are (R(factor) R(1))^T diffs[:order + 1].
+    step are (R(factor) R(1))^T diffs[:order + 1]; R(1) comes from ``_R_ONE``.
     """
+    diffs[: order + 1] = (_r_matrix(order, factor) @ _R_ONE[order]).T @ diffs[: order + 1]
 
-    def r_matrix(r: float) -> np.ndarray:
-        j = np.arange(1, order + 1)
-        steps = np.zeros((order + 1, order + 1))
-        steps[0] = 1.0
-        steps[1:, 1:] = (j[:, None] - 1.0 - r * j) / j[:, None]
-        return np.cumprod(steps, axis=0)
 
-    diffs[: order + 1] = (r_matrix(factor) @ r_matrix(1.0)).T @ diffs[: order + 1]
+def _fold_correction(diffs: np.ndarray, order: int, corr: np.ndarray) -> None:
+    """Move the backward differences to an accepted node, in place.
+
+    corr is the (order + 1)-th difference at the new node; row order + 2
+    takes its change. Then row i gains the new row i + 1, for i = order down
+    to 0, which is one cumulative sum over the rows in reverse.
+    """
+    diffs[order + 2] = corr - diffs[order + 1]
+    diffs[order + 1] = corr
+    diffs[order + 1 :: -1] = diffs[order + 1 :: -1].cumsum(axis=0)
 
 
 def _iteration_inverse(j_mat: np.ndarray, c: float, t: float) -> np.ndarray:
@@ -613,22 +652,22 @@ def _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, tol):
     """Simplified Newton iteration for the NDF corrector corr = c f(t_new, y_pred + corr) - psi.
 
     The iteration matrix is the inverse of I - c J with a possibly stale J.
-    Returns (converged, iterations, y, corr, non_finite).
+    Returns (converged, iterations, y, corr, non_finite); corr is None when
+    the first iteration fails.
     """
-    y = y_pred.copy()
-    corr = np.zeros_like(y)
-    prev = None
+    y, corr, prev = y_pred, None, None
     for it in range(_NEWTON_ITERS):
         f = rhs(t_new, y)
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             return False, it + 1, y, corr, True
-        dy = m_inv @ (c * f - psi - corr)
-        size = float(np.max(np.abs(dy) / scale))
+        residual = c * f - psi
+        dy = m_inv @ (residual if corr is None else residual - corr)
+        size = float((np.abs(dy) / scale).max())
         rate = None if prev is None else size / prev
         if rate is not None and (rate >= 1.0 or rate ** (_NEWTON_ITERS - it) / (1.0 - rate) * size > tol):
             return False, it + 1, y, corr, False
         y = y + dy
-        corr = corr + dy
+        corr = dy if corr is None else corr + dy
         if size == 0.0 or (rate is not None and rate / (1.0 - rate) * size < tol):
             return True, it + 1, y, corr, False
         prev = size
@@ -674,6 +713,7 @@ def _ndf_steps(run: _Run, jac) -> None:
     diffs = np.zeros((_NDF_MAX_ORDER + 3, y.size))
     diffs[0] = y
     diffs[1] = h * run.derivs[-1]
+    abs_y = np.abs(y)
     order = 1
     n_equal = 0  # accepted steps since the last change of h or order
     j_mat = jac(t, y)
@@ -699,7 +739,7 @@ def _ndf_steps(run: _Run, jac) -> None:
         y_pred = diffs[: order + 1].sum(axis=0)
         psi = (_GAMMA[1 : order + 1] @ diffs[1 : order + 1]) / _NDF_ALPHA[order]
         c = h / _NDF_ALPHA[order]
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_pred))
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, np.abs(y_pred))
         if m_inv is None:
             # a new h or order: form the matrix from a J taken at the last accepted node
             if not j_fresh:
@@ -715,9 +755,10 @@ def _ndf_steps(run: _Run, jac) -> None:
             resize(0.5)
             continue
 
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        local_err = _NDF_ERR[order] * corr
-        err = float(np.max(np.abs(local_err) / scale))
+        abs_y_new = np.abs(y_new)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y_new)
+        abs_err = np.abs(_NDF_ERR[order] * corr)
+        err = float((abs_err / scale).max())
         safety = 0.9 * (2 * _NEWTON_ITERS + 1) / (2 * _NEWTON_ITERS + n_iter)
         if err > 1.0:
             run.reject()
@@ -726,20 +767,17 @@ def _ndf_steps(run: _Run, jac) -> None:
 
         t = t_new
         y = y_new
+        abs_y = abs_y_new
         j_fresh = False
-        run.accept(t, y, float(np.max(np.abs(local_err))))
+        run.accept(t, y, float(abs_err.max()))
         n_equal += 1
-        # corr is the (order + 1)-th difference at the new node; fold it in
-        diffs[order + 2] = corr - diffs[order + 1]
-        diffs[order + 1] = corr
-        for i in range(order, -1, -1):
-            diffs[i] += diffs[i + 1]
+        _fold_correction(diffs, order, corr)
         if n_equal < order + 1:
             continue
 
         # try orders k - 1, k, k + 1 and take the one that allows the longest step
-        err_lo = np.max(np.abs(_NDF_ERR[order - 1] * diffs[order]) / scale) if order > 1 else np.inf
-        err_hi = np.max(np.abs(_NDF_ERR[order + 1] * diffs[order + 2]) / scale) if order < _NDF_MAX_ORDER else np.inf
+        err_lo = (np.abs(_NDF_ERR[order - 1] * diffs[order]) / scale).max() if order > 1 else np.inf
+        err_hi = (np.abs(_NDF_ERR[order + 1] * diffs[order + 2]) / scale).max() if order < _NDF_MAX_ORDER else np.inf
         with np.errstate(divide="ignore"):
             factors = np.array([err_lo, err, err_hi]) ** (-1.0 / np.arange(order, order + 3))
         best = int(np.argmax(factors))
@@ -763,6 +801,7 @@ def integrate_fundamental(
     EvaluationError names the shape and t. The matrix ODE's Jacobian is
     kron(A(t), I), so ndf needs no finite differences.
     """
+    _check_window(t0, tf)
     a0 = _shaped("A", a_fn(t0), None, t0)
     n = a0.shape[0] if a0.ndim else 1
     _checked_output("A", a0, (n, n), t0)

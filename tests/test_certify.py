@@ -68,6 +68,21 @@ class TestSampling:
         with pytest.raises(InvalidInputError):
             Domain(np.array([0.0]), np.array([1.0]), 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "lower, upper, t_lo, t_hi, message",
+        [
+            ([-np.inf, 0.0], [1.0, 1.0], 0.0, 1.0, "bounds must be finite"),
+            ([0.0, 0.0], [1.0, np.inf], 0.0, 1.0, "bounds must be finite"),
+            ([0.0, np.nan], [1.0, 1.0], 0.0, 1.0, "bounds must be finite"),
+            ([0.0, 0.0], [1.0, 1.0], np.nan, 1.0, "times must be finite"),
+            ([0.0, 0.0], [1.0, 1.0], 0.0, np.nan, "times must be finite"),
+            ([0.0, 0.0], [1.0, 1.0], 0.0, np.inf, "times must be finite"),
+        ],
+    )
+    def test_domain_rejects_non_finite_bounds(self, lower, upper, t_lo, t_hi, message):
+        with pytest.raises(InvalidInputError, match=message):
+            Domain(np.array(lower), np.array(upper), t_lo, t_hi)
+
 
 def test_reports_with_a_domain_compare_by_value():
     sys, plan = build_example1(delta=delta_admissible), SamplingPlan(n_space=5, n_time=2)
@@ -286,6 +301,12 @@ class TestForcingRatio:
         with pytest.raises(InvalidRateError):
             check_forcing_ratio(fig1_system, lambda t: -1.0, 0.0, 10.0)
 
+    @pytest.mark.parametrize("t_lo, t_hi", [(np.nan, 20.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 20.0)])
+    def test_non_finite_window_rejected(self, fig2_system, t_lo, t_hi):
+        # a NaN t_lo once slipped past "t_hi <= t_lo" and the run returned ratio_persists
+        with pytest.raises(InvalidInputError, match="need finite t_lo < t_hi"):
+            check_forcing_ratio(fig2_system, default_rate, t_lo, t_hi)
+
 
 class TestIncrementalBound:
     def test_scalar_decay_equality_case(self):
@@ -340,6 +361,11 @@ class TestRateIntegral:
     def test_partial_totals_recorded(self):
         rep = classify_rate_integral(lambda t: 1.0, 0.0, 8.0, n_doublings=3)
         assert rep.partial_totals == pytest.approx([1.0, 2.0, 4.0, 8.0], abs=1e-12)
+
+    @pytest.mark.parametrize("t0, horizon", [(0.0, np.nan), (0.0, np.inf), (np.nan, 100.0), (-np.inf, 100.0)])
+    def test_non_finite_window_rejected(self, t0, horizon):
+        with pytest.raises(InvalidInputError, match="need finite t0 < horizon"):
+            classify_rate_integral(lambda t: 1.0 / (1.0 + t), t0, horizon)
 
     def test_undefined_rate_names_t(self):
         # log(t - 1) evaluates to NaN for t < 1

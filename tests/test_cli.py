@@ -375,3 +375,11 @@ class TestTopLevel:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["certify", "simulate", "demo"])
+    @pytest.mark.parametrize("tf", ["nan", "inf", "-inf", "ten"])
+    def test_time_flag_that_is_not_a_finite_number_exits_two(self, config_file, tmp_path, capsys, command, tf):
+        head = ["demo", "example1"] if command == "demo" else [command, "--config", str(config_file)]
+        assert main([*head, "--out", str(tmp_path / "out"), f"--tf={tf}"]) == 2
+        assert "argument --tf:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -12,7 +12,10 @@ from logstab.integrate import (
     IntegratorConfig,
     Trajectory,
     _Run,
+    _fold_correction,
     _hermite_sample,
+    _r_matrix,
+    _rescale_differences,
     _simpson_points,
     check_transition_bounds,
     integrate,
@@ -96,6 +99,13 @@ class TestIntegrate:
     def test_rejects_reversed_window(self, decay_system):
         with pytest.raises(InvalidInputError):
             integrate(decay_system, np.array([1.0]), 1.0, 0.0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("t0, tf", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)])
+    def test_rejects_non_finite_window(self, decay_system, method, t0, tf):
+        # a NaN end fails every comparison, so it must not pass a "tf <= t0" test
+        with pytest.raises(InvalidInputError, match="need finite t0 < tf"):
+            integrate(decay_system, np.array([1.0]), t0, tf, IntegratorConfig(method=method))
 
     @pytest.mark.parametrize("knob", ["step", "max_step", "rel_tol", "abs_tol", "max_steps"])
     def test_config_rejects_nan(self, knob):
@@ -267,6 +277,14 @@ class TestFailurePaths:
 
 
 class TestFundamental:
+    @pytest.mark.parametrize("t0, tf", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf)])
+    def test_rejects_non_finite_window_before_evaluating_a(self, t0, tf):
+        def a_fn(t):
+            raise AssertionError(f"A evaluated at t={t}")
+
+        with pytest.raises(InvalidInputError, match="need finite t0 < tf"):
+            integrate_fundamental(a_fn, t0, tf)
+
     def test_constant_diagonal(self):
         a = np.diag([-1.0, -2.0])
         fund = integrate_fundamental(lambda t: a, 0.0, 1.0)
@@ -655,6 +673,62 @@ class TestNDF:
                 fresh = True
             elif event == "inv":
                 assert fresh, f"iteration matrix {events[:i].count('inv')} formed from a J older than the last node"
+
+    def test_field_evaluations_per_newton_iteration_and_node(self, fig1_system, monkeypatch):
+        # f at t0, the start step's Euler probe, one per Newton iteration and one per accepted node;
+        # the analytic Jacobian takes none
+        calls, iterations = [], []
+
+        def f(x, t):
+            calls.append(t)
+            return fig1_system.f(x, t)
+
+        newton = integrate_module._ndf_newton
+
+        def spy(*args):
+            out = newton(*args)
+            iterations.append(out[1])
+            return out
+
+        monkeypatch.setattr(integrate_module, "_ndf_newton", spy)
+        sys = SystemSpec(dim=2, f=f, jac=fig1_system.jac, delta=fig1_system.delta)
+        traj = integrate(sys, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method="ndf"))
+        assert traj.n_rejected > 0 and len(iterations) == traj.n_steps + traj.n_rejected
+        assert len(calls) == 1 + 1 + sum(iterations) + traj.n_steps
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_rescale_with_tabulated_r_one_is_bit_identical(self, order):
+        rng = np.random.default_rng(order)
+        diffs = rng.normal(size=(8, 3))
+        for factor in (0.2, 0.5, 0.9, 1.7, 10.0):
+            expected = diffs.copy()
+            expected[: order + 1] = (_r_matrix(order, factor) @ _r_matrix(order, 1.0)).T @ diffs[: order + 1]
+            got = diffs.copy()
+            _rescale_differences(got, order, factor)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), factor
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_fold_correction_matches_the_row_loop(self, order):
+        # the cumulative sum adds the same two operands per row as the loop it replaced
+        rng = np.random.default_rng(10 + order)
+        diffs = rng.normal(size=(8, 3)) * 10.0 ** rng.integers(-8, 8, size=(8, 1))
+        corr = rng.normal(size=3) * 1e-6
+        expected = diffs.copy()
+        expected[order + 2] = corr - expected[order + 1]
+        expected[order + 1] = corr
+        for i in range(order, -1, -1):
+            expected[i] += expected[i + 1]
+        _fold_correction(diffs, order, corr)
+        assert np.array_equal(diffs.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_r_matrix_matches_its_product_formula(self, order):
+        # R(r)[i, j] = prod_{m=1..i} (m - 1 - r j) / m
+        for r in (0.5, 1.0, 2.0):
+            expected = np.array(
+                [[np.prod([(m - 1 - r * j) / m for m in range(1, i + 1)]) for j in range(order + 1)] for i in range(order + 1)]
+            )
+            assert np.allclose(_r_matrix(order, r), expected, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("method", ["ndf", "auto"])
     def test_jacobian_that_cannot_be_refreshed_keeps_the_previous_one(self, method):
