@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError, DivergedError, InvalidInputError, InvalidRateError
-from .integrate import TOL_BASE, Trajectory, integrate
+from .integrate import Trajectory, _check_window, _cumulative_simpson, _simpson_nodes, error_budget, integrate
 from .linalg import NormKind, sym_eig_max, vec_norm
 from .lognorm import log_norm
 from .system import SystemSpec, _at_times, eval_rhs, jacobian
@@ -295,17 +295,19 @@ def check_forcing_ratio(
     would otherwise defeat the test); ratio_persists when the slope sits
     within FLAT_SLOPE_BAND of zero at a level above PERSIST_LEVEL;
     inconclusive otherwise.
+
+    The ratio is sampled on a log-spaced grid, which needs t_hi > 0. It runs
+    from t_lo when t_lo > 0, and from t_hi / 1000 otherwise: on [-5, 10] it
+    starts at 0.01, and the window before that is not sampled.
     """
     if kind is None:
         kind = NormKind.l2()
     if n_samples < 10:
         raise InvalidInputError("need at least 10 ratio samples")
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):  # written so that NaN fails
-        raise InvalidInputError(f"need finite t_lo < t_hi, got [{t_lo}, {t_hi}]")
-    t_start = t_lo if t_lo > 0.0 else t_hi * 1e-3
-    if t_start >= t_hi:
-        raise InvalidInputError("time window too short for a log-spaced grid")
-    ts = np.geomspace(t_start, t_hi, n_samples)
+    _check_window(t_lo, t_hi, "t_lo", "t_hi")
+    if t_hi <= 0.0:
+        raise InvalidInputError(f"a log-spaced grid needs t_hi > 0, got [{t_lo}, {t_hi}]")
+    ts = np.geomspace(t_lo if t_lo > 0.0 else t_hi * 1e-3, t_hi, n_samples)
     rates = _at_times("alpha", alpha_fn, ts)
     if np.any(rates <= 0.0):
         i = int(np.argmax(rates <= 0.0))
@@ -373,11 +375,10 @@ def verify_incremental_bound(
     """Integrate each pair and compare |x - x*| against its exponential bound.
 
     Each state is integrated under the default IntegratorConfig and the
-    bound is evaluated on a shared output grid in the chosen norm; the
-    tolerance budget is the largest over pairs of TOL_BASE + 10x the
-    accumulated local-error estimates of the pair's two integrations. A
-    divergent trajectory is re-raised as evidence against the certificate
-    that motivated the check.
+    bound is evaluated on a shared output grid in the chosen norm. The
+    tolerance is the largest over pairs of the ``error_budget`` of the
+    pair's two integrations. A divergent trajectory is re-raised as evidence
+    against the certificate that motivated the check.
     """
     if kind is None:
         kind = NormKind.l2()
@@ -386,31 +387,27 @@ def verify_incremental_bound(
     if not initial_pairs:
         raise InvalidInputError("need at least one initial pair")
     grid = np.linspace(t0, tf, n_output)
-    worst = -np.inf
-    worst_idx = -1
-    tolerance = TOL_BASE
+    dists, budgets = [], []  # per pair: the distance series and the error budget
     for idx, (xa, xb) in enumerate(initial_pairs):
         try:
-            tr_a = integrate(sys, np.asarray(xa, dtype=float), t0, tf, sample_times=grid)
-            tr_b = integrate(sys, np.asarray(xb, dtype=float), t0, tf, sample_times=grid)
+            runs = [integrate(sys, np.asarray(x, dtype=float), t0, tf, sample_times=grid) for x in (xa, xb)]
         except DivergedError as exc:
             raise DivergedError(
                 f"pair {idx} diverged (evidence against the contraction certificate): {exc}",
                 exc.last_time,
             ) from exc
-        dist = vec_norm(tr_a.states - tr_b.states, kind)
-        bound = dist[0] * np.exp(-alpha0 * (grid - t0))
-        violation = float(np.max(dist - bound))
-        if violation > worst:
-            worst = violation
-            worst_idx = idx
-        tolerance = max(tolerance, TOL_BASE + 10.0 * (tr_a.error_estimate + tr_b.error_estimate))
+        dists.append(vec_norm(runs[0].states - runs[1].states, kind))
+        budgets.append(error_budget(*runs))
+    dist = np.array(dists)
+    violations = np.max(dist - dist[:, :1] * np.exp(-alpha0 * (grid - t0)), axis=1)
+    worst_idx = int(np.argmax(violations))  # the first worst pair wins
+    worst, tolerance = float(violations[worst_idx]), max(budgets)
     return IncrementalBoundReport(
         pair_count=len(initial_pairs),
         alpha0=float(alpha0),
         kind_tag=kind.tag,
-        worst_violation=float(worst),
-        tolerance=float(tolerance),
+        worst_violation=worst,
+        tolerance=tolerance,
         passed=bool(worst <= tolerance),
         worst_pair_index=worst_idx,
     )
@@ -432,7 +429,6 @@ def classify_rate_integral(
     t0: float,
     horizon: float,
     n_doublings: int = 8,
-    panels_per_segment: int = 128,
 ) -> RateIntegralReport:
     """Decide whether the integral of alpha looks divergent up to the horizon.
 
@@ -441,22 +437,17 @@ def classify_rate_integral(
     Convergent: the increments shrink geometrically (each at most 3/4 of the
     previous across the last doublings). Anything else is inconclusive. This
     can only ever be evidence, not proof; the verdict says so via ``note``.
-    A rate that is not a finite number at a quadrature node raises
-    EvaluationError naming that t.
+    The integral is composite Simpson with 128 panels per doubling
+    segment, the quadrature of ``check_transition_bounds``: alpha is
+    evaluated once at every node, and a rate that is not a finite number
+    there raises EvaluationError naming the first such t.
     """
-    if not (math.isfinite(t0) and math.isfinite(horizon) and t0 < horizon):  # written so that NaN fails
-        raise InvalidInputError(f"need finite t0 < horizon, got [{t0}, {horizon}]")
+    _check_window(t0, horizon, "t0", "horizon")
     span = horizon - t0
-    edges = [t0 + span / 2**k for k in range(n_doublings, -1, -1)]
-
-    def simpson(a: float, b: float) -> float:
-        xs = np.linspace(a, b, 2 * panels_per_segment + 1)
-        vals = _at_times("alpha", alpha_fn, xs)
-        h = (b - a) / (2 * panels_per_segment)
-        return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()))
-
-    increments = [simpson(a, b) for a, b in zip([t0] + edges, edges)]
-    totals = list(np.cumsum(increments))
+    edges = np.array([t0] + [t0 + span / 2**k for k in range(n_doublings, -1, -1)])
+    points, nodes = _simpson_nodes(edges, np.full(n_doublings + 1, 128))  # 128 panels per doubling
+    totals = _cumulative_simpson(points, nodes, _at_times("alpha", alpha_fn, points))[1:]
+    increments = np.diff(totals, prepend=0.0)
     total = totals[-1]
 
     if total > 0.0 and increments[-1] > 0.1 * total:
@@ -468,8 +459,8 @@ def classify_rate_integral(
     return RateIntegralReport(
         verdict=verdict,
         horizon=float(horizon),
-        partial_totals=[float(v) for v in totals],
-        increments=[float(v) for v in increments],
+        partial_totals=totals.tolist(),
+        increments=increments.tolist(),
     )
 
 

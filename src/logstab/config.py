@@ -74,7 +74,7 @@ def _function_of_t(text: str):
     return lambda t: fn(float(t))
 
 
-def build_example1(b: float = 5.0, phi="-6 - t^3", delta=None, t0: float = 0.0) -> SystemSpec:
+def build_example1(b: float = 5.0, phi="-6 - t^3", delta=None) -> SystemSpec:
     """The builtin planar system with its analytic Jacobian, per state and per stack of states.
 
         f1 = phi(t)*x1 + sin(x1)
@@ -110,7 +110,7 @@ def build_example1(b: float = 5.0, phi="-6 - t^3", delta=None, t0: float = 0.0) 
         return out
 
     f.stack, jac.stack = f_stack, jac_stack
-    return SystemSpec(dim=2, f=f, jac=jac, delta=delta, t0=t0, name="example1")
+    return SystemSpec(dim=2, f=f, jac=jac, delta=delta, name="example1")
 
 
 @dataclass
@@ -430,7 +430,7 @@ def _compile_delta(cfg: ScenarioConfig):
 def build_system(cfg: ScenarioConfig) -> SystemSpec:
     """Instantiate the scenario's SystemSpec (builtin or expression-defined)."""
     if cfg.system_kind == "builtin":
-        return build_example1(**cfg.builtin_params, delta=_compile_delta(cfg), t0=cfg.t0)
+        return build_example1(**cfg.builtin_params, delta=_compile_delta(cfg))
 
     names = [f"x{i + 1}" for i in range(cfg.dim)] + ["t"]
     nodes = [parse_expression(e) for e in cfg.f_exprs]
@@ -449,14 +449,7 @@ def build_system(cfg: ScenarioConfig) -> SystemSpec:
     except NonDifferentiableError:
         jac = None  # finite differences take over
 
-    return SystemSpec(
-        dim=cfg.dim,
-        f=f,
-        jac=jac,
-        delta=_compile_delta(cfg),
-        t0=cfg.t0,
-        name="expression",
-    )
+    return SystemSpec(dim=cfg.dim, f=f, jac=jac, delta=_compile_delta(cfg), name="expression")
 
 
 def certify_scenario(

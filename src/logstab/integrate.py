@@ -84,6 +84,11 @@ METHODS = ("auto", "rk4", "ndf")
 TOL_BASE = 1e-6
 
 
+def error_budget(*runs) -> float:
+    """A bound check's tolerance: TOL_BASE plus 10x the summed local-error estimates of these runs (none ``rk4``)."""
+    return TOL_BASE + 10.0 * sum(run.error_estimate for run in runs)
+
+
 def _lower_triangular(rows) -> np.ndarray:
     """Square matrix whose row s holds rows[s] in its first s columns."""
     a = np.zeros((len(rows), len(rows)))
@@ -299,14 +304,17 @@ class Trajectory:
 class FundamentalTrajectory:
     """Fundamental matrix solution on one time grid, matrices[0] = I.
 
-    ``error_estimate`` and ``n_steps`` are those of the single matrix-ODE
-    run that produced every column (see Trajectory).
+    ``error_estimate``, ``n_steps``, ``n_rejected`` and ``stiff_from`` are
+    those of the single matrix-ODE run that produced every column (see
+    Trajectory).
     """
 
     times: np.ndarray
     matrices: np.ndarray
     error_estimate: Optional[float] = None
     n_steps: int = 0
+    n_rejected: int = 0
+    stiff_from: Optional[float] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -351,10 +359,10 @@ def _hermite_sample(times, states, derivs, ts, dense=None) -> np.ndarray:
     return out
 
 
-def _check_window(t0: float, tf: float) -> None:
-    """InvalidInputError unless t0 < tf are both finite."""
-    if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):  # written so that NaN fails
-        raise InvalidInputError(f"need finite t0 < tf, got [{t0}, {tf}]")
+def _check_window(lo: float, hi: float, lo_name: str = "t0", hi_name: str = "tf") -> None:
+    """InvalidInputError unless lo < hi are both finite; the message calls them ``lo_name`` and ``hi_name``."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):  # written so that NaN fails
+        raise InvalidInputError(f"need finite {lo_name} < {hi_name}, got [{lo}, {hi}]")
 
 
 def _validate_sample_times(ts, t0: float, tf: float) -> np.ndarray:
@@ -816,28 +824,34 @@ def integrate_fundamental(
     sys = SystemSpec(dim=n * n, f=matrix_field, jac=matrix_jac)
     traj = integrate(sys, eye.ravel(), t0, tf, cfg, sample_times=sample_times)
     mats = traj.states.reshape(-1, n, n)
-    return FundamentalTrajectory(traj.times, mats, error_estimate=traj.error_estimate, n_steps=traj.n_steps)
+    return FundamentalTrajectory(traj.times, mats, traj.error_estimate, traj.n_steps, traj.n_rejected, traj.stiff_from)
 
 
 # Simpson panels in a step of max_step in the mu-integrals of check_transition_bounds
 _SIMPSON_PANELS = 6
 
 
-def _simpson_points(times: np.ndarray, max_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each step h of the grid split into ceil(_SIMPSON_PANELS h / max_step) Simpson panels.
+def _simpson_nodes(times: np.ndarray, panels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step k of the grid split into panels[k] Simpson panels of equal length.
 
     Returns the panels' ends and midpoints in order, and the index of each
     grid node among them.
     """
     h = np.diff(times)
-    per_step = 2 * np.maximum(1, np.ceil(_SIMPSON_PANELS * h / max_step - 1e-9)).astype(int)
+    per_step = 2 * panels
     nodes = np.concatenate([[0], np.cumsum(per_step)])
     frac = (np.arange(nodes[-1]) - np.repeat(nodes[:-1], per_step)) / np.repeat(per_step, per_step)
     return np.append(np.repeat(times[:-1], per_step) + np.repeat(h, per_step) * frac, times[-1]), nodes
 
 
+def _simpson_points(times: np.ndarray, max_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_simpson_nodes`` of the grid with ceil(_SIMPSON_PANELS h / max_step) panels in a step h."""
+    panels = np.maximum(1, np.ceil(_SIMPSON_PANELS * np.diff(times) / max_step - 1e-9)).astype(int)
+    return _simpson_nodes(times, panels)
+
+
 def _cumulative_simpson(points: np.ndarray, nodes: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Cumulative integral at the grid nodes from g at the ``_simpson_points`` of the grid."""
+    """Cumulative integral at the grid nodes from g at the ``_simpson_nodes`` of the grid."""
     panels = ((points[2::2] - points[:-2:2]) / 6.0) * (g[:-2:2] + 4.0 * g[1::2] + g[2::2])
     return np.concatenate([[0.0], np.cumsum(panels)])[nodes // 2]
 
@@ -886,8 +900,8 @@ def check_transition_bounds(
     kinks), so the quadrature, not the ODE tolerance, dominates: on
     acceptance criterion 07's 100 systems its worst error against a
     20,001-point reference is 2.9e-5 on DOP853's grid (9.3e-4 with one
-    panel per step). Tolerance budget: TOL_BASE
-    + 10x the local-error estimate accumulated by the one matrix-ODE run.
+    panel per step). The tolerance is the ``error_budget`` of the one
+    matrix-ODE run.
     The propagators, condition numbers and norms of all pairs and states
     are computed as stacks, one wrapper call each.
     """
@@ -928,7 +942,7 @@ def check_transition_bounds(
     worst_sup = np.max((xtn - upper) / upper)
     worst_slo = np.max((lower - xtn) / lower)
 
-    tolerance = TOL_BASE + 10.0 * fund.error_estimate
+    tolerance = error_budget(fund)
     passed = max(worst_up, worst_lo, worst_sup, worst_slo) <= tolerance
     return TransitionBoundReport(
         kind_tag=kind.tag,

@@ -74,17 +74,17 @@ class SystemSpec:
     delta : callable (t,) -> array (n,), optional
         Time-only perturbation; defaults to zero. User-supplied callables
         must be safe for concurrent invocation.
-    t0 : float
-        Initial time of the analysis window.
     name : str
         Label used in reports and exported files.
+
+    The system has no time window: every check and run takes its times as
+    arguments, as a scenario passes its ``[system] t0`` and ``tf``.
     """
 
     dim: int
     f: Callable[[np.ndarray, float], np.ndarray]
     jac: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     delta: Optional[Callable[[float], np.ndarray]] = None
-    t0: float = 0.0
     name: str = ""
 
     def __post_init__(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from logstab.certify import (
 )
 from logstab.errors import DimensionError, EvaluationError, InvalidInputError, InvalidRateError
 from logstab.expr import compile_expression, parse_expression
-from logstab.integrate import Trajectory
+from logstab.integrate import Trajectory, integrate
 from logstab.linalg import NormKind, sym_eig_max
 from logstab.lognorm import log_norm
 from logstab.system import SystemSpec, jacobian
@@ -307,6 +309,17 @@ class TestForcingRatio:
         with pytest.raises(InvalidInputError, match="need finite t_lo < t_hi"):
             check_forcing_ratio(fig2_system, default_rate, t_lo, t_hi)
 
+    def test_window_before_zero_has_no_log_spaced_grid(self, fig2_system):
+        with pytest.raises(InvalidInputError, match=r"^a log-spaced grid needs t_hi > 0, got \[-5\.0, -1\.0\]$"):
+            check_forcing_ratio(fig2_system, default_rate, -5.0, -1.0)
+
+    def test_window_through_zero_starts_at_a_thousandth_of_t_hi(self, fig2_system):
+        rep = check_forcing_ratio(fig2_system, default_rate, -5.0, 10.0)
+        assert rep.ratio_samples[0][0] == pytest.approx(0.01, rel=1e-15)
+        assert rep.ratio_samples[-1][0] == pytest.approx(10.0, rel=1e-15)
+        # the part of the window at or below zero is not sampled, so [0, 10] gives the same report
+        assert rep == check_forcing_ratio(fig2_system, default_rate, 0.0, 10.0)
+
 
 class TestIncrementalBound:
     def test_scalar_decay_equality_case(self):
@@ -344,6 +357,21 @@ class TestIncrementalBound:
         with pytest.raises(InvalidInputError):
             verify_incremental_bound(fig1_system, [(np.zeros(2), np.ones(2))], 0.0, 1.0, 0.0)
 
+    def test_tolerance_is_the_largest_budget_of_a_pair(self, monkeypatch, fig1_system):
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(integrate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(certify_module, "integrate", recorded)
+        rng = np.random.default_rng(21)
+        pairs = [(rng.uniform(-5, 5, size=2), rng.uniform(-5, 5, size=2)) for _ in range(4)]
+        rep = verify_incremental_bound(fig1_system, pairs, 0.0, 3.0, 0.5)
+        assert len(runs) == 8  # two integrations per pair
+        budgets = [1e-6 + 10.0 * (a.error_estimate + b.error_estimate) for a, b in zip(runs[::2], runs[1::2])]
+        assert rep.tolerance == max(budgets)
+
 
 class TestRateIntegral:
     def test_harmonic_like_rate_diverges(self):
@@ -361,6 +389,47 @@ class TestRateIntegral:
     def test_partial_totals_recorded(self):
         rep = classify_rate_integral(lambda t: 1.0, 0.0, 8.0, n_doublings=3)
         assert rep.partial_totals == pytest.approx([1.0, 2.0, 4.0, 8.0], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha, integral, horizon",
+        [
+            (lambda t: 1.0 / (1.0 + t), math.log1p, 2.0),
+            (lambda t: math.exp(-t), lambda t: -math.expm1(-t), 2.0),
+            (lambda t: 0.5 + t**3, lambda t: 0.5 * t + t**4 / 4.0, 100.0),
+        ],
+        ids=["1/(1+t)", "exp(-t)", "0.5+t^3"],
+    )
+    def test_partial_totals_match_closed_forms(self, alpha, integral, horizon):
+        # Simpson is exact on a cubic; on the smooth rates the window is short enough that the h^4 error
+        # of 128 panels per doubling stays below 1e-12 (about 4e-13 on [1, 2])
+        rep = classify_rate_integral(alpha, 0.0, horizon)
+        ends = [horizon / 2**k for k in range(8, -1, -1)]
+        assert rep.partial_totals == pytest.approx([integral(t) for t in ends], rel=1e-12, abs=0.0)
+        assert rep.increments == np.diff(rep.partial_totals, prepend=0.0).tolist()
+
+    @pytest.mark.parametrize(
+        "alpha, verdict",
+        [
+            (lambda t: 1.0 / (1.0 + t), DIVERGENT_INTEGRAL),
+            (lambda t: 1.0 / (1.0 + t) ** 2, CONVERGENT_INTEGRAL),
+            (lambda t: 0.7, DIVERGENT_INTEGRAL),
+            (lambda t: math.exp(-t), CONVERGENT_INTEGRAL),
+            (lambda t: 0.5 + t**3, DIVERGENT_INTEGRAL),
+        ],
+        ids=["1/(1+t)", "1/(1+t)^2", "0.7", "exp(-t)", "0.5+t^3"],
+    )
+    def test_verdict_holds_under_more_doublings_and_a_doubled_horizon(self, alpha, verdict):
+        for horizon in (100.0, 200.0):
+            for n_doublings in range(6, 11):
+                rep = classify_rate_integral(alpha, 0.0, horizon, n_doublings)
+                assert rep.verdict == verdict, (horizon, n_doublings)
+
+    def test_alpha_is_evaluated_once_per_simpson_node(self):
+        ts = []
+        classify_rate_integral(lambda t: ts.append(t) or 1.0, 0.0, 8.0, n_doublings=3)
+        # four doubling segments of 128 panels, each of two intervals, and the closing node
+        assert len(ts) == 4 * 256 + 1
+        assert ts == sorted(set(ts)) and (ts[0], ts[-1]) == (0.0, 8.0)
 
     @pytest.mark.parametrize("t0, horizon", [(0.0, np.nan), (0.0, np.inf), (np.nan, 100.0), (-np.inf, 100.0)])
     def test_non_finite_window_rejected(self, t0, horizon):

@@ -365,6 +365,23 @@ class TestFundamental:
             x, t = rng.normal(size=9), float(rng.uniform(0.0, 1.0))
             assert np.abs(sys.jac(x, t) - _fd_jacobian(sys, x, t)).max() <= 1e-7
 
+    @pytest.mark.parametrize(
+        "a, stiff",
+        [(np.array([[-1000.0, 1.0], [0.0, -1.0]]), True), (np.array([[-1.0, 3.0], [0.0, -2.0]]), False)],
+        ids=["stiff", "non-stiff"],
+    )
+    def test_carries_the_counters_of_its_matrix_ode_run(self, a, stiff):
+        fund = integrate_fundamental(lambda t: a, 0.0, 5.0)
+        sys = SystemSpec(dim=4, f=lambda x, t: (a @ x.reshape(2, 2)).ravel(), jac=lambda x, t: np.kron(a, np.eye(2)))
+        run = integrate(sys, np.eye(2).ravel(), 0.0, 5.0)
+        assert np.array_equal(fund.times, run.times)
+        assert (fund.n_steps, fund.n_rejected, fund.stiff_from) == (run.n_steps, run.n_rejected, run.stiff_from)
+        if stiff:
+            # the fast mode decays within a few hundredths; auto hands the run to ndf there
+            assert fund.n_rejected > 0 and 0.0 < fund.stiff_from < 0.05
+        else:
+            assert fund.stiff_from is None
+
     def test_ndf_run_takes_no_finite_differences(self, monkeypatch):
         def no_fd(sys, x, t):
             raise AssertionError("finite-difference Jacobian taken")
@@ -438,6 +455,19 @@ class TestTransitionBounds:
             ])
             want = looped_transition_check(a_fn, kind, 0.0, 1.0, 20, 5, trial)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (got, want)
+
+    def test_tolerance_is_the_budget_of_the_matrix_ode_run(self, monkeypatch):
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(integrate_fundamental(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(integrate_module, "integrate_fundamental", recorded)
+        c0, c1 = np.random.default_rng(8).normal(size=(2, 3, 3))
+        rep = check_transition_bounds(lambda t: c0 + t * c1, NormKind.linf(), 0.0, 1.0)
+        (fund,) = runs
+        assert rep.tolerance == 1e-6 + 10.0 * fund.error_estimate
 
     def test_empty_sampling_rejected(self):
         a = np.diag([-1.0, -2.0])
