@@ -307,7 +307,10 @@ def check_forcing_ratio(
     _check_window(t_lo, t_hi, "t_lo", "t_hi")
     if t_hi <= 0.0:
         raise InvalidInputError(f"a log-spaced grid needs t_hi > 0, got [{t_lo}, {t_hi}]")
-    ts = np.geomspace(t_lo if t_lo > 0.0 else t_hi * 1e-3, t_hi, n_samples)
+    start = t_lo if t_lo > 0.0 else t_hi * 1e-3
+    if start == 0.0:
+        raise InvalidInputError(f"the log-spaced grid's first point t_hi / 1000 underflows to 0 on [{t_lo}, {t_hi}]")
+    ts = np.geomspace(start, t_hi, n_samples)
     rates = _at_times("alpha", alpha_fn, ts)
     if np.any(rates <= 0.0):
         i = int(np.argmax(rates <= 0.0))
@@ -440,11 +443,18 @@ def classify_rate_integral(
     The integral is composite Simpson with 128 panels per doubling
     segment, the quadrature of ``check_transition_bounds``: alpha is
     evaluated once at every node, and a rate that is not a finite number
-    there raises EvaluationError naming the first such t.
+    there raises EvaluationError naming the first such t. ``n_doublings``
+    must be an integer >= 1 whose first segment, of length
+    span / 2**n_doublings, still moves t0.
     """
     _check_window(t0, horizon, "t0", "horizon")
+    if isinstance(n_doublings, bool) or not isinstance(n_doublings, (int, np.integer)) or n_doublings < 1:
+        raise InvalidInputError(f"n_doublings must be an integer >= 1, got {n_doublings!r}")
+    n_doublings = int(n_doublings)
     span = horizon - t0
-    edges = np.array([t0] + [t0 + span / 2**k for k in range(n_doublings, -1, -1)])
+    if t0 + math.ldexp(span, -n_doublings) <= t0:
+        raise InvalidInputError(f"{n_doublings} doublings of [{t0}, {horizon}] leave a first segment too short to move t0")
+    edges = np.concatenate([[t0], t0 + np.ldexp(span, np.arange(-n_doublings, 1))])
     points, nodes = _simpson_nodes(edges, np.full(n_doublings + 1, 128))  # 128 panels per doubling
     totals = _cumulative_simpson(points, nodes, _at_times("alpha", alpha_fn, points))[1:]
     increments = np.diff(totals, prepend=0.0)

@@ -155,7 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=DEMO_VARIANTS, default="fig1")
     p.add_argument("--out", default="demo_out", help="output directory")
     p.add_argument("--tf", type=_finite_float, default=20.0)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=42,
+        help="recorded as plan.seed in certificate.csv; the demo samples on a uniform grid, "
+        "so the seed changes nothing else",
+    )
     p.set_defaults(func=cmd_demo)
     return parser
 

@@ -5,11 +5,16 @@ variable-order (1-5), quasi-constant-step NDF of Shampine & Reichelt
 ("The MATLAB ODE Suite", 1997): an implicit multistep method for stiff runs,
 solved by a simplified Newton iteration on an explicit inverse of
 I - h/((1 - kappa) gamma_k) J. The iteration stops once its predicted
-remaining error is below 0.03 (10 eps / rel_tol at tolerances under 7e-14)
-in the scaled norm of the step's own error test, which accepts a step at 1.
-The matrix is formed anew after every change of h or order, from J
-evaluated at the last accepted node; a rejected step re-forms it from the J
-it already has. Steps of unchanged h reuse it. A step whose Newton iteration
+remaining error, rate / (1 - rate) times the last correction, is below 0.03
+(10 eps / rel_tol at tolerances under 7e-14) in the scaled norm of the
+step's own error test, which accepts a step at 1. The rate is the
+contraction of successive corrections. As in ode15s, it is carried from one
+solve to the next on the same matrix, updated to max(0.9 old, new), so such a
+solve can stop after its first iteration; the tests that fail a solve use
+only the rates it measures itself. The matrix is formed anew after every
+change of h or order, from J evaluated at the last accepted node; a rejected
+step re-forms it from the J it already has. Re-forming it drops the carried
+rate. Steps of unchanged h reuse it. A step whose Newton iteration
 fails is rejected and h halved, so the next matrix gets a fresh J when the
 failed one had outlived its node's. Where J cannot be evaluated because the
 field is non-finite near the node, the previous J stays. ``auto``, the
@@ -656,30 +661,39 @@ def _iteration_inverse(j_mat: np.ndarray, c: float, t: float) -> np.ndarray:
     return inv
 
 
-def _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, tol):
+def _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, tol, rate):
     """Simplified Newton iteration for the NDF corrector corr = c f(t_new, y_pred + corr) - psi.
 
     The iteration matrix is the inverse of I - c J with a possibly stale J.
-    Returns (converged, iterations, y, corr, non_finite); corr is None when
-    the first iteration fails.
+    ``rate`` is the contraction rate carried from the last solve on the same
+    matrix, or None. With it, the first iteration may end the solve; the
+    tests that fail a solve use only the rates measured in this one.
+    Returns (converged, iterations, y, corr, non_finite, rate); corr is None
+    when the first iteration fails, and the returned rate, max(0.9 rate, last
+    measured rate) as in ode15s, is the one to carry, or None.
     """
     y, corr, prev = y_pred, None, None
     for it in range(_NEWTON_ITERS):
         f = rhs(t_new, y)
         if not np.isfinite(f).all():
-            return False, it + 1, y, corr, True
+            return False, it + 1, y, corr, True, None
         residual = c * f - psi
         dy = m_inv @ (residual if corr is None else residual - corr)
         size = float((np.abs(dy) / scale).max())
-        rate = None if prev is None else size / prev
-        if rate is not None and (rate >= 1.0 or rate ** (_NEWTON_ITERS - it) / (1.0 - rate) * size > tol):
-            return False, it + 1, y, corr, False
+        new = None if prev is None else size / prev  # the rate this iteration measures
+        if new is not None and (new >= 1.0 or new ** (_NEWTON_ITERS - it) / (1.0 - new) * size > tol):
+            return False, it + 1, y, corr, False, None
         y = y + dy
         corr = dy if corr is None else corr + dy
-        if size == 0.0 or (rate is not None and rate / (1.0 - rate) * size < tol):
-            return True, it + 1, y, corr, False
+        if new is not None:
+            rate = new if rate is None else max(0.9 * rate, new)
+            rate = rate if rate > 0.0 else None  # a carried 0 would pass any first iteration
+            if new / (1.0 - new) * size < tol:
+                return True, it + 1, y, corr, False, rate
+        elif size == 0.0 or (rate is not None and rate / (1.0 - rate) * size < tol):
+            return True, 1, y, corr, False, rate
         prev = size
-    return False, _NEWTON_ITERS, y, corr, False
+    return False, _NEWTON_ITERS, y, corr, False, None
 
 
 def _ndf_start_step(run: _Run) -> float:
@@ -727,15 +741,16 @@ def _ndf_steps(run: _Run, jac) -> None:
     j_mat = jac(t, y)
     j_fresh = True  # j_mat was evaluated since the last accepted node
     m_inv = None
+    rate = None  # the Newton rate carried from the last solve on m_inv
     # the corrector need only converge well inside the error test, which accepts at 1
     newton_tol = max(10.0 * np.finfo(float).eps / cfg.rel_tol, 0.03)
 
     def resize(factor: float) -> None:
-        nonlocal h, n_equal, m_inv
+        nonlocal h, n_equal, m_inv, rate
         _rescale_differences(diffs, order, factor)
         h *= factor
         n_equal = 0
-        m_inv = None
+        m_inv = rate = None
 
     while run.running():
         h_cap = min(cfg.max_step, tf - t)
@@ -757,7 +772,9 @@ def _ndf_steps(run: _Run, jac) -> None:
                     pass  # J only steers the iteration; the step then fails, or passes, on f itself
                 j_fresh = True
             m_inv = _iteration_inverse(j_mat, c, t)
-        converged, n_iter, y_new, corr, bad = _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, newton_tol)
+        converged, n_iter, y_new, corr, bad, rate = _ndf_newton(
+            rhs, t_new, y_pred, c, psi, m_inv, scale, newton_tol, rate
+        )
         if not converged:
             run.reject(non_finite=bad)
             resize(0.5)

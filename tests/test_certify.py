@@ -313,6 +313,12 @@ class TestForcingRatio:
         with pytest.raises(InvalidInputError, match=r"^a log-spaced grid needs t_hi > 0, got \[-5\.0, -1\.0\]$"):
             check_forcing_ratio(fig2_system, default_rate, -5.0, -1.0)
 
+    @pytest.mark.parametrize("t_lo", [0.0, -5.0])
+    def test_grid_start_that_underflows_to_zero_rejected(self, fig2_system, t_lo):
+        # t_hi / 1000 of a subnormal t_hi is 0, where no log-spaced grid starts
+        with pytest.raises(InvalidInputError, match=r"first point t_hi / 1000 underflows to 0"):
+            check_forcing_ratio(fig2_system, default_rate, t_lo, 1e-322)
+
     def test_window_through_zero_starts_at_a_thousandth_of_t_hi(self, fig2_system):
         rep = check_forcing_ratio(fig2_system, default_rate, -5.0, 10.0)
         assert rep.ratio_samples[0][0] == pytest.approx(0.01, rel=1e-15)
@@ -435,6 +441,29 @@ class TestRateIntegral:
     def test_non_finite_window_rejected(self, t0, horizon):
         with pytest.raises(InvalidInputError, match="need finite t0 < horizon"):
             classify_rate_integral(lambda t: 1.0 / (1.0 + t), t0, horizon)
+
+    @pytest.mark.parametrize(
+        "n_doublings, message",
+        [
+            (-1, "must be an integer >= 1, got -1$"),
+            (-2, "must be an integer >= 1, got -2$"),
+            (0, "must be an integer >= 1, got 0$"),
+            (2.5, "must be an integer >= 1, got 2.5$"),
+            (True, "must be an integer >= 1, got True$"),
+            (1100, r"^1100 doublings of \[0\.0, 100\.0\] leave a first segment too short to move t0$"),
+        ],
+    )
+    def test_bad_n_doublings_rejected_before_alpha_is_evaluated(self, n_doublings, message):
+        ts = []
+        with pytest.raises(InvalidInputError, match=message):
+            classify_rate_integral(lambda t: ts.append(t) or 1.0, 0.0, 100.0, n_doublings)
+        assert ts == []
+
+    def test_first_segment_must_move_t0(self):
+        # 100 / 2**1080 is subnormal but positive, so 0 + it > 0; at t0 = 1 it is lost to rounding
+        assert classify_rate_integral(lambda t: 1.0, 0.0, 100.0, 1080).partial_totals[-1] == pytest.approx(100.0)
+        with pytest.raises(InvalidInputError, match="too short to move t0"):
+            classify_rate_integral(lambda t: 1.0, 1.0, 100.0, 60)
 
     def test_undefined_rate_names_t(self):
         # log(t - 1) evaluates to NaN for t < 1

@@ -368,6 +368,20 @@ class TestDemoCommand:
         for name in ("trajectory.csv", "x1.csv", "x2.csv", "certificate.csv", "ratio.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
+    def test_seed_is_recorded_and_changes_nothing_else(self, tmp_path, capsys):
+        # the demo samples on a uniform grid, which draws no random numbers
+        assert main(["demo", "--help"]) == 0
+        assert "the demo samples on a uniform grid" in " ".join(capsys.readouterr().out.split())
+        runs = {seed: tmp_path / f"seed{seed}" for seed in (7, 42)}
+        for seed, out in runs.items():
+            assert main(["demo", "example1", "--tf", "15", "--seed", str(seed), "--out", str(out)]) == 0
+        names = sorted(path.name for path in runs[7].iterdir())
+        assert names == sorted(path.name for path in runs[42].iterdir())
+        for name in names:
+            a, b = ((out / name).read_text().splitlines() for out in runs.values())
+            differ = [(x, y) for x, y in zip(a, b) if x != y]
+            assert len(a) == len(b) and differ == ([("plan.seed,7", "plan.seed,42")] if name == "certificate.csv" else []), name
+
 
 class TestTopLevel:
     def test_no_command_is_usage_error(self):

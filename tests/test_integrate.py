@@ -14,6 +14,7 @@ from logstab.integrate import (
     _Run,
     _fold_correction,
     _hermite_sample,
+    _ndf_newton,
     _r_matrix,
     _rescale_differences,
     _simpson_points,
@@ -725,6 +726,75 @@ class TestNDF:
         traj = integrate(sys, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method="ndf"))
         assert traj.n_rejected > 0 and len(iterations) == traj.n_steps + traj.n_rejected
         assert len(calls) == 1 + 1 + sum(iterations) + traj.n_steps
+
+    @pytest.mark.parametrize("method", ["ndf", "auto"])
+    def test_newton_rate_is_carried_only_on_one_iteration_matrix(self, fig1_system, monkeypatch, method):
+        events = []  # ("inv", matrix), ("solve", matrix, rate in, converged, iterations, rate out) and ("reject",)
+        inverse, newton, reject = integrate_module._iteration_inverse, integrate_module._ndf_newton, _Run.reject
+
+        def inverse_spy(*args):
+            m_inv = inverse(*args)
+            events.append(("inv", m_inv))
+            return m_inv
+
+        def newton_spy(*args):
+            out = newton(*args)
+            events.append(("solve", args[5], args[8], out[0], out[1], out[5]))
+            return out
+
+        def reject_spy(run, non_finite=False):
+            events.append(("reject",))
+            reject(run, non_finite)
+
+        monkeypatch.setattr(integrate_module, "_iteration_inverse", inverse_spy)
+        monkeypatch.setattr(integrate_module, "_ndf_newton", newton_spy)
+        monkeypatch.setattr(_Run, "reject", reject_spy)
+        traj = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method=method))
+        solves = [event for event in events if event[0] == "solve"]
+        if method == "ndf":
+            assert traj.n_rejected > 0 and len(solves) == traj.n_steps + traj.n_rejected
+        last = None  # the last solve since the matrix was formed and since the last rejection
+        for i, event in enumerate(events):
+            if event[0] != "solve":
+                last = None
+                continue
+            _, m_inv, rate_in, converged, iterations, rate_out = event
+            if last is None:
+                assert rate_in is None, f"event {i}: a rate survived a new matrix or a rejection"
+            else:
+                assert last[1] is m_inv and last[3] and rate_in == last[5], f"event {i}"
+            if converged and iterations == 1:
+                assert rate_in is not None, f"event {i}: one iteration without a carried rate"
+            assert rate_out is None or 0.0 < rate_out < 1.0
+            last = event
+        one_iteration = sum(1 for event in solves if event[3] and event[4] == 1)
+        assert one_iteration >= 0.5 * len(solves), (one_iteration, len(solves))
+
+    @pytest.mark.parametrize("rate_in", [None, 0.02, 0.2, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("r", [0.0, 0.1, 0.3, 0.5, 0.7])
+    def test_carried_newton_rate_may_end_a_solve_early_but_never_fail_it(self, r, rate_in):
+        # corr = f(corr) + 10 with f = -9 y has the root 1; the inverse (1 - r) / 10 of the iteration
+        # matrix, in place of 1/10, makes every iteration contract the error by exactly r
+        m_inv = np.array([[(1.0 - r) / 10.0]])
+
+        def run(rate):
+            return _ndf_newton(lambda t, y: -9.0 * y, 0.0, np.zeros(1), 1.0, np.array([-10.0]), m_inv, np.ones(1), 0.03, rate)
+
+        fresh, carried = run(None), run(rate_in)
+        assert carried[0] or not fresh[0]
+        if fresh[0]:
+            assert carried[1] <= fresh[1]
+        if carried[1] == 1 and carried[0]:
+            # accepted on the carried rate alone: rate / (1 - rate) |dy| < tol, and the rate stays as it was
+            assert rate_in / (1.0 - rate_in) * (1.0 - r) < 0.03 and carried[5] == rate_in
+        elif carried[0]:
+            # each iteration after the first measures r and keeps max(0.9 rate, r); a rate of 0 is not carried
+            expected = rate_in or 0.0
+            for _ in range(carried[1] - 1):
+                expected = max(0.9 * expected, r)
+            assert (carried[5] is None) if expected == 0.0 else carried[5] == pytest.approx(expected, rel=1e-12)
+        else:
+            assert carried[5] is None
 
     @pytest.mark.parametrize("order", range(1, 6))
     def test_rescale_with_tabulated_r_one_is_bit_identical(self, order):
