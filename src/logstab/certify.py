@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError, DivergedError, InvalidInputError, InvalidRateError
-from .integrate import Trajectory, _check_window, _cumulative_simpson, _simpson_nodes, error_budget, integrate
+from .integrate import Trajectory, _check_count, _check_window, _cumulative_simpson, _simpson_nodes, error_budget, integrate
 from .linalg import NormKind, sym_eig_max, vec_norm
 from .lognorm import log_norm
 from .system import SystemSpec, _at_times, eval_rhs, jacobian
@@ -105,10 +105,9 @@ class SamplingPlan:
     seed: int = 42
 
     def __post_init__(self):
-        if self.n_space <= 0 or self.n_time <= 0:
-            raise InvalidInputError("sampling counts must be positive")
-        if self.seed < 0:
-            raise InvalidInputError(f"sampling seed must be non-negative, got {self.seed}")
+        _check_count(self.n_space, "n_space")
+        _check_count(self.n_time, "n_time")
+        _check_count(self.seed, "seed", 0)
         if self.scheme not in ("uniform_grid", "latin_hypercube", "uniform_random"):
             raise InvalidInputError(f"unknown sampling scheme {self.scheme!r}")
 
@@ -302,8 +301,7 @@ def check_forcing_ratio(
     """
     if kind is None:
         kind = NormKind.l2()
-    if n_samples < 10:
-        raise InvalidInputError("need at least 10 ratio samples")
+    _check_count(n_samples, "n_samples", 10)
     _check_window(t_lo, t_hi, "t_lo", "t_hi")
     if t_hi <= 0.0:
         raise InvalidInputError(f"a log-spaced grid needs t_hi > 0, got [{t_lo}, {t_hi}]")
@@ -389,6 +387,7 @@ def verify_incremental_bound(
         raise InvalidInputError("alpha0 must be positive")
     if not initial_pairs:
         raise InvalidInputError("need at least one initial pair")
+    _check_count(n_output, "n_output")
     grid = np.linspace(t0, tf, n_output)
     dists, budgets = [], []  # per pair: the distance series and the error budget
     for idx, (xa, xb) in enumerate(initial_pairs):
@@ -448,9 +447,7 @@ def classify_rate_integral(
     span / 2**n_doublings, still moves t0.
     """
     _check_window(t0, horizon, "t0", "horizon")
-    if isinstance(n_doublings, bool) or not isinstance(n_doublings, (int, np.integer)) or n_doublings < 1:
-        raise InvalidInputError(f"n_doublings must be an integer >= 1, got {n_doublings!r}")
-    n_doublings = int(n_doublings)
+    n_doublings = _check_count(n_doublings, "n_doublings")
     span = horizon - t0
     if t0 + math.ldexp(span, -n_doublings) <= t0:
         raise InvalidInputError(f"{n_doublings} doublings of [{t0}, {horizon}] leave a first segment too short to move t0")
@@ -464,7 +461,7 @@ def classify_rate_integral(
         verdict = DIVERGENT_INTEGRAL
     else:
         tail = increments[-3:]
-        shrinking = all(b <= 0.75 * a for a, b in zip(tail, tail[1:])) and len(tail) >= 2
+        shrinking = all(b <= 0.75 * a for a, b in zip(tail, tail[1:]))
         verdict = CONVERGENT_INTEGRAL if shrinking else INCONCLUSIVE
     return RateIntegralReport(
         verdict=verdict,
@@ -507,7 +504,9 @@ def verify_origin_convergence(
         raise InvalidInputError(
             f"tail window has {tail_len} samples; need >= 10 (trajectory too short)"
         )
-    offset = np.zeros(traj.dim) if target is None else np.asarray(target, dtype=float)
+    offset = np.zeros(traj.states.shape[1:]) if target is None else np.asarray(target, dtype=float)
+    if offset.shape != traj.states.shape[1:]:
+        raise DimensionError(f"target has shape {offset.shape}, trajectory states have shape {traj.states.shape}")
     norms = vec_norm(traj.states - offset, kind)
     tail_max = float(norms[-tail_len:].max())
     mid_max = float(norms[m // 3 : max(m // 3 + 1, 2 * m // 3)].max())

@@ -316,7 +316,7 @@ def _parse_system(cfg: ScenarioConfig, sec: dict) -> None:
             if not 1 <= idx <= cfg.dim:
                 raise ConfigError(f"{key} is outside the state dimension {cfg.dim}", lineno)
             deltas[idx] = _at(lineno, _expression_in_t, value)
-        elif key.startswith("f") and key[1:].isdigit():
+        elif cfg.system_kind == "expression" and key.startswith("f") and key[1:].isdigit():
             value, lineno = sec.pop(key)
             raise ConfigError(f"component {key} is outside the state dimension {cfg.dim}", lineno)
     if deltas:

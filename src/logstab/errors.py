@@ -64,15 +64,12 @@ class InvalidRateError(LogstabError):
 class ConfigError(LogstabError):
     """Scenario configuration is malformed; carries line information when known.
 
-    ``errors`` lists every (line, message) pair found when the parser could
-    keep scanning past the first problem.
+    ``errors`` lists the (line, message) pairs, each message without its line
+    prefix: every problem found when the parser could keep scanning past the
+    first one, else the one problem.
     """
 
     def __init__(self, message, line=None, errors=None):
-        if errors:
-            message = "; ".join(f"line {ln}: {msg}" if ln else msg for ln, msg in errors)
-        elif line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
         self.line = line
-        self.errors = list(errors) if errors else ([(line, message)] if line else [(None, message)])
+        self.errors = list(errors) if errors else [(line, message)]
+        super().__init__("; ".join(f"line {ln}: {msg}" if ln else msg for ln, msg in self.errors))

@@ -53,15 +53,19 @@ real, naming the callable, x and t.
 
 Every method stores the field at its accepted nodes, so one dense-output path,
 cubic Hermite on the stored derivatives, samples every run; ``integrate``'s
-``sample_times`` is the one way to sample. When it is given, each DOP853 step
-also evaluates the three extra stages of its 7th-order continuous extension;
-the first three rows of that extension are exactly the Hermite cubic, and the
-sample adds the term of the other four. Runs that only return their grid skip
-those stages.
+``sample_times`` is the one way to sample, and it is checked before the run
+starts. When it is given, each DOP853 step also evaluates the three extra
+stages of its 7th-order continuous extension and keeps the table of its rows
+F3..F6. The first three rows of that extension are exactly the Hermite cubic,
+and a sample on an interval that has a table entry adds the term of the other
+four. ``auto`` hands over to ndf once and never back, so the DOP853 intervals,
+and with them the table, are a prefix of the run. Runs that only return their
+grid skip those stages.
 
 The fundamental matrix of a linear time-varying system is integrated with
 the same machinery as one n^2-dimensional matrix ODE, so all n columns share
-the integrator's own grid. The transition-bound checker then compares
+the integrator's own grid, and the run's record is a Trajectory of that
+matrix ODE. The transition-bound checker then compares
 propagator norms against the exponential envelopes built from integrals of
 the logarithmic norm along the grid, as stacked array operations. Every
 evaluation of A(t) is checked by ``system``: each call on the integrator's
@@ -261,8 +265,7 @@ class IntegratorConfig:
             raise InvalidInputError("step sizes must be positive")
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise InvalidInputError("tolerances must be positive")
-        if not self.max_steps > 0:
-            raise InvalidInputError("max_steps must be positive")
+        _check_count(self.max_steps, "max_steps")
 
 
 @dataclass
@@ -305,41 +308,33 @@ class Trajectory:
         return self.states.shape[1]
 
 
-@dataclass
-class FundamentalTrajectory:
-    """Fundamental matrix solution on one time grid, matrices[0] = I.
+class FundamentalTrajectory(Trajectory):
+    """The Trajectory of the matrix ODE dPhi/dt = A(t) Phi, Phi(t0) = I.
 
-    ``error_estimate``, ``n_steps``, ``n_rejected`` and ``stiff_from`` are
-    those of the single matrix-ODE run that produced every column (see
-    Trajectory).
+    ``states`` holds Phi(t) row-major, one n^2 row per time; ``matrices`` is
+    a view of them as (m, n, n), and ``dim`` is n. The other fields are those
+    of the one run that produced every column.
     """
 
-    times: np.ndarray
-    matrices: np.ndarray
-    error_estimate: Optional[float] = None
-    n_steps: int = 0
-    n_rejected: int = 0
-    stiff_from: Optional[float] = None
-
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.matrices = np.asarray(self.matrices, dtype=float)
-        if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
-            raise InvalidInputError("matrices must be a stack of square matrices")
-        if self.times.shape[0] != self.matrices.shape[0]:
-            raise InvalidInputError("times and matrices lengths differ")
-        if not np.allclose(self.matrices[0], np.eye(self.matrices.shape[1])):
+        super().__post_init__()
+        n = self.dim
+        if n == 0 or n * n != self.states.shape[1]:
+            raise InvalidInputError(f"fundamental states need n^2 >= 1 columns, got {self.states.shape[1]}")
+        if not (self.times.size and np.allclose(self.matrices[0], np.eye(n))):
             raise InvalidInputError("fundamental trajectory must start at the identity")
-        if not np.all(np.isfinite(self.matrices)):
-            raise InvalidInputError("fundamental matrices must be finite")
 
     @property
     def dim(self) -> int:
-        return self.matrices.shape[1]
+        return math.isqrt(self.states.shape[1])
+
+    @property
+    def matrices(self) -> np.ndarray:
+        return self.states.reshape(-1, self.dim, self.dim)
 
 
-def _hermite_sample(times, states, derivs, ts, dense=None) -> np.ndarray:
-    """Cubic Hermite on (states, derivs); ``dense`` adds DOP853's rows F3..F6 per interval."""
+def _hermite_sample(times, states, derivs, ts, dense=()) -> np.ndarray:
+    """Cubic Hermite on (states, derivs); ``dense`` adds DOP853's rows F3..F6 on the first len(dense) intervals."""
     idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
     h = times[idx + 1] - times[idx]
     s = (ts - times[idx]) / h
@@ -356,11 +351,13 @@ def _hermite_sample(times, states, derivs, ts, dense=None) -> np.ndarray:
         + h01 * states[idx + 1]
         + h11 * hcol * derivs[idx + 1]
     )
-    if dense is not None:
+    near = idx < len(dense)
+    if near.any():
         # DOP853's extension is this cubic + s^2 (1-s)^2 (F3 + s (F4 + (1-s) (F5 + s F6)))
-        f3, f4, f5, f6 = np.moveaxis(dense[idx], 1, 0)
+        f3, f4, f5, f6 = np.moveaxis(np.asarray(dense)[idx[near]], 1, 0)
+        s, s2 = s[near], s2[near]
         sc = s[:, None]
-        out += (s2 * (1.0 - s) ** 2)[:, None] * (f3 + sc * (f4 + (1.0 - sc) * (f5 + sc * f6)))
+        out[near] += (s2 * (1.0 - s) ** 2)[:, None] * (f3 + sc * (f4 + (1.0 - sc) * (f5 + sc * f6)))
     return out
 
 
@@ -368,6 +365,13 @@ def _check_window(lo: float, hi: float, lo_name: str = "t0", hi_name: str = "tf"
     """InvalidInputError unless lo < hi are both finite; the message calls them ``lo_name`` and ``hi_name``."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):  # written so that NaN fails
         raise InvalidInputError(f"need finite {lo_name} < {hi_name}, got [{lo}, {hi}]")
+
+
+def _check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int; InvalidInputError naming it unless it is an integer >= least (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _validate_sample_times(ts, t0: float, tf: float) -> np.ndarray:
@@ -405,6 +409,8 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.dim,):
         raise DimensionError(f"x0 has shape {x0.shape}, system dimension is {sys.dim}")
+    if sample_times is not None:
+        sample_times = _validate_sample_times(sample_times, t0, tf)
 
     f0 = eval_rhs(sys, x0, t0)  # validated once; the loop uses the fast path
 
@@ -432,9 +438,8 @@ def integrate(
 
     if sample_times is None:
         return traj
-    ts = _validate_sample_times(sample_times, t0, tf)
-    states = _hermite_sample(traj.times, traj.states, traj.derivs, ts, run.dense_rows())
-    return replace(traj, times=ts, states=states, derivs=None)
+    states = _hermite_sample(traj.times, traj.states, traj.derivs, sample_times, run.dense)
+    return replace(traj, times=sample_times, states=states, derivs=None)
 
 
 class _Run:
@@ -454,7 +459,7 @@ class _Run:
         self.times = [t0]
         self.states = [x0.copy()]
         self.derivs = [f0]
-        self.dense = []  # per interval: the DOP853 rows F3..F6, or None
+        self.dense = []  # DOP853's rows F3..F6 of each interval that has them, a prefix of the run
         self.error = 0.0  # sum of the max-abs local-error estimates of accepted steps
         self.n_steps = 0
         self.n_rejected = 0
@@ -500,7 +505,8 @@ class _Run:
         self.times.append(t)
         self.states.append(y)
         self.derivs.append(f)
-        self.dense.append(dense)
+        if dense is not None:
+            self.dense.append(dense)
         self.error += err
         self.n_steps += 1
         self.non_finite = False
@@ -516,13 +522,6 @@ class _Run:
             n_rejected=self.n_rejected,
             stiff_from=self.stiff_from,
         )
-
-    def dense_rows(self) -> Optional[np.ndarray]:
-        """DOP853's rows F3..F6 per interval, zero on intervals without them; None when no interval has them."""
-        if all(rows is None for rows in self.dense):
-            return None
-        zero = np.zeros((4, self.states[0].size))
-        return np.array([zero if rows is None else rows for rows in self.dense])
 
 
 def _rk4_steps(run: _Run) -> None:
@@ -839,9 +838,8 @@ def integrate_fundamental(
         return np.kron(_shaped("A", a_fn(t), (n, n), t), eye)
 
     sys = SystemSpec(dim=n * n, f=matrix_field, jac=matrix_jac)
-    traj = integrate(sys, eye.ravel(), t0, tf, cfg, sample_times=sample_times)
-    mats = traj.states.reshape(-1, n, n)
-    return FundamentalTrajectory(traj.times, mats, traj.error_estimate, traj.n_steps, traj.n_rejected, traj.stiff_from)
+    run = integrate(sys, eye.ravel(), t0, tf, cfg, sample_times=sample_times)
+    return FundamentalTrajectory(**vars(run))
 
 
 # Simpson panels in a step of max_step in the mu-integrals of check_transition_bounds
@@ -922,8 +920,8 @@ def check_transition_bounds(
     The propagators, condition numbers and norms of all pairs and states
     are computed as stacks, one wrapper call each.
     """
-    if n_pairs < 1 or n_states < 1:
-        raise InvalidInputError(f"need n_pairs >= 1 and n_states >= 1, got {n_pairs} and {n_states}")
+    n_pairs, n_states = _check_count(n_pairs, "n_pairs"), _check_count(n_states, "n_states")
+    _check_count(seed, "seed", 0)
     fund = integrate_fundamental(a_fn, t0, tf)
     times = fund.times
     phi = fund.matrices

@@ -21,7 +21,7 @@ from logstab.certify import (
 )
 from logstab.errors import DimensionError, EvaluationError, InvalidInputError, InvalidRateError
 from logstab.expr import compile_expression, parse_expression
-from logstab.integrate import Trajectory, integrate
+from logstab.integrate import IntegratorConfig, Trajectory, check_transition_bounds, integrate
 from logstab.linalg import NormKind, sym_eig_max
 from logstab.lognorm import log_norm
 from logstab.system import SystemSpec, jacobian
@@ -99,6 +99,44 @@ def test_reports_with_a_domain_compare_by_value():
         assert report(box(2, 2.0)) != report(box(2, 2.0, t_hi=3.0)), name
     assert box(2, 2.0) != box(3, 2.0)  # arrays of another shape
     assert box(2, 2.0) != "a box"
+
+
+def _counted(calls, value):
+    """A callable of t, or of (x, t), that records each call and returns ``value``."""
+    return lambda *args: calls.append(args) or value
+
+
+@pytest.mark.parametrize(
+    "name, value, call",
+    [
+        ("n_space", 2.5, lambda calls, v: SamplingPlan(n_space=v)),
+        ("n_space", True, lambda calls, v: SamplingPlan(n_space=v)),
+        ("n_time", 0, lambda calls, v: SamplingPlan(n_time=v)),
+        ("seed", -1, lambda calls, v: SamplingPlan(seed=v)),
+        ("seed", 1.0, lambda calls, v: SamplingPlan(seed=v)),
+        ("n_pairs", 2.5, lambda calls, v: check_transition_bounds(_counted(calls, -np.eye(2)), NormKind.l2(), 0.0, 1.0, n_pairs=v)),
+        ("n_states", True, lambda calls, v: check_transition_bounds(_counted(calls, -np.eye(2)), NormKind.l2(), 0.0, 1.0, n_states=v)),
+        ("seed", 2.5, lambda calls, v: check_transition_bounds(_counted(calls, -np.eye(2)), NormKind.l2(), 0.0, 1.0, seed=v)),
+        ("n_samples", 10.5, lambda calls, v: check_forcing_ratio(
+            SystemSpec(dim=1, f=_counted(calls, np.zeros(1))), _counted(calls, 1.0), 1.0, 10.0, n_samples=v)),
+        ("n_samples", 9, lambda calls, v: check_forcing_ratio(
+            SystemSpec(dim=1, f=_counted(calls, np.zeros(1))), _counted(calls, 1.0), 1.0, 10.0, n_samples=v)),
+        ("n_output", 2.5, lambda calls, v: verify_incremental_bound(
+            SystemSpec(dim=1, f=_counted(calls, np.zeros(1))), [([1.0], [2.0])], 0.0, 1.0, 0.5, n_output=v)),
+        ("max_steps", 2.5, lambda calls, v: IntegratorConfig(max_steps=v)),
+        ("n_doublings", True, lambda calls, v: classify_rate_integral(_counted(calls, 1.0), 0.0, 8.0, v)),
+    ],
+)
+def test_count_arguments_must_be_integers_before_any_work(name, value, call):
+    calls = []
+    with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer >= \d+, got {value!r}$"):
+        call(calls, value)
+    assert calls == []
+
+
+def test_count_arguments_take_numpy_integers():
+    assert SamplingPlan(n_space=np.int64(3), seed=np.uint8(0)).n_space == 3
+    assert IntegratorConfig(max_steps=np.int32(7)).max_steps == 7
 
 
 class TestContractionRate:
@@ -490,6 +528,11 @@ class TestOriginConvergence:
         states = np.column_stack([np.zeros(60), 4.0 + 0.001 * np.exp(-5 * times)])
         rep = verify_origin_convergence(Trajectory(times, states), target=np.array([0.0, 4.0]), tol=0.05)
         assert rep.converged
+
+    def test_target_of_the_wrong_length_rejected(self):
+        traj = Trajectory(np.linspace(0.0, 1.0, 101), np.zeros((101, 2)))
+        with pytest.raises(DimensionError, match=r"^target has shape \(3,\), trajectory states have shape \(101, 2\)$"):
+            verify_origin_convergence(traj, target=[0, 0, 0])
 
     def test_too_short_trajectory_rejected(self):
         traj = Trajectory(np.linspace(0, 1, 20), np.zeros((20, 1)))

@@ -110,7 +110,7 @@ class TestCertifyCommand:
     def test_negative_seed_override_exits_two(self, config_file, tmp_path, capsys):
         argv = ["certify", "--config", str(config_file), "--out", str(tmp_path / "r"), "--seed", "-1"]
         assert main(argv) == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "domain, line, message",

@@ -132,6 +132,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="delta3"):
             parse_config("[system]\ntype = builtin\nname = example1\ndelta3 = t\n")
 
+    def test_builtin_system_takes_no_component_keys(self):
+        with pytest.raises(ConfigError, match=r"^line 4: unknown key 'f1' in \[system\]$"):
+            parse_config("[system]\ntype = builtin\nname = example1\nf1 = x1\n")
+
+    def test_single_error_keeps_its_bare_message(self):
+        err = ConfigError("dim must be positive", 4)
+        assert err.errors == [(4, "dim must be positive")]
+        assert str(err) == "line 4: dim must be positive"
+        assert ConfigError("missing required [system] section").errors == [(None, "missing required [system] section")]
+
     def test_missing_component_caught(self):
         with pytest.raises(ConfigError, match="f2"):
             parse_config("[system]\ntype = expression\ndim = 2\nf1 = -x1\n")
@@ -169,14 +179,14 @@ class TestParsing:
     @pytest.mark.parametrize(
         "section, line, message",
         [
-            ("sampling", "n_space = 0", "sampling counts must be positive"),
+            ("sampling", "n_space = 0", "n_space must be an integer >= 1, got 0"),
             ("sampling", "scheme = bogus", "unknown sampling scheme 'bogus'"),
-            ("sampling", "seed = -1", "sampling seed must be non-negative"),
+            ("sampling", "seed = -1", "seed must be an integer >= 0, got -1"),
             ("sampling", "seed = 1.5", "expected an integer"),
             ("integrator", "step = -1", "step sizes must be positive"),
             ("integrator", "method = euler", "unknown integrator method 'euler'"),
             ("integrator", "method = rkf45", "unknown integrator method 'rkf45'"),
-            ("integrator", "max_steps = 0", "max_steps must be positive"),
+            ("integrator", "max_steps = 0", "max_steps must be an integer >= 1, got 0"),
             ("integrator", "rel_tol = inf", "number must be finite"),
             ("norm", "kind = l3", "norm kind must be one of"),
             ("norm", "weight = 1 x", "bad weight matrix"),

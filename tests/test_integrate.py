@@ -26,7 +26,7 @@ from logstab.linalg import NormKind, cond_2, induced_matrix_norm, solve, vec_nor
 from logstab.lognorm import log_norm_pair
 from logstab.system import SystemSpec, _fd_jacobian
 
-from conftest import random_spd
+from conftest import random_spd, spy
 
 integrate_module = importlib.import_module("logstab.integrate")
 system_module = importlib.import_module("logstab.system")
@@ -111,7 +111,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("knob", ["step", "max_step", "rel_tol", "abs_tol", "max_steps"])
     def test_config_rejects_nan(self, knob):
         # NaN fails every comparison, so a NaN knob must not pass a "<= 0" test
-        with pytest.raises(InvalidInputError, match="must be positive"):
+        with pytest.raises(InvalidInputError, match=r"must be (positive|an integer >= 1, got nan)$"):
             IntegratorConfig(**{knob: np.nan})
         assert IntegratorConfig(max_step=np.inf).max_step == np.inf
 
@@ -327,6 +327,26 @@ class TestFundamental:
         exact = np.real(np.stack([(v * np.exp(lam * t)) @ v_inv for t in fund.times]))
         col_err = np.abs(fund.matrices - exact).max(axis=(0, 1))
         assert col_err.max() < 1e-9, col_err
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_record_is_the_trajectory_of_its_run(self, monkeypatch, sampled):
+        # the second component is stiff, so auto switches and every field is set
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(integrate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(integrate_module, "integrate", recorded)
+        a = np.array([[-1.0, 0.0], [1.0, -2000.0]])
+        fund = integrate_fundamental(lambda t: a, 0.0, 1.0, sample_times=np.linspace(0.0, 1.0, 9) if sampled else None)
+        (run,) = runs
+        assert run.stiff_from is not None and (run.derivs is None) == sampled
+        got, want = vars(fund), vars(run)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert got[name] is value, name
+        assert fund.dim == 2 and fund.matrices.shape == (run.times.size, 2, 2)
 
     def test_sample_times_resample_the_one_run(self):
         ts = np.linspace(0.0, 1.0, 11)
@@ -552,8 +572,18 @@ class TestTrajectoryContainer:
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)))
         with pytest.raises(InvalidInputError):
             Trajectory(np.array([0.0, 1.0]), np.full((2, 1), np.nan))
-        with pytest.raises(InvalidInputError):
-            FundamentalTrajectory(np.array([0.0]), np.array([[[2.0]]]))
+        with pytest.raises(InvalidInputError, match="must start at the identity"):
+            FundamentalTrajectory(np.array([0.0]), np.array([[2.0]]))
+        with pytest.raises(InvalidInputError, match="need n\\^2 >= 1 columns, got 3"):
+            FundamentalTrajectory(np.array([0.0]), np.array([[1.0, 0.0, 1.0]]))
+        with pytest.raises(InvalidInputError, match="^trajectory times must strictly increase$"):
+            FundamentalTrajectory(np.array([1.0, 0.0]), np.array([[1.0], [1.0]]))
+
+    def test_fundamental_trajectory_views_its_states_as_matrices(self):
+        fund = FundamentalTrajectory(np.array([0.0, 1.0]), np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 2.0, 3.0, 4.0]]))
+        assert fund.dim == 2
+        assert np.array_equal(fund.matrices[1], [[1.0, 2.0], [3.0, 4.0]])
+        assert np.shares_memory(fund.matrices, fund.states)
 
     def test_empty_trajectory_allowed(self):
         traj = Trajectory(np.zeros(0), np.zeros((0, 2)))
@@ -567,15 +597,18 @@ class TestTrajectoryContainer:
             ([np.nan], r"sample_times must lie within \[0\.0, 1\.0\]"),
             ([0.2, np.nan], "sample_times must strictly increase"),
             ([0.5, 0.25], "sample_times must strictly increase"),
+            ([5.0, 1.0], "sample_times must strictly increase"),
             ([], "sample_times must be a non-empty 1-D sequence"),
             ([[0.5]], "sample_times must be a non-empty 1-D sequence"),
         ],
-        ids=["past the end", "before the start", "nan", "nan last", "decreasing", "empty", "2-D"],
+        ids=["past the end", "before the start", "nan", "nan last", "decreasing", "decreasing outside", "empty", "2-D"],
     )
     def test_sample_takes_only_times_that_integrate_would(self, decay_system, ts, message):
         # x' = -x from 1 on [0, 1]: the cubic would extrapolate e^-5 = 0.0067 to -2.27
+        calls = spy(decay_system, "f")
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             integrate(decay_system, np.array([1.0]), 0.0, 1.0, sample_times=ts)
+        assert calls == []  # refused before the run starts
 
     def test_sample_inside_the_trajectory_interpolates(self, decay_system):
         traj = integrate(decay_system, np.array([1.0]), 0.0, 1.0)
