@@ -383,8 +383,8 @@ def verify_incremental_bound(
     """
     if kind is None:
         kind = NormKind.l2()
-    if alpha0 <= 0.0:
-        raise InvalidInputError("alpha0 must be positive")
+    if not alpha0 > 0.0:  # written so that NaN fails
+        raise InvalidInputError(f"alpha0 must be positive, got {alpha0!r}")
     if not initial_pairs:
         raise InvalidInputError("need at least one initial pair")
     _check_count(n_output, "n_output")
@@ -496,6 +496,8 @@ def verify_origin_convergence(
     half the mid-trajectory max (decay evidence, not just smallness). The
     target defaults to the origin; shifted limits pass it explicitly.
     """
+    if not tol > 0.0:  # written so that NaN fails
+        raise InvalidInputError(f"tol must be positive, got {tol!r}")
     if kind is None:
         kind = NormKind.l2()
     m = traj.times.size

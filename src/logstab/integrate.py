@@ -34,9 +34,26 @@ first stage f(t + h, y_new). Their quotient
 samples the numerical range of J, whose upper end is mu2[J] (Hairer &
 Wanner's stiffness test, with the sign kept). Y12 is the input of the last
 stage, which the stage loop has already formed; the test does not form it
-again. ``auto`` switches once
-h * (-sigma) >= STIFF_THETA on STIFF_RUN consecutive accepted steps; a
-rotation has sigma = 0 and an expanding field sigma > 0, so neither switches.
+again. ``auto`` switches after STIFF_RUN consecutive accepted steps on which
+the run contracts (sigma < 0), DOP853's next proposed step is below max_step,
+and one of two tests holds. The stability test is h * (-sigma) >= STIFF_THETA:
+the step is near DOP853's stability bound. The cost test (Petzold's rule
+in LSODA, 1983) asks whether NDF would go further per unit of work: an
+order-5 NDF step, from y^(6) estimated as 6! times the 6th divided difference
+of the last 7 nodes and sized so that its error test _NDF_ERR[5] h^6 |y^(6)|
+reads 1 in the step's scaled norm, is at least STIFF_COST_RATIO times the
+proposed DOP853 step. That ratio is the cost of an NDF step over that of a
+DOP853 step: on the demo an NDF step takes about 50 us and a DOP853 step of
+12-15 field evaluations 115-145 us, and their ratio 0.4 is rounded up to 0.5
+for the hand-over's own cost, an order-1 restart with a fresh Jacobian. The estimate is formed only when the
+other conditions hold and the stability test fails. On the demo, the ratio
+of the estimate to DOP853's step is at most 0.11 on t <= 1 and 0.6-1.5 on
+[2.5, 4], so the run switches near t = 2.4, where h * (-sigma) reaches 0.75
+only near t = 3.7. The stability test alone switches runs held at their
+stability bound before 7 nodes exist, such as A = [[-1000, 1], [0, -1]].
+The max_step condition keeps a run that DOP853 crosses in steps of max_step,
+a slow decay, on DOP853. A rotation has sigma = 0 and an expanding field
+sigma > 0, so neither switches.
 
 Every method shares one run object, ``_Run``. It holds the accepted nodes
 and the counters, and it alone ends or fails a run (tf reached, step budget
@@ -208,10 +225,12 @@ _DOP_D = np.array([
 # stage s of a step: (c_s, the row of _DOP_A that forms it from stages 0..s-1)
 _DOP_STAGE_ROWS = tuple((_DOP_C[s], _DOP_A[s, :s]) for s in range(_DOP_A.shape[0]))
 
-# ``auto`` hands over to ndf once h * (-sigma) >= STIFF_THETA on STIFF_RUN
-# consecutive accepted DOP853 steps (see the module docstring)
+# ``auto`` hands over to ndf after STIFF_RUN consecutive accepted DOP853 steps
+# that pass the stability test h * (-sigma) >= STIFF_THETA or the cost test,
+# an NDF step estimate >= STIFF_COST_RATIO times DOP853's (see the module docstring)
 STIFF_THETA = 0.75
 STIFF_RUN = 3
+STIFF_COST_RATIO = 0.5
 
 # NDF coefficients by order k (index 0 unused): kappa_k, gamma_k = sum_{j<=k} 1/j,
 # the Newton scaling (1 - kappa_k) gamma_k, and the error constant
@@ -609,11 +628,17 @@ def _dop853_steps(run: _Run, dense: bool) -> None:
                 continue
             rows = h * (_DOP_D @ stages)
         run.accept(t_new, y_new, float(err_vec.max()), f_new, rows)
+        grow = 0.9 * err ** -0.125 if err > 0.0 else 10.0
+        h_next = h * min(10.0, max(0.2, grow))
         # the last stage K12 = f(t + h, Y12) and f_new give sigma (see the module docstring);
-        # h * (-sigma) >= theta is tested without dividing by |gap|^2
+        # -sigma |gap|^2 is tested against both thresholds without dividing by |gap|^2
         gap = y_new - y12
         gap2 = gap @ gap
-        stiff_steps = stiff_steps + 1 if gap2 > 0.0 and h * (gap @ (k[-1] - f_new)) >= STIFF_THETA * gap2 else 0
+        damp = gap @ (k[-1] - f_new)
+        stiff = damp > 0.0 and h_next < cfg.max_step and (
+            h * damp >= STIFF_THETA * gap2 or _ndf_outpaces(run, scale, STIFF_COST_RATIO * h_next)
+        )
+        stiff_steps = stiff_steps + 1 if stiff else 0
         if stiff_steps >= STIFF_RUN and run.running():
             run.stiff_from = t_new
             return
@@ -621,8 +646,23 @@ def _dop853_steps(run: _Run, dense: bool) -> None:
         y = y_new
         abs_y = abs_y_new
         stages[0] = f_new
-        grow = 0.9 * err ** -0.125 if err > 0.0 else 10.0
-        h = min(h * min(10.0, max(0.2, grow)), cfg.max_step)
+        h = min(h_next, cfg.max_step)
+
+
+def _ndf_outpaces(run: _Run, scale: np.ndarray, h: float) -> bool:
+    """Whether an order-5 NDF step of size h would pass its error test on the run's last 7 nodes.
+
+    y^(6) is 6! times the 6th divided difference of those nodes, the sum of
+    y_i / prod_{j != i} (t_i - t_j); the test is _NDF_ERR[5] h^6 |y^(6)| <= 1
+    in the scaled max-norm of ``scale``. A NaN from an overflow fails it.
+    """
+    if len(run.times) < 7:
+        return False
+    t = np.array(run.times[-7:])
+    gaps = t[:, None] - t
+    np.fill_diagonal(gaps, 1.0)
+    y6 = (720.0 / gaps.prod(axis=1)) @ np.array(run.states[-7:])
+    return bool(_NDF_ERR[5] * h**6 * (np.abs(y6) / scale).max() <= 1.0)
 
 
 def _rescale_differences(diffs: np.ndarray, order: int, factor: float) -> None:

@@ -33,6 +33,7 @@ The error carries that x (None for a whole stack or for t alone) and t.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -272,7 +273,10 @@ class QuadratureRule:
         return cls(nodes=0.5 * (x + 1.0), weights=0.5 * w)
 
 
-DEFAULT_QUADRATURE = QuadratureRule.gauss_legendre(16)
+@functools.cache
+def _default_quadrature() -> QuadratureRule:
+    """The 16-node Gauss-Legendre rule, built on first use: numpy.polynomial then loads only when it is needed."""
+    return QuadratureRule.gauss_legendre(16)
 
 
 def averaged_jacobian(sys: SystemSpec, x_star, x, t: float, rule: QuadratureRule | None = None) -> np.ndarray:
@@ -283,7 +287,7 @@ def averaged_jacobian(sys: SystemSpec, x_star, x, t: float, rule: QuadratureRule
     x* = 0 it linearizes the field difference against the origin.
     """
     if rule is None:
-        rule = DEFAULT_QUADRATURE
+        rule = _default_quadrature()
     x_star = _check_dim(sys, x_star)
     x = _check_dim(sys, x)
     nodes = x_star + rule.nodes[:, None] * (x - x_star)

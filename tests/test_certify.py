@@ -401,6 +401,13 @@ class TestIncrementalBound:
         with pytest.raises(InvalidInputError):
             verify_incremental_bound(fig1_system, [(np.zeros(2), np.ones(2))], 0.0, 1.0, 0.0)
 
+    def test_nan_alpha0_is_rejected_before_any_integration(self, monkeypatch, fig1_system):
+        calls = []
+        monkeypatch.setattr(certify_module, "integrate", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(InvalidInputError, match=r"^alpha0 must be positive, got nan$"):
+            verify_incremental_bound(fig1_system, [(np.zeros(2), np.ones(2))], 0.0, 1.0, float("nan"))
+        assert not calls
+
     def test_tolerance_is_the_largest_budget_of_a_pair(self, monkeypatch, fig1_system):
         runs = []
 
@@ -533,6 +540,12 @@ class TestOriginConvergence:
         traj = Trajectory(np.linspace(0.0, 1.0, 101), np.zeros((101, 2)))
         with pytest.raises(DimensionError, match=r"^target has shape \(3,\), trajectory states have shape \(101, 2\)$"):
             verify_origin_convergence(traj, target=[0, 0, 0])
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -0.01])
+    def test_tol_must_be_positive(self, tol):
+        traj = Trajectory(np.linspace(0.0, 1.0, 101), np.zeros((101, 2)))
+        with pytest.raises(InvalidInputError, match=r"^tol must be positive, got "):
+            verify_origin_convergence(traj, tol=tol)
 
     def test_too_short_trajectory_rejected(self):
         traj = Trajectory(np.linspace(0, 1, 20), np.zeros((20, 1)))

@@ -33,10 +33,15 @@ system_module = importlib.import_module("logstab.system")
 
 
 def without_switch(monkeypatch, run):
-    """run() with auto's stiffness switch disabled, so that auto is DOP853 throughout."""
+    """run() with both of auto's stiffness tests disabled, so that auto is DOP853 throughout."""
     with monkeypatch.context() as patch:
         patch.setattr(integrate_module, "STIFF_THETA", np.inf)
+        patch.setattr(integrate_module, "STIFF_COST_RATIO", np.inf)
         return run()
+
+
+# the demo's starts at the corners and centre of [-5, 5]^2 and at the paper's (-2, 5)
+DEMO_STARTS = ([5.0, 5.0], [-5.0, -5.0], [5.0, -5.0], [-5.0, 5.0], [-2.0, 5.0], [0.0, 0.0])
 
 
 def rk4_endpoint_error(sys, x0, tf, exact, step):
@@ -964,8 +969,16 @@ class TestAuto:
             (SystemSpec(dim=1, f=lambda x, t: x.copy()), [1.0], 10.0, {"rel_tol": 1e-3, "max_step": 10.0}),
             # y5 = Y5 exactly, so sigma is undefined
             (SystemSpec(dim=2, f=lambda x, t: np.array([1.0, -2.0])), [0.0, 0.0], 3.0, {}),
+            # the cost test passes here; only DOP853's proposals beyond max_step keep it on DOP853
+            (SystemSpec(dim=1, f=lambda x, t: -x), [1.0], 3.0, {"rel_tol": 1e-6, "max_step": 0.01}),
         ],
-        ids=["expanding x' = x", "rotation omega = 10", "expanding at a loose tolerance", "constant field"],
+        ids=[
+            "expanding x' = x",
+            "rotation omega = 10",
+            "expanding at a loose tolerance",
+            "constant field",
+            "decay held at max_step",
+        ],
     )
     def test_no_switch_is_bit_identical_to_dop853(self, sys, x0, tf, knobs, monkeypatch):
         def run():
@@ -980,8 +993,26 @@ class TestAuto:
         # accuracy-limited steps of about 0.1 against mu[J] of about -7 put
         # h * (-sigma) at up to 0.78 on one step here, below STIFF_THETA over three
         sys = build_example1(delta=delta_admissible if variant == "fig1" else delta_borderline)
-        for x0 in ([5.0, 5.0], [-5.0, -5.0], [5.0, -5.0], [-5.0, 5.0], [-2.0, 5.0], [0.0, 0.0]):
+        for x0 in DEMO_STARTS:
             assert integrate(sys, np.array(x0), 0.0, 1.0).stiff_from is None, x0
+
+    @pytest.mark.parametrize("variant", ["fig1", "fig2"])
+    def test_demo_to_tf_6_switches_once_ndf_is_the_cheaper_method(self, variant):
+        # the cost test fires near t = 2.4, long before h * (-sigma) reaches STIFF_THETA (t = 3.7 from most starts)
+        sys = build_example1(delta=delta_admissible if variant == "fig1" else delta_borderline)
+        for x0 in DEMO_STARTS:
+            assert 2.0 <= integrate(sys, np.array(x0), 0.0, 6.0).stiff_from < 3.0, x0
+
+    def test_cost_test_alone_switches_the_demo(self, fig1_system, monkeypatch):
+        monkeypatch.setattr(integrate_module, "STIFF_THETA", np.inf)
+        traj = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0)
+        assert 2.0 <= traj.stiff_from < 3.0
+
+    def test_stability_test_alone_switches_a_stability_limited_run(self, monkeypatch):
+        # h * (-sigma) passes STIFF_THETA within a few steps; the cost test needs 7 nodes and a smooth solution
+        a = np.array([[-1000.0, 1.0], [0.0, -1.0]])
+        monkeypatch.setattr(integrate_module, "STIFF_COST_RATIO", np.inf)
+        assert 0.0 < integrate_fundamental(lambda t: a, 0.0, 5.0).stiff_from < 0.05
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_ltv_envelope_systems_do_not_switch(self, n, monkeypatch):

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +248,14 @@ class TestQuadratureRule:
             QuadratureRule(nodes=[0.25, 0.75], weights=[0.4, 0.4])
         with pytest.raises(InvalidInputError):
             QuadratureRule.gauss_legendre(0)
+
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        # in its own process: the default rule is built on first use, so importing the package and CLI skips it
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, logstab, logstab.cli; print('numpy.polynomial' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
 
 
 class TestAveragedJacobian:

@@ -1,0 +1,231 @@
+"""Fingerprint logstab's numerical output: one SHA-256 line per record of a fixed corpus.
+
+Usage:
+    python tools/fingerprint.py                 # this tree
+    python tools/fingerprint.py --against REV   # this tree against the committed tree of REV
+
+A record is one call of the library on fixed inputs. Its line holds the
+record's name and a SHA-256 of the raw bytes of every array and counter the
+call returns; a call that raises one of logstab's errors is recorded by that
+error. Runs that ``auto`` handed to NDF also show the switch time. Where scipy
+is installed, every demo run also shows its worst error against the LSODA
+reference of ``perfbench/reference.py``, at the run's own times and relative to
+max(1, |x|), and the last line names the worst of them.
+
+The corpus: the demo field (fig1 and fig2 from (-2, 5)) under ``auto``, ``ndf``
+and ``rk4``, on the integrator's grid and sampled every 0.05, to tf = 3 and 20;
+``auto`` sampled to tf = 1 and 6 from the six starts of the tf = 1 no-switch tests; ``integrate_fundamental`` of a
+quadratic A(t) at n = 2, 4 and 8; ``check_transition_bounds`` on such systems
+under four norms; acceptance criterion 04's two reports; and the files of the
+two demo variants.
+
+``--against REV`` exports REV with ``git archive`` into a temporary directory
+(nothing is registered in the repository), runs the corpus on both trees, each
+in its own process, and prints per record whether the two are bit-identical,
+with the switch times and LSODA errors of both. The hashes compare two trees
+on one machine: another numpy build may round differently, so none is kept.
+The exit code is 0 unless the tool itself fails on a tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import importlib.util
+import io
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+STARTS = ((5.0, 5.0), (-5.0, -5.0), (5.0, -5.0), (-5.0, 5.0), (-2.0, 5.0), (0.0, 0.0))
+
+
+def _feed(h, obj) -> None:
+    """Add the raw bytes of obj, and of everything it holds, to the hash h."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif dataclasses.is_dataclass(obj):
+        h.update(type(obj).__name__.encode())
+        for field in dataclasses.fields(obj):
+            h.update(field.name.encode())
+            _feed(h, getattr(obj, field.name))
+    elif isinstance(obj, float):
+        h.update(float(obj).hex().encode())
+    elif isinstance(obj, (list, tuple)):
+        h.update(b"[")
+        for item in obj:
+            _feed(h, item)
+        h.update(b"]")
+    else:
+        h.update(repr(obj).encode())
+
+
+def _digest(obj) -> str:
+    h = hashlib.sha256()
+    _feed(h, obj)
+    return h.hexdigest()
+
+
+def _corpus(logstab):
+    """(name, call, reference) per record; reference is (variant, x0) for a demo run, else None."""
+    from logstab.demos import build_example1, delta_admissible, delta_borderline, run_demo_example1
+
+    demo = {"fig1": build_example1(delta=delta_admissible), "fig2": build_example1(delta=delta_borderline)}
+
+    def run(variant, x0, tf, method, sampled):
+        grid = np.linspace(0.0, tf, int(round(tf / 0.05)) + 1) if sampled else None
+        cfg = logstab.IntegratorConfig(method=method)
+        return lambda: logstab.integrate(demo[variant], np.array(x0), 0.0, tf, cfg, sample_times=grid)
+
+    for variant in demo:
+        for method in ("auto", "ndf", "rk4"):
+            for tf in (3.0, 20.0):
+                for sampled in (False, True):
+                    name = f"demo/{variant}/{method}/{'sampled' if sampled else 'grid'}/tf{tf:g}"
+                    yield name, run(variant, (-2.0, 5.0), tf, method, sampled), (variant, (-2.0, 5.0))
+        for tf in (1.0, 6.0):
+            for x0 in STARTS:
+                name = f"demo/{variant}/auto/sampled/tf{tf:g}/x0={x0[0]:g},{x0[1]:g}"
+                yield name, run(variant, x0, tf, "auto", True), (variant, x0)
+
+    kinds = ("l1", "l2", "linf", "weighted")
+    for n in (2, 4, 8):
+        rng = np.random.default_rng([n, 3])
+        c0, c1, c2 = [c * np.sqrt(n) / np.linalg.norm(c) for c in rng.normal(size=(3, n, n))]
+        m = rng.normal(size=(n, n))
+        weight = m @ m.T + n * np.eye(n)
+
+        def a_fn(t, c0=c0, c1=c1, c2=c2):
+            return c0 + t * c1 + (t * t) * c2
+
+        yield f"fundamental/n={n}/grid", lambda a_fn=a_fn: logstab.integrate_fundamental(a_fn, 0.0, 1.0), None
+        ts = np.linspace(0.0, 1.0, 21)
+        yield f"fundamental/n={n}/sampled", (
+            lambda a_fn=a_fn: logstab.integrate_fundamental(a_fn, 0.0, 1.0, sample_times=ts)
+        ), None
+        for tag in kinds:
+            kind = logstab.NormKind.weighted(weight) if tag == "weighted" else logstab.NormKind(tag)
+            yield f"transition_bounds/n={n}/{tag}", (
+                lambda a_fn=a_fn, kind=kind: logstab.check_transition_bounds(a_fn, kind, 0.0, 1.0, seed=n)
+            ), None
+
+    def criterion_04():
+        # the pairs, window and norm of acceptance criterion 04
+        rng = np.random.default_rng(12345)
+        pairs = [(rng.uniform(-5.0, 5.0, size=2), rng.uniform(-5.0, 5.0, size=2)) for _ in range(20)]
+        rep = logstab.verify_incremental_bound(demo["fig1"], pairs, 0.0, 6.0, 0.5, logstab.NormKind.l2(), n_output=241)
+        expanding = logstab.SystemSpec(dim=1, f=lambda x, t: x.copy(), jac=lambda x, t: np.eye(1))
+        rep_bad = logstab.verify_incremental_bound(
+            expanding, [(np.array([1.0]), np.array([2.0]))], 0.0, 3.0, 0.5, logstab.NormKind.l2()
+        )
+        return rep, rep_bad
+
+    yield "criterion_04", criterion_04, None
+
+    def demo_files(variant):
+        with tempfile.TemporaryDirectory() as out:
+            run_demo_example1(variant, out)
+            return [(p.name, p.read_bytes()) for p in sorted(Path(out).rglob("*")) if p.is_file()]
+
+    for variant in demo:
+        yield f"demo_files/{variant}", lambda variant=variant: demo_files(variant), None
+
+
+def _reference():
+    """perfbench/reference.py's ``reference_states``, or None without scipy."""
+    spec = importlib.util.spec_from_file_location("reference", REPO / "perfbench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except ImportError:
+        return None
+    return module.reference_states
+
+
+def listing(src: Path) -> list[tuple[str, str, str, str]]:
+    """(name, sha256, switch time, LSODA error) per record, with logstab imported from src."""
+    sys.path.insert(0, str(src))
+    import logstab
+
+    if Path(logstab.__file__).resolve().parent != (src / "logstab").resolve():
+        raise RuntimeError(f"logstab was imported from {logstab.__file__}, not from {src}")
+    reference = _reference()
+    rows = []
+    for name, call, ref in _corpus(logstab):
+        try:
+            out = call()
+        except logstab.LogstabError as exc:
+            rows.append((name, _digest((type(exc).__name__, str(exc), getattr(exc, "last_time", None))), "-", "-"))
+            continue
+        switch = getattr(out, "stiff_from", None)
+        err = "-"
+        if ref is not None and reference is not None:
+            want = np.array(reference({"delta": ref[0], "x0": list(ref[1]), "times": out.times.tolist()}))
+            err = f"{float((np.abs(out.states - want) / np.maximum(1.0, np.abs(want))).max()):.2e}"
+        rows.append((name, _digest(out), "-" if switch is None else f"{switch:.4f}", err))
+    return rows
+
+
+def _print_listing(rows) -> None:
+    for name, sha, switch, err in rows:
+        print(f"{name:<40} {sha} switch={switch} lsoda={err}")
+    errs = [(float(err), name) for name, _, _, err in rows if err != "-"]
+    if errs:
+        print("worst LSODA error: {:.2e} ({})".format(*max(errs)))
+
+
+def _child_listing(src: Path) -> list[tuple[str, ...]]:
+    out = subprocess.run(
+        [sys.executable, __file__, "--src", str(src)], capture_output=True, text=True, check=False, cwd=REPO
+    )
+    if out.returncode:
+        raise SystemExit(f"fingerprint failed on {src}:\n{out.stderr}")
+    rows = []
+    for line in out.stdout.splitlines():
+        if line.startswith("worst LSODA error"):
+            continue
+        name, sha, switch, err = line.split()
+        rows.append((name, sha, switch.removeprefix("switch="), err.removeprefix("lsoda=")))
+    return rows
+
+
+def against(rev: str) -> None:
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev], capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        extra = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tarfile.open(fileobj=io.BytesIO(archive)).extractall(tmp, **extra)
+        theirs = {row[0]: row[1:] for row in _child_listing(Path(tmp) / "src")}
+    ours = _child_listing(REPO / "src")
+    same = 0
+    print(f"{'record':<40} {'vs ' + rev:<14} switch (rev -> this)   lsoda (rev -> this)")
+    for name, sha, switch, err in ours:
+        if name not in theirs:
+            print(f"{name:<40} {'new':<14}")
+            continue
+        their_sha, their_switch, their_err = theirs[name]
+        same += sha == their_sha
+        verdict = "identical" if sha == their_sha else "differs"
+        print(f"{name:<40} {verdict:<14} {their_switch:>8} -> {switch:<8}   {their_err:>8} -> {err}")
+    print(f"{len(ours)} records: {same} bit-identical, {len(ours) - same} differ or are new")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV", help="compare this tree with the committed tree of REV")
+    parser.add_argument("--src", type=Path, default=REPO / "src", help="import logstab from this directory")
+    args = parser.parse_args(argv)
+    if args.against:
+        against(args.against)
+    else:
+        _print_listing(listing(args.src))
+
+
+if __name__ == "__main__":
+    main()
