@@ -57,27 +57,40 @@ sigma > 0, so neither switches.
 
 Every method shares one run object, ``_Run``. It holds the accepted nodes
 and the counters, and it alone ends or fails a run (tf reached, step budget
-spent, step size underflow) and accepts a node (evaluate f there, require it
-finite, store it). RK4, DOP853 and ``ndf`` are step rules that propose steps
-to it; ``auto`` hands the same run from DOP853 to ndf. RK4 knows its step
-count up front and never rejects, so it checks the budget once before its
-first step. Every method starts from the field value that ``integrate``
-validated at (t0, x0). Stages add f and delta elementwise and check only
-that the sum is real; an accepted node checks the shape and type of both
-outputs, so a callable whose output turns bad mid-run raises
-EvaluationError there, or at the first stage where the sum fails or is not
-real, naming the callable, x and t.
+spent, step size underflow) and accepts a node. RK4, DOP853 and ``ndf`` are
+step rules that propose steps to it; ``auto`` hands the same run from DOP853
+to ndf. RK4 knows its step count up front and never rejects, so it checks the
+budget once before its first step. Every method starts from the field value
+that ``integrate`` validated at (t0, x0). Every later evaluation checks the
+shape of f's and delta's outputs and that their sum is real, so a callable
+whose output turns bad mid-run raises EvaluationError at the first
+evaluation that meets it, naming the callable, x and t. A non-finite value
+is a step's business: it rejects the trial step, or ends the run with
+DivergedError. The step rules run under ``np.errstate(all="ignore")``, so
+such a value, or an overflow, invalid operation or division by zero that
+makes one, raises no numpy warning on the way.
 
-Every method stores the field at its accepted nodes, so one dense-output path,
-cubic Hermite on the stored derivatives, samples every run; ``integrate``'s
-``sample_times`` is the one way to sample, and it is checked before the run
-starts. When it is given, each DOP853 step also evaluates the three extra
-stages of its 7th-order continuous extension and keeps the table of its rows
-F3..F6. The first three rows of that extension are exactly the Hermite cubic,
-and a sample on an interval that has a table entry adds the term of the other
-four. ``auto`` hands over to ndf once and never back, so the DOP853 intervals,
-and with them the table, are a prefix of the run. Runs that only return their
-grid skip those stages.
+A node stores the derivative its step rule has. RK4 and DOP853 evaluate the
+field at each node they accept, require it finite, and start the next step
+from it. An NDF node's derivative is its corrector's y', (corr + psi) / c
+from the Newton iteration that solved corr = c f(t, y) - psi, as ode15s and
+scipy's BDF report it; it takes no field evaluation. The run keeps corr, psi
+and c, and forms y' for all NDF nodes at once when it returns its grid; a
+sampled run needs none of them.
+
+``integrate``'s ``sample_times`` is the one way to sample, and it is checked
+before the run starts. RK4 intervals are sampled by cubic Hermite on the
+stored derivatives. With ``sample_times`` each DOP853 step also evaluates
+the three extra stages of its 7th-order continuous extension and keeps the
+table of its rows F3..F6; the first three rows of that extension are exactly
+the Hermite cubic, and a sample on such an interval adds the term of the
+other four. Each NDF step keeps the backward differences 1..k of its order-k
+interpolant, on steps of its own length h, and a sample on its interval
+reads that interpolant, Newton's backward formula from the step's end.
+``auto`` hands over to ndf once and never back, so the DOP853 table is a
+prefix of the run and the NDF table a suffix. A sample on a node is that
+node's state. Runs that only return their grid keep neither table and skip
+DOP853's extra stages.
 
 The fundamental matrix of a linear time-varying system is integrated with
 the same machinery as one n^2-dimensional matrix ODE, so all n columns share
@@ -94,7 +107,7 @@ t, as any user callable's bad output does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -254,6 +267,9 @@ def _r_matrix(order: int, r: float) -> np.ndarray:
 
 # R(1) by order (index 0 unused): every change of h rescales with it
 _R_ONE = (None,) + tuple(_r_matrix(order, 1.0) for order in range(1, _NDF_MAX_ORDER + 1))
+# m and m + 1, m = 0..4, in the products of Newton's backward formula (see ``_backward_sample``)
+_BACKWARD_M = np.arange(_NDF_MAX_ORDER, dtype=float)
+_BACKWARD_M1 = _BACKWARD_M + 1.0
 
 
 @dataclass
@@ -291,9 +307,11 @@ class IntegratorConfig:
 class Trajectory:
     """Time-stamped states of one integration run.
 
-    ``derivs`` holds the field evaluations at the grid nodes when the
-    trajectory is the integrator's own grid; resampled trajectories carry
-    None. Sample a run through ``integrate``'s ``sample_times``.
+    ``derivs`` holds the derivative at each grid node when the trajectory
+    is the integrator's own grid: the field there for ``rk4`` and DOP853
+    nodes, the NDF corrector's y' (within its Newton tolerance of the field)
+    for NDF nodes. Resampled trajectories carry None. Sample a run through
+    ``integrate``'s ``sample_times``.
     ``error_estimate`` accumulates the max-abs local-error estimates of
     accepted steps. It is None where there is no estimate: for ``rk4`` runs,
     which estimate no local error, and for a trajectory built by hand or
@@ -380,6 +398,17 @@ def _hermite_sample(times, states, derivs, ts, dense=()) -> np.ndarray:
     return out
 
 
+def _backward_sample(y_end, s, diffs) -> np.ndarray:
+    """Newton's backward formula y(t_end + s h) = y_end + sum_j diffs_j prod_{m<j} (s + m) / (m + 1), s in [-1, 0].
+
+    Each of the k samples has its step's end y_end (k, n), its s and its
+    step's backward differences 1..5 on steps of h, zero above the step's
+    order, in ``diffs`` (k, 5, n).
+    """
+    coef = np.cumprod((s[:, None] + _BACKWARD_M) / _BACKWARD_M1, axis=1)
+    return y_end + (coef[:, None, :] @ diffs)[:, 0]
+
+
 def _check_window(lo: float, hi: float, lo_name: str = "t0", hi_name: str = "tf") -> None:
     """InvalidInputError unless lo < hi are both finite; the message calls them ``lo_name`` and ``hi_name``."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):  # written so that NaN fails
@@ -432,53 +461,55 @@ def integrate(
         sample_times = _validate_sample_times(sample_times, t0, tf)
 
     f0 = eval_rhs(sys, x0, t0)  # validated once; the loop uses the fast path
+    shape = (sys.dim,)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        fx, dx = sys.f(y, t), sys.delta(t)
         try:
-            out = np.add(sys.f(y, t), sys.delta(t))  # elementwise, also for outputs that are lists
-            if out.dtype.kind not in "biuf":
-                raise TypeError(f"the field has dtype {out.dtype}, which is not real")
-            return out
-        except (TypeError, ValueError):
-            eval_rhs(sys, y, t)  # names the callable, x and t of an output that cannot be added or is not real
-            raise
+            if fx.shape == dx.shape == shape:
+                out = fx + dx
+                if out.dtype.kind in "biuf":
+                    return out
+        except (AttributeError, TypeError, ValueError):
+            pass  # an output that is not an array (a list, say) or that cannot be added
+        # names the callable, x and t of an output that is not real or has the wrong shape; else converts it
+        return _shaped("f", fx, shape, t, y) + _shaped("delta", dx, shape, t)
 
-    def node_rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _shaped("f", sys.f(y, t), (sys.dim,), t, y) + _shaped("delta", sys.delta(t), (sys.dim,), t)
-
-    run = _Run(rhs, node_rhs, x0, f0, t0, tf, cfg)
-    if cfg.method == "rk4":
-        _rk4_steps(run)
-    elif cfg.method == "auto":
-        _dop853_steps(run, dense=sample_times is not None)
-    if cfg.method == "ndf" or run.stiff_from is not None:
-        _ndf_steps(run, lambda t, y: jacobian(sys, y, t))
-    traj = run.trajectory()
-
-    if sample_times is None:
-        return traj
-    states = _hermite_sample(traj.times, traj.states, traj.derivs, sample_times, run.dense)
-    return replace(traj, times=sample_times, states=states, derivs=None)
+    dense = sample_times is not None
+    run = _Run(rhs, x0, f0, t0, tf, cfg)
+    # every method turns a non-finite value into a rejection or a DivergedError, so numpy need not warn of one
+    with np.errstate(all="ignore"):
+        if cfg.method == "rk4":
+            _rk4_steps(run)
+        elif cfg.method == "auto":
+            _dop853_steps(run, dense)
+        if cfg.method == "ndf" or run.stiff_from is not None:
+            _ndf_steps(run, lambda t, y: jacobian(sys, y, t), dense)
+    return run.trajectory(sample_times)
 
 
 class _Run:
     """The accepted nodes and counters of one run (see the module docstring).
 
     An adaptive step rule loops while ``running()``, calls ``check(h)`` before
-    it tries a step of size h, and reports the outcome through ``accept`` or
-    ``reject``. RK4 only accepts. Stages call ``rhs``; a node's field comes
-    from ``node_rhs``, which checks the shape and type of each output.
+    it tries a step of size h, and reports the outcome through ``accept`` (or
+    ``accept_ndf``) or ``reject``. RK4 only accepts. Every evaluation goes
+    through ``rhs``, which checks the shape and type of each output.
     """
 
-    def __init__(self, rhs, node_rhs, x0: np.ndarray, f0: np.ndarray, t0: float, tf: float, cfg: IntegratorConfig):
+    def __init__(self, rhs, x0: np.ndarray, f0: np.ndarray, t0: float, tf: float, cfg: IntegratorConfig):
         self.rhs = rhs
-        self.node_rhs = node_rhs
         self.tf = tf
         self.cfg = cfg
         self.times = [t0]
         self.states = [x0.copy()]
-        self.derivs = [f0]
+        self.derivs = [f0]  # the field at t0 and at each RK4 and DOP853 node: a prefix of the run
         self.dense = []  # DOP853's rows F3..F6 of each interval that has them, a prefix of the run
+        # per NDF node, a suffix of the run: its corrector's corr, psi and c, whose y' is (corr + psi) / c, and in a
+        # sampled run its step's backward differences 1..5, zero above its order, in the first rows of a table that
+        # doubles when it is full
+        self.ndf_corr, self.ndf_psi, self.ndf_c = [], [], []
+        self.ndf = np.zeros((0, _NDF_MAX_ORDER, x0.size))
         self.error = 0.0  # sum of the max-abs local-error estimates of accepted steps
         self.n_steps = 0
         self.n_rejected = 0
@@ -504,43 +535,92 @@ class _Run:
         self.non_finite = self.non_finite or non_finite
 
     def node_field(self, t: float, y: np.ndarray) -> np.ndarray:
-        """The field at a node about to be accepted; DivergedError when it is non-finite.
-
-        An output of f or delta that is not numeric or of the wrong shape raises EvaluationError.
-        """
-        f = self.node_rhs(t, y)
+        """The field at a node about to be accepted; DivergedError when it is non-finite."""
+        f = self.rhs(t, y)
         if not np.isfinite(f).all():
             raise DivergedError(f"field non-finite after step to t={t}", self.times[-1])
         return f
 
+    def _store(self, t: float, y: np.ndarray, err: float) -> None:
+        self.times.append(t)
+        self.states.append(y)
+        self.error += err
+        self.n_steps += 1
+        self.non_finite = False
+
     def accept(self, t: float, y: np.ndarray, err: float, f=None, dense=None) -> np.ndarray:
-        """Store the node (t, y) with a local-error estimate err; returns the field there.
+        """Store an RK4 or DOP853 node (t, y) with a local-error estimate err; returns the field there.
 
         ``f`` is the field at the node when the step rule already took it from
         ``node_field``; ``dense`` the interval's DOP853 rows F3..F6.
         """
         if f is None:
             f = self.node_field(t, y)
-        self.times.append(t)
-        self.states.append(y)
         self.derivs.append(f)
         if dense is not None:
             self.dense.append(dense)
-        self.error += err
-        self.n_steps += 1
-        self.non_finite = False
+        self._store(t, y, err)
         return f
 
-    def trajectory(self) -> Trajectory:
+    def accept_ndf(self, t: float, y: np.ndarray, err: float, corr, psi, c: float, diffs=None) -> None:
+        """Store an NDF node (t, y) with a local-error estimate err.
+
+        Its derivative is its corrector's y', (corr + psi) / c, formed with
+        the others' only when the grid is returned. ``diffs`` holds the
+        step's backward differences 1..k, k its order, in a sampled run.
+        """
+        self.ndf_corr.append(corr)
+        self.ndf_psi.append(psi)
+        self.ndf_c.append(c)
+        if diffs is not None:
+            row = len(self.ndf_c) - 1
+            if row == len(self.ndf):
+                self.ndf = np.concatenate([self.ndf, np.zeros((max(64, row),) + self.ndf.shape[1:])])
+            self.ndf[row, : len(diffs)] = diffs
+        self._store(t, y, err)
+
+    def trajectory(self, ts=None) -> Trajectory:
+        """The run on its own grid, with the derivative at each node, or at the sample times ts (derivs None)."""
+        times, states = np.array(self.times), np.array(self.states)
+        if ts is not None:
+            times, states, derivs = ts, self._sample(times, states, ts), None
+        elif self.ndf_c:
+            y_prime = (np.array(self.ndf_corr) + np.array(self.ndf_psi)) / np.array(self.ndf_c)[:, None]
+            derivs = np.concatenate([np.array(self.derivs), y_prime])
+        else:
+            derivs = np.array(self.derivs)
         return Trajectory(
-            np.array(self.times),
-            np.array(self.states),
-            np.array(self.derivs),
+            times,
+            states,
+            derivs,
             error_estimate=None if self.cfg.method == "rk4" else self.error,
             n_steps=self.n_steps,
             n_rejected=self.n_rejected,
             stiff_from=self.stiff_from,
         )
+
+    def _sample(self, times: np.ndarray, states: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """The states at ts: each NDF interval's own interpolant, cubic Hermite elsewhere.
+
+        Hermite takes DOP853's extension on the intervals of ``dense``, and
+        the field at the nodes before the NDF suffix. A sample on a node is
+        that node's state.
+        """
+        if not self.ndf_c:
+            return _hermite_sample(times, states, np.array(self.derivs), ts, self.dense)
+        idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
+        row = idx - (len(times) - 1 - len(self.ndf_c))  # the NDF table's row of each interval, negative before it
+        on_ndf = row >= 0
+        out = np.empty((ts.size, states.shape[1]))
+        if not on_ndf.all():
+            out[~on_ndf] = _hermite_sample(times, states, np.array(self.derivs), ts[~on_ndf], self.dense)
+        end = idx[on_ndf] + 1
+        s = (ts[on_ndf] - times[end]) / (times[end] - times[end - 1])
+        out[on_ndf] = _backward_sample(states[end], s, self.ndf[row[on_ndf]])
+        # Hermite gives a node its state exactly, the backward formula only to rounding at an interval's start
+        on_node = ts == times[idx]
+        out[on_node] = states[idx[on_node]]
+        return out
 
 
 def _rk4_steps(run: _Run) -> None:
@@ -712,9 +792,10 @@ def _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, tol, rate):
     measured rate) as in ode15s, is the one to carry, or None.
     """
     y, corr, prev = y_pred, None, None
+    zero = np.zeros(y.size)
     for it in range(_NEWTON_ITERS):
         f = rhs(t_new, y)
-        if not np.isfinite(f).all():
+        if not math.isfinite(f @ zero):  # inf or NaN times 0 is NaN
             return False, it + 1, y, corr, True, None
         residual = c * f - psi
         dy = m_inv @ (residual if corr is None else residual - corr)
@@ -759,12 +840,15 @@ def _ndf_start_step(run: _Run) -> float:
     return h if h < cap else cap  # also where a non-finite probe made h NaN
 
 
-def _ndf_steps(run: _Run, jac) -> None:
+def _ndf_steps(run: _Run, jac, dense: bool) -> None:
     """Variable-order NDF steps from the last node of ``run`` to tf.
 
     For ``ndf`` that node is t0; for ``auto`` it is where the DOP853 phase
     found the run stiff. The Newton tolerance and when J is evaluated are
-    set out in the module docstring.
+    set out in the module docstring. Each node's derivative is the
+    corrector's y'; with ``dense`` each accepted step also stores the
+    backward differences 1..order of its interpolant. A non-finite error
+    estimate or state rejects the step like a non-finite field.
     """
     cfg, rhs, tf = run.cfg, run.rhs, run.tf
     t, y = run.times[-1], run.states[-1]
@@ -775,6 +859,7 @@ def _ndf_steps(run: _Run, jac) -> None:
     diffs[0] = y
     diffs[1] = h * run.derivs[-1]
     abs_y = np.abs(y)
+    zero = np.zeros(y.size)
     order = 1
     n_equal = 0  # accepted steps since the last change of h or order
     j_mat = jac(t, y)
@@ -823,6 +908,10 @@ def _ndf_steps(run: _Run, jac) -> None:
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y_new)
         abs_err = np.abs(_NDF_ERR[order] * corr)
         err = float((abs_err / scale).max())
+        if not (math.isfinite(err) and math.isfinite(y_new @ zero)):  # inf or NaN times 0 is NaN
+            run.reject(non_finite=True)
+            resize(0.5)
+            continue
         safety = 0.9 * (2 * _NEWTON_ITERS + 1) / (2 * _NEWTON_ITERS + n_iter)
         if err > 1.0:
             run.reject()
@@ -833,17 +922,18 @@ def _ndf_steps(run: _Run, jac) -> None:
         y = y_new
         abs_y = abs_y_new
         j_fresh = False
-        run.accept(t, y, float(abs_err.max()))
-        n_equal += 1
         _fold_correction(diffs, order, corr)
+        # the corrector solved corr = c f(t, y) - psi, so its y' is (corr + psi) / c
+        run.accept_ndf(t, y, float(abs_err.max()), corr, psi, c, diffs[1 : order + 1] if dense else None)
+        n_equal += 1
         if n_equal < order + 1:
             continue
 
         # try orders k - 1, k, k + 1 and take the one that allows the longest step
         err_lo = (np.abs(_NDF_ERR[order - 1] * diffs[order]) / scale).max() if order > 1 else np.inf
         err_hi = (np.abs(_NDF_ERR[order + 1] * diffs[order + 2]) / scale).max() if order < _NDF_MAX_ORDER else np.inf
-        with np.errstate(divide="ignore"):
-            factors = np.array([err_lo, err, err_hi]) ** (-1.0 / np.arange(order, order + 3))
+        # an estimate of 0 gives the factor inf (integrate runs the step rules under np.errstate)
+        factors = np.array([err_lo, err, err_hi]) ** (-1.0 / np.arange(order, order + 3))
         best = int(np.argmax(factors))
         order += best - 1
         resize(min(10.0, safety * factors[best]))

@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -235,11 +236,27 @@ class TestFailurePaths:
     def test_rk4_blowup_names_the_step_and_the_last_node(self):
         # dx/dt = x^2 from 1 has a pole at t = 1; with h = 0.01 the field overflows at the node t = 1.02
         sys = SystemSpec(dim=1, f=lambda x, t: x * x)
-        with np.errstate(over="ignore"), pytest.raises(
+        with warnings.catch_warnings(), pytest.raises(
             DivergedError, match=r"^field non-finite after step to t=1\.02$"
         ) as err:
+            warnings.simplefilter("error")
             integrate(sys, np.array([1.0]), 0.0, 2.0, IntegratorConfig(method="rk4"))
         assert err.value.last_time == pytest.approx(1.01, abs=1e-12)
+
+    def test_rk4_demo_blowup_warns_of_nothing(self, fig1_system):
+        # h = 0.01 is beyond RK4's stability bound once the demo turns stiff; its field overflows inside a stage
+        with warnings.catch_warnings(), pytest.raises(DivergedError, match=r"^state blew up near t=9\.31$"):
+            warnings.simplefilter("error")
+            integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method="rk4"))
+
+    def test_overflowing_trial_step_is_rejected_without_a_warning(self):
+        # DOP853's first trial steps from x = 10 overflow inside x' = -1e8 x^3; each is rejected and shrunk
+        sys = SystemSpec(dim=1, f=lambda x, t: -1e8 * x**3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(sys, np.array([10.0]), 0.0, 1.0)
+        assert traj.n_rejected > 0
+        assert traj.states[-1, 0] == pytest.approx(1.0 / np.sqrt(0.01 + 2e8), rel=1e-9)
 
     def test_rk4_last_node_takes_the_field_at_tf(self):
         # with t0 = 0.3, tf = 1.7 and h = 0.01, t0 + 140 h = 1.7000000000000002, not tf
@@ -660,12 +677,34 @@ class TestNDF:
             errors.append(err)
         assert errors[1] < errors[0]
 
-    def test_dense_output_from_stored_field_values(self, decay_system):
+    def test_dense_output_and_corrector_derivatives(self, decay_system):
+        cfg = IntegratorConfig(method="ndf")
         ts = np.linspace(0.0, 1.0, 37)
-        traj = integrate(decay_system, np.array([1.0]), 0.0, 1.0, IntegratorConfig(method="ndf"), sample_times=ts)
+        traj = integrate(decay_system, np.array([1.0]), 0.0, 1.0, cfg, sample_times=ts)
         assert np.abs(traj.states[:, 0] - np.exp(-ts)).max() < 1e-7
-        raw = integrate(decay_system, np.array([1.0]), 0.0, 1.0, IntegratorConfig(method="ndf"))
-        assert np.allclose(raw.derivs, -raw.states, rtol=0.0, atol=0.0)
+        raw = integrate(decay_system, np.array([1.0]), 0.0, 1.0, cfg)
+        assert np.array_equal(raw.derivs[0], -raw.states[0])
+        # a node's derivative is its corrector's y' = (corr + psi) / c, c = h / alpha_k; the iteration stops with
+        # corr within 0.03 of the error scale, and J is exact here, so y' is within 0.03 scale alpha_k / h of f
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(raw.states[:-1]), np.abs(raw.states[1:]))
+        bound = 0.03 * scale * _NDF_ALPHA[-1] / np.diff(raw.times)[:, None]
+        assert np.all(np.abs(raw.derivs[1:] + raw.states[1:]) <= bound)
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+    def test_samples_keep_the_nodes_accuracy_on_long_steps(self, rel_tol):
+        # the steps grow to max_step here, where cubic Hermite on the nodes was off by 5.75 rel_tol at 1e-9
+        ts = np.linspace(0.0, 10.0, 201)
+        cfg = IntegratorConfig(method="ndf", rel_tol=rel_tol)
+        dense = integrate(prothero_robinson(-1e4), np.array([0.0]), 0.0, 10.0, cfg, sample_times=ts)
+        assert np.abs(dense.states[:, 0] - np.sin(ts)).max() <= rel_tol
+
+    @pytest.mark.parametrize("method", ["ndf", "auto"])
+    def test_samples_on_the_nodes_are_the_node_states(self, fig1_system, method):
+        # the backward formula meets an interval's start node only to rounding; the sample takes the node itself
+        cfg = IntegratorConfig(method=method)
+        grid = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0, cfg)
+        dense = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0, cfg, sample_times=grid.times)
+        assert np.array_equal(dense.states, grid.states)
 
     def test_honours_max_step(self, decay_system):
         traj = integrate(decay_system, np.array([1.0]), 0.0, 10.0, IntegratorConfig(method="ndf", max_step=0.05))
@@ -732,6 +771,7 @@ class TestNDF:
         monkeypatch.setattr(integrate_module, "jacobian", record("jac", integrate_module.jacobian))
         monkeypatch.setattr(integrate_module, "_iteration_inverse", record("inv", integrate_module._iteration_inverse))
         monkeypatch.setattr(_Run, "accept", record("accept", _Run.accept))
+        monkeypatch.setattr(_Run, "accept_ndf", record("accept", _Run.accept_ndf))
         integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method=method))
         assert events.count("inv") > 100
         fresh = True
@@ -743,9 +783,9 @@ class TestNDF:
             elif event == "inv":
                 assert fresh, f"iteration matrix {events[:i].count('inv')} formed from a J older than the last node"
 
-    def test_field_evaluations_per_newton_iteration_and_node(self, fig1_system, monkeypatch):
-        # f at t0, the start step's Euler probe, one per Newton iteration and one per accepted node;
-        # the analytic Jacobian takes none
+    def test_field_evaluations_per_newton_iteration(self, fig1_system, monkeypatch):
+        # f at t0, the start step's Euler probe and one per Newton iteration: an accepted node takes the
+        # corrector's y', and the analytic Jacobian takes none
         calls, iterations = [], []
 
         def f(x, t):
@@ -763,7 +803,7 @@ class TestNDF:
         sys = SystemSpec(dim=2, f=f, jac=fig1_system.jac, delta=fig1_system.delta)
         traj = integrate(sys, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method="ndf"))
         assert traj.n_rejected > 0 and len(iterations) == traj.n_steps + traj.n_rejected
-        assert len(calls) == 1 + 1 + sum(iterations) + traj.n_steps
+        assert len(calls) == 1 + 1 + sum(iterations)
 
     @pytest.mark.parametrize("method", ["ndf", "auto"])
     def test_newton_rate_is_carried_only_on_one_iteration_matrix(self, fig1_system, monkeypatch, method):
@@ -895,15 +935,32 @@ class TestDOP853:
         assert np.abs(dense.states - exact).max() < 1e-9
         assert np.abs(_hermite_sample(grid.times, grid.states, grid.derivs, ts) - exact).max() > 1e-7
 
-    def test_intervals_of_the_ndf_phase_carry_no_dense_term(self, fig1_system):
+    def test_intervals_of_the_ndf_phase_sample_the_step_interpolant(self, fig1_system, monkeypatch):
+        runs, trajectory = [], _Run.trajectory
+
+        def keep(run, *args):
+            runs.append(run)
+            return trajectory(run, *args)
+
+        monkeypatch.setattr(_Run, "trajectory", keep)
         grid = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0)
         mid = 0.5 * (grid.times[:-1] + grid.times[1:])
         dense = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0, sample_times=mid)
         hermite = _hermite_sample(grid.times, grid.states, grid.derivs, mid)
         ndf = mid > grid.stiff_from
         assert dense.stiff_from == grid.stiff_from
-        assert np.array_equal(dense.states[ndf], hermite[ndf])
-        assert np.all(np.abs(dense.states[~ndf] - hermite[~ndf]).max(axis=1) > 0.0)
+        # only a sampled run fills the table, one row per NDF interval
+        grid_run, dense_run = runs
+        assert not grid_run.ndf.any() and len(dense_run.ndf_c) == ndf.sum()
+        # Newton's backward formula on each interval's own differences, term by term
+        for row, i in enumerate(np.flatnonzero(ndf)):
+            s = (mid[i] - grid.times[i + 1]) / (grid.times[i + 1] - grid.times[i])
+            expected, term = grid.states[i + 1].copy(), 1.0
+            for j in range(1, 6):
+                term *= (s + j - 1) / j
+                expected += term * dense_run.ndf[row, j - 1]
+            assert dense.states[i] == pytest.approx(expected, rel=1e-14, abs=1e-16), i
+        assert np.all(np.abs(dense.states - hermite).max(axis=1) > 0.0)
 
     def test_dense_stages_are_evaluated_only_for_sample_times(self):
         # one call at (t0, x0), then 11 stages and f at the new node per step; 3 more with sample_times

@@ -10,14 +10,19 @@ call returns; a call that raises one of logstab's errors is recorded by that
 error. Runs that ``auto`` handed to NDF also show the switch time. Where scipy
 is installed, every demo run also shows its worst error against the LSODA
 reference of ``perfbench/reference.py``, at the run's own times and relative to
-max(1, |x|), and the last line names the worst of them.
+max(1, |x|), and the last line names the worst of them. A run whose exact
+solution is known shows its worst error against that instead, in the same
+measure (``exact=``).
 
 The corpus: the demo field (fig1 and fig2 from (-2, 5)) under ``auto``, ``ndf``
 and ``rk4``, on the integrator's grid and sampled every 0.05, to tf = 3 and 20;
-``auto`` sampled to tf = 1 and 6 from the six starts of the tf = 1 no-switch tests; ``integrate_fundamental`` of a
+``auto`` sampled to tf = 1 and 6 from the six starts of the tf = 1 no-switch tests;
+Prothero-Robinson (lambda = -1e4, solution sin t) under ``ndf`` to tf = 10 at
+``rel_tol`` 1e-6 and 1e-9, on the grid and at 201 samples; ``integrate_fundamental`` of a
 quadratic A(t) at n = 2, 4 and 8; ``check_transition_bounds`` on such systems
-under four norms; acceptance criterion 04's two reports; and the files of the
-two demo variants.
+under four norms; acceptance criterion 04's two reports; the demo's forcing-ratio
+report (fig1, the demo rate, t in [0, 20]) and its Demidovich report (fig1,
+P = I, the demo config's domain and plan); and the files of the two demo variants.
 
 ``--against REV`` exports REV with ``git archive`` into a temporary directory
 (nothing is registered in the repository), runs the corpus on both trees, each
@@ -74,8 +79,20 @@ def _digest(obj) -> str:
 
 
 def _corpus(logstab):
-    """(name, call, reference) per record; reference is (variant, x0) for a demo run, else None."""
-    from logstab.demos import build_example1, delta_admissible, delta_borderline, run_demo_example1
+    """(name, call, reference) per record.
+
+    reference is (variant, x0) for a demo run, a function of the run's times
+    giving the exact states for a run with a known solution, else None.
+    """
+    from logstab.config import parse_config
+    from logstab.demos import (
+        DEMO_CONFIGS,
+        build_example1,
+        default_rate,
+        delta_admissible,
+        delta_borderline,
+        run_demo_example1,
+    )
 
     demo = {"fig1": build_example1(delta=delta_admissible), "fig2": build_example1(delta=delta_borderline)}
 
@@ -94,6 +111,21 @@ def _corpus(logstab):
             for x0 in STARTS:
                 name = f"demo/{variant}/auto/sampled/tf{tf:g}/x0={x0[0]:g},{x0[1]:g}"
                 yield name, run(variant, x0, tf, "auto", True), (variant, x0)
+
+    lam = -1e4
+    prothero_robinson = logstab.SystemSpec(
+        dim=1, f=lambda x, t: lam * (x - np.sin(t)) + np.cos(t), jac=lambda x, t: np.array([[lam]])
+    )
+    for rel_tol in (1e-6, 1e-9):
+        for sampled in (False, True):
+            cfg = logstab.IntegratorConfig(method="ndf", rel_tol=rel_tol)
+            grid = np.linspace(0.0, 10.0, 201) if sampled else None
+            name = f"prothero_robinson/ndf/{'sampled' if sampled else 'grid'}/tf10/rtol{rel_tol:g}"
+            yield name, (
+                lambda cfg=cfg, grid=grid: logstab.integrate(
+                    prothero_robinson, np.zeros(1), 0.0, 10.0, cfg, sample_times=grid
+                )
+            ), lambda times: np.sin(times)[:, None]
 
     kinds = ("l1", "l2", "linf", "weighted")
     for n in (2, 4, 8):
@@ -128,6 +160,14 @@ def _corpus(logstab):
         return rep, rep_bad
 
     yield "criterion_04", criterion_04, None
+    yield "forcing_ratio/fig1", lambda: logstab.check_forcing_ratio(demo["fig1"], default_rate, 0.0, 20.0), None
+
+    def demidovich():
+        cfg = parse_config(DEMO_CONFIGS["fig1"])
+        domain = logstab.Domain(np.array(cfg.domain_lower), np.array(cfg.domain_upper), cfg.t_lo, cfg.t_hi)
+        return logstab.check_demidovich(demo["fig1"], np.eye(2), domain, cfg.plan)
+
+    yield "demidovich/fig1", demidovich, None
 
     def demo_files(variant):
         with tempfile.TemporaryDirectory() as out:
@@ -150,7 +190,11 @@ def _reference():
 
 
 def listing(src: Path) -> list[tuple[str, str, str, str]]:
-    """(name, sha256, switch time, LSODA error) per record, with logstab imported from src."""
+    """(name, sha256, switch time, error) per record, with logstab imported from src.
+
+    The error is ``lsoda=<worst>`` against the LSODA reference, ``exact=<worst>``
+    against a known solution, or ``-``.
+    """
     sys.path.insert(0, str(src))
     import logstab
 
@@ -165,18 +209,21 @@ def listing(src: Path) -> list[tuple[str, str, str, str]]:
             rows.append((name, _digest((type(exc).__name__, str(exc), getattr(exc, "last_time", None))), "-", "-"))
             continue
         switch = getattr(out, "stiff_from", None)
-        err = "-"
-        if ref is not None and reference is not None:
-            want = np.array(reference({"delta": ref[0], "x0": list(ref[1]), "times": out.times.tolist()}))
-            err = f"{float((np.abs(out.states - want) / np.maximum(1.0, np.abs(want))).max()):.2e}"
+        err, want = "-", None
+        if callable(ref):
+            tag, want = "exact", ref(out.times)
+        elif ref is not None and reference is not None:
+            tag, want = "lsoda", np.array(reference({"delta": ref[0], "x0": list(ref[1]), "times": out.times.tolist()}))
+        if want is not None:
+            err = f"{tag}={float((np.abs(out.states - want) / np.maximum(1.0, np.abs(want))).max()):.2e}"
         rows.append((name, _digest(out), "-" if switch is None else f"{switch:.4f}", err))
     return rows
 
 
 def _print_listing(rows) -> None:
     for name, sha, switch, err in rows:
-        print(f"{name:<40} {sha} switch={switch} lsoda={err}")
-    errs = [(float(err), name) for name, _, _, err in rows if err != "-"]
+        print(f"{name:<40} {sha} switch={switch} {err}")
+    errs = [(float(err.removeprefix("lsoda=")), name) for name, _, _, err in rows if err.startswith("lsoda=")]
     if errs:
         print("worst LSODA error: {:.2e} ({})".format(*max(errs)))
 
@@ -192,7 +239,7 @@ def _child_listing(src: Path) -> list[tuple[str, ...]]:
         if line.startswith("worst LSODA error"):
             continue
         name, sha, switch, err = line.split()
-        rows.append((name, sha, switch.removeprefix("switch="), err.removeprefix("lsoda=")))
+        rows.append((name, sha, switch.removeprefix("switch="), err))
     return rows
 
 
@@ -204,7 +251,7 @@ def against(rev: str) -> None:
         theirs = {row[0]: row[1:] for row in _child_listing(Path(tmp) / "src")}
     ours = _child_listing(REPO / "src")
     same = 0
-    print(f"{'record':<40} {'vs ' + rev:<14} switch (rev -> this)   lsoda (rev -> this)")
+    print(f"{'record':<40} {'vs ' + rev:<14} switch (rev -> this)   error (rev -> this)")
     for name, sha, switch, err in ours:
         if name not in theirs:
             print(f"{name:<40} {'new':<14}")
@@ -212,7 +259,7 @@ def against(rev: str) -> None:
         their_sha, their_switch, their_err = theirs[name]
         same += sha == their_sha
         verdict = "identical" if sha == their_sha else "differs"
-        print(f"{name:<40} {verdict:<14} {their_switch:>8} -> {switch:<8}   {their_err:>8} -> {err}")
+        print(f"{name:<40} {verdict:<14} {their_switch:>8} -> {switch:<8}   {their_err:>14} -> {err}")
     print(f"{len(ours)} records: {same} bit-identical, {len(ours) - same} differ or are new")
 
 
