@@ -25,7 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError, DivergedError, InvalidInputError, InvalidRateError
-from .integrate import Trajectory, _check_count, _check_window, _cumulative_simpson, _simpson_nodes, error_budget, integrate
+from .errors import check_count, check_positive, check_window
+from .integrate import Trajectory, _cumulative_simpson, _simpson_nodes, error_budget, integrate
 from .linalg import NormKind, sym_eig_max, vec_norm
 from .lognorm import log_norm
 from .system import SystemSpec, _at_times, eval_rhs, jacobian
@@ -77,10 +78,7 @@ class Domain:
             raise InvalidInputError("domain bounds must be finite")
         if not np.all(self.lower < self.upper):
             raise InvalidInputError("domain requires lower < upper componentwise")
-        if not (math.isfinite(self.t_lo) and math.isfinite(self.t_hi)):
-            raise InvalidInputError("domain times must be finite")
-        if not self.t_lo < self.t_hi:
-            raise InvalidInputError("domain requires t_lo < t_hi")
+        check_window(self.t_lo, self.t_hi, "t_lo", "t_hi")
 
     __eq__ = _equal_by_value
 
@@ -105,9 +103,9 @@ class SamplingPlan:
     seed: int = 42
 
     def __post_init__(self):
-        _check_count(self.n_space, "n_space")
-        _check_count(self.n_time, "n_time")
-        _check_count(self.seed, "seed", 0)
+        check_count(self.n_space, "n_space")
+        check_count(self.n_time, "n_time")
+        check_count(self.seed, "seed", 0)
         if self.scheme not in ("uniform_grid", "latin_hypercube", "uniform_random"):
             raise InvalidInputError(f"unknown sampling scheme {self.scheme!r}")
 
@@ -130,6 +128,19 @@ def sample_states(domain: Domain, plan: SamplingPlan) -> np.ndarray:
 
 def time_slices(domain: Domain, plan: SamplingPlan) -> np.ndarray:
     return np.linspace(domain.t_lo, domain.t_hi, plan.n_time)
+
+
+def _sweep(sys: SystemSpec, domain: Domain, kind: NormKind, plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray, int]:
+    """The sample points (N, dim) and time slices of a sweep of ``sys`` over ``domain``, and their count.
+
+    Checks first that the norm's weight and the domain fit the system.
+    """
+    kind.check_fits(sys.dim)
+    if domain.dim != sys.dim:
+        raise InvalidInputError(f"domain dimension {domain.dim} != system dimension {sys.dim}")
+    points = sample_states(domain, plan)
+    ts = time_slices(domain, plan)
+    return points, ts, points.shape[0] * ts.size
 
 
 @dataclass
@@ -172,10 +183,7 @@ def estimate_contraction_rate(
     The perturbation never enters: it is state-independent and cancels in the
     Jacobian. The certificate is a statement about the sampled points only.
     """
-    if domain.dim != sys.dim:
-        raise InvalidInputError(f"domain dimension {domain.dim} != system dimension {sys.dim}")
-    points = sample_states(domain, plan)
-    ts = time_slices(domain, plan)
+    points, ts, n_samples = _sweep(sys, domain, kind, plan)
     sups, arg_index = [], []
     for t in ts:
         # one jacobian and one log_norm call per sample; perfbench/tests count the spans of both
@@ -194,7 +202,7 @@ def estimate_contraction_rate(
         domain=domain,
         plan=plan,
         verdict=CERTIFIED if certified else NOT_CERTIFIED,
-        n_samples=points.shape[0] * ts.size,
+        n_samples=n_samples,
         argmax_state=points[arg_index[best]],
         argmax_time=float(ts[best]),
         dominance_ok=None if dominance_margin is None else dominance_margin <= 0.0,
@@ -229,12 +237,7 @@ def check_demidovich(sys: SystemSpec, p, domain: Domain, plan: SamplingPlan) -> 
     """
     kind = NormKind.weighted(p)
     pm = kind.weight
-    if pm.shape[0] != sys.dim:
-        raise DimensionError(f"weight is {pm.shape[0]}x{pm.shape[0]} but system has dim {sys.dim}")
-    if domain.dim != sys.dim:
-        raise InvalidInputError(f"domain dimension {domain.dim} != system dimension {sys.dim}")
-    points = sample_states(domain, plan)
-    ts = time_slices(domain, plan)
+    points, ts, n_samples = _sweep(sys, domain, kind, plan)
     max_eig, signs_agree = -np.inf, True
     for t in ts:
         j = jacobian(sys, points, t)
@@ -248,7 +251,7 @@ def check_demidovich(sys: SystemSpec, p, domain: Domain, plan: SamplingPlan) -> 
         max_eigenvalue=max_eig,
         passed=max_eig < 0.0,
         sign_agreement_ok=signs_agree,
-        n_samples=points.shape[0] * ts.size,
+        n_samples=n_samples,
         domain=domain,
         plan=plan,
     )
@@ -301,8 +304,8 @@ def check_forcing_ratio(
     """
     if kind is None:
         kind = NormKind.l2()
-    _check_count(n_samples, "n_samples", 10)
-    _check_window(t_lo, t_hi, "t_lo", "t_hi")
+    check_count(n_samples, "n_samples", 10)
+    check_window(t_lo, t_hi, "t_lo", "t_hi")
     if t_hi <= 0.0:
         raise InvalidInputError(f"a log-spaced grid needs t_hi > 0, got [{t_lo}, {t_hi}]")
     start = t_lo if t_lo > 0.0 else t_hi * 1e-3
@@ -383,11 +386,10 @@ def verify_incremental_bound(
     """
     if kind is None:
         kind = NormKind.l2()
-    if not alpha0 > 0.0:  # written so that NaN fails
-        raise InvalidInputError(f"alpha0 must be positive, got {alpha0!r}")
+    check_positive(alpha0, "alpha0")
     if not initial_pairs:
         raise InvalidInputError("need at least one initial pair")
-    _check_count(n_output, "n_output")
+    check_count(n_output, "n_output")
     grid = np.linspace(t0, tf, n_output)
     dists, budgets = [], []  # per pair: the distance series and the error budget
     for idx, (xa, xb) in enumerate(initial_pairs):
@@ -446,8 +448,8 @@ def classify_rate_integral(
     must be an integer >= 1 whose first segment, of length
     span / 2**n_doublings, still moves t0.
     """
-    _check_window(t0, horizon, "t0", "horizon")
-    n_doublings = _check_count(n_doublings, "n_doublings")
+    check_window(t0, horizon, "t0", "horizon")
+    n_doublings = check_count(n_doublings, "n_doublings")
     span = horizon - t0
     if t0 + math.ldexp(span, -n_doublings) <= t0:
         raise InvalidInputError(f"{n_doublings} doublings of [{t0}, {horizon}] leave a first segment too short to move t0")
@@ -496,8 +498,7 @@ def verify_origin_convergence(
     half the mid-trajectory max (decay evidence, not just smallness). The
     target defaults to the origin; shifted limits pass it explicitly.
     """
-    if not tol > 0.0:  # written so that NaN fails
-        raise InvalidInputError(f"tol must be positive, got {tol!r}")
+    check_positive(tol, "tol")
     if kind is None:
         kind = NormKind.l2()
     m = traj.times.size

@@ -13,7 +13,6 @@ Exit codes: 0 success/verified, 1 a check failed, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,13 +22,7 @@ from .config import build_norm, build_system, parse_config, simulate_scenario
 from .config import certificate_lines, certify_scenario, ratio_line
 from .csvio import parse_matrix_text, read_matrix_file
 from .demos import DEMO_VARIANTS, run_demo_example1
-from .errors import (
-    ConfigError,
-    DimensionError,
-    InvalidInputError,
-    InvalidNormError,
-    LogstabError,
-)
+from .errors import ConfigError, DimensionError, InvalidInputError, InvalidNormError, LogstabError, read_number
 from .expr import ExprSyntaxError
 from .linalg import NormKind
 from .lognorm import log_norm_all_routes
@@ -40,12 +33,9 @@ _USAGE_ERRORS = (ConfigError, ExprSyntaxError, InvalidNormError, InvalidInputErr
 def _finite_float(text: str) -> float:
     """argparse type of the time flags: nan and inf exit 2 naming the flag."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
+        return read_number(text)
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_norm_flag(text: str) -> NormKind:

@@ -40,7 +40,6 @@ Sections (all optional except [system]):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -49,7 +48,7 @@ import numpy as np
 from .certify import ContractionCertificate, ConvergenceReport, Domain, SamplingPlan
 from .certify import check_forcing_ratio, estimate_contraction_rate
 from .csvio import export_component_csv, export_report_csv, export_trajectory_csv, parse_matrix_text, read_matrix_file
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, check_count, read_number
 from .expr import (
     ExprSyntaxError,
     NonDifferentiableError,
@@ -141,19 +140,9 @@ class ScenarioConfig:
     key_lines: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-# coercions: text -> value, raising InvalidInputError on a bad value
-def _number(text: str) -> float:
-    try:
-        out = float(text)
-    except ValueError:
-        raise InvalidInputError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(out):
-        raise InvalidInputError(f"number must be finite, got {text!r}")
-    return out
-
-
+# coercions: text -> value, raising InvalidInputError on a bad value (a number is errors.read_number)
 def _numbers(text: str) -> list[float]:
-    return [_number(part) for part in text.replace(",", " ").split()]
+    return [read_number(part) for part in text.replace(",", " ").split()]
 
 
 def _integer(text: str) -> int:
@@ -209,8 +198,8 @@ SCHEMA = {
     "domain": {
         "lower": (None, "domain_lower", _numbers),
         "upper": (None, "domain_upper", _numbers),
-        "t_lo": (None, "t_lo", _number),
-        "t_hi": (None, "t_hi", _number),
+        "t_lo": (None, "t_lo", read_number),
+        "t_hi": (None, "t_hi", read_number),
     },
     "sampling": {
         "n_space": ("plan", "n_space", _integer),
@@ -220,12 +209,12 @@ SCHEMA = {
     },
     "integrator": {
         "method": ("integrator", "method", str.lower),
-        "step": ("integrator", "step", _number),
-        "rel_tol": ("integrator", "rel_tol", _number),
-        "abs_tol": ("integrator", "abs_tol", _number),
-        "max_step": ("integrator", "max_step", _number),
+        "step": ("integrator", "step", read_number),
+        "rel_tol": ("integrator", "rel_tol", read_number),
+        "abs_tol": ("integrator", "abs_tol", read_number),
+        "max_step": ("integrator", "max_step", read_number),
         "max_steps": ("integrator", "max_steps", _integer),
-        "tf": (None, "tf", _number),
+        "tf": (None, "tf", read_number),
     },
     "certify": {"alpha": (None, "alpha_expr", _expression_in_t)},
     "output": {"dir": (None, "out_dir", str)},
@@ -286,7 +275,7 @@ def _parse_system(cfg: ScenarioConfig, sec: dict) -> None:
             raise ConfigError(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}", lineno)
         cfg.builtin_name = name
         cfg.dim = 2
-        for key, coerce in (("b", _number), ("phi", _expression_in_t)):
+        for key, coerce in (("b", read_number), ("phi", _expression_in_t)):
             if key in sec:
                 value, lineno = sec.pop(key)
                 cfg.builtin_params[key] = _at(lineno, coerce, value)
@@ -294,9 +283,7 @@ def _parse_system(cfg: ScenarioConfig, sec: dict) -> None:
         if "dim" not in sec:
             raise ConfigError("expression system needs dim")
         value, lineno = sec.pop("dim")
-        cfg.dim = _at(lineno, _integer, value)
-        if cfg.dim <= 0:
-            raise ConfigError("dim must be positive", lineno)
+        cfg.dim = _at(lineno, check_count, _at(lineno, _integer, value), "dim")
         in_state = _expression_in(*(f"x{i + 1}" for i in range(cfg.dim)), "t")
         for i in range(cfg.dim):
             key = f"f{i + 1}"
@@ -330,7 +317,7 @@ def _parse_system(cfg: ScenarioConfig, sec: dict) -> None:
             raise ConfigError(f"x0 has {len(cfg.x0)} entries, system dimension is {cfg.dim}", lineno)
     if "t0" in sec:
         value, lineno = sec.pop("t0")
-        cfg.t0 = _at(lineno, _number, value)
+        cfg.t0 = _at(lineno, read_number, value)
     for key, (_, lineno) in sec.items():
         raise ConfigError(f"unknown key {key!r} in [system]", lineno)
 

@@ -13,34 +13,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, read_number
 from .integrate import Trajectory
-
-
-def _number(text: str, where: str) -> float:
-    """float(text); InvalidInputError naming the text and ``where`` it stood when it is not a number."""
-    try:
-        return float(text)
-    except ValueError:
-        raise InvalidInputError(f"{where}: {text!r} is not a number") from None
 
 
 def format_float(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _write_table(path: Path, header: str, columns) -> Path:
+    """The header line, then one row of ``columns`` per line, every float with 17 significant digits."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments="")
+    return path
+
+
 def export_trajectory_csv(traj: Trajectory, path) -> Path:
     """Write `t,x1,...,xn` rows; header-only (with a warning) when empty."""
     path = Path(path)
-    n = traj.states.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-    lines = [header]
-    for t, x in zip(traj.times, traj.states):
-        lines.append(",".join([format_float(t)] + [format_float(v) for v in x]))
+    header = "t," + ",".join(f"x{i + 1}" for i in range(traj.states.shape[1]))
     if traj.times.size == 0:
         print(f"warning: exporting empty trajectory to {path}", file=sys.stderr)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_table(path, header, (traj.times, traj.states))
 
 
 def export_component_csv(traj: Trajectory, component: int, path) -> Path:
@@ -48,11 +41,7 @@ def export_component_csv(traj: Trajectory, component: int, path) -> Path:
     path = Path(path)
     if not 0 <= component < traj.states.shape[1]:
         raise InvalidInputError(f"component {component} out of range for dim {traj.states.shape[1]}")
-    lines = [f"t,x{component + 1}"]
-    for t, x in zip(traj.times, traj.states):
-        lines.append(f"{format_float(t)},{format_float(x[component])}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_table(path, f"t,x{component + 1}", (traj.times, traj.states[:, component]))
 
 
 def load_trajectory_csv(path) -> Trajectory:
@@ -72,7 +61,7 @@ def load_trajectory_csv(path) -> Trajectory:
         if len(parts) != n + 1:
             raise InvalidInputError(f"{path}: row has {len(parts)} fields, expected {n + 1}")
         where = f"{path}: row {i}"
-        row = [_number(p, where) for p in parts]
+        row = [read_number(p, where) for p in parts]
         times.append(row[0])
         states.append(row[1:])
     return Trajectory(np.array(times), np.array(states).reshape(len(times), n))
@@ -138,7 +127,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
     data = []
     width = None
     for r in rows:
-        vals = [_number(v, "matrix entry") for v in r.split()]
+        vals = [read_number(v, "matrix entry") for v in r.split()]
         if width is None:
             width = len(vals)
         elif len(vals) != width:

@@ -1,4 +1,16 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one statement of each argument rule.
+
+Each rule raises InvalidInputError naming the argument, and each test is
+written so that NaN fails it: ``check_count`` (an integer, not a bool, no
+less than 1 or the stated least), ``check_window`` (finite lo < hi),
+``check_positive`` (a real number > 0, not a bool, finite unless the caller
+allows inf) and ``read_number`` (text that reads as a finite number). The
+fifth rule, ``NormKind.check_fits`` in ``linalg``, raises DimensionError
+unless a weight applied in dimension n is n x n.
+"""
+
+import math
+import numbers
 
 
 class LogstabError(Exception):
@@ -73,3 +85,37 @@ class ConfigError(LogstabError):
         self.line = line
         self.errors = list(errors) if errors else [(line, message)]
         super().__init__("; ".join(f"line {ln}: {msg}" if ln else msg for ln, msg in self.errors))
+
+
+def check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int; InvalidInputError naming it unless it is an integer >= least (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_window(lo, hi, lo_name: str = "t0", hi_name: str = "tf") -> None:
+    """InvalidInputError unless lo < hi are both finite; the message calls them ``lo_name`` and ``hi_name``."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InvalidInputError(f"need finite {lo_name} < {hi_name}, got [{lo}, {hi}]")
+
+
+def check_positive(value, name: str, allow_inf: bool = False) -> float:
+    """``value`` as a float; InvalidInputError naming it unless it is a number > 0, finite unless ``allow_inf``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        value > 0.0 and (allow_inf or math.isfinite(value))
+    ):
+        raise InvalidInputError(f"{name} must be a {'' if allow_inf else 'finite '}positive number, got {value!r}")
+    return float(value)
+
+
+def read_number(text: str, where: str = "") -> float:
+    """The finite number ``text`` reads as; otherwise InvalidInputError quoting the text after ``where``, if given."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
+        prefix = f"{where}: " if where else ""
+        raise InvalidInputError(f"{prefix}{text!r} is not {'a' if value is None else 'a finite'} number")
+    return value

@@ -74,9 +74,9 @@ A node stores the derivative its step rule has. RK4 and DOP853 evaluate the
 field at each node they accept, require it finite, and start the next step
 from it. An NDF node's derivative is its corrector's y', (corr + psi) / c
 from the Newton iteration that solved corr = c f(t, y) - psi, as ode15s and
-scipy's BDF report it; it takes no field evaluation. The run keeps corr, psi
-and c, and forms y' for all NDF nodes at once when it returns its grid; a
-sampled run needs none of them.
+scipy's BDF report it; it takes no field evaluation. Only a run that
+returns its grid stores it; a sampled run reads the NDF intervals from their
+interpolants and needs none.
 
 ``integrate``'s ``sample_times`` is the one way to sample, and it is checked
 before the run starts. RK4 intervals are sampled by cubic Hermite on the
@@ -113,6 +113,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConditioningError, DimensionError, DivergedError, EvaluationError, InvalidInputError
+from .errors import check_count, check_positive, check_window
 from .linalg import NormKind, cond_2, induced_matrix_norm, solve, vec_norm
 from .lognorm import log_norm_pair
 from .system import SystemSpec, _at_times, _checked_output, _shaped, eval_rhs, jacobian
@@ -295,12 +296,12 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown integrator method {self.method!r}; expected one of {', '.join(METHODS)}")
-        # written so that NaN fails; max_step = inf stays valid
-        if not (self.step > 0.0 and self.max_step > 0.0):
-            raise InvalidInputError("step sizes must be positive")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise InvalidInputError("tolerances must be positive")
-        _check_count(self.max_steps, "max_steps")
+        # max_step = inf sets no cap; step = inf is capped by max_step and by the window
+        check_positive(self.step, "step", allow_inf=True)
+        check_positive(self.max_step, "max_step", allow_inf=True)
+        check_positive(self.rel_tol, "rel_tol")
+        check_positive(self.abs_tol, "abs_tol")
+        check_count(self.max_steps, "max_steps")
 
 
 @dataclass
@@ -409,19 +410,6 @@ def _backward_sample(y_end, s, diffs) -> np.ndarray:
     return y_end + (coef[:, None, :] @ diffs)[:, 0]
 
 
-def _check_window(lo: float, hi: float, lo_name: str = "t0", hi_name: str = "tf") -> None:
-    """InvalidInputError unless lo < hi are both finite; the message calls them ``lo_name`` and ``hi_name``."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):  # written so that NaN fails
-        raise InvalidInputError(f"need finite {lo_name} < {hi_name}, got [{lo}, {hi}]")
-
-
-def _check_count(value, name: str, least: int = 1) -> int:
-    """``value`` as an int; InvalidInputError naming it unless it is an integer >= least (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 def _validate_sample_times(ts, t0: float, tf: float) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -453,7 +441,7 @@ def integrate(
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    _check_window(t0, tf)
+    check_window(t0, tf)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.dim,):
         raise DimensionError(f"x0 has shape {x0.shape}, system dimension is {sys.dim}")
@@ -503,12 +491,11 @@ class _Run:
         self.cfg = cfg
         self.times = [t0]
         self.states = [x0.copy()]
-        self.derivs = [f0]  # the field at t0 and at each RK4 and DOP853 node: a prefix of the run
+        self.derivs = [f0]  # the field at t0 and at each RK4 and DOP853 node; in a grid run each NDF node's y' too
         self.dense = []  # DOP853's rows F3..F6 of each interval that has them, a prefix of the run
-        # per NDF node, a suffix of the run: its corrector's corr, psi and c, whose y' is (corr + psi) / c, and in a
-        # sampled run its step's backward differences 1..5, zero above its order, in the first rows of a table that
-        # doubles when it is full
-        self.ndf_corr, self.ndf_psi, self.ndf_c = [], [], []
+        self.n_ndf = 0  # the NDF nodes, a suffix of the run
+        # in a sampled run, per NDF node its step's backward differences 1..5, zero above its order, in the first
+        # rows of a table that doubles when it is full
         self.ndf = np.zeros((0, _NDF_MAX_ORDER, x0.size))
         self.error = 0.0  # sum of the max-abs local-error estimates of accepted steps
         self.n_steps = 0
@@ -521,13 +508,19 @@ class _Run:
         return self.times[-1] < self.tf - self.tiny
 
     def check(self, h: float) -> None:
-        """Raise DivergedError when the step budget is spent or h has underflowed."""
+        """Raise DivergedError when the step budget is spent or h has underflowed.
+
+        h underflows below 10 ulps of t, as in Hairer's codes and scipy's,
+        so a run very stiff at t0 = 0 can start. After a non-finite trial h
+        gives up below 1e-14 max(1, |t|) instead: halving on to 10 ulps of
+        t = 0 would take a thousand more trials of a field that has blown up.
+        """
         t = self.times[-1]
         if self.n_steps + self.n_rejected >= self.cfg.max_steps:
             raise DivergedError(f"step budget {self.cfg.max_steps} exhausted at t={t}", t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            if self.non_finite:
-                raise DivergedError(f"field non-finite near t={t}: steps shrank to underflow", t)
+        if self.non_finite and h < 1e-14 * max(1.0, abs(t)):
+            raise DivergedError(f"field non-finite near t={t}: steps shrank to underflow", t)
+        if h < 10.0 * math.ulp(t):
             raise DivergedError(f"step size underflow at t={t}", t)
 
     def reject(self, non_finite: bool = False) -> None:
@@ -562,21 +555,20 @@ class _Run:
         self._store(t, y, err)
         return f
 
-    def accept_ndf(self, t: float, y: np.ndarray, err: float, corr, psi, c: float, diffs=None) -> None:
+    def accept_ndf(self, t: float, y: np.ndarray, err: float, deriv=None, diffs=None) -> None:
         """Store an NDF node (t, y) with a local-error estimate err.
 
-        Its derivative is its corrector's y', (corr + psi) / c, formed with
-        the others' only when the grid is returned. ``diffs`` holds the
-        step's backward differences 1..k, k its order, in a sampled run.
+        A grid run passes ``deriv``, the corrector's y' at the node; a
+        sampled run passes ``diffs``, the step's backward differences 1..k,
+        k its order.
         """
-        self.ndf_corr.append(corr)
-        self.ndf_psi.append(psi)
-        self.ndf_c.append(c)
+        if deriv is not None:
+            self.derivs.append(deriv)
         if diffs is not None:
-            row = len(self.ndf_c) - 1
-            if row == len(self.ndf):
-                self.ndf = np.concatenate([self.ndf, np.zeros((max(64, row),) + self.ndf.shape[1:])])
-            self.ndf[row, : len(diffs)] = diffs
+            if self.n_ndf == len(self.ndf):
+                self.ndf = np.concatenate([self.ndf, np.zeros((max(64, self.n_ndf),) + self.ndf.shape[1:])])
+            self.ndf[self.n_ndf, : len(diffs)] = diffs
+        self.n_ndf += 1
         self._store(t, y, err)
 
     def trajectory(self, ts=None) -> Trajectory:
@@ -584,9 +576,6 @@ class _Run:
         times, states = np.array(self.times), np.array(self.states)
         if ts is not None:
             times, states, derivs = ts, self._sample(times, states, ts), None
-        elif self.ndf_c:
-            y_prime = (np.array(self.ndf_corr) + np.array(self.ndf_psi)) / np.array(self.ndf_c)[:, None]
-            derivs = np.concatenate([np.array(self.derivs), y_prime])
         else:
             derivs = np.array(self.derivs)
         return Trajectory(
@@ -606,10 +595,10 @@ class _Run:
         the field at the nodes before the NDF suffix. A sample on a node is
         that node's state.
         """
-        if not self.ndf_c:
+        if not self.n_ndf:
             return _hermite_sample(times, states, np.array(self.derivs), ts, self.dense)
         idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
-        row = idx - (len(times) - 1 - len(self.ndf_c))  # the NDF table's row of each interval, negative before it
+        row = idx - (len(times) - 1 - self.n_ndf)  # the NDF table's row of each interval, negative before it
         on_ndf = row >= 0
         out = np.empty((ts.size, states.shape[1]))
         if not on_ndf.all():
@@ -845,9 +834,9 @@ def _ndf_steps(run: _Run, jac, dense: bool) -> None:
 
     For ``ndf`` that node is t0; for ``auto`` it is where the DOP853 phase
     found the run stiff. The Newton tolerance and when J is evaluated are
-    set out in the module docstring. Each node's derivative is the
-    corrector's y'; with ``dense`` each accepted step also stores the
-    backward differences 1..order of its interpolant. A non-finite error
+    set out in the module docstring. Each accepted step stores its node's
+    derivative, the corrector's y', or with ``dense`` the backward
+    differences 1..order of its interpolant instead. A non-finite error
     estimate or state rejects the step like a non-finite field.
     """
     cfg, rhs, tf = run.cfg, run.rhs, run.tf
@@ -923,8 +912,10 @@ def _ndf_steps(run: _Run, jac, dense: bool) -> None:
         abs_y = abs_y_new
         j_fresh = False
         _fold_correction(diffs, order, corr)
-        # the corrector solved corr = c f(t, y) - psi, so its y' is (corr + psi) / c
-        run.accept_ndf(t, y, float(abs_err.max()), corr, psi, c, diffs[1 : order + 1] if dense else None)
+        if dense:
+            run.accept_ndf(t, y, float(abs_err.max()), diffs=diffs[1 : order + 1])
+        else:  # the corrector solved corr = c f(t, y) - psi, so its y' is (corr + psi) / c
+            run.accept_ndf(t, y, float(abs_err.max()), deriv=(corr + psi) / c)
         n_equal += 1
         if n_equal < order + 1:
             continue
@@ -955,7 +946,7 @@ def integrate_fundamental(
     EvaluationError names the shape and t. The matrix ODE's Jacobian is
     kron(A(t), I), so ndf needs no finite differences.
     """
-    _check_window(t0, tf)
+    check_window(t0, tf)
     a0 = _shaped("A", a_fn(t0), None, t0)
     n = a0.shape[0] if a0.ndim else 1
     _checked_output("A", a0, (n, n), t0)
@@ -1050,8 +1041,8 @@ def check_transition_bounds(
     The propagators, condition numbers and norms of all pairs and states
     are computed as stacks, one wrapper call each.
     """
-    n_pairs, n_states = _check_count(n_pairs, "n_pairs"), _check_count(n_states, "n_states")
-    _check_count(seed, "seed", 0)
+    n_pairs, n_states = check_count(n_pairs, "n_pairs"), check_count(n_states, "n_states")
+    check_count(seed, "seed", 0)
     fund = integrate_fundamental(a_fn, t0, tf)
     times = fund.times
     phi = fund.matrices

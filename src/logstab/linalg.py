@@ -189,10 +189,14 @@ class NormKind:
         """
         if self.tag != "weighted":
             return m
-        k = self.weight_sqrt.shape[0]
-        if k != m.shape[-1]:
-            raise DimensionError(f"weight is {k}x{k} but matrix is {m.shape[-1]}x{m.shape[-1]}")
+        self.check_fits(m.shape[-1])
         return self.weight_sqrt @ m @ self.weight_sqrt_inv
+
+    def check_fits(self, n: int) -> None:
+        """DimensionError unless the kind applies in dimension n: it has no weight, or an n x n one."""
+        if self.weight is not None and self.weight.shape[0] != n:
+            k = self.weight.shape[0]
+            raise DimensionError(f"weight is {k}x{k} but the dimension is {n}")
 
     def __repr__(self):
         if self.tag == "weighted":
@@ -226,9 +230,8 @@ def vec_norm(v, kind: NormKind):
     elif kind.tag == "l2":
         out = np.sqrt((x * x).sum(axis=-1))
     else:
+        kind.check_fits(x.shape[-1])
         p = kind.weight
-        if p.shape[0] != x.shape[-1]:
-            raise DimensionError(f"weight is {p.shape[0]}x{p.shape[0]} but vector has dim {x.shape[-1]}")
         # x^T P by broadcasting, not by matmul: BLAS rounds a vector-matrix and a
         # matrix-matrix product differently, and a vector must read the same alone and in a stack
         xp = (x[..., :, None] * p).sum(axis=-2)

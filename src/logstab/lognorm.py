@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_positive
 from .linalg import (
     NormKind,
     as_square,
     as_square_stack,
     float_or_array,
     induced_matrix_norm,
-    spd_sqrt_pair,
     sym_eig,
 )
 
@@ -89,11 +88,9 @@ def log_norm_limit_table(a, kind: NormKind, theta_seq=None) -> LimitEstimate:
     m = as_square(a)
     if theta_seq is None:
         theta_seq = DEFAULT_THETA_SEQ
-    thetas = [float(t) for t in theta_seq]
+    thetas = [check_positive(t, f"theta_seq[{i}]") for i, t in enumerate(theta_seq)]
     if not thetas:
         raise InvalidInputError("theta sequence must be non-empty")
-    if any(t <= 0.0 for t in thetas):
-        raise InvalidInputError("theta values must be positive")
     if any(t2 >= t1 for t1, t2 in zip(thetas, thetas[1:])):
         raise InvalidInputError("theta sequence must be strictly decreasing")
 
@@ -123,14 +120,11 @@ def log_norm_quadratic_form(a, p) -> float:
     kept as an independent assembly for cross-checking.
     """
     m = as_square(a)
-    root, inv_root = spd_sqrt_pair(p)
-    if root.shape[0] != m.shape[0]:
-        raise InvalidInputError(
-            f"weight is {root.shape[0]}x{root.shape[0]} but matrix is {m.shape[0]}x{m.shape[0]}"
-        )
-    pm = np.asarray(p, dtype=float)
+    kind = NormKind.weighted(p)
+    kind.check_fits(m.shape[0])
+    pm = kind.weight
     pencil = 0.5 * (pm @ m + m.T @ pm)
-    reduced = inv_root @ pencil @ inv_root
+    reduced = kind.weight_sqrt_inv @ pencil @ kind.weight_sqrt_inv
     eigvals, _ = sym_eig(0.5 * (reduced + reduced.T), need_vectors=False)
     return float(eigvals[-1])
 

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, EvaluationError, InvalidInputError
+from .errors import DimensionError, EvaluationError, InvalidInputError, check_count, check_positive
 
 _EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -89,8 +89,7 @@ class SystemSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise InvalidInputError("system dimension must be positive")
+        self.dim = check_count(self.dim, "dim")
         if self.delta is None:
             self.delta = _zero_delta_factory(self.dim)
 
@@ -257,19 +256,17 @@ class QuadratureRule:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1 or self.nodes.size == 0:
             raise InvalidInputError("quadrature nodes and weights must be matching non-empty vectors")
-        if np.any(self.nodes < 0.0) or np.any(self.nodes > 1.0):
+        if not np.all((self.nodes >= 0.0) & (self.nodes <= 1.0)):  # written so that NaN fails
             raise InvalidInputError("quadrature nodes must lie in [0, 1]")
-        if np.any(self.weights <= 0.0):
-            raise InvalidInputError("quadrature weights must be positive")
+        for i, w in enumerate(self.weights.tolist()):
+            check_positive(w, f"quadrature weight {i}")
         if abs(self.weights.sum() - 1.0) > 1e-14:
             raise InvalidInputError(f"quadrature weights sum to {self.weights.sum()!r}, expected 1")
 
     @classmethod
     def gauss_legendre(cls, n: int = 16) -> "QuadratureRule":
         """Gauss-Legendre rule mapped from [-1, 1] to [0, 1]; exact to degree 2n-1."""
-        if n <= 0:
-            raise InvalidInputError("quadrature order must be positive")
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = np.polynomial.legendre.leggauss(check_count(n, "n"))
         return cls(nodes=0.5 * (x + 1.0), weights=0.5 * w)
 
 

@@ -76,9 +76,9 @@ class TestSampling:
             ([-np.inf, 0.0], [1.0, 1.0], 0.0, 1.0, "bounds must be finite"),
             ([0.0, 0.0], [1.0, np.inf], 0.0, 1.0, "bounds must be finite"),
             ([0.0, np.nan], [1.0, 1.0], 0.0, 1.0, "bounds must be finite"),
-            ([0.0, 0.0], [1.0, 1.0], np.nan, 1.0, "times must be finite"),
-            ([0.0, 0.0], [1.0, 1.0], 0.0, np.nan, "times must be finite"),
-            ([0.0, 0.0], [1.0, 1.0], 0.0, np.inf, "times must be finite"),
+            ([0.0, 0.0], [1.0, 1.0], np.nan, 1.0, "need finite t_lo < t_hi"),
+            ([0.0, 0.0], [1.0, 1.0], 0.0, np.nan, "need finite t_lo < t_hi"),
+            ([0.0, 0.0], [1.0, 1.0], 0.0, np.inf, "need finite t_lo < t_hi"),
         ],
     )
     def test_domain_rejects_non_finite_bounds(self, lower, upper, t_lo, t_hi, message):
@@ -244,7 +244,7 @@ class TestDemidovich:
 
     def test_weight_of_wrong_size_rejected(self):
         sys = constant_jacobian_system(np.diag([-1.0, -2.0]))
-        with pytest.raises(DimensionError, match="3x3 but system has dim 2"):
+        with pytest.raises(DimensionError, match="weight is 3x3 but the dimension is 2"):
             check_demidovich(sys, np.eye(3), box(2, 1.0), SamplingPlan(n_space=3))
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -404,7 +404,7 @@ class TestIncrementalBound:
     def test_nan_alpha0_is_rejected_before_any_integration(self, monkeypatch, fig1_system):
         calls = []
         monkeypatch.setattr(certify_module, "integrate", lambda *args, **kwargs: calls.append(args))
-        with pytest.raises(InvalidInputError, match=r"^alpha0 must be positive, got nan$"):
+        with pytest.raises(InvalidInputError, match=r"^alpha0 must be a finite positive number, got nan$"):
             verify_incremental_bound(fig1_system, [(np.zeros(2), np.ones(2))], 0.0, 1.0, float("nan"))
         assert not calls
 
@@ -544,7 +544,7 @@ class TestOriginConvergence:
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -0.01])
     def test_tol_must_be_positive(self, tol):
         traj = Trajectory(np.linspace(0.0, 1.0, 101), np.zeros((101, 2)))
-        with pytest.raises(InvalidInputError, match=r"^tol must be positive, got "):
+        with pytest.raises(InvalidInputError, match=r"^tol must be a finite positive number, got "):
             verify_origin_convergence(traj, tol=tol)
 
     def test_too_short_trajectory_rejected(self):

@@ -63,7 +63,7 @@ class TestLognormCommand:
         weight = tmp_path / "P3.txt"
         weight.write_text("2 0 0\n0 2 0\n0 0 2\n")
         assert main(["lognorm", "--inline", "1 2; 3 4", "--norm", f"weighted:{weight}"]) == 2
-        assert "weight is 3x3 but matrix is 2x2" in capsys.readouterr().err
+        assert "weight is 3x3 but the dimension is 2" in capsys.readouterr().err
 
     def test_missing_matrix_is_usage_error(self):
         assert main(["lognorm"]) == 2
@@ -105,7 +105,7 @@ class TestCertifyCommand:
         cfg = tmp_path / "weighted.cfg"
         cfg.write_text(CONFIG + "\n[norm]\nkind = weighted\nweight = 2 0 0; 0 2 0; 0 0 2\n")
         assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-        assert "weight is 3x3 but matrix is 2x2" in capsys.readouterr().err
+        assert "weight is 3x3 but the dimension is 2" in capsys.readouterr().err
 
     def test_negative_seed_override_exits_two(self, config_file, tmp_path, capsys):
         argv = ["certify", "--config", str(config_file), "--out", str(tmp_path / "r"), "--seed", "-1"]
@@ -115,8 +115,8 @@ class TestCertifyCommand:
     @pytest.mark.parametrize(
         "domain, line, message",
         [
-            ("lower = 1, 1\nupper = 0, 0\n", 7, "lower < upper"),
-            ("lower = -1, -1\nupper = 1, 1\nt_lo = 2\nt_hi = 2\n", 9, "t_lo < t_hi"),
+            ("lower = 1, 1\nupper = 0, 0\n", 7, "domain requires lower < upper"),
+            ("lower = -1, -1\nupper = 1, 1\nt_lo = 2\nt_hi = 2\n", 9, "need finite t_lo < t_hi"),
         ],
         ids=["lower above upper", "empty time window"],
     )
@@ -124,7 +124,7 @@ class TestCertifyCommand:
         cfg = tmp_path / "box.cfg"
         cfg.write_text(f"[system]\ntype = builtin\nname = example1\nx0 = 1, 1\n[domain]\n{domain}")
         assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-        assert f"line {line}: domain requires {message}" in capsys.readouterr().err
+        assert f"line {line}: {message}" in capsys.readouterr().err
         # simulate never builds the box, so the same config still runs
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s"), "--tf", "0.5"]) == 0
 

@@ -183,11 +183,11 @@ class TestParsing:
             ("sampling", "scheme = bogus", "unknown sampling scheme 'bogus'"),
             ("sampling", "seed = -1", "seed must be an integer >= 0, got -1"),
             ("sampling", "seed = 1.5", "expected an integer"),
-            ("integrator", "step = -1", "step sizes must be positive"),
+            ("integrator", "step = -1", "step must be a positive number, got -1.0"),
             ("integrator", "method = euler", "unknown integrator method 'euler'"),
             ("integrator", "method = rkf45", "unknown integrator method 'rkf45'"),
             ("integrator", "max_steps = 0", "max_steps must be an integer >= 1, got 0"),
-            ("integrator", "rel_tol = inf", "number must be finite"),
+            ("integrator", "rel_tol = inf", "'inf' is not a finite number"),
             ("norm", "kind = l3", "norm kind must be one of"),
             ("norm", "weight = 1 x", "bad weight matrix"),
             ("certify", "alpha = 1 + x1", "expression references undeclared symbol"),

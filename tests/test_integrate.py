@@ -117,7 +117,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("knob", ["step", "max_step", "rel_tol", "abs_tol", "max_steps"])
     def test_config_rejects_nan(self, knob):
         # NaN fails every comparison, so a NaN knob must not pass a "<= 0" test
-        with pytest.raises(InvalidInputError, match=r"must be (positive|an integer >= 1, got nan)$"):
+        with pytest.raises(InvalidInputError, match=r"must be (a positive number|a finite positive number|an integer >= 1), got nan$"):
             IntegratorConfig(**{knob: np.nan})
         assert IntegratorConfig(max_step=np.inf).max_step == np.inf
 
@@ -202,6 +202,20 @@ class TestFailurePaths:
             integrate(sys, np.array([1.0]), 0.0, 1.0, IntegratorConfig(method=method))
         assert str(err.value) == f"field non-finite near t={err.value.last_time}: steps shrank to underflow"
         assert err.value.last_time == pytest.approx(t_bad, abs=1e-8)
+
+    @pytest.mark.parametrize("method", ["ndf", "auto"])
+    def test_field_non_finite_right_after_t0_fails_within_a_few_dozen_trials(self, method):
+        # after a non-finite trial h gives up at 1e-14 max(1, |t|), not at 10 ulps of t = 0, a thousand halvings on
+        calls = []
+
+        def f(x, t):
+            calls.append(t)
+            return -x if t == 0.0 else np.full(1, np.nan)
+
+        with pytest.raises(DivergedError, match=r"^field non-finite near t=0\.0: steps shrank to underflow$") as err:
+            integrate(SystemSpec(dim=1, f=f, jac=lambda x, t: -np.eye(1)), np.ones(1), 0.0, 1.0, IntegratorConfig(method=method))
+        assert err.value.last_time == 0.0
+        assert len(calls) < 200  # 144 under auto (11 per DOP853 trial), 46 under ndf
 
     @pytest.mark.parametrize("method", ["ndf", "auto"])
     def test_step_budget_names_the_last_node(self, decay_system, method):
@@ -661,6 +675,15 @@ def same_run(a, b):
 
 
 class TestNDF:
+    @pytest.mark.parametrize("method", ["ndf", "auto"])
+    def test_starts_on_a_field_very_stiff_at_x0(self, method):
+        # ndf's first step is 1.6e-15, below 1e-14 at t = 0 but far above 10 ulps of t
+        sys = SystemSpec(dim=1, f=lambda x, t: -1e8 * x**3, jac=lambda x, t: np.array([[-3e8 * x[0] ** 2]]))
+        run = integrate(sys, np.array([10.0]), 0.0, 1.0, IntegratorConfig(method=method))
+        exact = 10.0 / np.sqrt(1.0 + 2e10 * run.times)
+        assert run.times[-1] == 1.0
+        assert np.abs(run.states[:, 0] / exact - 1.0).max() < 1e-6  # 1.6e-7 under ndf, 3.3e-11 under auto
+
     def test_stiff_prothero_robinson_tracks_the_exact_solution(self):
         sys = prothero_robinson(-1e4)
         ts = np.linspace(0.0, 1.0, 201)
@@ -951,7 +974,7 @@ class TestDOP853:
         assert dense.stiff_from == grid.stiff_from
         # only a sampled run fills the table, one row per NDF interval
         grid_run, dense_run = runs
-        assert not grid_run.ndf.any() and len(dense_run.ndf_c) == ndf.sum()
+        assert not grid_run.ndf.any() and dense_run.n_ndf == ndf.sum()
         # Newton's backward formula on each interval's own differences, term by term
         for row, i in enumerate(np.flatnonzero(ndf)):
             s = (mid[i] - grid.times[i + 1]) / (grid.times[i + 1] - grid.times[i])

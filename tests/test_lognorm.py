@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from logstab.errors import DimensionError, InvalidInputError
+from logstab.errors import DimensionError, InvalidInputError, InvalidNormError
 from logstab.linalg import NormKind, induced_matrix_norm
 from logstab.lognorm import (
     log_norm,
@@ -63,7 +65,7 @@ class TestClosedForms:
     def test_weight_of_wrong_size_rejected(self):
         kind = NormKind.weighted(2.0 * np.eye(3))
         for fn in (log_norm, log_norm_pair):
-            with pytest.raises(DimensionError, match="3x3 but matrix is 2x2"):
+            with pytest.raises(DimensionError, match="weight is 3x3 but the dimension is 2"):
                 fn(np.eye(2), kind)
 
 
@@ -131,6 +133,17 @@ class TestQuadraticForm:
             qf = log_norm_quadratic_form(a, p)
             cf = log_norm(a, NormKind.weighted(p))
             assert abs(qf - cf) <= 1e-8 * max(1.0, abs(cf))
+
+    @pytest.mark.parametrize(
+        "p", [np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones((2, 3)), np.array([[1.0, 0.0], [0.0, np.nan]])],
+        ids=["indefinite", "not square", "not finite"],
+    )
+    def test_rejects_a_bad_weight_as_the_weighted_kind_does(self, p):
+        # the quadratic form reads its weight through NormKind.weighted, so both routes give the same error
+        with pytest.raises(InvalidNormError) as want:
+            NormKind.weighted(p)
+        with pytest.raises(InvalidNormError, match=f"^{re.escape(str(want.value))}$"):
+            log_norm_quadratic_form(np.eye(2), p)
 
 
 class TestProperties:

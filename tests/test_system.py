@@ -249,6 +249,12 @@ class TestQuadratureRule:
         with pytest.raises(InvalidInputError):
             QuadratureRule.gauss_legendre(0)
 
+    @pytest.mark.parametrize("node", [np.nan, -0.5, 1.5, np.inf])
+    def test_rejects_a_node_outside_the_unit_interval(self, node):
+        # the test is written so that NaN fails it
+        with pytest.raises(InvalidInputError, match=r"^quadrature nodes must lie in \[0, 1\]$"):
+            QuadratureRule(nodes=[node], weights=[1.0])
+
     def test_import_leaves_numpy_polynomial_unloaded(self):
         # in its own process: the default rule is built on first use, so importing the package and CLI skips it
         src = str(Path(__file__).resolve().parent.parent / "src")

@@ -22,7 +22,11 @@ Prothero-Robinson (lambda = -1e4, solution sin t) under ``ndf`` to tf = 10 at
 quadratic A(t) at n = 2, 4 and 8; ``check_transition_bounds`` on such systems
 under four norms; acceptance criterion 04's two reports; the demo's forcing-ratio
 report (fig1, the demo rate, t in [0, 20]) and its Demidovich report (fig1,
-P = I, the demo config's domain and plan); and the files of the two demo variants.
+P = I, the demo config's domain and plan); the files of the two demo variants;
+the exit code, stdout and files of ``logstab certify`` on the fig1 demo config
+and on an expression config whose ``abs`` leaves finite differences to the
+sweep; and the exit code and stdout of ``logstab lognorm`` on one matrix under
+l2 and a weighted norm read from a file.
 
 ``--against REV`` exports REV with ``git archive`` into a temporary directory
 (nothing is registered in the repository), runs the corpus on both trees, each
@@ -35,6 +39,7 @@ The exit code is 0 unless the tool itself fails on a tree.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
@@ -49,6 +54,19 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 STARTS = ((5.0, 5.0), (-5.0, -5.0), (5.0, -5.0), (-5.0, 5.0), (-2.0, 5.0), (0.0, 0.0))
+# abs has no symbolic derivative, so the certify sweep takes finite differences of f
+ABS_CONFIG = """[system]
+type = expression
+dim = 2
+f1 = -3*x1 + sin(x2) + 0.5*abs(x1)
+f2 = -2*x2 + 0.5*sin(x1)
+x0 = 1, -1
+[domain]
+lower = -3, -3
+upper = 3, 3
+t_lo = 0
+t_hi = 1
+"""
 
 
 def _feed(h, obj) -> None:
@@ -84,6 +102,7 @@ def _corpus(logstab):
     reference is (variant, x0) for a demo run, a function of the run's times
     giving the exact states for a run with a known solution, else None.
     """
+    from logstab.cli import main
     from logstab.config import parse_config
     from logstab.demos import (
         DEMO_CONFIGS,
@@ -176,6 +195,23 @@ def _corpus(logstab):
 
     for variant in demo:
         yield f"demo_files/{variant}", lambda variant=variant: demo_files(variant), None
+
+    def command(argv, inputs):
+        """Exit code, stdout and written files of ``logstab argv`` in a fresh directory {dir} holding ``inputs``."""
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in inputs.items():
+                Path(tmp, name).write_text(text)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([arg.format(dir=tmp) for arg in argv])
+            files = [(p.name, p.read_bytes()) for p in sorted(Path(tmp, "out").rglob("*")) if p.is_file()]
+            return code, out.getvalue().replace(tmp, "{dir}"), files
+
+    certify = ["certify", "--config", "{dir}/scenario.cfg", "--out", "{dir}/out"]
+    yield "cli/certify/fig1", lambda: command(certify, {"scenario.cfg": DEMO_CONFIGS["fig1"]}), None
+    yield "cli/certify/abs", lambda: command(certify, {"scenario.cfg": ABS_CONFIG}), None
+    lognorm = ["lognorm", "--inline", "-2 1 0; 0.5 -3 1; 0 2 -4", "--norm", "l2", "--norm", "weighted:{dir}/P.txt"]
+    yield "cli/lognorm/weighted", lambda: command(lognorm, {"P.txt": "4 1 0\n1 3 1\n0 1 2\n"}), None
 
 
 def _reference():
