@@ -390,6 +390,7 @@ def verify_incremental_bound(
     if not initial_pairs:
         raise InvalidInputError("need at least one initial pair")
     check_count(n_output, "n_output")
+    kind.check_fits(sys.dim)
     grid = np.linspace(t0, tf, n_output)
     dists, budgets = [], []  # per pair: the distance series and the error budget
     for idx, (xa, xb) in enumerate(initial_pairs):

@@ -54,12 +54,12 @@ def cmd_lognorm(args) -> int:
         matrix = read_matrix_file(args.matrix)
     else:
         raise InvalidInputError("lognorm needs a matrix file or --inline text")
-    norms = args.norm or ["l1", "l2", "linf"]
+    kinds = [_parse_norm_flag(spec) for spec in args.norm or ["l1", "l2", "linf"]]
+    # every value before the first line, so a bad flag or weight prints nothing
+    rows = [(kind.tag, res) for kind in kinds for res in log_norm_all_routes(matrix, kind)]
     print(f"{'norm':>10} {'method':>16} {'value':>24}")
-    for spec in norms:
-        kind = _parse_norm_flag(spec)
-        for res in log_norm_all_routes(matrix, kind):
-            print(f"{kind.tag:>10} {res.method:>16} {res.value:>24.16g}")
+    for tag, res in rows:
+        print(f"{tag:>10} {res.method:>16} {res.value:>24.16g}")
     return 0
 
 

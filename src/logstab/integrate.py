@@ -79,18 +79,18 @@ returns its grid stores it; a sampled run reads the NDF intervals from their
 interpolants and needs none.
 
 ``integrate``'s ``sample_times`` is the one way to sample, and it is checked
-before the run starts. RK4 intervals are sampled by cubic Hermite on the
-stored derivatives. With ``sample_times`` each DOP853 step also evaluates
-the three extra stages of its 7th-order continuous extension and keeps the
-table of its rows F3..F6; the first three rows of that extension are exactly
-the Hermite cubic, and a sample on such an interval adds the term of the
-other four. Each NDF step keeps the backward differences 1..k of its order-k
-interpolant, on steps of its own length h, and a sample on its interval
-reads that interpolant, Newton's backward formula from the step's end.
-``auto`` hands over to ndf once and never back, so the DOP853 table is a
-prefix of the run and the NDF table a suffix. A sample on a node is that
-node's state. Runs that only return their grid keep neither table and skip
-DOP853's extra stages.
+before the run starts. A sampled run keeps one table, one row block per
+interval: y' at its start and at its end, per unit t, and the rows F3..F6 of
+DOP853's 7th-order continuous extension, the interval's cubic Hermite plus
+s^2 (1-s)^2 (F3 + s (F4 + (1-s) (F5 + s F6))). One sampler reads every
+interval in that form, which gives a sample on a node that node's state. An
+RK4 interval has no correction rows. Each DOP853 step of a sampled run also
+evaluates the three extra stages of its extension for its rows. Each NDF step
+keeps the backward differences 1..k of its order-k interpolant; that
+interpolant has degree k <= 5 and meets both nodes, so it is such a form, and
+the run's record turns every NDF block into it with one product by the
+constant matrix ``_NDF_HERMITE``. Runs that only return their grid keep no
+table and skip DOP853's extra stages.
 
 The fundamental matrix of a linear time-varying system is integrated with
 the same machinery as one n^2-dimensional matrix ODE, so all n columns share
@@ -268,9 +268,15 @@ def _r_matrix(order: int, r: float) -> np.ndarray:
 
 # R(1) by order (index 0 unused): every change of h rescales with it
 _R_ONE = (None,) + tuple(_r_matrix(order, 1.0) for order in range(1, _NDF_MAX_ORDER + 1))
-# m and m + 1, m = 0..4, in the products of Newton's backward formula (see ``_backward_sample``)
-_BACKWARD_M = np.arange(_NDF_MAX_ORDER, dtype=float)
-_BACKWARD_M1 = _BACKWARD_M + 1.0
+# the first rows of an NDF step's block from its backward differences D1..D5 on steps of h, zero above its order:
+# h y'(start) = D1 - sum_{j>=2} Dj / (j (j - 1)), h y'(end) = sum_j Dj / j (ode15s's BDF derivative),
+# F3 = D4 / 24 + 7 D5 / 120 and F4 = D5 / 120; F5 = F6 = 0
+_NDF_HERMITE = np.array([
+    [1.0, -1.0 / 2.0, -1.0 / 6.0, -1.0 / 12.0, -1.0 / 20.0],
+    [1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0, 1.0 / 5.0],
+    [0.0, 0.0, 0.0, 1.0 / 24.0, 7.0 / 120.0],
+    [0.0, 0.0, 0.0, 0.0, 1.0 / 120.0],
+])
 
 
 @dataclass
@@ -336,6 +342,8 @@ class Trajectory:
             raise InvalidInputError("trajectory needs 1-D times and 2-D states")
         if self.times.shape[0] != self.states.shape[0]:
             raise InvalidInputError("times and states lengths differ")
+        if not np.all(np.isfinite(self.times)):
+            raise InvalidInputError("trajectory times must be finite")
         if not np.all(np.diff(self.times) > 0.0):
             raise InvalidInputError("trajectory times must strictly increase")
         if not np.all(np.isfinite(self.states)):
@@ -371,8 +379,12 @@ class FundamentalTrajectory(Trajectory):
         return self.states.reshape(-1, self.dim, self.dim)
 
 
-def _hermite_sample(times, states, derivs, ts, dense=()) -> np.ndarray:
-    """Cubic Hermite on (states, derivs); ``dense`` adds DOP853's rows F3..F6 on the first len(dense) intervals."""
+def _hermite_sample(times, states, rows, ts) -> np.ndarray:
+    """The states at ts, each interval's cubic Hermite plus s^2 (1-s)^2 (F3 + s (F4 + (1-s) (F5 + s F6))).
+
+    rows[i] is interval i's block: y' at its start and at its end, per unit
+    t, then F3..F6. With DOP853's rows this is its 7th-order extension.
+    """
     idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
     h = times[idx + 1] - times[idx]
     s = (ts - times[idx]) / h
@@ -383,31 +395,15 @@ def _hermite_sample(times, states, derivs, ts, dense=()) -> np.ndarray:
     h01 = (-2.0 * s3 + 3.0 * s2)[:, None]
     h11 = (s3 - s2)[:, None]
     hcol = h[:, None]
-    out = (
+    sc = s[:, None]
+    d0, d1, f3, f4, f5, f6 = np.moveaxis(rows[idx], 1, 0)
+    return (
         h00 * states[idx]
-        + h10 * hcol * derivs[idx]
+        + h10 * hcol * d0
         + h01 * states[idx + 1]
-        + h11 * hcol * derivs[idx + 1]
+        + h11 * hcol * d1
+        + (s2 * (1.0 - s) ** 2)[:, None] * (f3 + sc * (f4 + (1.0 - sc) * (f5 + sc * f6)))
     )
-    near = idx < len(dense)
-    if near.any():
-        # DOP853's extension is this cubic + s^2 (1-s)^2 (F3 + s (F4 + (1-s) (F5 + s F6)))
-        f3, f4, f5, f6 = np.moveaxis(np.asarray(dense)[idx[near]], 1, 0)
-        s, s2 = s[near], s2[near]
-        sc = s[:, None]
-        out[near] += (s2 * (1.0 - s) ** 2)[:, None] * (f3 + sc * (f4 + (1.0 - sc) * (f5 + sc * f6)))
-    return out
-
-
-def _backward_sample(y_end, s, diffs) -> np.ndarray:
-    """Newton's backward formula y(t_end + s h) = y_end + sum_j diffs_j prod_{m<j} (s + m) / (m + 1), s in [-1, 0].
-
-    Each of the k samples has its step's end y_end (k, n), its s and its
-    step's backward differences 1..5 on steps of h, zero above the step's
-    order, in ``diffs`` (k, 5, n).
-    """
-    coef = np.cumprod((s[:, None] + _BACKWARD_M) / _BACKWARD_M1, axis=1)
-    return y_end + (coef[:, None, :] @ diffs)[:, 0]
 
 
 def _validate_sample_times(ts, t0: float, tf: float) -> np.ndarray:
@@ -463,16 +459,15 @@ def integrate(
         # names the callable, x and t of an output that is not real or has the wrong shape; else converts it
         return _shaped("f", fx, shape, t, y) + _shaped("delta", dx, shape, t)
 
-    dense = sample_times is not None
-    run = _Run(rhs, x0, f0, t0, tf, cfg)
+    run = _Run(rhs, x0, f0, t0, tf, cfg, dense=sample_times is not None)
     # every method turns a non-finite value into a rejection or a DivergedError, so numpy need not warn of one
     with np.errstate(all="ignore"):
         if cfg.method == "rk4":
             _rk4_steps(run)
         elif cfg.method == "auto":
-            _dop853_steps(run, dense)
+            _dop853_steps(run)
         if cfg.method == "ndf" or run.stiff_from is not None:
-            _ndf_steps(run, lambda t, y: jacobian(sys, y, t), dense)
+            _ndf_steps(run, lambda t, y: jacobian(sys, y, t))
     return run.trajectory(sample_times)
 
 
@@ -485,18 +480,16 @@ class _Run:
     through ``rhs``, which checks the shape and type of each output.
     """
 
-    def __init__(self, rhs, x0: np.ndarray, f0: np.ndarray, t0: float, tf: float, cfg: IntegratorConfig):
+    def __init__(self, rhs, x0: np.ndarray, f0: np.ndarray, t0: float, tf: float, cfg: IntegratorConfig, dense: bool):
         self.rhs = rhs
         self.tf = tf
         self.cfg = cfg
         self.times = [t0]
         self.states = [x0.copy()]
         self.derivs = [f0]  # the field at t0 and at each RK4 and DOP853 node; in a grid run each NDF node's y' too
-        self.dense = []  # DOP853's rows F3..F6 of each interval that has them, a prefix of the run
-        self.n_ndf = 0  # the NDF nodes, a suffix of the run
-        # in a sampled run, per NDF node its step's backward differences 1..5, zero above its order, in the first
-        # rows of a table that doubles when it is full
-        self.ndf = np.zeros((0, _NDF_MAX_ORDER, x0.size))
+        # a sampled run's row blocks for ``_hermite_sample``, one per accepted interval in the first rows of a table
+        # that doubles when it is full; an NDF block holds its step's differences until ``trajectory``
+        self.table = np.zeros((0, 6, x0.size)) if dense else None
         self.error = 0.0  # sum of the max-abs local-error estimates of accepted steps
         self.n_steps = 0
         self.n_rejected = 0
@@ -541,17 +534,26 @@ class _Run:
         self.n_steps += 1
         self.non_finite = False
 
-    def accept(self, t: float, y: np.ndarray, err: float, f=None, dense=None) -> np.ndarray:
+    def _block(self) -> np.ndarray:
+        """The zeroed row block of the interval about to be accepted."""
+        if self.n_steps == len(self.table):
+            self.table = np.concatenate([self.table, np.zeros((max(64, self.n_steps),) + self.table.shape[1:])])
+        return self.table[self.n_steps]
+
+    def accept(self, t: float, y: np.ndarray, err: float, f=None, rows=None) -> np.ndarray:
         """Store an RK4 or DOP853 node (t, y) with a local-error estimate err; returns the field there.
 
         ``f`` is the field at the node when the step rule already took it from
-        ``node_field``; ``dense`` the interval's DOP853 rows F3..F6.
+        ``node_field``; ``rows`` the interval's DOP853 rows F3..F6.
         """
         if f is None:
             f = self.node_field(t, y)
+        if self.table is not None:
+            block = self._block()
+            block[0], block[1] = self.derivs[-1], f
+            if rows is not None:
+                block[2:] = rows
         self.derivs.append(f)
-        if dense is not None:
-            self.dense.append(dense)
         self._store(t, y, err)
         return f
 
@@ -560,24 +562,29 @@ class _Run:
 
         A grid run passes ``deriv``, the corrector's y' at the node; a
         sampled run passes ``diffs``, the step's backward differences 1..k,
-        k its order.
+        k its order, into the interval's row block.
         """
         if deriv is not None:
             self.derivs.append(deriv)
         if diffs is not None:
-            if self.n_ndf == len(self.ndf):
-                self.ndf = np.concatenate([self.ndf, np.zeros((max(64, self.n_ndf),) + self.ndf.shape[1:])])
-            self.ndf[self.n_ndf, : len(diffs)] = diffs
-        self.n_ndf += 1
+            self._block()[: len(diffs)] = diffs
         self._store(t, y, err)
 
     def trajectory(self, ts=None) -> Trajectory:
         """The run on its own grid, with the derivative at each node, or at the sample times ts (derivs None)."""
         times, states = np.array(self.times), np.array(self.states)
-        if ts is not None:
-            times, states, derivs = ts, self._sample(times, states, ts), None
-        else:
+        if ts is None:
             derivs = np.array(self.derivs)
+        else:
+            rows = self.table[: self.n_steps]
+            # a sampled run stores no derivative at an NDF node, so the intervals after the last one it stores are NDF;
+            # their blocks take their Hermite form in place, once, as a run makes one trajectory
+            first = len(self.derivs) - 1
+            ndf = rows[first:]
+            ndf[:, :4] = _NDF_HERMITE @ ndf[:, :5]
+            ndf[:, :2] /= np.diff(times)[first:, None, None]
+            ndf[:, 4] = 0.0
+            times, states, derivs = ts, _hermite_sample(times, states, rows, ts), None
         return Trajectory(
             times,
             states,
@@ -587,29 +594,6 @@ class _Run:
             n_rejected=self.n_rejected,
             stiff_from=self.stiff_from,
         )
-
-    def _sample(self, times: np.ndarray, states: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """The states at ts: each NDF interval's own interpolant, cubic Hermite elsewhere.
-
-        Hermite takes DOP853's extension on the intervals of ``dense``, and
-        the field at the nodes before the NDF suffix. A sample on a node is
-        that node's state.
-        """
-        if not self.n_ndf:
-            return _hermite_sample(times, states, np.array(self.derivs), ts, self.dense)
-        idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
-        row = idx - (len(times) - 1 - self.n_ndf)  # the NDF table's row of each interval, negative before it
-        on_ndf = row >= 0
-        out = np.empty((ts.size, states.shape[1]))
-        if not on_ndf.all():
-            out[~on_ndf] = _hermite_sample(times, states, np.array(self.derivs), ts[~on_ndf], self.dense)
-        end = idx[on_ndf] + 1
-        s = (ts[on_ndf] - times[end]) / (times[end] - times[end - 1])
-        out[on_ndf] = _backward_sample(states[end], s, self.ndf[row[on_ndf]])
-        # Hermite gives a node its state exactly, the backward formula only to rounding at an interval's start
-        on_node = ts == times[idx]
-        out[on_node] = states[idx[on_node]]
-        return out
 
 
 def _rk4_steps(run: _Run) -> None:
@@ -632,13 +616,13 @@ def _rk4_steps(run: _Run) -> None:
         f_cur = run.accept(t, y, 0.0)
 
 
-def _dop853_steps(run: _Run, dense: bool) -> None:
+def _dop853_steps(run: _Run) -> None:
     """DOP853 steps to tf, or until the run turns stiff, which sets ``stiff_from``.
 
-    With ``dense`` each accepted step also evaluates the three stages of the
-    continuous extension and stores its rows F3..F6; a non-finite value there
-    rejects the step like any other non-finite stage, so only sampled runs
-    can reject a step for it.
+    In a sampled run each accepted step also evaluates the three stages of
+    the continuous extension and stores its rows F3..F6; a non-finite value
+    there rejects the step like any other non-finite stage, so only sampled
+    runs can reject a step for it.
     """
     cfg, rhs, tf = run.cfg, run.rhs, run.tf
     t, y = run.times[-1], run.states[-1]
@@ -690,7 +674,7 @@ def _dop853_steps(run: _Run, dense: bool) -> None:
         t_new = t + h
         stages[_DOP_STAGES] = f_new = run.node_field(t_new, y_new)
         rows = None
-        if dense:
+        if run.table is not None:
             if fill(_DOP_STAGES + 1, stages.shape[0]) is None:
                 run.reject(non_finite=True)
                 h *= 0.1
@@ -829,13 +813,13 @@ def _ndf_start_step(run: _Run) -> float:
     return h if h < cap else cap  # also where a non-finite probe made h NaN
 
 
-def _ndf_steps(run: _Run, jac, dense: bool) -> None:
+def _ndf_steps(run: _Run, jac) -> None:
     """Variable-order NDF steps from the last node of ``run`` to tf.
 
     For ``ndf`` that node is t0; for ``auto`` it is where the DOP853 phase
     found the run stiff. The Newton tolerance and when J is evaluated are
     set out in the module docstring. Each accepted step stores its node's
-    derivative, the corrector's y', or with ``dense`` the backward
+    derivative, the corrector's y', or in a sampled run the backward
     differences 1..order of its interpolant instead. A non-finite error
     estimate or state rejects the step like a non-finite field.
     """
@@ -912,7 +896,7 @@ def _ndf_steps(run: _Run, jac, dense: bool) -> None:
         abs_y = abs_y_new
         j_fresh = False
         _fold_correction(diffs, order, corr)
-        if dense:
+        if run.table is not None:
             run.accept_ndf(t, y, float(abs_err.max()), diffs=diffs[1 : order + 1])
         else:  # the corrector solved corr = c f(t, y) - psi, so its y' is (corr + psi) / c
             run.accept_ndf(t, y, float(abs_err.max()), deriv=(corr + psi) / c)
@@ -928,6 +912,14 @@ def _ndf_steps(run: _Run, jac, dense: bool) -> None:
         best = int(np.argmax(factors))
         order += best - 1
         resize(min(10.0, safety * factors[best]))
+
+
+def _size_at_start(a_fn: Callable[[float], np.ndarray], t0: float) -> int:
+    """n of A(t0), which must be a finite square matrix (n, n)."""
+    a0 = _shaped("A", a_fn(t0), None, t0)
+    n = a0.shape[0] if a0.ndim else 1
+    _checked_output("A", a0, (n, n), t0)
+    return n
 
 
 def integrate_fundamental(
@@ -947,9 +939,7 @@ def integrate_fundamental(
     kron(A(t), I), so ndf needs no finite differences.
     """
     check_window(t0, tf)
-    a0 = _shaped("A", a_fn(t0), None, t0)
-    n = a0.shape[0] if a0.ndim else 1
-    _checked_output("A", a0, (n, n), t0)
+    n = _size_at_start(a_fn, t0)
     eye = np.eye(n)
 
     def matrix_field(x: np.ndarray, t: float) -> np.ndarray:
@@ -1043,6 +1033,8 @@ def check_transition_bounds(
     """
     n_pairs, n_states = check_count(n_pairs, "n_pairs"), check_count(n_states, "n_states")
     check_count(seed, "seed", 0)
+    check_window(t0, tf)
+    kind.check_fits(_size_at_start(a_fn, t0))
     fund = integrate_fundamental(a_fn, t0, tf)
     times = fund.times
     phi = fund.matrices

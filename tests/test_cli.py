@@ -65,6 +65,15 @@ class TestLognormCommand:
         assert main(["lognorm", "--inline", "1 2; 3 4", "--norm", f"weighted:{weight}"]) == 2
         assert "weight is 3x3 but the dimension is 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("norm", ["weighted", "l3"], ids=["non-finite weight", "unknown tag"])
+    def test_bad_later_norm_prints_nothing(self, tmp_path, capsys, norm):
+        weight = tmp_path / "P.txt"
+        weight.write_text("1 0\n0 nan\n")
+        flag = f"weighted:{weight}" if norm == "weighted" else norm
+        assert main(["lognorm", "--inline", "1 0; 0 1", "--norm", "l2", "--norm", flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+
     def test_missing_matrix_is_usage_error(self):
         assert main(["lognorm"]) == 2
 

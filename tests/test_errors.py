@@ -256,22 +256,35 @@ def test_number_from_text_rule(site, tmp_path, capsys):
 
 KIND3 = NormKind.weighted(np.diag([1.0, 2.0, 3.0]))
 
-# site -> call that applies a 3x3 weight in dimension 2
+# site -> (call(calls) that applies a 3x3 weight in dimension 2, the most calls of its callables before it raises)
 WEIGHT_SITES = {
-    "log_norm": lambda: log_norm(np.eye(2), KIND3),
-    "log_norm_pair": lambda: log_norm_pair(np.eye(2), KIND3),
-    "log_norm_limit_table": lambda: log_norm_limit_table(np.eye(2), KIND3),
-    "log_norm_quadratic_form": lambda: log_norm_quadratic_form(np.eye(2), KIND3.weight),
-    "induced_matrix_norm": lambda: induced_matrix_norm(np.eye(2), KIND3),
-    "vec_norm": lambda: vec_norm(np.ones(2), KIND3),
-    "estimate_contraction_rate": lambda: estimate_contraction_rate(decay([]), BOX, KIND3, SamplingPlan(n_space=3)),
-    "check_demidovich": lambda: check_demidovich(decay([]), KIND3.weight, BOX, SamplingPlan(n_space=3)),
-    "verify_incremental_bound": lambda: verify_incremental_bound(decay([]), PAIRS, 0.0, 1.0, 0.5, KIND3),
-    "check_transition_bounds": lambda: check_transition_bounds(lambda t: -np.eye(2), KIND3, 0.0, 1.0),
+    "log_norm": (lambda calls: log_norm(np.eye(2), KIND3), 0),
+    "log_norm_pair": (lambda calls: log_norm_pair(np.eye(2), KIND3), 0),
+    "log_norm_limit_table": (lambda calls: log_norm_limit_table(np.eye(2), KIND3), 0),
+    "log_norm_quadratic_form": (lambda calls: log_norm_quadratic_form(np.eye(2), KIND3.weight), 0),
+    "induced_matrix_norm": (lambda calls: induced_matrix_norm(np.eye(2), KIND3), 0),
+    "vec_norm": (lambda calls: vec_norm(np.ones(2), KIND3), 0),
+    "estimate_contraction_rate": (
+        lambda calls: estimate_contraction_rate(decay(calls), BOX, KIND3, SamplingPlan(n_space=3)),
+        0,
+    ),
+    "check_demidovich": (lambda calls: check_demidovich(decay(calls), KIND3.weight, BOX, SamplingPlan(n_space=3)), 0),
+    "verify_incremental_bound": (
+        lambda calls: verify_incremental_bound(decay(calls), PAIRS, 0.0, 1.0, 0.5, KIND3),
+        0,
+    ),
+    # A(t0) alone gives the dimension
+    "check_transition_bounds": (
+        lambda calls: check_transition_bounds(counted(calls, -np.eye(2)), KIND3, 0.0, 1.0),
+        1,
+    ),
 }
 
 
 @pytest.mark.parametrize("site", WEIGHT_SITES)
 def test_weight_size_rule(site):
+    call, most = WEIGHT_SITES[site]
+    calls = []
     with pytest.raises(DimensionError, match=r"^weight is 3x3 but the dimension is 2$"):
-        WEIGHT_SITES[site]()
+        call(calls)
+    assert len(calls) <= most

@@ -8,6 +8,7 @@ from logstab.demos import build_example1, delta_admissible, delta_borderline
 from logstab.errors import ConditioningError, DimensionError, DivergedError, EvaluationError, InvalidInputError
 from logstab.integrate import (
     _NDF_ALPHA,
+    _NDF_HERMITE,
     METHODS,
     FundamentalTrajectory,
     IntegratorConfig,
@@ -608,6 +609,9 @@ class TestTrajectoryContainer:
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)))
         with pytest.raises(InvalidInputError):
             Trajectory(np.array([0.0, 1.0]), np.full((2, 1), np.nan))
+        for t_bad in (np.inf, np.nan):
+            with pytest.raises(InvalidInputError, match="^trajectory times must be finite$"):
+                Trajectory(np.array([0.0, t_bad]), np.zeros((2, 1)))
         with pytest.raises(InvalidInputError, match="must start at the identity"):
             FundamentalTrajectory(np.array([0.0]), np.array([[2.0]]))
         with pytest.raises(InvalidInputError, match="need n\\^2 >= 1 columns, got 3"):
@@ -662,6 +666,13 @@ def prothero_robinson(lam):
         f=lambda x, t: lam * (x - np.sin(t)) + np.cos(t),
         jac=lambda x, t: np.array([[lam]]),
     )
+
+
+def hermite_alone(grid, ts):
+    """Cubic Hermite on a grid run's nodes and derivatives at ts, with no correction rows."""
+    rows = np.zeros((grid.times.size - 1, 6, grid.dim))
+    rows[:, 0], rows[:, 1] = grid.derivs[:-1], grid.derivs[1:]
+    return _hermite_sample(grid.times, grid.states, rows, ts)
 
 
 def same_run(a, b):
@@ -721,9 +732,8 @@ class TestNDF:
         dense = integrate(prothero_robinson(-1e4), np.array([0.0]), 0.0, 10.0, cfg, sample_times=ts)
         assert np.abs(dense.states[:, 0] - np.sin(ts)).max() <= rel_tol
 
-    @pytest.mark.parametrize("method", ["ndf", "auto"])
+    @pytest.mark.parametrize("method", ["ndf", "auto", "rk4"])
     def test_samples_on_the_nodes_are_the_node_states(self, fig1_system, method):
-        # the backward formula meets an interval's start node only to rounding; the sample takes the node itself
         cfg = IntegratorConfig(method=method)
         grid = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0, cfg)
         dense = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0, cfg, sample_times=grid.times)
@@ -956,34 +966,59 @@ class TestDOP853:
         dense = integrate(harmonic_system, np.array([1.0, 0.0]), 0.0, 2.0 * np.pi, sample_times=ts)
         assert np.diff(grid.times).max() == pytest.approx(0.1)
         assert np.abs(dense.states - exact).max() < 1e-9
-        assert np.abs(_hermite_sample(grid.times, grid.states, grid.derivs, ts) - exact).max() > 1e-7
+        assert np.abs(hermite_alone(grid, ts) - exact).max() > 1e-7
 
     def test_intervals_of_the_ndf_phase_sample_the_step_interpolant(self, fig1_system, monkeypatch):
-        runs, trajectory = [], _Run.trajectory
+        runs, steps = [], []
+        trajectory, accept_ndf = _Run.trajectory, _Run.accept_ndf
 
         def keep(run, *args):
             runs.append(run)
             return trajectory(run, *args)
 
+        def record(run, t, y, err, deriv=None, diffs=None):
+            if diffs is not None:
+                steps.append(diffs.copy())  # a view of the step rule's own differences, which the next step moves
+            accept_ndf(run, t, y, err, deriv, diffs)
+
         monkeypatch.setattr(_Run, "trajectory", keep)
+        monkeypatch.setattr(_Run, "accept_ndf", record)
         grid = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0)
         mid = 0.5 * (grid.times[:-1] + grid.times[1:])
         dense = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0, sample_times=mid)
-        hermite = _hermite_sample(grid.times, grid.states, grid.derivs, mid)
         ndf = mid > grid.stiff_from
         assert dense.stiff_from == grid.stiff_from
-        # only a sampled run fills the table, one row per NDF interval
+        # only a sampled run keeps a table, and it hands over the differences of each NDF step
         grid_run, dense_run = runs
-        assert not grid_run.ndf.any() and dense_run.n_ndf == ndf.sum()
+        assert grid_run.table is None and dense_run.table is not None and len(steps) == ndf.sum()
         # Newton's backward formula on each interval's own differences, term by term
-        for row, i in enumerate(np.flatnonzero(ndf)):
+        for diffs, i in zip(steps, np.flatnonzero(ndf)):
             s = (mid[i] - grid.times[i + 1]) / (grid.times[i + 1] - grid.times[i])
             expected, term = grid.states[i + 1].copy(), 1.0
-            for j in range(1, 6):
+            for j in range(1, len(diffs) + 1):
                 term *= (s + j - 1) / j
-                expected += term * dense_run.ndf[row, j - 1]
+                expected += term * diffs[j - 1]
             assert dense.states[i] == pytest.approx(expected, rel=1e-14, abs=1e-16), i
-        assert np.all(np.abs(dense.states - hermite).max(axis=1) > 0.0)
+        assert np.all(np.abs(dense.states - hermite_alone(grid, mid)).max(axis=1) > 0.0)
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_ndf_hermite_matrix_is_newtons_backward_formula(self, order):
+        # an order-k interpolant through both nodes, in the Hermite form that samples every interval
+        rng = np.random.default_rng(order)
+        s = np.linspace(-1.0, 0.0, 41)
+        coef = np.cumprod((s[:, None] + np.arange(5)) / np.arange(1, 6), axis=1)
+        for _ in range(200):
+            h = 10.0 ** rng.uniform(-4.0, 0.0)
+            y_end = rng.normal(size=3)
+            diffs = np.zeros((5, 3))
+            diffs[:order] = rng.normal(size=(order, 3)) * 10.0 ** rng.uniform(-6.0, 0.0, size=(order, 1))
+            expected = y_end + coef @ diffs
+            block = np.zeros((6, 3))
+            block[:4] = _NDF_HERMITE @ diffs
+            block[:2] /= h
+            # the step ends at t = 0, so the sample times carry s to rounding
+            got = _hermite_sample(np.array([-h, 0.0]), np.array([y_end - diffs[0], y_end]), block[None], s * h)
+            assert np.abs(got - expected).max() <= 2e-15 * np.abs(expected).max()
 
     def test_dense_stages_are_evaluated_only_for_sample_times(self):
         # one call at (t0, x0), then 11 stages and f at the new node per step; 3 more with sample_times

@@ -17,6 +17,8 @@ measure (``exact=``).
 The corpus: the demo field (fig1 and fig2 from (-2, 5)) under ``auto``, ``ndf``
 and ``rk4``, on the integrator's grid and sampled every 0.05, to tf = 3 and 20;
 ``auto`` sampled to tf = 1 and 6 from the six starts of the tf = 1 no-switch tests;
+fig1 from (-2, 5) under ``auto`` and ``ndf`` to tf = 6, sampled at the nodes of
+its own grid run and at their midpoints (the ``auto`` run crosses its hand-off);
 Prothero-Robinson (lambda = -1e4, solution sin t) under ``ndf`` to tf = 10 at
 ``rel_tol`` 1e-6 and 1e-9, on the grid and at 201 samples; ``integrate_fundamental`` of a
 quadratic A(t) at n = 2, 4 and 8; ``check_transition_bounds`` on such systems
@@ -120,6 +122,13 @@ def _corpus(logstab):
         cfg = logstab.IntegratorConfig(method=method)
         return lambda: logstab.integrate(demo[variant], np.array(x0), 0.0, tf, cfg, sample_times=grid)
 
+    def on_own_grid(method, at):
+        """fig1 from (-2, 5) to tf = 6 sampled at the nodes of its own grid run, or at their midpoints."""
+        cfg = logstab.IntegratorConfig(method=method)
+        nodes = logstab.integrate(demo["fig1"], np.array([-2.0, 5.0]), 0.0, 6.0, cfg).times
+        ts = nodes if at == "nodes" else 0.5 * (nodes[:-1] + nodes[1:])
+        return logstab.integrate(demo["fig1"], np.array([-2.0, 5.0]), 0.0, 6.0, cfg, sample_times=ts)
+
     for variant in demo:
         for method in ("auto", "ndf", "rk4"):
             for tf in (3.0, 20.0):
@@ -130,6 +139,11 @@ def _corpus(logstab):
             for x0 in STARTS:
                 name = f"demo/{variant}/auto/sampled/tf{tf:g}/x0={x0[0]:g},{x0[1]:g}"
                 yield name, run(variant, x0, tf, "auto", True), (variant, x0)
+    for method in ("auto", "ndf"):
+        for at in ("nodes", "midpoints"):
+            yield f"demo/fig1/{method}/{at}/tf6", (
+                lambda method=method, at=at: on_own_grid(method, at)
+            ), ("fig1", (-2.0, 5.0))
 
     lam = -1e4
     prothero_robinson = logstab.SystemSpec(
