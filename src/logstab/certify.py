@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError, DivergedError, InvalidInputError, InvalidRateError
-from .errors import check_count, check_positive, check_window
+from .errors import check_array, check_count, check_positive, check_window
 from .integrate import Trajectory, _cumulative_simpson, _simpson_nodes, error_budget, integrate
 from .linalg import NormKind, sym_eig_max, vec_norm
 from .lognorm import log_norm
@@ -69,13 +69,8 @@ class Domain:
     t_hi: float
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
-            raise InvalidInputError("domain bounds must be matching vectors")
-        # each test is written so that NaN fails
-        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
-            raise InvalidInputError("domain bounds must be finite")
+        self.lower = check_array(self.lower, "lower", (None,))
+        self.upper = check_array(self.upper, "upper", self.lower.shape)
         if not np.all(self.lower < self.upper):
             raise InvalidInputError("domain requires lower < upper componentwise")
         check_window(self.t_lo, self.t_hi, "t_lo", "t_hi")
@@ -136,8 +131,7 @@ def _sweep(sys: SystemSpec, domain: Domain, kind: NormKind, plan: SamplingPlan) 
     Checks first that the norm's weight and the domain fit the system.
     """
     kind.check_fits(sys.dim)
-    if domain.dim != sys.dim:
-        raise InvalidInputError(f"domain dimension {domain.dim} != system dimension {sys.dim}")
+    check_array(domain.lower, "domain.lower", (sys.dim,))
     points = sample_states(domain, plan)
     ts = time_slices(domain, plan)
     return points, ts, points.shape[0] * ts.size
@@ -391,11 +385,18 @@ def verify_incremental_bound(
         raise InvalidInputError("need at least one initial pair")
     check_count(n_output, "n_output")
     kind.check_fits(sys.dim)
+    pairs = []  # every state of every pair is checked before the first run
+    for idx, pair in enumerate(initial_pairs):
+        try:
+            xa, xb = pair
+        except (TypeError, ValueError):
+            raise DimensionError(f"pair {idx} must be two states") from None
+        pairs.append([check_array(x, f"pair {idx} state {k}", (sys.dim,)) for k, x in enumerate((xa, xb))])
     grid = np.linspace(t0, tf, n_output)
     dists, budgets = [], []  # per pair: the distance series and the error budget
-    for idx, (xa, xb) in enumerate(initial_pairs):
+    for idx, pair in enumerate(pairs):
         try:
-            runs = [integrate(sys, np.asarray(x, dtype=float), t0, tf, sample_times=grid) for x in (xa, xb)]
+            runs = [integrate(sys, x, t0, tf, sample_times=grid) for x in pair]
         except DivergedError as exc:
             raise DivergedError(
                 f"pair {idx} diverged (evidence against the contraction certificate): {exc}",
@@ -508,9 +509,7 @@ def verify_origin_convergence(
         raise InvalidInputError(
             f"tail window has {tail_len} samples; need >= 10 (trajectory too short)"
         )
-    offset = np.zeros(traj.states.shape[1:]) if target is None else np.asarray(target, dtype=float)
-    if offset.shape != traj.states.shape[1:]:
-        raise DimensionError(f"target has shape {offset.shape}, trajectory states have shape {traj.states.shape}")
+    offset = 0.0 if target is None else check_array(target, "target", traj.states.shape[1:])
     norms = vec_norm(traj.states - offset, kind)
     tail_max = float(norms[-tail_len:].max())
     mid_max = float(norms[m // 3 : max(m // 3 + 1, 2 * m // 3)].max())

@@ -124,15 +124,9 @@ def parse_matrix_text(text: str) -> np.ndarray:
     rows = [r for r in text.replace(";", "\n").splitlines() if r.strip()]
     if not rows:
         raise InvalidInputError("empty matrix text")
-    data = []
-    width = None
-    for r in rows:
-        vals = [read_number(v, "matrix entry") for v in r.split()]
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise InvalidInputError("matrix rows have inconsistent widths")
-        data.append(vals)
+    data = [[read_number(v, "matrix entry") for v in r.split()] for r in rows]
+    if len({len(vals) for vals in data}) > 1:
+        raise InvalidInputError("matrix rows have inconsistent widths")
     return np.array(data)
 
 

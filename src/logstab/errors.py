@@ -1,16 +1,18 @@
 """Exception types shared across the toolkit, and the one statement of each argument rule.
 
-Each rule raises InvalidInputError naming the argument, and each test is
-written so that NaN fails it: ``check_count`` (an integer, not a bool, no
-less than 1 or the stated least), ``check_window`` (finite lo < hi),
-``check_positive`` (a real number > 0, not a bool, finite unless the caller
-allows inf) and ``read_number`` (text that reads as a finite number). The
-fifth rule, ``NormKind.check_fits`` in ``linalg``, raises DimensionError
-unless a weight applied in dimension n is n x n.
+Each rule raises InvalidInputError naming the argument, and NaN fails each
+test: ``check_count`` (an integer, not a bool, no less than 1 or the stated
+least), ``check_window`` (finite lo < hi), ``check_positive`` (a real number
+> 0, not a bool, finite unless the caller allows inf), ``read_number`` (text
+that reads as a finite number), ``check_array`` (real entries, finite unless
+a caller tests NaN itself; DimensionError unless of the stated shape) and
+``linalg.NormKind.check_fits`` (DimensionError unless a weight is n x n).
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class LogstabError(Exception):
@@ -20,9 +22,9 @@ class LogstabError(Exception):
 class DimensionError(LogstabError):
     """Arrays passed as arguments have incompatible or non-square shapes.
 
-    That covers x0, states, weights and matrices handed to a function. The
-    output of a user-supplied callable with the wrong shape is an
-    EvaluationError instead.
+    That covers x0, states, pairs, targets, domain bounds, times, weights and
+    matrices handed to a function (see ``check_array``). The output of a
+    user-supplied callable with the wrong shape is an EvaluationError instead.
     """
 
 
@@ -119,3 +121,31 @@ def read_number(text: str, where: str = "") -> float:
         prefix = f"{where}: " if where else ""
         raise InvalidInputError(f"{prefix}{text!r} is not {'a' if value is None else 'a finite'} number")
     return value
+
+
+_FLOAT = np.dtype(float)
+_KINDS = {"c": "complex", "U": "text", "S": "text"}  # dtype kinds that are not real, by name
+
+
+def check_array(value, name: str, shape: tuple | None = None, finite: bool = True) -> np.ndarray:
+    """``value`` as a float array of ``shape`` (None matches any shape, and None in it any length).
+
+    InvalidInputError naming it unless every entry is real (a bool, integer or float; not complex, text, an object
+    or a ragged nesting) and, with ``finite``, finite; DimensionError unless the shape fits.
+    """
+    arr = value
+    if type(arr) is not np.ndarray or arr.dtype is not _FLOAT:  # a float64 ndarray, as each sample is, passes as it is
+        try:
+            arr = np.asarray(value)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"{name} must hold real numbers, got a ragged nesting") from None
+        if not np.can_cast(arr.dtype, _FLOAT, "same_kind"):
+            raise InvalidInputError(f"{name} must hold real numbers, got {_KINDS.get(arr.dtype.kind, arr.dtype)} entries")
+        arr = arr.astype(_FLOAT, copy=False)
+    if shape is not None and arr.shape != shape and (
+        arr.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, arr.shape))
+    ):
+        raise DimensionError(f"{name} has shape {arr.shape}, expected {str(shape).replace('None', 'N')}")
+    if finite and not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} has non-finite entries")
+    return arr

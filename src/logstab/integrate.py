@@ -112,8 +112,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConditioningError, DimensionError, DivergedError, EvaluationError, InvalidInputError
-from .errors import check_count, check_positive, check_window
+from .errors import ConditioningError, DivergedError, EvaluationError, InvalidInputError
+from .errors import check_array, check_count, check_positive, check_window
 from .linalg import NormKind, cond_2, induced_matrix_norm, solve, vec_norm
 from .lognorm import log_norm_pair
 from .system import SystemSpec, _at_times, _checked_output, _shaped, eval_rhs, jacobian
@@ -336,18 +336,10 @@ class Trajectory:
     stiff_from: Optional[float] = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=float)
-        if self.states.ndim != 2 or self.times.ndim != 1:
-            raise InvalidInputError("trajectory needs 1-D times and 2-D states")
-        if self.times.shape[0] != self.states.shape[0]:
-            raise InvalidInputError("times and states lengths differ")
-        if not np.all(np.isfinite(self.times)):
-            raise InvalidInputError("trajectory times must be finite")
+        self.times = check_array(self.times, "trajectory times", (None,))
+        self.states = check_array(self.states, "trajectory states", (self.times.size, None))
         if not np.all(np.diff(self.times) > 0.0):
             raise InvalidInputError("trajectory times must strictly increase")
-        if not np.all(np.isfinite(self.states)):
-            raise InvalidInputError("trajectory states must be finite")
 
     @property
     def dim(self) -> int:
@@ -407,8 +399,8 @@ def _hermite_sample(times, states, rows, ts) -> np.ndarray:
 
 
 def _validate_sample_times(ts, t0: float, tf: float) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
+    ts = check_array(ts, "sample_times", (None,), finite=False)  # NaN fails the window test below
+    if ts.size == 0:
         raise InvalidInputError("sample_times must be a non-empty 1-D sequence")
     if not np.all(np.diff(ts) > 0.0):
         raise InvalidInputError("sample_times must strictly increase")
@@ -438,9 +430,7 @@ def integrate(
     if cfg is None:
         cfg = IntegratorConfig()
     check_window(t0, tf)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.dim,):
-        raise DimensionError(f"x0 has shape {x0.shape}, system dimension is {sys.dim}")
+    x0 = check_array(x0, "x0", (sys.dim,))
     if sample_times is not None:
         sample_times = _validate_sample_times(sample_times, t0, tf)
 

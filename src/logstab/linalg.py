@@ -1,10 +1,10 @@
 """Dense small-matrix linear algebra: validating wrappers over numpy.linalg.
 
 The numerics are numpy.linalg's. What this module adds is input checking
-(shape, finiteness, symmetry), the mapping of numpy's LinAlgError onto the
-package's error types, and the norm kinds. Every public wrapper accepts a
-stack: vectors of shape (..., n) and matrices of shape (..., n, n). One
-vector or matrix in gives a Python float out where the result is a scalar.
+(``errors.check_array``, shape, symmetry), the mapping of numpy's LinAlgError
+onto the package's error types, and the norm kinds. Every public wrapper
+accepts a stack: vectors (..., n) and matrices (..., n, n). One vector or
+matrix in gives a Python float out where the result is a scalar.
 Vector/matrix containers are plain numpy float arrays.
 """
 
@@ -18,6 +18,7 @@ from .errors import (
     InvalidInputError,
     InvalidNormError,
     SymmetryError,
+    check_array,
 )
 
 SYMMETRY_RTOL = 1e-12
@@ -26,34 +27,27 @@ SPD_EIG_RTOL = 1e-12
 
 def as_vector_stack(v) -> np.ndarray:
     """Coerce to a finite float array of vectors, shape (..., n)."""
-    arr = np.asarray(v, dtype=float)
+    arr = check_array(v, "vector")
     if arr.ndim < 1:
         raise DimensionError(f"expected a vector or a stack of them, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError("vector must have at least one entry")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("vector has non-finite entries")
     return arr
 
 
 def as_square_stack(a) -> np.ndarray:
     """Coerce to a finite float array of square matrices, shape (..., n, n)."""
-    arr = np.asarray(a, dtype=float)
+    arr = check_array(a, "matrix")
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError("matrix must be non-empty")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("matrix has non-finite entries")
     return arr
 
 
 def as_square(a) -> np.ndarray:
     """Coerce to one finite square float matrix."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {arr.shape}")
-    return as_square_stack(arr)
+    return as_square_stack(check_array(a, "matrix", (None, None)))
 
 
 def float_or_array(x: np.ndarray):
@@ -151,12 +145,10 @@ class NormKind:
             if weight is None:
                 raise InvalidNormError("weighted norm requires a weight matrix")
             try:
-                root, inv_root = spd_sqrt_pair(weight)
+                self.weight = as_square(weight)
+                self.weight_sqrt, self.weight_sqrt_inv = spd_sqrt_pair(self.weight)
             except (InvalidInputError, DimensionError) as exc:
                 raise InvalidNormError(f"invalid weight matrix: {exc}") from exc
-            self.weight = as_square(weight)
-            self.weight_sqrt = root
-            self.weight_sqrt_inv = inv_root
         else:
             if weight is not None:
                 raise InvalidNormError(f"norm kind {tag!r} takes no weight matrix")
@@ -266,7 +258,7 @@ def solve(a, b) -> np.ndarray:
     Raises ConditioningError if any matrix of the stack is singular.
     """
     m = as_square_stack(a)
-    rhs = np.asarray(b, dtype=float)
+    rhs = check_array(b, "right-hand side")
     n = m.shape[-1]
     misfit = f"right-hand side of shape {rhs.shape} does not fit matrices of shape {m.shape}"
     if rhs.shape != (n,) and (rhs.ndim < 2 or rhs.shape[-2] != n):

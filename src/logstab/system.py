@@ -21,14 +21,16 @@ or of every state of a stack, as one stack; the averaged Jacobian is one
 
 This module is the one place that evaluates a user callable and checks what
 it returns: f, jac and delta here, and the callables of t alone elsewhere (a
-rate alpha(t), a matrix A(t)) through ``_at_times``. Output that is not
-numeric (complex, text or objects), has the wrong shape or is not finite
-raises EvaluationError with one message, "<name> returned <problem> at
-<where>", where <where> is ``x=[...], t=...`` for one state, the first state
-whose row is non-finite for a stack, ``a stack of shape (N, n), t=...`` for a
-stack output of the wrong shape, and ``t=...`` for a callable of t alone (the
-first bad t of a vector).
-The error carries that x (None for a whole stack or for t alone) and t.
+rate alpha(t), a matrix A(t)) through ``_at_times``. Outputs and states
+obey the array rule of arguments, ``errors.check_array``: output that is not
+real (complex, text, objects or a ragged nesting), has the wrong shape or is
+not finite raises EvaluationError with one message, "<name> returned
+<problem> at <where>", where <where> is ``x=[...], t=...`` for one state, the
+first state whose row is non-finite for a stack, ``a stack of shape (N, n),
+t=...`` for a stack output of the wrong shape, and ``t=...`` for a callable
+of t alone (the first bad t of a vector). The error carries that x (None for
+a whole stack or for t alone) and t. Non-finite output at a non-finite state
+is the caller's fault, an InvalidInputError naming the state.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, EvaluationError, InvalidInputError, check_count, check_positive
+from .errors import DimensionError, EvaluationError, InvalidInputError, check_array, check_count, check_positive
 
 _EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -94,16 +96,9 @@ class SystemSpec:
             self.delta = _zero_delta_factory(self.dim)
 
 
-def _check_dim(sys: SystemSpec, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.dim,):
-        raise DimensionError(f"state has shape {x.shape}, system dimension is {sys.dim}")
-    return x
-
-
 def _check_states(sys: SystemSpec, x) -> np.ndarray:
-    """One state (n,) or a non-empty stack of them (N, n)."""
-    x = np.asarray(x, dtype=float)
+    """One state (n,) or a non-empty stack of them (N, n), not yet checked finite (see ``_checked_output``)."""
+    x = check_array(x, "state", finite=False)
     if x.shape != (sys.dim,) and not (x.ndim == 2 and x.shape[1] == sys.dim and len(x) > 0):
         raise DimensionError(f"state has shape {x.shape}, system dimension is {sys.dim}")
     return x
@@ -122,13 +117,12 @@ def _failed(name: str, problem: str, t: float, x=None) -> EvaluationError:
 
 def _shaped(name: str, out, shape: tuple | None, t: float, x=None) -> np.ndarray:
     """The output of the callable ``name`` as a float array, required to have ``shape`` (any shape if None)."""
-    try:  # a "same_kind" cast refuses complex (whose real part alone a plain cast would keep), text and objects
-        out = np.asarray(out).astype(float, copy=False, casting="same_kind")
-    except (TypeError, ValueError):
+    try:
+        return check_array(out, name, shape, finite=False)
+    except InvalidInputError:
         raise _failed(name, "non-numeric output", t, x) from None
-    if shape is not None and out.shape != shape:
-        raise _failed(name, f"shape {out.shape}, expected {shape}", t, x)
-    return out
+    except DimensionError:
+        raise _failed(name, f"shape {np.shape(out)}, expected {shape}", t, x) from None
 
 
 def _first_bad(finite: np.ndarray, n: int) -> int:
@@ -147,6 +141,9 @@ def _checked_output(name: str, out, shape: tuple, t: float, x=None) -> np.ndarra
     out = _shaped(name, out, shape, t, x)
     finite = np.isfinite(out)
     if not finite.all():
+        if x is not None and not np.isfinite(x).all():  # the caller's fault, not the callable's
+            bad = x if x.ndim == 1 else x[_first_bad(np.isfinite(x), len(x))]
+            raise InvalidInputError(f"state x={bad.tolist()} has non-finite entries")
         if x is not None and x.ndim == 2:
             x = x[_first_bad(finite, len(x))]
         raise _failed(name, "non-finite values", t, x)
@@ -162,11 +159,8 @@ def _at_times(name: str, fn, ts, shape: tuple = ()) -> np.ndarray:
     ts = np.asarray(ts, dtype=float).tolist()
     outs = [fn(t) for t in ts]
     try:
-        out = np.array(outs)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or out.dtype != float or out.shape != (len(ts),) + shape:
-        # one output is not a float or has the wrong shape: the check of each converts it or names the first bad t
+        out = check_array(outs, name, (len(ts),) + shape, finite=False)
+    except (InvalidInputError, DimensionError):  # one output is not real or has the wrong shape: name the first t
         out = np.array([_shaped(name, o, shape, t) for o, t in zip(outs, ts)])
     finite = np.isfinite(out)
     if not finite.all():
@@ -252,10 +246,9 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1 or self.nodes.size == 0:
-            raise InvalidInputError("quadrature nodes and weights must be matching non-empty vectors")
+        # NaN and inf fail the tests of each node and weight below, and no nodes fail the weights' sum
+        self.nodes = check_array(self.nodes, "quadrature nodes", (None,), finite=False)
+        self.weights = check_array(self.weights, "quadrature weights", self.nodes.shape, finite=False)
         if not np.all((self.nodes >= 0.0) & (self.nodes <= 1.0)):  # written so that NaN fails
             raise InvalidInputError("quadrature nodes must lie in [0, 1]")
         for i, w in enumerate(self.weights.tolist()):
@@ -285,8 +278,8 @@ def averaged_jacobian(sys: SystemSpec, x_star, x, t: float, rule: QuadratureRule
     """
     if rule is None:
         rule = _default_quadrature()
-    x_star = _check_dim(sys, x_star)
-    x = _check_dim(sys, x)
+    x_star = check_array(x_star, "x_star", (sys.dim,))
+    x = check_array(x, "x", (sys.dim,))
     nodes = x_star + rule.nodes[:, None] * (x - x_star)
     # a sum over the leading axis adds the weighted Jacobians node by node, in order
     return (rule.weights[:, None, None] * jacobian(sys, nodes, t)).sum(axis=0)
@@ -301,8 +294,8 @@ def averaged_jacobian_residual(
     measures only the quadrature (and Jacobian) error, so it doubles as a
     convergence check for the chosen rule.
     """
-    x_star = _check_dim(sys, x_star)
-    x = _check_dim(sys, x)
+    x_star = check_array(x_star, "x_star", (sys.dim,))
+    x = check_array(x, "x", (sys.dim,))
     avg = averaged_jacobian(sys, x_star, x, t, rule)
     diff = eval_field(sys, x, t) - eval_field(sys, x_star, t)
     resid = avg @ (x - x_star) - diff

@@ -2,9 +2,10 @@
 
 One table per rule. A site is a call of the one argument under test, with
 the name the error gives it and what else the rule needs there. A bad value
-raises InvalidInputError (DimensionError for a weight that does not fit),
-or a ConfigError at its line in a config file, with the rule's one message;
-where the site takes user callables, none of them has been called by then.
+raises InvalidInputError (DimensionError for a weight that does not fit, or
+an array of the wrong shape), or a ConfigError at its line in a config file,
+with the rule's one message; where the site takes user callables, none of
+them has been called by then.
 """
 
 import math
@@ -26,11 +27,11 @@ from logstab.certify import (
 from logstab.cli import main
 from logstab.config import parse_config
 from logstab.csvio import load_trajectory_csv, parse_matrix_text
-from logstab.errors import ConfigError, DimensionError, InvalidInputError
+from logstab.errors import ConfigError, DimensionError, InvalidInputError, InvalidNormError, check_array
 from logstab.integrate import IntegratorConfig, Trajectory, check_transition_bounds, integrate, integrate_fundamental
-from logstab.linalg import NormKind, induced_matrix_norm, vec_norm
+from logstab.linalg import NormKind, induced_matrix_norm, solve, vec_norm
 from logstab.lognorm import log_norm, log_norm_limit_table, log_norm_pair, log_norm_quadratic_form
-from logstab.system import QuadratureRule, SystemSpec
+from logstab.system import QuadratureRule, SystemSpec, averaged_jacobian, averaged_jacobian_residual, jacobian
 
 BOX = Domain(-np.ones(2), np.ones(2), 0.0, 1.0)
 PAIRS = [(np.zeros(2), np.ones(2))]
@@ -288,3 +289,220 @@ def test_weight_size_rule(site):
     with pytest.raises(DimensionError, match=r"^weight is 3x3 but the dimension is 2$"):
         call(calls)
     assert len(calls) <= most
+
+
+def _with_first(value, entry):
+    """``value`` as nested lists, with its first number replaced by ``entry``."""
+    nested = np.asarray(value).tolist()
+    inner = nested
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = entry
+    return nested
+
+
+def _pairs_with(state):
+    """Five initial pairs of which the last, pair 4, has ``state`` as its second state."""
+    return [(np.zeros(2), np.ones(2))] * 4 + [(np.zeros(2), state)]
+
+
+NO_NAN = ("text", "complex", "shape", "ragged")
+
+# site -> (call(calls, value), name, a good value, a value of the wrong shape, its message, the bad inputs that apply)
+ARRAY_SITES = {
+    "as_vector_stack (vec_norm)": (
+        lambda calls, v: vec_norm(v, L2),
+        "vector",
+        [3.0, 4.0],
+        5.0,
+        "expected a vector or a stack of them, got shape ()",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+    "as_square_stack (log_norm)": (
+        lambda calls, v: log_norm(v, L2),
+        "matrix",
+        [[0.0, 1.0], [0.0, 0.0]],
+        np.ones((2, 3)),
+        "expected a square matrix or a stack of them, got shape (2, 3)",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+    "as_square (log_norm_limit_table)": (
+        lambda calls, v: log_norm_limit_table(v, L2),
+        "matrix",
+        [[0.0, 1.0], [0.0, 0.0]],
+        np.zeros((3, 2, 2)),
+        "matrix has shape (3, 2, 2), expected (N, N)",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+    "solve right-hand side": (
+        lambda calls, v: solve(np.eye(2), v),
+        "right-hand side",
+        [1.0, 2.0],
+        np.ones(3),
+        "right-hand side of shape (3,) does not fit matrices of shape (2, 2)",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+    # a non-finite state is judged only when an output fails (see test_system's TestNonFiniteState)
+    "_check_states (jacobian)": (
+        lambda calls, v: jacobian(decay(calls), v, 0.0),
+        "state",
+        [1.0, 2.0],
+        np.ones(3),
+        "state has shape (3,), system dimension is 2",
+        NO_NAN,
+    ),
+    "averaged_jacobian x": (
+        lambda calls, v: averaged_jacobian(decay(calls), np.zeros(2), v, 0.0),
+        "x",
+        [1.0, 2.0],
+        np.ones(3),
+        "x has shape (3,), expected (2,)",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+    "averaged_jacobian_residual x_star": (
+        lambda calls, v: averaged_jacobian_residual(decay(calls), v, np.ones(2), 0.0),
+        "x_star",
+        [1.0, 2.0],
+        np.ones(3),
+        "x_star has shape (3,), expected (2,)",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+    # a NaN node or weight fails the rule's own tests (test_positive_number_rule)
+    "QuadratureRule nodes": (
+        lambda calls, v: QuadratureRule(v, [0.5, 0.5]),
+        "quadrature nodes",
+        [0.25, 0.75],
+        np.full((1, 2), 0.5),
+        "quadrature nodes has shape (1, 2), expected (N,)",
+        NO_NAN,
+    ),
+    "QuadratureRule weights": (
+        lambda calls, v: QuadratureRule([0.25, 0.75], v),
+        "quadrature weights",
+        [0.5, 0.5],
+        [1.0],
+        "quadrature weights has shape (1,), expected (2,)",
+        NO_NAN,
+    ),
+    "integrate x0": (
+        lambda calls, v: integrate(decay(calls), v, 0.0, 1.0),
+        "x0",
+        [1.0, 2.0],
+        np.ones(3),
+        "x0 has shape (3,), expected (2,)",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+    "Trajectory times": (
+        lambda calls, v: Trajectory(v, np.zeros((2, 1))),
+        "trajectory times",
+        [0.0, 1.0],
+        [[0.0, 1.0]],
+        "trajectory times has shape (1, 2), expected (N,)",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+    "Trajectory states": (
+        lambda calls, v: Trajectory([0.0, 1.0], v),
+        "trajectory states",
+        [[1.0], [2.0]],
+        np.zeros((3, 1)),
+        "trajectory states has shape (3, 1), expected (2, N)",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+    # a NaN time fails the window test of sample_times (test_integrate)
+    "integrate sample_times": (
+        lambda calls, v: integrate(decay(calls), np.ones(2), 0.0, 1.0, sample_times=v),
+        "sample_times",
+        [0.25, 0.5],
+        [[0.5]],
+        "sample_times has shape (1, 1), expected (N,)",
+        NO_NAN,
+    ),
+    "Domain lower": (
+        lambda calls, v: Domain(v, np.ones(2), 0.0, 1.0),
+        "lower",
+        [-1.0, -1.0],
+        -np.ones((1, 2)),
+        "lower has shape (1, 2), expected (N,)",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+    "Domain upper": (
+        lambda calls, v: Domain(-np.ones(2), v, 0.0, 1.0),
+        "upper",
+        [1.0, 1.0],
+        np.ones(3),
+        "upper has shape (3,), expected (2,)",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+    # the domain itself is checked by Domain; the sweep checks only that it fits the system
+    "_sweep (estimate_contraction_rate)": (
+        lambda calls, v: estimate_contraction_rate(decay(calls), Domain(-v, v, 0.0, 1.0), L2, SamplingPlan(n_space=3)),
+        "domain.lower",
+        np.ones(2),
+        np.ones(3),
+        "domain.lower has shape (3,), expected (2,)",
+        ("shape",),
+    ),
+    "verify_origin_convergence target": (
+        lambda calls, v: verify_origin_convergence(SETTLED, target=v),
+        "target",
+        [0.0, 0.0],
+        np.zeros(3),
+        "target has shape (3,), expected (2,)",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+    # every state of every pair is checked before the first run, so a bad pair 4 costs no field evaluation
+    "verify_incremental_bound": (
+        lambda calls, v: verify_incremental_bound(decay(calls), _pairs_with(v), 0.0, 1.0, 0.5),
+        "pair 4 state 1",
+        [1.0, 1.0],
+        np.ones(3),
+        "pair 4 state 1 has shape (3,), expected (2,)",
+        ("text", "complex", "nan", "shape", "ragged"),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_array_rule(site):
+    call, name, good, wrong, shape_message, inputs = ARRAY_SITES[site]
+    unreal = f"{name} must hold real numbers, got "
+    bad = {
+        "text": (_with_first(good, "1"), InvalidInputError, unreal + "text entries"),
+        # a zero imaginary part is still complex: the real part alone would be another number than the one given
+        "complex": (np.asarray(good) + 0j, InvalidInputError, unreal + "complex entries"),
+        "nan": (_with_first(good, math.nan), InvalidInputError, f"{name} has non-finite entries"),
+        "shape": (wrong, DimensionError, shape_message),
+        "ragged": (_with_first(good, [1.0, 1.0]), InvalidInputError, unreal + "a ragged nesting"),
+    }
+    for kind in inputs:
+        value, error, message = bad[kind]
+        rejects(error, message, call, value)
+    call([], good)
+
+
+def test_a_float_array_passes_the_array_rule_as_it_is():
+    # the per-sample paths pass a float64 array on every call: it is neither converted nor copied
+    x = np.arange(6.0).reshape(3, 2)
+    assert check_array(x, "x", (None, 2)) is x
+    # bools, integers and floats of every width are real, and become float64
+    for value in ([True, False], np.arange(2), np.ones(2, dtype=np.float32), np.ones(2, dtype=np.longdouble)):
+        out = check_array(value, "x", (2,))
+        assert out.dtype == np.float64 and out.tolist() == np.asarray(value, dtype=np.float64).tolist()
+    dates = np.array(["2024-01-01"], dtype="M8[D]")
+    for value, what in ((np.array([None, 1.0]), "object entries"), (dates, "datetime64[D] entries")):
+        with pytest.raises(InvalidInputError, match=f"^x must hold real numbers, got {re.escape(what)}$"):
+            check_array(value, "x")
+
+
+def test_a_pair_of_other_than_two_states_is_refused_before_any_run():
+    call = lambda calls, pairs: verify_incremental_bound(decay(calls), pairs, 0.0, 1.0, 0.5)
+    for pair in [(np.zeros(2),), (np.zeros(2), np.ones(2), np.ones(2)), 1.0]:
+        rejects(DimensionError, "pair 1 must be two states", call, [PAIRS[0], pair])
+
+
+def test_a_weight_that_is_not_real_is_an_invalid_norm():
+    # NormKind reports every bad weight as InvalidNormError, the array rule's message inside
+    for weight, what in ((np.eye(2) + 0j, "complex entries"), ([["1", "0"], ["0", "1"]], "text entries")):
+        message = f"invalid weight matrix: matrix must hold real numbers, got {what}"
+        with pytest.raises(InvalidNormError, match=f"^{message}$"):
+            NormKind.weighted(weight)

@@ -610,7 +610,7 @@ class TestTrajectoryContainer:
         with pytest.raises(InvalidInputError):
             Trajectory(np.array([0.0, 1.0]), np.full((2, 1), np.nan))
         for t_bad in (np.inf, np.nan):
-            with pytest.raises(InvalidInputError, match="^trajectory times must be finite$"):
+            with pytest.raises(InvalidInputError, match="^trajectory times has non-finite entries$"):
                 Trajectory(np.array([0.0, t_bad]), np.zeros((2, 1)))
         with pytest.raises(InvalidInputError, match="must start at the identity"):
             FundamentalTrajectory(np.array([0.0]), np.array([[2.0]]))
@@ -630,23 +630,23 @@ class TestTrajectoryContainer:
         assert traj.dim == 2
 
     @pytest.mark.parametrize(
-        "ts, message",
+        "ts, error, message",
         [
-            ([2.0, 5.0], r"sample_times must lie within \[0\.0, 1\.0\]"),
-            ([-0.5, 0.5], r"sample_times must lie within \[0\.0, 1\.0\]"),
-            ([np.nan], r"sample_times must lie within \[0\.0, 1\.0\]"),
-            ([0.2, np.nan], "sample_times must strictly increase"),
-            ([0.5, 0.25], "sample_times must strictly increase"),
-            ([5.0, 1.0], "sample_times must strictly increase"),
-            ([], "sample_times must be a non-empty 1-D sequence"),
-            ([[0.5]], "sample_times must be a non-empty 1-D sequence"),
+            ([2.0, 5.0], InvalidInputError, r"sample_times must lie within \[0\.0, 1\.0\]"),
+            ([-0.5, 0.5], InvalidInputError, r"sample_times must lie within \[0\.0, 1\.0\]"),
+            ([np.nan], InvalidInputError, r"sample_times must lie within \[0\.0, 1\.0\]"),
+            ([0.2, np.nan], InvalidInputError, "sample_times must strictly increase"),
+            ([0.5, 0.25], InvalidInputError, "sample_times must strictly increase"),
+            ([5.0, 1.0], InvalidInputError, "sample_times must strictly increase"),
+            ([], InvalidInputError, "sample_times must be a non-empty 1-D sequence"),
+            ([[0.5]], DimensionError, r"sample_times has shape \(1, 1\), expected \(N,\)"),
         ],
         ids=["past the end", "before the start", "nan", "nan last", "decreasing", "decreasing outside", "empty", "2-D"],
     )
-    def test_sample_takes_only_times_that_integrate_would(self, decay_system, ts, message):
+    def test_sample_takes_only_times_that_integrate_would(self, decay_system, ts, error, message):
         # x' = -x from 1 on [0, 1]: the cubic would extrapolate e^-5 = 0.0067 to -2.27
         calls = spy(decay_system, "f")
-        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^{message}$"):
             integrate(decay_system, np.array([1.0]), 0.0, 1.0, sample_times=ts)
         assert calls == []  # refused before the run starts
 

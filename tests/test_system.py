@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -420,6 +421,33 @@ class TestStackContract:
         with pytest.raises(EvaluationError, match=r"^f returned non-finite values at x=\[1\.0\], t=0\.5$") as err:
             jacobian(sys, x, 0.5)
         assert err.value.x.tolist() == [1.0] and err.value.t == 0.5
+
+
+class TestNonFiniteState:
+    """Non-finite output at a non-finite state is the caller's error: InvalidInputError names the state."""
+
+    CUBIC = SystemSpec(dim=2, f=lambda x, t: -(x**3), jac=lambda x, t: np.diag(-3.0 * x**2))
+
+    @pytest.mark.parametrize(
+        "call, x, bad",
+        [
+            (eval_field, [np.nan, 1.0], "[nan, 1.0]"),
+            (eval_rhs, [np.nan, 1.0], "[nan, 1.0]"),
+            (jacobian, [1.0, np.inf], "[1.0, inf]"),
+            (lambda sys, x, t: jacobian(dataclasses.replace(sys, jac=None), x, t), [np.nan, 1.0], "[nan, 1.0]"),
+            (jacobian, [[0.0, 1.0], [1.0, np.nan], [np.nan, 0.0]], "[1.0, nan]"),
+            (eval_field, [[0.0, 1.0], [1.0, np.nan], [np.nan, 0.0]], "[1.0, nan]"),
+        ],
+        ids=["eval_field", "eval_rhs", "analytic jacobian", "finite differences", "jacobian stack", "field stack"],
+    )
+    def test_the_state_is_named(self, call, x, bad):
+        with pytest.raises(InvalidInputError, match=f"^state x={re.escape(bad)} has non-finite entries$"):
+            call(self.CUBIC, np.array(x), 0.5)
+
+    def test_finite_output_at_a_non_finite_state_passes(self):
+        # the per-sample path tests no state: only a failed output looks at it
+        sys = SystemSpec(dim=2, f=lambda x, t: np.zeros(2), jac=lambda x, t: -np.eye(2))
+        assert np.array_equal(jacobian(sys, np.array([np.nan, 1.0]), 0.0), -np.eye(2))
 
 
 class TestOneStackedCall:

@@ -27,15 +27,22 @@ report (fig1, the demo rate, t in [0, 20]) and its Demidovich report (fig1,
 P = I, the demo config's domain and plan); the files of the two demo variants;
 the exit code, stdout and files of ``logstab certify`` on the fig1 demo config
 and on an expression config whose ``abs`` leaves finite differences to the
-sweep; and the exit code and stdout of ``logstab lognorm`` on one matrix under
-l2 and a weighted norm read from a file.
+sweep; the exit code and stdout of ``logstab lognorm`` on one matrix under
+l2 and a weighted norm read from a file; and four inputs that the array rule
+of arguments refuses: a complex x0 under ``integrate``, a NaN second state in
+pair 0 and a 3-vector in pair 4 under ``verify_incremental_bound``, and a 3-D
+domain in the contraction sweep of the 2-D demo system.
 
 ``--against REV`` exports REV with ``git archive`` into a temporary directory
 (nothing is registered in the repository), runs the corpus on both trees, each
 in its own process, and prints per record whether the two are bit-identical,
-with the switch times and LSODA errors of both. The hashes compare two trees
-on one machine: another numpy build may round differently, so none is kept.
-The exit code is 0 unless the tool itself fails on a tree.
+with the switch times and LSODA errors of both, and the size of the move:
+the largest |x - y| / max(1, |y|) over the float arrays and numbers that both
+trees return (x this tree's, y REV's, paired in the order the record holds
+them), 0 for an identical record and ``-`` where either tree raised or no
+arrays pair up. The hashes compare two trees on one machine: another numpy
+build may round differently, so none is kept. The exit code is 0 unless the
+tool itself fails on a tree.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import pickle
 import subprocess
 import sys
 import tarfile
@@ -90,6 +98,30 @@ def _feed(h, obj) -> None:
         h.update(b"]")
     else:
         h.update(repr(obj).encode())
+
+
+def _floats(obj) -> list[np.ndarray]:
+    """The float arrays and numbers in obj, in the order ``_feed`` hashes them."""
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.dtype.kind == "f" else []
+    if dataclasses.is_dataclass(obj):
+        return [a for field in dataclasses.fields(obj) for a in _floats(getattr(obj, field.name))]
+    if isinstance(obj, float):
+        return [np.array(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _floats(item)]
+    return []
+
+
+def _move(ours, theirs) -> str:
+    """The largest |x - y| / max(1, |y|) over the arrays of this tree (x) and of REV (y) that pair up by shape."""
+    moves = [
+        np.max(rel, initial=0.0, where=~np.isnan(rel))
+        for x, y in zip(ours, theirs)
+        if x.shape == y.shape
+        for rel in [np.abs(x - y) / np.maximum(1.0, np.abs(y))]
+    ]
+    return f"{max(moves):.2e}" if moves else "-"
 
 
 def _digest(obj) -> str:
@@ -227,6 +259,25 @@ def _corpus(logstab):
     lognorm = ["lognorm", "--inline", "-2 1 0; 0.5 -3 1; 0 2 -4", "--norm", "l2", "--norm", "weighted:{dir}/P.txt"]
     yield "cli/lognorm/weighted", lambda: command(lognorm, {"P.txt": "4 1 0\n1 3 1\n0 1 2\n"}), None
 
+    # the array rule of arguments: each input is refused before any run
+    complex_x0 = np.array([-2.0 + 1j, 5.0])
+    yield "rule/integrate/complex_x0", lambda: logstab.integrate(demo["fig1"], complex_x0, 0.0, 1.0), None
+    pairs = [(np.array([x, 1.0]), np.array([1.0, x])) for x in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+
+    def incremental(pair0, pair4):
+        return logstab.verify_incremental_bound(demo["fig1"], [pair0] + pairs[1:4] + [pair4], 0.0, 1.0, 0.5)
+
+    yield "rule/incremental/nan_state_in_pair0", (
+        lambda: incremental((np.array([-2.0, 1.0]), np.array([np.nan, 1.0])), pairs[4])
+    ), None
+    yield "rule/incremental/3_vector_in_pair4", (
+        lambda: incremental(pairs[0], (np.array([2.0, 1.0]), np.array([1.0, 2.0, 3.0])))
+    ), None
+    box3, plan3 = logstab.Domain(-np.ones(3), np.ones(3), 0.0, 1.0), logstab.SamplingPlan(n_space=3)
+    yield "rule/certify/3d_domain", (
+        lambda: logstab.estimate_contraction_rate(demo["fig1"], box3, logstab.NormKind.l2(), plan3)
+    ), None
+
 
 def _reference():
     """perfbench/reference.py's ``reference_states``, or None without scipy."""
@@ -239,11 +290,12 @@ def _reference():
     return module.reference_states
 
 
-def listing(src: Path) -> list[tuple[str, str, str, str]]:
+def listing(src: Path, arrays: dict) -> list[tuple[str, str, str, str]]:
     """(name, sha256, switch time, error) per record, with logstab imported from src.
 
     The error is ``lsoda=<worst>`` against the LSODA reference, ``exact=<worst>``
-    against a known solution, or ``-``.
+    against a known solution, or ``-``. ``arrays`` takes each record's
+    ``_floats`` under its name, None where the call raised.
     """
     sys.path.insert(0, str(src))
     import logstab
@@ -257,7 +309,9 @@ def listing(src: Path) -> list[tuple[str, str, str, str]]:
             out = call()
         except logstab.LogstabError as exc:
             rows.append((name, _digest((type(exc).__name__, str(exc), getattr(exc, "last_time", None))), "-", "-"))
+            arrays[name] = None
             continue
+        arrays[name] = _floats(out)
         switch = getattr(out, "stiff_from", None)
         err, want = "-", None
         if callable(ref):
@@ -278,9 +332,14 @@ def _print_listing(rows) -> None:
         print("worst LSODA error: {:.2e} ({})".format(*max(errs)))
 
 
-def _child_listing(src: Path) -> list[tuple[str, ...]]:
+def _child_listing(src: Path, arrays: Path) -> tuple[list[tuple[str, ...]], dict]:
+    """The listing of the tree at src, run in its own process, and its records' float arrays."""
     out = subprocess.run(
-        [sys.executable, __file__, "--src", str(src)], capture_output=True, text=True, check=False, cwd=REPO
+        [sys.executable, __file__, "--src", str(src), "--arrays", str(arrays)],
+        capture_output=True,
+        text=True,
+        check=False,
+        cwd=REPO,
     )
     if out.returncode:
         raise SystemExit(f"fingerprint failed on {src}:\n{out.stderr}")
@@ -290,7 +349,7 @@ def _child_listing(src: Path) -> list[tuple[str, ...]]:
             continue
         name, sha, switch, err = line.split()
         rows.append((name, sha, switch.removeprefix("switch="), err))
-    return rows
+    return rows, pickle.loads(arrays.read_bytes())
 
 
 def against(rev: str) -> None:
@@ -298,10 +357,11 @@ def against(rev: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         extra = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         tarfile.open(fileobj=io.BytesIO(archive)).extractall(tmp, **extra)
-        theirs = {row[0]: row[1:] for row in _child_listing(Path(tmp) / "src")}
-    ours = _child_listing(REPO / "src")
+        their_rows, their_arrays = _child_listing(Path(tmp) / "src", Path(tmp) / "theirs.pickle")
+        ours, our_arrays = _child_listing(REPO / "src", Path(tmp) / "ours.pickle")
+    theirs = {row[0]: row[1:] for row in their_rows}
     same = 0
-    print(f"{'record':<40} {'vs ' + rev:<14} switch (rev -> this)   error (rev -> this)")
+    print(f"{'record':<40} {'vs ' + rev:<14} switch (rev -> this)   error (rev -> this)          move")
     for name, sha, switch, err in ours:
         if name not in theirs:
             print(f"{name:<40} {'new':<14}")
@@ -309,7 +369,11 @@ def against(rev: str) -> None:
         their_sha, their_switch, their_err = theirs[name]
         same += sha == their_sha
         verdict = "identical" if sha == their_sha else "differs"
-        print(f"{name:<40} {verdict:<14} {their_switch:>8} -> {switch:<8}   {their_err:>14} -> {err}")
+        if our_arrays[name] is None or their_arrays[name] is None:
+            move = "-"
+        else:
+            move = "0" if sha == their_sha else _move(our_arrays[name], their_arrays[name])
+        print(f"{name:<40} {verdict:<14} {their_switch:>8} -> {switch:<8}   {their_err:>14} -> {err:<14} {move:>8}")
     print(f"{len(ours)} records: {same} bit-identical, {len(ours) - same} differ or are new")
 
 
@@ -317,11 +381,15 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REV", help="compare this tree with the committed tree of REV")
     parser.add_argument("--src", type=Path, default=REPO / "src", help="import logstab from this directory")
+    parser.add_argument("--arrays", type=Path, help="also pickle each record's float arrays to this file")
     args = parser.parse_args(argv)
     if args.against:
         against(args.against)
     else:
-        _print_listing(listing(args.src))
+        arrays = {}
+        _print_listing(listing(args.src, arrays))
+        if args.arrays:
+            args.arrays.write_bytes(pickle.dumps(arrays))
 
 
 if __name__ == "__main__":
