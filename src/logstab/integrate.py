@@ -64,11 +64,13 @@ budget once before its first step. Every method starts from the field value
 that ``integrate`` validated at (t0, x0). Every later evaluation checks the
 shape of f's and delta's outputs and that their sum is real, so a callable
 whose output turns bad mid-run raises EvaluationError at the first
-evaluation that meets it, naming the callable, x and t. A non-finite value
-is a step's business: it rejects the trial step, or ends the run with
-DivergedError. The step rules run under ``np.errstate(all="ignore")``, so
-such a value, or an overflow, invalid operation or division by zero that
-makes one, raises no numpy warning on the way.
+evaluation that meets it, naming the callable, x and t. A system built
+without delta runs on f alone, with the same test of f's output. A
+non-finite value is a step's business: it rejects the trial step, or ends
+the run with DivergedError. The step rules run under
+``np.errstate(all="ignore")``, so such a value, or an overflow, invalid
+operation or division by zero that makes one, raises no numpy warning on the
+way.
 
 A node stores the derivative its step rule has. RK4 and DOP853 evaluate the
 field at each node they accept, require it finite, and start the next step
@@ -97,8 +99,9 @@ the same machinery as one n^2-dimensional matrix ODE, so all n columns share
 the integrator's own grid, and the run's record is a Trajectory of that
 matrix ODE. The transition-bound checker then compares
 propagator norms against the exponential envelopes built from integrals of
-the logarithmic norm along the grid, as stacked array operations. Every
-evaluation of A(t) is checked by ``system``: each call on the integrator's
+the logarithmic norm along the grid, as stacked array operations; an
+envelope that overflows or underflows reads its violation at its limit.
+Every evaluation of A(t) is checked by ``system``: each call on the integrator's
 path for its shape, A(t0) and the Simpson nodes (midpoints the integrator
 never visits) also for finiteness. A bad A(t) raises EvaluationError naming
 t, as any user callable's bad output does.
@@ -114,9 +117,9 @@ import numpy as np
 
 from .errors import ConditioningError, DivergedError, EvaluationError, InvalidInputError
 from .errors import check_array, check_count, check_positive, check_window
-from .linalg import NormKind, cond_2, induced_matrix_norm, solve, vec_norm
+from .linalg import NormKind, induced_matrix_norm, solve, vec_norm
 from .lognorm import log_norm_pair
-from .system import SystemSpec, _at_times, _checked_output, _shaped, eval_rhs, jacobian
+from .system import SystemSpec, _ZeroDelta, _at_times, _checked_output, _shaped, eval_field, eval_rhs, jacobian
 
 METHODS = ("auto", "rk4", "ndf")
 
@@ -426,6 +429,11 @@ def integrate(
     non-finite field at a node, ConditioningError when the ndf iteration
     matrix is singular, and EvaluationError when f or delta returns output
     that is not numeric or of the wrong shape.
+
+    A system whose ``delta`` is still the zero perturbation it was built
+    with runs on f alone: no delta call and no addition, with the same
+    result. The run keeps the arrays f returns, so f must return a new array
+    at each call.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -434,20 +442,28 @@ def integrate(
     if sample_times is not None:
         sample_times = _validate_sample_times(sample_times, t0, tf)
 
-    f0 = eval_rhs(sys, x0, t0)  # validated once; the loop uses the fast path
     shape = (sys.dim,)
+    if isinstance(sys.delta, _ZeroDelta):  # a system without delta runs on f alone
+        f0 = eval_field(sys, x0, t0)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        fx, dx = sys.f(y, t), sys.delta(t)
-        try:
-            if fx.shape == dx.shape == shape:
-                out = fx + dx
-                if out.dtype.kind in "biuf":
-                    return out
-        except (AttributeError, TypeError, ValueError):
-            pass  # an output that is not an array (a list, say) or that cannot be added
-        # names the callable, x and t of an output that is not real or has the wrong shape; else converts it
-        return _shaped("f", fx, shape, t, y) + _shaped("delta", dx, shape, t)
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+            # a float64 array of the right shape passes as it is; else names f, x and t, or converts it
+            return _shaped("f", sys.f(y, t), shape, t, y)
+
+    else:
+        f0 = eval_rhs(sys, x0, t0)  # validated once; the loop uses the fast path
+
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+            fx, dx = sys.f(y, t), sys.delta(t)
+            try:
+                if fx.shape == dx.shape == shape:
+                    out = fx + dx
+                    if out.dtype.kind in "biuf":
+                        return out
+            except (AttributeError, TypeError, ValueError):
+                pass  # an output that is not an array (a list, say) or that cannot be added
+            # names the callable, x and t of an output that is not real or has the wrong shape; else converts it
+            return _shaped("f", fx, shape, t, y) + _shaped("delta", dx, shape, t)
 
     run = _Run(rhs, x0, f0, t0, tf, cfg, dense=sample_times is not None)
     # every method turns a non-finite value into a rejection or a DivergedError, so numpy need not warn of one
@@ -972,12 +988,27 @@ def _cumulative_simpson(points: np.ndarray, nodes: np.ndarray, g: np.ndarray) ->
     return np.concatenate([[0.0], np.cumsum(panels)])[nodes // 2]
 
 
+def _relative_excess(excess: np.ndarray, bound: np.ndarray, at_inf: float, at_zero: float) -> np.ndarray:
+    """excess / bound, or its limit where the envelope bound overflowed to inf (at_inf) or underflowed to 0 (at_zero).
+
+    An upper envelope's excess is value - bound, whose relative value tends to
+    -1 as the bound grows and to +inf as it shrinks to 0; a lower envelope's
+    is bound - value, which tends to 1 and to -inf. A quotient that overflows,
+    by a subnormal bound, is that infinite limit too.
+    """
+    limit = np.where(bound == 0.0, at_zero, at_inf)
+    with np.errstate(over="ignore"):
+        return np.divide(excess, bound, out=limit, where=(bound > 0.0) & (bound < np.inf))
+
+
 @dataclass
 class TransitionBoundReport:
     """Worst-case slack of the propagator-norm and state-norm envelopes.
 
     Violations are relative to the corresponding exponential bound, so 0
-    means the bound is exactly attained and negative values mean slack. The
+    means the bound is exactly attained and negative values mean slack. A
+    bound that overflowed to inf or underflowed to 0 gives the violation's
+    limit: -1 for an upper bound at inf, -inf for a lower bound at 0. The
     report fails when any violation exceeds the tolerance budget.
     """
 
@@ -1019,7 +1050,10 @@ def check_transition_bounds(
     panel per step). The tolerance is the ``error_budget`` of the one
     matrix-ODE run.
     The propagators, condition numbers and norms of all pairs and states
-    are computed as stacks, one wrapper call each.
+    are computed as stacks, one wrapper call each. ``max_condition`` is the
+    largest sigma_max / sigma_min of the sampled Phi(tau), from one stack of
+    singular values; the propagator solve raises ConditioningError on a
+    singular Phi(tau).
     """
     n_pairs, n_states = check_count(n_pairs, "n_pairs"), check_count(n_states, "n_states")
     check_count(seed, "seed", 0)
@@ -1042,23 +1076,28 @@ def check_transition_bounds(
         draws.append((i_tau, int(rng.integers(i_tau, m))))
     i_tau, i_t = np.array(draws).T
     phi_tau = phi[i_tau]
-    max_cond = max(1.0, float(np.max(cond_2(phi_tau))))
-    # Phi(t) Phi(tau)^-1 = X, solved as Phi(tau)^T X^T = Phi(t)^T
+    # Phi(t) Phi(tau)^-1 = X, solved as Phi(tau)^T X^T = Phi(t)^T; a singular Phi(tau) raises ConditioningError
     prop = np.swapaxes(solve(np.swapaxes(phi_tau, -1, -2), np.swapaxes(phi[i_t], -1, -2)), -1, -2)
+    sigma = np.linalg.svd(phi_tau, compute_uv=False)  # descending, per matrix
+    if not np.all(sigma[:, -1] > 0.0):
+        raise ConditioningError("fundamental matrix is numerically singular: its smallest singular value is 0")
+    max_cond = max(1.0, float(np.max(sigma[:, 0] / sigma[:, -1])))
     norm_val = induced_matrix_norm(prop, kind)
-    upper = np.exp(int_plus[i_t] - int_plus[i_tau])
-    lower = np.exp(-(int_minus[i_t] - int_minus[i_tau]))
-    worst_up = np.max((norm_val - upper) / upper)
-    worst_lo = np.max((lower - norm_val) / lower)
+    with np.errstate(over="ignore"):  # an envelope that overflows is inf, read at its limit below
+        upper = np.exp(int_plus[i_t] - int_plus[i_tau])
+        lower = np.exp(-(int_minus[i_t] - int_minus[i_tau]))
+    worst_up = np.max(_relative_excess(norm_val - upper, upper, -1.0, np.inf))
+    worst_lo = np.max(_relative_excess(lower - norm_val, lower, 1.0, -np.inf))
 
     t_idx = rng.integers(0, m, size=max(1, n_pairs // 2))
     x0 = rng.normal(size=(n_states, fund.dim))
     x0n = vec_norm(x0, kind)
     xtn = vec_norm(x0 @ np.swapaxes(phi[t_idx], -1, -2), kind)  # |Phi(t) x0|, shape (t, state)
-    upper = np.exp(int_plus[t_idx])[:, None] * x0n
-    lower = np.exp(-int_minus[t_idx])[:, None] * x0n
-    worst_sup = np.max((xtn - upper) / upper)
-    worst_slo = np.max((lower - xtn) / lower)
+    with np.errstate(over="ignore"):
+        upper = np.exp(int_plus[t_idx])[:, None] * x0n
+        lower = np.exp(-int_minus[t_idx])[:, None] * x0n
+    worst_sup = np.max(_relative_excess(xtn - upper, upper, -1.0, np.inf))
+    worst_slo = np.max(_relative_excess(lower - xtn, lower, 1.0, -np.inf))
 
     tolerance = error_budget(fund)
     passed = max(worst_up, worst_lo, worst_sup, worst_slo) <= tolerance

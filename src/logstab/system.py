@@ -30,7 +30,9 @@ first state whose row is non-finite for a stack, ``a stack of shape (N, n),
 t=...`` for a stack output of the wrong shape, and ``t=...`` for a callable
 of t alone (the first bad t of a vector). The error carries that x (None for
 a whole stack or for t alone) and t. Non-finite output at a non-finite state
-is the caller's fault, an InvalidInputError naming the state.
+is the caller's fault, an InvalidInputError naming the state; a
+finite-difference Jacobian raises that error before it calls f, as its steps
+are formed from the state.
 """
 
 from __future__ import annotations
@@ -46,13 +48,14 @@ from .errors import DimensionError, EvaluationError, InvalidInputError, check_ar
 _EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
-def _zero_delta_factory(dim: int):
-    zero = np.zeros(dim)
+class _ZeroDelta:
+    """The zero perturbation of a SystemSpec built without delta; ``integrate`` runs such a system on f alone."""
 
-    def delta(t: float) -> np.ndarray:
-        return zero
+    def __init__(self, dim: int):
+        self.zero = np.zeros(dim)
 
-    return delta
+    def __call__(self, t: float) -> np.ndarray:
+        return self.zero
 
 
 @dataclass
@@ -66,6 +69,7 @@ class SystemSpec:
     f : callable (x, t) -> array (n,)
         Nominal vector field; must be C^1 in x on the analysis domain
         (user contract, spot-checked by finite-difference consistency).
+        Each call returns a new array: a run without delta keeps them.
     jac : callable (x, t) -> array (n, n), optional
         Analytic Jacobian of f with respect to x. Finite differences are
         used when omitted.
@@ -75,8 +79,9 @@ class SystemSpec:
         at every row of a stack in one call. Without one, a stack is
         evaluated one row at a time.
     delta : callable (t,) -> array (n,), optional
-        Time-only perturbation; defaults to zero. User-supplied callables
-        must be safe for concurrent invocation.
+        Time-only perturbation; defaults to zero, which ``integrate`` skips
+        rather than calls. User-supplied callables must be safe for
+        concurrent invocation.
     name : str
         Label used in reports and exported files.
 
@@ -93,7 +98,7 @@ class SystemSpec:
     def __post_init__(self):
         self.dim = check_count(self.dim, "dim")
         if self.delta is None:
-            self.delta = _zero_delta_factory(self.dim)
+            self.delta = _ZeroDelta(self.dim)
 
 
 def _check_states(sys: SystemSpec, x) -> np.ndarray:
@@ -130,6 +135,14 @@ def _first_bad(finite: np.ndarray, n: int) -> int:
     return int(np.argmin(finite.reshape(n, -1).all(axis=1)))
 
 
+def _check_finite_states(x: np.ndarray) -> None:
+    """InvalidInputError naming the state (n,), or the first state of a stack (N, n), that has a non-finite entry."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = x if x.ndim == 1 else x[_first_bad(finite, len(x))]
+        raise InvalidInputError(f"state x={bad.tolist()} has non-finite entries")
+
+
 def _checked_output(name: str, out, shape: tuple, t: float, x=None) -> np.ndarray:
     """The output of the callable ``name``, required to have ``shape`` and be finite.
 
@@ -141,11 +154,10 @@ def _checked_output(name: str, out, shape: tuple, t: float, x=None) -> np.ndarra
     out = _shaped(name, out, shape, t, x)
     finite = np.isfinite(out)
     if not finite.all():
-        if x is not None and not np.isfinite(x).all():  # the caller's fault, not the callable's
-            bad = x if x.ndim == 1 else x[_first_bad(np.isfinite(x), len(x))]
-            raise InvalidInputError(f"state x={bad.tolist()} has non-finite entries")
-        if x is not None and x.ndim == 2:
-            x = x[_first_bad(finite, len(x))]
+        if x is not None:
+            _check_finite_states(x)  # a non-finite state is the caller's fault, not the callable's
+            if x.ndim == 2:
+                x = x[_first_bad(finite, len(x))]
         raise _failed(name, "non-finite values", t, x)
     return out
 
@@ -222,10 +234,12 @@ def jacobian(sys: SystemSpec, x, t: float) -> np.ndarray:
 def _fd_jacobian(sys: SystemSpec, x: np.ndarray, t: float) -> np.ndarray:
     """Central differences at one state (n,) or at each state of a stack (N, n).
 
-    The 2n perturbed rows of every state are evaluated as one stack, in
-    blocks of 2n per state, so a non-finite value is reported at the state
-    whose Jacobian needed it.
+    The states must be finite; f is not called otherwise. The 2n perturbed
+    rows of every state are evaluated as one stack, in blocks of 2n per
+    state, so a non-finite value is reported at the state whose Jacobian
+    needed it.
     """
+    _check_finite_states(x)
     n = sys.dim
     states = x.reshape(-1, n)
     h = _EPS_CBRT * np.maximum(1.0, np.abs(states))

@@ -583,6 +583,55 @@ class TestTransitionBounds:
         assert abs(rep.worst_upper_violation) < 1e-6
         assert abs(rep.worst_lower_violation) < 1e-6
 
+    @staticmethod
+    def singular_later(monkeypatch):
+        """Make the check's fundamental matrix I at t = 0 and the singular diag(1, 0) at t = 0.5 and 1."""
+        states = np.array([np.eye(2), np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]).reshape(3, 4)
+        fund = FundamentalTrajectory(np.array([0.0, 0.5, 1.0]), states, error_estimate=0.0)
+        monkeypatch.setattr(integrate_module, "integrate_fundamental", lambda *args, **kwargs: fund)
+
+    def test_singular_fundamental_matrix_raises_conditioning_error(self, monkeypatch):
+        self.singular_later(monkeypatch)
+        with pytest.raises(ConditioningError, match="singular"):
+            check_transition_bounds(lambda t: -np.eye(2), NormKind.l2(), 0.0, 1.0)
+
+    def test_zero_smallest_singular_value_raises_conditioning_error(self, monkeypatch):
+        # a solve that lets the singular Phi(tau) through leaves the condition numbers to find it
+        self.singular_later(monkeypatch)
+        monkeypatch.setattr(integrate_module, "solve", lambda a, b: b)
+        with pytest.raises(ConditioningError, match="smallest singular value is 0"):
+            check_transition_bounds(lambda t: -np.eye(2), NormKind.l2(), 0.0, 1.0)
+
+    def test_violations_of_an_overflowed_or_underflowed_bound_read_at_their_limits(self):
+        bound = np.array([np.inf, 0.0, 5e-324, 2.0])
+        value = np.array([1.0, 1.0, 1.0, 3.0])
+        upper = integrate_module._relative_excess(value - bound, bound, -1.0, np.inf)
+        lower = integrate_module._relative_excess(bound - value, bound, 1.0, -np.inf)
+        assert upper.tolist() == [-1.0, np.inf, np.inf, 0.5]
+        assert lower.tolist() == [1.0, -np.inf, -np.inf, -0.5]
+
+    @pytest.mark.parametrize(
+        "a, kind, seed, n_pairs",
+        [
+            *[(np.array([[0.0, 1000.0], [-1000.0, 0.0]]), NormKind.l1(), seed, 200) for seed in (0, 1, 2)],
+            *[(np.diag([-1000.0, -1.0]), NormKind.l2(), seed, 20) for seed in (0, 1)],
+        ],
+        ids=["rotation l1 seed 0", "rotation l1 seed 1", "rotation l1 seed 2", "damped l2 seed 0", "damped l2 seed 1"],
+    )
+    def test_envelopes_that_overflow_or_underflow_give_the_verdict(self, a, kind, seed, n_pairs):
+        # mu1 of the rotation and mu2 of -diag(-1000, -1) are 1000, so exp(int mu) overflows to inf or
+        # underflows to 0 over much of [0, 1]; the rotation's l1 propagator norm is at most sqrt(2), so
+        # both envelopes hold. numpy warnings are errors here.
+        rep = check_transition_bounds(lambda t: a, kind, 0.0, 1.0, n_pairs=n_pairs, seed=seed)
+        violations = [
+            rep.worst_upper_violation,
+            rep.worst_lower_violation,
+            rep.worst_state_upper_violation,
+            rep.worst_state_lower_violation,
+        ]
+        assert rep.passed and not np.isnan(violations).any(), violations
+        assert all(v <= rep.tolerance for v in violations)
+
     @pytest.mark.parametrize("tag", ["l1", "l2", "linf", "weighted"])
     def test_random_polynomial_systems(self, tag):
         rng = np.random.default_rng(abs(hash(tag)) % 2**32)
@@ -1233,3 +1282,42 @@ def test_van_der_pol_matches_radau(vdp_reference, method, jac, rel_tol, bound):
     traj = integrate(sys, np.array([2.0, 0.0]), 0.0, VDP_TIMES[-1], cfg, sample_times=VDP_TIMES)
     err = np.abs(traj.states[:, 0] - vdp_reference[:, 0]).max()
     assert err <= bound, err
+
+
+class TestWithoutDelta:
+    """A system built without delta runs on f alone, as if delta were a zero it never calls."""
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["grid", "sampled"])
+    @pytest.mark.parametrize("method", ["auto", "ndf", "rk4"])
+    def test_run_is_bit_identical_to_a_zero_delta(self, method, sampled, monkeypatch):
+        def no_call(self, t):
+            raise AssertionError(f"zero delta called at t={t}")
+
+        ts = np.linspace(0.0, 3.0, 61) if sampled else None
+        cfg = IntegratorConfig(method=method)
+        zero = integrate(build_example1(delta=lambda t: np.zeros(2)), np.array([-2.0, 5.0]), 0.0, 3.0, cfg, ts)
+        monkeypatch.setattr(system_module._ZeroDelta, "__call__", no_call)
+        free = integrate(build_example1(), np.array([-2.0, 5.0]), 0.0, 3.0, cfg, ts)
+        assert (free.stiff_from is not None) == (method == "auto")  # auto hands the demo to ndf near t = 2.1
+        assert same_run(free, zero)
+        for got, want in ((free.times, zero.times), (free.states, zero.states), (free.derivs, zero.derivs)):
+            assert got is None and want is None or got.tobytes() == want.tobytes()
+
+    def test_delta_set_after_construction_is_integrated(self):
+        sys = SystemSpec(dim=1, f=lambda x, t: -x, jac=lambda x, t: -np.eye(1))
+        sys.delta = lambda t: np.ones(1)
+        run = integrate(sys, np.zeros(1), 0.0, 1.0)
+        built = integrate(SystemSpec(dim=1, f=sys.f, jac=sys.jac, delta=sys.delta), np.zeros(1), 0.0, 1.0)
+        assert same_run(run, built)
+        assert run.states[-1, 0] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-9)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "f", [lambda x, t: np.array([1, -2]), lambda x, t: (-x).astype(np.float32)], ids=["int", "float32"]
+    )
+    def test_output_of_another_real_type_is_taken_as_float64(self, f, method):
+        # float32 kept as it is would round h * f to float32 in rk4's and ndf's steps
+        cfg = IntegratorConfig(method=method)
+        run = integrate(SystemSpec(dim=2, f=f), np.ones(2), 0.0, 1.0, cfg)
+        zero = integrate(SystemSpec(dim=2, f=f, delta=lambda t: np.zeros(2)), np.ones(2), 0.0, 1.0, cfg)
+        assert same_run(run, zero)

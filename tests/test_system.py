@@ -444,6 +444,24 @@ class TestNonFiniteState:
         with pytest.raises(InvalidInputError, match=f"^state x={re.escape(bad)} has non-finite entries$"):
             call(self.CUBIC, np.array(x), 0.5)
 
+    @pytest.mark.parametrize(
+        "x, bad",
+        [
+            ([np.inf, 1.0], "[inf, 1.0]"),
+            ([np.nan, 1.0], "[nan, 1.0]"),
+            ([[0.0, 1.0], [np.inf, 1.0]], "[inf, 1.0]"),
+            ([[0.0, 1.0], [1.0, np.nan], [np.inf, 0.0]], "[1.0, nan]"),
+        ],
+        ids=["state inf", "state nan", "stack inf", "stack nan"],
+    )
+    def test_finite_differences_test_the_states_before_calling_f(self, x, bad):
+        # an inf state makes an inf step, whose product with the identity is NaN and a numpy warning
+        calls = []
+        sys = SystemSpec(dim=2, f=lambda x, t: calls.append(x) or np.sin(x))
+        with pytest.raises(InvalidInputError, match=f"^state x={re.escape(bad)} has non-finite entries$"):
+            jacobian(sys, np.array(x), 0.5)
+        assert calls == []
+
     def test_finite_output_at_a_non_finite_state_passes(self):
         # the per-sample path tests no state: only a failed output looks at it
         sys = SystemSpec(dim=2, f=lambda x, t: np.zeros(2), jac=lambda x, t: -np.eye(2))

@@ -22,7 +22,10 @@ its own grid run and at their midpoints (the ``auto`` run crosses its hand-off);
 Prothero-Robinson (lambda = -1e4, solution sin t) under ``ndf`` to tf = 10 at
 ``rel_tol`` 1e-6 and 1e-9, on the grid and at 201 samples; ``integrate_fundamental`` of a
 quadratic A(t) at n = 2, 4 and 8; ``check_transition_bounds`` on such systems
-under four norms; acceptance criterion 04's two reports; the demo's forcing-ratio
+under four norms, and on two whose envelopes overflow and underflow (the
+rotation [[0, 1000], [-1000, 0]] under l1 with 200 pairs, diag(-1000, -1)
+under l2); the demo field without delta under ``auto`` to tf = 6, across its
+hand-off; acceptance criterion 04's two reports; the demo's forcing-ratio
 report (fig1, the demo rate, t in [0, 20]) and its Demidovich report (fig1,
 P = I, the demo config's domain and plan); the files of the two demo variants;
 the exit code, stdout and files of ``logstab certify`` on the fig1 demo config
@@ -212,6 +215,19 @@ def _corpus(logstab):
             yield f"transition_bounds/n={n}/{tag}", (
                 lambda a_fn=a_fn, kind=kind: logstab.check_transition_bounds(a_fn, kind, 0.0, 1.0, seed=n)
             ), None
+
+    # envelopes that overflow and underflow: mu1 of the rotation and mu2 of -diag(-1000, -1) are 1000
+    rotation, damped = np.array([[0.0, 1000.0], [-1000.0, 0.0]]), np.diag([-1000.0, -1.0])
+    yield "transition_bounds/rotation1000/l1", (
+        lambda: logstab.check_transition_bounds(lambda t: rotation, logstab.NormKind.l1(), 0.0, 1.0, n_pairs=200)
+    ), None
+    yield "transition_bounds/damped1000/l2", (
+        lambda: logstab.check_transition_bounds(lambda t: damped, logstab.NormKind.l2(), 0.0, 1.0)
+    ), None
+    # the demo field without delta, which auto hands to ndf near t = 2.1
+    yield "demo/no_delta/auto/grid/tf6", (
+        lambda: logstab.integrate(build_example1(), np.array([-2.0, 5.0]), 0.0, 6.0)
+    ), None
 
     def criterion_04():
         # the pairs, window and norm of acceptance criterion 04
