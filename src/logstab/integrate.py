@@ -62,10 +62,11 @@ step rules that propose steps to it; ``auto`` hands the same run from DOP853
 to ndf. RK4 knows its step count up front and never rejects, so it checks the
 budget once before its first step. Every method starts from the field value
 that ``integrate`` validated at (t0, x0). Every later evaluation checks the
-shape of f's and delta's outputs and that their sum is real, so a callable
-whose output turns bad mid-run raises EvaluationError at the first
-evaluation that meets it, naming the callable, x and t. A system built
-without delta runs on f alone, with the same test of f's output. A
+shape of f's and delta's outputs and takes their sum as float64, so a
+callable whose output turns bad mid-run raises EvaluationError at the first
+evaluation that meets it, naming the callable, x and t, and a real output of
+another type (float32, say) is converted. A system whose delta is None runs
+on f alone, with the same test of f's output. A
 non-finite value is a step's business: it rejects the trial step, or ends
 the run with DivergedError. The step rules run under
 ``np.errstate(all="ignore")``, so such a value, or an overflow, invalid
@@ -116,10 +117,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConditioningError, DivergedError, EvaluationError, InvalidInputError
-from .errors import check_array, check_count, check_positive, check_window
+from .errors import _FLOAT, check_array, check_count, check_positive, check_window
 from .linalg import NormKind, induced_matrix_norm, solve, vec_norm
 from .lognorm import log_norm_pair
-from .system import SystemSpec, _ZeroDelta, _at_times, _checked_output, _shaped, eval_field, eval_rhs, jacobian
+from .system import SystemSpec, _at_times, _checked_output, _shaped, eval_rhs, jacobian
 
 METHODS = ("auto", "rk4", "ndf")
 
@@ -430,10 +431,9 @@ def integrate(
     matrix is singular, and EvaluationError when f or delta returns output
     that is not numeric or of the wrong shape.
 
-    A system whose ``delta`` is still the zero perturbation it was built
-    with runs on f alone: no delta call and no addition, with the same
-    result. The run keeps the arrays f returns, so f must return a new array
-    at each call.
+    ``sys.delta`` is read once, when the run starts. A system whose delta is
+    None runs on f alone, with the result a zero delta would give. The run
+    keeps the arrays f returns, so f must return a new array at each call.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -442,28 +442,24 @@ def integrate(
     if sample_times is not None:
         sample_times = _validate_sample_times(sample_times, t0, tf)
 
-    shape = (sys.dim,)
-    if isinstance(sys.delta, _ZeroDelta):  # a system without delta runs on f alone
-        f0 = eval_field(sys, x0, t0)
+    shape, delta = (sys.dim,), sys.delta
+    f0 = eval_rhs(sys, x0, t0)  # validated once; the loop checks shape and type only
 
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        fx = sys.f(y, t)
+        if delta is None:  # a system without delta runs on f alone
             # a float64 array of the right shape passes as it is; else names f, x and t, or converts it
-            return _shaped("f", sys.f(y, t), shape, t, y)
-
-    else:
-        f0 = eval_rhs(sys, x0, t0)  # validated once; the loop uses the fast path
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            fx, dx = sys.f(y, t), sys.delta(t)
-            try:
-                if fx.shape == dx.shape == shape:
-                    out = fx + dx
-                    if out.dtype.kind in "biuf":
-                        return out
-            except (AttributeError, TypeError, ValueError):
-                pass  # an output that is not an array (a list, say) or that cannot be added
-            # names the callable, x and t of an output that is not real or has the wrong shape; else converts it
-            return _shaped("f", fx, shape, t, y) + _shaped("delta", dx, shape, t)
+            return _shaped("f", fx, shape, t, y)
+        dx = delta(t)
+        try:
+            if fx.shape == dx.shape == shape:
+                out = fx + dx
+                if out.dtype is _FLOAT:  # an identity test, as in check_array: dtype equality is slow
+                    return out
+        except (AttributeError, TypeError, ValueError):
+            pass  # an output that is not an array (a list, say) or that cannot be added
+        # names the callable, x and t of an output that is not real or has the wrong shape; else converts it
+        return _shaped("f", fx, shape, t, y) + _shaped("delta", dx, shape, t)
 
     run = _Run(rhs, x0, f0, t0, tf, cfg, dense=sample_times is not None)
     # every method turns a non-finite value into a rejection or a DivergedError, so numpy need not warn of one
@@ -988,17 +984,23 @@ def _cumulative_simpson(points: np.ndarray, nodes: np.ndarray, g: np.ndarray) ->
     return np.concatenate([[0.0], np.cumsum(panels)])[nodes // 2]
 
 
-def _relative_excess(excess: np.ndarray, bound: np.ndarray, at_inf: float, at_zero: float) -> np.ndarray:
-    """excess / bound, or its limit where the envelope bound overflowed to inf (at_inf) or underflowed to 0 (at_zero).
+def _worst_violations(value: np.ndarray, scale, int_plus: np.ndarray, int_minus: np.ndarray) -> tuple[float, float]:
+    """The worst relative violations of scale exp(-int_minus) <= value <= scale exp(int_plus).
 
-    An upper envelope's excess is value - bound, whose relative value tends to
-    -1 as the bound grows and to +inf as it shrinks to 0; a lower envelope's
-    is bound - value, which tends to 1 and to -inf. A quotient that overflows,
-    by a subnormal bound, is that infinite limit too.
+    They are the largest (value - upper) / upper and (lower - value) / lower.
+    Where an envelope overflowed to inf or underflowed to 0, its quotient
+    reads its limit: an upper violation tends to -1 as its bound grows and to
+    +inf as it shrinks to 0, a lower violation to 1 and to -inf. A quotient
+    that overflows, by a subnormal bound, is that infinite limit too.
     """
-    limit = np.where(bound == 0.0, at_zero, at_inf)
+    worst = []
     with np.errstate(over="ignore"):
-        return np.divide(excess, bound, out=limit, where=(bound > 0.0) & (bound < np.inf))
+        upper = scale * np.exp(int_plus)
+        lower = scale * np.exp(-int_minus)
+        for excess, bound, sign in ((value - upper, upper, 1.0), (lower - value, lower, -1.0)):
+            limit = np.where(bound == 0.0, sign * np.inf, -sign)
+            worst.append(float(np.max(np.divide(excess, bound, out=limit, where=(bound > 0.0) & (bound < np.inf)))))
+    return worst[0], worst[1]
 
 
 @dataclass
@@ -1083,21 +1085,15 @@ def check_transition_bounds(
         raise ConditioningError("fundamental matrix is numerically singular: its smallest singular value is 0")
     max_cond = max(1.0, float(np.max(sigma[:, 0] / sigma[:, -1])))
     norm_val = induced_matrix_norm(prop, kind)
-    with np.errstate(over="ignore"):  # an envelope that overflows is inf, read at its limit below
-        upper = np.exp(int_plus[i_t] - int_plus[i_tau])
-        lower = np.exp(-(int_minus[i_t] - int_minus[i_tau]))
-    worst_up = np.max(_relative_excess(norm_val - upper, upper, -1.0, np.inf))
-    worst_lo = np.max(_relative_excess(lower - norm_val, lower, 1.0, -np.inf))
+    worst_up, worst_lo = _worst_violations(
+        norm_val, 1.0, int_plus[i_t] - int_plus[i_tau], int_minus[i_t] - int_minus[i_tau]
+    )
 
     t_idx = rng.integers(0, m, size=max(1, n_pairs // 2))
     x0 = rng.normal(size=(n_states, fund.dim))
     x0n = vec_norm(x0, kind)
     xtn = vec_norm(x0 @ np.swapaxes(phi[t_idx], -1, -2), kind)  # |Phi(t) x0|, shape (t, state)
-    with np.errstate(over="ignore"):
-        upper = np.exp(int_plus[t_idx])[:, None] * x0n
-        lower = np.exp(-int_minus[t_idx])[:, None] * x0n
-    worst_sup = np.max(_relative_excess(xtn - upper, upper, -1.0, np.inf))
-    worst_slo = np.max(_relative_excess(lower - xtn, lower, 1.0, -np.inf))
+    worst_sup, worst_slo = _worst_violations(xtn, x0n, int_plus[t_idx][:, None], int_minus[t_idx][:, None])
 
     tolerance = error_budget(fund)
     passed = max(worst_up, worst_lo, worst_sup, worst_slo) <= tolerance
@@ -1107,10 +1103,10 @@ def check_transition_bounds(
         tf=tf,
         n_pairs=n_pairs,
         n_states=n_states,
-        worst_upper_violation=float(worst_up),
-        worst_lower_violation=float(worst_lo),
-        worst_state_upper_violation=float(worst_sup),
-        worst_state_lower_violation=float(worst_slo),
+        worst_upper_violation=worst_up,
+        worst_lower_violation=worst_lo,
+        worst_state_upper_violation=worst_sup,
+        worst_state_lower_violation=worst_slo,
         tolerance=float(tolerance),
         max_condition=float(max_cond),
         passed=bool(passed),

@@ -208,6 +208,10 @@ class NormKind:
         return hash(self.tag)
 
 
+# numpy.linalg.norm's ord for each kind; a weighted kind's matrix norm is the l2 norm of its similarity transform
+_ORD = {"l1": 1, "l2": 2, "linf": np.inf, "weighted": 2}
+
+
 def vec_norm(v, kind: NormKind):
     """Vector norm |v| under the given kind.
 
@@ -215,20 +219,13 @@ def vec_norm(v, kind: NormKind):
     array of shape (...) with one norm per vector.
     """
     x = as_vector_stack(v)
-    if kind.tag == "l1":
-        out = np.abs(x).sum(axis=-1)
-    elif kind.tag == "linf":
-        out = np.abs(x).max(axis=-1)
-    elif kind.tag == "l2":
-        out = np.sqrt((x * x).sum(axis=-1))
-    else:
-        kind.check_fits(x.shape[-1])
-        p = kind.weight
-        # x^T P by broadcasting, not by matmul: BLAS rounds a vector-matrix and a
-        # matrix-matrix product differently, and a vector must read the same alone and in a stack
-        xp = (x[..., :, None] * p).sum(axis=-2)
-        out = np.sqrt(np.maximum((xp * x).sum(axis=-1), 0.0))
-    return float_or_array(out)
+    if kind.weight is None:
+        return float_or_array(np.linalg.norm(x, _ORD[kind.tag], axis=-1))
+    kind.check_fits(x.shape[-1])
+    # x^T P by broadcasting, not by matmul: BLAS rounds a vector-matrix and a
+    # matrix-matrix product differently, and a vector must read the same alone and in a stack
+    xp = (x[..., :, None] * kind.weight).sum(axis=-2)
+    return float_or_array(np.sqrt(np.maximum((xp * x).sum(axis=-1), 0.0)))
 
 
 def induced_matrix_norm(a, kind: NormKind):
@@ -239,14 +236,7 @@ def induced_matrix_norm(a, kind: NormKind):
     sqrt(P) A sqrt(P)^-1. A is one matrix (n, n), giving a float, or a
     stack (..., n, n), giving an array of shape (...).
     """
-    m = as_square_stack(a)
-    if kind.tag == "l1":
-        out = np.abs(m).sum(axis=-2).max(axis=-1)
-    elif kind.tag == "linf":
-        out = np.abs(m).sum(axis=-1).max(axis=-1)
-    else:
-        out = np.linalg.norm(kind.similarity(m), 2, axis=(-2, -1))
-    return float_or_array(out)
+    return float_or_array(np.linalg.norm(kind.similarity(as_square_stack(a)), _ORD[kind.tag], axis=(-2, -1)))
 
 
 def solve(a, b) -> np.ndarray:

@@ -19,8 +19,9 @@ A finite-difference Jacobian evaluates the 2n perturbed rows of one state,
 or of every state of a stack, as one stack; the averaged Jacobian is one
 ``jacobian`` call on its quadrature nodes.
 
-This module is the one place that evaluates a user callable and checks what
-it returns: f, jac and delta here, and the callables of t alone elsewhere (a
+This module is the one place that checks what a user callable returns: f,
+jac and delta evaluated here, f and delta as ``integrate``'s run closure
+calls them through ``_shaped``, and the callables of t alone elsewhere (a
 rate alpha(t), a matrix A(t)) through ``_at_times``. Outputs and states
 obey the array rule of arguments, ``errors.check_array``: output that is not
 real (complex, text, objects or a ragged nesting), has the wrong shape or is
@@ -48,16 +49,6 @@ from .errors import DimensionError, EvaluationError, InvalidInputError, check_ar
 _EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
-class _ZeroDelta:
-    """The zero perturbation of a SystemSpec built without delta; ``integrate`` runs such a system on f alone."""
-
-    def __init__(self, dim: int):
-        self.zero = np.zeros(dim)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.zero
-
-
 @dataclass
 class SystemSpec:
     """The system dx/dt = f(x,t) + delta(t).
@@ -79,9 +70,9 @@ class SystemSpec:
         at every row of a stack in one call. Without one, a stack is
         evaluated one row at a time.
     delta : callable (t,) -> array (n,), optional
-        Time-only perturbation; defaults to zero, which ``integrate`` skips
-        rather than calls. User-supplied callables must be safe for
-        concurrent invocation.
+        Time-only perturbation; ``None`` when the system has none, and then
+        ``eval_rhs`` and ``integrate`` use f alone. User-supplied callables
+        must be safe for concurrent invocation.
     name : str
         Label used in reports and exported files.
 
@@ -97,8 +88,6 @@ class SystemSpec:
 
     def __post_init__(self):
         self.dim = check_count(self.dim, "dim")
-        if self.delta is None:
-            self.delta = _ZeroDelta(self.dim)
 
 
 def _check_states(sys: SystemSpec, x) -> np.ndarray:
@@ -206,8 +195,11 @@ def eval_field(sys: SystemSpec, x, t: float) -> np.ndarray:
 
 
 def eval_rhs(sys: SystemSpec, x, t: float) -> np.ndarray:
-    """Full right-hand side f(x,t) + delta(t), each validated finite and correctly shaped."""
-    return eval_field(sys, x, t) + _checked_output("delta", sys.delta(t), (sys.dim,), t)
+    """Full right-hand side f(x,t) + delta(t), each validated finite and correctly shaped; f alone without delta."""
+    fx = eval_field(sys, x, t)
+    if sys.delta is None:
+        return fx
+    return fx + _checked_output("delta", sys.delta(t), (sys.dim,), t)
 
 
 def jacobian(sys: SystemSpec, x, t: float) -> np.ndarray:

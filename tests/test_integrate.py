@@ -603,12 +603,13 @@ class TestTransitionBounds:
             check_transition_bounds(lambda t: -np.eye(2), NormKind.l2(), 0.0, 1.0)
 
     def test_violations_of_an_overflowed_or_underflowed_bound_read_at_their_limits(self):
-        bound = np.array([np.inf, 0.0, 5e-324, 2.0])
-        value = np.array([1.0, 1.0, 1.0, 3.0])
-        upper = integrate_module._relative_excess(value - bound, bound, -1.0, np.inf)
-        lower = integrate_module._relative_excess(bound - value, bound, 1.0, -np.inf)
-        assert upper.tolist() == [-1.0, np.inf, np.inf, 0.5]
-        assert lower.tolist() == [1.0, -np.inf, -np.inf, -0.5]
+        # both envelopes at the bound scale exp(log_bound): inf, 0, subnormal and 2; each value is 1, 1, 1 and 3
+        cases = [(1.0, 1.0, 1000.0), (1.0, 1.0, -1000.0), (1.0, 5e-324, 0.0), (3.0, 2.0, 0.0)]
+        worst = [
+            integrate_module._worst_violations(np.array([value]), scale, np.array([log]), np.array([-log]))
+            for value, scale, log in cases
+        ]
+        assert worst == [(-1.0, 1.0), (np.inf, -np.inf), (np.inf, -np.inf), (0.5, -0.5)]
 
     @pytest.mark.parametrize(
         "a, kind, seed, n_pairs",
@@ -1285,18 +1286,15 @@ def test_van_der_pol_matches_radau(vdp_reference, method, jac, rel_tol, bound):
 
 
 class TestWithoutDelta:
-    """A system built without delta runs on f alone, as if delta were a zero it never calls."""
+    """A system built without delta keeps delta None and runs on f alone, as if delta were zero."""
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["grid", "sampled"])
     @pytest.mark.parametrize("method", ["auto", "ndf", "rk4"])
-    def test_run_is_bit_identical_to_a_zero_delta(self, method, sampled, monkeypatch):
-        def no_call(self, t):
-            raise AssertionError(f"zero delta called at t={t}")
-
+    def test_run_is_bit_identical_to_a_zero_delta(self, method, sampled):
         ts = np.linspace(0.0, 3.0, 61) if sampled else None
         cfg = IntegratorConfig(method=method)
         zero = integrate(build_example1(delta=lambda t: np.zeros(2)), np.array([-2.0, 5.0]), 0.0, 3.0, cfg, ts)
-        monkeypatch.setattr(system_module._ZeroDelta, "__call__", no_call)
+        assert build_example1().delta is None
         free = integrate(build_example1(), np.array([-2.0, 5.0]), 0.0, 3.0, cfg, ts)
         assert (free.stiff_from is not None) == (method == "auto")  # auto hands the demo to ndf near t = 2.1
         assert same_run(free, zero)
@@ -1313,11 +1311,17 @@ class TestWithoutDelta:
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize(
-        "f", [lambda x, t: np.array([1, -2]), lambda x, t: (-x).astype(np.float32)], ids=["int", "float32"]
+        "f, delta",
+        [
+            (lambda x, t: np.array([1, -2]), None),
+            (lambda x, t: (-x).astype(np.float32), None),
+            (lambda x, t: (-x).astype(np.float32), lambda t: np.zeros(2, dtype=np.float32)),
+        ],
+        ids=["int", "float32", "float32 with float32 delta"],
     )
-    def test_output_of_another_real_type_is_taken_as_float64(self, f, method):
+    def test_output_of_another_real_type_is_taken_as_float64(self, f, delta, method):
         # float32 kept as it is would round h * f to float32 in rk4's and ndf's steps
         cfg = IntegratorConfig(method=method)
-        run = integrate(SystemSpec(dim=2, f=f), np.ones(2), 0.0, 1.0, cfg)
+        run = integrate(SystemSpec(dim=2, f=f, delta=delta), np.ones(2), 0.0, 1.0, cfg)
         zero = integrate(SystemSpec(dim=2, f=f, delta=lambda t: np.zeros(2)), np.ones(2), 0.0, 1.0, cfg)
         assert same_run(run, zero)

@@ -58,6 +58,12 @@ class TestEvalRhs:
         x = rng.normal(size=3)
         assert np.allclose(eval_rhs(sys, x, 0.3), a @ x, atol=1e-14)
 
+    def test_system_without_delta_keeps_none_and_its_rhs_is_the_field(self, linear_system):
+        _, sys = linear_system
+        assert sys.delta is None
+        x = np.random.default_rng(2).normal(size=3)
+        assert eval_rhs(sys, x, 0.3).tobytes() == eval_field(sys, x, 0.3).tobytes()
+
     def test_dimension_mismatch(self, fig1_system):
         with pytest.raises(DimensionError):
             eval_rhs(fig1_system, np.zeros(3), 0.0)

@@ -25,7 +25,8 @@ quadratic A(t) at n = 2, 4 and 8; ``check_transition_bounds`` on such systems
 under four norms, and on two whose envelopes overflow and underflow (the
 rotation [[0, 1000], [-1000, 0]] under l1 with 200 pairs, diag(-1000, -1)
 under l2); the demo field without delta under ``auto`` to tf = 6, across its
-hand-off; acceptance criterion 04's two reports; the demo's forcing-ratio
+hand-off; x' = -x from (1, 1) with f and delta returning float32, under
+``rk4`` to tf = 1; acceptance criterion 04's two reports; the demo's forcing-ratio
 report (fig1, the demo rate, t in [0, 20]) and its Demidovich report (fig1,
 P = I, the demo config's domain and plan); the files of the two demo variants;
 the exit code, stdout and files of ``logstab certify`` on the fig1 demo config
@@ -228,6 +229,13 @@ def _corpus(logstab):
     yield "demo/no_delta/auto/grid/tf6", (
         lambda: logstab.integrate(build_example1(), np.array([-2.0, 5.0]), 0.0, 6.0)
     ), None
+    # float32 outputs of f and delta, each taken as float64: x' = -x, x(t) = exp(-t)
+    float32 = logstab.SystemSpec(
+        dim=2, f=lambda x, t: (-x).astype(np.float32), delta=lambda t: np.zeros(2, dtype=np.float32)
+    )
+    yield "float32/rk4/grid/tf1", (
+        lambda: logstab.integrate(float32, np.ones(2), 0.0, 1.0, logstab.IntegratorConfig(method="rk4"))
+    ), lambda times: np.exp(-times)[:, None] * np.ones(2)
 
     def criterion_04():
         # the pairs, window and norm of acceptance criterion 04
