@@ -3,8 +3,10 @@
 Three independent routes are provided: the closed forms per norm kind, a
 numerical estimator built on the one-sided limit of (||I + theta*A|| - 1)/theta,
 and, for weighted norms, the quadratic-form formulation through the symmetric
-pencil. The routes cross-validate each other; tests treat the limit estimator
-as the oracle for the closed forms.
+pencil. Under l2 and weighted norms the closed form of a 2x2 matrix is the
+exact eigenvalue formula of its symmetric part, so it makes no LAPACK call.
+The routes cross-validate each other; tests treat the limit estimator as the
+oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ DEFAULT_THETA_SEQ = tuple(10.0 ** (-k) for k in range(1, 8))
 
 
 def _closed_form(a, kind: NormKind, pair: bool):
-    """mu[A] in closed form for A of shape (..., n, n); (mu[A], mu[-A]) if ``pair``."""
+    """mu[A] in closed form for A of shape (..., n, n); (mu[A], mu[-A]) if ``pair``.
+
+    l2 and weighted take the symmetric part S = T/2 + T^T/2 of T, A after the
+    kind's similarity transform. For n = 2 its eigenvalues are mid -/+ rad with
+    mid = (t00 + t11)/2 and rad = hypot((t00 - t11)/2, (t01 + t10)/2), taken
+    element by element, so a stack and its members give the same bits. For
+    n >= 3 they come from eigvalsh(S).
+    """
     m = as_square_stack(a)
     if kind.tag in ("l1", "linf"):
         d = m.diagonal(0, -2, -1)
@@ -35,18 +44,29 @@ def _closed_form(a, kind: NormKind, pair: bool):
         plus = (d + off).max(axis=-1)
         return (plus, (off - d).max(axis=-1)) if pair else plus
     t = kind.similarity(m)
-    # t + t^T is exactly symmetric, so sym_eig's symmetry check is skipped
-    eigvals = np.linalg.eigvalsh(t + np.swapaxes(t, -1, -2))
-    plus = 0.5 * eigvals[..., -1]
-    return (plus, -0.5 * eigvals[..., 0]) if pair else plus
+    if t.shape[-1] == 2:
+        # halving the entries first keeps every intermediate finite where the result is
+        h = 0.5 * t
+        h00, h11 = h[..., 0, 0], h[..., 1, 1]
+        mid = h00 + h11
+        rad = np.hypot(h00 - h11, h[..., 0, 1] + h[..., 1, 0])
+        plus = mid + rad
+        return (plus, rad - mid) if pair else plus
+    # T/2 + T^T/2 is finite wherever T is, and exactly symmetric, so sym_eig's symmetry check is skipped
+    eigvals = np.linalg.eigvalsh(0.5 * t + 0.5 * np.swapaxes(t, -1, -2))
+    return (eigvals[..., -1], -eigvals[..., 0]) if pair else eigvals[..., -1]
 
 
 def log_norm(a, kind: NormKind):
     """Logarithmic norm mu[A] in closed form.
 
-    l2: half the largest eigenvalue of A + A^T. weighted(P): same after the
-    similarity transform sqrt(P) A sqrt(P)^-1. l1 (linf): max over columns
-    (rows) of the diagonal entry plus the off-diagonal absolute sum.
+    l2: half the largest eigenvalue of A + A^T; for 2x2,
+    (a + d)/2 + hypot((a - d)/2, (b + c)/2) with A = [[a, b], [c, d]].
+    weighted(P): same after the similarity transform sqrt(P) A sqrt(P)^-1.
+    l1 (linf): max over columns (rows) of the diagonal entry plus the
+    off-diagonal absolute sum. l2 and weighted halve the entries before
+    adding them, so entries near the largest float still give a finite log
+    norm where it is finite.
 
     A is one matrix (n, n), giving a float, or a stack (..., n, n), giving
     an array of shape (...) with one value per matrix.

@@ -170,6 +170,9 @@ class TestContractionRate:
         # grid contains the maximizer (0, 0) at t = 0, so the sampled sup is
         # the hand-maximized closed-form value
         assert cert.mu_sup == pytest.approx(planar_demo_mu_l2(np.zeros(2), 0.0), abs=1e-12)
+        # there J = [[-5, 0], [5, -3]], whose l2 log norm -4 + sqrt(7.25) the 2x2 closed form gives to 1 ulp
+        exact = -4.0 + math.sqrt(7.25)
+        assert abs(cert.mu_sup - exact) <= math.ulp(exact)
         assert cert.alpha0_estimate == pytest.approx(4.0 - 0.5 * np.sqrt(29.0), abs=1e-12)
         assert cert.dominance_ok
         assert cert.argmax_time == 0.0

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,52 @@ class TestClosedForms:
             t = rng.uniform(0.0, 2.0)
             mu = log_norm(jacobian(fig1_system, x, t), NormKind.l2())
             assert mu == pytest.approx(planar_demo_mu_l2(x, t), abs=1e-11)
+
+    # diag(1, 1/4) has the exact square root diag(1, 1/2): the weighted transform doubles entry (0, 1)
+    # and halves entry (1, 0), giving 1.5 * 2^1023 and 2^1022, whose mean is 2^1023 but whose sum overflows
+    @pytest.mark.parametrize(
+        "a, weight, want",
+        [
+            (np.diag([1e308, -1e308]), None, 1e308),
+            ([[0.0, 1.5e308], [1.5e308, 0.0]], None, 1.5e308),
+            (np.diag([1e308, -1e308, 0.0]), None, 1e308),
+            ([[0.0, 1.5e308, 0.0], [1.5e308, 0.0, 0.0], [0.0, 0.0, 0.0]], None, 1.5e308),
+            (np.diag([1e308, -1e308]), np.diag([1.0, 0.25]), 1e308),
+            ([[0.0, 0.75 * 2.0**1023], [2.0**1023, 0.0]], np.diag([1.0, 0.25]), 2.0**1023),
+            (np.diag([1e308, -1e308, 0.0]), np.diag([1.0, 0.25, 1.0]), 1e308),
+            (
+                [[0.0, 0.75 * 2.0**1023, 0.0], [2.0**1023, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                np.diag([1.0, 0.25, 1.0]),
+                2.0**1023,
+            ),
+        ],
+        ids=["l2-2-diag", "l2-2-offdiag", "l2-3-diag", "l2-3-offdiag", "w-2-diag", "w-2-offdiag", "w-3-diag", "w-3-offdiag"],
+    )
+    def test_finite_log_norm_of_huge_entries(self, a, weight, want):
+        # A + A^T would overflow; each matrix has mu[A] = mu[-A] = want, exactly and without a warning
+        kind = NormKind.l2() if weight is None else NormKind.weighted(weight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_norm(a, kind) == want
+            assert log_norm_pair(a, kind) == (want, want)
+
+    def test_2x2_takes_no_numpy_linalg_call(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        kinds = [NormKind.l2(), NormKind.weighted(random_spd(rng, 2))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        for kind in kinds:
+            for a in (rng.normal(size=(2, 2)), rng.normal(size=(4, 3, 2, 2))):
+                log_norm(a, kind)
+                log_norm_pair(a, kind)
+        # n >= 3 still goes through LAPACK, so the patch is in force
+        with pytest.raises(AssertionError, match="numpy.linalg called"):
+            log_norm(np.eye(3), NormKind.l2())
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):

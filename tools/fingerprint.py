@@ -31,8 +31,8 @@ report (fig1, the demo rate, t in [0, 20]) and its Demidovich report (fig1,
 P = I, the demo config's domain and plan); the files of the two demo variants;
 the exit code, stdout and files of ``logstab certify`` on the fig1 demo config
 and on an expression config whose ``abs`` leaves finite differences to the
-sweep; the exit code and stdout of ``logstab lognorm`` on one matrix under
-l2 and a weighted norm read from a file; and four inputs that the array rule
+sweep; the exit code and stdout of ``logstab lognorm`` on a 3x3 and a 2x2
+matrix, each under l2 and a weighted norm read from a file; and four inputs that the array rule
 of arguments refuses: a complex x0 under ``integrate``, a NaN second state in
 pair 0 and a 3-vector in pair 4 under ``verify_incremental_bound``, and a 3-D
 domain in the contraction sweep of the 2-D demo system.
@@ -282,6 +282,8 @@ def _corpus(logstab):
     yield "cli/certify/abs", lambda: command(certify, {"scenario.cfg": ABS_CONFIG}), None
     lognorm = ["lognorm", "--inline", "-2 1 0; 0.5 -3 1; 0 2 -4", "--norm", "l2", "--norm", "weighted:{dir}/P.txt"]
     yield "cli/lognorm/weighted", lambda: command(lognorm, {"P.txt": "4 1 0\n1 3 1\n0 1 2\n"}), None
+    lognorm_2x2 = ["lognorm", "--inline", "-2 1; 0 -3", "--norm", "l2", "--norm", "weighted:{dir}/P.txt"]
+    yield "cli/lognorm/2x2", lambda: command(lognorm_2x2, {"P.txt": "2 0.5\n0.5 1\n"}), None
 
     # the array rule of arguments: each input is refused before any run
     complex_x0 = np.array([-2.0 + 1j, 5.0])
