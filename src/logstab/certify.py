@@ -298,6 +298,7 @@ def check_forcing_ratio(
     """
     if kind is None:
         kind = NormKind.l2()
+    kind.check_fits(sys.dim)
     check_count(n_samples, "n_samples", 10)
     check_window(t_lo, t_hi, "t_lo", "t_hi")
     if t_hi <= 0.0:

@@ -73,13 +73,11 @@ the run with DivergedError. The step rules run under
 operation or division by zero that makes one, raises no numpy warning on the
 way.
 
-A node stores the derivative its step rule has. RK4 and DOP853 evaluate the
-field at each node they accept, require it finite, and start the next step
-from it. An NDF node's derivative is its corrector's y', (corr + psi) / c
-from the Newton iteration that solved corr = c f(t, y) - psi, as ode15s and
-scipy's BDF report it; it takes no field evaluation. Only a run that
-returns its grid stores it; a sampled run reads the NDF intervals from their
-interpolants and needs none.
+A node is its time, its state and its step's local-error estimate. RK4 and
+DOP853 evaluate the field at each node they accept, require it finite, and
+start the next step from it; the run keeps that field for the step rules
+alone. An NDF node takes no field evaluation: the next step starts from the
+backward differences of its interpolant.
 
 ``integrate``'s ``sample_times`` is the one way to sample, and it is checked
 before the run starts. A sampled run keeps one table, one row block per
@@ -318,11 +316,8 @@ class IntegratorConfig:
 class Trajectory:
     """Time-stamped states of one integration run.
 
-    ``derivs`` holds the derivative at each grid node when the trajectory
-    is the integrator's own grid: the field there for ``rk4`` and DOP853
-    nodes, the NDF corrector's y' (within its Newton tolerance of the field)
-    for NDF nodes. Resampled trajectories carry None. Sample a run through
-    ``integrate``'s ``sample_times``.
+    ``times`` and ``states`` are the integrator's own grid, or the samples
+    a run took at ``integrate``'s ``sample_times``.
     ``error_estimate`` accumulates the max-abs local-error estimates of
     accepted steps. It is None where there is no estimate: for ``rk4`` runs,
     which estimate no local error, and for a trajectory built by hand or
@@ -333,7 +328,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    derivs: Optional[np.ndarray] = None
     error_estimate: Optional[float] = None
     n_steps: int = 0
     n_rejected: int = 0
@@ -477,9 +471,10 @@ class _Run:
     """The accepted nodes and counters of one run (see the module docstring).
 
     An adaptive step rule loops while ``running()``, calls ``check(h)`` before
-    it tries a step of size h, and reports the outcome through ``accept`` (or
-    ``accept_ndf``) or ``reject``. RK4 only accepts. Every evaluation goes
-    through ``rhs``, which checks the shape and type of each output.
+    it tries a step of size h, and reports the outcome through ``accept`` (an
+    RK4 or DOP853 node), ``accept_ndf`` (an NDF node) or ``reject``. RK4 only
+    accepts. Every evaluation goes through ``rhs``, which checks the shape and
+    type of each output.
     """
 
     def __init__(self, rhs, x0: np.ndarray, f0: np.ndarray, t0: float, tf: float, cfg: IntegratorConfig, dense: bool):
@@ -488,7 +483,7 @@ class _Run:
         self.cfg = cfg
         self.times = [t0]
         self.states = [x0.copy()]
-        self.derivs = [f0]  # the field at t0 and at each RK4 and DOP853 node; in a grid run each NDF node's y' too
+        self.derivs = [f0]  # the field at t0 and at each RK4 and DOP853 node, for the step rules
         # a sampled run's row blocks for ``_hermite_sample``, one per accepted interval in the first rows of a table
         # that doubles when it is full; an NDF block holds its step's differences until ``trajectory``
         self.table = np.zeros((0, 6, x0.size)) if dense else None
@@ -542,14 +537,12 @@ class _Run:
             self.table = np.concatenate([self.table, np.zeros((max(64, self.n_steps),) + self.table.shape[1:])])
         return self.table[self.n_steps]
 
-    def accept(self, t: float, y: np.ndarray, err: float, f=None, rows=None) -> np.ndarray:
-        """Store an RK4 or DOP853 node (t, y) with a local-error estimate err; returns the field there.
+    def accept(self, t: float, y: np.ndarray, err: float, f: np.ndarray, rows=None) -> None:
+        """Store an RK4 or DOP853 node (t, y) with a local-error estimate err.
 
-        ``f`` is the field at the node when the step rule already took it from
-        ``node_field``; ``rows`` the interval's DOP853 rows F3..F6.
+        ``f`` is the field at the node, from ``node_field``; ``rows`` the
+        interval's DOP853 rows F3..F6.
         """
-        if f is None:
-            f = self.node_field(t, y)
         if self.table is not None:
             block = self._block()
             block[0], block[1] = self.derivs[-1], f
@@ -557,40 +550,33 @@ class _Run:
                 block[2:] = rows
         self.derivs.append(f)
         self._store(t, y, err)
-        return f
 
-    def accept_ndf(self, t: float, y: np.ndarray, err: float, deriv=None, diffs=None) -> None:
+    def accept_ndf(self, t: float, y: np.ndarray, err: float, diffs: np.ndarray) -> None:
         """Store an NDF node (t, y) with a local-error estimate err.
 
-        A grid run passes ``deriv``, the corrector's y' at the node; a
-        sampled run passes ``diffs``, the step's backward differences 1..k,
-        k its order, into the interval's row block.
+        ``diffs`` are the step's backward differences 1..k, k its order; a
+        sampled run writes them into the interval's row block.
         """
-        if deriv is not None:
-            self.derivs.append(deriv)
-        if diffs is not None:
+        if self.table is not None:
             self._block()[: len(diffs)] = diffs
         self._store(t, y, err)
 
     def trajectory(self, ts=None) -> Trajectory:
-        """The run on its own grid, with the derivative at each node, or at the sample times ts (derivs None)."""
+        """The run on its own grid, or at the sample times ts."""
         times, states = np.array(self.times), np.array(self.states)
-        if ts is None:
-            derivs = np.array(self.derivs)
-        else:
+        if ts is not None:
             rows = self.table[: self.n_steps]
-            # a sampled run stores no derivative at an NDF node, so the intervals after the last one it stores are NDF;
+            # the run keeps no field at an NDF node, so the intervals after the last one it keeps are NDF;
             # their blocks take their Hermite form in place, once, as a run makes one trajectory
             first = len(self.derivs) - 1
             ndf = rows[first:]
             ndf[:, :4] = _NDF_HERMITE @ ndf[:, :5]
             ndf[:, :2] /= np.diff(times)[first:, None, None]
             ndf[:, 4] = 0.0
-            times, states, derivs = ts, _hermite_sample(times, states, rows, ts), None
+            times, states = ts, _hermite_sample(times, states, rows, ts)
         return Trajectory(
             times,
             states,
-            derivs,
             error_estimate=None if self.cfg.method == "rk4" else self.error,
             n_steps=self.n_steps,
             n_rejected=self.n_rejected,
@@ -615,7 +601,8 @@ def _rk4_steps(run: _Run) -> None:
         t = tf if k == n else t0 + k * h  # t0 + n h may miss tf by rounding
         if not np.all(np.isfinite(y)):
             raise DivergedError(f"state blew up near t={t}", run.times[-1])
-        f_cur = run.accept(t, y, 0.0)
+        f_cur = run.node_field(t, y)
+        run.accept(t, y, 0.0, f_cur)
 
 
 def _dop853_steps(run: _Run) -> None:
@@ -820,10 +807,10 @@ def _ndf_steps(run: _Run, jac) -> None:
 
     For ``ndf`` that node is t0; for ``auto`` it is where the DOP853 phase
     found the run stiff. The Newton tolerance and when J is evaluated are
-    set out in the module docstring. Each accepted step stores its node's
-    derivative, the corrector's y', or in a sampled run the backward
-    differences 1..order of its interpolant instead. A non-finite error
-    estimate or state rejects the step like a non-finite field.
+    set out in the module docstring. Each accepted step hands its node the
+    backward differences 1..order of its interpolant, which a sampled run
+    keeps. A non-finite error estimate or state rejects the step like a
+    non-finite field.
     """
     cfg, rhs, tf = run.cfg, run.rhs, run.tf
     t, y = run.times[-1], run.states[-1]
@@ -898,10 +885,7 @@ def _ndf_steps(run: _Run, jac) -> None:
         abs_y = abs_y_new
         j_fresh = False
         _fold_correction(diffs, order, corr)
-        if run.table is not None:
-            run.accept_ndf(t, y, float(abs_err.max()), diffs=diffs[1 : order + 1])
-        else:  # the corrector solved corr = c f(t, y) - psi, so its y' is (corr + psi) / c
-            run.accept_ndf(t, y, float(abs_err.max()), deriv=(corr + psi) / c)
+        run.accept_ndf(t, y, float(abs_err.max()), diffs[1 : order + 1])
         n_equal += 1
         if n_equal < order + 1:
             continue

@@ -40,7 +40,11 @@ def _closed_form(a, kind: NormKind, pair: bool):
     m = as_square_stack(a)
     if kind.tag in ("l1", "linf"):
         d = m.diagonal(0, -2, -1)
-        off = np.abs(m).sum(axis=-2 if kind.tag == "l1" else -1) - np.abs(d)
+        # the off-diagonal entries alone: a whole column's (row's) sum can overflow where mu is finite
+        n = m.shape[-1]
+        a_off = np.abs(m, order="C")
+        a_off.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0  # the diagonal, through a flat view
+        off = a_off.sum(axis=-2 if kind.tag == "l1" else -1)
         plus = (d + off).max(axis=-1)
         return (plus, (off - d).max(axis=-1)) if pair else plus
     t = kind.similarity(m)
@@ -64,9 +68,10 @@ def log_norm(a, kind: NormKind):
     (a + d)/2 + hypot((a - d)/2, (b + c)/2) with A = [[a, b], [c, d]].
     weighted(P): same after the similarity transform sqrt(P) A sqrt(P)^-1.
     l1 (linf): max over columns (rows) of the diagonal entry plus the
-    off-diagonal absolute sum. l2 and weighted halve the entries before
-    adding them, so entries near the largest float still give a finite log
-    norm where it is finite.
+    off-diagonal absolute sum, which sums the off-diagonal entries alone. So
+    entries near the largest float still give a finite log norm where it is
+    finite; l2 and weighted halve the entries before adding them to the
+    same end.
 
     A is one matrix (n, n), giving a float, or a stack (..., n, n), giving
     an array of shape (...) with one value per matrix.

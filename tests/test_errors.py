@@ -274,6 +274,11 @@ WEIGHT_SITES = {
         lambda calls: verify_incremental_bound(decay(calls), PAIRS, 0.0, 1.0, 0.5, KIND3),
         0,
     ),
+    "check_forcing_ratio": (
+        lambda calls: check_forcing_ratio(decay(calls), counted(calls, 1.0), 1.0, 10.0, kind=KIND3),
+        0,
+    ),
+    "verify_origin_convergence": (lambda calls: verify_origin_convergence(SETTLED, KIND3), 0),
     # A(t0) alone gives the dimension
     "check_transition_bounds": (
         lambda calls: check_transition_bounds(counted(calls, -np.eye(2)), KIND3, 0.0, 1.0),

@@ -26,7 +26,7 @@ from logstab.integrate import (
 )
 from logstab.linalg import NormKind, cond_2, induced_matrix_norm, solve, vec_norm
 from logstab.lognorm import log_norm_pair
-from logstab.system import SystemSpec, _fd_jacobian
+from logstab.system import SystemSpec, _fd_jacobian, eval_rhs
 
 from conftest import random_spd, spy
 
@@ -158,9 +158,9 @@ class TestIntegrate:
         for sample_times in (None, grid):
             a, b = (integrate(s, np.array([1.0, 2.0]), 0.0, 3.0, cfg, sample_times) for s in (as_lists, as_arrays))
             assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
-            assert (a.n_steps, a.n_rejected, a.error_estimate) == (b.n_steps, b.n_rejected, b.error_estimate)
-            if sample_times is None:
-                assert np.array_equal(a.derivs, b.derivs)
+            assert (a.n_steps, a.n_rejected, a.error_estimate, a.stiff_from) == (
+                b.n_steps, b.n_rejected, b.error_estimate, b.stiff_from
+            )
 
 
 class TestFailurePaths:
@@ -275,10 +275,14 @@ class TestFailurePaths:
 
     def test_rk4_last_node_takes_the_field_at_tf(self):
         # with t0 = 0.3, tf = 1.7 and h = 0.01, t0 + 140 h = 1.7000000000000002, not tf
-        field = lambda x, t: np.array([np.sin(1000.0 * t)])
+        calls = []
+
+        def field(x, t):
+            calls.append(t)
+            return np.array([np.sin(1000.0 * t)])
+
         traj = integrate(SystemSpec(dim=1, f=field), np.array([0.0]), 0.3, 1.7, IntegratorConfig(method="rk4"))
-        assert traj.times[-1] == 1.7
-        assert np.array_equal(traj.derivs[-1], field(traj.states[-1], 1.7))
+        assert traj.times[-1] == 1.7 and calls[-1] == 1.7
 
     def test_rk4_budget_is_checked_before_the_first_step(self, decay_system):
         cfg = IntegratorConfig(method="rk4", max_steps=50)
@@ -378,7 +382,7 @@ class TestFundamental:
         a = np.array([[-1.0, 0.0], [1.0, -2000.0]])
         fund = integrate_fundamental(lambda t: a, 0.0, 1.0, sample_times=np.linspace(0.0, 1.0, 9) if sampled else None)
         (run,) = runs
-        assert run.stiff_from is not None and (run.derivs is None) == sampled
+        assert run.stiff_from is not None
         got, want = vars(fund), vars(run)
         assert got.keys() == want.keys()
         for name, value in want.items():
@@ -718,10 +722,11 @@ def prothero_robinson(lam):
     )
 
 
-def hermite_alone(grid, ts):
-    """Cubic Hermite on a grid run's nodes and derivatives at ts, with no correction rows."""
+def hermite_alone(sys, grid, ts):
+    """Cubic Hermite at ts on a grid run's nodes and the right-hand side of ``sys`` there, with no correction rows."""
+    slopes = np.array([eval_rhs(sys, y, t) for t, y in zip(grid.times, grid.states)])
     rows = np.zeros((grid.times.size - 1, 6, grid.dim))
-    rows[:, 0], rows[:, 1] = grid.derivs[:-1], grid.derivs[1:]
+    rows[:, 0], rows[:, 1] = slopes[:-1], slopes[1:]
     return _hermite_sample(grid.times, grid.states, rows, ts)
 
 
@@ -729,7 +734,6 @@ def same_run(a, b):
     return (
         np.array_equal(a.times, b.times)
         and np.array_equal(a.states, b.states)
-        and (a.derivs is None and b.derivs is None or np.array_equal(a.derivs, b.derivs))
         and a.error_estimate == b.error_estimate
         and (a.n_steps, a.n_rejected, a.stiff_from) == (b.n_steps, b.n_rejected, b.stiff_from)
     )
@@ -761,18 +765,11 @@ class TestNDF:
             errors.append(err)
         assert errors[1] < errors[0]
 
-    def test_dense_output_and_corrector_derivatives(self, decay_system):
+    def test_dense_output_tracks_the_exact_solution(self, decay_system):
         cfg = IntegratorConfig(method="ndf")
         ts = np.linspace(0.0, 1.0, 37)
         traj = integrate(decay_system, np.array([1.0]), 0.0, 1.0, cfg, sample_times=ts)
         assert np.abs(traj.states[:, 0] - np.exp(-ts)).max() < 1e-7
-        raw = integrate(decay_system, np.array([1.0]), 0.0, 1.0, cfg)
-        assert np.array_equal(raw.derivs[0], -raw.states[0])
-        # a node's derivative is its corrector's y' = (corr + psi) / c, c = h / alpha_k; the iteration stops with
-        # corr within 0.03 of the error scale, and J is exact here, so y' is within 0.03 scale alpha_k / h of f
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(raw.states[:-1]), np.abs(raw.states[1:]))
-        bound = 0.03 * scale * _NDF_ALPHA[-1] / np.diff(raw.times)[:, None]
-        assert np.all(np.abs(raw.derivs[1:] + raw.states[1:]) <= bound)
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
     def test_samples_keep_the_nodes_accuracy_on_long_steps(self, rel_tol):
@@ -867,8 +864,8 @@ class TestNDF:
                 assert fresh, f"iteration matrix {events[:i].count('inv')} formed from a J older than the last node"
 
     def test_field_evaluations_per_newton_iteration(self, fig1_system, monkeypatch):
-        # f at t0, the start step's Euler probe and one per Newton iteration: an accepted node takes the
-        # corrector's y', and the analytic Jacobian takes none
+        # f at t0, the start step's Euler probe and one per Newton iteration: an accepted node takes none,
+        # and neither does the analytic Jacobian
         calls, iterations = [], []
 
         def f(x, t):
@@ -1016,7 +1013,7 @@ class TestDOP853:
         dense = integrate(harmonic_system, np.array([1.0, 0.0]), 0.0, 2.0 * np.pi, sample_times=ts)
         assert np.diff(grid.times).max() == pytest.approx(0.1)
         assert np.abs(dense.states - exact).max() < 1e-9
-        assert np.abs(hermite_alone(grid, ts) - exact).max() > 1e-7
+        assert np.abs(hermite_alone(harmonic_system, grid, ts) - exact).max() > 1e-7
 
     def test_intervals_of_the_ndf_phase_sample_the_step_interpolant(self, fig1_system, monkeypatch):
         runs, steps = [], []
@@ -1026,10 +1023,10 @@ class TestDOP853:
             runs.append(run)
             return trajectory(run, *args)
 
-        def record(run, t, y, err, deriv=None, diffs=None):
-            if diffs is not None:
+        def record(run, t, y, err, diffs):
+            if run.table is not None:
                 steps.append(diffs.copy())  # a view of the step rule's own differences, which the next step moves
-            accept_ndf(run, t, y, err, deriv, diffs)
+            accept_ndf(run, t, y, err, diffs)
 
         monkeypatch.setattr(_Run, "trajectory", keep)
         monkeypatch.setattr(_Run, "accept_ndf", record)
@@ -1038,7 +1035,7 @@ class TestDOP853:
         dense = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0, sample_times=mid)
         ndf = mid > grid.stiff_from
         assert dense.stiff_from == grid.stiff_from
-        # only a sampled run keeps a table, and it hands over the differences of each NDF step
+        # only a sampled run keeps a table, and it takes the differences of each NDF step
         grid_run, dense_run = runs
         assert grid_run.table is None and dense_run.table is not None and len(steps) == ndf.sum()
         # Newton's backward formula on each interval's own differences, term by term
@@ -1049,7 +1046,7 @@ class TestDOP853:
                 term *= (s + j - 1) / j
                 expected += term * diffs[j - 1]
             assert dense.states[i] == pytest.approx(expected, rel=1e-14, abs=1e-16), i
-        assert np.all(np.abs(dense.states - hermite_alone(grid, mid)).max(axis=1) > 0.0)
+        assert np.all(np.abs(dense.states - hermite_alone(fig1_system, grid, mid)).max(axis=1) > 0.0)
 
     @pytest.mark.parametrize("order", range(1, 6))
     def test_ndf_hermite_matrix_is_newtons_backward_formula(self, order):
@@ -1298,8 +1295,8 @@ class TestWithoutDelta:
         free = integrate(build_example1(), np.array([-2.0, 5.0]), 0.0, 3.0, cfg, ts)
         assert (free.stiff_from is not None) == (method == "auto")  # auto hands the demo to ndf near t = 2.1
         assert same_run(free, zero)
-        for got, want in ((free.times, zero.times), (free.states, zero.states), (free.derivs, zero.derivs)):
-            assert got is None and want is None or got.tobytes() == want.tobytes()
+        for got, want in ((free.times, zero.times), (free.states, zero.states)):
+            assert got.tobytes() == want.tobytes()
 
     def test_delta_set_after_construction_is_integrated(self):
         sys = SystemSpec(dim=1, f=lambda x, t: -x, jac=lambda x, t: -np.eye(1))

@@ -87,6 +87,23 @@ class TestClosedForms:
             assert log_norm(a, kind) == want
             assert log_norm_pair(a, kind) == (want, want)
 
+    # the first column (row) sums to 2.7e308 in absolute value, but the off-diagonal part alone to 1e308
+    @pytest.mark.parametrize(
+        "a, tag, want",
+        [
+            ([[-1.7e308, 0.0], [1e308, 0.0]], "l1", 0.0),
+            ([[-1.7e308, 1e308], [0.0, 0.0]], "linf", 0.0),
+            ([[-1.7e308, 0.0, 1.0], [1e308, 2.0, 0.0], [0.0, 0.0, -1.0]], "l1", 2.0),
+        ],
+        ids=["l1-2", "linf-2", "l1-3"],
+    )
+    def test_finite_l1_linf_log_norm_of_huge_entries(self, a, tag, want):
+        # pyproject's warning filter turns an overflow's RuntimeWarning into a failure
+        assert log_norm(a, NormKind(tag)) == want
+        stack = np.array([a, np.eye(len(a)), a])
+        singles = [log_norm(m, NormKind(tag)) for m in stack]
+        assert log_norm(stack, NormKind(tag)).tobytes() == np.array(singles).tobytes()
+
     def test_2x2_takes_no_numpy_linalg_call(self, monkeypatch):
         rng = np.random.default_rng(53)
         kinds = [NormKind.l2(), NormKind.weighted(random_spd(rng, 2))]

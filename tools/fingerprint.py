@@ -32,7 +32,9 @@ P = I, the demo config's domain and plan); the files of the two demo variants;
 the exit code, stdout and files of ``logstab certify`` on the fig1 demo config
 and on an expression config whose ``abs`` leaves finite differences to the
 sweep; the exit code and stdout of ``logstab lognorm`` on a 3x3 and a 2x2
-matrix, each under l2 and a weighted norm read from a file; and four inputs that the array rule
+matrix, each under l2 and a weighted norm read from a file; ``log_norm`` of
+[[-1.7e308, 0], [1e308, 0]] under l1 and of its transpose under linf, whose
+whole first column (row) overflows in absolute sum; and four inputs that the array rule
 of arguments refuses: a complex x0 under ``integrate``, a NaN second state in
 pair 0 and a 3-vector in pair 4 under ``verify_incremental_bound``, and a 3-D
 domain in the contraction sweep of the 2-D demo system.
@@ -42,11 +44,15 @@ domain in the contraction sweep of the 2-D demo system.
 in its own process, and prints per record whether the two are bit-identical,
 with the switch times and LSODA errors of both, and the size of the move:
 the largest |x - y| / max(1, |y|) over the float arrays and numbers that both
-trees return (x this tree's, y REV's, paired in the order the record holds
-them), 0 for an identical record and ``-`` where either tree raised or no
-arrays pair up. The hashes compare two trees on one machine: another numpy
-build may round differently, so none is kept. The exit code is 0 unless the
-tool itself fails on a tree.
+trees return (x this tree's, y REV's, paired by their field path in the
+record, such as ``.states`` or ``[0].tolerance``, so a field that only one
+tree has moves nothing; a value that is not finite in one tree only moves by
+inf), 0 for an identical record and ``-`` where either tree raised or no
+arrays pair up. Both trees run this file's corpus, so REV also runs a record
+added since, and no record reads as new. The last line reads "N records: k bit-identical, N-k differ".
+The hashes compare two trees on one machine: another numpy build may round
+differently, so none is kept. The exit code is 0 unless the tool itself fails
+on a tree.
 """
 
 from __future__ import annotations
@@ -104,26 +110,33 @@ def _feed(h, obj) -> None:
         h.update(repr(obj).encode())
 
 
-def _floats(obj) -> list[np.ndarray]:
-    """The float arrays and numbers in obj, in the order ``_feed`` hashes them."""
+def _floats(obj, path=""):
+    """(field path, array) per float array and number in obj, in the order ``_feed`` hashes them."""
     if isinstance(obj, np.ndarray):
-        return [obj] if obj.dtype.kind == "f" else []
-    if dataclasses.is_dataclass(obj):
-        return [a for field in dataclasses.fields(obj) for a in _floats(getattr(obj, field.name))]
-    if isinstance(obj, float):
-        return [np.array(obj)]
-    if isinstance(obj, (list, tuple)):
-        return [a for item in obj for a in _floats(item)]
-    return []
+        if obj.dtype.kind == "f":
+            yield path, obj
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _floats(getattr(obj, field.name), f"{path}.{field.name}")
+    elif isinstance(obj, float):
+        yield path, np.array(obj)
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            yield from _floats(item, f"{path}[{i}]")
 
 
-def _move(ours, theirs) -> str:
-    """The largest |x - y| / max(1, |y|) over the arrays of this tree (x) and of REV (y) that pair up by shape."""
+def _rel_move(x: np.ndarray, y: np.ndarray) -> float:
+    """The largest |x - y| / max(1, |y|); 0 where x and y are equal or both NaN, inf where one only is not finite."""
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(x - y) / np.maximum(1.0, np.abs(y))  # NaN where x or y is NaN, or y is infinite
+    same = (x == y) | (np.isnan(x) & np.isnan(y))
+    return float(np.max(np.where(same, 0.0, np.where(np.isnan(rel), np.inf, rel)), initial=0.0))
+
+
+def _move(ours: dict, theirs: dict) -> str:
+    """The largest ``_rel_move`` of this tree's (x) and REV's (y) arrays at a path and shape both have."""
     moves = [
-        np.max(rel, initial=0.0, where=~np.isnan(rel))
-        for x, y in zip(ours, theirs)
-        if x.shape == y.shape
-        for rel in [np.abs(x - y) / np.maximum(1.0, np.abs(y))]
+        _rel_move(x, theirs[path]) for path, x in ours.items() if path in theirs and x.shape == theirs[path].shape
     ]
     return f"{max(moves):.2e}" if moves else "-"
 
@@ -284,6 +297,11 @@ def _corpus(logstab):
     yield "cli/lognorm/weighted", lambda: command(lognorm, {"P.txt": "4 1 0\n1 3 1\n0 1 2\n"}), None
     lognorm_2x2 = ["lognorm", "--inline", "-2 1; 0 -3", "--norm", "l2", "--norm", "weighted:{dir}/P.txt"]
     yield "cli/lognorm/2x2", lambda: command(lognorm_2x2, {"P.txt": "2 0.5\n0.5 1\n"}), None
+    # |d| plus the off-diagonal sum of the first column (row) overflows, though mu is 0
+    huge = np.array([[-1.7e308, 0.0], [1e308, 0.0]])
+    yield "lognorm/l1_linf_overflow", (
+        lambda: (logstab.log_norm(huge, logstab.NormKind.l1()), logstab.log_norm(huge.T, logstab.NormKind.linf()))
+    ), None
 
     # the array rule of arguments: each input is refused before any run
     complex_x0 = np.array([-2.0 + 1j, 5.0])
@@ -321,7 +339,7 @@ def listing(src: Path, arrays: dict) -> list[tuple[str, str, str, str]]:
 
     The error is ``lsoda=<worst>`` against the LSODA reference, ``exact=<worst>``
     against a known solution, or ``-``. ``arrays`` takes each record's
-    ``_floats`` under its name, None where the call raised.
+    ``_floats`` as a dict under its name, None where the call raised.
     """
     sys.path.insert(0, str(src))
     import logstab
@@ -337,7 +355,7 @@ def listing(src: Path, arrays: dict) -> list[tuple[str, str, str, str]]:
             rows.append((name, _digest((type(exc).__name__, str(exc), getattr(exc, "last_time", None))), "-", "-"))
             arrays[name] = None
             continue
-        arrays[name] = _floats(out)
+        arrays[name] = dict(_floats(out))
         switch = getattr(out, "stiff_from", None)
         err, want = "-", None
         if callable(ref):
@@ -389,9 +407,6 @@ def against(rev: str) -> None:
     same = 0
     print(f"{'record':<40} {'vs ' + rev:<14} switch (rev -> this)   error (rev -> this)          move")
     for name, sha, switch, err in ours:
-        if name not in theirs:
-            print(f"{name:<40} {'new':<14}")
-            continue
         their_sha, their_switch, their_err = theirs[name]
         same += sha == their_sha
         verdict = "identical" if sha == their_sha else "differs"
@@ -400,7 +415,7 @@ def against(rev: str) -> None:
         else:
             move = "0" if sha == their_sha else _move(our_arrays[name], their_arrays[name])
         print(f"{name:<40} {verdict:<14} {their_switch:>8} -> {switch:<8}   {their_err:>14} -> {err:<14} {move:>8}")
-    print(f"{len(ours)} records: {same} bit-identical, {len(ours) - same} differ or are new")
+    print(f"{len(ours)} records: {same} bit-identical, {len(ours) - same} differ")
 
 
 def main(argv=None) -> None:
