@@ -204,7 +204,7 @@ SCHEMA = {
     "sampling": {
         "n_space": ("plan", "n_space", _integer),
         "n_time": ("plan", "n_time", _integer),
-        "scheme": ("plan", "scheme", str),
+        "scheme": ("plan", "scheme", str.lower),
         "seed": ("plan", "seed", _integer),
     },
     "integrator": {

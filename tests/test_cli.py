@@ -36,6 +36,47 @@ tf = 3
 alpha = 0.5 + t^3
 """
 
+# abs has no symbolic derivative, so the certify sweep takes finite differences of f
+ABS_CONFIG = """[system]
+type = expression
+dim = 2
+f1 = -3*x1 + sin(x2) + 0.5*abs(x1)
+f2 = -2*x2 + 0.5*sin(x1)
+x0 = 1, -1
+[domain]
+lower = -3, -3
+upper = 3, 3
+t_lo = 0
+t_hi = 1
+"""
+
+# the stiff demo field, simulated under each [integrator] method
+DEMO_FIELD_CONFIG = """[system]
+type = builtin
+name = example1
+delta1 = 5*sin(t)^2
+delta2 = t
+x0 = -2, 5
+[integrator]
+method = {method}
+"""
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# an error message that names the failing sample's state and time
+AT_X = r"non-finite values at x=\[[^]]*\], t="
+
+
+def run_cli(*argv):
+    """``python -m logstab.cli argv`` in its own process, so a RuntimeWarning would reach its stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-W", "default::RuntimeWarning", "-m", "logstab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -50,6 +91,12 @@ class TestLognormCommand:
         out = capsys.readouterr().out
         assert "closed_form" in out and "limit_estimate" in out
         assert out.count("l2") >= 2
+
+    def test_2x2_l2_closed_form_value(self, capsys):
+        # -5/2 + sqrt(2)/2, taken without LAPACK
+        assert main(["lognorm", "--inline", "-2 1; 0 -3", "--norm", "l2"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["l2", "closed_form", "-1.792893218813453"] in rows
 
     def test_weighted_norm_from_file(self, tmp_path, capsys):
         mat = tmp_path / "A.txt"
@@ -109,6 +156,14 @@ class TestCertifyCommand:
             "[domain]\nlower = -1\nupper = 1\nt_lo = 0\nt_hi = 1\n"
         )
         assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert "verdict,not_certified" in (tmp_path / "r" / "certificate.csv").read_text().splitlines()
+
+    def test_finite_difference_sweep_certifies_without_a_warning(self, tmp_path):
+        cfg = tmp_path / "abs.cfg"
+        cfg.write_text(ABS_CONFIG)
+        run = run_cli("certify", "--config", str(cfg), "--out", str(tmp_path / "r"))
+        assert (run.returncode, run.stderr) == (0, "")
+        assert "verdict,certified_on_domain" in (tmp_path / "r" / "certificate.csv").read_text().splitlines()
 
     def test_weight_of_wrong_size_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "weighted.cfg"
@@ -195,35 +250,31 @@ class TestUndefinedExpressions:
         assert "delta returned non-finite values at t=0" in err
 
     @pytest.mark.parametrize(
-        "system, certify",
+        "system, certify, where",
         [
-            ("type = expression\ndim = 2\nf1 = -x1 + exp(-1/x2)\nf2 = -x2", ""),
-            ("type = builtin\nname = example1\nphi = -6 - exp(-1/t)", ""),
+            ("type = expression\ndim = 2\nf1 = -x1 + exp(-1/x2)\nf2 = -x2", "", AT_X),
+            ("type = builtin\nname = example1\nphi = -6 - exp(-1/t)", "", AT_X),
             # the forcing-ratio check samples the rate up to tf = 2
-            ("type = builtin\nname = example1", "\n[integrator]\ntf = 2\n\n[certify]\nalpha = 0.5 + exp(-1/((t - 2)*(t - 2)))\n"),
-            ("type = expression\ndim = 2\nf1 = -x1 + exp(-1/x2) + 0.1*abs(x1)\nf2 = -x2", ""),
+            (
+                "type = builtin\nname = example1",
+                "\n[integrator]\ntf = 2\n\n[certify]\nalpha = 0.5 + exp(-1/((t - 2)*(t - 2)))\n",
+                r"non-finite values at t=",
+            ),
+            ("type = expression\ndim = 2\nf1 = -x1 + exp(-1/x2) + 0.1*abs(x1)\nf2 = -x2", "", AT_X),
         ],
         ids=["field", "builtin phi", "rate", "finite-difference field"],
     )
-    def test_division_by_zero_exits_three_without_warnings(self, tmp_path, system, certify):
+    def test_division_by_zero_exits_three_without_warnings(self, tmp_path, system, certify, where):
         # in its own process, so a RuntimeWarning would reach stderr; the 3x2 grid samples x2 = 0 and t = 0
         cfg = tmp_path / "undefined.cfg"
         cfg.write_text(
             f"[system]\n{system}\n\n[domain]\nlower = -1, -1\nupper = 1, 1\nt_lo = 0\nt_hi = 1\n\n"
             f"[sampling]\nn_space = 3\nn_time = 2\n{certify}"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run(
-            [sys.executable, "-W", "default::RuntimeWarning", "-m", "logstab.cli", "certify", "--config", str(cfg), "--out", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        run = run_cli("certify", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert run.returncode == 3, run.stderr
         assert "RuntimeWarning" not in run.stderr
-        assert "non-finite" in run.stderr
+        assert re.search(where, run.stderr), run.stderr
 
     @pytest.mark.parametrize(
         "f1",
@@ -305,6 +356,29 @@ class TestSimulateCommand:
         with np.errstate(over="ignore"):
             assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 3
         assert "field non-finite after step to t=1.02" in capsys.readouterr().err
+
+    def test_starts_at_x0_and_writes_21_rows_on_the_unit_interval(self, tmp_path):
+        # certify ignores x0; simulate starts there
+        cfg = tmp_path / "abs.cfg"
+        cfg.write_text(ABS_CONFIG)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"), "--tf", "1"]) == 0
+        lines = (tmp_path / "sim" / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,x1,x2" and lines[1] == "0,1,-1" and len(lines) == 1 + 21
+
+    @pytest.mark.parametrize(
+        "method, code, stderr",
+        [("ndf", 0, ""), ("auto", 0, ""), ("rk4", 3, "error: state blew up near t=9.31\n")],
+        ids=["ndf", "auto", "rk4"],
+    )
+    def test_stiff_demo_field_to_t20(self, tmp_path, method, code, stderr):
+        # ndf and auto run on through the Newton iteration to 401 rows on the 0.05 grid; rk4 blows up,
+        # and its stderr holds the one error line, no numpy warning
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(DEMO_FIELD_CONFIG.format(method=method))
+        run = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"), "--tf", "20")
+        assert (run.returncode, run.stderr) == (code, stderr)
+        if code == 0:
+            assert len((tmp_path / "sim" / "trajectory.csv").read_text().splitlines()) == 1 + 401
 
     def test_writes_loadable_trajectory(self, config_file, tmp_path):
         out_dir = tmp_path / "sim"

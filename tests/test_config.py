@@ -181,6 +181,7 @@ class TestParsing:
         [
             ("sampling", "n_space = 0", "n_space must be an integer >= 1, got 0"),
             ("sampling", "scheme = bogus", "unknown sampling scheme 'bogus'"),
+            ("sampling", "scheme = Bogus", "unknown sampling scheme 'bogus'"),
             ("sampling", "seed = -1", "seed must be an integer >= 0, got -1"),
             ("sampling", "seed = 1.5", "expected an integer"),
             ("integrator", "step = -1", "step must be a positive number, got -1.0"),
@@ -213,6 +214,19 @@ class TestParsing:
 
     def test_method_defaults_to_auto(self):
         assert parse_config("[system]\ntype = builtin\nname = example1\n").integrator.method == "auto"
+
+    @pytest.mark.parametrize(
+        "text, scheme",
+        [
+            ("Latin_Hypercube", "latin_hypercube"),
+            ("UNIFORM_RANDOM", "uniform_random"),
+            ("Uniform_Grid", "uniform_grid"),
+        ],
+    )
+    def test_sampling_scheme_is_case_insensitive(self, text, scheme):
+        cfg = parse_config(DEMO_CONFIG.replace("scheme = uniform_grid", f"scheme = {text}"))
+        assert cfg.plan.scheme == scheme
+        assert parse_config(serialize_config(cfg)) == cfg
 
     def test_norm_kind_is_case_insensitive(self):
         assert parse_config(DEMO_CONFIG.replace("kind = l2", "kind = LInf")).norm_kind == "linf"
@@ -250,6 +264,11 @@ class TestRoundTrip:
         assert parse_config(serialize_config(cfg)) == cfg
         (methods,) = re.findall(r"^method = \w+ +# (.*)$", blocks[0], flags=re.M)
         assert tuple(methods.split(" | ")) == METHODS
+
+    def test_readme_python_sketch_runs(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        exec(compile(block, "README.md", "exec"), {})  # its asserts are the check
 
     def test_readme_shows_the_shipped_fig1_text(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -1,5 +1,6 @@
-import importlib
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1209,24 +1210,13 @@ class TestAuto:
 
 
 def lsoda_demo_reference(variant, times):
-    """Demo field written out from its definition, integrated by scipy's LSODA far below logstab's tolerances."""
-    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-    forcing = (lambda t: t) if variant == "fig1" else (lambda t: 4.0 * t**3)
-
-    def rhs(t, x):
-        p = -6.0 - t**3
-        return [
-            p * x[0] + np.sin(x[0]) + 5.0 * np.sin(t) ** 2,
-            5.0 * x[0] + (2.0 + p) * x[1] + np.sin(x[1]) + forcing(t),
-        ]
-
-    def jac(t, x):
-        p = -6.0 - t**3
-        return [[p + np.cos(x[0]), 0.0], [5.0, 2.0 + p + np.cos(x[1])]]
-
-    sol = solve_ivp(rhs, (0.0, times[-1]), [-2.0, 5.0], method="LSODA", t_eval=times, rtol=1e-12, atol=1e-14, jac=jac)
-    assert sol.success
-    return sol.y.T
+    """The demo from (-2, 5) at times, by perfbench/reference.py: its own copy of the field, under scipy's LSODA."""
+    pytest.importorskip("scipy.integrate")
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return np.array(module.reference_states({"delta": variant, "x0": [-2.0, 5.0], "times": times.tolist()}))
 
 
 @pytest.mark.parametrize("variant", ["fig1", "fig2"])

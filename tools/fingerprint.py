@@ -3,13 +3,18 @@
 Usage:
     python tools/fingerprint.py                 # this tree
     python tools/fingerprint.py --against REV   # this tree against the committed tree of REV
+    python tools/fingerprint.py --out FILE      # this tree, also pickled to FILE
 
 A record is one call of the library on fixed inputs. Its line holds the
-record's name and a SHA-256 of the raw bytes of every array and counter the
-call returns; a call that raises one of logstab's errors is recorded by that
-error. Runs that ``auto`` handed to NDF also show the switch time. Where scipy
-is installed, every demo run also shows its worst error against the LSODA
-reference of ``perfbench/reference.py``, at the run's own times and relative to
+record's name and a SHA-256 of what the call returns; a call that raises one
+of logstab's errors is recorded by that error. One walker, ``_leaves``, takes
+a record apart into (path, leaf) pairs: a dataclass adds its type name and
+field name to the path, a list or tuple the item's index and its own length,
+and every other value is a leaf. The hash takes each path with its leaf's raw
+bytes (an array's after its dtype and shape), float hex or repr. Runs that
+``auto`` handed to NDF also show the switch time. Where scipy is installed,
+every demo run also shows its worst error against the LSODA reference of
+``perfbench/reference.py``, at the run's own times and relative to
 max(1, |x|), and the last line names the worst of them. A run whose exact
 solution is known shows its worst error against that instead, in the same
 measure (``exact=``).
@@ -29,27 +34,31 @@ hand-off; x' = -x from (1, 1) with f and delta returning float32, under
 ``rk4`` to tf = 1; acceptance criterion 04's two reports; the demo's forcing-ratio
 report (fig1, the demo rate, t in [0, 20]) and its Demidovich report (fig1,
 P = I, the demo config's domain and plan); the files of the two demo variants;
-the exit code, stdout and files of ``logstab certify`` on the fig1 demo config
-and on an expression config whose ``abs`` leaves finite differences to the
-sweep; the exit code and stdout of ``logstab lognorm`` on a 3x3 and a 2x2
-matrix, each under l2 and a weighted norm read from a file; ``log_norm`` of
-[[-1.7e308, 0], [1e308, 0]] under l1 and of its transpose under linf, whose
-whole first column (row) overflows in absolute sum; and four inputs that the array rule
-of arguments refuses: a complex x0 under ``integrate``, a NaN second state in
-pair 0 and a 3-vector in pair 4 under ``verify_incremental_bound``, and a 3-D
-domain in the contraction sweep of the 2-D demo system.
+the exit code, stdout, stderr and files of ``logstab certify`` on the fig1 demo
+config and on an expression config whose ``abs`` leaves finite differences to
+the sweep, and of ``logstab simulate`` to tf = 20 on the demo field from
+(-2, 5) under ``ndf`` and under ``rk4``, which blows up near t = 9.31; those of
+``logstab lognorm`` on a 3x3 and a 2x2 matrix, each under l2 and a weighted
+norm read from a file; ``log_norm`` of [[-1.7e308, 0], [1e308, 0]] under l1
+and of its transpose under linf, whose whole first column (row) overflows in
+absolute sum; and four inputs that the array rule of arguments refuses: a
+complex x0 under ``integrate``, a NaN second state in pair 0 and a 3-vector in
+pair 4 under ``verify_incremental_bound``, and a 3-D domain in the
+contraction sweep of the 2-D demo system.
 
 ``--against REV`` exports REV with ``git archive`` into a temporary directory
-(nothing is registered in the repository), runs the corpus on both trees, each
-in its own process, and prints per record whether the two are bit-identical,
-with the switch times and LSODA errors of both, and the size of the move:
-the largest |x - y| / max(1, |y|) over the float arrays and numbers that both
-trees return (x this tree's, y REV's, paired by their field path in the
-record, such as ``.states`` or ``[0].tolerance``, so a field that only one
-tree has moves nothing; a value that is not finite in one tree only moves by
-inf), 0 for an identical record and ``-`` where either tree raised or no
-arrays pair up. Both trees run this file's corpus, so REV also runs a record
-added since, and no record reads as new. The last line reads "N records: k bit-identical, N-k differ".
+(nothing is registered in the repository) and runs the corpus on both trees,
+each in its own process, which pickles its rows and its records' float leaves
+to an ``--out`` file. It prints per record whether the two are bit-identical,
+with the switch times and LSODA errors of both, and the size of the move: the
+largest |x - y| / max(1, |y|) over the float arrays and numbers that both
+trees return (x this tree's, y REV's, paired by their path in the record, such
+as ``Trajectory.states`` or ``[0/2]IncrementalBoundReport.tolerance``, so a
+field that only one tree has moves nothing; a value that is not finite in one
+tree only moves by inf), 0 for an identical record and ``-`` where either
+tree raised or no arrays pair up. Both trees run this file's corpus, so REV
+also runs a record added since, and no record reads as new. The last line
+reads "N records: k bit-identical, N-k differ".
 The hashes compare two trees on one machine: another numpy build may round
 differently, so none is kept. The exit code is 0 unless the tool itself fails
 on a tree.
@@ -87,42 +96,55 @@ upper = 3, 3
 t_lo = 0
 t_hi = 1
 """
+# the stiff demo field, which simulate takes from (-2, 5) under each [integrator] method
+DEMO_FIELD_CONFIG = """[system]
+type = builtin
+name = example1
+delta1 = 5*sin(t)^2
+delta2 = t
+x0 = -2, 5
+[integrator]
+method = {method}
+"""
 
 
-def _feed(h, obj) -> None:
-    """Add the raw bytes of obj, and of everything it holds, to the hash h."""
-    if isinstance(obj, np.ndarray):
-        h.update(f"{obj.dtype.str}{obj.shape}".encode())
-        h.update(np.ascontiguousarray(obj).tobytes())
-    elif dataclasses.is_dataclass(obj):
-        h.update(type(obj).__name__.encode())
+def _leaves(obj, path=""):
+    """(path, leaf) per value that obj holds, depth first.
+
+    A dataclass adds its type name and field name to the path, a list or tuple
+    the item's index and its own length, so the paths also fix the record's
+    shape. Anything else, an array among them, is a leaf.
+    """
+    if dataclasses.is_dataclass(obj):
         for field in dataclasses.fields(obj):
-            h.update(field.name.encode())
-            _feed(h, getattr(obj, field.name))
-    elif isinstance(obj, float):
-        h.update(float(obj).hex().encode())
-    elif isinstance(obj, (list, tuple)):
-        h.update(b"[")
-        for item in obj:
-            _feed(h, item)
-        h.update(b"]")
-    else:
-        h.update(repr(obj).encode())
-
-
-def _floats(obj, path=""):
-    """(field path, array) per float array and number in obj, in the order ``_feed`` hashes them."""
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            yield path, obj
-    elif dataclasses.is_dataclass(obj):
-        for field in dataclasses.fields(obj):
-            yield from _floats(getattr(obj, field.name), f"{path}.{field.name}")
-    elif isinstance(obj, float):
-        yield path, np.array(obj)
+            yield from _leaves(getattr(obj, field.name), f"{path}{type(obj).__name__}.{field.name}")
     elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
-            yield from _floats(item, f"{path}[{i}]")
+            yield from _leaves(item, f"{path}[{i}/{len(obj)}]")
+    else:
+        yield path, obj
+
+
+def _digest(leaves) -> str:
+    """SHA-256 of each path with its leaf's raw bytes (an array, after its dtype and shape), float hex or repr."""
+    h = hashlib.sha256()
+    for path, leaf in leaves:
+        h.update(path.encode())
+        if isinstance(leaf, np.ndarray):
+            h.update(f"{leaf.dtype.str}{leaf.shape}".encode())
+            h.update(np.ascontiguousarray(leaf).tobytes())
+        else:
+            h.update((leaf.hex() if isinstance(leaf, float) else repr(leaf)).encode())
+    return h.hexdigest()
+
+
+def _floats(leaves) -> dict:
+    """The float arrays and numbers among the leaves, by path, each as an array."""
+    return {
+        path: np.asarray(leaf)
+        for path, leaf in leaves
+        if isinstance(leaf, float) or (isinstance(leaf, np.ndarray) and leaf.dtype.kind == "f")
+    }
 
 
 def _rel_move(x: np.ndarray, y: np.ndarray) -> float:
@@ -139,12 +161,6 @@ def _move(ours: dict, theirs: dict) -> str:
         _rel_move(x, theirs[path]) for path, x in ours.items() if path in theirs and x.shape == theirs[path].shape
     ]
     return f"{max(moves):.2e}" if moves else "-"
-
-
-def _digest(obj) -> str:
-    h = hashlib.sha256()
-    _feed(h, obj)
-    return h.hexdigest()
 
 
 def _corpus(logstab):
@@ -280,19 +296,24 @@ def _corpus(logstab):
         yield f"demo_files/{variant}", lambda variant=variant: demo_files(variant), None
 
     def command(argv, inputs):
-        """Exit code, stdout and written files of ``logstab argv`` in a fresh directory {dir} holding ``inputs``."""
+        """Exit code, stdout, stderr and written files of ``logstab argv`` in a new directory {dir} of ``inputs``."""
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in inputs.items():
                 Path(tmp, name).write_text(text)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([arg.format(dir=tmp) for arg in argv])
             files = [(p.name, p.read_bytes()) for p in sorted(Path(tmp, "out").rglob("*")) if p.is_file()]
-            return code, out.getvalue().replace(tmp, "{dir}"), files
+            return code, out.getvalue().replace(tmp, "{dir}"), err.getvalue().replace(tmp, "{dir}"), files
 
     certify = ["certify", "--config", "{dir}/scenario.cfg", "--out", "{dir}/out"]
     yield "cli/certify/fig1", lambda: command(certify, {"scenario.cfg": DEMO_CONFIGS["fig1"]}), None
     yield "cli/certify/abs", lambda: command(certify, {"scenario.cfg": ABS_CONFIG}), None
+    simulate = ["simulate", "--config", "{dir}/scenario.cfg", "--out", "{dir}/out", "--tf", "20"]
+    for method in ("ndf", "rk4"):  # rk4 blows up near t = 9.31 and exits 3
+        yield f"cli/simulate/{method}", (
+            lambda method=method: command(simulate, {"scenario.cfg": DEMO_FIELD_CONFIG.format(method=method)})
+        ), None
     lognorm = ["lognorm", "--inline", "-2 1 0; 0.5 -3 1; 0 2 -4", "--norm", "l2", "--norm", "weighted:{dir}/P.txt"]
     yield "cli/lognorm/weighted", lambda: command(lognorm, {"P.txt": "4 1 0\n1 3 1\n0 1 2\n"}), None
     lognorm_2x2 = ["lognorm", "--inline", "-2 1; 0 -3", "--norm", "l2", "--norm", "weighted:{dir}/P.txt"]
@@ -334,12 +355,12 @@ def _reference():
     return module.reference_states
 
 
-def listing(src: Path, arrays: dict) -> list[tuple[str, str, str, str]]:
-    """(name, sha256, switch time, error) per record, with logstab imported from src.
+def listing(src: Path) -> tuple[list[tuple[str, str, str, str]], dict]:
+    """(name, sha256, switch time, error) per record, with logstab imported from src, and the records' floats.
 
     The error is ``lsoda=<worst>`` against the LSODA reference, ``exact=<worst>``
-    against a known solution, or ``-``. ``arrays`` takes each record's
-    ``_floats`` as a dict under its name, None where the call raised.
+    against a known solution, or ``-``. The floats are each record's
+    ``_floats`` under its name, None where the call raised.
     """
     sys.path.insert(0, str(src))
     import logstab
@@ -347,15 +368,17 @@ def listing(src: Path, arrays: dict) -> list[tuple[str, str, str, str]]:
     if Path(logstab.__file__).resolve().parent != (src / "logstab").resolve():
         raise RuntimeError(f"logstab was imported from {logstab.__file__}, not from {src}")
     reference = _reference()
-    rows = []
+    rows, arrays = [], {}
     for name, call, ref in _corpus(logstab):
         try:
             out = call()
         except logstab.LogstabError as exc:
-            rows.append((name, _digest((type(exc).__name__, str(exc), getattr(exc, "last_time", None))), "-", "-"))
+            error = (type(exc).__name__, str(exc), getattr(exc, "last_time", None))
+            rows.append((name, _digest(_leaves(error)), "-", "-"))
             arrays[name] = None
             continue
-        arrays[name] = dict(_floats(out))
+        leaves = list(_leaves(out))
+        arrays[name] = _floats(leaves)
         switch = getattr(out, "stiff_from", None)
         err, want = "-", None
         if callable(ref):
@@ -364,8 +387,8 @@ def listing(src: Path, arrays: dict) -> list[tuple[str, str, str, str]]:
             tag, want = "lsoda", np.array(reference({"delta": ref[0], "x0": list(ref[1]), "times": out.times.tolist()}))
         if want is not None:
             err = f"{tag}={float((np.abs(out.states - want) / np.maximum(1.0, np.abs(want))).max()):.2e}"
-        rows.append((name, _digest(out), "-" if switch is None else f"{switch:.4f}", err))
-    return rows
+        rows.append((name, _digest(leaves), "-" if switch is None else f"{switch:.4f}", err))
+    return rows, arrays
 
 
 def _print_listing(rows) -> None:
@@ -376,24 +399,18 @@ def _print_listing(rows) -> None:
         print("worst LSODA error: {:.2e} ({})".format(*max(errs)))
 
 
-def _child_listing(src: Path, arrays: Path) -> tuple[list[tuple[str, ...]], dict]:
-    """The listing of the tree at src, run in its own process, and its records' float arrays."""
-    out = subprocess.run(
-        [sys.executable, __file__, "--src", str(src), "--arrays", str(arrays)],
+def _child_listing(src: Path, out: Path) -> tuple[list[tuple[str, ...]], dict]:
+    """``listing`` of the tree at src, run in its own process, which pickles it to out."""
+    run = subprocess.run(
+        [sys.executable, __file__, "--src", str(src), "--out", str(out)],
         capture_output=True,
         text=True,
         check=False,
         cwd=REPO,
     )
-    if out.returncode:
-        raise SystemExit(f"fingerprint failed on {src}:\n{out.stderr}")
-    rows = []
-    for line in out.stdout.splitlines():
-        if line.startswith("worst LSODA error"):
-            continue
-        name, sha, switch, err = line.split()
-        rows.append((name, sha, switch.removeprefix("switch="), err))
-    return rows, pickle.loads(arrays.read_bytes())
+    if run.returncode:
+        raise SystemExit(f"fingerprint failed on {src}:\n{run.stderr}")
+    return pickle.loads(out.read_bytes())
 
 
 def against(rev: str) -> None:
@@ -422,15 +439,15 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REV", help="compare this tree with the committed tree of REV")
     parser.add_argument("--src", type=Path, default=REPO / "src", help="import logstab from this directory")
-    parser.add_argument("--arrays", type=Path, help="also pickle each record's float arrays to this file")
+    parser.add_argument("--out", type=Path, help="also pickle the listing's rows and records' floats to this file")
     args = parser.parse_args(argv)
     if args.against:
         against(args.against)
     else:
-        arrays = {}
-        _print_listing(listing(args.src, arrays))
-        if args.arrays:
-            args.arrays.write_bytes(pickle.dumps(arrays))
+        rows, arrays = listing(args.src)
+        _print_listing(rows)
+        if args.out:
+            args.out.write_bytes(pickle.dumps((rows, arrays)))
 
 
 if __name__ == "__main__":
