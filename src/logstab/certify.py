@@ -9,11 +9,11 @@ the built-in demo scenarios exhibit, not to prove global statements.
 The contraction sweep and the Demidovich check call ``system.jacobian``
 directly; a Jacobian that cannot be evaluated raises EvaluationError naming
 the failing sample's x and t (or, for a stacked output of the wrong shape,
-the stack). The Demidovich check makes one stacked Jacobian call per time
-slice (see the stack contract in ``system``); the contraction sweep still
-takes one Jacobian and one log norm per sample. Every rate alpha(t) is
-evaluated through ``system._at_times``, which names the first t where it is
-not a finite number.
+the stack). The Demidovich check takes its two values as log norms of one
+stacked Jacobian call per time slice (see the stack contract in
+``system``); the contraction sweep still takes one Jacobian and one log norm
+per sample. Every rate alpha(t) is evaluated through ``system._at_times``,
+which names the first t where it is not a finite number.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionError, DivergedError, InvalidInputError, InvalidRateError
 from .errors import check_array, check_count, check_positive, check_window
 from .integrate import Trajectory, _cumulative_simpson, _simpson_nodes, error_budget, integrate
-from .linalg import NormKind, sym_eig_max, vec_norm
+from .linalg import NormKind, vec_norm
 from .lognorm import log_norm
 from .system import SystemSpec, _at_times, eval_rhs, jacobian
 
@@ -221,22 +221,20 @@ class DemidovichReport:
 def check_demidovich(sys: SystemSpec, p, domain: Domain, plan: SamplingPlan) -> DemidovichReport:
     """Check (P J + J^T P)/2 negative definite at every sampled (x, t).
 
-    Also cross-asserts, sample by sample, that the sign of the top eigenvalue
-    matches the sign of the weighted log norm of J: the two matrices are
-    congruent, so their verdicts must agree even though the values differ.
-    The Jacobians, the eigenvalues and the log norms are one call each over a
-    time slice's stack of samples. Stacking per slice rather than over the
+    Its top eigenvalue is the l2 log norm of P J, as (P J)^T = J^T P. Also
+    cross-asserts, sample by sample, that its sign matches the sign of the
+    weighted log norm of J: the two matrices are congruent, so their verdicts
+    must agree even though the values differ. Both values are log norms of
+    one time slice's Jacobian stack. Stacking per slice rather than over the
     whole sweep keeps the stacked temporaries, and so the peak memory, n_time
     times smaller.
     """
     kind = NormKind.weighted(p)
-    pm = kind.weight
     points, ts, n_samples = _sweep(sys, domain, kind, plan)
     max_eig, signs_agree = -np.inf, True
     for t in ts:
         j = jacobian(sys, points, t)
-        pj = pm @ j  # (P J)^T = J^T P
-        lam = sym_eig_max(0.5 * (pj + np.swapaxes(pj, -1, -2)))
+        lam = log_norm(kind.weight @ j, NormKind.l2())
         mu = log_norm(j, kind)
         decided = (np.abs(lam) > 1e-12) | (np.abs(mu) > 1e-12)
         max_eig = max(max_eig, float(lam.max()))

@@ -343,10 +343,17 @@ def parse_config(text: str) -> ScenarioConfig:
     if cfg.norm_kind == "weighted" and not (cfg.norm_weight or cfg.norm_weight_file):
         raise ConfigError("weighted norm needs weight or weight_file")
     if len(cfg.domain_lower) != len(cfg.domain_upper):
-        raise ConfigError("domain lower and upper have different lengths")
+        raise ConfigError("domain lower and upper have different lengths", _later_line(cfg, "lower", "upper"))
     if cfg.domain_lower and len(cfg.domain_lower) != cfg.dim:
-        raise ConfigError(f"domain has {len(cfg.domain_lower)} components, system dimension is {cfg.dim}")
+        message = f"domain has {len(cfg.domain_lower)} components, system dimension is {cfg.dim}"
+        raise ConfigError(message, _later_line(cfg, "lower", "upper"))
     return cfg
+
+
+def _later_line(cfg: ScenarioConfig, *keys: str):
+    """The later line of the [domain] ``keys`` that the scenario sets, None if it sets neither."""
+    lines = [cfg.key_lines.get(("domain", key)) for key in keys]
+    return max((ln for ln in lines if ln is not None), default=None)
 
 
 def _render(value) -> str:
@@ -398,9 +405,7 @@ def build_domain(cfg: ScenarioConfig) -> Domain:
     lower, upper = np.array(cfg.domain_lower), np.array(cfg.domain_upper)
     # Domain checks lower < upper before t_lo < t_hi; blame the later line of the failing pair
     pair = ("lower", "upper") if not np.all(lower < upper) else ("t_lo", "t_hi")
-    lines = [cfg.key_lines.get(("domain", key)) for key in pair]
-    lineno = max((ln for ln in lines if ln is not None), default=None)
-    return _at(lineno, Domain, lower, upper, cfg.t_lo, cfg.t_hi)
+    return _at(_later_line(cfg, *pair), Domain, lower, upper, cfg.t_lo, cfg.t_hi)
 
 
 def _compile_delta(cfg: ScenarioConfig):

@@ -2,11 +2,12 @@
 
 Each rule raises InvalidInputError naming the argument, and NaN fails each
 test: ``check_count`` (an integer, not a bool, no less than 1 or the stated
-least), ``check_window`` (finite lo < hi), ``check_positive`` (a real number
-> 0, not a bool, finite unless the caller allows inf), ``read_number`` (text
-that reads as a finite number), ``check_array`` (real entries, finite unless
-a caller tests NaN itself; DimensionError unless of the stated shape) and
-``linalg.NormKind.check_fits`` (DimensionError unless a weight is n x n).
+least), ``check_window`` (real numbers, not bools, finite lo < hi),
+``check_positive`` (a real number > 0, not a bool, finite unless the caller
+allows inf), ``read_number`` (text that reads as a finite number),
+``check_array`` (real entries, finite unless a caller tests NaN itself;
+DimensionError unless of the stated shape) and ``linalg.NormKind.check_fits``
+(DimensionError unless a weight is n x n).
 """
 
 import math
@@ -96,17 +97,20 @@ def check_count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: a ``numbers.Real`` that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_window(lo, hi, lo_name: str = "t0", hi_name: str = "tf") -> None:
-    """InvalidInputError unless lo < hi are both finite; the message calls them ``lo_name`` and ``hi_name``."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    """InvalidInputError unless lo < hi are finite real numbers; the message calls them ``lo_name`` and ``hi_name``."""
+    if not (_is_real(lo) and _is_real(hi) and math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidInputError(f"need finite {lo_name} < {hi_name}, got [{lo}, {hi}]")
 
 
 def check_positive(value, name: str, allow_inf: bool = False) -> float:
-    """``value`` as a float; InvalidInputError naming it unless it is a number > 0, finite unless ``allow_inf``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        value > 0.0 and (allow_inf or math.isfinite(value))
-    ):
+    """``value`` as a float; InvalidInputError naming it unless it is a real number > 0, finite unless ``allow_inf``."""
+    if not (_is_real(value) and value > 0.0 and (allow_inf or math.isfinite(value))):
         raise InvalidInputError(f"{name} must be a {'' if allow_inf else 'finite '}positive number, got {value!r}")
     return float(value)
 

@@ -148,9 +148,10 @@ def log_norm_quadratic_form(a, p) -> float:
     kind = NormKind.weighted(p)
     kind.check_fits(m.shape[0])
     pm = kind.weight
-    pencil = 0.5 * (pm @ m + m.T @ pm)
+    # halving before adding, as the closed form does, keeps every sum finite where the result is
+    pencil = 0.5 * (pm @ m) + 0.5 * (m.T @ pm)
     reduced = kind.weight_sqrt_inv @ pencil @ kind.weight_sqrt_inv
-    eigvals, _ = sym_eig(0.5 * (reduced + reduced.T), need_vectors=False)
+    eigvals, _ = sym_eig(0.5 * reduced + 0.5 * reduced.T, need_vectors=False)
     return float(eigvals[-1])
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import logstab.certify as certify_module
 from logstab.certify import (
     CONVERGENT_INTEGRAL,
     DIVERGENT_INTEGRAL,
+    INCONCLUSIVE,
     Domain,
     RATIO_PERSISTS,
     RATIO_VANISHES,
@@ -19,11 +21,11 @@ from logstab.certify import (
     verify_incremental_bound,
     verify_origin_convergence,
 )
-from logstab.errors import DimensionError, EvaluationError, InvalidInputError, InvalidRateError
+from logstab.errors import DimensionError, DivergedError, EvaluationError, InvalidInputError, InvalidRateError
 from logstab.expr import compile_expression, parse_expression
 from logstab.integrate import IntegratorConfig, Trajectory, check_transition_bounds, integrate
 from logstab.linalg import NormKind, sym_eig_max
-from logstab.lognorm import log_norm
+from logstab.lognorm import log_norm, log_norm_quadratic_form
 from logstab.system import SystemSpec, jacobian
 
 from conftest import planar_demo_mu_l2, random_spd, spy
@@ -306,6 +308,23 @@ class TestDemidovich:
             check_demidovich(sys, np.eye(2), box(2, 1.0), SamplingPlan(n_space=5))
         assert err.value.x is None and err.value.t == 0.0
 
+    def test_identity_weight_gives_the_l2_certificate_sup(self):
+        # with P = I the top eigenvalue is mu_2[J], so the report and the l2 certificate agree to the bit
+        sys, domain = _demo_system("plain callables"), box(2, 10.0)
+        for seed in range(20):
+            plan = SamplingPlan(n_space=50, n_time=5, scheme="uniform_random", seed=seed)
+            rep = check_demidovich(sys, np.eye(2), domain, plan)
+            assert rep.max_eigenvalue == estimate_contraction_rate(sys, domain, NormKind.l2(), plan).mu_sup, seed
+
+    def test_finite_value_for_huge_finite_entries(self):
+        # P J + J^T P overflows, yet its top eigenvalue, -1e308 + 1.5e308, is finite
+        j = np.array([[-1e308, 1.5e308], [1.5e308, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_demidovich(constant_jacobian_system(j), np.eye(2), box(2, 1.0), SamplingPlan(n_space=3))
+            assert (rep.max_eigenvalue, rep.passed, rep.sign_agreement_ok) == (5e307, False, True)
+            assert log_norm_quadratic_form(j, np.eye(2)) == pytest.approx(5e307, rel=1e-15)
+
     def test_demo_field_passes_with_identity_weight(self, fig1_system):
         rep = check_demidovich(fig1_system, np.eye(2), box(2, 10.0), SamplingPlan(n_space=21, n_time=3))
         assert rep.passed
@@ -339,6 +358,13 @@ class TestForcingRatio:
         sys = SystemSpec(dim=1, f=lambda x, t: -x)
         rep = check_forcing_ratio(sys, lambda t: 1.0, 0.0, 10.0)
         assert rep.verdict == RATIO_VANISHES
+
+    def test_growing_ratio_is_inconclusive(self):
+        # |f(0, t) + delta(t)| / alpha(t) = t: a log-log slope of 1 neither vanishes nor persists
+        sys = SystemSpec(dim=1, f=lambda x, t: -x, delta=lambda t: np.array([t]))
+        rep = check_forcing_ratio(sys, lambda t: 1.0, 0.0, 20.0)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.trend_slope == pytest.approx(1.0, abs=1e-12)
 
     def test_nonpositive_rate_rejected(self, fig1_system):
         with pytest.raises(InvalidRateError):
@@ -399,6 +425,18 @@ class TestIncrementalBound:
         pairs = [(rng.uniform(-5, 5, size=2), rng.uniform(-5, 5, size=2)) for _ in range(3)]
         rep = verify_incremental_bound(fig1_system, pairs, 0.0, 4.0, cert.alpha0_estimate, NormKind.l2())
         assert rep.passed
+
+    def test_no_pairs_rejected(self, fig1_system):
+        with pytest.raises(InvalidInputError, match="^need at least one initial pair$"):
+            verify_incremental_bound(fig1_system, [], 0.0, 1.0, 0.5)
+
+    def test_divergent_pair_is_evidence_against_the_certificate(self):
+        # x' = x^2 from x = 1 blows up at t = 1, and pair 0's first state is integrated first
+        sys = SystemSpec(dim=1, f=lambda x, t: x * x)
+        pattern = r"^pair 0 diverged \(evidence against the contraction certificate\): step size underflow at t=1\.00"
+        with pytest.raises(DivergedError, match=pattern) as err:
+            verify_incremental_bound(sys, [(np.array([1.0]), np.array([2.0]))], 0.0, 2.0, 0.5)
+        assert err.value.last_time == pytest.approx(1.0, abs=1e-6)
 
     def test_alpha0_must_be_positive(self, fig1_system):
         with pytest.raises(InvalidInputError):

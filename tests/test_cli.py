@@ -10,6 +10,8 @@ import pytest
 
 from logstab.cli import main
 from logstab.csvio import load_trajectory_csv
+from logstab.demos import run_demo_example1
+from logstab.errors import InvalidInputError
 
 CONFIG = """
 [system]
@@ -112,11 +114,13 @@ class TestLognormCommand:
         assert main(["lognorm", "--inline", "1 2; 3 4", "--norm", f"weighted:{weight}"]) == 2
         assert "weight is 3x3 but the dimension is 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("norm", ["weighted", "l3"], ids=["non-finite weight", "unknown tag"])
+    @pytest.mark.parametrize(
+        "norm", ["weighted:{weight}", "l3", "weighted"], ids=["non-finite weight", "unknown tag", "no weight file"]
+    )
     def test_bad_later_norm_prints_nothing(self, tmp_path, capsys, norm):
         weight = tmp_path / "P.txt"
         weight.write_text("1 0\n0 nan\n")
-        flag = f"weighted:{weight}" if norm == "weighted" else norm
+        flag = norm.format(weight=weight)
         assert main(["lognorm", "--inline", "1 0; 0 1", "--norm", "l2", "--norm", flag]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
@@ -212,10 +216,22 @@ class TestCertifyCommand:
         assert main(["certify", "--config", str(tmp_path / "w.cfg"), "--out", str(tmp_path / "r")]) == 2
         assert "'x' is not a number" in capsys.readouterr().err
 
-    def test_config_error_exits_two(self, tmp_path):
+    @pytest.mark.parametrize(
+        "system, message",
+        [
+            ("type = builtin\nname = unknown_demo", "line 3: unknown builtin 'unknown_demo'; known: example1"),
+            ("type = foo", "line 2: system type must be builtin or expression, got 'foo'"),
+            ("type = expression\nf1 = -x1", "expression system needs dim"),
+            ("type = builtin\nname = example1\n= 1", "line 4: empty key"),
+            ("type = builtin\nname = example1", "scenario has no [domain] section"),
+        ],
+        ids=["unknown builtin", "unknown type", "no dim", "empty key", "no domain"],
+    )
+    def test_config_error_exits_two(self, tmp_path, capsys, system, message):
         cfg = tmp_path / "broken.cfg"
-        cfg.write_text("[system]\ntype = builtin\nname = unknown_demo\n")
-        assert main(["certify", "--config", str(cfg)]) == 2
+        cfg.write_text(f"[system]\n{system}\n")
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestUndefinedExpressions:
@@ -422,6 +438,13 @@ class TestDemoCommand:
 
     def test_unknown_demo_name(self, tmp_path):
         assert main(["demo", "other", "--out", str(tmp_path)]) == 2
+
+    def test_unknown_variant_is_refused_before_any_file(self, tmp_path):
+        # the CLI's --variant choices never reach this check, so the runner is called directly
+        message = "unknown demo variant 'fig3'; expected one of ('fig1', 'fig2')"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            run_demo_example1("fig3", tmp_path / "d")
+        assert not (tmp_path / "d").exists()
 
     def test_usage_error_exit_code(self):
         assert main(["demo", "example1", "--variant", "fig9"]) == 2

@@ -199,6 +199,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^line 5: {re.escape(message)}"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "domain, line, message",
+        [
+            ("lower = -1, -1\nupper = 1\n", 6, "domain lower and upper have different lengths"),
+            ("upper = 1\nt_hi = 3\nlower = -1, -1\n", 7, "domain lower and upper have different lengths"),
+            ("lower = -1, -1\n", 5, "domain lower and upper have different lengths"),
+            ("upper = 1\nlower = -1\nt_hi = 3\n", 6, "domain has 1 components, system dimension is 2"),
+        ],
+        ids=["upper short", "lower last", "no upper", "one component"],
+    )
+    def test_domain_of_the_wrong_length_blames_the_later_of_lower_and_upper(self, domain, line, message):
+        text = f"[system]\ntype = builtin\nname = example1\n[domain]\n{domain}"
+        with pytest.raises(ConfigError, match=f"^line {line}: {re.escape(message)}$"):
+            parse_config(text)
+
     def test_sampling_and_integrator_keys_build_their_objects(self):
         cfg = parse_config(DEMO_CONFIG.replace("method = ndf", "method = RK4\nstep = 0.02\nmax_steps = 500"))
         assert cfg.plan == SamplingPlan(n_space=41, n_time=5, scheme="uniform_grid", seed=42)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,10 +45,19 @@ class TestTrajectoryExport:
         with pytest.raises(InvalidInputError):
             export_component_csv(traj, 5, tmp_path / "oops.csv")
 
-    def test_loader_rejects_malformed_rows(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,x1\n0,1\n1\n", "row has 1 fields, expected 2"),
+            ("", "empty file"),
+            ("x1,t\n1,0\n", "expected header starting with 't'"),
+        ],
+        ids=["short row", "empty", "header"],
+    )
+    def test_loader_rejects_malformed_files(self, tmp_path, text, message):
         bad = tmp_path / "bad.csv"
-        bad.write_text("t,x1\n0,1\n1\n")
-        with pytest.raises(InvalidInputError):
+        bad.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{bad}: {message}')}$"):
             load_trajectory_csv(bad)
 
     def test_loader_rejects_non_numeric_cells(self, tmp_path):

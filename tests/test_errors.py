@@ -152,10 +152,13 @@ WINDOW_SITES = {
 @pytest.mark.parametrize("site", WINDOW_SITES)
 def test_window_rule(site):
     call, lo_name, hi_name = WINDOW_SITES[site]
-    # NaN fails every comparison, so a NaN end must not pass a "hi <= lo" test
-    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0), (1.0, 1.0), (2.0, 1.0)):
+    # NaN fails every comparison, so a NaN end must not pass a "hi <= lo" test; a bool is no time
+    bad_ends = [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0), (1.0, 1.0), (2.0, 1.0)]
+    bad_ends += [(0.0, True), (None, 1.0), ("0", 1.0), (0.0, 0j)]
+    for lo, hi in bad_ends:
         rejects(InvalidInputError, f"need finite {lo_name} < {hi_name}, got [{lo}, {hi}]", call, lo, hi)
     call([], 0.5, 2.0)
+    call([], np.float32(0.5), np.int64(2))
 
 
 # site -> (call(calls, value), name, whether inf is allowed)

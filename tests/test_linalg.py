@@ -280,3 +280,31 @@ class TestStacks:
             solve(mats, np.ones((3, 3, 1)))  # rows do not match n = 2
         with pytest.raises(DimensionError):
             solve(mats, np.ones((4, 2, 1)))  # stack of 4 against a stack of 3
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: vec_norm(np.zeros(0), NormKind.l2()), "vector must have at least one entry"),
+        (lambda: vec_norm(np.zeros((3, 0)), NormKind.l1()), "vector must have at least one entry"),
+        (lambda: induced_matrix_norm(np.zeros((0, 0)), NormKind.l2()), "matrix must be non-empty"),
+        (lambda: induced_matrix_norm(np.zeros((3, 0, 0)), NormKind.linf()), "matrix must be non-empty"),
+    ],
+    ids=["vector", "vector stack", "matrix", "matrix stack"],
+)
+def test_empty_operand_rejected(call, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "tag, weight, message",
+    [
+        ("weighted", None, "weighted norm requires a weight matrix"),
+        ("l2", np.eye(2), "norm kind 'l2' takes no weight matrix"),
+        ("l1", np.eye(2), "norm kind 'l1' takes no weight matrix"),
+    ],
+)
+def test_a_weight_goes_with_the_weighted_kind_alone(tag, weight, message):
+    with pytest.raises(InvalidNormError, match=f"^{message}$"):
+        NormKind(tag, weight)

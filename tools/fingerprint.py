@@ -32,13 +32,16 @@ rotation [[0, 1000], [-1000, 0]] under l1 with 200 pairs, diag(-1000, -1)
 under l2); the demo field without delta under ``auto`` to tf = 6, across its
 hand-off; x' = -x from (1, 1) with f and delta returning float32, under
 ``rk4`` to tf = 1; acceptance criterion 04's two reports; the demo's forcing-ratio
-report (fig1, the demo rate, t in [0, 20]) and its Demidovich report (fig1,
-P = I, the demo config's domain and plan); the files of the two demo variants;
-the exit code, stdout, stderr and files of ``logstab certify`` on the fig1 demo
-config and on an expression config whose ``abs`` leaves finite differences to
-the sweep, and of ``logstab simulate`` to tf = 20 on the demo field from
-(-2, 5) under ``ndf`` and under ``rk4``, which blows up near t = 9.31; those of
-``logstab lognorm`` on a 3x3 and a 2x2 matrix, each under l2 and a weighted
+report (fig1, the demo rate, t in [0, 20]) and its Demidovich reports (fig1,
+the demo config's domain and plan, with P = I and P = [[2, 0.3], [0.3, 1.5]]);
+the Demidovich report (P = I, 3x3 grid on [-1, 1]^2, two time slices) and the
+quadratic-form log norm (P = I) of the constant J = [[-1e308, 1.5e308],
+[1.5e308, -1e308]], whose P J + J^T P overflows; the files of the two demo
+variants; the exit code, stdout, stderr and files of ``logstab certify`` on the
+fig1 demo config and on an expression config whose ``abs`` leaves finite
+differences to the sweep, and of ``logstab simulate`` to tf = 20 on the demo
+field from (-2, 5) under ``ndf`` and under ``rk4``, which blows up near
+t = 9.31; those of ``logstab lognorm`` on a 3x3 and a 2x2 matrix, each under l2 and a weighted
 norm read from a file; ``log_norm`` of [[-1.7e308, 0], [1e308, 0]] under l1
 and of its transpose under linf, whose whole first column (row) overflows in
 absolute sum; and four inputs that the array rule of arguments refuses: a
@@ -280,12 +283,19 @@ def _corpus(logstab):
     yield "criterion_04", criterion_04, None
     yield "forcing_ratio/fig1", lambda: logstab.check_forcing_ratio(demo["fig1"], default_rate, 0.0, 20.0), None
 
-    def demidovich():
+    def demidovich(weight):
         cfg = parse_config(DEMO_CONFIGS["fig1"])
         domain = logstab.Domain(np.array(cfg.domain_lower), np.array(cfg.domain_upper), cfg.t_lo, cfg.t_hi)
-        return logstab.check_demidovich(demo["fig1"], np.eye(2), domain, cfg.plan)
+        return logstab.check_demidovich(demo["fig1"], weight, domain, cfg.plan)
 
-    yield "demidovich/fig1", demidovich, None
+    yield "demidovich/fig1", lambda: demidovich(np.eye(2)), None
+    yield "demidovich/weighted", lambda: demidovich(np.array([[2.0, 0.3], [0.3, 1.5]])), None
+    # P J + J^T P overflows for P = I, though its top eigenvalue, 5e307, is finite
+    huge_j = np.array([[-1e308, 1.5e308], [1.5e308, -1e308]])
+    constant_huge = logstab.SystemSpec(dim=2, f=lambda x, t: np.zeros(2), jac=lambda x, t: huge_j)
+    box2, plan2 = logstab.Domain(-np.ones(2), np.ones(2), 0.0, 1.0), logstab.SamplingPlan(n_space=3, n_time=2)
+    yield "demidovich/huge", lambda: logstab.check_demidovich(constant_huge, np.eye(2), box2, plan2), None
+    yield "lognorm/quadratic_form_huge", lambda: logstab.log_norm_quadratic_form(huge_j, np.eye(2)), None
 
     def demo_files(variant):
         with tempfile.TemporaryDirectory() as out:
