@@ -4,7 +4,9 @@ Three methods. ``rk4`` is a classic fixed-step RK4. ``ndf`` is the
 variable-order (1-5), quasi-constant-step NDF of Shampine & Reichelt
 ("The MATLAB ODE Suite", 1997): an implicit multistep method for stiff runs,
 solved by a simplified Newton iteration on an explicit inverse of
-I - h/((1 - kappa) gamma_k) J. The iteration stops once its predicted
+I - h/((1 - kappa) gamma_k) J. For n = 2 that inverse is taken in closed
+form, adj/det on the matrix scaled by a power of two, and makes no LAPACK
+call; larger systems call LAPACK. The iteration stops once its predicted
 remaining error, rate / (1 - rate) times the last correction, is below 0.03
 (10 eps / rel_tol at tolerances under 7e-14) in the scaled norm of the
 step's own error test, which accepts a step at 1. The rate is the
@@ -729,14 +731,39 @@ def _fold_correction(diffs: np.ndarray, order: int, corr: np.ndarray) -> None:
     diffs[order + 1 :: -1] = diffs[order + 1 :: -1].cumsum(axis=0)
 
 
+def _inverse_2x2(j_mat: np.ndarray, c: float) -> tuple[Optional[np.ndarray], float]:
+    """(M^-1, |M|_inf |M^-1|_inf) of M = I - c J for a 2x2 J; (None, inf) where det(M) is 0 or not finite.
+
+    M is scaled by the power of two 2^e that brings its largest entry into
+    [0.5, 1). The scaling is exact, no product in det(2^e M) overflows, and the
+    condition number does not change. M^-1 is 2^e adj(2^e M) / det(2^e M).
+    """
+    (j00, j01), (j10, j11) = j_mat.tolist()
+    m = (1.0 - c * j00, 0.0 - c * j01, 0.0 - c * j10, 1.0 - c * j11)  # 0.0 - x: the zero signs of I - c J
+    e = -math.frexp(max(map(abs, m)))[1]  # 0 where the largest entry is 0, inf or NaN
+    m00, m01, m10, m11 = [math.ldexp(v, e) for v in m]
+    det = m00 * m11 - m01 * m10
+    if det == 0.0 or not math.isfinite(det):
+        return None, math.inf
+    cond = max(abs(m00) + abs(m01), abs(m10) + abs(m11)) * max(abs(m11) + abs(m01), abs(m10) + abs(m00)) / abs(det)
+    return np.ldexp(np.array([[m11, -m01], [-m10, m00]]) / det, e), cond
+
+
 def _iteration_inverse(j_mat: np.ndarray, c: float, t: float) -> np.ndarray:
-    """Explicit inverse of the Newton matrix I - c J; ConditioningError when it is singular."""
-    m = np.eye(j_mat.shape[0]) - c * j_mat
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        inv = None
-    cond = np.inf if inv is None else np.abs(m).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+    """Explicit inverse of the Newton matrix M = I - c J; ConditioningError when it is singular.
+
+    Singular means |M|_inf |M^-1|_inf eps >= 1, or no inverse at all. A 2x2 M
+    is inverted in closed form by ``_inverse_2x2``, a larger one by LAPACK.
+    """
+    if j_mat.shape[0] == 2:
+        inv, cond = _inverse_2x2(j_mat, c)
+    else:
+        m = np.eye(j_mat.shape[0]) - c * j_mat
+        try:
+            inv = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            inv = None
+        cond = np.inf if inv is None else np.abs(m).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
     if not cond * np.finfo(float).eps < 1.0:
         raise ConditioningError(f"ndf iteration matrix I - {c:.6g} J is singular at t={t} (condition {cond:.3g})")
     return inv

@@ -5,12 +5,17 @@ numerical estimator built on the one-sided limit of (||I + theta*A|| - 1)/theta,
 and, for weighted norms, the quadratic-form formulation through the symmetric
 pencil. Under l2 and weighted norms the closed form of a 2x2 matrix is the
 exact eigenvalue formula of its symmetric part, so it makes no LAPACK call.
+The estimator's thetas are relative to the matrix's scale: where the
+smallest theta times the largest entry would make ||I + theta*A|| read ||A||
+rather than mu[A], it works on A scaled down by a power of two, so it stays
+finite and meaningful up to entries near the largest float.
 The routes cross-validate each other; tests treat the limit estimator as the
 oracle for the closed forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +107,36 @@ class LimitEstimate:
     successive_diffs: list[float] = field(default_factory=list)
 
 
+def _limit_scale(a_max: float, theta_min: float) -> int:
+    """The k for which theta_min * a_max / 2^k lies in (2^-11, 2^-10]; 0 where the product is at most 2^-10.
+
+    The product is taken as mantissas and exponents, so it cannot overflow.
+    """
+    (fa, ea), (ft, et) = math.frexp(a_max), math.frexp(theta_min)
+    f, e = math.frexp(fa * ft)
+    e += ea + et  # the product is f 2^e, and 2^-10 is 0.5 2^-9
+    return e + 10 - (f == 0.5) if f and (e, f) > (-9, 0.5) else 0
+
+
+def _scaled_up(table: LimitEstimate, k: int) -> LimitEstimate:
+    """The table of A = 2^k B along theta / 2^k, from B's table along theta.
+
+    A value beyond the float range, such as ||A|| at a large theta, reads inf.
+    """
+
+    def up(values):
+        return np.ldexp(values, k).tolist()
+
+    with np.errstate(over="ignore"):
+        return LimitEstimate(
+            float(np.ldexp(table.value, k)),
+            np.ldexp(table.thetas, -k).tolist(),
+            up(table.raw_values),
+            up(table.extrapolated),
+            up(table.successive_diffs),
+        )
+
+
 def log_norm_limit_table(a, kind: NormKind, theta_seq=None) -> LimitEstimate:
     """Evaluate (||I + theta*A|| - 1)/theta along a theta sequence.
 
@@ -109,6 +144,14 @@ def log_norm_limit_table(a, kind: NormKind, theta_seq=None) -> LimitEstimate:
     error term; the returned value is the extrapolation of the final pair.
     Successive differences of the raw values are recorded as convergence
     evidence (they are expected to shrink monotonically until roundoff).
+
+    The thetas are relative to the matrix's scale. Where the smallest theta
+    times max |a_ij| exceeds 2^-10, I + theta A would read ||A|| rather than
+    mu[A]. There the table is built on B = A / s, with s the power of two
+    that puts that product in (2^-11, 2^-10]; each value, extrapolation and
+    difference is taken on B and then multiplied by s. That is the table of
+    A along theta / s, the thetas it records. With the default sequence, s
+    is 1 for every matrix whose entries are under about 9.8e3.
     """
     m = as_square(a)
     if theta_seq is None:
@@ -119,8 +162,9 @@ def log_norm_limit_table(a, kind: NormKind, theta_seq=None) -> LimitEstimate:
     if any(t2 >= t1 for t1, t2 in zip(thetas, thetas[1:])):
         raise InvalidInputError("theta sequence must be strictly decreasing")
 
+    k = _limit_scale(float(np.abs(m).max()), thetas[-1])
     th = np.array(thetas)
-    norms = induced_matrix_norm(np.eye(m.shape[0]) + th[:, None, None] * m, kind)
+    norms = induced_matrix_norm(np.eye(m.shape[0]) + th[:, None, None] * (np.ldexp(m, -k) if k else m), kind)
     raw = ((norms - 1.0) / th).tolist()
     extrap = [
         (t1 * g2 - t2 * g1) / (t1 - t2)
@@ -128,7 +172,8 @@ def log_norm_limit_table(a, kind: NormKind, theta_seq=None) -> LimitEstimate:
     ]
     value = extrap[-1] if extrap else raw[-1]
     diffs = [abs(g2 - g1) for g1, g2 in zip(raw, raw[1:])]
-    return LimitEstimate(float(value), thetas, raw, extrap, diffs)
+    table = LimitEstimate(float(value), thetas, raw, extrap, diffs)
+    return _scaled_up(table, k) if k else table
 
 
 def log_norm_limit_estimate(a, kind: NormKind, theta_seq=None) -> float:

@@ -38,6 +38,26 @@ class TestTrajectoryExport:
         assert path.read_text() == "t,x1,x2,x3\n"
         assert "warning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "states",
+        [
+            np.array([[-0.0, 5e-324], [1.7976931348623157e308, 1e16], [0.1, -1.5]]),
+            np.zeros((0, 2)),
+        ],
+        ids=["edge-values", "empty"],
+    )
+    def test_files_are_savetxt_bytes(self, tmp_path, states, capsys):
+        times = np.arange(len(states)) / 3.0
+        traj = Trajectory(times, states)
+        export_trajectory_csv(traj, tmp_path / "t.csv")
+        export_component_csv(traj, 1, tmp_path / "x2.csv")
+        for name, header, table in [
+            ("t.csv", "t,x1,x2", np.column_stack((times, states))),
+            ("x2.csv", "t,x2", np.column_stack((times, states[:, 1]))),
+        ]:
+            np.savetxt(tmp_path / "oracle.csv", table, fmt="%.17g", delimiter=",", header=header, comments="")
+            assert (tmp_path / name).read_bytes() == (tmp_path / "oracle.csv").read_bytes(), name
+
     def test_component_export(self, tmp_path):
         traj = Trajectory(np.array([0.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
         path = export_component_csv(traj, 1, tmp_path / "x2.csv")

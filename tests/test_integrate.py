@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import warnings
 from pathlib import Path
 
@@ -814,6 +815,56 @@ class TestNDF:
         sys = SystemSpec(dim=2, f=lambda x, t: j @ x, jac=lambda x, t: j)
         with pytest.raises(ConditioningError, match="singular at t=0"):
             integrate(sys, np.array([0.0, 1.0]), 0.0, 1.0, IntegratorConfig(method="ndf", max_step=h))
+
+    # I - c J for c = 1: a zero row, [[1, 1], [1, 1 + 2^-52]] (det 2^-52, a finite condition over 1/eps), and
+    # entries that overflow to inf, where det is NaN
+    @pytest.mark.parametrize(
+        "j, c, condition",
+        [
+            (np.diag([0.0, 1.0]), 1.0, "inf"),
+            (np.array([[0.0, -1.0], [-1.0, -(2.0**-52)]]), 1.0, r"1\.8e\+16"),
+            (np.full((2, 2), 1e308), -1e10, "inf"),
+        ],
+        ids=["zero-row", "near-singular", "overflow"],
+    )
+    def test_singular_2x2_iteration_matrix_names_its_condition(self, j, c, condition):
+        message = re.escape(f"I - {c:.6g} J is singular at t=0.5 (condition ") + condition + r"\)"
+        with pytest.raises(ConditioningError, match=message):
+            integrate_module._iteration_inverse(j, c, 0.5)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e200])
+    def test_2x2_iteration_inverse_matches_lapack(self, scale):
+        # the closed form scales M by a power of two; at scale 1e200 its unscaled det would overflow
+        rng = np.random.default_rng(int(np.log10(scale)))
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            j = scale * rng.normal(size=(2, 2))
+            c = 10.0 ** rng.uniform(-4.0, 0.0)
+            m = np.eye(2) - c * j
+            want = np.linalg.inv(m)
+            cond = np.abs(m).sum(axis=1).max() * np.abs(want).sum(axis=1).max()
+            if cond * eps >= 0.01:
+                continue
+            got = integrate_module._iteration_inverse(j, c, 0.0)
+            assert np.abs(got - want).max() <= 4.0 * eps * cond * np.abs(want).max(), (j, c)
+
+    def test_2x2_ndf_run_makes_no_numpy_linalg_call(self, fig1_system, monkeypatch):
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"numpy.linalg.{name} called")
+
+            return call
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse(name))
+        traj = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method="ndf"))
+        assert traj.times[-1] == 20.0 and traj.n_steps > 1000
+        # n = 3 still inverts through LAPACK, so the patch is in force
+        a = np.diag([-1.0, -10.0, -1000.0])
+        sys3 = SystemSpec(dim=3, f=lambda x, t: a @ x, jac=lambda x, t: a)
+        with pytest.raises(AssertionError, match="numpy.linalg.inv called"):
+            integrate(sys3, np.ones(3), 0.0, 1.0, IntegratorConfig(method="ndf"))
 
     @pytest.mark.parametrize("method", ["ndf", "auto"])
     def test_start_step_needs_no_rejection_streak(self, fig1_system, monkeypatch, method):

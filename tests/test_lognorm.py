@@ -7,6 +7,8 @@ import pytest
 from logstab.errors import DimensionError, InvalidInputError, InvalidNormError
 from logstab.linalg import NormKind, induced_matrix_norm
 from logstab.lognorm import (
+    DEFAULT_THETA_SEQ,
+    _limit_scale,
     log_norm,
     log_norm_all_routes,
     log_norm_limit_estimate,
@@ -158,6 +160,42 @@ class TestLimitEstimate:
             log_norm_limit_estimate(np.eye(2), NormKind.l2(), theta_seq=[1e-2, 1e-1])
         with pytest.raises(InvalidInputError):
             log_norm_limit_estimate(np.eye(2), NormKind.l2(), theta_seq=[1e-2, -1e-3])
+
+    # J's I + theta J overflows at theta = 0.1 and J2's reads ||J2|| at theta = 1e-7 (+5.8e300 under l2, where mu is
+    # -2.2e300), unless the table is built on J / s
+    @pytest.mark.parametrize("tag", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize(
+        "a", [[[-1e308, 1.5e308], [1.5e308, -1e308]], [[-3e300, 1e300], [2e300, -5e300]]], ids=["J", "J2"]
+    )
+    def test_huge_entries_read_mu_not_the_norm(self, a, tag):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = log_norm_limit_table(a, NormKind(tag))
+        mu = log_norm(a, NormKind(tag))
+        assert abs(table.value - mu) <= 1e-6 * abs(mu)
+        # the thetas it records are those it used, each the default one over the same power of two
+        s = DEFAULT_THETA_SEQ[0] / table.thetas[0]
+        assert s == 2.0 ** round(np.log2(s))
+        assert table.thetas == [t / s for t in DEFAULT_THETA_SEQ]
+        assert 2.0**-11 < table.thetas[-1] * np.abs(a).max() <= 2.0**-10
+
+    # theta_min * a_max is 2^-10 and 1.5 2^-10 and 2^-9 in the first three rows; it overflows in the last but one
+    @pytest.mark.parametrize(
+        "a_max, theta_min, k",
+        [
+            (1.0, 2.0**-10, 0),
+            (1.5, 2.0**-10, 1),
+            (2.0, 2.0**-10, 1),
+            (9.7e3, 1e-7, 0),
+            (9.8e3, 1e-7, 1),
+            (1e308, 1e-7, 1010),
+            (1.7e308, 10.0, 1038),
+            (5e-324, 1e-7, 0),
+            (0.0, 1.0, 0),
+        ],
+    )
+    def test_limit_scale_puts_the_smallest_theta_step_in_range(self, a_max, theta_min, k):
+        assert _limit_scale(a_max, theta_min) == k
 
     @pytest.mark.parametrize("tag", ["l1", "l2", "linf", "weighted"])
     def test_oracle_triangle(self, tag):

@@ -36,18 +36,21 @@ report (fig1, the demo rate, t in [0, 20]) and its Demidovich reports (fig1,
 the demo config's domain and plan, with P = I and P = [[2, 0.3], [0.3, 1.5]]);
 the Demidovich report (P = I, 3x3 grid on [-1, 1]^2, two time slices) and the
 quadratic-form log norm (P = I) of the constant J = [[-1e308, 1.5e308],
-[1.5e308, -1e308]], whose P J + J^T P overflows; the files of the two demo
-variants; the exit code, stdout, stderr and files of ``logstab certify`` on the
-fig1 demo config and on an expression config whose ``abs`` leaves finite
-differences to the sweep, and of ``logstab simulate`` to tf = 20 on the demo
-field from (-2, 5) under ``ndf`` and under ``rk4``, which blows up near
-t = 9.31; those of ``logstab lognorm`` on a 3x3 and a 2x2 matrix, each under l2 and a weighted
+[1.5e308, -1e308]], whose P J + J^T P overflows; the limit-route tables of that
+J and of J2 = [[-3e300, 1e300], [2e300, -5e300]] under l1, l2 and linf; the files
+of the two demo variants; the exit code, stdout, stderr and files of
+``logstab certify`` on the fig1 demo config and on an expression config whose
+``abs`` leaves finite differences to the sweep, and of ``logstab simulate`` on
+the demo field from (-2, 5) to tf = 20 under ``ndf`` and under ``rk4``, which
+blows up near t = 9.31, and to tf = 9 under ``auto``; those of
+``logstab lognorm`` on a 3x3 and a 2x2 matrix, each under l2 and a weighted
 norm read from a file; ``log_norm`` of [[-1.7e308, 0], [1e308, 0]] under l1
 and of its transpose under linf, whose whole first column (row) overflows in
-absolute sum; and four inputs that the array rule of arguments refuses: a
+absolute sum; four inputs that the array rule of arguments refuses: a
 complex x0 under ``integrate``, a NaN second state in pair 0 and a 3-vector in
 pair 4 under ``verify_incremental_bound``, and a 3-D domain in the
-contraction sweep of the 2-D demo system.
+contraction sweep of the 2-D demo system; and an ``ndf`` run whose first
+iteration matrix is singular.
 
 ``--against REV`` exports REV with ``git archive`` into a temporary directory
 (nothing is registered in the repository) and runs the corpus on both trees,
@@ -73,6 +76,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import importlib.util
 import io
 import pickle
@@ -296,6 +300,12 @@ def _corpus(logstab):
     box2, plan2 = logstab.Domain(-np.ones(2), np.ones(2), 0.0, 1.0), logstab.SamplingPlan(n_space=3, n_time=2)
     yield "demidovich/huge", lambda: logstab.check_demidovich(constant_huge, np.eye(2), box2, plan2), None
     yield "lognorm/quadratic_form_huge", lambda: logstab.log_norm_quadratic_form(huge_j, np.eye(2)), None
+    # the limit route on huge_j, whose I + 0.1 J overflows, and on a J whose I + 1e-7 J reads ||J||, not mu[J]
+    huge_j2 = np.array([[-3e300, 1e300], [2e300, -5e300]])
+    kinds3 = [logstab.NormKind(tag) for tag in ("l1", "l2", "linf")]
+    yield "lognorm/limit_huge", (
+        lambda: [logstab.log_norm_limit_table(a, kind) for a in (huge_j, huge_j2) for kind in kinds3]
+    ), None
 
     def demo_files(variant):
         with tempfile.TemporaryDirectory() as out:
@@ -324,6 +334,10 @@ def _corpus(logstab):
         yield f"cli/simulate/{method}", (
             lambda method=method: command(simulate, {"scenario.cfg": DEMO_FIELD_CONFIG.format(method=method)})
         ), None
+    # the default method to tf = 9, the shape of most simulate runs in perfbench's stiff-trajectory workload
+    yield "cli/simulate/auto", (
+        lambda: command(simulate[:-1] + ["9"], {"scenario.cfg": DEMO_FIELD_CONFIG.format(method="auto")})
+    ), None
     lognorm = ["lognorm", "--inline", "-2 1 0; 0.5 -3 1; 0 2 -4", "--norm", "l2", "--norm", "weighted:{dir}/P.txt"]
     yield "cli/lognorm/weighted", lambda: command(lognorm, {"P.txt": "4 1 0\n1 3 1\n0 1 2\n"}), None
     lognorm_2x2 = ["lognorm", "--inline", "-2 1; 0 -3", "--norm", "l2", "--norm", "weighted:{dir}/P.txt"]
@@ -351,6 +365,14 @@ def _corpus(logstab):
     box3, plan3 = logstab.Domain(-np.ones(3), np.ones(3), 0.0, 1.0), logstab.SamplingPlan(n_space=3)
     yield "rule/certify/3d_domain", (
         lambda: logstab.estimate_contraction_rate(demo["fig1"], box3, logstab.NormKind.l2(), plan3)
+    ), None
+    # f vanishes at x0, so ndf's first step has order 1 and h = max_step = 0.1, where I - h/alpha_1 J has a zero row
+    singular_j = np.diag([importlib.import_module("logstab.integrate")._NDF_ALPHA[1] / 0.1, 0.0])
+    singular = logstab.SystemSpec(dim=2, f=lambda x, t: singular_j @ x, jac=lambda x, t: singular_j)
+    yield "rule/ndf/singular_iteration_matrix", (
+        lambda: logstab.integrate(
+            singular, np.array([0.0, 1.0]), 0.0, 1.0, logstab.IntegratorConfig(method="ndf", max_step=0.1)
+        )
     ), None
 
 
