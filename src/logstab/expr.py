@@ -211,8 +211,6 @@ def _mul(a, b):
 def _div(a, b):
     if _is_num(a, 0.0):
         return ast.Constant(0.0)
-    if _is_num(b, 1.0):
-        return a
     return ast.BinOp(a, ast.Div(), b)
 
 

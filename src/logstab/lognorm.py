@@ -7,8 +7,9 @@ pencil. Under l2 and weighted norms the closed form of a 2x2 matrix is the
 exact eigenvalue formula of its symmetric part, so it makes no LAPACK call.
 The estimator's thetas are relative to the matrix's scale: where the
 smallest theta times the largest entry would make ||I + theta*A|| read ||A||
-rather than mu[A], it works on A scaled down by a power of two, so it stays
-finite and meaningful up to entries near the largest float.
+rather than mu[A], it works on A scaled down by a power of two and scales
+the table back up by it, so it stays finite and meaningful up to entries
+near the largest float.
 The routes cross-validate each other; tests treat the limit estimator as the
 oracle for the closed forms.
 """
@@ -98,7 +99,14 @@ def log_norm_pair(a, kind: NormKind):
 
 @dataclass
 class LimitEstimate:
-    """Limit-definition estimate of mu[A] with convergence diagnostics."""
+    """Limit-definition estimate of mu[A] with convergence diagnostics.
+
+    ``thetas`` are the thetas that the table stands for: theta / 2^k where
+    log_norm_limit_table scaled A down by 2^k, so below 2^-1022 they are
+    rounded. Recomputing (||I + theta A|| - 1)/theta from a rounded theta
+    does not give ``raw_values`` exactly; where every theta stays normal it
+    gives them bit for bit.
+    """
 
     value: float
     thetas: list[float] = field(default_factory=list)
@@ -118,25 +126,6 @@ def _limit_scale(a_max: float, theta_min: float) -> int:
     return e + 10 - (f == 0.5) if f and (e, f) > (-9, 0.5) else 0
 
 
-def _scaled_up(table: LimitEstimate, k: int) -> LimitEstimate:
-    """The table of A = 2^k B along theta / 2^k, from B's table along theta.
-
-    A value beyond the float range, such as ||A|| at a large theta, reads inf.
-    """
-
-    def up(values):
-        return np.ldexp(values, k).tolist()
-
-    with np.errstate(over="ignore"):
-        return LimitEstimate(
-            float(np.ldexp(table.value, k)),
-            np.ldexp(table.thetas, -k).tolist(),
-            up(table.raw_values),
-            up(table.extrapolated),
-            up(table.successive_diffs),
-        )
-
-
 def log_norm_limit_table(a, kind: NormKind, theta_seq=None) -> LimitEstimate:
     """Evaluate (||I + theta*A|| - 1)/theta along a theta sequence.
 
@@ -149,9 +138,10 @@ def log_norm_limit_table(a, kind: NormKind, theta_seq=None) -> LimitEstimate:
     times max |a_ij| exceeds 2^-10, I + theta A would read ||A|| rather than
     mu[A]. There the table is built on B = A / s, with s the power of two
     that puts that product in (2^-11, 2^-10]; each value, extrapolation and
-    difference is taken on B and then multiplied by s. That is the table of
-    A along theta / s, the thetas it records. With the default sequence, s
-    is 1 for every matrix whose entries are under about 9.8e3.
+    difference is taken on B and then multiplied by s, and each theta divided
+    by s, before the one LimitEstimate is made. That is the table of A along
+    theta / s, the thetas it records. With the default sequence, s is 1, and
+    nothing is scaled, for every matrix whose entries are under about 9.8e3.
     """
     m = as_square(a)
     if theta_seq is None:
@@ -172,8 +162,13 @@ def log_norm_limit_table(a, kind: NormKind, theta_seq=None) -> LimitEstimate:
     ]
     value = extrap[-1] if extrap else raw[-1]
     diffs = [abs(g2 - g1) for g1, g2 in zip(raw, raw[1:])]
-    table = LimitEstimate(float(value), thetas, raw, extrap, diffs)
-    return _scaled_up(table, k) if k else table
+    if k:
+        # A = 2^k B along theta / 2^k; a value beyond the float range, such as ||A|| at a large theta, reads inf
+        with np.errstate(over="ignore"):
+            value = np.ldexp(value, k)
+            thetas = np.ldexp(thetas, -k).tolist()
+            raw, extrap, diffs = [np.ldexp(v, k).tolist() for v in (raw, extrap, diffs)]
+    return LimitEstimate(float(value), thetas, raw, extrap, diffs)
 
 
 def log_norm_limit_estimate(a, kind: NormKind, theta_seq=None) -> float:
@@ -202,19 +197,18 @@ def log_norm_quadratic_form(a, p) -> float:
 
 @dataclass
 class LogNormResult:
-    """One evaluation of mu[A]: the value, the norm kind, and the route used."""
+    """One evaluation of mu[A]: the value and the route used; the norm kind is the caller's own argument."""
 
     value: float
-    kind: NormKind
     method: str  # "closed_form" | "limit_estimate" | "quadratic_form"
 
 
 def log_norm_all_routes(a, kind: NormKind) -> list[LogNormResult]:
     """Evaluate mu[A] by every route applicable to the kind; the limit estimate takes DEFAULT_THETA_SEQ."""
     results = [
-        LogNormResult(log_norm(a, kind), kind, "closed_form"),
-        LogNormResult(log_norm_limit_estimate(a, kind), kind, "limit_estimate"),
+        LogNormResult(log_norm(a, kind), "closed_form"),
+        LogNormResult(log_norm_limit_estimate(a, kind), "limit_estimate"),
     ]
     if kind.tag == "weighted":
-        results.append(LogNormResult(log_norm_quadratic_form(a, kind.weight), kind, "quadratic_form"))
+        results.append(LogNormResult(log_norm_quadratic_form(a, kind.weight), "quadratic_form"))
     return results

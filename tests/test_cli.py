@@ -153,6 +153,20 @@ class TestCertifyCommand:
         assert (out_dir / "certificate.csv").exists()
         assert (out_dir / "ratio.csv").exists()
 
+    def test_ratio_without_alpha_is_judged_against_alpha0(self, tmp_path, capsys):
+        # mu[J] = -2 everywhere, so alpha0 = 2 and the ratio is exp(-t)/2, exp(-20)/2 at the default tf
+        cfg = tmp_path / "no_alpha.cfg"
+        cfg.write_text(
+            "[system]\ntype = expression\ndim = 1\nf1 = -2*x1\ndelta1 = exp(-t)\nx0 = 1\n"
+            "[domain]\nlower = -1\nupper = 1\nt_lo = 0\nt_hi = 1\n"
+        )
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        assert "  empirical rate alpha0 = 2\n" in capsys.readouterr().out
+        head = (tmp_path / "r" / "ratio.csv").read_text().split("\n[", 1)[0]  # the rows before [ratio_samples]
+        rows = dict(line.split(",", 1) for line in head.splitlines()[2:])
+        assert rows["verdict"] == "ratio_vanishes"
+        assert float(rows["final_ratio"]) == pytest.approx(np.exp(-20.0) / 2.0, rel=1e-4)
+
     def test_expanding_system_exits_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(
@@ -224,8 +238,9 @@ class TestCertifyCommand:
             ("type = expression\nf1 = -x1", "expression system needs dim"),
             ("type = builtin\nname = example1\n= 1", "line 4: empty key"),
             ("type = builtin\nname = example1", "scenario has no [domain] section"),
+            ("type = builtin\nname = example1\n[sampling]\nbogus = 1", "line 5: unknown key 'bogus' in [sampling]"),
         ],
-        ids=["unknown builtin", "unknown type", "no dim", "empty key", "no domain"],
+        ids=["unknown builtin", "unknown type", "no dim", "empty key", "no domain", "unknown sampling key"],
     )
     def test_config_error_exits_two(self, tmp_path, capsys, system, message):
         cfg = tmp_path / "broken.cfg"

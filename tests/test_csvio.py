@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from logstab.certify import Domain, SamplingPlan, estimate_contraction_rate
+from logstab.certify import Domain, RateIntegralReport, SamplingPlan, estimate_contraction_rate
 from logstab.csvio import (
     export_component_csv,
     export_report_csv,
@@ -101,6 +101,11 @@ class TestReportExport:
         assert "verdict,certified_on_domain" in text
         assert "[alpha_samples]" in text
         assert "plan.seed,42" in text
+
+    def test_number_lists_are_space_separated(self, tmp_path):
+        report = RateIntegralReport("divergent", 4.0, [1.0, 2.5, 4.0], [1.0, 1.5, 1.5])
+        rows = export_report_csv(report, tmp_path / "rate.csv").read_text().splitlines()
+        assert rows[4:6] == ["partial_totals,1 2.5 4", "increments,1 1.5 1.5"]
 
     def test_report_requires_dataclass(self, tmp_path):
         with pytest.raises(InvalidInputError):

@@ -131,6 +131,11 @@ class TestParseAndEval:
         with pytest.raises(ExprSyntaxError, match="nested more than"):
             parse_expression(f"({at_limit})^x")
 
+    def test_parser_overflow_is_reported_as_depth(self):
+        # Python's own parser runs out of stack on these unary minuses before the depth check sees a tree
+        err = pytest.raises(ExprSyntaxError, parse_expression, "-" * 5000 + "x")
+        assert str(err.value) == f"expression nested more than {MAX_DEPTH} levels deep (at position 0)"
+
 
 class TestSumChains:
     """A flat chain of sums and differences is one level deep, capped at MAX_TERMS terms."""
@@ -213,6 +218,10 @@ class TestDifferentiate:
     def test_negated_constant_derivative_folds(self):
         assert to_source(differentiate(parse_expression("-x"), "x")) == "-1.0"
         assert to_source(differentiate(parse_expression("-2*x"), "x")) == "-2.0"
+
+    @pytest.mark.parametrize("text, want", [("2*x + 3*x", "5.0"), ("2*x*3", "6.0"), ("x^0", "0.0")])
+    def test_constant_derivatives_fold(self, text, want):
+        assert to_source(differentiate(parse_expression(text), "x")) == want
 
     def test_abs_is_non_differentiable(self):
         with pytest.raises(NonDifferentiableError):

@@ -816,6 +816,16 @@ class TestNDF:
         with pytest.raises(ConditioningError, match="singular at t=0"):
             integrate(sys, np.array([0.0, 1.0]), 0.0, 1.0, IntegratorConfig(method="ndf", max_step=h))
 
+    def test_singular_3x3_iteration_matrix_names_its_condition(self):
+        # f vanishes at x0, so the first step has h = max_step and c = h/alpha_1 = 0.125; I - c J then has a
+        # zero pivot, which LAPACK refuses
+        j = np.diag([8.0, 0.0, 0.0])
+        sys = SystemSpec(dim=3, f=lambda x, t: j @ x, jac=lambda x, t: j)
+        cfg = IntegratorConfig(method="ndf", max_step=0.125 * _NDF_ALPHA[1])
+        message = re.escape("ndf iteration matrix I - 0.125 J is singular at t=0.0 (condition inf)")
+        with pytest.raises(ConditioningError, match=message):
+            integrate(sys, np.array([0.0, 1.0, 1.0]), 0.0, 1.0, cfg)
+
     # I - c J for c = 1: a zero row, [[1, 1], [1, 1 + 2^-52]] (det 2^-52, a finite condition over 1/eps), and
     # entries that overflow to inf, where det is NaN
     @pytest.mark.parametrize(

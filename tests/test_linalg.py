@@ -308,3 +308,28 @@ def test_empty_operand_rejected(call, message):
 def test_a_weight_goes_with_the_weighted_kind_alone(tag, weight, message):
     with pytest.raises(InvalidNormError, match=f"^{message}$"):
         NormKind(tag, weight)
+
+
+class TestNormKindValue:
+    def test_equal_by_tag_and_weight(self):
+        assert NormKind("l2") == NormKind.l2()
+        assert NormKind.weighted(np.diag([2.0, 3.0])) == NormKind.weighted([[2.0, 0.0], [0.0, 3.0]])
+        assert NormKind.l1() != NormKind.linf()
+        assert NormKind.weighted(np.eye(2)) != NormKind.l2()
+        assert NormKind.weighted(np.eye(2)) != NormKind.weighted(2.0 * np.eye(2))
+        assert NormKind.weighted(np.eye(2)) != NormKind.weighted(np.eye(3))
+
+    def test_other_types_are_not_implemented(self):
+        assert NormKind.l2().__eq__("l2") is NotImplemented
+        assert NormKind.l2() != "l2"
+
+    def test_hash_agrees_with_equality(self):
+        table = {NormKind.l1(): "l1", NormKind.weighted(np.eye(2)): "identity"}
+        assert table[NormKind("l1")] == "l1"
+        assert table[NormKind.weighted([[1.0, 0.0], [0.0, 1.0]])] == "identity"
+        assert NormKind.weighted(2.0 * np.eye(2)) not in table
+        assert len({NormKind.l2(), NormKind("l2"), NormKind.linf()}) == 2
+
+    def test_repr(self):
+        assert repr(NormKind("l2")) == "NormKind('l2')"
+        assert repr(NormKind.weighted(np.eye(2))) == "NormKind.weighted([[1.0, 0.0], [0.0, 1.0]])"

@@ -179,6 +179,18 @@ class TestLimitEstimate:
         assert table.thetas == [t / s for t in DEFAULT_THETA_SEQ]
         assert 2.0**-11 < table.thetas[-1] * np.abs(a).max() <= 2.0**-10
 
+    # max |b_ij| = 3.5 puts 1e5 B at k = 6 and 1e200 B at k = 653, where every theta / 2^k is still normal
+    @pytest.mark.parametrize("tag", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("scale, k", [(1e5, 6), (1e200, 653)])
+    def test_recorded_thetas_reproduce_the_raw_values(self, scale, k, tag):
+        a = scale * np.array([[-3.5, 1.0, 0.5], [2.0, -1.0, 0.25], [0.3, 1.5, -2.0]])
+        assert _limit_scale(np.abs(a).max(), DEFAULT_THETA_SEQ[-1]) == k
+        table = log_norm_limit_table(a, NormKind(tag))
+        th = np.array(table.thetas)
+        assert th.min() >= 2.0**-1022
+        recomputed = (induced_matrix_norm(np.eye(3) + th[:, None, None] * a, NormKind(tag)) - 1.0) / th
+        assert recomputed.tolist() == table.raw_values
+
     # theta_min * a_max is 2^-10 and 1.5 2^-10 and 2^-9 in the first three rows; it overflows in the last but one
     @pytest.mark.parametrize(
         "a_max, theta_min, k",

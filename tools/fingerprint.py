@@ -37,7 +37,9 @@ the demo config's domain and plan, with P = I and P = [[2, 0.3], [0.3, 1.5]]);
 the Demidovich report (P = I, 3x3 grid on [-1, 1]^2, two time slices) and the
 quadratic-form log norm (P = I) of the constant J = [[-1e308, 1.5e308],
 [1.5e308, -1e308]], whose P J + J^T P overflows; the limit-route tables of that
-J and of J2 = [[-3e300, 1e300], [2e300, -5e300]] under l1, l2 and linf; the files
+J and of J2 = [[-3e300, 1e300], [2e300, -5e300]] under l1, l2 and linf, and of a
+3x3 matrix with entries near 1e5, the one table on ordinary entries that is
+scaled (by 2^6), under the same three; the files
 of the two demo variants; the exit code, stdout, stderr and files of
 ``logstab certify`` on the fig1 demo config and on an expression config whose
 ``abs`` leaves finite differences to the sweep, and of ``logstab simulate`` on
@@ -49,8 +51,8 @@ and of its transpose under linf, whose whole first column (row) overflows in
 absolute sum; four inputs that the array rule of arguments refuses: a
 complex x0 under ``integrate``, a NaN second state in pair 0 and a 3-vector in
 pair 4 under ``verify_incremental_bound``, and a 3-D domain in the
-contraction sweep of the 2-D demo system; and an ``ndf`` run whose first
-iteration matrix is singular.
+contraction sweep of the 2-D demo system; and two ``ndf`` runs whose first
+iteration matrix is singular, a 2x2 one and a 3x3 one that LAPACK refuses.
 
 ``--against REV`` exports REV with ``git archive`` into a temporary directory
 (nothing is registered in the repository) and runs the corpus on both trees,
@@ -306,6 +308,8 @@ def _corpus(logstab):
     yield "lognorm/limit_huge", (
         lambda: [logstab.log_norm_limit_table(a, kind) for a in (huge_j, huge_j2) for kind in kinds3]
     ), None
+    scaled_b = 1e5 * np.array([[-3.5, 1.0, 0.5], [2.0, -1.0, 0.25], [0.3, 1.5, -2.0]])
+    yield "lognorm/limit_scaled", lambda: [logstab.log_norm_limit_table(scaled_b, kind) for kind in kinds3], None
 
     def demo_files(variant):
         with tempfile.TemporaryDirectory() as out:
@@ -367,11 +371,24 @@ def _corpus(logstab):
         lambda: logstab.estimate_contraction_rate(demo["fig1"], box3, logstab.NormKind.l2(), plan3)
     ), None
     # f vanishes at x0, so ndf's first step has order 1 and h = max_step = 0.1, where I - h/alpha_1 J has a zero row
-    singular_j = np.diag([importlib.import_module("logstab.integrate")._NDF_ALPHA[1] / 0.1, 0.0])
+    ndf_alpha1 = importlib.import_module("logstab.integrate")._NDF_ALPHA[1]
+    singular_j = np.diag([ndf_alpha1 / 0.1, 0.0])
     singular = logstab.SystemSpec(dim=2, f=lambda x, t: singular_j @ x, jac=lambda x, t: singular_j)
     yield "rule/ndf/singular_iteration_matrix", (
         lambda: logstab.integrate(
             singular, np.array([0.0, 1.0]), 0.0, 1.0, logstab.IntegratorConfig(method="ndf", max_step=0.1)
+        )
+    ), None
+    # the same with c = h/alpha_1 = 0.125 exactly: I - c J has a zero pivot, and LAPACK's inverse raises
+    singular_j3 = np.diag([8.0, 0.0, 0.0])
+    singular3 = logstab.SystemSpec(dim=3, f=lambda x, t: singular_j3 @ x, jac=lambda x, t: singular_j3)
+    yield "rule/ndf/singular_iteration_matrix_3x3", (
+        lambda: logstab.integrate(
+            singular3,
+            np.array([0.0, 1.0, 1.0]),
+            0.0,
+            1.0,
+            logstab.IntegratorConfig(method="ndf", max_step=0.125 * ndf_alpha1),
         )
     ), None
 
