@@ -39,12 +39,15 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_norm_flag(text: str) -> NormKind:
-    text = text.strip()
-    if text.startswith("weighted:"):
-        return NormKind.weighted(read_matrix_file(text.split(":", 1)[1]))
-    if text == "weighted":
+    """TAG or TAG:PFILE, read as ``[norm] kind`` is: the tag in any case, spaces around either part ignored."""
+    tag, _, path = text.partition(":")
+    tag, path = tag.strip().lower(), path.strip()
+    if tag != "weighted":
+        # NormKind refuses a path after l1, l2 or linf before any file is read
+        return NormKind(tag, path or None)
+    if not path:
         raise InvalidNormError("weighted norm needs a matrix file: weighted:PFILE")
-    return NormKind(text)
+    return NormKind.weighted(read_matrix_file(path))
 
 
 def cmd_lognorm(args) -> int:

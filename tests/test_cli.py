@@ -115,7 +115,9 @@ class TestLognormCommand:
         assert "weight is 3x3 but the dimension is 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "norm", ["weighted:{weight}", "l3", "weighted"], ids=["non-finite weight", "unknown tag", "no weight file"]
+        "norm",
+        ["weighted:{weight}", "l3", "weighted", "weighted:", "l2:{weight}"],
+        ids=["non-finite weight", "unknown tag", "no weight file", "empty weight path", "weight after l2"],
     )
     def test_bad_later_norm_prints_nothing(self, tmp_path, capsys, norm):
         weight = tmp_path / "P.txt"
@@ -124,6 +126,19 @@ class TestLognormCommand:
         assert main(["lognorm", "--inline", "1 0; 0 1", "--norm", "l2", "--norm", flag]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "norm, canonical",
+        [("L2", "l2"), ("WEIGHTED:{weight}", "weighted:{weight}"), ("weighted: {weight}", "weighted:{weight}")],
+    )
+    def test_norm_flag_is_read_as_the_config_key_is(self, tmp_path, capsys, norm, canonical):
+        weight = tmp_path / "P.txt"
+        weight.write_text("2 0.5\n0.5 1\n")
+        printed = []
+        for flag in (norm, canonical):
+            assert main(["lognorm", "--inline", "-2 1; 0 -3", "--norm", flag.format(weight=weight)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_missing_matrix_is_usage_error(self):
         assert main(["lognorm"]) == 2

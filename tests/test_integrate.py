@@ -1,5 +1,6 @@
-import importlib.util
+import importlib
 import re
+import runpy
 import warnings
 from pathlib import Path
 
@@ -1274,10 +1275,8 @@ def lsoda_demo_reference(variant, times):
     """The demo from (-2, 5) at times, by perfbench/reference.py: its own copy of the field, under scipy's LSODA."""
     pytest.importorskip("scipy.integrate")
     path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return np.array(module.reference_states({"delta": variant, "x0": [-2.0, 5.0], "times": times.tolist()}))
+    reference_states = runpy.run_path(str(path))["reference_states"]
+    return np.array(reference_states({"delta": variant, "x0": [-2.0, 5.0], "times": times.tolist()}))
 
 
 @pytest.mark.parametrize("variant", ["fig1", "fig2"])

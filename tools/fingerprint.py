@@ -34,6 +34,9 @@ hand-off; x' = -x from (1, 1) with f and delta returning float32, under
 ``rk4`` to tf = 1; acceptance criterion 04's two reports; the demo's forcing-ratio
 report (fig1, the demo rate, t in [0, 20]) and its Demidovich reports (fig1,
 the demo config's domain and plan, with P = I and P = [[2, 0.3], [0.3, 1.5]]);
+the contraction certificate of fig1 with the demo rate on that domain under
+l1, l2, linf and the weighted norm of that P, each on the demo's 41x41x5 grid
+and on a 2000-point Latin hypercube (5 slices, seed 3);
 the Demidovich report (P = I, 3x3 grid on [-1, 1]^2, two time slices) and the
 quadratic-form log norm (P = I) of the constant J = [[-1e308, 1.5e308],
 [1.5e308, -1e308]], whose P J + J^T P overflows; the limit-route tables of that
@@ -55,9 +58,9 @@ contraction sweep of the 2-D demo system; and two ``ndf`` runs whose first
 iteration matrix is singular, a 2x2 one and a 3x3 one that LAPACK refuses.
 
 ``--against REV`` exports REV with ``git archive`` into a temporary directory
-(nothing is registered in the repository) and runs the corpus on both trees,
-each in its own process, which pickles its rows and its records' float leaves
-to an ``--out`` file. It prints per record whether the two are bit-identical,
+(nothing is registered in the repository) and runs the corpus on both trees at
+once, each in a spawned worker of its own, which hands back its rows and its
+records' float leaves. It prints per record whether the two are bit-identical,
 with the switch times and LSODA errors of both, and the size of the move: the
 largest |x - y| / max(1, |y|) over the float arrays and numbers that both
 trees return (x this tree's, y REV's, paired by their path in the record, such
@@ -79,9 +82,10 @@ import contextlib
 import dataclasses
 import hashlib
 import importlib
-import importlib.util
 import io
+import multiprocessing
 import pickle
+import runpy
 import subprocess
 import sys
 import tarfile
@@ -289,13 +293,25 @@ def _corpus(logstab):
     yield "criterion_04", criterion_04, None
     yield "forcing_ratio/fig1", lambda: logstab.check_forcing_ratio(demo["fig1"], default_rate, 0.0, 20.0), None
 
-    def demidovich(weight):
-        cfg = parse_config(DEMO_CONFIGS["fig1"])
-        domain = logstab.Domain(np.array(cfg.domain_lower), np.array(cfg.domain_upper), cfg.t_lo, cfg.t_hi)
-        return logstab.check_demidovich(demo["fig1"], weight, domain, cfg.plan)
-
-    yield "demidovich/fig1", lambda: demidovich(np.eye(2)), None
-    yield "demidovich/weighted", lambda: demidovich(np.array([[2.0, 0.3], [0.3, 1.5]])), None
+    demo_cfg = parse_config(DEMO_CONFIGS["fig1"])
+    demo_box = logstab.Domain(
+        np.array(demo_cfg.domain_lower), np.array(demo_cfg.domain_upper), demo_cfg.t_lo, demo_cfg.t_hi
+    )
+    demo_weight = np.array([[2.0, 0.3], [0.3, 1.5]])
+    yield "demidovich/fig1", lambda: logstab.check_demidovich(demo["fig1"], np.eye(2), demo_box, demo_cfg.plan), None
+    yield "demidovich/weighted", (
+        lambda: logstab.check_demidovich(demo["fig1"], demo_weight, demo_box, demo_cfg.plan)
+    ), None
+    # the example1 certificate, with the demo's rate, under each norm on the demo's grid and on a Latin hypercube
+    lhs = logstab.SamplingPlan(n_space=2000, n_time=5, scheme="latin_hypercube", seed=3)
+    for tag in kinds:
+        kind = logstab.NormKind.weighted(demo_weight) if tag == "weighted" else logstab.NormKind(tag)
+        for plan_name, plan in (("grid", demo_cfg.plan), ("lhs", lhs)):
+            yield f"certify/example1/{tag}/{plan_name}", (
+                lambda kind=kind, plan=plan: logstab.estimate_contraction_rate(
+                    demo["fig1"], demo_box, kind, plan, default_rate
+                )
+            ), None
     # P J + J^T P overflows for P = I, though its top eigenvalue, 5e307, is finite
     huge_j = np.array([[-1e308, 1.5e308], [1.5e308, -1e308]])
     constant_huge = logstab.SystemSpec(dim=2, f=lambda x, t: np.zeros(2), jac=lambda x, t: huge_j)
@@ -395,13 +411,10 @@ def _corpus(logstab):
 
 def _reference():
     """perfbench/reference.py's ``reference_states``, or None without scipy."""
-    spec = importlib.util.spec_from_file_location("reference", REPO / "perfbench" / "reference.py")
-    module = importlib.util.module_from_spec(spec)
     try:
-        spec.loader.exec_module(module)
+        return runpy.run_path(str(REPO / "perfbench" / "reference.py"))["reference_states"]
     except ImportError:
         return None
-    return module.reference_states
 
 
 def listing(src: Path) -> tuple[list[tuple[str, str, str, str]], dict]:
@@ -448,27 +461,16 @@ def _print_listing(rows) -> None:
         print("worst LSODA error: {:.2e} ({})".format(*max(errs)))
 
 
-def _child_listing(src: Path, out: Path) -> tuple[list[tuple[str, ...]], dict]:
-    """``listing`` of the tree at src, run in its own process, which pickles it to out."""
-    run = subprocess.run(
-        [sys.executable, __file__, "--src", str(src), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        check=False,
-        cwd=REPO,
-    )
-    if run.returncode:
-        raise SystemExit(f"fingerprint failed on {src}:\n{run.stderr}")
-    return pickle.loads(out.read_bytes())
-
-
 def against(rev: str) -> None:
     archive = subprocess.run(["git", "-C", str(REPO), "archive", rev], capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         extra = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         tarfile.open(fileobj=io.BytesIO(archive)).extractall(tmp, **extra)
-        their_rows, their_arrays = _child_listing(Path(tmp) / "src", Path(tmp) / "theirs.pickle")
-        ours, our_arrays = _child_listing(REPO / "src", Path(tmp) / "ours.pickle")
+        # two logstab packages cannot share an interpreter, so each tree gets a fresh one
+        with multiprocessing.get_context("spawn").Pool(2, maxtasksperchild=1) as pool:
+            (their_rows, their_arrays), (ours, our_arrays) = pool.map(
+                listing, [Path(tmp) / "src", REPO / "src"], chunksize=1
+            )
     theirs = {row[0]: row[1:] for row in their_rows}
     same = 0
     print(f"{'record':<40} {'vs ' + rev:<14} switch (rev -> this)   error (rev -> this)          move")
@@ -487,13 +489,12 @@ def against(rev: str) -> None:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REV", help="compare this tree with the committed tree of REV")
-    parser.add_argument("--src", type=Path, default=REPO / "src", help="import logstab from this directory")
     parser.add_argument("--out", type=Path, help="also pickle the listing's rows and records' floats to this file")
     args = parser.parse_args(argv)
     if args.against:
         against(args.against)
     else:
-        rows, arrays = listing(args.src)
+        rows, arrays = listing(REPO / "src")
         _print_listing(rows)
         if args.out:
             args.out.write_bytes(pickle.dumps((rows, arrays)))
