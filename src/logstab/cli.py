@@ -40,11 +40,13 @@ def _finite_float(text: str) -> float:
 
 def _parse_norm_flag(text: str) -> NormKind:
     """TAG or TAG:PFILE, read as ``[norm] kind`` is: the tag in any case, spaces around either part ignored."""
-    tag, _, path = text.partition(":")
+    tag, colon, path = text.partition(":")
     tag, path = tag.strip().lower(), path.strip()
     if tag != "weighted":
-        # NormKind refuses a path after l1, l2 or linf before any file is read
-        return NormKind(tag, path or None)
+        kind = NormKind(tag)
+        if colon:
+            raise InvalidNormError(f"norm kind {tag!r} takes no weight matrix")
+        return kind
     if not path:
         raise InvalidNormError("weighted norm needs a matrix file: weighted:PFILE")
     return NormKind.weighted(read_matrix_file(path))

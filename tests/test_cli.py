@@ -116,8 +116,8 @@ class TestLognormCommand:
 
     @pytest.mark.parametrize(
         "norm",
-        ["weighted:{weight}", "l3", "weighted", "weighted:", "l2:{weight}"],
-        ids=["non-finite weight", "unknown tag", "no weight file", "empty weight path", "weight after l2"],
+        ["weighted:{weight}", "l3", "weighted", "weighted:", "l2:{weight}", "l2:"],
+        ids=["non-finite weight", "unknown tag", "no weight file", "empty weight path", "weight after l2", "colon after l2"],
     )
     def test_bad_later_norm_prints_nothing(self, tmp_path, capsys, norm):
         weight = tmp_path / "P.txt"

@@ -3,7 +3,6 @@
 Usage:
     python tools/fingerprint.py                 # this tree
     python tools/fingerprint.py --against REV   # this tree against the committed tree of REV
-    python tools/fingerprint.py --out FILE      # this tree, also pickled to FILE
 
 A record is one call of the library on fixed inputs. Its line holds the
 record's name and a SHA-256 of what the call returns; a call that raises one
@@ -60,7 +59,9 @@ iteration matrix is singular, a 2x2 one and a 3x3 one that LAPACK refuses.
 ``--against REV`` exports REV with ``git archive`` into a temporary directory
 (nothing is registered in the repository) and runs the corpus on both trees at
 once, each in a spawned worker of its own, which hands back its rows and its
-records' float leaves. It prints per record whether the two are bit-identical,
+records' float leaves. The workers' stdout and stderr (numpy's warnings, say)
+are discarded; a worker that raises passes its traceback on, and one that dies
+breaks the pool, so the tool stops rather than waits. It prints per record whether the two are bit-identical,
 with the switch times and LSODA errors of both, and the size of the move: the
 largest |x - y| / max(1, |y|) over the float arrays and numbers that both
 trees return (x this tree's, y REV's, paired by their path in the record, such
@@ -78,13 +79,14 @@ on a tree.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
 import importlib
 import io
 import multiprocessing
-import pickle
+import os
 import runpy
 import subprocess
 import sys
@@ -461,16 +463,20 @@ def _print_listing(rows) -> None:
         print("worst LSODA error: {:.2e} ({})".format(*max(errs)))
 
 
+def _quiet() -> None:
+    sys.stdout = sys.stderr = open(os.devnull, "w")
+
+
 def against(rev: str) -> None:
     archive = subprocess.run(["git", "-C", str(REPO), "archive", rev], capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         extra = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         tarfile.open(fileobj=io.BytesIO(archive)).extractall(tmp, **extra)
         # two logstab packages cannot share an interpreter, so each tree gets a fresh one
-        with multiprocessing.get_context("spawn").Pool(2, maxtasksperchild=1) as pool:
-            (their_rows, their_arrays), (ours, our_arrays) = pool.map(
-                listing, [Path(tmp) / "src", REPO / "src"], chunksize=1
-            )
+        with concurrent.futures.ProcessPoolExecutor(
+            2, multiprocessing.get_context("spawn"), _quiet, max_tasks_per_child=1
+        ) as pool:
+            (their_rows, their_arrays), (ours, our_arrays) = pool.map(listing, [Path(tmp) / "src", REPO / "src"])
     theirs = {row[0]: row[1:] for row in their_rows}
     same = 0
     print(f"{'record':<40} {'vs ' + rev:<14} switch (rev -> this)   error (rev -> this)          move")
@@ -489,15 +495,11 @@ def against(rev: str) -> None:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REV", help="compare this tree with the committed tree of REV")
-    parser.add_argument("--out", type=Path, help="also pickle the listing's rows and records' floats to this file")
     args = parser.parse_args(argv)
     if args.against:
         against(args.against)
     else:
-        rows, arrays = listing(REPO / "src")
-        _print_listing(rows)
-        if args.out:
-            args.out.write_bytes(pickle.dumps((rows, arrays)))
+        _print_listing(listing(REPO / "src")[0])
 
 
 if __name__ == "__main__":
