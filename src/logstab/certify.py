@@ -6,14 +6,18 @@ scoped to a sampled box and time window ("certified_on_domain") and carries
 its sampling metadata. The checks are designed to catch every failure mode
 the built-in demo scenarios exhibit, not to prove global statements.
 
-The contraction sweep and the Demidovich check call ``system.jacobian``
-directly; a Jacobian that cannot be evaluated raises EvaluationError naming
-the failing sample's x and t (or, for a stacked output of the wrong shape,
-the stack). The Demidovich check takes its two values as log norms of one
-stacked Jacobian call per time slice (see the stack contract in
-``system``); the contraction sweep still takes one Jacobian and one log norm
-per sample. Every rate alpha(t) is evaluated through ``system._at_times``,
-which names the first t where it is not a finite number.
+The contraction sweep and the Demidovich check take their Jacobians from
+one per-slice helper, ``_slice_jacobians``, which calls ``system.jacobian``
+on the stack of a time slice's sample points (see the stack contract in
+``system``); a Jacobian that cannot be evaluated raises EvaluationError
+naming the failing sample's x and t (or, for a stacked output of the wrong
+shape, the stack). The Demidovich check takes its two values as log norms
+of that stack. The contraction sweep does too wherever the system can
+evaluate a stack in one call (finite differences, or a ``jac`` carrying
+``stack``), and takes one Jacobian and one log norm per sample for a plain
+per-point ``jac``; both give the same certificate. Every rate alpha(t) is
+evaluated through ``system._at_times``, which names the first t where it is
+not a finite number.
 """
 
 from __future__ import annotations
@@ -125,6 +129,18 @@ def time_slices(domain: Domain, plan: SamplingPlan) -> np.ndarray:
     return np.linspace(domain.t_lo, domain.t_hi, plan.n_time)
 
 
+def _slice_jacobians(sys: SystemSpec, points: np.ndarray, ts: np.ndarray, per_sample: bool = False):
+    """Per time slice t of ``ts``, in order, the (N, n, n) stack of Jacobians at the N ``points``.
+
+    One ``jacobian`` call takes a whole slice, or, with ``per_sample``, one
+    call takes each sample. A slice's stack is the sweep's largest temporary:
+    stacking every slice at once would make it, and the peak memory, n_time
+    times larger.
+    """
+    for t in ts:
+        yield np.array([jacobian(sys, x, t) for x in points]) if per_sample else jacobian(sys, points, t)
+
+
 def _sweep(sys: SystemSpec, domain: Domain, kind: NormKind, plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray, int]:
     """The sample points (N, dim) and time slices of a sweep of ``sys`` over ``domain``, and their count.
 
@@ -176,12 +192,17 @@ def estimate_contraction_rate(
 
     The perturbation never enters: it is state-independent and cancels in the
     Jacobian. The certificate is a statement about the sampled points only.
+    A system that evaluates a stack in one call (finite differences, or a
+    ``jac`` carrying ``stack``) takes one Jacobian and one log norm per time
+    slice, a plain per-point ``jac`` one of each per sample; both give the
+    same certificate.
     """
     points, ts, n_samples = _sweep(sys, domain, kind, plan)
+    stacked = sys.jac is None or getattr(sys.jac, "stack", None) is not None
     sups, arg_index = [], []
-    for t in ts:
-        # one jacobian and one log_norm call per sample; perfbench/tests count the spans of both
-        mus = np.array([log_norm(jacobian(sys, x, t), kind) for x in points])
+    for j in _slice_jacobians(sys, points, ts, per_sample=not stacked):
+        # a plain per-point jac keeps one log_norm per sample, as perfbench/tests pins
+        mus = log_norm(j, kind) if stacked else np.array([log_norm(m, kind) for m in j])
         arg_index.append(int(np.argmax(mus)))  # the first maximum wins, in each slice and across them
         sups.append(float(mus[arg_index[-1]]))
     best = int(np.argmax(sups))
@@ -225,15 +246,12 @@ def check_demidovich(sys: SystemSpec, p, domain: Domain, plan: SamplingPlan) -> 
     cross-asserts, sample by sample, that its sign matches the sign of the
     weighted log norm of J: the two matrices are congruent, so their verdicts
     must agree even though the values differ. Both values are log norms of
-    one time slice's Jacobian stack. Stacking per slice rather than over the
-    whole sweep keeps the stacked temporaries, and so the peak memory, n_time
-    times smaller.
+    one time slice's Jacobian stack.
     """
     kind = NormKind.weighted(p)
     points, ts, n_samples = _sweep(sys, domain, kind, plan)
     max_eig, signs_agree = -np.inf, True
-    for t in ts:
-        j = jacobian(sys, points, t)
+    for j in _slice_jacobians(sys, points, ts):
         lam = log_norm(kind.weight @ j, NormKind.l2())
         mu = log_norm(j, kind)
         decided = (np.abs(lam) > 1e-12) | (np.abs(mu) > 1e-12)

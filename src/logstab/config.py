@@ -419,8 +419,36 @@ def _compile_delta(cfg: ScenarioConfig):
     return delta
 
 
+def _stacked(point, fn, shape: tuple):
+    """The ``stack`` of the per-point callable ``point``: ``fn`` on the columns of a stack (N, n) of states.
+
+    ``fn`` is the same expressions as ``point``, compiled in the numpy
+    namespace to a flat list of its entries. Where it raises, as numpy does
+    under ``np.errstate(all="raise")`` wherever an entry is undefined,
+    overflows or underflows, the stack is evaluated row by row through
+    ``point``, so the values, the NaN and the error that reports it are the
+    row path's.
+    """
+
+    def stack(xs: np.ndarray, t: float) -> np.ndarray:
+        try:
+            entries = fn(*np.ascontiguousarray(xs.T), float(t))
+        except (ArithmeticError, ValueError):
+            return np.array([point(x, t) for x in xs])
+        out = np.empty((len(xs), len(entries)))
+        for i, entry in enumerate(entries):  # an entry in t alone is one float for every row
+            out[:, i] = entry
+        return out.reshape((len(xs),) + shape)
+
+    return stack
+
+
 def build_system(cfg: ScenarioConfig) -> SystemSpec:
-    """Instantiate the scenario's SystemSpec (builtin or expression-defined)."""
+    """Instantiate the scenario's SystemSpec (builtin or expression-defined).
+
+    An expression system's ``f`` and ``jac`` each carry a ``stack``: the same
+    expressions, printed once more and compiled in the numpy namespace.
+    """
     if cfg.system_kind == "builtin":
         return build_example1(**cfg.builtin_params, delta=_compile_delta(cfg))
 
@@ -431,6 +459,7 @@ def build_system(cfg: ScenarioConfig) -> SystemSpec:
     def f(x: np.ndarray, t: float) -> np.ndarray:
         return np.array(f_fn(*x.tolist(), float(t)))
 
+    f.stack = _stacked(f, compile_expression(nodes, names, "numpy"), (cfg.dim,))
     try:
         rows = [[differentiate(node, f"x{j + 1}") for j in range(cfg.dim)] for node in nodes]
         jac_fn = compile_expression(rows, names)
@@ -438,6 +467,8 @@ def build_system(cfg: ScenarioConfig) -> SystemSpec:
         def jac(x: np.ndarray, t: float) -> np.ndarray:
             return np.array(jac_fn(*x.tolist(), float(t)))
 
+        entries = [d for row in rows for d in row]
+        jac.stack = _stacked(jac, compile_expression(entries, names, "numpy"), (cfg.dim, cfg.dim))
     except NonDifferentiableError:
         jac = None  # finite differences take over
 

@@ -17,9 +17,10 @@ are constants. They differentiate symbolically except through abs, which
 reports itself as non-differentiable so callers can fall back to finite
 differences; constants are folded as the derivative is built, so a partial
 derivative that is structurally zero is the constant 0 whatever the signs of
-the coefficients. compile_expression generates one Python function over
-math-module functions for one expression, or for a whole list (field,
-perturbation) or list of lists (Jacobian) of them.
+the coefficients. compile_expression generates one Python function for one
+expression, or for a whole list (field, perturbation) or list of lists
+(Jacobian) of them, from the one printer ``to_source``: over math-module
+functions for one point, or over numpy's for the columns of a stack of points.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import ast
 import math
 import re
+
+import numpy as np
 
 from .errors import LogstabError
 
@@ -264,9 +267,23 @@ def _diff_power(u: ast.expr, v: ast.expr, du: ast.expr, dv: ast.expr) -> ast.exp
     return _mul(_call("pow", u, v), inner)
 
 
-# what compiled expressions call: every known function, and _nan
-_NAMESPACE = {fn: getattr(math, fn) for fn in FUNCTIONS_1 + FUNCTIONS_2 if fn != "abs"}
-_NAMESPACE.update(abs=abs, _nan=math.nan)
+def _math_or_numpy(fn: str):
+    """The numpy namespace's ``fn``: math's on Python floats, numpy's on anything else."""
+    by_math, by_numpy = getattr(math, fn), getattr(np, "power" if fn == "pow" else fn)
+
+    def either(*args):
+        return by_math(*args) if all(type(a) is float for a in args) else by_numpy(*args)
+
+    return either
+
+
+_ROUTINES = [fn for fn in FUNCTIONS_1 + FUNCTIONS_2 if fn != "abs"]
+# what compiled expressions call, per namespace: every known function (abs is the builtin,
+# which takes floats and arrays alike), and what each namespace needs for its undefined case
+_NAMESPACES = {
+    "math": {**{fn: getattr(math, fn) for fn in _ROUTINES}, "abs": abs, "_nan": math.nan},
+    "numpy": {**{fn: _math_or_numpy(fn) for fn in _ROUTINES}, "abs": abs, "_errstate": np.errstate},
+}
 
 
 _SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
@@ -319,35 +336,52 @@ def _render(tree, leaf) -> str:
     return f"[{', '.join(_render(item, leaf) for item in tree)}]"
 
 
-def compile_expression(tree, arg_names: list[str]):
+def compile_expression(tree, arg_names: list[str], namespace: str = "math"):
     """Compile an expression, or a nested list of them, to one Python function.
 
-    ``tree`` is one node, giving a function that returns a float, or a list
+    ``tree`` is one node, giving a function that returns one value, or a list
     (or a list of lists) of nodes, giving a function that returns a list (or
-    a list of lists) of floats of the same shape: a whole field, Jacobian or
+    a list of lists) of values of the same shape: a whole field, Jacobian or
     perturbation is one call. Rejects free variables outside ``arg_names``,
     and argument names that would hide a name the function uses. The
     generated source only ever contains to_source of the parsed trees, so
     exec here is a code generator, not an evaluator of user text. Powers are
-    real (math.pow). Every entry is evaluated inside one ``try``, so if any
-    of them is undefined at a point (log of a negative number, division by
-    zero, overflow), the whole result is NaN, of the same shape, and the
-    callers' finiteness checks report it. Call the function with Python
-    floats: on numpy scalars a division by zero gives inf and a warning, not
-    an error.
+    real (math.pow, numpy.power).
+
+    ``namespace`` names what the printed text is evaluated with, and each
+    namespace decides its own undefined case:
+
+    - ``"math"``: the math module, on Python floats. Every entry is
+      evaluated inside one ``try``, so if any of them is undefined at a point
+      (log of a negative number, division by zero, overflow), the whole
+      result is NaN, of the same shape, and the callers' finiteness checks
+      report it. Call the function with Python floats: on numpy scalars a
+      division by zero gives inf and a warning, not an error.
+    - ``"numpy"``: each function is math's when all its arguments are
+      Python floats and numpy's otherwise, so the arguments may be arrays of
+      one shape, and a subtree of Python floats (constants, t) gives the
+      math namespace's bits. The function runs under
+      ``np.errstate(all="raise")``, so where an entry is undefined, overflows
+      or underflows it raises ArithmeticError (or ValueError, from math)
+      instead of returning a value; the caller decides what that means. An
+      entry that depends on no array argument is a Python float.
     """
     unknown = set().union(*map(free_variables, _leaves(tree))) - set(arg_names)
     if unknown:
         raise ExprSyntaxError(f"unknown symbol(s) {sorted(unknown)}; declared: {arg_names}", 0)
-    hidden = set(arg_names) & _NAMESPACE.keys()
+    names = _NAMESPACES[namespace]
+    hidden = set(arg_names) & names.keys()
     if hidden:
         raise ExprSyntaxError(f"argument name(s) {sorted(hidden)} would hide a name the function uses", 0)
-    src = (
-        f"def _compiled({', '.join(arg_names)}):\n"
-        f"    try:\n        return {_render(tree, to_source)}\n"
-        "    except (ArithmeticError, ValueError):\n"
-        f"        return {_render(tree, lambda node: '_nan')}\n"
-    )
-    namespace = dict(_NAMESPACE)
-    exec(compile(src, "<expression>", "exec"), namespace)
-    return namespace["_compiled"]
+    value = _render(tree, to_source)
+    if namespace == "math":
+        body = (
+            f"    try:\n        return {value}\n"
+            "    except (ArithmeticError, ValueError):\n"
+            f"        return {_render(tree, lambda node: '_nan')}\n"
+        )
+    else:
+        body = f'    with _errstate(all="raise"):\n        return {value}\n'
+    scope = dict(names)
+    exec(compile(f"def _compiled({', '.join(arg_names)}):\n{body}", "<expression>", "exec"), scope)
+    return scope["_compiled"]

@@ -38,6 +38,12 @@ def spy(owner, attr):
     return calls
 
 
+def without_stacks(sys):
+    """``sys`` with plain wrappers of its f and jac, which carry no ``stack``: a stack goes row by row."""
+    jac = None if sys.jac is None else (lambda x, t: sys.jac(x, t))
+    return SystemSpec(dim=sys.dim, f=lambda x, t: sys.f(x, t), jac=jac, delta=sys.delta)
+
+
 def random_spd(rng, n, shift=None):
     q = rng.normal(size=(n, n))
     return q.T @ q + (n if shift is None else shift) * np.eye(n)

@@ -28,20 +28,31 @@ from logstab.linalg import NormKind, sym_eig_max
 from logstab.lognorm import log_norm, log_norm_quadratic_form
 from logstab.system import SystemSpec, jacobian
 
-from conftest import planar_demo_mu_l2, random_spd, spy
+from conftest import planar_demo_mu_l2, random_spd, spy, without_stacks
 from logstab.config import build_system, parse_config
 from logstab.demos import build_example1, default_rate, delta_admissible
 
 
 def _demo_system(source):
-    """The demo field built three ways: natively stacked, from expressions, and from plain callables."""
+    """The demo field built four ways: natively stacked, from expressions, by finite differences and from plain callables."""
     native = build_example1(delta=delta_admissible)
     if source == "builtin":
         return native
     if source == "expression":
         return build_system(parse_config(DEMO_EXPRESSION))
-    # wrappers carry no stack: a stack is evaluated row by row
-    return SystemSpec(dim=2, f=lambda x, t: native.f(x, t), jac=lambda x, t: native.jac(x, t), delta=native.delta)
+    if source == "finite differences":
+        return SystemSpec(dim=2, f=native.f, delta=native.delta)
+    return without_stacks(native)
+
+
+SOURCES = ["builtin", "expression", "finite differences", "plain callables"]
+DEMO_WEIGHT = np.array([[2.0, 0.3], [0.3, 1.5]])
+KINDS = {"l1": NormKind.l1(), "l2": NormKind.l2(), "linf": NormKind.linf(), "weighted": NormKind.weighted(DEMO_WEIGHT)}
+
+
+def _per_sample(sys):
+    """``sys`` with a plain per-point jac, whose certificate takes one Jacobian and one log norm per sample."""
+    return SystemSpec(dim=sys.dim, f=sys.f, jac=lambda x, t: jacobian(sys, x, t), delta=sys.delta)
 
 
 DEMO_EXPRESSION = "[system]\ntype = expression\ndim = 2\nf1 = (-6 - t^3)*x1 + sin(x1)\nf2 = 5*x1 + (2 + (-6 - t^3))*x2 + sin(x2)\n"
@@ -224,6 +235,34 @@ class TestContractionRate:
         assert all(b < a for a, b in zip(sups, sups[1:]))
 
 
+class TestStackingRule:
+    """A system that can evaluate a stack is swept one slice at a time; a plain per-point jac one sample at a time."""
+
+    @pytest.mark.parametrize("tag", KINDS)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_certificate_equals_the_per_sample_one(self, source, tag):
+        sys = _demo_system(source)
+        for plan in (SamplingPlan(n_space=21, n_time=3), SamplingPlan(n_space=300, n_time=4, scheme="latin_hypercube", seed=5)):
+            cert = estimate_contraction_rate(sys, box(2, 10.0), KINDS[tag], plan, alpha_fn=default_rate)
+            assert cert == estimate_contraction_rate(_per_sample(sys), box(2, 10.0), KINDS[tag], plan, alpha_fn=default_rate)
+
+    @pytest.mark.parametrize("tag", KINDS)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_one_stacked_call_per_slice_or_one_call_per_sample(self, monkeypatch, source, tag):
+        sys = _demo_system(source)
+        point_calls = spy(sys, "jac") if sys.jac is not None else []
+        stack_calls = spy(sys.jac, "stack") if source in ("builtin", "expression") else []
+        f_stack_calls = spy(sys.f, "stack") if source == "finite differences" else []
+        log_norms = []
+        monkeypatch.setattr(certify_module, "log_norm", lambda j, kind: log_norms.append(np.shape(j)) or log_norm(j, kind))
+        cert = estimate_contraction_rate(sys, box(2, 10.0), KINDS[tag], SamplingPlan(n_space=9, n_time=4))
+        if source == "plain callables":
+            assert (len(point_calls), log_norms) == (cert.n_samples, [(2, 2)] * cert.n_samples)
+        else:
+            assert (len(point_calls), log_norms) == (0, [(81, 2, 2)] * 4)
+            assert len(stack_calls) + len(f_stack_calls) == 4
+
+
 class TestDemidovich:
     def test_diagonal_negative_definite(self):
         rep = check_demidovich(
@@ -276,7 +315,7 @@ class TestDemidovich:
     def test_one_jacobian_call_per_time_slice(self, monkeypatch, source):
         sys = _demo_system(source)
         point_calls = spy(sys, "jac")
-        stack_calls = spy(sys.jac, "stack") if source == "builtin" else []
+        stack_calls = spy(sys.jac, "stack") if source != "plain callables" else []
         slices = []
 
         def counted(system, x, t):
@@ -287,9 +326,10 @@ class TestDemidovich:
         plan = SamplingPlan(n_space=9, n_time=4)
         rep = check_demidovich(sys, np.eye(2), box(2, 10.0), plan)
         assert slices == [(81, 2)] * 4
-        # the builtin system's native stack takes a slice in one call; the others are evaluated row by row
-        assert len(stack_calls) == (4 if source == "builtin" else 0)
-        assert len(point_calls) == (0 if source == "builtin" else rep.n_samples)
+        # a native stack, the builtin system's or an expression system's, takes a slice in one call;
+        # plain callables are evaluated row by row
+        assert len(stack_calls) == (0 if source == "plain callables" else 4)
+        assert len(point_calls) == (rep.n_samples if source == "plain callables" else 0)
 
     def test_native_stacks_give_the_row_by_row_report(self):
         sys, rows = _demo_system("builtin"), _demo_system("plain callables")

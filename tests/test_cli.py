@@ -8,10 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logstab.certify import estimate_contraction_rate
 from logstab.cli import main
+from logstab.config import build_domain, build_norm, build_system, parse_config
 from logstab.csvio import load_trajectory_csv
 from logstab.demos import run_demo_example1
-from logstab.errors import InvalidInputError
+from logstab.errors import EvaluationError, InvalidInputError
+
+from conftest import without_stacks
 
 CONFIG = """
 [system]
@@ -321,6 +325,26 @@ class TestUndefinedExpressions:
         assert run.returncode == 3, run.stderr
         assert "RuntimeWarning" not in run.stderr
         assert re.search(where, run.stderr), run.stderr
+
+    def test_stacked_field_fails_as_its_rows_do(self, tmp_path):
+        # the field case above: numpy raises on the sweep's stack, which then goes row by row,
+        # so the exit code, the message, x and t are those of the row path
+        text = (
+            "[system]\ntype = expression\ndim = 2\nf1 = -x1 + exp(-1/x2)\nf2 = -x2\n\n"
+            "[domain]\nlower = -1, -1\nupper = 1, 1\nt_lo = 0\nt_hi = 1\n\n[sampling]\nn_space = 3\nn_time = 2\n"
+        )
+        cfg_path = tmp_path / "undefined.cfg"
+        cfg_path.write_text(text)
+        cfg = parse_config(text)
+        stacked = build_system(cfg)
+        errors = []
+        for system in (stacked, without_stacks(stacked)):
+            with pytest.raises(EvaluationError) as err:
+                estimate_contraction_rate(system, build_domain(cfg), build_norm(cfg), cfg.plan)
+            errors.append((str(err.value), err.value.x.tolist(), err.value.t))
+        assert errors[0] == errors[1] == (errors[1][0], [-1.0, 0.0], 0.0)
+        run = run_cli("certify", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+        assert (run.returncode, run.stderr) == (3, f"error: {errors[1][0]}\n")
 
     @pytest.mark.parametrize(
         "f1",

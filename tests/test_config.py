@@ -20,6 +20,8 @@ from logstab.system import eval_field, eval_rhs, jacobian
 
 from logstab.demos import DEMO_CONFIGS, build_example1, default_rate, delta_admissible, delta_borderline
 
+from conftest import without_stacks
+
 DEMO_CONFIG = """
 # demo scenario
 [system]
@@ -396,8 +398,8 @@ def test_one_function_per_system_equals_one_closure_per_entry(name):
 
 @pytest.mark.parametrize("name", EQUIVALENCE_CONFIGS)
 def test_stacked_evaluation_equals_per_point_evaluation(name):
-    # an expression system evaluates a stack row by row: f and J of a stack, analytic or by
-    # finite differences (abs), equal those of its states one at a time, bit for bit
+    # an expression system's numpy stack, on fields of sin, cos, abs and powers of t: f and J of a
+    # stack, analytic or by finite differences (abs), equal those of its states one at a time, bit for bit
     cfg = parse_config(EQUIVALENCE_CONFIGS[name])
     sys = build_system(cfg)
     rng = np.random.default_rng(15)
@@ -451,3 +453,37 @@ def test_undefined_points_of_a_stack_are_reported_at_the_first():
     with pytest.raises(EvaluationError, match=rf"^{re.escape(f'f returned non-finite values at x={xs[3].tolist()}, t=0.0')}$") as err:
         eval_field(sys, xs, 0.0)
     assert err.value.x.tolist() == xs[3].tolist()
+
+
+def _failure(call):
+    """The text, x and t of the EvaluationError that ``call()`` raises."""
+    with pytest.raises(EvaluationError) as err:
+        call()
+    return str(err.value), None if err.value.x is None else err.value.x.tolist(), err.value.t
+
+
+@pytest.mark.parametrize("with_abs", [False, True], ids=["analytic J", "finite differences"])
+def test_a_stack_where_numpy_raises_fails_as_its_rows_do(with_abs):
+    # log(x1) on a box that straddles 0: numpy raises on the stack, which then goes row by row
+    text = f"[system]\ntype = expression\ndim = 2\nf1 = -x1 + x2*log(x1){' + 0.1*abs(x2)' if with_abs else ''}\nf2 = -x2 + sin(x1)\n"
+    sys = build_system(parse_config(text))
+    domain = Domain(np.array([-1.0, -1.0]), np.array([2.0, 2.0]), 0.0, 1.0)
+    plan = SamplingPlan(n_space=200, n_time=2, scheme="latin_hypercube", seed=8)
+    sweeps = (
+        lambda s: estimate_contraction_rate(s, domain, NormKind.l2(), plan),
+        lambda s: check_demidovich(s, np.eye(2), domain, plan),
+        lambda s: eval_field(s, sample_states(domain, plan), 0.5),
+    )
+    for sweep in sweeps:
+        assert _failure(lambda: sweep(sys)) == _failure(lambda: sweep(without_stacks(sys)))
+
+
+def test_a_field_that_only_underflows_gives_the_per_point_values():
+    sys = build_system(parse_config("[system]\ntype = expression\ndim = 2\nf1 = -x1 + exp(-x1^2)\nf2 = -x2 + x1*exp(-x1^2)\n"))
+    xs = np.column_stack([np.linspace(-40.0, 40.0, 801), np.linspace(1.0, -1.0, 801)])
+    # exp(-1600) underflows: numpy raises, where math gives 0
+    with pytest.raises(FloatingPointError, match="underflow"):
+        compile_expression(parse_expression("exp(-x1^2)"), ["x1"], "numpy")(xs[:, 0])
+    for t in (0.0, 1.5):
+        assert eval_field(sys, xs, t).tolist() == [sys.f(x, t).tolist() for x in xs]
+        assert jacobian(sys, xs, t).tolist() == [sys.jac(x, t).tolist() for x in xs]

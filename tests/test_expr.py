@@ -274,3 +274,29 @@ class TestCompileLists:
             compile_expression([[parse_expression("x1")], [parse_expression("y")]], self.NAMES)
         with pytest.raises(ExprSyntaxError, match="would hide a name"):
             compile_expression([parse_expression("pow + 1")], ["pow"])
+
+    def test_numpy_namespace_takes_columns_and_keeps_math_for_floats(self):
+        rows = [parse_expression(e) for e in ("x1*sin(x2) + pow(t, 3)", "exp(-t)/3", "2")]
+        stack = compile_expression(rows, self.NAMES, "numpy")
+        point = compile_expression(rows, self.NAMES)
+        xs = np.array([[1.0, 2.0], [-0.5, 3.0], [4.0, -1.0]])
+        out = stack(xs[:, 0], xs[:, 1], 0.7)
+        assert out[0].tolist() == [point(*x, 0.7)[0] for x in xs]
+        # entries in t alone stay Python floats with math's bits
+        assert type(out[1]) is float and type(out[2]) is float
+        assert out[1:] == point(1.0, 2.0, 0.7)[1:]
+
+    @pytest.mark.parametrize(
+        "text, t, error",
+        [("log(x2)", 0.0, FloatingPointError), ("exp(x1^2)", 0.0, FloatingPointError), ("x1/t", 0.0, FloatingPointError),
+         ("x1 + 1/t", 0.0, ZeroDivisionError), ("x1 + log(t - 1)", 0.0, ValueError), ("exp(-x1*1e3)", 0.0, FloatingPointError)],
+        ids=["invalid", "overflow", "division by zero", "division by zero in t", "log in t", "underflow"],
+    )
+    def test_numpy_namespace_raises_where_an_entry_is_undefined(self, text, t, error):
+        stack = compile_expression([parse_expression("x1"), parse_expression(text)], self.NAMES, "numpy")
+        with pytest.raises(error):
+            stack(np.array([30.0, 1.0]), np.array([-1.0, 1.0]), t)
+
+    def test_numpy_namespace_names_are_checked_too(self):
+        with pytest.raises(ExprSyntaxError, match="would hide a name"):
+            compile_expression([parse_expression("_errstate + 1")], ["_errstate"], "numpy")

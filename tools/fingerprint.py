@@ -35,7 +35,11 @@ report (fig1, the demo rate, t in [0, 20]) and its Demidovich reports (fig1,
 the demo config's domain and plan, with P = I and P = [[2, 0.3], [0.3, 1.5]]);
 the contraction certificate of fig1 with the demo rate on that domain under
 l1, l2, linf and the weighted norm of that P, each on the demo's 41x41x5 grid
-and on a 2000-point Latin hypercube (5 slices, seed 3);
+and on a 2000-point Latin hypercube (5 slices, seed 3); the certificates of
+two expression systems, whose numpy stacks take each slice, under l1, l2 and
+linf on a 1000-point Latin hypercube of [-3, 3]^n (4 slices on [0, 1], seed
+11): certify-sweep's ring shape at n = 4 (sin terms and a t^2 diagonal) and a
+planar field with exp and pow of the state;
 the Demidovich report (P = I, 3x3 grid on [-1, 1]^2, two time slices) and the
 quadratic-form log norm (P = I) of the constant J = [[-1e308, 1.5e308],
 [1.5e308, -1e308]], whose P J + J^T P overflows; the limit-route tables of that
@@ -111,6 +115,22 @@ upper = 3, 3
 t_lo = 0
 t_hi = 1
 """
+# expression systems for the certificate: certify-sweep's ring shape at n = 4 (sin terms and a
+# t^2 diagonal), and a planar field with exp and pow of the state
+RING4_CONFIG = """[system]
+type = expression
+dim = 4
+f1 = -(2.9 + t^2)*x1 + 0.45*sin(x1) + 1.2*sin(x2)
+f2 = -(3.4 + t^2)*x2 - 0.8*sin(x2) - 0.7*sin(x3)
+f3 = -(2.2 + t^2)*x3 + 0.3*sin(x3) + 1.5*sin(x4)
+f4 = -(3.1 + t^2)*x4 - 0.6*sin(x4) + 0.9*sin(x1)
+"""
+EXP_POW_CONFIG = """[system]
+type = expression
+dim = 2
+f1 = -3*x1 + 0.5*exp(-x1^2/4) + 0.2*pow(2 + cos(x2), 1.5)
+f2 = -2*x2 + 0.25*exp(sin(x1)) - 0.1*pow(1.5, x1)*x2
+"""
 # the stiff demo field, which simulate takes from (-2, 5) under each [integrator] method
 DEMO_FIELD_CONFIG = """[system]
 type = builtin
@@ -185,7 +205,7 @@ def _corpus(logstab):
     giving the exact states for a run with a known solution, else None.
     """
     from logstab.cli import main
-    from logstab.config import parse_config
+    from logstab.config import build_system, parse_config
     from logstab.demos import (
         DEMO_CONFIGS,
         build_example1,
@@ -314,6 +334,18 @@ def _corpus(logstab):
                     demo["fig1"], demo_box, kind, plan, default_rate
                 )
             ), None
+    # the two expression systems' certificates, under each unweighted norm, on a Latin hypercube of [-3, 3]^n
+    expression = [build_system(parse_config(text)) for text in (RING4_CONFIG, EXP_POW_CONFIG)]
+    lhs = logstab.SamplingPlan(n_space=1000, n_time=4, scheme="latin_hypercube", seed=11)
+    for tag in kinds[:3]:
+        yield f"certify/expression/{tag}", (
+            lambda tag=tag: [
+                logstab.estimate_contraction_rate(
+                    sys, logstab.Domain(-3.0 * np.ones(sys.dim), 3.0 * np.ones(sys.dim), 0.0, 1.0), logstab.NormKind(tag), lhs
+                )
+                for sys in expression
+            ]
+        ), None
     # P J + J^T P overflows for P = I, though its top eigenvalue, 5e307, is finite
     huge_j = np.array([[-1e308, 1.5e308], [1.5e308, -1e308]])
     constant_huge = logstab.SystemSpec(dim=2, f=lambda x, t: np.zeros(2), jac=lambda x, t: huge_j)
