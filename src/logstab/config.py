@@ -23,7 +23,7 @@ Sections (all optional except [system]):
 
     [system]    type = builtin | expression
                 name = example1            (builtin)
-                b = ..., phi = ...         (example1 parameters, see build_example1)
+                b = ..., phi = ...         (example1 parameters, spliced into its expressions; see build_example1)
                 dim = 2                    (expression)
                 f1 = ..., f2 = ...         (expression components, in x1..xn and t)
                 delta1 = ..., delta2 = ... (perturbation components, in t; default 0)
@@ -40,6 +40,7 @@ Sections (all optional except [system]):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -48,7 +49,7 @@ import numpy as np
 from .certify import ContractionCertificate, ConvergenceReport, Domain, SamplingPlan
 from .certify import check_forcing_ratio, estimate_contraction_rate
 from .csvio import export_component_csv, export_report_csv, export_trajectory_csv, parse_matrix_text, read_matrix_file
-from .errors import ConfigError, InvalidInputError, check_count, read_number
+from .errors import ConfigError, InvalidInputError, check_array, check_count, read_number
 from .expr import (
     ExprSyntaxError,
     NonDifferentiableError,
@@ -71,45 +72,6 @@ def _function_of_t(text: str):
     """The expression ``text`` in t, compiled to a function of one number."""
     fn = compile_expression(parse_expression(text), ["t"])
     return lambda t: fn(float(t))
-
-
-def build_example1(b: float = 5.0, phi="-6 - t^3", delta=None) -> SystemSpec:
-    """The builtin planar system with its analytic Jacobian, per state and per stack of states.
-
-        f1 = phi(t)*x1 + sin(x1)
-        f2 = b*x1 + (2 + phi(t))*x2 + sin(x2)
-
-    ``phi`` is a callable of t or an expression text in t. The defaults are
-    the paper's example; a scenario's [system] keys ``b`` and ``phi``
-    override them.
-    """
-    if isinstance(phi, str):
-        phi = _function_of_t(phi)
-
-    def f(x: np.ndarray, t: float) -> np.ndarray:
-        p = phi(t)
-        return np.array([p * x[0] + np.sin(x[0]), b * x[0] + (2.0 + p) * x[1] + np.sin(x[1])])
-
-    def jac(x: np.ndarray, t: float) -> np.ndarray:
-        p = phi(t)
-        return np.array([[p + np.cos(x[0]), 0.0], [b, 2.0 + p + np.cos(x[1])]])
-
-    def f_stack(xs: np.ndarray, t: float) -> np.ndarray:
-        p = phi(t)
-        x1, x2 = xs[:, 0], xs[:, 1]
-        return np.stack([p * x1 + np.sin(x1), b * x1 + (2.0 + p) * x2 + np.sin(x2)], axis=1)
-
-    def jac_stack(xs: np.ndarray, t: float) -> np.ndarray:
-        p = phi(t)
-        out = np.empty((len(xs), 2, 2))
-        out[:, 0, 0] = p + np.cos(xs[:, 0])
-        out[:, 0, 1] = 0.0
-        out[:, 1, 0] = b
-        out[:, 1, 1] = 2.0 + p + np.cos(xs[:, 1])
-        return out
-
-    f.stack, jac.stack = f_stack, jac_stack
-    return SystemSpec(dim=2, f=f, jac=jac, delta=delta, name="example1")
 
 
 @dataclass
@@ -443,36 +405,69 @@ def _stacked(point, fn, shape: tuple):
     return stack
 
 
-def build_system(cfg: ScenarioConfig) -> SystemSpec:
-    """Instantiate the scenario's SystemSpec (builtin or expression-defined).
+@functools.lru_cache(maxsize=64)
+def _compiled_field(f_exprs: tuple) -> tuple:
+    """The field texts ``f_exprs`` in x1..xn and t, compiled once: f per point and over numpy, then J likewise.
 
-    An expression system's ``f`` and ``jac`` each carry a ``stack``: the same
-    expressions, printed once more and compiled in the numpy namespace.
+    J's two are None when a component has no symbolic derivative (abs). The
+    functions are pure, so every build of the same texts shares them; the
+    closures that call them are built per system.
     """
-    if cfg.system_kind == "builtin":
-        return build_example1(**cfg.builtin_params, delta=_compile_delta(cfg))
+    names = [f"x{i + 1}" for i in range(len(f_exprs))] + ["t"]
+    nodes = [parse_expression(e) for e in f_exprs]
+    f_fns = compile_expression(nodes, names), compile_expression(nodes, names, "numpy")
+    try:
+        rows = [[differentiate(node, name) for name in names[:-1]] for node in nodes]
+    except NonDifferentiableError:
+        return f_fns + (None, None)
+    return f_fns + (compile_expression(rows, names), compile_expression(sum(rows, []), names, "numpy"))
 
-    names = [f"x{i + 1}" for i in range(cfg.dim)] + ["t"]
-    nodes = [parse_expression(e) for e in cfg.f_exprs]
-    f_fn = compile_expression(nodes, names)
+
+def _expression_system(f_exprs, delta, name: str) -> SystemSpec:
+    """The system of the field texts ``f_exprs``; its ``f`` and ``jac`` each carry a ``stack`` over numpy.
+
+    ``jac`` is None for a field without a symbolic derivative: finite
+    differences take over.
+    """
+    dim = len(f_exprs)
+    f_fn, f_numpy, jac_fn, jac_numpy = _compiled_field(tuple(f_exprs))
 
     def f(x: np.ndarray, t: float) -> np.ndarray:
         return np.array(f_fn(*x.tolist(), float(t)))
 
-    f.stack = _stacked(f, compile_expression(nodes, names, "numpy"), (cfg.dim,))
-    try:
-        rows = [[differentiate(node, f"x{j + 1}") for j in range(cfg.dim)] for node in nodes]
-        jac_fn = compile_expression(rows, names)
+    f.stack = _stacked(f, f_numpy, (dim,))
+    jac = None
+    if jac_fn is not None:
 
         def jac(x: np.ndarray, t: float) -> np.ndarray:
             return np.array(jac_fn(*x.tolist(), float(t)))
 
-        entries = [d for row in rows for d in row]
-        jac.stack = _stacked(jac, compile_expression(entries, names, "numpy"), (cfg.dim, cfg.dim))
-    except NonDifferentiableError:
-        jac = None  # finite differences take over
+        jac.stack = _stacked(jac, jac_numpy, (dim, dim))
+    return SystemSpec(dim=dim, f=f, jac=jac, delta=delta, name=name)
 
-    return SystemSpec(dim=cfg.dim, f=f, jac=jac, delta=_compile_delta(cfg), name="expression")
+
+def build_example1(b: float = 5.0, phi: str = "-6 - t^3", delta=None) -> SystemSpec:
+    """The builtin planar system, as the expression system
+
+        f1 = (phi)*x1 + sin(x1)
+        f2 = b*x1 + (2 + (phi))*x2 + sin(x2)
+
+    with ``phi`` an expression text in t, checked on its own before it is
+    spliced in, and ``b`` a finite number. The defaults are the paper's
+    example; a scenario's [system] keys ``b`` and ``phi`` override them.
+    """
+    b = float(check_array(b, "b", ()))
+    if not isinstance(phi, str):
+        raise InvalidInputError(f"phi must be an expression text in t, got {type(phi).__name__}")
+    _expression_in_t(phi)
+    return _expression_system([f"({phi})*x1 + sin(x1)", f"({b!r})*x1 + (2 + ({phi}))*x2 + sin(x2)"], delta, "example1")
+
+
+def build_system(cfg: ScenarioConfig) -> SystemSpec:
+    """Instantiate the scenario's SystemSpec: the builtin ``example1`` or the [system]'s expressions."""
+    if cfg.system_kind == "builtin":
+        return build_example1(**cfg.builtin_params, delta=_compile_delta(cfg))
+    return _expression_system(cfg.f_exprs, _compile_delta(cfg), "expression")
 
 
 def certify_scenario(

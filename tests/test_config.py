@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logstab import config
 from logstab.certify import Domain, SamplingPlan, check_demidovich, estimate_contraction_rate, sample_states
 from logstab.integrate import METHODS, IntegratorConfig
 from logstab.config import (
@@ -13,14 +14,14 @@ from logstab.config import (
     parse_config,
     serialize_config,
 )
-from logstab.errors import ConfigError, EvaluationError
+from logstab.errors import ConfigError, EvaluationError, InvalidInputError
 from logstab.expr import compile_expression, differentiate, parse_expression
 from logstab.linalg import NormKind
 from logstab.system import eval_field, eval_rhs, jacobian
 
 from logstab.demos import DEMO_CONFIGS, build_example1, default_rate, delta_admissible, delta_borderline
 
-from conftest import without_stacks
+from conftest import spy, without_stacks
 
 DEMO_CONFIG = """
 # demo scenario
@@ -347,6 +348,63 @@ class TestExpressionSystems:
         with pytest.raises(EvaluationError, match=r"f returned non-finite values at x=\[1\.0, 0\.0\], t=0"):
             eval_field(sys, np.array([1.0, 0.0]), 0.0)
 
+
+
+class TestBuiltinExample1:
+    """example1 is the expression system (phi)*x1 + sin(x1), b*x1 + (2 + (phi))*x2 + sin(x2), with its arguments checked."""
+
+    def test_field_and_jacobian_off_the_demo_parameters_in_closed_form(self):
+        sys = build_example1(b=-2.5, phi="-4 - t")
+        rng = np.random.default_rng(8)
+        xs, t = rng.uniform(-6.0, 6.0, size=(20, 2)), 0.75
+        x1, x2, p = xs[:, 0], xs[:, 1], -4.0 - t
+        f = np.stack([p * x1 + np.sin(x1), -2.5 * x1 + (2.0 + p) * x2 + np.sin(x2)], axis=1)
+        j = np.zeros((20, 2, 2))
+        j[:, 0, 0], j[:, 1, 0], j[:, 1, 1] = p + np.cos(x1), -2.5, 2.0 + p + np.cos(x2)
+        assert sys.name == "example1"
+        for got, want in (
+            (eval_field(sys, xs, t), f),
+            (jacobian(sys, xs, t), j),
+            ([sys.f(x, t) for x in xs], f),
+            ([sys.jac(x, t) for x in xs], j),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    def test_phi_of_the_state_is_refused(self):
+        # spliced in unchecked, phi = x1 would build x1*x1 + sin(x1)
+        with pytest.raises(InvalidInputError, match=r"undeclared symbol\(s\) \['x1'\]"):
+            build_example1(phi="x1")
+
+    def test_phi_that_would_splice_in_a_state_term_is_refused(self):
+        # spliced in unchecked, this phi would build (t) * (x2)*x1 + sin(x1)
+        with pytest.raises(InvalidInputError, match="bad expression 't\\) \\* \\(x2'"):
+            build_example1(phi="t) * (x2")
+
+    def test_a_callable_phi_is_refused(self):
+        with pytest.raises(InvalidInputError, match="phi must be an expression text in t, got function"):
+            build_example1(phi=lambda t: -6.0)
+
+    @pytest.mark.parametrize("b", [float("nan"), float("inf")])
+    def test_a_non_finite_b_is_refused_by_name(self, b):
+        with pytest.raises(InvalidInputError, match="^b has non-finite entries$"):
+            build_example1(b=b)
+
+
+def test_a_field_text_is_compiled_once_and_each_build_gets_its_own_closures(monkeypatch):
+    # a text that no other test builds, so its first build here is its first anywhere
+    text = "[system]\ntype = expression\ndim = 2\nf1 = -1.625*x1 + 0.375*sin(x2) - 0.0625\nf2 = -2.875*x2 + cos(x1)\n"
+    compiled = []
+    monkeypatch.setattr(config, "compile_expression", lambda *args: compiled.append(args) or compile_expression(*args))
+    a = build_system(parse_config(text))
+    assert len(compiled) == 4  # f and J, per point and over numpy
+    b = build_system(parse_config(text))
+    assert len(compiled) == 4
+    assert a.f is not b.f and a.jac is not b.jac
+    calls = spy(a.f, "stack")
+    xs = np.array([[0.5, -1.0], [2.0, 0.25]])
+    assert eval_field(b, xs, 0.0).tobytes() == eval_field(a, xs, 0.0).tobytes()
+    assert len(calls) == 1  # a's stack, not b's
+    assert b.f.stack is not a.f.stack and not hasattr(b.f.stack, "__wrapped__")
 
 def _ring_config(rng, n, with_abs):
     """A ring shaped like the benchmark's, with coefficients of both signs and a perturbation."""

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logstab.config import build_system, parse_config
@@ -79,13 +79,19 @@ for _op in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv", 
 
 
 def _on_state(fn):
+    """``fn`` as the stack calls it: math's on floats, numpy's on a 1-row column for each argument of the state.
+
+    An argument that is not of the state stays a Python float, as it does in
+    the stack: np.power(column, 2.0) and np.power(column, [2.0]) can round
+    differently.
+    """
     by_math, by_numpy = getattr(math, fn), getattr(np, "power" if fn == "pow" else fn)
 
     def call(*args):
         if not any(isinstance(a, _OfState) for a in args):
             return by_math(*args)
         with np.errstate(all="raise"):
-            return _OfState(by_numpy(*(np.array([float(a)]) for a in args))[0])
+            return _OfState(by_numpy(*(np.array([float(a)]) if isinstance(a, _OfState) else a for a in args))[0])
 
     return call
 
@@ -95,6 +101,7 @@ _STATE_NAMESPACE = {fn: _on_state(fn) for fn in FUNCTIONS_1 + ("pow",) if fn != 
 
 @settings(max_examples=300, deadline=None)
 @given(expressions, stacks, times)
+@example("pow(x1, 2)", np.array([[9.999999999999998, 0.0]]), 0.0)  # a float exponent: see _on_state
 def test_a_stack_is_the_per_point_tree_with_numpy_at_the_state(text, xs, t):
     tree = parse_expression(text)
     stack = compile_expression(tree, NAMES, "numpy")

@@ -47,7 +47,7 @@ class TestEvalRhs:
 
     def test_demo_field_by_direct_substitution(self):
         # phi constant -6, x = (pi/2, 0): f = (-3*pi + 1, 5*pi/2)
-        sys = build_example1(phi=lambda t: -6.0)
+        sys = build_example1(phi="-6")
         out = eval_rhs(sys, np.array([np.pi / 2.0, 0.0]), 0.0)
         assert out[0] == pytest.approx(-3.0 * np.pi + 1.0, abs=1e-14)
         assert out[1] == pytest.approx(5.0 * np.pi / 2.0, abs=1e-14)

@@ -48,7 +48,9 @@ J and of J2 = [[-3e300, 1e300], [2e300, -5e300]] under l1, l2 and linf, and of a
 scaled (by 2^6), under the same three; the files
 of the two demo variants; the exit code, stdout, stderr and files of
 ``logstab certify`` on the fig1 demo config and on an expression config whose
-``abs`` leaves finite differences to the sweep, and of ``logstab simulate`` on
+``abs`` leaves finite differences to the sweep, of ``logstab certify`` and a
+``logstab simulate`` to tf = 2 on a builtin config with b = -2.5 and
+phi = -4 - t, and of ``logstab simulate`` on
 the demo field from (-2, 5) to tf = 20 under ``ndf`` and under ``rk4``, which
 blows up near t = 9.31, and to tf = 9 under ``auto``; those of
 ``logstab lognorm`` on a 3x3 and a 2x2 matrix, each under l2 and a weighted
@@ -140,6 +142,22 @@ delta2 = t
 x0 = -2, 5
 [integrator]
 method = {method}
+"""
+# the builtin off the demo's parameters, which certify on a box and simulate from x0
+EXAMPLE1_PARAMS_CONFIG = """[system]
+type = builtin
+name = example1
+b = -2.5
+phi = -4 - t
+x0 = 1.5, -3
+[domain]
+lower = -4, -4
+upper = 4, 4
+t_lo = 0
+t_hi = 1
+[sampling]
+n_space = 21
+n_time = 3
 """
 
 
@@ -384,6 +402,11 @@ def _corpus(logstab):
     yield "cli/certify/fig1", lambda: command(certify, {"scenario.cfg": DEMO_CONFIGS["fig1"]}), None
     yield "cli/certify/abs", lambda: command(certify, {"scenario.cfg": ABS_CONFIG}), None
     simulate = ["simulate", "--config", "{dir}/scenario.cfg", "--out", "{dir}/out", "--tf", "20"]
+    yield "cli/example1/b=-2.5,phi=-4-t", (
+        lambda: [
+            command(argv, {"scenario.cfg": EXAMPLE1_PARAMS_CONFIG}) for argv in (certify, simulate[:-1] + ["2"])
+        ]
+    ), None
     for method in ("ndf", "rk4"):  # rk4 blows up near t = 9.31 and exits 3
         yield f"cli/simulate/{method}", (
             lambda method=method: command(simulate, {"scenario.cfg": DEMO_FIELD_CONFIG.format(method=method)})
