@@ -16,8 +16,9 @@ of that stack. The contraction sweep does too wherever the system can
 evaluate a stack in one call (finite differences, or a ``jac`` carrying
 ``stack``), and takes one Jacobian and one log norm per sample for a plain
 per-point ``jac``; both give the same certificate. Every rate alpha(t) is
-evaluated through ``system._at_times``, which names the first t where it is
-not a finite number.
+evaluated through ``system._at_times``, in one call of its ``stack`` where it
+carries one, and names the first t where it is not a finite number; the
+forcing ratio takes f(0, t) + delta(t) likewise (``system._rhs_at_origin``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import check_array, check_count, check_positive, check_window
 from .integrate import Trajectory, _cumulative_simpson, _simpson_nodes, error_budget, integrate
 from .linalg import NormKind, vec_norm
 from .lognorm import log_norm
-from .system import SystemSpec, _at_times, eval_rhs, jacobian
+from .system import SystemSpec, _at_times, _rhs_at_origin, jacobian
 
 CERTIFIED = "certified_on_domain"
 NOT_CERTIFIED = "not_certified"
@@ -290,6 +291,23 @@ class ConvergenceReport:
     persist_level: float
 
 
+def _ratio_grid_start(t_lo: float, t_hi: float, lo_name: str = "t_lo", hi_name: str = "t_hi") -> float:
+    """The first point of ``check_forcing_ratio``'s log-spaced grid on [t_lo, t_hi]: t_lo if t_lo > 0, else t_hi / 1000.
+
+    InvalidInputError, calling the ends ``lo_name`` and ``hi_name``, where
+    the grid cannot form: the window is not finite with t_lo < t_hi, t_hi is
+    not positive, or t_hi / 1000 underflows to 0.
+    """
+    check_window(t_lo, t_hi, lo_name, hi_name)
+    if t_hi <= 0.0:
+        raise InvalidInputError(f"a log-spaced grid needs {hi_name} > 0, got [{t_lo}, {t_hi}]")
+    start = t_lo if t_lo > 0.0 else t_hi * 1e-3
+    if start == 0.0:
+        message = f"the log-spaced grid's first point {hi_name} / 1000 underflows to 0 on [{t_lo}, {t_hi}]"
+        raise InvalidInputError(message)
+    return start
+
+
 def check_forcing_ratio(
     sys: SystemSpec,
     alpha_fn: Callable[[float], float],
@@ -311,25 +329,22 @@ def check_forcing_ratio(
     The ratio is sampled on a log-spaced grid, which needs t_hi > 0. It runs
     from t_lo when t_lo > 0, and from t_hi / 1000 otherwise: on [-5, 10] it
     starts at 0.01, and the window before that is not sampled.
+
+    Each callable of t takes the whole grid in one call where it can: alpha
+    and delta when they carry a ``stack``, and f(0, t) when ``sys.f`` carries
+    an ``origin`` (see ``system._rhs_at_origin``), as config-built systems
+    do. The report is the same as from one call per t.
     """
     if kind is None:
         kind = NormKind.l2()
     kind.check_fits(sys.dim)
     check_count(n_samples, "n_samples", 10)
-    check_window(t_lo, t_hi, "t_lo", "t_hi")
-    if t_hi <= 0.0:
-        raise InvalidInputError(f"a log-spaced grid needs t_hi > 0, got [{t_lo}, {t_hi}]")
-    start = t_lo if t_lo > 0.0 else t_hi * 1e-3
-    if start == 0.0:
-        raise InvalidInputError(f"the log-spaced grid's first point t_hi / 1000 underflows to 0 on [{t_lo}, {t_hi}]")
-    ts = np.geomspace(start, t_hi, n_samples)
+    ts = np.geomspace(_ratio_grid_start(t_lo, t_hi), t_hi, n_samples)
     rates = _at_times("alpha", alpha_fn, ts)
     if np.any(rates <= 0.0):
         i = int(np.argmax(rates <= 0.0))
         raise InvalidRateError(f"alpha(t) = {rates[i]} <= 0 at t = {ts[i]}")
-    zero = np.zeros(sys.dim)
-    forcing = np.array([eval_rhs(sys, zero, t) for t in ts])
-    ratios = vec_norm(forcing, kind) / rates
+    ratios = vec_norm(_rhs_at_origin(sys, ts), kind) / rates
     initial_ratio = float(ratios[0])
     peak_ratio = float(ratios.max())
     final_ratio = float(ratios[-1])

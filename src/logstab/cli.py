@@ -13,6 +13,7 @@ Exit codes: 0 success/verified, 1 a check failed, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -114,7 +115,9 @@ def cmd_demo(args) -> int:
     return 0 if held else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once: parsing neither changes it nor keeps a run's arguments."""
     parser = argparse.ArgumentParser(
         prog="logstab",
         description="Matrix log norms and sampled incremental-stability certification.",

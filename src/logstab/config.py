@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .certify import ContractionCertificate, ConvergenceReport, Domain, SamplingPlan
-from .certify import check_forcing_ratio, estimate_contraction_rate
+from .certify import _ratio_grid_start, check_forcing_ratio, estimate_contraction_rate
 from .csvio import export_component_csv, export_report_csv, export_trajectory_csv, parse_matrix_text, read_matrix_file
 from .errors import ConfigError, InvalidInputError, check_array, check_count, read_number
 from .expr import (
@@ -68,10 +68,45 @@ BUILTIN_NAMES = ("example1",)
 OUTPUT_STEP = 0.05
 
 
+def _columns(entries: list, n_rows: int, shape: tuple) -> np.ndarray:
+    """The flat list ``entries`` of a compiled stack as one array (n_rows, *shape), entry i in column i.
+
+    An entry is an array of n_rows values, or one float for every row where
+    it depends on nothing that varies along the stack.
+    """
+    out = np.empty((n_rows, len(entries)))
+    for i, entry in enumerate(entries):
+        out[:, i] = entry
+    return out.reshape((n_rows,) + shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled_in_t(texts: tuple) -> tuple:
+    """The expression texts ``texts`` in t, compiled once: to their list of values at one t, and over a vector of t.
+
+    The second is compiled in the "vector" namespace, so each of its values
+    has the bits of the first at that t. The functions are pure, so every
+    build of the same texts shares them; the closures that call them are
+    built per scenario.
+    """
+    nodes = [parse_expression(text) for text in texts]
+    return compile_expression(nodes, ["t"]), compile_expression(nodes, ["t"], "vector")
+
+
+def _of_t(texts: tuple, shape: tuple):
+    """A new callable of t for the compiled ``texts``, of the given shape, with a ``stack`` over a vector of t."""
+    fn, vector = _compiled_in_t(texts)
+    if shape:
+        at = lambda t: np.array(fn(float(t)))
+    else:
+        at = lambda t: fn(float(t))[0]
+    at.stack = lambda ts: _columns(vector(ts), len(ts), shape)
+    return at
+
+
 def _function_of_t(text: str):
-    """The expression ``text`` in t, compiled to a function of one number."""
-    fn = compile_expression(parse_expression(text), ["t"])
-    return lambda t: fn(float(t))
+    """The expression ``text`` in t, as a function of one number that carries a ``stack`` over a vector of t."""
+    return _of_t((text,), ())
 
 
 @dataclass
@@ -130,7 +165,8 @@ def _expression_in(*names: str):
     return check
 
 
-_expression_in_t = _expression_in("t")
+# a text the builtin's phi, a delta or the alpha of many builds repeat is parsed once
+_expression_in_t = functools.lru_cache(maxsize=64)(_expression_in("t"))
 
 
 def _norm_tag(text: str) -> str:
@@ -371,14 +407,10 @@ def build_domain(cfg: ScenarioConfig) -> Domain:
 
 
 def _compile_delta(cfg: ScenarioConfig):
+    """The scenario's delta(t) (n,), with a ``stack`` over a vector of t; None without delta texts."""
     if not cfg.delta_exprs:
         return None
-    fn = compile_expression([parse_expression(e) for e in cfg.delta_exprs], ["t"])
-
-    def delta(t: float) -> np.ndarray:
-        return np.array(fn(float(t)))
-
-    return delta
+    return _of_t(tuple(cfg.delta_exprs), (cfg.dim,))
 
 
 def _stacked(point, fn, shape: tuple):
@@ -397,17 +429,14 @@ def _stacked(point, fn, shape: tuple):
             entries = fn(*np.ascontiguousarray(xs.T), float(t))
         except (ArithmeticError, ValueError):
             return np.array([point(x, t) for x in xs])
-        out = np.empty((len(xs), len(entries)))
-        for i, entry in enumerate(entries):  # an entry in t alone is one float for every row
-            out[:, i] = entry
-        return out.reshape((len(xs),) + shape)
+        return _columns(entries, len(xs), shape)
 
     return stack
 
 
 @functools.lru_cache(maxsize=64)
 def _compiled_field(f_exprs: tuple) -> tuple:
-    """The field texts ``f_exprs`` in x1..xn and t, compiled once: f per point and over numpy, then J likewise.
+    """The field texts ``f_exprs`` in x1..xn and t, compiled once: f in each namespace, J per point and over numpy.
 
     J's two are None when a component has no symbolic derivative (abs). The
     functions are pure, so every build of the same texts shares them; the
@@ -415,7 +444,7 @@ def _compiled_field(f_exprs: tuple) -> tuple:
     """
     names = [f"x{i + 1}" for i in range(len(f_exprs))] + ["t"]
     nodes = [parse_expression(e) for e in f_exprs]
-    f_fns = compile_expression(nodes, names), compile_expression(nodes, names, "numpy")
+    f_fns = tuple(compile_expression(nodes, names, namespace) for namespace in ("math", "numpy", "vector"))
     try:
         rows = [[differentiate(node, name) for name in names[:-1]] for node in nodes]
     except NonDifferentiableError:
@@ -426,16 +455,20 @@ def _compiled_field(f_exprs: tuple) -> tuple:
 def _expression_system(f_exprs, delta, name: str) -> SystemSpec:
     """The system of the field texts ``f_exprs``; its ``f`` and ``jac`` each carry a ``stack`` over numpy.
 
-    ``jac`` is None for a field without a symbolic derivative: finite
-    differences take over.
+    ``f`` also carries ``origin``, f(0, t) as a callable of t with a
+    ``stack`` over a vector of t. ``jac`` is None for a field without a
+    symbolic derivative: finite differences take over.
     """
     dim = len(f_exprs)
-    f_fn, f_numpy, jac_fn, jac_numpy = _compiled_field(tuple(f_exprs))
+    f_fn, f_numpy, f_vector, jac_fn, jac_numpy = _compiled_field(tuple(f_exprs))
+    zero = [0.0] * dim
 
     def f(x: np.ndarray, t: float) -> np.ndarray:
         return np.array(f_fn(*x.tolist(), float(t)))
 
     f.stack = _stacked(f, f_numpy, (dim,))
+    f.origin = lambda t: np.array(f_fn(*zero, float(t)))
+    f.origin.stack = lambda ts: _columns(f_vector(*zero, ts), len(ts), (dim,))
     jac = None
     if jac_fn is not None:
 
@@ -477,14 +510,19 @@ def certify_scenario(
 
     The ratio is judged against the [certify] alpha, or against the
     certificate's empirical rate alpha0 when the scenario gives no alpha; with
-    neither, there is no ratio (None) and no ratio.csv. Returns the
-    certificate, the ratio report and the files written to the output dir.
+    neither, there is no ratio (None) and no ratio.csv. A ratio window
+    [t0, tf] on which the ratio's grid cannot form is an InvalidInputError
+    naming t0 and tf, raised before the sweep and before any file is written.
+    Returns the certificate, the ratio report and the files written to the
+    output dir.
     """
+    _ratio_grid_start(cfg.t0, cfg.tf, "t0", "tf")
     alpha_fn = _function_of_t(cfg.alpha_expr) if cfg.alpha_expr else None
     certificate = estimate_contraction_rate(system, build_domain(cfg), norm, cfg.plan, alpha_fn=alpha_fn)
     if alpha_fn is None and certificate.alpha0_estimate is not None:
         alpha0 = certificate.alpha0_estimate
         alpha_fn = lambda t: alpha0
+        alpha_fn.stack = lambda ts: np.full(len(ts), alpha0)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [export_report_csv(certificate, out_dir / "certificate.csv", name="contraction certificate")]

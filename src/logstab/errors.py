@@ -48,7 +48,7 @@ class EvaluationError(LogstabError):
     delta(t), a rate alpha(t) and a matrix A(t). The message names the
     callable and where it was evaluated (see ``system``). ``x`` is the state,
     None for a whole stack of states or for a callable of t alone; ``t`` is
-    the time.
+    the time, None for a whole vector of times.
     """
 
     def __init__(self, message, x=None, t=None):

@@ -20,7 +20,8 @@ derivative that is structurally zero is the constant 0 whatever the signs of
 the coefficients. compile_expression generates one Python function for one
 expression, or for a whole list (field, perturbation) or list of lists
 (Jacobian) of them, from the one printer ``to_source``: over math-module
-functions for one point, or over numpy's for the columns of a stack of points.
+functions for one point, over numpy's for the columns of a stack of points, or
+over math's at every entry for a vector of times, which keeps one point's bits.
 """
 
 from __future__ import annotations
@@ -277,12 +278,24 @@ def _math_or_numpy(fn: str):
     return either
 
 
+def _math_at_each(fn: str):
+    """The vector namespace's ``fn``: math's on Python floats, and math's at every entry of anything else."""
+    by_math = getattr(math, fn)
+    each = np.frompyfunc(by_math, 2 if fn == "pow" else 1, 1)
+
+    def vector(*args):
+        return by_math(*args) if all(type(a) is float for a in args) else np.asarray(each(*args), dtype=float)
+
+    return vector
+
+
 _ROUTINES = [fn for fn in FUNCTIONS_1 + FUNCTIONS_2 if fn != "abs"]
 # what compiled expressions call, per namespace: every known function (abs is the builtin,
 # which takes floats and arrays alike), and what each namespace needs for its undefined case
 _NAMESPACES = {
     "math": {**{fn: getattr(math, fn) for fn in _ROUTINES}, "abs": abs, "_nan": math.nan},
     "numpy": {**{fn: _math_or_numpy(fn) for fn in _ROUTINES}, "abs": abs, "_errstate": np.errstate},
+    "vector": {**{fn: _math_at_each(fn) for fn in _ROUTINES}, "abs": abs, "_errstate": np.errstate},
 }
 
 
@@ -365,6 +378,12 @@ def compile_expression(tree, arg_names: list[str], namespace: str = "math"):
       or underflows it raises ArithmeticError (or ValueError, from math)
       instead of returning a value; the caller decides what that means. An
       entry that depends on no array argument is a Python float.
+    - ``"vector"``: as ``"numpy"``, but each function is math's at every
+      entry of an array too (through ``np.frompyfunc``). The four arithmetic
+      operators round alike on Python floats and on float64 arrays, so every
+      entry of the result has the bits of the ``"math"`` function at that
+      entry's arguments. Slower than ``"numpy"`` per entry; meant for a
+      vector of times, where a few hundred entries are evaluated at once.
     """
     unknown = set().union(*map(free_variables, _leaves(tree))) - set(arg_names)
     if unknown:

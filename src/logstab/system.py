@@ -20,6 +20,15 @@ A finite-difference Jacobian evaluates the 2n perturbed rows of one state,
 or of every state of a stack, as one stack; the averaged Jacobian is one
 ``jacobian`` call on its quadrature nodes.
 
+A callable of t alone (delta, a rate alpha, a matrix A) follows the same
+rule over a vector of times: ``_at_times`` calls ``fn.stack(ts) -> (m,
+...)`` once on the float array ``ts`` where ``fn`` carries one, and ``fn``
+once per t otherwise or where the stack raises ArithmeticError or
+ValueError. ``f`` may carry ``origin``, the callable of t giving f(0, t),
+with such a stack; ``_rhs_at_origin`` takes f(0, t) + delta(t) from the two
+stacks. ``config``'s delta, alpha and f(0, t) carry them, each value with
+the bits of one call per t.
+
 This module is the one place that checks what a user callable returns: f,
 jac and delta evaluated here, f and delta as ``integrate``'s run closure
 calls them through ``_shaped``, and the callables of t alone elsewhere (a
@@ -29,12 +38,13 @@ real (complex, text, objects or a ragged nesting), has the wrong shape or is
 not finite raises EvaluationError with one message, "<name> returned
 <problem> at <where>", where <where> is ``x=[...], t=...`` for one state, the
 first state whose row is non-finite for a stack, ``a stack of shape (N, n),
-t=...`` for a stack output of the wrong shape, and ``t=...`` for a callable
-of t alone (the first bad t of a vector). The error carries that x (None for
-a whole stack or for t alone) and t. Non-finite output at a non-finite state
-is the caller's fault, an InvalidInputError naming the state; a
-finite-difference Jacobian raises that error before it calls f, as its steps
-are formed from the state.
+t=...`` for a stack output of the wrong shape, ``t=...`` for a callable of
+t alone (the first bad t of a vector), and ``a vector of m times from t=...
+to t=...`` for a t-stack output of the wrong shape. The error carries that x
+(None for a whole stack or for t alone) and t (None for a vector of times).
+Non-finite output at a non-finite state is the caller's fault, an
+InvalidInputError naming the state; a finite-difference Jacobian raises that
+error before it calls f, as its steps are formed from the state.
 """
 
 from __future__ import annotations
@@ -74,6 +84,12 @@ class SystemSpec:
         Time-only perturbation; ``None`` when the system has none, and then
         ``eval_rhs`` and ``integrate`` use f alone. User-supplied callables
         must be safe for concurrent invocation.
+
+        ``delta`` may carry ``stack``, a callable (ts (m,),) -> array (m, n)
+        that gives the same values at every t of a float vector in one call,
+        and ``f`` may carry ``origin``, a callable (t,) -> array (n,) giving
+        f(0, t), with such a ``stack`` of its own. ``check_forcing_ratio``
+        uses them together; without them it evaluates one t at a time.
     name : str
         Label used in reports and exported files.
 
@@ -99,9 +115,14 @@ def _check_states(sys: SystemSpec, x) -> np.ndarray:
     return x
 
 
-def _failed(name: str, problem: str, t: float, x=None) -> EvaluationError:
-    """The one error for a bad output of the callable ``name`` at state x (or a stack of states) and t, or at t alone."""
-    if x is None:
+def _failed(name: str, problem: str, t, x=None) -> EvaluationError:
+    """The one error for a bad output of the callable ``name`` at state x (or a stack of states) and t, or at t alone.
+
+    ``t`` is one time, or for a callable of t alone a vector of them.
+    """
+    if np.ndim(t):
+        where, t = f"a vector of {len(t)} times from t={t[0]} to t={t[-1]}", None  # no one t to carry
+    elif x is None:
         where = f"t={t}"
     elif x.ndim == 2:
         where, x = f"a stack of shape {x.shape}, t={t}", None  # a stack has no one state to carry
@@ -155,10 +176,28 @@ def _checked_output(name: str, out, shape: tuple, t: float, x=None) -> np.ndarra
 def _at_times(name: str, fn, ts, shape: tuple = ()) -> np.ndarray:
     """The callable of t alone ``name`` at every t of the vector ``ts``: one finite array (N, *shape).
 
-    Each t goes in as a Python float, so a compiled rate that divides by zero
-    gives NaN, not inf and a numpy warning. An error names the first bad t.
+    One call of ``fn.stack(ts)`` on the float array ``ts`` when ``fn``
+    carries one, whose output of the wrong shape names the vector. Where it
+    raises ArithmeticError or ValueError (an undefined value, or numpy's
+    over- or underflow), and for a callable without a stack, ``fn`` is called
+    once per t with a Python float, so a compiled rate that divides by zero
+    gives NaN, not inf and a numpy warning. An error for non-finite values
+    names the first bad t.
     """
-    ts = np.asarray(ts, dtype=float).tolist()
+    ts = np.asarray(ts, dtype=float)
+    stack = getattr(fn, "stack", None)
+    if stack is not None:
+        try:
+            out = stack(ts)
+        except (ArithmeticError, ValueError):
+            pass
+        else:
+            out = _shaped(name, out, (len(ts),) + shape, ts)
+            finite = np.isfinite(out)
+            if not finite.all():
+                raise _failed(name, "non-finite values", ts[_first_bad(finite, len(ts))])
+            return out
+    ts = ts.tolist()
     outs = [fn(t) for t in ts]
     try:
         out = check_array(outs, name, (len(ts),) + shape, finite=False)
@@ -201,6 +240,28 @@ def eval_rhs(sys: SystemSpec, x, t: float) -> np.ndarray:
     if sys.delta is None:
         return fx
     return fx + _checked_output("delta", sys.delta(t), (sys.dim,), t)
+
+
+def _rhs_at_origin(sys: SystemSpec, ts) -> np.ndarray:
+    """f(0, t) + delta(t) at every t of the vector ``ts``: one finite array (N, n).
+
+    Through ``_at_times`` on ``sys.f.origin``, a callable of t giving f at
+    the origin, and on ``sys.delta``, when f carries an ``origin`` and delta
+    is None or carries a ``stack``; one ``eval_rhs`` per t otherwise. Where a
+    value is bad, the ``eval_rhs`` loop names the first bad t, and f before
+    delta at one t, as without the stacks.
+    """
+    origin = getattr(sys.f, "origin", None)
+    zero = np.zeros(sys.dim)
+    if origin is not None and (sys.delta is None or hasattr(sys.delta, "stack")):
+        try:
+            forcing = _at_times("f", origin, ts, (sys.dim,))
+            return forcing if sys.delta is None else forcing + _at_times("delta", sys.delta, ts, (sys.dim,))
+        except EvaluationError:
+            for t in ts:
+                eval_rhs(sys, zero, t)
+            raise  # a stack at fault where the per-point callables are not
+    return np.array([eval_rhs(sys, zero, t) for t in ts])
 
 
 def jacobian(sys: SystemSpec, x, t: float) -> np.ndarray:

@@ -39,9 +39,13 @@ def spy(owner, attr):
 
 
 def without_stacks(sys):
-    """``sys`` with plain wrappers of its f and jac, which carry no ``stack``: a stack goes row by row."""
+    """``sys`` with plain wrappers of its f, jac and delta, which carry no ``stack`` or ``origin``.
+
+    A stack of states then goes row by row, and a vector of times time by time.
+    """
     jac = None if sys.jac is None else (lambda x, t: sys.jac(x, t))
-    return SystemSpec(dim=sys.dim, f=lambda x, t: sys.f(x, t), jac=jac, delta=sys.delta)
+    delta = None if sys.delta is None else (lambda t: sys.delta(t))
+    return SystemSpec(dim=sys.dim, f=lambda x, t: sys.f(x, t), jac=jac, delta=delta)
 
 
 def random_spd(rng, n, shift=None):

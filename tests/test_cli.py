@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import stat
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from logstab.certify import estimate_contraction_rate
-from logstab.cli import main
+from logstab.cli import build_parser, main
 from logstab.config import build_domain, build_norm, build_system, parse_config
 from logstab.csvio import load_trajectory_csv
 from logstab.demos import run_demo_example1
@@ -202,6 +203,22 @@ class TestCertifyCommand:
         assert (run.returncode, run.stderr) == (0, "")
         assert "verdict,certified_on_domain" in (tmp_path / "r" / "certificate.csv").read_text().splitlines()
 
+    @pytest.mark.parametrize(
+        "t0, tf, message",
+        [
+            ("0", "0", "need finite t0 < tf, got [0.0, 0.0]"),
+            ("0", "-1", "need finite t0 < tf, got [0.0, -1.0]"),
+            ("-5", "-1", "a log-spaced grid needs tf > 0, got [-5.0, -1.0]"),
+        ],
+    )
+    def test_a_ratio_window_that_cannot_form_exits_two_before_any_file(self, tmp_path, capsys, t0, tf, message):
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(CONFIG.replace("x0 = -2, 5", f"x0 = -2, 5\nt0 = {t0}"))
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfg), "--out", str(out), "--tf", tf]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
+
     def test_weight_of_wrong_size_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "weighted.cfg"
         cfg.write_text(CONFIG + "\n[norm]\nkind = weighted\nweight = 2 0 0; 0 2 0; 0 0 2\n")
@@ -367,6 +384,14 @@ class TestUndefinedExpressions:
         code, err = self.run(tmp_path, capsys, "simulate", text)
         assert code == 3
         assert "delta returned non-finite values at t=0" in err
+
+    def test_undefined_delta_in_the_ratio_names_its_first_t(self, tmp_path, capsys):
+        # the ratio's grid on [0, 20] starts at 0.02, where delta's stack raises and the per-t values name it
+        text = CONFIG.replace("delta1 = 5*sin(t)^2", "delta1 = log(t - 5)")
+        cfg = tmp_path / "undefined.cfg"
+        cfg.write_text(text)
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out"), "--tf", "20"]) == 3
+        assert capsys.readouterr().err == "error: delta returned non-finite values at t=0.02\n"
 
     def test_undefined_rate(self, tmp_path, capsys):
         code, err = self.run(tmp_path, capsys, "certify", CONFIG.replace("alpha = 0.5 + t^3", "alpha = log(t - 1)"))
@@ -541,6 +566,46 @@ class TestDemoCommand:
             a, b = ((out / name).read_text().splitlines() for out in runs.values())
             differ = [(x, y) for x, y in zip(a, b) if x != y]
             assert len(a) == len(b) and differ == ([("plan.seed,7", "plan.seed,42")] if name == "certificate.csv" else []), name
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser, built once; no call's arguments reach the next."""
+
+    def test_the_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        assert main(["lognorm", "--inline", "-2 1; 0 -3"]) == 0
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda s, *a, **k: built.append(a) or init(s, *a, **k))
+        runs = (["lognorm", "--inline", "-1 0; 0 -1"], ["--help"], [], ["certify"])
+        assert [main(argv) for argv in runs] == [0, 0, 2, 2]
+        assert built == [] and build_parser() is build_parser()
+
+    def test_a_norm_flag_does_not_reach_the_next_lognorm(self, capsys):
+        kinds = []
+        for argv in (["--norm", "l1"], [], ["--norm", "linf", "--norm", "l2"], []):
+            assert main(["lognorm", "--inline", "-2 1; 0 -3", *argv]) == 0
+            kinds.append(sorted({line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]}))
+        assert kinds == [["l1"], ["l1", "l2", "linf"], ["l2", "linf"], ["l1", "l2", "linf"]]
+
+    def test_certify_flags_do_not_reach_the_next_certify(self, config_file, tmp_path, capsys):
+        def certify(out, *flags):
+            code = main(["certify", "--config", str(config_file), "--out", str(tmp_path / out), *flags])
+            cert, ratio = ((tmp_path / out / f"{name}.csv").read_text().splitlines() for name in ("certificate", "ratio"))
+            rows = [row for row in cert if row.split(",")[0] in ("kind_tag", "plan.seed")]
+            return code, rows, ratio[-1].split(",")[0]  # the ratio's last t is tf
+
+        # mu_inf of the demo field reaches 2 on the box: not certified
+        flagged = certify("flagged", "--norm", "linf", "--seed", "7", "--tf", "5")
+        assert flagged == (1, ["kind_tag,linf", "plan.seed,7"], "5")
+        # the config's norm, seed and [integrator] tf
+        assert certify("plain") == (0, ["kind_tag,l2", "plan.seed,42"], "3")
+
+    def test_a_usage_error_between_runs_still_exits_two(self, config_file, tmp_path, capsys):
+        assert main(["certify", "--config", str(config_file), "--out", str(tmp_path / "a"), "--seed", "3"]) == 0
+        assert main(["certify", "--out", str(tmp_path / "b")]) == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+        assert main(["certify", "--config", str(config_file), "--seed", "-1", "--out", str(tmp_path / "c")]) == 2
+        assert main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "d")]) == 0
+        assert not (tmp_path / "b").exists()
 
 
 class TestTopLevel:

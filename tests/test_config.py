@@ -1,16 +1,20 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from logstab import config
-from logstab.certify import Domain, SamplingPlan, check_demidovich, estimate_contraction_rate, sample_states
+from logstab import SystemSpec, config
+from logstab import system as system_module
+from logstab.certify import Domain, SamplingPlan, check_demidovich, check_forcing_ratio, estimate_contraction_rate
+from logstab.certify import sample_states
 from logstab.integrate import METHODS, IntegratorConfig
 from logstab.config import (
     build_domain,
     build_norm,
     build_system,
+    certify_scenario,
     parse_config,
     serialize_config,
 )
@@ -396,9 +400,9 @@ def test_a_field_text_is_compiled_once_and_each_build_gets_its_own_closures(monk
     compiled = []
     monkeypatch.setattr(config, "compile_expression", lambda *args: compiled.append(args) or compile_expression(*args))
     a = build_system(parse_config(text))
-    assert len(compiled) == 4  # f and J, per point and over numpy
+    assert len(compiled) == 5  # f per point, over numpy and over a vector of t; J per point and over numpy
     b = build_system(parse_config(text))
-    assert len(compiled) == 4
+    assert len(compiled) == 5
     assert a.f is not b.f and a.jac is not b.jac
     calls = spy(a.f, "stack")
     xs = np.array([[0.5, -1.0], [2.0, 0.25]])
@@ -545,3 +549,144 @@ def test_a_field_that_only_underflows_gives_the_per_point_values():
     for t in (0.0, 1.5):
         assert eval_field(sys, xs, t).tolist() == [sys.f(x, t).tolist() for x in xs]
         assert jacobian(sys, xs, t).tolist() == [sys.jac(x, t).tolist() for x in xs]
+
+
+# -- callables of t over a vector of t ------------------------------------------
+
+# delta and alpha texts in exp, log, sqrt, pow and a constant entry, on a field that is not 0 at the origin
+TIME_TEXT = """[system]
+type = expression
+dim = 2
+f1 = -(2 + t^2)*x1 + sin(x2) + exp(-t)*cos(3*t)
+f2 = -3*x2 + 0.5*sin(x1) - pow(t, 1.5)/(1 + t^2)
+delta1 = sqrt(t)*exp(-0.25*t) + log(1 + t^3)
+delta2 = 2
+x0 = 1, -1
+
+[certify]
+alpha = pow(t, 3) + 0.5*exp(-t) + log(2 + t)
+"""
+WEIGHT = np.array([[2.0, 0.3], [0.3, 1.5]])
+KINDS = {"l1": NormKind.l1(), "l2": NormKind.l2(), "linf": NormKind.linf(), "weighted": NormKind.weighted(WEIGHT)}
+
+
+def _ratios(text: str, kind: NormKind, t_lo: float, t_hi: float):
+    """The forcing ratio of a config text through its stacks, and through one call per t."""
+    cfg = parse_config(text)
+    system, alpha = build_system(cfg), config._function_of_t(cfg.alpha_expr)
+    stacked = check_forcing_ratio(system, alpha, t_lo, t_hi, kind=kind)
+    return stacked, check_forcing_ratio(without_stacks(system), lambda t: alpha(t), t_lo, t_hi, kind=kind)
+
+
+class TestTimeStacks:
+    """Config-built delta, alpha and f(0, t) take a vector of t in one call, with the bits of one call per t."""
+
+    @pytest.mark.parametrize("variant", ["fig1", "fig2"])
+    def test_a_demo_configs_ratio_is_the_per_t_ratio(self, variant):
+        stacked, per_t = _ratios(DEMO_CONFIGS[variant], NormKind.l2(), 0.0, 20.0)
+        assert stacked == per_t
+
+    @pytest.mark.parametrize("kind", list(KINDS.values()), ids=list(KINDS))
+    @pytest.mark.parametrize("window", [(0.0, 20.0), (0.5, 3.0)])
+    def test_exp_log_sqrt_pow_and_a_constant_give_the_per_t_ratio(self, kind, window):
+        stacked, per_t = _ratios(TIME_TEXT, kind, *window)
+        assert stacked == per_t
+
+    def test_a_builtin_phi_gives_the_per_t_ratio(self):
+        text = DEMO_CONFIGS["fig2"].replace("name = example1", "name = example1\nb = -2.5\nphi = -4 - exp(t)*t")
+        stacked, per_t = _ratios(text, NormKind.linf(), 0.0, 20.0)
+        assert stacked == per_t
+
+    def test_one_stacked_call_per_callable_of_t_and_no_eval_rhs(self, monkeypatch, tmp_path):
+        cfg = replace(parse_config(DEMO_CONFIGS["fig1"]), out_dir=str(tmp_path))
+        system = build_system(cfg)
+        calls = {"f(0, t)": spy(system.f.origin, "stack"), "delta": spy(system.delta, "stack"), "alpha": []}
+        monkeypatch.setattr(system_module, "eval_rhs", lambda *args: pytest.fail("eval_rhs was called"))
+
+        def ratio(sys, alpha_fn, *args, **kwargs):
+            calls["alpha"] = spy(alpha_fn, "stack")
+            return check_forcing_ratio(sys, alpha_fn, *args, **kwargs)
+
+        monkeypatch.setattr(config, "check_forcing_ratio", ratio)
+        _, report, _ = certify_scenario(cfg, system, build_norm(cfg))
+        assert {name: len(c) for name, c in calls.items()} == {"f(0, t)": 1, "delta": 1, "alpha": 1}
+        assert report.verdict == "ratio_vanishes"
+
+    def test_plain_callables_are_called_once_per_t(self):
+        calls = {"f": 0, "delta": 0, "alpha": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        delta = counted("delta", lambda t: np.array([np.exp(-t)]))
+        system = SystemSpec(dim=1, f=counted("f", lambda x, t: -x), delta=delta)
+        check_forcing_ratio(system, counted("alpha", lambda t: 1.0), 0.0, 10.0)
+        assert calls == {"f": 200, "delta": 200, "alpha": 200}
+
+    def test_a_plain_delta_keeps_the_eval_rhs_loop(self, monkeypatch):
+        system = build_example1(delta=delta_admissible)  # f carries an origin, delta no stack
+        rhs = []
+        monkeypatch.setattr(system_module, "eval_rhs", lambda *args: rhs.append(args) or eval_rhs(*args))
+        check_forcing_ratio(system, default_rate, 0.0, 20.0)
+        assert len(rhs) == 200
+
+    @pytest.mark.parametrize(
+        "f1, delta1, message",
+        [
+            ("-x1 + log(5 - t)", "log(t - 2)", r"delta returned non-finite values at t=1\.0"),  # delta bad first
+            ("-x1 + log(t - 2)", "log(t - 2)", r"f returned non-finite values at x=\[0\.0\], t=1\.0"),  # f before delta
+            ("-x1 + log(5 - t)", "1", r"f returned non-finite values at x=\[0\.0\], t=5\.111\d+"),
+            ("-x1 + exp(t)", "1", r"f returned non-finite values at x=\[0\.0\], t=731\.\d+"),  # exp overflows
+        ],
+    )
+    def test_an_error_is_the_per_t_loops(self, f1, delta1, message):
+        system = build_system(parse_config(f"[system]\ntype = expression\ndim = 1\nf1 = {f1}\ndelta1 = {delta1}\n"))
+        failure = _failure(lambda: check_forcing_ratio(system, lambda t: 1.0, 1.0, 1000.0))
+        assert re.fullmatch(message, failure[0])
+        assert failure == _failure(lambda: check_forcing_ratio(without_stacks(system), lambda t: 1.0, 1.0, 1000.0))
+
+    def test_a_stack_of_the_wrong_shape_is_reported_by_shape(self):
+        system = build_system(parse_config(DEMO_CONFIGS["fig1"]))
+        alpha = lambda t: 1.0
+        alpha.stack = lambda ts: np.ones(len(ts) - 1)
+        message = r"^alpha returned shape \(199,\), expected \(200,\) at a vector of 200 times from t=0\.02 to t=20\.0$"
+        with pytest.raises(EvaluationError, match=message) as err:
+            check_forcing_ratio(system, alpha, 0.0, 20.0)
+        assert err.value.x is None and err.value.t is None
+        # the per-point delta is fine, so the loop that would name a bad t passes and the stack is blamed
+        system.delta.stack = lambda ts: np.zeros((len(ts), 3))
+        with pytest.raises(EvaluationError, match=r"^delta returned shape \(200, 3\), expected \(200, 2\) at a vector"):
+            check_forcing_ratio(system, default_rate, 0.0, 20.0)
+
+    def test_non_finite_stack_output_names_the_first_bad_t(self):
+        rate = lambda t: 1.0
+        rate.stack = lambda ts: np.where(ts > 1.0, np.nan, 1.0)
+        with pytest.raises(EvaluationError, match=r"^alpha returned non-finite values at t=1\.0\d*$"):
+            check_forcing_ratio(build_example1(delta=delta_admissible), rate, 0.0, 20.0)
+
+    def test_a_delta_or_alpha_text_is_compiled_once_and_each_build_gets_its_own_closures(self, monkeypatch):
+        # texts that no other test builds, so their first build here is their first anywhere
+        text = (
+            "[system]\ntype = builtin\nname = example1\nphi = -5.875 - t^2\n"
+            "delta1 = 0.8125*cos(t)\ndelta2 = exp(-0.4375*t)\n\n[certify]\nalpha = 1.3125 + t\n"
+        )
+        compiled, parsed = [], []
+        monkeypatch.setattr(config, "compile_expression", lambda *a: compiled.append(a) or compile_expression(*a))
+        monkeypatch.setattr(config, "parse_expression", lambda text: parsed.append(text) or parse_expression(text))
+        builds = [(build_system(cfg), config._function_of_t(cfg.alpha_expr)) for cfg in [parse_config(text)]]
+        assert len(compiled) == 9  # the field's 5, delta and alpha per t and over a vector of t
+        parsed.clear()
+        builds += [(build_system(cfg), config._function_of_t(cfg.alpha_expr)) for cfg in [parse_config(text)]]
+        assert len(compiled) == 9 and parsed == []  # phi, delta and alpha are neither parsed nor compiled again
+        (a, alpha_a), (b, alpha_b) = builds
+        assert a.delta is not b.delta and alpha_a is not alpha_b
+        calls = spy(a.delta, "stack")
+        ts = np.linspace(0.0, 2.0, 11)
+        assert check_forcing_ratio(b, alpha_b, 0.0, 2.0) == check_forcing_ratio(a, alpha_a, 0.0, 2.0)
+        assert len(calls) == 1  # a's stack, not b's
+        assert b.delta.stack is not a.delta.stack and not hasattr(b.delta.stack, "__wrapped__")
+        assert b.delta.stack(ts).tobytes() == np.array([a.delta(t) for t in ts.tolist()]).tobytes()

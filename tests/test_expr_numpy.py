@@ -1,4 +1,4 @@
-"""Property tests: the numpy namespace of compile_expression against the math namespace.
+"""Property tests: the numpy and vector namespaces of compile_expression against the math namespace.
 
 The two evaluate the same printed text. Arithmetic is IEEE in both, and a
 subtree of Python floats (constants, t) runs on math in both. So a stack
@@ -8,7 +8,10 @@ on numpy instead of math. Each such function agrees with math to <= 2 ulp
 numpy's value taken at each of them (the second). Within a tree a 1-ulp
 difference can grow by cancellation, as exp(x1) - 1 near 0 shows, so no
 ulp bound is claimed for whole trees. Where the per-point function is not
-finite, a system's stack fails as its rows do (the third).
+finite, a system's stack fails as its rows do (the third). The vector
+namespace, which takes math's function at every entry of an array, gives
+the math namespace's bits at every t of a vector wherever it returns (the
+fourth).
 """
 
 import math
@@ -135,3 +138,24 @@ def test_a_system_stack_fails_as_its_rows_do(f1, f2, xs, t):
             assert got == want
         else:
             assert isinstance(got, np.ndarray) and got.shape == want.shape
+
+
+# the forcing ratio's grid on [0, 20], where numpy's power and exp are not math's
+RATIO_GRID = np.geomspace(0.02, 20.0, 200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions, coordinates, coordinates, st.lists(st.floats(0.0, 50.0), min_size=1, max_size=12).map(np.array))
+@example("pow(t, 3)", 0.0, 0.0, RATIO_GRID)
+@example("0.5 + exp(-t)*sin(t) - sqrt(t)*log(t)", 0.0, 0.0, RATIO_GRID)
+@example("2", 1.0, -1.0, RATIO_GRID)
+def test_a_vector_of_t_has_the_math_bits_at_every_t(text, x1, x2, ts):
+    """Where the vector namespace returns, its value at each t is the math namespace's, bit for bit."""
+    tree = parse_expression(text)
+    try:
+        got = compile_expression(tree, NAMES, "vector")(x1, x2, ts)
+    except (ArithmeticError, ValueError):
+        return  # the caller goes time by time
+    per_t = compile_expression(tree, NAMES)
+    want = np.array([per_t(x1, x2, t) for t in ts.tolist()])
+    assert np.broadcast_to(got, ts.shape).tobytes() == want.tobytes(), (text, x1, x2)

@@ -31,7 +31,10 @@ rotation [[0, 1000], [-1000, 0]] under l1 with 200 pairs, diag(-1000, -1)
 under l2); the demo field without delta under ``auto`` to tf = 6, across its
 hand-off; x' = -x from (1, 1) with f and delta returning float32, under
 ``rk4`` to tf = 1; acceptance criterion 04's two reports; the demo's forcing-ratio
-report (fig1, the demo rate, t in [0, 20]) and its Demidovich reports (fig1,
+report (fig1, the demo rate, t in [0, 20]); the forcing-ratio reports of config-built
+systems, whose f(0, t), delta and alpha take the whole grid in one call each: the fig2
+config text under l2, and a field, delta and alpha in exp, log, sqrt and pow of t with a
+constant delta entry under l1, l2, linf and a weighted norm; the demo's Demidovich reports (fig1,
 the demo config's domain and plan, with P = I and P = [[2, 0.3], [0.3, 1.5]]);
 the contraction certificate of fig1 with the demo rate on that domain under
 l1, l2, linf and the weighted norm of that P, each on the demo's 41x41x5 grid
@@ -132,6 +135,17 @@ type = expression
 dim = 2
 f1 = -3*x1 + 0.5*exp(-x1^2/4) + 0.2*pow(2 + cos(x2), 1.5)
 f2 = -2*x2 + 0.25*exp(sin(x1)) - 0.1*pow(1.5, x1)*x2
+"""
+# a forcing ratio whose f(0, t), delta and alpha use exp, log, sqrt and pow of t, and a constant delta entry
+TIME_CONFIG = """[system]
+type = expression
+dim = 2
+f1 = -(2 + t^2)*x1 + sin(x2) + exp(-t)*cos(3*t)
+f2 = -3*x2 + 0.5*sin(x1) - pow(t, 1.5)/(1 + t^2)
+delta1 = sqrt(t)*exp(-0.25*t) + log(1 + t^3)
+delta2 = 2
+[certify]
+alpha = pow(t, 3) + 0.5*exp(-t) + log(2 + t)
 """
 # the stiff demo field, which simulate takes from (-2, 5) under each [integrator] method
 DEMO_FIELD_CONFIG = """[system]
@@ -332,6 +346,18 @@ def _corpus(logstab):
 
     yield "criterion_04", criterion_04, None
     yield "forcing_ratio/fig1", lambda: logstab.check_forcing_ratio(demo["fig1"], default_rate, 0.0, 20.0), None
+
+    def config_ratio(text, kind):
+        """The forcing ratio of a config text's system and [certify] alpha, from its t0 to its tf."""
+        cfg = parse_config(text)
+        alpha = importlib.import_module("logstab.config")._function_of_t(cfg.alpha_expr)
+        return logstab.check_forcing_ratio(build_system(cfg), alpha, cfg.t0, cfg.tf, kind=kind)
+
+    ratio_weight = np.array([[2.0, 0.3], [0.3, 1.5]])
+    yield "forcing_ratio/fig2_config", lambda: config_ratio(DEMO_CONFIGS["fig2"], logstab.NormKind.l2()), None
+    for tag in kinds:
+        kind = logstab.NormKind.weighted(ratio_weight) if tag == "weighted" else logstab.NormKind(tag)
+        yield f"forcing_ratio/exp_log_pow/{tag}", lambda kind=kind: config_ratio(TIME_CONFIG, kind), None
 
     demo_cfg = parse_config(DEMO_CONFIGS["fig1"])
     demo_box = logstab.Domain(
