@@ -149,15 +149,24 @@ def _integer(text: str) -> int:
         raise InvalidInputError(f"expected an integer, got {text!r}") from None
 
 
+@functools.lru_cache(maxsize=256)
+def _free_names(text: str) -> frozenset:
+    """The free variables of the expression ``text``; InvalidInputError where it does not parse.
+
+    Cached by text, so a field, delta, phi or alpha text that many configs
+    and builds repeat is parsed once per process.
+    """
+    try:
+        return frozenset(free_variables(parse_expression(text)))
+    except ExprSyntaxError as exc:
+        raise InvalidInputError(f"bad expression {text!r}: {exc}") from None
+
+
 def _expression_in(*names: str):
     """Coercion that checks an expression parses and uses only ``names``; keeps the text."""
 
     def check(text: str) -> str:
-        try:
-            node = parse_expression(text)
-        except ExprSyntaxError as exc:
-            raise InvalidInputError(f"bad expression {text!r}: {exc}") from None
-        extra = free_variables(node) - set(names)
+        extra = _free_names(text) - set(names)
         if extra:
             raise InvalidInputError(f"expression references undeclared symbol(s) {sorted(extra)}")
         return text
@@ -165,8 +174,7 @@ def _expression_in(*names: str):
     return check
 
 
-# a text the builtin's phi, a delta or the alpha of many builds repeat is parsed once
-_expression_in_t = functools.lru_cache(maxsize=64)(_expression_in("t"))
+_expression_in_t = _expression_in("t")
 
 
 def _norm_tag(text: str) -> str:

@@ -5,7 +5,8 @@ through IEEE doubles. A trajectory or component table is formatted in one
 pass of a row template over the whole table and written in one call, with
 the bytes ``np.savetxt`` would write, at less than half its cost. Reports
 flatten to key,value rows; per-sample series inside a report become their
-own bracketed sections with a two-column layout.
+own bracketed sections with a two-column layout, each formatted by the same
+row template.
 """
 
 from __future__ import annotations
@@ -24,16 +25,22 @@ def format_float(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _write_table(path: Path, header: str, columns) -> Path:
-    """The header line, then one row of ``columns`` per line, every float with 17 significant digits.
+def _format_rows(table: np.ndarray) -> str:
+    """One line per row of the 2-D ``table``, every float with 17 significant digits, as format_float writes it.
 
-    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")``: the row
-    template "%.17g,...,%.17g\\n", repeated once per row, formats the whole
-    table in one pass, and the file is written in one call.
+    The row template "%.17g,...,%.17g\\n", repeated once per row, formats the
+    whole table in one pass.
     """
-    table = np.column_stack(columns)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    path.write_text(header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
+    return (row * table.shape[0]) % tuple(table.ravel().tolist())
+
+
+def _write_table(path: Path, header: str, columns) -> Path:
+    """The header line, then one row of ``columns`` per line, written in one call.
+
+    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")``.
+    """
+    path.write_text(header + "\n" + _format_rows(np.column_stack(columns)))
     return path
 
 
@@ -121,11 +128,10 @@ def export_report_csv(report, path, name: str | None = None) -> Path:
     visit("", report)
     lines = [f"# {name or type(report).__name__}", "key,value"]
     lines += [f"{k},{v}" for k, v in scalars]
+    text = "\n".join(lines) + "\n"
     for key, rows in series:
-        lines.append(f"[{key}]")
-        lines.append("t,value")
-        lines += [f"{format_float(t)},{format_float(val)}" for t, val in rows]
-    path.write_text("\n".join(lines) + "\n")
+        text += f"[{key}]\nt,value\n" + _format_rows(np.array(rows, dtype=float))
+    path.write_text(text)
     return path
 
 

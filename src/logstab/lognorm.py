@@ -4,7 +4,11 @@ Three independent routes are provided: the closed forms per norm kind, a
 numerical estimator built on the one-sided limit of (||I + theta*A|| - 1)/theta,
 and, for weighted norms, the quadratic-form formulation through the symmetric
 pencil. Under l2 and weighted norms the closed form of a 2x2 matrix is the
-exact eigenvalue formula of its symmetric part, so it makes no LAPACK call.
+exact eigenvalue formula of its symmetric part, so it makes no LAPACK call;
+for n >= 3 it is the top eigenvalue of the symmetric part from eigvalsh. The
+largest mu over a stack of n >= 3 matrices (``_log_norm_argmax``, which the
+contraction sweep reads per time slice) takes eigvalsh only of the members
+whose Gershgorin bound can reach it.
 The estimator's thetas are relative to the matrix's scale: where the
 smallest theta times the largest entry would make ||I + theta*A|| read ||A||
 rather than mu[A], it works on A scaled down by a power of two and scales
@@ -33,6 +37,28 @@ from .linalg import (
 
 DEFAULT_THETA_SEQ = tuple(10.0 ** (-k) for k in range(1, 8))
 
+# _log_norm_argmax takes eigvalsh of this many members with the largest bounds first, for the slice's floor
+_FLOOR_SAMPLES = 8
+# and keeps a member whose bound plus this many n * eps * (its largest absolute row sum) reaches the floor
+_EIG_SLACK = 8.0
+
+
+def _diagonal_and_off_sums(m: np.ndarray, axis: int):
+    """The diagonals of the stack ``m`` (..., n, n) and the sums of its off-diagonal |entries| along ``axis``.
+
+    The off-diagonal entries alone: a whole column's (row's) sum can overflow
+    where mu is finite.
+    """
+    n = m.shape[-1]
+    a_off = np.abs(m, order="C")
+    a_off.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0  # the diagonal, through a flat view
+    return m.diagonal(0, -2, -1), a_off.sum(axis=axis)
+
+
+def _symmetric_part(t: np.ndarray) -> np.ndarray:
+    """T/2 + T^T/2: finite wherever T is, and exactly symmetric, so sym_eig's symmetry check is skipped."""
+    return 0.5 * t + 0.5 * np.swapaxes(t, -1, -2)
+
 
 def _closed_form(a, kind: NormKind, pair: bool):
     """mu[A] in closed form for A of shape (..., n, n); (mu[A], mu[-A]) if ``pair``.
@@ -41,16 +67,13 @@ def _closed_form(a, kind: NormKind, pair: bool):
     kind's similarity transform. For n = 2 its eigenvalues are mid -/+ rad with
     mid = (t00 + t11)/2 and rad = hypot((t00 - t11)/2, (t01 + t10)/2), taken
     element by element, so a stack and its members give the same bits. For
-    n >= 3 they come from eigvalsh(S).
+    n >= 3 they come from eigvalsh(S), of every member of a stack; where only
+    a stack's largest mu is wanted, ``_log_norm_argmax`` skips the members
+    that cannot hold it.
     """
     m = as_square_stack(a)
     if kind.tag in ("l1", "linf"):
-        d = m.diagonal(0, -2, -1)
-        # the off-diagonal entries alone: a whole column's (row's) sum can overflow where mu is finite
-        n = m.shape[-1]
-        a_off = np.abs(m, order="C")
-        a_off.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0  # the diagonal, through a flat view
-        off = a_off.sum(axis=-2 if kind.tag == "l1" else -1)
+        d, off = _diagonal_and_off_sums(m, -2 if kind.tag == "l1" else -1)
         plus = (d + off).max(axis=-1)
         return (plus, (off - d).max(axis=-1)) if pair else plus
     t = kind.similarity(m)
@@ -62,9 +85,42 @@ def _closed_form(a, kind: NormKind, pair: bool):
         rad = np.hypot(h00 - h11, h[..., 0, 1] + h[..., 1, 0])
         plus = mid + rad
         return (plus, rad - mid) if pair else plus
-    # T/2 + T^T/2 is finite wherever T is, and exactly symmetric, so sym_eig's symmetry check is skipped
-    eigvals = np.linalg.eigvalsh(0.5 * t + 0.5 * np.swapaxes(t, -1, -2))
+    eigvals = np.linalg.eigvalsh(_symmetric_part(t))
     return (eigvals[..., -1], -eigvals[..., 0]) if pair else eigvals[..., -1]
+
+
+def _log_norm_argmax(a, kind: NormKind) -> tuple[int, float]:
+    """(i, mu[A_i]) for the first i of the largest mu over the stack ``a`` (N, n, n), under l2 or weighted with n >= 3.
+
+    The value has the bits of ``log_norm(a, kind)[i]``, but eigvalsh(S_i) is
+    taken only of the members that can hold it. Each member is bounded by
+    mu_inf(S_i) = max over rows of S_ii plus the off-diagonal |entries|,
+    which is at least mu_2 (Gershgorin). Its rounding plus eigvalsh's
+    backward error stay under _EIG_SLACK n eps times S_i's largest absolute
+    row sum (at least ||S_i||_2), which is added to it. The _FLOOR_SAMPLES
+    members with the largest bounds give the floor, the largest of their
+    eigenvalues; a member whose bound stays below it has a computed
+    eigenvalue below it too, so it can be neither the maximum nor a tie. A
+    bound that overflows reads inf and keeps its member. A stack of at most
+    _FLOOR_SAMPLES members, or whose S is not finite, goes through eigvalsh
+    whole.
+    """
+    s = _symmetric_part(kind.similarity(as_square_stack(a)))
+    if len(s) > _FLOOR_SAMPLES and np.isfinite(s).all():
+        with np.errstate(over="ignore"):
+            d, off = _diagonal_and_off_sums(s, -1)
+            slack = (_EIG_SLACK * s.shape[-1] * np.finfo(float).eps) * (np.abs(d) + off).max(axis=-1)
+            reach = (d + off).max(axis=-1) + slack
+        first = np.argpartition(reach, -_FLOOR_SAMPLES)[-_FLOOR_SAMPLES:]
+        top = np.full(len(s), -np.inf)
+        top[first] = np.linalg.eigvalsh(s[first])[:, -1]
+        rest = reach >= top[first].max()
+        rest[first] = False
+        top[rest] = np.linalg.eigvalsh(s[rest])[:, -1]
+    else:
+        top = np.linalg.eigvalsh(s)[:, -1]
+    i = int(np.argmax(top))
+    return i, float(top[i])
 
 
 def log_norm(a, kind: NormKind):

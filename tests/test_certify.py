@@ -55,6 +55,19 @@ def _per_sample(sys):
     return SystemSpec(dim=sys.dim, f=sys.f, jac=lambda x, t: jacobian(sys, x, t), delta=sys.delta)
 
 
+# certify-sweep's ring shape at n = 4 (sin terms and a t^2 diagonal); its f4 may take abs of x1 instead of sin
+RING4 = """[system]
+type = expression
+dim = 4
+f1 = -(2.9 + t^2)*x1 + 0.45*sin(x1) + 1.2*sin(x2)
+f2 = -(3.4 + t^2)*x2 - 0.8*sin(x2) - 0.7*sin(x3)
+f3 = -(2.2 + t^2)*x3 + 0.3*sin(x3) + 1.5*sin(x4)
+"""
+RING4_F4 = {
+    "symbolic": "f4 = -(3.1 + t^2)*x4 - 0.6*sin(x4) + 0.9*sin(x1)\n",
+    "finite differences": "f4 = -(3.1 + t^2)*x4 - 0.6*sin(x4) + 0.9*abs(x1)\n",
+}
+RING4_WEIGHT = random_spd(np.random.default_rng(4), 4)
 DEMO_EXPRESSION = "[system]\ntype = expression\ndim = 2\nf1 = (-6 - t^3)*x1 + sin(x1)\nf2 = 5*x1 + (2 + (-6 - t^3))*x2 + sin(x2)\n"
 
 
@@ -261,6 +274,18 @@ class TestStackingRule:
         else:
             assert (len(point_calls), log_norms) == (0, [(81, 2, 2)] * 4)
             assert len(stack_calls) + len(f_stack_calls) == 4
+
+    @pytest.mark.parametrize("tag", KINDS)
+    @pytest.mark.parametrize("jacobian_source", RING4_F4)
+    def test_an_n4_ring_takes_one_argmax_kernel_call_per_slice_under_l2_and_weighted(self, monkeypatch, jacobian_source, tag):
+        sys = build_system(parse_config(RING4 + RING4_F4[jacobian_source]))
+        kind = NormKind.weighted(RING4_WEIGHT) if tag == "weighted" else KINDS[tag]
+        domain, plan = box(4, 3.0, 0.0, 1.0), SamplingPlan(n_space=300, n_time=4, scheme="latin_hypercube", seed=5)
+        stacks, kernel = [], certify_module._log_norm_argmax
+        monkeypatch.setattr(certify_module, "_log_norm_argmax", lambda j, kind: stacks.append(j.shape) or kernel(j, kind))
+        cert = estimate_contraction_rate(sys, domain, kind, plan, alpha_fn=default_rate)
+        assert stacks == ([(300, 4, 4)] * 4 if tag in ("l2", "weighted") else [])
+        assert cert == estimate_contraction_rate(_per_sample(sys), domain, kind, plan, alpha_fn=default_rate)
 
 
 class TestDemidovich:

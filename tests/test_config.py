@@ -410,6 +410,28 @@ def test_a_field_text_is_compiled_once_and_each_build_gets_its_own_closures(monk
     assert len(calls) == 1  # a's stack, not b's
     assert b.f.stack is not a.f.stack and not hasattr(b.f.stack, "__wrapped__")
 
+def test_each_distinct_text_is_parsed_once_however_often_a_config_is_parsed(monkeypatch):
+    # texts that no other test parses, so their first parse here is their first anywhere
+    texts = ["-2.4375*x1 + sin(x2)", "-1.8125*x2 + 0.5*cos(x1)", "0.3125*sin(t)", "2.5625 + t^2"]
+    text = (
+        f"[system]\ntype = expression\ndim = 2\nf1 = {texts[0]}\nf2 = {texts[1]}\n"
+        f"delta1 = {texts[2]}\ndelta2 = {texts[2]}\n\n[certify]\nalpha = {texts[3]}\n"
+    )
+    parsed = []
+    monkeypatch.setattr(config, "parse_expression", lambda text: parsed.append(text) or parse_expression(text))
+    assert parse_config(text) == parse_config(text)
+    assert sorted(parsed) == sorted(texts)
+
+
+@pytest.mark.parametrize("f2, message", [("-x2 +", "bad expression '-x2 +'"), ("-x3", "expression references undeclared symbol(s) ['x3']")])
+def test_a_bad_field_text_fails_at_its_line_every_time(f2, message):
+    # -x3 is a good text in three dimensions: a cached parse must still be judged against each config's names
+    parse_config("[system]\ntype = expression\ndim = 3\nf1 = -x1\nf2 = -x2\nf3 = -x3\n")
+    for _ in range(2):
+        with pytest.raises(ConfigError, match=f"^line 5: {re.escape(message)}"):
+            parse_config(f"[system]\ntype = expression\ndim = 2\nf1 = -x1\nf2 = {f2}\n")
+
+
 def _ring_config(rng, n, with_abs):
     """A ring shaped like the benchmark's, with coefficients of both signs and a perturbation."""
     c, e, g, d = (np.round(rng.uniform(-2.0, 2.0, n), 6) for _ in range(4))

@@ -3,11 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from logstab.certify import Domain, RateIntegralReport, SamplingPlan, estimate_contraction_rate
+from logstab.certify import ConvergenceReport, Domain, RateIntegralReport, SamplingPlan, estimate_contraction_rate
 from logstab.csvio import (
     export_component_csv,
     export_report_csv,
     export_trajectory_csv,
+    format_float,
     load_trajectory_csv,
     parse_matrix_text,
     read_matrix_file,
@@ -106,6 +107,15 @@ class TestReportExport:
         report = RateIntegralReport("divergent", 4.0, [1.0, 2.5, 4.0], [1.0, 1.5, 1.5])
         rows = export_report_csv(report, tmp_path / "rate.csv").read_text().splitlines()
         assert rows[4:6] == ["partial_totals,1 2.5 4", "increments,1 1.5 1.5"]
+
+    def test_series_rows_are_the_per_value_format(self, tmp_path):
+        values = [-0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan, 0.1, -2.5e-310, 3]
+        rows = [(t, v) for t in values for v in values]
+        report = ConvergenceReport(rows, 0.0, 1.0, 2.0, 0.5, "inconclusive", "l2", -0.1, 0.05, 0.1, 0.01)
+        text = export_report_csv(report, tmp_path / "ratio.csv").read_text()
+        section = "[ratio_samples]\nt,value\n" + "".join(f"{format_float(t)},{format_float(v)}\n" for t, v in rows)
+        assert text.endswith("\n" + section)
+        assert "-0,-0\n" in section and "4.9406564584124654e-324,1e+308\n" in section and "-inf,nan\n" in section
 
     def test_report_requires_dataclass(self, tmp_path):
         with pytest.raises(InvalidInputError):

@@ -42,7 +42,10 @@ and on a 2000-point Latin hypercube (5 slices, seed 3); the certificates of
 two expression systems, whose numpy stacks take each slice, under l1, l2 and
 linf on a 1000-point Latin hypercube of [-3, 3]^n (4 slices on [0, 1], seed
 11): certify-sweep's ring shape at n = 4 (sin terms and a t^2 diagonal) and a
-planar field with exp and pow of the state;
+planar field with exp and pow of the state; the certificates, with the demo
+rate, of rings of that shape whose coefficients come from a seeded generator,
+at n = 4 and 8 and at n = 4 with an abs term (finite differences), each under
+l2 and a weighted norm, on a 500-point Latin hypercube (4 slices on [0, 1]);
 the Demidovich report (P = I, 3x3 grid on [-1, 1]^2, two time slices) and the
 quadratic-form log norm (P = I) of the constant J = [[-1e308, 1.5e308],
 [1.5e308, -1e308]], whose P J + J^T P overflows; the limit-route tables of that
@@ -136,6 +139,19 @@ dim = 2
 f1 = -3*x1 + 0.5*exp(-x1^2/4) + 0.2*pow(2 + cos(x2), 1.5)
 f2 = -2*x2 + 0.25*exp(sin(x1)) - 0.1*pow(1.5, x1)*x2
 """
+
+
+def _ring_config(rng, n: int, with_abs: bool) -> str:
+    """certify-sweep's ring shape, f_i = -(a_i + t^2) x_i + e_i sin(x_i) + c_i sin(x_{i+1}) [+ g_i abs(x_{i-1})], from rng."""
+    c, e, g = (np.round(rng.uniform(-2.0, 2.0, n), 6) for _ in range(3))
+    a = np.round(rng.uniform(3.0, 6.0, n), 6)
+    lines = ["[system]", "type = expression", f"dim = {n}"]
+    for i in range(n):
+        term = f"-({a[i]} + t^2)*x{i + 1} + {e[i]}*sin(x{i + 1}) + {c[i]}*sin(x{(i + 1) % n + 1})"
+        lines.append(f"f{i + 1} = {term}" + (f" + {g[i]}*abs(x{(i - 1) % n + 1})" if with_abs else ""))
+    return "\n".join(lines) + "\n"
+
+
 # a forcing ratio whose f(0, t), delta and alpha use exp, log, sqrt and pow of t, and a constant delta entry
 TIME_CONFIG = """[system]
 type = expression
@@ -390,6 +406,19 @@ def _corpus(logstab):
                 for sys in expression
             ]
         ), None
+    # seeded rings under l2 and a weighted norm: each slice's sup from the samples whose Gershgorin bound can reach it
+    rng = np.random.default_rng(5)
+    lhs = logstab.SamplingPlan(n_space=500, n_time=4, scheme="latin_hypercube", seed=11)
+    for n, with_abs in ((4, False), (8, False), (4, True)):
+        ring = build_system(parse_config(_ring_config(rng, n, with_abs)))
+        ring_box = logstab.Domain(-3.0 * np.ones(n), 3.0 * np.ones(n), 0.0, 1.0)
+        q = rng.normal(size=(n, n))
+        for kind in (logstab.NormKind.l2(), logstab.NormKind.weighted(q @ q.T + n * np.eye(n))):
+            yield f"certify/ring{n}{'-abs' if with_abs else ''}/{kind.tag}", (
+                lambda ring=ring, ring_box=ring_box, kind=kind: logstab.estimate_contraction_rate(
+                    ring, ring_box, kind, lhs, default_rate
+                )
+            ), None
     # P J + J^T P overflows for P = I, though its top eigenvalue, 5e307, is finite
     huge_j = np.array([[-1e308, 1.5e308], [1.5e308, -1e308]])
     constant_huge = logstab.SystemSpec(dim=2, f=lambda x, t: np.zeros(2), jac=lambda x, t: huge_j)
