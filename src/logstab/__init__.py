@@ -43,6 +43,7 @@ from .integrate import (
     check_transition_bounds,
     integrate,
     integrate_fundamental,
+    integrate_many,
 )
 from .linalg import (
     NormKind,
@@ -104,6 +105,7 @@ __all__ = [
     "check_transition_bounds",
     "integrate",
     "integrate_fundamental",
+    "integrate_many",
     "NormKind",
     "induced_matrix_norm",
     "matrix_sqrt_spd",

@@ -81,6 +81,24 @@ start the next step from it; the run keeps that field for the step rules
 alone. An NDF node takes no field evaluation: the next step starts from the
 backward differences of its interpolant.
 
+``integrate_many`` integrates N states of one system as one ensemble run:
+its state is the N states end to end, and every method above runs on it
+unchanged. The members share every step, so each takes the smallest step
+any of them needs: the error test reads the max over all N n components.
+Each member keeps its own local-error estimate, per step the max over its
+own components, so its Trajectory's ``error_estimate`` is what that member
+alone contributed, not the ensemble's largest. The field is f on the (N, n)
+stack of states (``system._rows``, one call of ``f.stack`` where f carries
+one) plus one delta(t) added to every row. The ndf iteration matrix is
+block-diagonal, one block I - c J per member from ``jacobian`` on the
+stack, and is inverted block by block, never as one (Nn)^2 matrix: 2x2
+blocks by one stacked adj/det with the bits of the single closed form,
+larger ones by one stacked LAPACK call; Newton applies each block's inverse
+to its own member. A singular block fails the run with the condition of the
+worst block. The members share the step budget ``max_steps``, the step
+counts and the switch time of ``auto``. A one-member ensemble has the bits
+of ``integrate`` on its state.
+
 ``integrate``'s ``sample_times`` is the one way to sample, and it is checked
 before the run starts. A sampled run keeps one table, one row block per
 interval: y' at its start and at its end, per unit t, and the rows F3..F6 of
@@ -120,7 +138,7 @@ from .errors import ConditioningError, DivergedError, EvaluationError, InvalidIn
 from .errors import _FLOAT, check_array, check_count, check_positive, check_window
 from .linalg import NormKind, induced_matrix_norm, solve, vec_norm
 from .lognorm import log_norm_pair
-from .system import SystemSpec, _at_times, _checked_output, _shaped, eval_rhs, jacobian
+from .system import SystemSpec, _at_times, _checked_output, _rows, _shaped, eval_rhs, jacobian
 
 METHODS = ("auto", "rk4", "ndf")
 
@@ -321,9 +339,10 @@ class Trajectory:
     ``times`` and ``states`` are the integrator's own grid, or the samples
     a run took at ``integrate``'s ``sample_times``.
     ``error_estimate`` accumulates the max-abs local-error estimates of
-    accepted steps. It is None where there is no estimate: for ``rk4`` runs,
-    which estimate no local error, and for a trajectory built by hand or
-    loaded from CSV.
+    accepted steps, over this trajectory's own components for a member of
+    an ``integrate_many`` ensemble. It is None where there is no estimate:
+    for ``rk4`` runs, which estimate no local error, and for a trajectory
+    built by hand or loaded from CSV.
     ``stiff_from`` is the time at which an ``auto`` run switched to ndf, and
     None when it did not switch or ran another method.
     """
@@ -457,16 +476,62 @@ def integrate(
         # names the callable, x and t of an output that is not real or has the wrong shape; else converts it
         return _shaped("f", fx, shape, t, y) + _shaped("delta", dx, shape, t)
 
-    run = _Run(rhs, x0, f0, t0, tf, cfg, dense=sample_times is not None)
+    run = _Run(rhs, x0, f0, t0, tf, cfg, dense=sample_times is not None, members=1)
+    return _steps(run, lambda t, y: jacobian(sys, y, t), sample_times)[0]
+
+
+def integrate_many(
+    sys: SystemSpec,
+    X0,
+    t0: float,
+    tf: float,
+    cfg: IntegratorConfig | None = None,
+    sample_times=None,
+) -> list[Trajectory]:
+    """Integrate the N states X0 (N, n) of one system as one ensemble run: one Trajectory per state, in order.
+
+    The members share every step (see the module docstring), so they share
+    their times, step counts and ``stiff_from``; each has its own states and
+    ``error_estimate``. The field is ``f`` on the stack of the members'
+    states, in one call of ``f.stack`` where f carries one and row by row
+    otherwise, plus one delta(t) added to every row. X0 obeys the array
+    rule of arguments; the errors are ``integrate``'s, for the whole run, and
+    a bad output of ``f.stack`` names the stack it was evaluated at.
+    """
+    if cfg is None:
+        cfg = IntegratorConfig()
+    check_window(t0, tf)
+    x0 = check_array(X0, "X0", (None, sys.dim))
+    if not len(x0):
+        raise InvalidInputError("X0 must hold at least one state")
+    if sample_times is not None:
+        sample_times = _validate_sample_times(sample_times, t0, tf)
+
+    shape, delta = x0.shape, sys.delta
+    f0 = eval_rhs(sys, x0, t0).ravel()  # validated once; the loop checks shape and type only
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        fx = _rows("f", sys.f, y.reshape(shape), t, shape[1:])
+        if delta is None:
+            return fx.ravel()
+        return (fx + _shaped("delta", delta(t), shape[1:], t)).ravel()
+
+    run = _Run(rhs, x0.ravel(), f0, t0, tf, cfg, dense=sample_times is not None, members=len(x0))
+    return _steps(run, lambda t, y: jacobian(sys, y.reshape(shape), t), sample_times)
+
+
+def _steps(run: _Run, jac, sample_times) -> list[Trajectory]:
+    """Run the method of ``run.cfg`` to tf, with ``jac(t, y)`` for ndf, and return the members' trajectories."""
+    method = run.cfg.method
     # every method turns a non-finite value into a rejection or a DivergedError, so numpy need not warn of one
     with np.errstate(all="ignore"):
-        if cfg.method == "rk4":
+        if method == "rk4":
             _rk4_steps(run)
-        elif cfg.method == "auto":
+        elif method == "auto":
             _dop853_steps(run)
-        if cfg.method == "ndf" or run.stiff_from is not None:
-            _ndf_steps(run, lambda t, y: jacobian(sys, y, t))
-    return run.trajectory(sample_times)
+        if method == "ndf" or run.stiff_from is not None:
+            _ndf_steps(run, jac)
+    return run.trajectories(sample_times)
 
 
 class _Run:
@@ -476,10 +541,13 @@ class _Run:
     it tries a step of size h, and reports the outcome through ``accept`` (an
     RK4 or DOP853 node), ``accept_ndf`` (an NDF node) or ``reject``. RK4 only
     accepts. Every evaluation goes through ``rhs``, which checks the shape and
-    type of each output.
+    type of each output. The state of an ensemble of ``members`` states is
+    their concatenation, one state per equal block.
     """
 
-    def __init__(self, rhs, x0: np.ndarray, f0: np.ndarray, t0: float, tf: float, cfg: IntegratorConfig, dense: bool):
+    def __init__(
+        self, rhs, x0: np.ndarray, f0: np.ndarray, t0: float, tf: float, cfg: IntegratorConfig, dense: bool, members: int
+    ):
         self.rhs = rhs
         self.tf = tf
         self.cfg = cfg
@@ -487,9 +555,10 @@ class _Run:
         self.states = [x0.copy()]
         self.derivs = [f0]  # the field at t0 and at each RK4 and DOP853 node, for the step rules
         # a sampled run's row blocks for ``_hermite_sample``, one per accepted interval in the first rows of a table
-        # that doubles when it is full; an NDF block holds its step's differences until ``trajectory``
+        # that doubles when it is full; an NDF block holds its step's differences until ``trajectories``
         self.table = np.zeros((0, 6, x0.size)) if dense else None
-        self.error = 0.0  # sum of the max-abs local-error estimates of accepted steps
+        self.members = members
+        self.local_errors = []  # each accepted step's local-error estimate per component (none for RK4)
         self.n_steps = 0
         self.n_rejected = 0
         self.non_finite = False  # a trial step met a non-finite value since the last accepted node
@@ -526,10 +595,11 @@ class _Run:
             raise DivergedError(f"field non-finite after step to t={t}", self.times[-1])
         return f
 
-    def _store(self, t: float, y: np.ndarray, err: float) -> None:
+    def _store(self, t: float, y: np.ndarray, err: Optional[np.ndarray]) -> None:
         self.times.append(t)
         self.states.append(y)
-        self.error += err
+        if err is not None:
+            self.local_errors.append(err)
         self.n_steps += 1
         self.non_finite = False
 
@@ -539,8 +609,8 @@ class _Run:
             self.table = np.concatenate([self.table, np.zeros((max(64, self.n_steps),) + self.table.shape[1:])])
         return self.table[self.n_steps]
 
-    def accept(self, t: float, y: np.ndarray, err: float, f: np.ndarray, rows=None) -> None:
-        """Store an RK4 or DOP853 node (t, y) with a local-error estimate err.
+    def accept(self, t: float, y: np.ndarray, err: Optional[np.ndarray], f: np.ndarray, rows=None) -> None:
+        """Store an RK4 or DOP853 node (t, y) with the step's local-error estimate err per component (None for RK4).
 
         ``f`` is the field at the node, from ``node_field``; ``rows`` the
         interval's DOP853 rows F3..F6.
@@ -553,8 +623,8 @@ class _Run:
         self.derivs.append(f)
         self._store(t, y, err)
 
-    def accept_ndf(self, t: float, y: np.ndarray, err: float, diffs: np.ndarray) -> None:
-        """Store an NDF node (t, y) with a local-error estimate err.
+    def accept_ndf(self, t: float, y: np.ndarray, err: np.ndarray, diffs: np.ndarray) -> None:
+        """Store an NDF node (t, y) with the step's local-error estimate err per component.
 
         ``diffs`` are the step's backward differences 1..k, k its order; a
         sampled run writes them into the interval's row block.
@@ -563,27 +633,36 @@ class _Run:
             self._block()[: len(diffs)] = diffs
         self._store(t, y, err)
 
-    def trajectory(self, ts=None) -> Trajectory:
-        """The run on its own grid, or at the sample times ts."""
+    def trajectories(self, ts=None) -> list[Trajectory]:
+        """The run on its own grid, or at the sample times ts: one Trajectory per member, in order."""
         times, states = np.array(self.times), np.array(self.states)
         if ts is not None:
             rows = self.table[: self.n_steps]
             # the run keeps no field at an NDF node, so the intervals after the last one it keeps are NDF;
-            # their blocks take their Hermite form in place, once, as a run makes one trajectory
+            # their blocks take their Hermite form in place, once, as a run samples once
             first = len(self.derivs) - 1
             ndf = rows[first:]
             ndf[:, :4] = _NDF_HERMITE @ ndf[:, :5]
             ndf[:, :2] /= np.diff(times)[first:, None, None]
             ndf[:, 4] = 0.0
             times, states = ts, _hermite_sample(times, states, rows, ts)
-        return Trajectory(
-            times,
-            states,
-            error_estimate=None if self.cfg.method == "rk4" else self.error,
-            n_steps=self.n_steps,
-            n_rejected=self.n_rejected,
-            stiff_from=self.stiff_from,
-        )
+        states = states.reshape(len(times), self.members, -1)
+        estimates = [None] * self.members
+        if self.local_errors:
+            # each member's max-abs estimate per step, summed step by step in order
+            per_step = np.array(self.local_errors).reshape(self.n_steps, self.members, -1).max(axis=2)
+            estimates = np.add.accumulate(per_step)[-1].tolist()
+        return [
+            Trajectory(
+                times.copy() if k else times,
+                np.ascontiguousarray(states[:, k]),
+                error_estimate=estimates[k],
+                n_steps=self.n_steps,
+                n_rejected=self.n_rejected,
+                stiff_from=self.stiff_from,
+            )
+            for k in range(self.members)
+        ]
 
 
 def _rk4_steps(run: _Run) -> None:
@@ -604,7 +683,7 @@ def _rk4_steps(run: _Run) -> None:
         if not np.all(np.isfinite(y)):
             raise DivergedError(f"state blew up near t={t}", run.times[-1])
         f_cur = run.node_field(t, y)
-        run.accept(t, y, 0.0, f_cur)
+        run.accept(t, y, None, f_cur)
 
 
 def _dop853_steps(run: _Run) -> None:
@@ -671,7 +750,7 @@ def _dop853_steps(run: _Run) -> None:
                 h *= 0.1
                 continue
             rows = h * (_DOP_D @ stages)
-        run.accept(t_new, y_new, float(err_vec.max()), f_new, rows)
+        run.accept(t_new, y_new, err_vec, f_new, rows)
         grow = 0.9 * err ** -0.125 if err > 0.0 else 10.0
         h_next = h * min(10.0, max(0.2, grow))
         # the last stage K12 = f(t + h, Y12) and f_new give sigma (see the module docstring);
@@ -731,6 +810,12 @@ def _fold_correction(diffs: np.ndarray, order: int, corr: np.ndarray) -> None:
     diffs[order + 1 :: -1] = diffs[order + 1 :: -1].cumsum(axis=0)
 
 
+# I of a 2x2 block and its adjugate's entries, row-major: adj(M) = [[m11, -m01], [-m10, m00]]
+_EYE2_ROW = np.array([1.0, 0.0, 0.0, 1.0])
+_ADJ_ORDER = [3, 1, 2, 0]
+_ADJ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
 def _inverse_2x2(j_mat: np.ndarray, c: float) -> tuple[Optional[np.ndarray], float]:
     """(M^-1, |M|_inf |M^-1|_inf) of M = I - c J for a 2x2 J; (None, inf) where det(M) is 0 or not finite.
 
@@ -749,21 +834,50 @@ def _inverse_2x2(j_mat: np.ndarray, c: float) -> tuple[Optional[np.ndarray], flo
     return np.ldexp(np.array([[m11, -m01], [-m10, m00]]) / det, e), cond
 
 
+def _inverse_2x2_stack(j_mat: np.ndarray, c: float) -> tuple[Optional[np.ndarray], float]:
+    """``_inverse_2x2`` of each block of a stack J (N, 2, 2), bit for bit: (the inverses, the largest condition).
+
+    (None, inf) where a block's det(M) is 0 or not finite. Each block takes
+    its own power of two. Where a block's largest entry is not finite, its
+    exponent may differ from ``math.frexp``'s, but its det is not finite
+    either way.
+    """
+    with np.errstate(all="ignore"):  # as the closed form on Python floats, an inf or NaN warns of nothing
+        m = _EYE2_ROW - c * j_mat.reshape(-1, 4)  # 0.0 - x: the zero signs of I - c J
+        e = -np.frexp(np.abs(m).max(axis=1))[1][:, None]
+        m = np.ldexp(m, e)
+        m00, m01, m10, m11 = m.T
+        det = m00 * m11 - m01 * m10
+        if not (np.isfinite(det).all() and det.all()):
+            return None, math.inf
+        a00, a01, a10, a11 = np.abs(m.T)
+        cond = np.maximum(a00 + a01, a10 + a11) * np.maximum(a11 + a01, a10 + a00) / np.abs(det)
+        adj = m[:, _ADJ_ORDER] * _ADJ_SIGNS
+        return np.ldexp(adj / det[:, None], e).reshape(-1, 2, 2), float(cond.max())
+
+
 def _iteration_inverse(j_mat: np.ndarray, c: float, t: float) -> np.ndarray:
     """Explicit inverse of the Newton matrix M = I - c J; ConditioningError when it is singular.
 
-    Singular means |M|_inf |M^-1|_inf eps >= 1, or no inverse at all. A 2x2 M
-    is inverted in closed form by ``_inverse_2x2``, a larger one by LAPACK.
+    J is one matrix (n, n), or an ensemble's stack of diagonal blocks (N, n,
+    n), which gives the stack of the blocks' inverses. Singular means
+    |M|_inf |M^-1|_inf eps >= 1 for a block, or no inverse at all, and the
+    error names the largest condition. A 2x2 M is inverted in closed form by
+    ``_inverse_2x2``, a stack of them by ``_inverse_2x2_stack``, a larger M
+    by LAPACK.
     """
-    if j_mat.shape[0] == 2:
-        inv, cond = _inverse_2x2(j_mat, c)
+    if j_mat.shape[-1] == 2:
+        inv, cond = (_inverse_2x2 if j_mat.ndim == 2 else _inverse_2x2_stack)(j_mat, c)
     else:
-        m = np.eye(j_mat.shape[0]) - c * j_mat
+        m = np.eye(j_mat.shape[-1]) - c * j_mat
         try:
             inv = np.linalg.inv(m)
         except np.linalg.LinAlgError:
             inv = None
-        cond = np.inf if inv is None else np.abs(m).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+        if inv is None:
+            cond = np.inf
+        else:
+            cond = (np.abs(m).sum(axis=-1).max(axis=-1) * np.abs(inv).sum(axis=-1).max(axis=-1)).max()
     if not cond * np.finfo(float).eps < 1.0:
         raise ConditioningError(f"ndf iteration matrix I - {c:.6g} J is singular at t={t} (condition {cond:.3g})")
     return inv
@@ -772,7 +886,8 @@ def _iteration_inverse(j_mat: np.ndarray, c: float, t: float) -> np.ndarray:
 def _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, tol, rate):
     """Simplified Newton iteration for the NDF corrector corr = c f(t_new, y_pred + corr) - psi.
 
-    The iteration matrix is the inverse of I - c J with a possibly stale J.
+    The iteration matrix is the inverse of I - c J with a possibly stale J,
+    or the stack of its diagonal blocks for an ensemble, applied block by block.
     ``rate`` is the contraction rate carried from the last solve on the same
     matrix, or None. With it, the first iteration may end the solve; the
     tests that fail a solve use only the rates measured in this one.
@@ -787,7 +902,8 @@ def _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, tol, rate):
         if not math.isfinite(f @ zero):  # inf or NaN times 0 is NaN
             return False, it + 1, y, corr, True, None
         residual = c * f - psi
-        dy = m_inv @ (residual if corr is None else residual - corr)
+        step = residual if corr is None else residual - corr
+        dy = m_inv @ step if m_inv.ndim == 2 else (m_inv @ step.reshape(len(m_inv), -1, 1)).ravel()
         size = float((np.abs(dy) / scale).max())
         new = None if prev is None else size / prev  # the rate this iteration measures
         if new is not None and (new >= 1.0 or new ** (_NEWTON_ITERS - it) / (1.0 - new) * size > tol):
@@ -912,7 +1028,7 @@ def _ndf_steps(run: _Run, jac) -> None:
         abs_y = abs_y_new
         j_fresh = False
         _fold_correction(diffs, order, corr)
-        run.accept_ndf(t, y, float(abs_err.max()), diffs[1 : order + 1])
+        run.accept_ndf(t, y, abs_err, diffs[1 : order + 1])
         n_equal += 1
         if n_equal < order + 1:
             continue

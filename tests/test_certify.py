@@ -23,7 +23,7 @@ from logstab.certify import (
 )
 from logstab.errors import DimensionError, DivergedError, EvaluationError, InvalidInputError, InvalidRateError
 from logstab.expr import compile_expression, parse_expression
-from logstab.integrate import IntegratorConfig, Trajectory, check_transition_bounds, integrate
+from logstab.integrate import IntegratorConfig, Trajectory, check_transition_bounds, integrate, integrate_many
 from logstab.linalg import NormKind, sym_eig_max
 from logstab.lognorm import log_norm, log_norm_quadratic_form
 from logstab.system import SystemSpec, jacobian
@@ -503,6 +503,19 @@ class TestIncrementalBound:
             verify_incremental_bound(sys, [(np.array([1.0]), np.array([2.0]))], 0.0, 2.0, 0.5)
         assert err.value.last_time == pytest.approx(1.0, abs=1e-6)
 
+    def test_divergent_pair_of_an_ensemble_is_named_by_its_rerun(self):
+        # the same blow-up from an expression system, whose f carries a stack: the ensemble fails, and the
+        # pairs rerun one state at a time name pair 1, whose first state is x = 1
+        sys = build_system(parse_config("[system]\ntype = expression\ndim = 1\nf1 = x1*x1\n"))
+        assert hasattr(sys.f, "stack")
+        pairs = [(np.array([-1.0]), np.array([-0.5])), (np.array([1.0]), np.array([0.5]))]
+        pattern = r"^pair 1 diverged \(evidence against the contraction certificate\): step size underflow at t=1\.00"
+        with pytest.raises(DivergedError, match=pattern) as err:
+            verify_incremental_bound(sys, pairs, 0.0, 2.0, 0.5)
+        with pytest.raises(DivergedError) as alone:
+            integrate(sys, np.array([1.0]), 0.0, 2.0, sample_times=np.linspace(0.0, 2.0, 200))
+        assert err.value.last_time == alone.value.last_time == pytest.approx(1.0, abs=1e-6)
+
     def test_alpha0_must_be_positive(self, fig1_system):
         with pytest.raises(InvalidInputError):
             verify_incremental_bound(fig1_system, [(np.zeros(2), np.ones(2))], 0.0, 1.0, 0.0)
@@ -515,6 +528,7 @@ class TestIncrementalBound:
         assert not calls
 
     def test_tolerance_is_the_largest_budget_of_a_pair(self, monkeypatch, fig1_system):
+        # a plain per-point f: two integrate calls per pair, as perfbench's traced runs count them
         runs = []
 
         def recorded(*args, **kwargs):
@@ -522,12 +536,36 @@ class TestIncrementalBound:
             return runs[-1]
 
         monkeypatch.setattr(certify_module, "integrate", recorded)
+        monkeypatch.setattr(certify_module, "integrate_many", None)  # never called for a plain f
         rng = np.random.default_rng(21)
         pairs = [(rng.uniform(-5, 5, size=2), rng.uniform(-5, 5, size=2)) for _ in range(4)]
-        rep = verify_incremental_bound(fig1_system, pairs, 0.0, 3.0, 0.5)
+        rep = verify_incremental_bound(without_stacks(fig1_system), pairs, 0.0, 3.0, 0.5)
         assert len(runs) == 8  # two integrations per pair
         budgets = [1e-6 + 10.0 * (a.error_estimate + b.error_estimate) for a, b in zip(runs[::2], runs[1::2])]
         assert rep.tolerance == max(budgets)
+
+    def test_stacked_field_runs_every_state_as_one_ensemble(self, monkeypatch, fig1_system):
+        # an f with a stack: one integrate_many call for all 2P states, and each pair's budget from its
+        # members' own estimates, not the ensemble's largest
+        calls = []
+
+        def recorded(sys, X0, *args, **kwargs):
+            calls.append(X0.copy())
+            calls.append(integrate_many(sys, X0, *args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(certify_module, "integrate", None)  # never called when the ensemble passes
+        monkeypatch.setattr(certify_module, "integrate_many", recorded)
+        rng = np.random.default_rng(21)
+        pairs = [(rng.uniform(-5, 5, size=2), rng.uniform(-5, 5, size=2)) for _ in range(4)]
+        rep = verify_incremental_bound(fig1_system, pairs, 0.0, 3.0, 0.5)
+        assert len(calls) == 2
+        states, runs = calls
+        assert states.tolist() == [x.tolist() for pair in pairs for x in pair]
+        estimates = [run.error_estimate for run in runs]
+        assert len(runs) == 8 and len(set(estimates)) > 1
+        budgets = [1e-6 + 10.0 * (a.error_estimate + b.error_estimate) for a, b in zip(runs[::2], runs[1::2])]
+        assert rep.tolerance == max(budgets) < 1e-6 + 20.0 * max(estimates)
 
 
 class TestRateIntegral:

@@ -493,6 +493,40 @@ def test_stacked_evaluation_equals_per_point_evaluation(name):
         assert jacobian(sys, xs, t).tolist() == [jacobian(sys, x, t).tolist() for x in xs]
 
 
+def test_a_stack_below_the_row_threshold_goes_row_by_row(monkeypatch):
+    # below STACK_MIN_ROWS rows a stack has the per-point bits and makes no numpy-namespace call; at or above
+    # it, one call per stack. A field with abs takes finite differences: 2n = 4 rows at one state.
+    numpy_rows = []
+    compiled = config._compiled_field
+
+    def recording(f_exprs):
+        functions = list(compiled(f_exprs))
+        for i in (1, 4):  # f and J in the numpy namespace
+            if functions[i] is not None:
+                functions[i] = lambda *args, fn=functions[i]: numpy_rows.append(len(args[0])) or fn(*args)
+        return tuple(functions)
+
+    monkeypatch.setattr(config, "_compiled_field", recording)
+    field = "f1 = -2*x1 + sin(x2) - 0.25*x1*x2\nf2 = -3*x2 + cos(x1)*t^2\n"
+    analytic = build_system(parse_config(f"[system]\ntype = expression\ndim = 2\n{field}"))
+    with_abs = build_system(parse_config(f"[system]\ntype = expression\ndim = 3\n{field}f3 = -x3 + abs(x1)\n"))
+    assert config.STACK_MIN_ROWS == 8 and with_abs.jac is None
+    rng = np.random.default_rng(8)
+    t = 0.75
+    for rows in range(1, config.STACK_MIN_ROWS):
+        xs = rng.uniform(-3.0, 3.0, size=(rows, 2))
+        assert eval_field(analytic, xs, t).tobytes() == np.array([analytic.f(x, t) for x in xs]).tobytes()
+        assert jacobian(analytic, xs, t).tobytes() == np.array([analytic.jac(x, t) for x in xs]).tobytes()
+    jacobian(with_abs, np.array([0.5, -1.0, 2.0]), t)  # 6 perturbed rows
+    assert numpy_rows == []
+    for rows in (config.STACK_MIN_ROWS, 81):
+        xs = rng.uniform(-3.0, 3.0, size=(rows, 2))
+        eval_field(analytic, xs, t)
+        jacobian(analytic, xs, t)
+    jacobian(with_abs, rng.uniform(-3.0, 3.0, size=(2, 3)), t)  # 12 perturbed rows
+    assert numpy_rows == [8, 8, 81, 81, 12]
+
+
 UNDEFINED_FIELDS = {
     "exp(-1/x2) at x2 = 0": "-x1 + exp(-1/x2)",
     "log of a negative argument": "-x1 + x2*log(x1 + 2)",

@@ -13,6 +13,7 @@ from logstab.integrate import (
     _NDF_ALPHA,
     _NDF_HERMITE,
     METHODS,
+    TOL_BASE,
     FundamentalTrajectory,
     IntegratorConfig,
     Trajectory,
@@ -24,14 +25,16 @@ from logstab.integrate import (
     _rescale_differences,
     _simpson_points,
     check_transition_bounds,
+    error_budget,
     integrate,
     integrate_fundamental,
+    integrate_many,
 )
 from logstab.linalg import NormKind, cond_2, induced_matrix_norm, solve, vec_norm
 from logstab.lognorm import log_norm_pair
 from logstab.system import SystemSpec, _fd_jacobian, eval_rhs
 
-from conftest import random_spd, spy
+from conftest import random_spd, spy, without_stacks
 
 integrate_module = importlib.import_module("logstab.integrate")
 system_module = importlib.import_module("logstab.system")
@@ -1080,18 +1083,18 @@ class TestDOP853:
 
     def test_intervals_of_the_ndf_phase_sample_the_step_interpolant(self, fig1_system, monkeypatch):
         runs, steps = [], []
-        trajectory, accept_ndf = _Run.trajectory, _Run.accept_ndf
+        trajectories, accept_ndf = _Run.trajectories, _Run.accept_ndf
 
         def keep(run, *args):
             runs.append(run)
-            return trajectory(run, *args)
+            return trajectories(run, *args)
 
         def record(run, t, y, err, diffs):
             if run.table is not None:
                 steps.append(diffs.copy())  # a view of the step rule's own differences, which the next step moves
             accept_ndf(run, t, y, err, diffs)
 
-        monkeypatch.setattr(_Run, "trajectory", keep)
+        monkeypatch.setattr(_Run, "trajectories", keep)
         monkeypatch.setattr(_Run, "accept_ndf", record)
         grid = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0)
         mid = 0.5 * (grid.times[:-1] + grid.times[1:])
@@ -1372,3 +1375,131 @@ class TestWithoutDelta:
         run = integrate(SystemSpec(dim=2, f=f, delta=delta), np.ones(2), 0.0, 1.0, cfg)
         zero = integrate(SystemSpec(dim=2, f=f, delta=lambda t: np.zeros(2)), np.ones(2), 0.0, 1.0, cfg)
         assert same_run(run, zero)
+
+
+class TestEnsemble:
+    """integrate_many: N states of one system as one run with shared steps."""
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["grid", "sampled"])
+    @pytest.mark.parametrize("method", ["auto", "ndf", "rk4"])
+    @pytest.mark.parametrize("stacked", [True, False], ids=["f.stack", "plain f"])
+    def test_one_member_is_bit_identical_to_integrate(self, fig1_system, method, sampled, stacked):
+        sys = fig1_system if stacked else without_stacks(fig1_system)
+        ts = np.linspace(0.0, 6.0, 121) if sampled else None
+        cfg = IntegratorConfig(method=method)
+        alone = integrate(sys, np.array([-2.0, 5.0]), 0.0, 6.0, cfg, ts)
+        [member] = integrate_many(sys, np.array([[-2.0, 5.0]]), 0.0, 6.0, cfg, ts)
+        assert (alone.stiff_from is not None) == (method == "auto")  # auto hands the demo to ndf near t = 2.4
+        assert same_run(member, alone)
+        for got, want in ((member.times, alone.times), (member.states, alone.states)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_criterion_04_members_stay_within_their_budgets_of_their_single_runs(self, fig1_system):
+        # the 40 starts of acceptance criterion 04's 20 pairs, on its grid
+        rng = np.random.default_rng(12345)
+        pairs = [(rng.uniform(-5.0, 5.0, size=2), rng.uniform(-5.0, 5.0, size=2)) for _ in range(20)]
+        starts = np.array([x for pair in pairs for x in pair])
+        grid = np.linspace(0.0, 6.0, 241)
+        members = integrate_many(fig1_system, starts, 0.0, 6.0, sample_times=grid)
+        assert len(members) == 40
+        for x0, member in zip(starts, members):
+            alone = integrate(fig1_system, x0, 0.0, 6.0, sample_times=grid)
+            assert member.states[0].tolist() == x0.tolist()
+            assert np.abs(member.states - alone.states).max() <= error_budget(member, alone) - TOL_BASE
+
+    def test_members_share_the_steps_and_the_switch(self, fig1_system):
+        members = integrate_many(fig1_system, np.array(DEMO_STARTS), 0.0, 6.0)
+        first = members[0]
+        assert first.stiff_from is not None
+        for member in members[1:]:
+            assert member.times.tolist() == first.times.tolist() and member.times is not first.times
+            assert (member.n_steps, member.n_rejected, member.stiff_from) == (
+                first.n_steps,
+                first.n_rejected,
+                first.stiff_from,
+            )
+
+    @pytest.mark.parametrize("method", ["auto", "ndf"])
+    def test_each_member_has_its_own_error_estimate(self, decay_system, method):
+        # x' = -x is linear, so on the shared steps the small member's local errors are 1e-6 times the large one's
+        cfg = IntegratorConfig(method=method)
+        large, small = integrate_many(decay_system, np.array([[1.0], [1e-6]]), 0.0, 2.0, cfg)
+        assert small.error_estimate == pytest.approx(1e-6 * large.error_estimate, rel=1e-9)
+        assert large.error_estimate > 0.0
+
+    def test_rk4_members_have_no_error_estimate(self, decay_system):
+        members = integrate_many(decay_system, np.ones((2, 1)), 0.0, 1.0, IntegratorConfig(method="rk4"))
+        assert [member.error_estimate for member in members] == [None, None]
+
+    def test_stacked_2x2_inverse_is_the_closed_form_of_each_block(self):
+        rng = np.random.default_rng(39)
+        blocks = rng.normal(size=(400, 2, 2)) * 10.0 ** rng.uniform(-300.0, 300.0, size=(400, 1, 1))
+        blocks[:50, 0, 1] = 0.0  # zero entries, whose signs I - c J keeps
+        blocks[50:100, 1, 0] = -0.0
+        blocks[100:150] *= rng.uniform(-1.0, 1.0, size=(50, 2, 2)) < 0.0  # signed zeros by the dozen
+        for c in (1e-3, 0.37, 1.0):
+            kept = [k for k in range(len(blocks)) if integrate_module._inverse_2x2(blocks[k], c)[0] is not None]
+            inverses, cond = integrate_module._inverse_2x2_stack(blocks[kept], c)
+            singles = [integrate_module._inverse_2x2(blocks[k], c) for k in kept]
+            assert len(kept) > 300
+            assert inverses.tobytes() == np.array([inv for inv, _ in singles]).tobytes()
+            assert cond == max(block_cond for _, block_cond in singles)
+
+    @pytest.mark.parametrize(
+        "blocks, c, condition",
+        [
+            # each singular block beside regular ones: I - c J is 2 I, or I + 1e10 I
+            ([-np.eye(2), np.diag([0.0, 1.0]), -np.eye(2)], 1.0, "inf"),
+            ([-np.eye(2), np.array([[0.0, -1.0], [-1.0, -(2.0**-52)]])], 1.0, r"1\.8e\+16"),
+            ([np.eye(2), np.full((2, 2), 1e308)], -1e10, "inf"),
+            ([np.diag([1.0, 2.0, 3.0]), np.diag([8.0, 0.0, 0.0])], 0.125, "inf"),
+        ],
+        ids=["zero-row", "near-singular", "overflow", "3x3 zero pivot"],
+    )
+    def test_a_singular_block_raises_conditioning_error(self, blocks, c, condition):
+        message = re.escape(f"I - {c:.6g} J is singular at t=0.5 (condition ") + condition + r"\)"
+        with pytest.raises(ConditioningError, match=message):
+            integrate_module._iteration_inverse(np.array(blocks), c, 0.5)
+
+    def test_a_singular_iteration_matrix_fails_the_ensemble_naming_t(self):
+        # the single run's singular first matrix (TestNDF), in each of two members
+        h = 0.1
+        j = np.diag([_NDF_ALPHA[1] / h, 0.0])
+        sys = SystemSpec(dim=2, f=lambda x, t: j @ x, jac=lambda x, t: j)
+        cfg = IntegratorConfig(method="ndf", max_step=h)
+        with pytest.raises(ConditioningError, match="singular at t=0.0") as alone:
+            integrate(sys, np.array([0.0, 1.0]), 0.0, 1.0, cfg)
+        with pytest.raises(ConditioningError, match=f"^{re.escape(str(alone.value))}$"):
+            integrate_many(sys, np.array([[0.0, 1.0], [0.0, 2.0]]), 0.0, 1.0, cfg)
+
+    def test_3x3_blocks_invert_by_one_stacked_lapack_call(self, monkeypatch):
+        a = np.diag([-1.0, -10.0, -1000.0]) + np.triu(np.ones((3, 3)), 1)
+        sys = SystemSpec(dim=3, f=lambda x, t: a @ x, jac=lambda x, t: a)
+        shapes, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: shapes.append(m.shape) or inv(m))
+        starts = np.array([[1.0, 1.0, 1.0], [2.0, -1.0, 0.5]])
+        members = integrate_many(sys, starts, 0.0, 1.0, IntegratorConfig(method="ndf"))
+        assert shapes and set(shapes) == {(2, 3, 3)}
+        for x0, member in zip(starts, members):
+            alone = integrate(sys, x0, 0.0, 1.0, IntegratorConfig(method="ndf"))
+            assert np.abs(member.states[-1] - alone.states[-1]).max() <= error_budget(member, alone) - TOL_BASE
+
+    @pytest.mark.parametrize(
+        "x0, error, message",
+        [
+            ([[1.0, 2.0], [1.0]], InvalidInputError, "X0 must hold real numbers, got a ragged nesting"),
+            (np.array([[-2.0 + 1j, 5.0]]), InvalidInputError, "X0 must hold real numbers, got complex entries"),
+            (np.array([[np.nan, 5.0]]), InvalidInputError, "X0 has non-finite entries"),
+            (np.array([-2.0, 5.0]), DimensionError, "X0 has shape (2,), expected (N, 2)"),
+            (np.zeros((0, 2)), InvalidInputError, "X0 must hold at least one state"),
+        ],
+        ids=["ragged", "complex", "nan", "one state", "no state"],
+    )
+    def test_bad_states_are_refused_naming_x0(self, fig1_system, x0, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            integrate_many(fig1_system, x0, 0.0, 1.0)
+
+    def test_field_output_turning_bad_mid_run_names_f(self):
+        sys = SystemSpec(dim=2, f=lambda x, t: -x if t < 0.5 else np.zeros(3))
+        with pytest.raises(EvaluationError, match=r"^f returned shape \(3,\), expected \(2,\) at x=\[.+\], t=0\.5"):
+            integrate_many(sys, np.ones((2, 2)), 0.0, 1.0)

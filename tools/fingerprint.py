@@ -21,6 +21,8 @@ measure (``exact=``).
 The corpus: the demo field (fig1 and fig2 from (-2, 5)) under ``auto``, ``ndf``
 and ``rk4``, on the integrator's grid and sampled every 0.05, to tf = 3 and 20;
 ``auto`` sampled to tf = 1 and 6 from the six starts of the tf = 1 no-switch tests;
+the six tf = 6 starts of fig1 as one ``integrate_many`` ensemble run, sampled every
+0.05 (a tree without ``integrate_many`` runs them one at a time);
 fig1 from (-2, 5) under ``auto`` and ``ndf`` to tf = 6, sampled at the nodes of
 its own grid run and at their midpoints (the ``auto`` run crosses its hand-off);
 Prothero-Robinson (lambda = -1e4, solution sin t) under ``ndf`` to tf = 10 at
@@ -287,6 +289,16 @@ def _corpus(logstab):
             for x0 in STARTS:
                 name = f"demo/{variant}/auto/sampled/tf{tf:g}/x0={x0[0]:g},{x0[1]:g}"
                 yield name, run(variant, x0, tf, "auto", True), (variant, x0)
+
+    def ensemble():
+        """fig1's six starts to tf = 6 as one ensemble run, or one run each on a tree without ``integrate_many``."""
+        grid = np.linspace(0.0, 6.0, 121)
+        many = getattr(logstab, "integrate_many", None)
+        if many is None:
+            return [logstab.integrate(demo["fig1"], np.array(x0), 0.0, 6.0, sample_times=grid) for x0 in STARTS]
+        return many(demo["fig1"], np.array(STARTS), 0.0, 6.0, sample_times=grid)
+
+    yield "ensemble/demo/auto/tf6", ensemble, None
     for method in ("auto", "ndf"):
         for at in ("nodes", "midpoints"):
             yield f"demo/fig1/{method}/{at}/tf6", (
