@@ -43,7 +43,6 @@ from .integrate import (
     check_transition_bounds,
     integrate,
     integrate_fundamental,
-    integrate_many,
 )
 from .linalg import (
     NormKind,
@@ -105,7 +104,6 @@ __all__ = [
     "check_transition_bounds",
     "integrate",
     "integrate_fundamental",
-    "integrate_many",
     "NormKind",
     "induced_matrix_norm",
     "matrix_sqrt_spd",

@@ -91,13 +91,13 @@ alone contributed, not the ensemble's largest. The field is f on the (N, n)
 stack of states (``system._rows``, one call of ``f.stack`` where f carries
 one) plus one delta(t) added to every row. The ndf iteration matrix is
 block-diagonal, one block I - c J per member from ``jacobian`` on the
-stack, and is inverted block by block, never as one (Nn)^2 matrix: 2x2
-blocks by one stacked adj/det with the bits of the single closed form,
-larger ones by one stacked LAPACK call; Newton applies each block's inverse
-to its own member. A singular block fails the run with the condition of the
-worst block. The members share the step budget ``max_steps``, the step
-counts and the switch time of ``auto``. A one-member ensemble has the bits
-of ``integrate`` on its state.
+stack, and is inverted block by block, never as one (Nn)^2 matrix: each
+2x2 block by the closed form of a single run, larger ones by one stacked
+LAPACK call; Newton applies each block's inverse to its own member. A
+singular block fails the run with the condition of the worst block. The
+members share the step budget ``max_steps``, the step counts and the switch
+time of ``auto``. A one-member ensemble has the bits of ``integrate`` on its
+state.
 
 ``integrate``'s ``sample_times`` is the one way to sample, and it is checked
 before the run starts. A sampled run keeps one table, one row block per
@@ -558,7 +558,7 @@ class _Run:
         # that doubles when it is full; an NDF block holds its step's differences until ``trajectories``
         self.table = np.zeros((0, 6, x0.size)) if dense else None
         self.members = members
-        self.local_errors = []  # each accepted step's local-error estimate per component (none for RK4)
+        self.error = [0.0] * members  # per member, the sum of its max-abs local-error estimates of accepted steps
         self.n_steps = 0
         self.n_rejected = 0
         self.non_finite = False  # a trial step met a non-finite value since the last accepted node
@@ -598,8 +598,11 @@ class _Run:
     def _store(self, t: float, y: np.ndarray, err: Optional[np.ndarray]) -> None:
         self.times.append(t)
         self.states.append(y)
-        if err is not None:
-            self.local_errors.append(err)
+        if err is not None and self.members == 1:  # one reduction, which a per-row max would cost twice over
+            self.error[0] += float(err.max())
+        elif err is not None:
+            maxima = err.reshape(self.members, -1).max(axis=1).tolist()
+            self.error = [total + part for total, part in zip(self.error, maxima)]
         self.n_steps += 1
         self.non_finite = False
 
@@ -647,11 +650,7 @@ class _Run:
             ndf[:, 4] = 0.0
             times, states = ts, _hermite_sample(times, states, rows, ts)
         states = states.reshape(len(times), self.members, -1)
-        estimates = [None] * self.members
-        if self.local_errors:
-            # each member's max-abs estimate per step, summed step by step in order
-            per_step = np.array(self.local_errors).reshape(self.n_steps, self.members, -1).max(axis=2)
-            estimates = np.add.accumulate(per_step)[-1].tolist()
+        estimates = [None] * self.members if self.cfg.method == "rk4" else self.error
         return [
             Trajectory(
                 times.copy() if k else times,
@@ -810,12 +809,6 @@ def _fold_correction(diffs: np.ndarray, order: int, corr: np.ndarray) -> None:
     diffs[order + 1 :: -1] = diffs[order + 1 :: -1].cumsum(axis=0)
 
 
-# I of a 2x2 block and its adjugate's entries, row-major: adj(M) = [[m11, -m01], [-m10, m00]]
-_EYE2_ROW = np.array([1.0, 0.0, 0.0, 1.0])
-_ADJ_ORDER = [3, 1, 2, 0]
-_ADJ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
-
-
 def _inverse_2x2(j_mat: np.ndarray, c: float) -> tuple[Optional[np.ndarray], float]:
     """(M^-1, |M|_inf |M^-1|_inf) of M = I - c J for a 2x2 J; (None, inf) where det(M) is 0 or not finite.
 
@@ -834,40 +827,22 @@ def _inverse_2x2(j_mat: np.ndarray, c: float) -> tuple[Optional[np.ndarray], flo
     return np.ldexp(np.array([[m11, -m01], [-m10, m00]]) / det, e), cond
 
 
-def _inverse_2x2_stack(j_mat: np.ndarray, c: float) -> tuple[Optional[np.ndarray], float]:
-    """``_inverse_2x2`` of each block of a stack J (N, 2, 2), bit for bit: (the inverses, the largest condition).
-
-    (None, inf) where a block's det(M) is 0 or not finite. Each block takes
-    its own power of two. Where a block's largest entry is not finite, its
-    exponent may differ from ``math.frexp``'s, but its det is not finite
-    either way.
-    """
-    with np.errstate(all="ignore"):  # as the closed form on Python floats, an inf or NaN warns of nothing
-        m = _EYE2_ROW - c * j_mat.reshape(-1, 4)  # 0.0 - x: the zero signs of I - c J
-        e = -np.frexp(np.abs(m).max(axis=1))[1][:, None]
-        m = np.ldexp(m, e)
-        m00, m01, m10, m11 = m.T
-        det = m00 * m11 - m01 * m10
-        if not (np.isfinite(det).all() and det.all()):
-            return None, math.inf
-        a00, a01, a10, a11 = np.abs(m.T)
-        cond = np.maximum(a00 + a01, a10 + a11) * np.maximum(a11 + a01, a10 + a00) / np.abs(det)
-        adj = m[:, _ADJ_ORDER] * _ADJ_SIGNS
-        return np.ldexp(adj / det[:, None], e).reshape(-1, 2, 2), float(cond.max())
-
-
 def _iteration_inverse(j_mat: np.ndarray, c: float, t: float) -> np.ndarray:
     """Explicit inverse of the Newton matrix M = I - c J; ConditioningError when it is singular.
 
     J is one matrix (n, n), or an ensemble's stack of diagonal blocks (N, n,
     n), which gives the stack of the blocks' inverses. Singular means
     |M|_inf |M^-1|_inf eps >= 1 for a block, or no inverse at all, and the
-    error names the largest condition. A 2x2 M is inverted in closed form by
-    ``_inverse_2x2``, a stack of them by ``_inverse_2x2_stack``, a larger M
-    by LAPACK.
+    error names the largest condition. A 2x2 M, or each 2x2 block of a
+    stack, is inverted in closed form by ``_inverse_2x2``, a larger M or
+    stack of blocks by LAPACK.
     """
-    if j_mat.shape[-1] == 2:
-        inv, cond = (_inverse_2x2 if j_mat.ndim == 2 else _inverse_2x2_stack)(j_mat, c)
+    if j_mat.shape[-1] == 2 and j_mat.ndim == 2:
+        inv, cond = _inverse_2x2(j_mat, c)
+    elif j_mat.shape[-1] == 2:
+        blocks = [_inverse_2x2(block, c) for block in j_mat]
+        cond = max(block_cond for _, block_cond in blocks)
+        inv = np.array([block_inv for block_inv, _ in blocks]) if cond < math.inf else None
     else:
         m = np.eye(j_mat.shape[-1]) - c * j_mat
         try:

@@ -1394,6 +1394,23 @@ class TestEnsemble:
         for got, want in ((member.times, alone.times), (member.states, alone.states)):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("sampled", [False, True], ids=["grid", "sampled"])
+    @pytest.mark.parametrize("method", ["auto", "ndf"])
+    def test_one_member_of_a_3d_system_is_bit_identical_to_integrate(self, method, sampled):
+        # 3x3 blocks: the member's (1, 3, 3) inverse and batched Newton product against integrate's 2-D ones
+        a = np.array([[-1.0, 0.3, 0.7], [0.2, -10.0, 1.1], [0.5, 0.9, -1000.0]])
+        w = np.array([0.1, 0.2, 0.3])
+        sys = SystemSpec(dim=3, f=lambda x, t: a @ x + w * np.sin(x), jac=lambda x, t: a + np.diag(w * np.cos(x)))
+        ts = np.linspace(0.0, 3.0, 31) if sampled else None
+        cfg = IntegratorConfig(method=method)
+        x0 = np.array([1.0, -2.0, 0.5])
+        alone = integrate(sys, x0, 0.0, 3.0, cfg, ts)
+        [member] = integrate_many(sys, x0[None], 0.0, 3.0, cfg, ts)
+        assert (alone.stiff_from is not None) == (method == "auto")
+        assert same_run(member, alone)
+        for got, want in ((member.times, alone.times), (member.states, alone.states)):
+            assert got.tobytes() == want.tobytes()
+
     def test_criterion_04_members_stay_within_their_budgets_of_their_single_runs(self, fig1_system):
         # the 40 starts of acceptance criterion 04's 20 pairs, on its grid
         rng = np.random.default_rng(12345)
@@ -1430,20 +1447,6 @@ class TestEnsemble:
     def test_rk4_members_have_no_error_estimate(self, decay_system):
         members = integrate_many(decay_system, np.ones((2, 1)), 0.0, 1.0, IntegratorConfig(method="rk4"))
         assert [member.error_estimate for member in members] == [None, None]
-
-    def test_stacked_2x2_inverse_is_the_closed_form_of_each_block(self):
-        rng = np.random.default_rng(39)
-        blocks = rng.normal(size=(400, 2, 2)) * 10.0 ** rng.uniform(-300.0, 300.0, size=(400, 1, 1))
-        blocks[:50, 0, 1] = 0.0  # zero entries, whose signs I - c J keeps
-        blocks[50:100, 1, 0] = -0.0
-        blocks[100:150] *= rng.uniform(-1.0, 1.0, size=(50, 2, 2)) < 0.0  # signed zeros by the dozen
-        for c in (1e-3, 0.37, 1.0):
-            kept = [k for k in range(len(blocks)) if integrate_module._inverse_2x2(blocks[k], c)[0] is not None]
-            inverses, cond = integrate_module._inverse_2x2_stack(blocks[kept], c)
-            singles = [integrate_module._inverse_2x2(blocks[k], c) for k in kept]
-            assert len(kept) > 300
-            assert inverses.tobytes() == np.array([inv for inv, _ in singles]).tobytes()
-            assert cond == max(block_cond for _, block_cond in singles)
 
     @pytest.mark.parametrize(
         "blocks, c, condition",

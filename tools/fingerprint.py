@@ -293,7 +293,7 @@ def _corpus(logstab):
     def ensemble():
         """fig1's six starts to tf = 6 as one ensemble run, or one run each on a tree without ``integrate_many``."""
         grid = np.linspace(0.0, 6.0, 121)
-        many = getattr(logstab, "integrate_many", None)
+        many = getattr(importlib.import_module("logstab.integrate"), "integrate_many", None)
         if many is None:
             return [logstab.integrate(demo["fig1"], np.array(x0), 0.0, 6.0, sample_times=grid) for x0 in STARTS]
         return many(demo["fig1"], np.array(STARTS), 0.0, 6.0, sample_times=grid)
