@@ -47,7 +47,6 @@ from .integrate import (
 from .linalg import (
     NormKind,
     induced_matrix_norm,
-    matrix_sqrt_spd,
     sym_eig,
     sym_eig_max,
     vec_norm,
@@ -106,7 +105,6 @@ __all__ = [
     "integrate_fundamental",
     "NormKind",
     "induced_matrix_norm",
-    "matrix_sqrt_spd",
     "sym_eig",
     "sym_eig_max",
     "vec_norm",

@@ -62,15 +62,16 @@ and the counters, and it alone ends or fails a run (tf reached, step budget
 spent, step size underflow) and accepts a node. RK4, DOP853 and ``ndf`` are
 step rules that propose steps to it; ``auto`` hands the same run from DOP853
 to ndf. RK4 knows its step count up front and never rejects, so it checks the
-budget once before its first step. Every method starts from the field value
-that ``integrate`` validated at (t0, x0). Every later evaluation checks the
-shape of f's and delta's outputs and takes their sum as float64, so a
-callable whose output turns bad mid-run raises EvaluationError at the first
-evaluation that meets it, naming the callable, x and t, and a real output of
-another type (float32, say) is converted. A system whose delta is None runs
-on f alone, with the same test of f's output. A
-non-finite value is a step's business: it rejects the trial step, or ends
-the run with DivergedError. The step rules run under
+budget once before its first step. Each entry point hands its field and
+Jacobian to ``_integrate``, which makes the run. Every method starts from
+the field value that its caller validated at (t0, x0). Every later
+evaluation checks the shape of f's and delta's outputs and takes their sum
+as float64, so a callable whose output turns bad mid-run raises
+EvaluationError at the first evaluation that meets it, naming the callable,
+x and t, and a real output of another type (float32, say) is converted. A
+system whose delta is None runs on f alone, with the same test of f's
+output. A non-finite value is a step's business: it rejects the trial step,
+or ends the run with DivergedError. The step rules run under
 ``np.errstate(all="ignore")``, so such a value, or an overflow, invalid
 operation or division by zero that makes one, raises no numpy warning on the
 way.
@@ -113,10 +114,11 @@ the run's record turns every NDF block into it with one product by the
 constant matrix ``_NDF_HERMITE``. Runs that only return their grid keep no
 table and skip DOP853's extra stages.
 
-The fundamental matrix of a linear time-varying system is integrated with
-the same machinery as one n^2-dimensional matrix ODE, so all n columns share
-the integrator's own grid, and the run's record is a Trajectory of that
-matrix ODE. The transition-bound checker then compares
+The fundamental matrix of a linear time-varying system is one run of its n
+columns, row k of the state being column k of Phi, so all columns share the
+integrator's grid; ndf's one block A(t) gives one n x n inverse of I - c A
+for every row (no Kronecker product, no n^2 x n^2 matrix), and the record is
+transposed back to Phi once. The transition-bound checker then compares
 propagator norms against the exponential envelopes built from integrals of
 the logarithmic norm along the grid, as stacked array operations; an
 envelope that overflows or underflows reads its violation at its limit.
@@ -450,15 +452,9 @@ def integrate(
     None runs on f alone, with the result a zero delta would give. The run
     keeps the arrays f returns, so f must return a new array at each call.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
     check_window(t0, tf)
     x0 = check_array(x0, "x0", (sys.dim,))
-    if sample_times is not None:
-        sample_times = _validate_sample_times(sample_times, t0, tf)
-
     shape, delta = (sys.dim,), sys.delta
-    f0 = eval_rhs(sys, x0, t0)  # validated once; the loop checks shape and type only
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         fx = sys.f(y, t)
@@ -476,8 +472,9 @@ def integrate(
         # names the callable, x and t of an output that is not real or has the wrong shape; else converts it
         return _shaped("f", fx, shape, t, y) + _shaped("delta", dx, shape, t)
 
-    run = _Run(rhs, x0, f0, t0, tf, cfg, dense=sample_times is not None, members=1)
-    return _steps(run, lambda t, y: jacobian(sys, y, t), sample_times)[0]
+    return _integrate(
+        rhs, lambda t, y: jacobian(sys, y, t), x0, lambda: eval_rhs(sys, x0, t0), t0, tf, cfg, sample_times
+    )[0]
 
 
 def integrate_many(
@@ -498,17 +495,11 @@ def integrate_many(
     rule of arguments; the errors are ``integrate``'s, for the whole run, and
     a bad output of ``f.stack`` names the stack it was evaluated at.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
     check_window(t0, tf)
     x0 = check_array(X0, "X0", (None, sys.dim))
     if not len(x0):
         raise InvalidInputError("X0 must hold at least one state")
-    if sample_times is not None:
-        sample_times = _validate_sample_times(sample_times, t0, tf)
-
     shape, delta = x0.shape, sys.delta
-    f0 = eval_rhs(sys, x0, t0).ravel()  # validated once; the loop checks shape and type only
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         fx = _rows("f", sys.f, y.reshape(shape), t, shape[1:])
@@ -516,20 +507,31 @@ def integrate_many(
             return fx.ravel()
         return (fx + _shaped("delta", delta(t), shape[1:], t)).ravel()
 
-    run = _Run(rhs, x0.ravel(), f0, t0, tf, cfg, dense=sample_times is not None, members=len(x0))
-    return _steps(run, lambda t, y: jacobian(sys, y.reshape(shape), t), sample_times)
+    def jac(t: float, y: np.ndarray) -> np.ndarray:
+        return jacobian(sys, y.reshape(shape), t)
+
+    return _integrate(rhs, jac, x0, lambda: eval_rhs(sys, x0, t0), t0, tf, cfg, sample_times, members=len(x0))
 
 
-def _steps(run: _Run, jac, sample_times) -> list[Trajectory]:
-    """Run the method of ``run.cfg`` to tf, with ``jac(t, y)`` for ndf, and return the members' trajectories."""
-    method = run.cfg.method
+def _integrate(rhs, jac, x0, start, t0, tf, cfg, sample_times, members=1) -> list[Trajectory]:
+    """One run of ``cfg``'s method (the default where None) from x0 at t0 to tf: the members' trajectories.
+
+    ``rhs(t, y)`` is the field on the flat state, ``jac(t, y)`` ndf's
+    Jacobian (one matrix or a stack of diagonal blocks), and ``start()`` the
+    validated field at (t0, x0), called once the sample times pass.
+    """
+    if cfg is None:
+        cfg = IntegratorConfig()
+    if sample_times is not None:
+        sample_times = _validate_sample_times(sample_times, t0, tf)
+    run = _Run(rhs, x0.ravel(), start().ravel(), t0, tf, cfg, dense=sample_times is not None, members=members)
     # every method turns a non-finite value into a rejection or a DivergedError, so numpy need not warn of one
     with np.errstate(all="ignore"):
-        if method == "rk4":
+        if cfg.method == "rk4":
             _rk4_steps(run)
-        elif method == "auto":
+        elif cfg.method == "auto":
             _dop853_steps(run)
-        if method == "ndf" or run.stiff_from is not None:
+        if cfg.method == "ndf" or run.stiff_from is not None:
             _ndf_steps(run, jac)
     return run.trajectories(sample_times)
 
@@ -830,9 +832,9 @@ def _inverse_2x2(j_mat: np.ndarray, c: float) -> tuple[Optional[np.ndarray], flo
 def _iteration_inverse(j_mat: np.ndarray, c: float, t: float) -> np.ndarray:
     """Explicit inverse of the Newton matrix M = I - c J; ConditioningError when it is singular.
 
-    J is one matrix (n, n), or an ensemble's stack of diagonal blocks (N, n,
-    n), which gives the stack of the blocks' inverses. Singular means
-    |M|_inf |M^-1|_inf eps >= 1 for a block, or no inverse at all, and the
+    J is one matrix (n, n), or a stack of diagonal blocks (N, n, n), N = 1
+    for a fundamental matrix, which gives the stack of the blocks' inverses.
+    Singular means |M|_inf |M^-1|_inf eps >= 1 for a block, or no inverse at all, and the
     error names the largest condition. A 2x2 M, or each 2x2 block of a
     stack, is inverted in closed form by ``_inverse_2x2``, a larger M or
     stack of blocks by LAPACK.
@@ -862,7 +864,8 @@ def _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, tol, rate):
     """Simplified Newton iteration for the NDF corrector corr = c f(t_new, y_pred + corr) - psi.
 
     The iteration matrix is the inverse of I - c J with a possibly stale J,
-    or the stack of its diagonal blocks for an ensemble, applied block by block.
+    or a stack of diagonal blocks, one per member of an ensemble, or one
+    block for all n columns of a fundamental matrix, applied block by block.
     ``rate`` is the contraction rate carried from the last solve on the same
     matrix, or None. With it, the first iteration may end the solve; the
     tests that fail a solve use only the rates measured in this one.
@@ -878,7 +881,7 @@ def _ndf_newton(rhs, t_new, y_pred, c, psi, m_inv, scale, tol, rate):
             return False, it + 1, y, corr, True, None
         residual = c * f - psi
         step = residual if corr is None else residual - corr
-        dy = m_inv @ step if m_inv.ndim == 2 else (m_inv @ step.reshape(len(m_inv), -1, 1)).ravel()
+        dy = m_inv @ step if m_inv.ndim == 2 else (m_inv @ step.reshape(-1, m_inv.shape[-1], 1)).ravel()
         size = float((np.abs(dy) / scale).max())
         new = None if prev is None else size / prev  # the rate this iteration measures
         if new is not None and (new >= 1.0 or new ** (_NEWTON_ITERS - it) / (1.0 - new) * size > tol):
@@ -1018,12 +1021,11 @@ def _ndf_steps(run: _Run, jac) -> None:
         resize(min(10.0, safety * factors[best]))
 
 
-def _size_at_start(a_fn: Callable[[float], np.ndarray], t0: float) -> int:
-    """n of A(t0), which must be a finite square matrix (n, n)."""
+def _matrix_at_start(a_fn: Callable[[float], np.ndarray], t0: float) -> np.ndarray:
+    """A(t0), which must be a finite square matrix (n, n)."""
     a0 = _shaped("A", a_fn(t0), None, t0)
     n = a0.shape[0] if a0.ndim else 1
-    _checked_output("A", a0, (n, n), t0)
-    return n
+    return _checked_output("A", a0, (n, n), t0)
 
 
 def integrate_fundamental(
@@ -1033,27 +1035,29 @@ def integrate_fundamental(
     cfg: IntegratorConfig | None = None,
     sample_times=None,
 ) -> FundamentalTrajectory:
-    """Solve dPhi/dt = A(t) Phi, Phi(t0) = I, as one matrix ODE.
+    """Solve dPhi/dt = A(t) Phi, Phi(t0) = I, as one run of its n columns.
 
-    Phi is integrated as one state of dimension n^2 (row-major), so every
-    column lives on the integrator's own grid, or on ``sample_times`` when
-    given, resampled from that one run. A(t0) must be a finite square
-    matrix (n, n), and A(t) must keep that shape throughout; otherwise
-    EvaluationError names the shape and t. The matrix ODE's Jacobian is
-    kron(A(t), I), so ndf needs no finite differences.
+    Row k of the run's state is column k of Phi, with the field X A(t)^T, so
+    every column lives on the integrator's own grid, or on ``sample_times``
+    when given, which must start at t0 (InvalidInputError otherwise). A(t0)
+    must be a finite square matrix (n, n), and A(t) must keep that shape
+    throughout; otherwise EvaluationError names the shape and t. ndf inverts
+    the one block I - c A(t) for all n columns.
     """
     check_window(t0, tf)
-    n = _size_at_start(a_fn, t0)
-    eye = np.eye(n)
+    a0 = _matrix_at_start(a_fn, t0)
+    n = len(a0)
+    if sample_times is not None and _validate_sample_times(sample_times, t0, tf)[0] != t0:
+        raise InvalidInputError(f"sample_times must start at t0={t0}, where the fundamental matrix is the identity")
 
-    def matrix_field(x: np.ndarray, t: float) -> np.ndarray:
-        return (_shaped("A", a_fn(t), (n, n), t) @ x.reshape(n, n)).ravel()
+    def columns(t: float, y: np.ndarray) -> np.ndarray:
+        return (y.reshape(n, n) @ _shaped("A", a_fn(t), (n, n), t).T).ravel()
 
-    def matrix_jac(x: np.ndarray, t: float) -> np.ndarray:
-        return np.kron(_shaped("A", a_fn(t), (n, n), t), eye)
+    def block(t: float, y: np.ndarray) -> np.ndarray:
+        return _checked_output("A", a_fn(t), (n, n), t)[None]
 
-    sys = SystemSpec(dim=n * n, f=matrix_field, jac=matrix_jac)
-    run = integrate(sys, eye.ravel(), t0, tf, cfg, sample_times=sample_times)
+    run = _integrate(columns, block, np.eye(n), lambda: a0.T, t0, tf, cfg, sample_times)[0]
+    run.states = np.swapaxes(run.states.reshape(-1, n, n), 1, 2).reshape(-1, n * n)
     return FundamentalTrajectory(**vars(run))
 
 
@@ -1151,8 +1155,8 @@ def check_transition_bounds(
     kinks), so the quadrature, not the ODE tolerance, dominates: on
     acceptance criterion 07's 100 systems its worst error against a
     20,001-point reference is 2.9e-5 on DOP853's grid (9.3e-4 with one
-    panel per step). The tolerance is the ``error_budget`` of the one
-    matrix-ODE run.
+    panel per step). The tolerance is the ``error_budget`` of the one run
+    of Phi's columns.
     The propagators, condition numbers and norms of all pairs and states
     are computed as stacks, one wrapper call each. ``max_condition`` is the
     largest sigma_max / sigma_min of the sampled Phi(tau), from one stack of
@@ -1162,7 +1166,7 @@ def check_transition_bounds(
     n_pairs, n_states = check_count(n_pairs, "n_pairs"), check_count(n_states, "n_states")
     check_count(seed, "seed", 0)
     check_window(t0, tf)
-    kind.check_fits(_size_at_start(a_fn, t0))
+    kind.check_fits(len(_matrix_at_start(a_fn, t0)))
     fund = integrate_fundamental(a_fn, t0, tf)
     times = fund.times
     phi = fund.matrices

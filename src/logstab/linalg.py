@@ -97,12 +97,6 @@ def sym_eig_max(s):
     return float_or_array(eigvals[..., -1])
 
 
-def matrix_sqrt_spd(p) -> np.ndarray:
-    """Principal (SPD) square root of a symmetric positive definite matrix."""
-    root, _ = spd_sqrt_pair(p)
-    return root
-
-
 def spd_sqrt_pair(p) -> tuple[np.ndarray, np.ndarray]:
     """Return (sqrt(P), sqrt(P)^-1) from one eigendecomposition of SPD P.
 

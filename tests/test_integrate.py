@@ -378,21 +378,24 @@ class TestFundamental:
     @pytest.mark.parametrize("sampled", [False, True])
     def test_record_is_the_trajectory_of_its_run(self, monkeypatch, sampled):
         # the second component is stiff, so auto switches and every field is set
-        runs = []
+        runs, run_all = [], integrate_module._integrate
 
         def recorded(*args, **kwargs):
-            runs.append(integrate(*args, **kwargs))
-            return runs[-1]
+            (run,) = run_all(*args, **kwargs)
+            runs.append((run, run.states))
+            return [run]
 
-        monkeypatch.setattr(integrate_module, "integrate", recorded)
+        monkeypatch.setattr(integrate_module, "_integrate", recorded)
         a = np.array([[-1.0, 0.0], [1.0, -2000.0]])
         fund = integrate_fundamental(lambda t: a, 0.0, 1.0, sample_times=np.linspace(0.0, 1.0, 9) if sampled else None)
-        (run,) = runs
+        ((run, columns),) = runs
         assert run.stiff_from is not None
         got, want = vars(fund), vars(run)
         assert got.keys() == want.keys()
         for name, value in want.items():
             assert got[name] is value, name
+        # row k of the run's state is column k of Phi, transposed back once
+        assert np.array_equal(fund.matrices, np.swapaxes(columns.reshape(-1, 2, 2), 1, 2))
         assert fund.dim == 2 and fund.matrices.shape == (run.times.size, 2, 2)
 
     def test_sample_times_resample_the_one_run(self):
@@ -417,38 +420,49 @@ class TestFundamental:
             integrate_fundamental(a_fn, 0.0, 1.0)
         assert err.value.last_time == 0.5
 
-    def test_analytic_jacobian_matches_finite_differences(self, monkeypatch):
-        built = []
+    def test_columns_jacobian_is_block_diagonal_with_blocks_a(self, monkeypatch):
+        built, run_all = [], integrate_module._integrate
 
-        def spy(sys, *args, **kwargs):
-            built.append(sys)
-            return integrate(sys, *args, **kwargs)
+        def recorded(rhs, jac, *args, **kwargs):
+            built.append((rhs, jac))
+            return run_all(rhs, jac, *args, **kwargs)
 
-        monkeypatch.setattr(integrate_module, "integrate", spy)
+        monkeypatch.setattr(integrate_module, "_integrate", recorded)
         rng = np.random.default_rng(3)
         c0, c1 = rng.normal(size=(2, 3, 3))
         integrate_fundamental(lambda t: c0 + np.sin(t) * c1, 0.0, 1.0)
-        (sys,) = built
+        ((rhs, jac),) = built
+        sys = SystemSpec(dim=9, f=lambda x, t: rhs(t, x))
         for _ in range(5):
             x, t = rng.normal(size=9), float(rng.uniform(0.0, 1.0))
-            assert np.abs(sys.jac(x, t) - _fd_jacobian(sys, x, t)).max() <= 1e-7
+            block = jac(t, x)
+            assert block.shape == (1, 3, 3) and np.array_equal(block[0], c0 + np.sin(t) * c1)
+            # kron(I, A): row k of the state, column k of Phi, has the Jacobian A and no other block
+            assert np.abs(np.kron(np.eye(3), block[0]) - _fd_jacobian(sys, x, t)).max() <= 1e-7
 
     @pytest.mark.parametrize(
         "a, stiff",
         [(np.array([[-1000.0, 1.0], [0.0, -1.0]]), True), (np.array([[-1.0, 3.0], [0.0, -2.0]]), False)],
         ids=["stiff", "non-stiff"],
     )
-    def test_carries_the_counters_of_its_matrix_ode_run(self, a, stiff):
+    def test_carries_the_counters_of_the_kronecker_matrix_ode_run(self, a, stiff):
+        # the n^2-dimensional row-major matrix ODE with the Jacobian kron(A, I) that the column run replaces
         fund = integrate_fundamental(lambda t: a, 0.0, 5.0)
         sys = SystemSpec(dim=4, f=lambda x, t: (a @ x.reshape(2, 2)).ravel(), jac=lambda x, t: np.kron(a, np.eye(2)))
         run = integrate(sys, np.eye(2).ravel(), 0.0, 5.0)
-        assert np.array_equal(fund.times, run.times)
         assert (fund.n_steps, fund.n_rejected, fund.stiff_from) == (run.n_steps, run.n_rejected, run.stiff_from)
         if stiff:
-            # the fast mode decays within a few hundredths; auto hands the run to ndf there
+            # the fast mode decays within a few hundredths; auto hands the run to ndf there. The NDF phase
+            # inverts the 2x2 block in closed form, not the 4x4 Kronecker matrix by LAPACK: the nodes move
+            # by about 1e-9 and the states by about 5e-10
             assert fund.n_rejected > 0 and 0.0 < fund.stiff_from < 0.05
+            assert np.abs(fund.times - run.times).max() < 1e-8
+            assert np.abs(fund.states - run.states).max() < 1e-8
+            assert fund.error_estimate == pytest.approx(run.error_estimate, rel=1e-6)
         else:
             assert fund.stiff_from is None
+            assert np.array_equal(fund.times, run.times) and np.array_equal(fund.states, run.states)
+            assert fund.error_estimate == run.error_estimate
 
     def test_ndf_run_takes_no_finite_differences(self, monkeypatch):
         def no_fd(sys, x, t):
@@ -460,6 +474,43 @@ class TestFundamental:
         lam, v = np.linalg.eig(a)
         exact = np.real((v * np.exp(lam)) @ np.linalg.inv(v))
         assert np.abs(fund.matrices[-1] - exact).max() < 1e-8
+
+    def test_stiff_3x3_ndf_run_inverts_one_3x3_block(self, monkeypatch):
+        inverses = []
+        inverse = integrate_module._iteration_inverse
+
+        def recorded(j_mat, c, t):
+            inverses.append(j_mat.shape)
+            return inverse(j_mat, c, t)
+
+        monkeypatch.setattr(integrate_module, "_iteration_inverse", recorded)
+        v = np.eye(3) + 0.3 * np.random.default_rng(5).normal(size=(3, 3))
+        a = v @ np.diag([-2000.0, -1.0, -0.5]) @ np.linalg.inv(v)
+        fund = integrate_fundamental(lambda t: a, 0.0, 1.0, IntegratorConfig(method="ndf"))
+        assert inverses and set(inverses) == {(1, 3, 3)}
+        lam, w = np.linalg.eig(a)
+        exact = np.real(np.stack([(w * np.exp(lam * t)) @ np.linalg.inv(w) for t in fund.times]))
+        assert np.abs(fund.matrices - exact).max() < 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_singular_block_raises_conditioning_error_naming_t(self, n):
+        # abs_tol 2 sets a start step above max_step, so c = max_step / alpha_1 = 0.125 and I - c A has a zero row
+        cfg = IntegratorConfig(method="ndf", max_step=0.125 * _NDF_ALPHA[1], abs_tol=2.0)
+        a = np.diag([8.0] + [0.0] * (n - 1))
+        message = re.escape("ndf iteration matrix I - 0.125 J is singular at t=0.0 (condition inf)")
+        with pytest.raises(ConditioningError, match=f"^{message}$"):
+            integrate_fundamental(lambda t: a, 0.0, 1.0, cfg)
+
+    @pytest.mark.parametrize("ts", [[0.5, 1.0], [1e-6, 1.0]])
+    def test_sample_times_must_start_at_t0(self, ts):
+        # integrate takes the same times; a fundamental trajectory starts at the identity
+        integrate(SystemSpec(dim=1, f=lambda x, t: -x), np.ones(1), 0.0, 1.0, sample_times=ts)
+        with pytest.raises(InvalidInputError, match=r"^sample_times must start at t0=0\.0, where the fundamental"):
+            integrate_fundamental(lambda t: -np.eye(2), 0.0, 1.0, sample_times=ts)
+
+    def test_sample_times_within_slack_of_t0_start_at_the_identity(self):
+        fund = integrate_fundamental(lambda t: -np.eye(2), 0.0, 1.0, sample_times=[-1e-12, 0.5, 1.0])
+        assert fund.times[0] == 0.0 and np.array_equal(fund.matrices[0], np.eye(2))
 
 
 def looped_transition_check(a_fn, kind, t0, tf, n_pairs, n_states, seed):
@@ -804,7 +855,7 @@ class TestNDF:
         assert err.value.last_time == pytest.approx(0.5, abs=1e-6)
 
     def test_field_turning_non_finite_without_jacobian_names_t(self):
-        # A(t) is undefined past 0.5, and with it the matrix ODE's Jacobian kron(A, I): the NDF phase keeps the J it has
+        # A(t) is undefined past 0.5, and with it the columns' Jacobian block A(t): the NDF phase keeps the J it has
         def a_fn(t):
             return -np.eye(2) if t <= 0.5 else np.full((2, 2), np.nan)
 

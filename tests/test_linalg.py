@@ -12,8 +12,8 @@ from logstab.linalg import (
     NormKind,
     cond_2,
     induced_matrix_norm,
-    matrix_sqrt_spd,
     solve,
+    spd_sqrt_pair,
     sym_eig,
     sym_eig_max,
     vec_norm,
@@ -137,15 +137,16 @@ class TestSymEig:
 
 
 class TestMatrixSqrt:
+    # the principal root is the first of spd_sqrt_pair's two factors
     def test_identity(self):
-        assert np.allclose(matrix_sqrt_spd(np.eye(3)), np.eye(3), atol=1e-14)
+        assert np.allclose(spd_sqrt_pair(np.eye(3))[0], np.eye(3), atol=1e-14)
 
     def test_diagonal(self):
-        assert np.allclose(matrix_sqrt_spd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-13)
+        assert np.allclose(spd_sqrt_pair(np.diag([4.0, 9.0]))[0], np.diag([2.0, 3.0]), atol=1e-13)
 
     def test_hand_two_by_two(self):
         # eigenvalues {1, 3}; root entries (sqrt(3) +- 1) / 2
-        root = matrix_sqrt_spd([[2.0, 1.0], [1.0, 2.0]])
+        root = spd_sqrt_pair([[2.0, 1.0], [1.0, 2.0]])[0]
         a = (np.sqrt(3.0) + 1.0) / 2.0
         b = (np.sqrt(3.0) - 1.0) / 2.0
         assert np.allclose(root, [[a, b], [b, a]], atol=1e-13)
@@ -154,7 +155,7 @@ class TestMatrixSqrt:
         rng = np.random.default_rng(11)
         for n in (2, 3, 6):
             p = random_spd(rng, n)
-            root = matrix_sqrt_spd(p)
+            root = spd_sqrt_pair(p)[0]
             assert np.abs(root - root.T).max() <= 1e-13
             lam, _ = sym_eig(root, need_vectors=False)
             assert lam[0] > 0.0
@@ -162,11 +163,11 @@ class TestMatrixSqrt:
 
     def test_rejects_indefinite(self):
         with pytest.raises(InvalidInputError):
-            matrix_sqrt_spd(np.diag([1.0, -2.0]))
+            spd_sqrt_pair(np.diag([1.0, -2.0]))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInputError):
-            matrix_sqrt_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            spd_sqrt_pair(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestSolve:

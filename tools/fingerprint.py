@@ -27,7 +27,9 @@ fig1 from (-2, 5) under ``auto`` and ``ndf`` to tf = 6, sampled at the nodes of
 its own grid run and at their midpoints (the ``auto`` run crosses its hand-off);
 Prothero-Robinson (lambda = -1e4, solution sin t) under ``ndf`` to tf = 10 at
 ``rel_tol`` 1e-6 and 1e-9, on the grid and at 201 samples; ``integrate_fundamental`` of a
-quadratic A(t) at n = 2, 4 and 8; ``check_transition_bounds`` on such systems
+quadratic A(t) at n = 2, 4 and 8, and of a stiff constant 3x3 A (eigenvalues -2000, -1
+and -0.5) under ``ndf`` to tf = 1, on the grid and at 21 samples, whose NDF steps invert
+one 3x3 block; ``check_transition_bounds`` on such systems
 under four norms, and on two whose envelopes overflow and underflow (the
 rotation [[0, 1000], [-1000, 0]] under l1 with 200 pairs, diag(-1000, -1)
 under l2); the demo field without delta under ``auto`` to tf = 6, across its
@@ -340,6 +342,21 @@ def _corpus(logstab):
             yield f"transition_bounds/n={n}/{tag}", (
                 lambda a_fn=a_fn, kind=kind: logstab.check_transition_bounds(a_fn, kind, 0.0, 1.0, seed=n)
             ), None
+
+    # a stiff 3x3 A under ndf, against its exact Phi(t) = W exp(t Lambda) W^-1, row-major
+    v = np.eye(3) + 0.3 * np.random.default_rng(5).normal(size=(3, 3))
+    stiff3 = v @ np.diag([-2000.0, -1.0, -0.5]) @ np.linalg.inv(v)
+    lam3, w3 = np.linalg.eig(stiff3)
+
+    def stiff3_phi(times):
+        return np.real(np.stack([(w3 * np.exp(lam3 * t)) @ np.linalg.inv(w3) for t in times])).reshape(-1, 9)
+
+    ndf = logstab.IntegratorConfig(method="ndf")
+    for sampled in (False, True):
+        ts = np.linspace(0.0, 1.0, 21) if sampled else None
+        yield f"fundamental/stiff3/ndf/{'sampled' if sampled else 'grid'}", (
+            lambda ts=ts: logstab.integrate_fundamental(lambda t: stiff3, 0.0, 1.0, ndf, sample_times=ts)
+        ), stiff3_phi
 
     # envelopes that overflow and underflow: mu1 of the rotation and mu2 of -diag(-1000, -1) are 1000
     rotation, damped = np.array([[0.0, 1000.0], [-1000.0, 0.0]]), np.diag([-1000.0, -1.0])
