@@ -6,19 +6,21 @@ scoped to a sampled box and time window ("certified_on_domain") and carries
 its sampling metadata. The checks are designed to catch every failure mode
 the built-in demo scenarios exhibit, not to prove global statements.
 
-The contraction sweep and the Demidovich check take their Jacobians from
-one per-slice helper, ``_slice_jacobians``, which calls ``system.jacobian``
-on the stack of a time slice's sample points (see the stack contract in
-``system``); a Jacobian that cannot be evaluated raises EvaluationError
-naming the failing sample's x and t (or, for a stacked output of the wrong
-shape, the stack). The Demidovich check takes its two values as log norms
-of that stack. The contraction sweep does too wherever the system can
-evaluate a stack in one call (finite differences, or a ``jac`` carrying
-``stack``), and takes one Jacobian and one log norm per sample for a plain
-per-point ``jac``; both give the same certificate. Every rate alpha(t) is
-evaluated through ``system._at_times``, in one call of its ``stack`` where it
-carries one, and names the first t where it is not a finite number; the
-forcing ratio takes f(0, t) + delta(t) likewise (``system._rhs_at_origin``).
+Both sampled checks read one sweep, ``_sweep``: it checks that the norm's
+weight and the box fit the system, samples the box, and yields each time
+slice's (N, n, n) Jacobian stack in turn, from one ``system.jacobian`` call
+on the slice's sample points (see the stack contract in ``system``). A
+Jacobian that cannot be evaluated raises EvaluationError naming the failing
+sample's x and t (or, for a stacked output of the wrong shape, the stack).
+The Demidovich check takes its two values as log norms of each stack. The
+contraction sweep takes each slice's sup and first argmax from
+``lognorm._log_norm_argmax`` wherever the system evaluates a stack in one
+call (finite differences, or a ``jac`` carrying ``stack``), and one Jacobian
+and one log norm per sample for a plain per-point ``jac``; both give the
+same certificate. Every rate alpha(t) is evaluated through
+``system._at_times``, in one call of its ``stack`` where it carries one, and
+names the first t where it is not a finite number; the forcing ratio takes
+f(0, t) + delta(t) likewise (``system._rhs_at_origin``).
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ class Domain:
     def __post_init__(self):
         self.lower = check_array(self.lower, "lower", (None,))
         self.upper = check_array(self.upper, "upper", self.lower.shape)
+        if self.lower.size == 0:
+            raise DimensionError("lower has shape (0,), expected (N,) with N >= 1")
         if not np.all(self.lower < self.upper):
             raise InvalidInputError("domain requires lower < upper componentwise")
         check_window(self.t_lo, self.t_hi, "t_lo", "t_hi")
@@ -126,32 +130,21 @@ def sample_states(domain: Domain, plan: SamplingPlan) -> np.ndarray:
     return domain.lower + u * span
 
 
-def time_slices(domain: Domain, plan: SamplingPlan) -> np.ndarray:
-    return np.linspace(domain.t_lo, domain.t_hi, plan.n_time)
+def _sweep(sys: SystemSpec, domain: Domain, kind: NormKind, plan: SamplingPlan, per_sample: bool = False):
+    """The sample points (N, dim), the time slices, and per slice, in order, the (N, n, n) stack of Jacobians.
 
-
-def _slice_jacobians(sys: SystemSpec, points: np.ndarray, ts: np.ndarray, per_sample: bool = False):
-    """Per time slice t of ``ts``, in order, the (N, n, n) stack of Jacobians at the N ``points``.
-
-    One ``jacobian`` call takes a whole slice, or, with ``per_sample``, one
-    call takes each sample. A slice's stack is the sweep's largest temporary:
-    stacking every slice at once would make it, and the peak memory, n_time
-    times larger.
-    """
-    for t in ts:
-        yield np.array([jacobian(sys, x, t) for x in points]) if per_sample else jacobian(sys, points, t)
-
-
-def _sweep(sys: SystemSpec, domain: Domain, kind: NormKind, plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray, int]:
-    """The sample points (N, dim) and time slices of a sweep of ``sys`` over ``domain``, and their count.
-
-    Checks first that the norm's weight and the domain fit the system.
+    Checks first that the norm's weight and the domain fit the system. One
+    ``jacobian`` call takes a whole slice, or, with ``per_sample``, each
+    sample. The stacks come one at a time: stacking every slice at once would
+    make the sweep's peak memory n_time times larger.
     """
     kind.check_fits(sys.dim)
     check_array(domain.lower, "domain.lower", (sys.dim,))
     points = sample_states(domain, plan)
-    ts = time_slices(domain, plan)
-    return points, ts, points.shape[0] * ts.size
+    ts = np.linspace(domain.t_lo, domain.t_hi, plan.n_time)
+    if per_sample:
+        return points, ts, (np.array([jacobian(sys, x, t) for x in points]) for t in ts)
+    return points, ts, (jacobian(sys, points, t) for t in ts)
 
 
 @dataclass
@@ -193,27 +186,24 @@ def estimate_contraction_rate(
 
     The perturbation never enters: it is state-independent and cancels in the
     Jacobian. The certificate is a statement about the sampled points only.
-    A system that evaluates a stack in one call (finite differences, or a
-    ``jac`` carrying ``stack``) takes one Jacobian and one log norm per time
-    slice, a plain per-point ``jac`` one of each per sample; both give the
-    same certificate. Under l2 and weighted norms at n >= 3, a slice's stack
-    goes to ``lognorm._log_norm_argmax``, which takes eigenvalues only of
-    the samples whose Gershgorin bound can reach the slice's sup and gives
-    the sup and its first argmax with the bits of the per-sample log norms.
+    Each slice's sup and its first argmax come from ``_log_norm_argmax`` of
+    the slice's Jacobian stack wherever the system evaluates a stack in one
+    call (finite differences, or a ``jac`` carrying ``stack``), and from one
+    Jacobian and one log norm per sample for a plain per-point ``jac``; both
+    give the same certificate.
     """
-    points, ts, n_samples = _sweep(sys, domain, kind, plan)
     stacked = sys.jac is None or getattr(sys.jac, "stack", None) is not None
-    eig_stacked = stacked and sys.dim >= 3 and kind.tag in ("l2", "weighted")
+    points, ts, slices = _sweep(sys, domain, kind, plan, per_sample=not stacked)
     sups, arg_index = [], []
-    for j in _slice_jacobians(sys, points, ts, per_sample=not stacked):
+    for j in slices:
         # the first maximum wins, in each slice and across them
-        if eig_stacked:
+        if stacked:
             i, sup = _log_norm_argmax(j, kind)
         else:
             # a plain per-point jac keeps one log_norm per sample, as perfbench/tests pins
-            mus = log_norm(j, kind) if stacked else np.array([log_norm(m, kind) for m in j])
+            mus = [log_norm(m, kind) for m in j]
             i = int(np.argmax(mus))
-            sup = float(mus[i])
+            sup = mus[i]
         arg_index.append(i)
         sups.append(sup)
     best = int(np.argmax(sups))
@@ -228,7 +218,7 @@ def estimate_contraction_rate(
         domain=domain,
         plan=plan,
         verdict=CERTIFIED if certified else NOT_CERTIFIED,
-        n_samples=n_samples,
+        n_samples=points.shape[0] * ts.size,
         argmax_state=points[arg_index[best]],
         argmax_time=float(ts[best]),
         dominance_ok=None if dominance_margin is None else dominance_margin <= 0.0,
@@ -260,9 +250,9 @@ def check_demidovich(sys: SystemSpec, p, domain: Domain, plan: SamplingPlan) -> 
     one time slice's Jacobian stack.
     """
     kind = NormKind.weighted(p)
-    points, ts, n_samples = _sweep(sys, domain, kind, plan)
+    points, ts, slices = _sweep(sys, domain, kind, plan)
     max_eig, signs_agree = -np.inf, True
-    for j in _slice_jacobians(sys, points, ts):
+    for j in slices:
         lam = log_norm(kind.weight @ j, NormKind.l2())
         mu = log_norm(j, kind)
         decided = (np.abs(lam) > 1e-12) | (np.abs(mu) > 1e-12)
@@ -272,7 +262,7 @@ def check_demidovich(sys: SystemSpec, p, domain: Domain, plan: SamplingPlan) -> 
         max_eigenvalue=max_eig,
         passed=max_eig < 0.0,
         sign_agreement_ok=signs_agree,
-        n_samples=n_samples,
+        n_samples=points.shape[0] * ts.size,
         domain=domain,
         plan=plan,
     )
@@ -430,7 +420,7 @@ def verify_incremental_bound(
     check_positive(alpha0, "alpha0")
     if not initial_pairs:
         raise InvalidInputError("need at least one initial pair")
-    check_count(n_output, "n_output")
+    check_count(n_output, "n_output", 2)
     kind.check_fits(sys.dim)
     pairs = []  # every state of every pair is checked before the first run
     for idx, pair in enumerate(initial_pairs):

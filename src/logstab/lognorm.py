@@ -6,9 +6,11 @@ and, for weighted norms, the quadratic-form formulation through the symmetric
 pencil. Under l2 and weighted norms the closed form of a 2x2 matrix is the
 exact eigenvalue formula of its symmetric part, so it makes no LAPACK call;
 for n >= 3 it is the top eigenvalue of the symmetric part from eigvalsh. The
-largest mu over a stack of n >= 3 matrices (``_log_norm_argmax``, which the
-contraction sweep reads per time slice) takes eigvalsh only of the members
-whose Gershgorin bound can reach it.
+contraction sweep reads each time slice's largest mu and its first argmax
+from one kernel, ``_log_norm_argmax``, under every kind and n, with the bits
+of the members' log norms: it takes the closed form of every member under
+l1 and linf and for n <= 2, and under l2 and weighted at n >= 3 eigvalsh
+only of the members whose Gershgorin bound can reach the largest.
 The estimator's thetas are relative to the matrix's scale: where the
 smallest theta times the largest entry would make ||I + theta*A|| read ||A||
 rather than mu[A], it works on A scaled down by a power of two and scales
@@ -90,10 +92,12 @@ def _closed_form(a, kind: NormKind, pair: bool):
 
 
 def _log_norm_argmax(a, kind: NormKind) -> tuple[int, float]:
-    """(i, mu[A_i]) for the first i of the largest mu over the stack ``a`` (N, n, n), under l2 or weighted with n >= 3.
+    """(i, mu[A_i]) for the first i of the largest mu over the stack ``a`` (N, n, n), under any kind and n.
 
-    The value has the bits of ``log_norm(a, kind)[i]``, but eigvalsh(S_i) is
-    taken only of the members that can hold it. Each member is bounded by
+    The value has the bits of ``log_norm(a, kind)[i]``. Under l1 and linf,
+    and for n <= 2, every member's closed form is cheap, so it is taken
+    whole. Under l2 and weighted at n >= 3, eigvalsh(S_i) is taken only of
+    the members that can hold the maximum. Each member is bounded by
     mu_inf(S_i) = max over rows of S_ii plus the off-diagonal |entries|,
     which is at least mu_2 (Gershgorin). Its rounding plus eigvalsh's
     backward error stay under _EIG_SLACK n eps times S_i's largest absolute
@@ -105,6 +109,10 @@ def _log_norm_argmax(a, kind: NormKind) -> tuple[int, float]:
     _FLOOR_SAMPLES members, or whose S is not finite, goes through eigvalsh
     whole.
     """
+    if kind.tag in ("l1", "linf") or np.shape(a)[-1] <= 2:
+        mus = _closed_form(a, kind, pair=False)
+        i = int(np.argmax(mus))
+        return i, float(mus[i])
     s = _symmetric_part(kind.similarity(as_square_stack(a)))
     if len(s) > _FLOOR_SAMPLES and np.isfinite(s).all():
         with np.errstate(over="ignore"):

@@ -96,6 +96,10 @@ class TestSampling:
         with pytest.raises(InvalidInputError):
             Domain(np.array([0.0]), np.array([1.0]), 1.0, 1.0)
 
+    def test_empty_box_rejected(self):
+        with pytest.raises(DimensionError, match=r"^lower has shape \(0,\), expected \(N,\) with N >= 1$"):
+            Domain(np.array([]), np.array([]), 0.0, 1.0)
+
     @pytest.mark.parametrize(
         "lower, upper, t_lo, t_hi, message",
         [
@@ -266,25 +270,26 @@ class TestStackingRule:
         point_calls = spy(sys, "jac") if sys.jac is not None else []
         stack_calls = spy(sys.jac, "stack") if source in ("builtin", "expression") else []
         f_stack_calls = spy(sys.f, "stack") if source == "finite differences" else []
-        log_norms = []
+        log_norms, stacks, kernel = [], [], certify_module._log_norm_argmax
         monkeypatch.setattr(certify_module, "log_norm", lambda j, kind: log_norms.append(np.shape(j)) or log_norm(j, kind))
+        monkeypatch.setattr(certify_module, "_log_norm_argmax", lambda j, kind: stacks.append(j.shape) or kernel(j, kind))
         cert = estimate_contraction_rate(sys, box(2, 10.0), KINDS[tag], SamplingPlan(n_space=9, n_time=4))
         if source == "plain callables":
-            assert (len(point_calls), log_norms) == (cert.n_samples, [(2, 2)] * cert.n_samples)
+            assert (len(point_calls), log_norms, stacks) == (cert.n_samples, [(2, 2)] * cert.n_samples, [])
         else:
-            assert (len(point_calls), log_norms) == (0, [(81, 2, 2)] * 4)
+            assert (len(point_calls), log_norms, stacks) == (0, [], [(81, 2, 2)] * 4)
             assert len(stack_calls) + len(f_stack_calls) == 4
 
     @pytest.mark.parametrize("tag", KINDS)
     @pytest.mark.parametrize("jacobian_source", RING4_F4)
-    def test_an_n4_ring_takes_one_argmax_kernel_call_per_slice_under_l2_and_weighted(self, monkeypatch, jacobian_source, tag):
+    def test_an_n4_ring_takes_one_argmax_kernel_call_per_slice_under_every_kind(self, monkeypatch, jacobian_source, tag):
         sys = build_system(parse_config(RING4 + RING4_F4[jacobian_source]))
         kind = NormKind.weighted(RING4_WEIGHT) if tag == "weighted" else KINDS[tag]
         domain, plan = box(4, 3.0, 0.0, 1.0), SamplingPlan(n_space=300, n_time=4, scheme="latin_hypercube", seed=5)
         stacks, kernel = [], certify_module._log_norm_argmax
         monkeypatch.setattr(certify_module, "_log_norm_argmax", lambda j, kind: stacks.append(j.shape) or kernel(j, kind))
         cert = estimate_contraction_rate(sys, domain, kind, plan, alpha_fn=default_rate)
-        assert stacks == ([(300, 4, 4)] * 4 if tag in ("l2", "weighted") else [])
+        assert stacks == [(300, 4, 4)] * 4
         assert cert == estimate_contraction_rate(_per_sample(sys), domain, kind, plan, alpha_fn=default_rate)
 
 
@@ -472,6 +477,18 @@ class TestIncrementalBound:
         rep = verify_incremental_bound(sys, [(np.array([1.0]), np.array([2.0]))], 0.0, 3.0, 0.5)
         assert not rep.passed
         assert rep.worst_violation > 1.0
+
+    def test_one_output_time_is_refused_before_any_run(self):
+        # the grid of n_output = 1 is [t0], where every violation is 0, so it would pass this expanding pair
+        calls = []
+        sys = SystemSpec(dim=1, f=lambda x, t: calls.append(t) or x)
+        pairs = [(np.array([1.0]), np.array([2.0]))]
+        with pytest.raises(InvalidInputError, match="^n_output must be an integer >= 2, got 1$"):
+            verify_incremental_bound(sys, pairs, 0.0, 3.0, 0.5, n_output=1)
+        assert calls == []
+        rep = verify_incremental_bound(sys, pairs, 0.0, 3.0, 0.5, n_output=2)
+        assert not rep.passed
+        assert rep.worst_violation == pytest.approx(math.exp(3.0) - math.exp(-1.5), rel=1e-6)
 
     def test_demo_pairs_within_bound(self, fig1_system):
         rng = np.random.default_rng(13)

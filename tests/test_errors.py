@@ -71,7 +71,7 @@ COUNT_SITES = {
     "verify_incremental_bound n_output": (
         lambda calls, v: verify_incremental_bound(decay(calls), PAIRS, 0.0, 1.0, 0.5, n_output=v),
         "n_output",
-        1,
+        2,
     ),
     "classify_rate_integral n_doublings": (
         lambda calls, v: classify_rate_integral(counted(calls, 1.0), 0.0, 8.0, n_doublings=v),

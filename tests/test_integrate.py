@@ -224,6 +224,22 @@ class TestFailurePaths:
         assert err.value.last_time == 0.0
         assert len(calls) < 200  # 144 under auto (11 per DOP853 trial), 46 under ndf
 
+    def test_dop853_step_whose_new_state_overflows_is_rejected(self):
+        # every stage of the constant field 1.5e308 is finite, yet x + h f overflows at every h that moves t
+        sys = SystemSpec(dim=1, f=lambda x, t: np.full(1, 1.5e308))
+        with pytest.raises(DivergedError, match=r"^field non-finite near t=0\.0: steps shrank to underflow$") as err:
+            integrate(sys, np.zeros(1), 0.0, 1.0, IntegratorConfig(method="auto"))
+        assert 0.0 <= err.value.last_time <= 1.0
+
+    def test_ndf_converged_step_whose_new_state_overflows_is_rejected(self):
+        # with J = 0 the Newton iteration converges at once; x grows from 1.79e308 at the rate 1e307, and every
+        # step past the largest float converges to a state that is not finite
+        sys = SystemSpec(dim=1, f=lambda x, t: np.full(1, 1e307), jac=lambda x, t: np.zeros((1, 1)))
+        with pytest.raises(DivergedError, match=r"^field non-finite near t=\S+: steps shrank to underflow$") as err:
+            integrate(sys, np.full(1, 1.79e308), 0.0, 1.0, IntegratorConfig(method="ndf"))
+        assert 0.0 <= err.value.last_time <= 1.0
+        assert err.value.last_time == pytest.approx((np.finfo(float).max - 1.79e308) / 1e307, rel=1e-3)
+
     @pytest.mark.parametrize("method", ["ndf", "auto"])
     def test_step_budget_names_the_last_node(self, decay_system, method):
         # none of these methods rejects a step on the way to t = 10, so the

@@ -1,4 +1,4 @@
-"""The largest log norm over a stack of n >= 3 matrices: ``_log_norm_argmax`` against ``log_norm`` of every member."""
+"""The largest log norm over a stack: ``_log_norm_argmax`` against ``log_norm`` of every member."""
 
 import numpy as np
 import pytest
@@ -23,29 +23,30 @@ def reference(stack, kind):
 
 @st.composite
 def stacks_and_kinds(draw):
-    """A stack of n x n matrices (n in 3..8) drawn from a few distinct ones, with repeats and 1-ulp neighbours.
+    """A stack of n x n matrices (n in 2..8) drawn from a few distinct ones, with repeats and 1-ulp neighbours, and a kind.
 
-    Entries are 0 or of either sign with magnitudes in [10^lo, 10^(hi+1)),
-    -150 <= lo <= hi <= 299, from a seeded generator. l2 stacks may also
-    hold entries near the largest float, so that a row sum overflows; a
-    weighted kind (SPD weight from the same generator) keeps its entries
-    under 1e300, so that its similarity transform stays finite.
+    The kind is l1, l2, linf or weighted. Entries are 0 or of either sign
+    with magnitudes in [10^lo, 10^(hi+1)), -150 <= lo <= hi <= 299, from a
+    seeded generator. l2 stacks at n >= 3 may also hold entries near the
+    largest float, so that a Gershgorin row sum overflows; a weighted kind
+    (SPD weight from the same generator) keeps its entries under 1e300, so
+    that its similarity transform stays finite.
     """
-    n = draw(st.integers(3, 8))
-    weighted = draw(st.booleans())
+    n = draw(st.integers(2, 8))
+    tag = draw(st.sampled_from(["l1", "l2", "linf", "weighted"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lo = draw(st.integers(-150, 299))
     hi = draw(st.integers(lo, 299))
     shape = (draw(st.integers(1, 12)), n, n)
     signs = rng.choice([-1.0, 0.0, 1.0], shape, p=[0.45, 0.1, 0.45])
     distinct = signs * rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(lo, hi + 1, shape)
-    if not weighted and draw(st.booleans()):
+    if tag == "l2" and n >= 3 and draw(st.booleans()):
         huge = rng.random(shape) < 0.25
         distinct[huge] = signs[huge] * rng.uniform(1e307, np.finfo(float).max, np.count_nonzero(huge))
     stack = distinct[rng.integers(0, shape[0], draw(st.integers(1, 40)))]
     bumped = rng.random(len(stack)) < 0.5
     stack[bumped] = np.nextafter(stack[bumped], 0.0)  # each nonzero entry of those members 1 ulp nearer 0
-    kind = NormKind.weighted(random_spd(rng, n)) if weighted else NormKind.l2()
+    kind = NormKind.weighted(random_spd(rng, n)) if tag == "weighted" else NormKind(tag)
     return stack, kind
 
 

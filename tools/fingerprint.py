@@ -49,7 +49,8 @@ linf on a 1000-point Latin hypercube of [-3, 3]^n (4 slices on [0, 1], seed
 planar field with exp and pow of the state; the certificates, with the demo
 rate, of rings of that shape whose coefficients come from a seeded generator,
 at n = 4 and 8 and at n = 4 with an abs term (finite differences), each under
-l2 and a weighted norm, on a 500-point Latin hypercube (4 slices on [0, 1]);
+l1, l2, linf and a weighted norm, on a 500-point Latin hypercube (4 slices on
+[0, 1]);
 the Demidovich report (P = I, 3x3 grid on [-1, 1]^2, two time slices) and the
 quadratic-form log norm (P = I) of the constant J = [[-1e308, 1.5e308],
 [1.5e308, -1e308]], whose P J + J^T P overflows; the limit-route tables of that
@@ -435,14 +436,16 @@ def _corpus(logstab):
                 for sys in expression
             ]
         ), None
-    # seeded rings under l2 and a weighted norm: each slice's sup from the samples whose Gershgorin bound can reach it
+    # seeded rings under every kind: under l2 and the weighted norm each slice's sup comes from the samples whose
+    # Gershgorin bound can reach it; l1 and linf add no draw, so the other records keep their inputs
     rng = np.random.default_rng(5)
     lhs = logstab.SamplingPlan(n_space=500, n_time=4, scheme="latin_hypercube", seed=11)
     for n, with_abs in ((4, False), (8, False), (4, True)):
         ring = build_system(parse_config(_ring_config(rng, n, with_abs)))
         ring_box = logstab.Domain(-3.0 * np.ones(n), 3.0 * np.ones(n), 0.0, 1.0)
         q = rng.normal(size=(n, n))
-        for kind in (logstab.NormKind.l2(), logstab.NormKind.weighted(q @ q.T + n * np.eye(n))):
+        weighted = logstab.NormKind.weighted(q @ q.T + n * np.eye(n))
+        for kind in (logstab.NormKind.l1(), logstab.NormKind.l2(), logstab.NormKind.linf(), weighted):
             yield f"certify/ring{n}{'-abs' if with_abs else ''}/{kind.tag}", (
                 lambda ring=ring, ring_box=ring_box, kind=kind: logstab.estimate_contraction_rate(
                     ring, ring_box, kind, lhs, default_rate
