@@ -330,10 +330,10 @@ def check_forcing_ratio(
     from t_lo when t_lo > 0, and from t_hi / 1000 otherwise: on [-5, 10] it
     starts at 0.01, and the window before that is not sampled.
 
-    Each callable of t takes the whole grid in one call where it can: alpha
-    and delta when they carry a ``stack``, and f(0, t) when ``sys.f`` carries
-    an ``origin`` (see ``system._rhs_at_origin``), as config-built systems
-    do. The report is the same as from one call per t.
+    One rule reads every callable of t (``system._at_times``): alpha, delta
+    and ``sys.f.origin``, giving f(0, t), each take the whole grid in one
+    call where they carry a ``stack``, as config-built ones do, and one call
+    per t otherwise; without ``origin``, f is evaluated at the origin per t.
     """
     if kind is None:
         kind = NormKind.l2()
@@ -418,6 +418,7 @@ def verify_incremental_bound(
     if kind is None:
         kind = NormKind.l2()
     check_positive(alpha0, "alpha0")
+    initial_pairs = [] if initial_pairs is None else list(initial_pairs)  # an array or a generator of pairs too
     if not initial_pairs:
         raise InvalidInputError("need at least one initial pair")
     check_count(n_output, "n_output", 2)
@@ -531,6 +532,14 @@ class OriginConvergenceReport:
     kind_tag: str
 
 
+def _tail_length(m: int, too_short: str = "trajectory too short") -> int:
+    """How many of m samples ``verify_origin_convergence`` judges (the last TAIL_FRACTION); fewer than 10 raise."""
+    tail_len = int(np.ceil(TAIL_FRACTION * m))
+    if tail_len < 10:
+        raise InvalidInputError(f"tail window has {tail_len} samples; need >= 10 ({too_short})")
+    return tail_len
+
+
 def verify_origin_convergence(
     traj: Trajectory,
     kind: NormKind | None = None,
@@ -548,11 +557,7 @@ def verify_origin_convergence(
     if kind is None:
         kind = NormKind.l2()
     m = traj.times.size
-    tail_len = int(np.ceil(TAIL_FRACTION * m))
-    if tail_len < 10:
-        raise InvalidInputError(
-            f"tail window has {tail_len} samples; need >= 10 (trajectory too short)"
-        )
+    tail_len = _tail_length(m)
     offset = 0.0 if target is None else check_array(target, "target", traj.states.shape[1:])
     norms = vec_norm(traj.states - offset, kind)
     tail_max = float(norms[-tail_len:].max())

@@ -49,7 +49,7 @@ import numpy as np
 from .certify import ContractionCertificate, ConvergenceReport, Domain, SamplingPlan
 from .certify import _ratio_grid_start, check_forcing_ratio, estimate_contraction_rate
 from .csvio import export_component_csv, export_report_csv, export_trajectory_csv, parse_matrix_text, read_matrix_file
-from .errors import ConfigError, InvalidInputError, check_array, check_count, read_number
+from .errors import ConfigError, InvalidInputError, check_array, check_count, check_window, read_number
 from .expr import (
     ExprSyntaxError,
     NonDifferentiableError,
@@ -98,9 +98,8 @@ def _compiled_in_t(texts: tuple) -> tuple:
     return compile_expression(nodes, ["t"]), compile_expression(nodes, ["t"], "vector")
 
 
-def _of_t(texts: tuple, shape: tuple):
-    """A new callable of t for the compiled ``texts``, of the given shape, with a ``stack`` over a vector of t."""
-    fn, vector = _compiled_in_t(texts)
+def _of_t(fn, vector, shape: tuple):
+    """A new callable of t of ``shape``: the entries of ``fn`` at one float t, with a ``stack`` over ``vector``'s."""
     if shape:
         at = lambda t: np.array(fn(float(t)))
     else:
@@ -111,7 +110,7 @@ def _of_t(texts: tuple, shape: tuple):
 
 def _function_of_t(text: str):
     """The expression ``text`` in t, as a function of one number that carries a ``stack`` over a vector of t."""
-    return _of_t((text,), ())
+    return _of_t(*_compiled_in_t((text,)), ())
 
 
 @dataclass
@@ -419,13 +418,6 @@ def build_domain(cfg: ScenarioConfig) -> Domain:
     return _at(_later_line(cfg, *pair), Domain, lower, upper, cfg.t_lo, cfg.t_hi)
 
 
-def _compile_delta(cfg: ScenarioConfig):
-    """The scenario's delta(t) (n,), with a ``stack`` over a vector of t; None without delta texts."""
-    if not cfg.delta_exprs:
-        return None
-    return _of_t(tuple(cfg.delta_exprs), (cfg.dim,))
-
-
 def _stacked(point, fn, shape: tuple):
     """The ``stack`` of an expression system's per-point callable: ``fn`` on the columns of a stack (N, n) of states.
 
@@ -489,8 +481,7 @@ def _expression_system(f_exprs, delta, name: str) -> SystemSpec:
         return np.array(f_fn(*x.tolist(), float(t)))
 
     f.stack = _stacked(f_fn, f_numpy, (dim,))
-    f.origin = lambda t: np.array(f_fn(*zero, float(t)))
-    f.origin.stack = lambda ts: _columns(f_vector(*zero, ts), len(ts), (dim,))
+    f.origin = _of_t(functools.partial(f_fn, *zero), functools.partial(f_vector, *zero), (dim,))
     jac = None
     if jac_fn is not None:
 
@@ -520,9 +511,10 @@ def build_example1(b: float = 5.0, phi: str = "-6 - t^3", delta=None) -> SystemS
 
 def build_system(cfg: ScenarioConfig) -> SystemSpec:
     """Instantiate the scenario's SystemSpec: the builtin ``example1`` or the [system]'s expressions."""
+    delta = _of_t(*_compiled_in_t(tuple(cfg.delta_exprs)), (cfg.dim,)) if cfg.delta_exprs else None
     if cfg.system_kind == "builtin":
-        return build_example1(**cfg.builtin_params, delta=_compile_delta(cfg))
-    return _expression_system(cfg.f_exprs, _compile_delta(cfg), "expression")
+        return build_example1(**cfg.builtin_params, delta=delta)
+    return _expression_system(cfg.f_exprs, delta, "expression")
 
 
 def certify_scenario(
@@ -542,9 +534,8 @@ def certify_scenario(
     alpha_fn = _function_of_t(cfg.alpha_expr) if cfg.alpha_expr else None
     certificate = estimate_contraction_rate(system, build_domain(cfg), norm, cfg.plan, alpha_fn=alpha_fn)
     if alpha_fn is None and certificate.alpha0_estimate is not None:
-        alpha0 = certificate.alpha0_estimate
-        alpha_fn = lambda t: alpha0
-        alpha_fn.stack = lambda ts: np.full(len(ts), alpha0)
+        alpha0 = [certificate.alpha0_estimate]
+        alpha_fn = _of_t(lambda t: alpha0, lambda ts: alpha0, ())
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [export_report_csv(certificate, out_dir / "certificate.csv", name="contraction certificate")]
@@ -555,10 +546,15 @@ def certify_scenario(
     return certificate, ratio, files
 
 
+def _output_grid(cfg: ScenarioConfig) -> np.ndarray:
+    """The times ``simulate_scenario`` samples, about every OUTPUT_STEP on [t0, tf]; a bad window is refused."""
+    check_window(cfg.t0, cfg.tf)
+    return np.linspace(cfg.t0, cfg.tf, max(2, int(round((cfg.tf - cfg.t0) / OUTPUT_STEP)) + 1))
+
+
 def simulate_scenario(cfg: ScenarioConfig, system: SystemSpec) -> tuple[Trajectory, list[Path]]:
-    """The trajectory from x0 over [t0, tf], sampled every OUTPUT_STEP, written as trajectory.csv and x1.csv .. xn.csv."""
-    grid = np.linspace(cfg.t0, cfg.tf, max(2, int(round((cfg.tf - cfg.t0) / OUTPUT_STEP)) + 1))
-    trajectory = integrate(system, np.array(cfg.x0), cfg.t0, cfg.tf, cfg.integrator, sample_times=grid)
+    """The trajectory from x0 over [t0, tf], sampled on ``_output_grid``, written as trajectory.csv and x1..xn.csv."""
+    trajectory = integrate(system, np.array(cfg.x0), cfg.t0, cfg.tf, cfg.integrator, sample_times=_output_grid(cfg))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [export_trajectory_csv(trajectory, out_dir / "trajectory.csv")]

@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import CERTIFIED, RATIO_PERSISTS, RATIO_VANISHES, verify_origin_convergence
+from .certify import CERTIFIED, RATIO_PERSISTS, RATIO_VANISHES, _tail_length, verify_origin_convergence
 # build_example1 is bound here too: perfbench and the tests build the demo system from this module
 from .config import build_example1, build_norm, build_system, parse_config  # noqa: F401
-from .config import certificate_lines, certify_scenario, ratio_line, simulate_scenario
+from .config import _output_grid, certificate_lines, certify_scenario, ratio_line, simulate_scenario
 from .csvio import export_report_csv
 from .errors import InvalidInputError
 
@@ -91,12 +91,15 @@ def run_demo_example1(variant: str, out_dir, tf: float = 20.0, seed: int = 42) -
     where x2 must also be near 4 at t = 10. Writes the steps' CSVs,
     convergence.csv and report.txt. Returns the certificate, the ratio
     report, the trajectory, the files written and whether the expected
-    outcome held.
+    outcome held. A ``tf`` too short for the limit check's tail is an
+    InvalidInputError naming tf, raised before any file is written.
     """
     if variant not in DEMO_CONFIGS:
         raise InvalidInputError(f"unknown demo variant {variant!r}; expected one of {DEMO_VARIANTS}")
     cfg = parse_config(DEMO_CONFIGS[variant])
     cfg = replace(cfg, plan=replace(cfg.plan, seed=seed), tf=tf, out_dir=str(out_dir))
+    samples = len(_output_grid(cfg))
+    _tail_length(samples, f"{samples} output samples from t0 = {cfg.t0} to tf = {tf}: raise tf")
     system, norm = build_system(cfg), build_norm(cfg)
     certificate, ratio, report_files = certify_scenario(cfg, system, norm)
     trajectory, trajectory_files = simulate_scenario(cfg, system)

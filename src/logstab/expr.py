@@ -268,25 +268,22 @@ def _diff_power(u: ast.expr, v: ast.expr, du: ast.expr, dv: ast.expr) -> ast.exp
     return _mul(_call("pow", u, v), inner)
 
 
-def _math_or_numpy(fn: str):
-    """The numpy namespace's ``fn``: math's on Python floats, numpy's on anything else."""
-    by_math, by_numpy = getattr(math, fn), getattr(np, "power" if fn == "pow" else fn)
+def _math_or_array(fn: str, at_each: bool):
+    """The numpy namespace's ``fn``, or with ``at_each`` the vector namespace's: math's on Python floats.
+
+    On anything else it is numpy's ``fn``, or with ``at_each`` math's at every entry.
+    """
+    by_math = getattr(math, fn)
+    if at_each:
+        each = np.frompyfunc(by_math, 2 if fn == "pow" else 1, 1)
+        by_array = lambda *args: np.asarray(each(*args), dtype=float)
+    else:
+        by_array = getattr(np, "power" if fn == "pow" else fn)
 
     def either(*args):
-        return by_math(*args) if all(type(a) is float for a in args) else by_numpy(*args)
+        return by_math(*args) if all(type(a) is float for a in args) else by_array(*args)
 
     return either
-
-
-def _math_at_each(fn: str):
-    """The vector namespace's ``fn``: math's on Python floats, and math's at every entry of anything else."""
-    by_math = getattr(math, fn)
-    each = np.frompyfunc(by_math, 2 if fn == "pow" else 1, 1)
-
-    def vector(*args):
-        return by_math(*args) if all(type(a) is float for a in args) else np.asarray(each(*args), dtype=float)
-
-    return vector
 
 
 _ROUTINES = [fn for fn in FUNCTIONS_1 + FUNCTIONS_2 if fn != "abs"]
@@ -294,8 +291,8 @@ _ROUTINES = [fn for fn in FUNCTIONS_1 + FUNCTIONS_2 if fn != "abs"]
 # which takes floats and arrays alike), and what each namespace needs for its undefined case
 _NAMESPACES = {
     "math": {**{fn: getattr(math, fn) for fn in _ROUTINES}, "abs": abs, "_nan": math.nan},
-    "numpy": {**{fn: _math_or_numpy(fn) for fn in _ROUTINES}, "abs": abs, "_errstate": np.errstate},
-    "vector": {**{fn: _math_at_each(fn) for fn in _ROUTINES}, "abs": abs, "_errstate": np.errstate},
+    "numpy": {**{fn: _math_or_array(fn, False) for fn in _ROUTINES}, "abs": abs, "_errstate": np.errstate},
+    "vector": {**{fn: _math_or_array(fn, True) for fn in _ROUTINES}, "abs": abs, "_errstate": np.errstate},
 }
 
 

@@ -24,10 +24,11 @@ A callable of t alone (delta, a rate alpha, a matrix A) follows the same
 rule over a vector of times: ``_at_times`` calls ``fn.stack(ts) -> (m,
 ...)`` once on the float array ``ts`` where ``fn`` carries one, and ``fn``
 once per t otherwise or where the stack raises ArithmeticError or
-ValueError. ``f`` may carry ``origin``, the callable of t giving f(0, t),
-with such a stack; ``_rhs_at_origin`` takes f(0, t) + delta(t) from the two
-stacks. ``config``'s delta, alpha and f(0, t) carry them, each value with
-the bits of one call per t.
+ValueError. The forcing f(0, t) + delta(t) has one rule, ``_rhs_at_origin``:
+delta(t) through ``_at_times``, and f(0, t) through ``_at_times`` on
+``f.origin``, the callable of t giving f(0, t), where ``f`` carries one, or
+from ``eval_field`` at the origin once per t otherwise. ``config``'s delta,
+alpha and f(0, t) carry stacks, each value with the bits of one call per t.
 
 This module is the one place that checks what a user callable returns: f,
 jac and delta evaluated here, f and delta as ``integrate``'s run closure
@@ -89,7 +90,8 @@ class SystemSpec:
         that gives the same values at every t of a float vector in one call,
         and ``f`` may carry ``origin``, a callable (t,) -> array (n,) giving
         f(0, t), with such a ``stack`` of its own. ``check_forcing_ratio``
-        uses them together; without them it evaluates one t at a time.
+        calls each stack it finds once, and otherwise the callable once per
+        t (f at the origin, without ``origin``).
     name : str
         Label used in reports and exported files.
 
@@ -184,28 +186,20 @@ def _at_times(name: str, fn, ts, shape: tuple = ()) -> np.ndarray:
     gives NaN, not inf and a numpy warning. An error for non-finite values
     names the first bad t.
     """
-    ts = np.asarray(ts, dtype=float)
-    stack = getattr(fn, "stack", None)
-    if stack is not None:
-        try:
-            out = stack(ts)
-        except (ArithmeticError, ValueError):
-            pass
-        else:
-            out = _shaped(name, out, (len(ts),) + shape, ts)
-            finite = np.isfinite(out)
-            if not finite.all():
-                raise _failed(name, "non-finite values", ts[_first_bad(finite, len(ts))])
-            return out
-    ts = ts.tolist()
-    outs = [fn(t) for t in ts]
+    ts, stack = np.asarray(ts, dtype=float), getattr(fn, "stack", None)
     try:
-        out = check_array(outs, name, (len(ts),) + shape, finite=False)
-    except (InvalidInputError, DimensionError):  # one output is not real or has the wrong shape: name the first t
-        out = np.array([_shaped(name, o, shape, t) for o, t in zip(outs, ts)])
+        out = None if stack is None else _shaped(name, stack(ts), (len(ts),) + shape, ts)
+    except (ArithmeticError, ValueError):
+        out = None
+    if out is None:
+        outs = [fn(t) for t in ts.tolist()]
+        try:
+            out = check_array(outs, name, (len(ts),) + shape, finite=False)
+        except (InvalidInputError, DimensionError):  # one output is not real or has the wrong shape: name the first t
+            out = np.array([_shaped(name, o, shape, t) for o, t in zip(outs, ts.tolist())])
     finite = np.isfinite(out)
     if not finite.all():
-        raise _failed(name, "non-finite values", ts[_first_bad(finite, len(ts))])
+        raise _failed(name, "non-finite values", float(ts[_first_bad(finite, len(ts))]))
     return out
 
 
@@ -222,16 +216,20 @@ def _rows(name: str, fn, xs: np.ndarray, t: float, shape: tuple) -> np.ndarray:
     return np.array([_shaped(name, fn(x, t), shape, t, x) for x in xs])
 
 
+def _evaluate(name: str, fn, x: np.ndarray, t: float, shape: tuple) -> np.ndarray:
+    """The per-point callable ``name``, checked, at a state x (n,) as ``shape`` or at a stack (N, n) as (N, *shape)."""
+    if x.ndim == 1:
+        return _checked_output(name, fn(x, t), shape, t, x)
+    return _checked_output(name, _rows(name, fn, x, t, shape), (len(x),) + shape, t, x)
+
+
 def eval_field(sys: SystemSpec, x, t: float) -> np.ndarray:
     """Nominal field f(x,t), validated finite and correctly shaped.
 
     x is one state (n,), evaluated by ``sys.f``, or a stack (N, n), giving
     (N, n) from one call of ``sys.f.stack`` or from ``sys.f`` row by row.
     """
-    x = _check_states(sys, x)
-    if x.ndim == 1:
-        return _checked_output("f", sys.f(x, t), (sys.dim,), t, x)
-    return _checked_output("f", _rows("f", sys.f, x, t, (sys.dim,)), x.shape, t, x)
+    return _evaluate("f", sys.f, _check_states(sys, x), t, (sys.dim,))
 
 
 def eval_rhs(sys: SystemSpec, x, t: float) -> np.ndarray:
@@ -245,23 +243,23 @@ def eval_rhs(sys: SystemSpec, x, t: float) -> np.ndarray:
 def _rhs_at_origin(sys: SystemSpec, ts) -> np.ndarray:
     """f(0, t) + delta(t) at every t of the vector ``ts``: one finite array (N, n).
 
-    Through ``_at_times`` on ``sys.f.origin``, a callable of t giving f at
-    the origin, and on ``sys.delta``, when f carries an ``origin`` and delta
-    is None or carries a ``stack``; one ``eval_rhs`` per t otherwise. Where a
-    value is bad, the ``eval_rhs`` loop names the first bad t, and f before
-    delta at one t, as without the stacks.
+    f(0, t) from ``_at_times`` on ``sys.f.origin``, a callable of t, where f
+    carries one, and from ``eval_field`` at the origin once per t otherwise;
+    delta(t) from ``_at_times``. Where a value is bad, one ``eval_rhs`` per t
+    names the first bad t, and f before delta at one t.
     """
-    origin = getattr(sys.f, "origin", None)
     zero = np.zeros(sys.dim)
-    if origin is not None and (sys.delta is None or hasattr(sys.delta, "stack")):
-        try:
+    origin = getattr(sys.f, "origin", None)
+    try:
+        if origin is None:
+            forcing = np.array([eval_field(sys, zero, t) for t in ts])
+        else:
             forcing = _at_times("f", origin, ts, (sys.dim,))
-            return forcing if sys.delta is None else forcing + _at_times("delta", sys.delta, ts, (sys.dim,))
-        except EvaluationError:
-            for t in ts:
-                eval_rhs(sys, zero, t)
-            raise  # a stack at fault where the per-point callables are not
-    return np.array([eval_rhs(sys, zero, t) for t in ts])
+        return forcing if sys.delta is None else forcing + _at_times("delta", sys.delta, ts, (sys.dim,))
+    except EvaluationError:
+        for t in ts:
+            eval_rhs(sys, zero, t)
+        raise  # a stack at fault where the per-point callables are not
 
 
 def jacobian(sys: SystemSpec, x, t: float) -> np.ndarray:
@@ -277,12 +275,9 @@ def jacobian(sys: SystemSpec, x, t: float) -> np.ndarray:
     row by row.
     """
     x = _check_states(sys, x)
-    shape = (sys.dim, sys.dim)
     if sys.jac is None:
         return _fd_jacobian(sys, x, t)
-    if x.ndim == 1:
-        return _checked_output("jac", sys.jac(x, t), shape, t, x)
-    return _checked_output("jac", _rows("jac", sys.jac, x, t, shape), x.shape + (sys.dim,), t, x)
+    return _evaluate("jac", sys.jac, x, t, (sys.dim, sys.dim))
 
 
 def _fd_jacobian(sys: SystemSpec, x: np.ndarray, t: float) -> np.ndarray:

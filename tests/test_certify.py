@@ -509,8 +509,16 @@ class TestIncrementalBound:
         assert rep.passed
 
     def test_no_pairs_rejected(self, fig1_system):
-        with pytest.raises(InvalidInputError, match="^need at least one initial pair$"):
-            verify_incremental_bound(fig1_system, [], 0.0, 1.0, 0.5)
+        for empty in ([], np.empty((0, 2, 2))):
+            with pytest.raises(InvalidInputError, match="^need at least one initial pair$"):
+                verify_incremental_bound(fig1_system, empty, 0.0, 1.0, 0.5)
+
+    def test_an_array_or_a_generator_of_pairs_gives_the_report_of_the_list_of_its_pairs(self, fig1_system):
+        pairs = np.random.default_rng(17).uniform(-5, 5, size=(3, 2, 2))  # (P, 2, n)
+        rep = verify_incremental_bound(fig1_system, [(a, b) for a, b in pairs], 0.0, 1.0, 0.5)
+        assert rep.pair_count == 3
+        assert verify_incremental_bound(fig1_system, pairs, 0.0, 1.0, 0.5) == rep
+        assert verify_incremental_bound(fig1_system, ((a, b) for a, b in pairs), 0.0, 1.0, 0.5) == rep
 
     def test_divergent_pair_is_evidence_against_the_certificate(self):
         # x' = x^2 from x = 1 blows up at t = 1, and pair 0's first state is integrated first

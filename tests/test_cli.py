@@ -528,6 +528,15 @@ class TestDemoCommand:
     def test_usage_error_exit_code(self):
         assert main(["demo", "example1", "--variant", "fig9"]) == 2
 
+    def test_a_tf_too_short_for_the_limit_check_is_refused_before_any_file(self, tmp_path, capsys):
+        # 45 samples every 0.05 on [0, 2.2] leave a tail of 9; [0, 2.25] gives 46 and the least tail, 10
+        assert main(["demo", "example1", "--tf", "2.2", "--out", str(tmp_path / "short")]) == 2
+        message = "error: tail window has 9 samples; need >= 10 (45 output samples from t0 = 0.0 to tf = 2.2: raise tf)"
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "short").exists()
+        assert main(["demo", "example1", "--tf", "2.25", "--out", str(tmp_path / "least")]) in (0, 1)
+        assert (tmp_path / "least" / "report.txt").exists()
+
     @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores directory permissions")
     def test_unwritable_out_dir(self, tmp_path):
         locked = tmp_path / "locked"

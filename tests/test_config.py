@@ -683,12 +683,26 @@ class TestTimeStacks:
         check_forcing_ratio(system, counted("alpha", lambda t: 1.0), 0.0, 10.0)
         assert calls == {"f": 200, "delta": 200, "alpha": 200}
 
-    def test_a_plain_delta_keeps_the_eval_rhs_loop(self, monkeypatch):
-        system = build_example1(delta=delta_admissible)  # f carries an origin, delta no stack
-        rhs = []
-        monkeypatch.setattr(system_module, "eval_rhs", lambda *args: rhs.append(args) or eval_rhs(*args))
-        check_forcing_ratio(system, default_rate, 0.0, 20.0)
-        assert len(rhs) == 200
+    @pytest.mark.parametrize("delta_stack", [True, False], ids=["delta with stack", "plain delta"])
+    @pytest.mark.parametrize("origin", [True, False], ids=["f with origin", "plain f"])
+    def test_one_forcing_rule_for_every_mix_of_stacked_and_plain_callables(self, monkeypatch, origin, delta_stack):
+        built = build_system(parse_config(DEMO_CONFIGS["fig1"]))
+        plain = without_stacks(built)
+        all_plain = check_forcing_ratio(plain, default_rate, 0.0, 20.0)
+        system = SystemSpec(dim=2, f=built.f if origin else plain.f, delta=built.delta if delta_stack else plain.delta)
+        calls = {"f": spy(system, "f"), "delta": spy(system, "delta")}
+        expected = {"f": 0 if origin else 200, "delta": 0 if delta_stack else 200}
+        if origin:
+            calls["f(0, t)"] = spy(system.f, "origin")
+            calls["f(0, t) stack"] = spy(system.f.origin, "stack")
+            expected |= {"f(0, t)": 0, "f(0, t) stack": 1}
+        if delta_stack:
+            calls["delta stack"] = spy(system.delta, "stack")
+            expected["delta stack"] = 1
+        monkeypatch.setattr(system_module, "eval_rhs", lambda *args: pytest.fail("eval_rhs was called"))
+        report = check_forcing_ratio(system, default_rate, 0.0, 20.0)
+        assert {name: len(c) for name, c in calls.items()} == expected
+        assert report == all_plain
 
     @pytest.mark.parametrize(
         "f1, delta1, message",

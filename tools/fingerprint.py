@@ -38,7 +38,9 @@ hand-off; x' = -x from (1, 1) with f and delta returning float32, under
 report (fig1, the demo rate, t in [0, 20]); the forcing-ratio reports of config-built
 systems, whose f(0, t), delta and alpha take the whole grid in one call each: the fig2
 config text under l2, and a field, delta and alpha in exp, log, sqrt and pow of t with a
-constant delta entry under l1, l2, linf and a weighted norm; the demo's Demidovich reports (fig1,
+constant delta entry under l1, l2, linf and a weighted norm; the same reports where
+callables are plain wrappers without ``origin`` or ``stack``: fig1 with plain f and
+delta, and the fig2 config with a plain f and its stacked delta; the demo's Demidovich reports (fig1,
 the demo config's domain and plan, with P = I and P = [[2, 0.3], [0.3, 1.5]]);
 the contraction certificate of fig1 with the demo rate on that domain under
 l1, l2, linf and the weighted norm of that P, each on the demo's 41x41x5 grid
@@ -393,14 +395,22 @@ def _corpus(logstab):
     yield "criterion_04", criterion_04, None
     yield "forcing_ratio/fig1", lambda: logstab.check_forcing_ratio(demo["fig1"], default_rate, 0.0, 20.0), None
 
-    def config_ratio(text, kind):
-        """The forcing ratio of a config text's system and [certify] alpha, from its t0 to its tf."""
+    def config_ratio(text, kind, wrap=lambda system: system):
+        """The forcing ratio of a config text's system, through ``wrap``, and [certify] alpha, from its t0 to its tf."""
         cfg = parse_config(text)
         alpha = importlib.import_module("logstab.config")._function_of_t(cfg.alpha_expr)
-        return logstab.check_forcing_ratio(build_system(cfg), alpha, cfg.t0, cfg.tf, kind=kind)
+        return logstab.check_forcing_ratio(wrap(build_system(cfg)), alpha, cfg.t0, cfg.tf, kind=kind)
 
     ratio_weight = np.array([[2.0, 0.3], [0.3, 1.5]])
     yield "forcing_ratio/fig2_config", lambda: config_ratio(DEMO_CONFIGS["fig2"], logstab.NormKind.l2()), None
+    # plain wrappers carry no origin or stack: f(0, t), and delta(t) too in the first, are taken one t at a time
+    fig1 = demo["fig1"]
+    fig1_plain = logstab.SystemSpec(dim=2, f=lambda x, t: fig1.f(x, t), delta=lambda t: fig1.delta(t))
+    yield "forcing_ratio/fig1_plain", lambda: logstab.check_forcing_ratio(fig1_plain, default_rate, 0.0, 20.0), None
+    plain_f = lambda system: logstab.SystemSpec(dim=system.dim, f=lambda x, t: system.f(x, t), delta=system.delta)
+    yield "forcing_ratio/fig2_plain_f", (
+        lambda: config_ratio(DEMO_CONFIGS["fig2"], logstab.NormKind.l2(), plain_f)
+    ), None
     for tag in kinds:
         kind = logstab.NormKind.weighted(ratio_weight) if tag == "weighted" else logstab.NormKind(tag)
         yield f"forcing_ratio/exp_log_pow/{tag}", lambda kind=kind: config_ratio(TIME_CONFIG, kind), None
