@@ -178,6 +178,9 @@ def main(argv=None) -> int:
     except (LogstabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a sweep or run too large to hold is a runtime error, not a failed check
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

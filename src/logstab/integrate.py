@@ -57,30 +57,33 @@ The max_step condition keeps a run that DOP853 crosses in steps of max_step,
 a slow decay, on DOP853. A rotation has sigma = 0 and an expanding field
 sigma > 0, so neither switches.
 
-Every method shares one run object, ``_Run``. It holds the accepted nodes
-and the counters, and it alone ends or fails a run (tf reached, step budget
-spent, step size underflow) and accepts a node. RK4, DOP853 and ``ndf`` are
-step rules that propose steps to it; ``auto`` hands the same run from DOP853
-to ndf. RK4 knows its step count up front and never rejects, so it checks the
-budget once before its first step. Each entry point hands its field and
-Jacobian to ``_integrate``, which makes the run. Every method starts from
-the field value that its caller validated at (t0, x0). Every later
-evaluation checks the shape of f's and delta's outputs and takes their sum
-as float64, so a callable whose output turns bad mid-run raises
-EvaluationError at the first evaluation that meets it, naming the callable,
-x and t, and a real output of another type (float32, say) is converted. A
-system whose delta is None runs on f alone, with the same test of f's
-output. A non-finite value is a step's business: it rejects the trial step,
-or ends the run with DivergedError. The step rules run under
+Every method shares one run object, ``_Run``. It holds the accepted nodes,
+their step records and the counters, and it alone ends or fails a run (tf
+reached, step budget spent, step size underflow). RK4, DOP853 and ``ndf`` are
+step rules that propose steps to it and hand each accepted step's record to
+its one ``accept``; ``auto`` hands the same run from DOP853 to ndf. The run
+reads the records once, when it ends, for a sampled run's table and each
+member's error estimate. RK4 knows its step count up front and never rejects,
+so it checks the budget once before its first step. Each entry point hands
+its field and Jacobian to ``_integrate``, which makes the run. Every method
+starts from the field value that its caller validated at (t0, x0). Every
+later evaluation checks the shape of f's and delta's outputs and takes their
+sum as float64, so a callable whose output turns bad mid-run raises
+EvaluationError at the first evaluation that meets it, naming the callable, x
+and t, and a real output of another type (float32, say) is converted. A
+system whose delta is None runs on f alone, with the same test of f's output.
+A non-finite value is a step's business: it rejects the trial step, or ends
+the run with DivergedError. The step rules run under
 ``np.errstate(all="ignore")``, so such a value, or an overflow, invalid
 operation or division by zero that makes one, raises no numpy warning on the
 way.
 
-A node is its time, its state and its step's local-error estimate. RK4 and
-DOP853 evaluate the field at each node they accept, require it finite, and
-start the next step from it; the run keeps that field for the step rules
-alone. An NDF node takes no field evaluation: the next step starts from the
-backward differences of its interpolant.
+A step's record is its node, its local-error estimate per component (none
+for RK4), the field at an RK4 or DOP853 node, and in a sampled run its
+interpolation data. RK4 and DOP853 evaluate the field at each node they
+accept, require it finite, and start the next step from it; no Trajectory
+carries that field. An NDF node takes no field evaluation: the next step
+starts from the backward differences of its interpolant.
 
 ``integrate_many`` integrates N states of one system as one ensemble run:
 its state is the N states end to end, and every method above runs on it
@@ -101,18 +104,19 @@ time of ``auto``. A one-member ensemble has the bits of ``integrate`` on its
 state.
 
 ``integrate``'s ``sample_times`` is the one way to sample, and it is checked
-before the run starts. A sampled run keeps one table, one row block per
-interval: y' at its start and at its end, per unit t, and the rows F3..F6 of
-DOP853's 7th-order continuous extension, the interval's cubic Hermite plus
-s^2 (1-s)^2 (F3 + s (F4 + (1-s) (F5 + s F6))). One sampler reads every
-interval in that form, which gives a sample on a node that node's state. An
-RK4 interval has no correction rows. Each DOP853 step of a sampled run also
-evaluates the three extra stages of its extension for its rows. Each NDF step
-keeps the backward differences 1..k of its order-k interpolant; that
-interpolant has degree k <= 5 and meets both nodes, so it is such a form, and
-the run's record turns every NDF block into it with one product by the
-constant matrix ``_NDF_HERMITE``. Runs that only return their grid keep no
-table and skip DOP853's extra stages.
+before the run starts. A sampled run builds one table when it ends, one row
+block per interval: y' at its start and at its end, per unit t, and the rows
+F3..F6 of DOP853's 7th-order continuous extension, the interval's cubic
+Hermite plus s^2 (1-s)^2 (F3 + s (F4 + (1-s) (F5 + s F6))). One sampler
+reads every interval in that form, which gives a sample on a node that
+node's state. An RK4 interval has no correction rows. Each DOP853 step of a
+sampled run also evaluates the three extra stages of its extension and
+records its rows F3..F6. Each NDF step records a copy of the backward
+differences 1..k of its order-k interpolant; that interpolant has degree
+k <= 5 and meets both nodes, so it is such a form, and the table turns every
+NDF block into it with one product by the constant matrix ``_NDF_HERMITE``.
+Runs that only return their grid keep no interpolation data and skip
+DOP853's extra stages.
 
 The fundamental matrix of a linear time-varying system is one run of its n
 columns, row k of the state being column k of Phi, so all columns share the
@@ -340,9 +344,10 @@ class Trajectory:
 
     ``times`` and ``states`` are the integrator's own grid, or the samples
     a run took at ``integrate``'s ``sample_times``.
-    ``error_estimate`` accumulates the max-abs local-error estimates of
-    accepted steps, over this trajectory's own components for a member of
-    an ``integrate_many`` ensemble. It is None where there is no estimate:
+    ``error_estimate`` is the sum, in step order, of the max-abs local-error
+    estimates of the accepted steps, each over this trajectory's own
+    components for a member of an ``integrate_many`` ensemble. It is None
+    where there is no estimate:
     for ``rk4`` runs, which estimate no local error, and for a trajectory
     built by hand or loaded from CSV.
     ``stiff_from`` is the time at which an ``auto`` run switched to ndf, and
@@ -537,14 +542,14 @@ def _integrate(rhs, jac, x0, start, t0, tf, cfg, sample_times, members=1) -> lis
 
 
 class _Run:
-    """The accepted nodes and counters of one run (see the module docstring).
+    """The accepted nodes, their step records and the counters of one run (see the module docstring).
 
     An adaptive step rule loops while ``running()``, calls ``check(h)`` before
-    it tries a step of size h, and reports the outcome through ``accept`` (an
-    RK4 or DOP853 node), ``accept_ndf`` (an NDF node) or ``reject``. RK4 only
-    accepts. Every evaluation goes through ``rhs``, which checks the shape and
-    type of each output. The state of an ensemble of ``members`` states is
-    their concatenation, one state per equal block.
+    it tries a step of size h, and reports the outcome through ``accept``,
+    which only appends the step's record, or ``reject``. RK4 only accepts.
+    Every evaluation goes through ``rhs``, which checks the shape and type of
+    each output. The state of an ensemble of ``members`` states is their
+    concatenation, one state per equal block.
     """
 
     def __init__(
@@ -555,17 +560,18 @@ class _Run:
         self.cfg = cfg
         self.times = [t0]
         self.states = [x0.copy()]
-        self.derivs = [f0]  # the field at t0 and at each RK4 and DOP853 node, for the step rules
-        # a sampled run's row blocks for ``_hermite_sample``, one per accepted interval in the first rows of a table
-        # that doubles when it is full; an NDF block holds its step's differences until ``trajectories``
-        self.table = np.zeros((0, 6, x0.size)) if dense else None
+        self.derivs = [f0]  # the field at t0 and at each RK4 and DOP853 node
+        self.errors = []  # each accepted step's local-error estimate per component, None for RK4
+        self.interp = [] if dense else None  # a sampled run's interpolation data per accepted step
         self.members = members
-        self.error = [0.0] * members  # per member, the sum of its max-abs local-error estimates of accepted steps
-        self.n_steps = 0
         self.n_rejected = 0
         self.non_finite = False  # a trial step met a non-finite value since the last accepted node
         self.stiff_from = None
         self.tiny = 1e-12 * max(1.0, abs(tf - t0))
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.times) - 1
 
     def running(self) -> bool:
         return self.times[-1] < self.tf - self.tiny
@@ -597,62 +603,53 @@ class _Run:
             raise DivergedError(f"field non-finite after step to t={t}", self.times[-1])
         return f
 
-    def _store(self, t: float, y: np.ndarray, err: Optional[np.ndarray]) -> None:
+    def accept(self, t: float, y: np.ndarray, err: Optional[np.ndarray], f=None, interp=None) -> None:
+        """Append the record of an accepted step to the node (t, y).
+
+        ``err`` is the step's local-error estimate per component (None for
+        RK4); ``f`` the field at an RK4 or DOP853 node, from ``node_field``;
+        ``interp``, in a sampled run only, DOP853's rows F3..F6 or the NDF
+        step's backward differences 1..k, k its order.
+        """
         self.times.append(t)
         self.states.append(y)
-        if err is not None and self.members == 1:  # one reduction, which a per-row max would cost twice over
-            self.error[0] += float(err.max())
-        elif err is not None:
-            maxima = err.reshape(self.members, -1).max(axis=1).tolist()
-            self.error = [total + part for total, part in zip(self.error, maxima)]
-        self.n_steps += 1
+        self.errors.append(err)
+        if f is not None:
+            self.derivs.append(f)
+        if self.interp is not None:
+            self.interp.append(interp)
         self.non_finite = False
 
-    def _block(self) -> np.ndarray:
-        """The zeroed row block of the interval about to be accepted."""
-        if self.n_steps == len(self.table):
-            self.table = np.concatenate([self.table, np.zeros((max(64, self.n_steps),) + self.table.shape[1:])])
-        return self.table[self.n_steps]
-
-    def accept(self, t: float, y: np.ndarray, err: Optional[np.ndarray], f: np.ndarray, rows=None) -> None:
-        """Store an RK4 or DOP853 node (t, y) with the step's local-error estimate err per component (None for RK4).
-
-        ``f`` is the field at the node, from ``node_field``; ``rows`` the
-        interval's DOP853 rows F3..F6.
-        """
-        if self.table is not None:
-            block = self._block()
-            block[0], block[1] = self.derivs[-1], f
-            if rows is not None:
-                block[2:] = rows
-        self.derivs.append(f)
-        self._store(t, y, err)
-
-    def accept_ndf(self, t: float, y: np.ndarray, err: np.ndarray, diffs: np.ndarray) -> None:
-        """Store an NDF node (t, y) with the step's local-error estimate err per component.
-
-        ``diffs`` are the step's backward differences 1..k, k its order; a
-        sampled run writes them into the interval's row block.
-        """
-        if self.table is not None:
-            self._block()[: len(diffs)] = diffs
-        self._store(t, y, err)
-
     def trajectories(self, ts=None) -> list[Trajectory]:
-        """The run on its own grid, or at the sample times ts: one Trajectory per member, in order."""
+        """The run on its own grid, or at the sample times ts: one Trajectory per member, in order.
+
+        The one reader of the step records: it builds a sampled run's table and each member's error estimate.
+        """
         times, states = np.array(self.times), np.array(self.states)
+        n = states.shape[1] // self.members
         if ts is not None:
-            rows = self.table[: self.n_steps]
-            # the run keeps no field at an NDF node, so the intervals after the last one it keeps are NDF;
-            # their blocks take their Hermite form in place, once, as a run samples once
-            first = len(self.derivs) - 1
+            # one row block per interval for ``_hermite_sample``; the run keeps no field at an NDF node, so the
+            # intervals after the last node that has one are NDF, and their blocks take their Hermite form
+            derivs = np.array(self.derivs)
+            first = len(derivs) - 1
+            rows = np.zeros((self.n_steps, 6, states.shape[1]))
+            rows[:first, 0], rows[:first, 1] = derivs[:-1], derivs[1:]
+            for k, data in enumerate(self.interp):
+                if k >= first:  # an NDF step's differences
+                    rows[k, : len(data)] = data
+                elif data is not None:  # DOP853's F3..F6; an RK4 interval has none
+                    rows[k, 2:] = data
             ndf = rows[first:]
             ndf[:, :4] = _NDF_HERMITE @ ndf[:, :5]
             ndf[:, :2] /= np.diff(times)[first:, None, None]
             ndf[:, 4] = 0.0
             times, states = ts, _hermite_sample(times, states, rows, ts)
-        states = states.reshape(len(times), self.members, -1)
-        estimates = [None] * self.members if self.cfg.method == "rk4" else self.error
+        states = states.reshape(len(times), self.members, n)
+        estimates = [None] * self.members
+        if self.cfg.method != "rk4":
+            maxima = np.array(self.errors).reshape(-1, self.members, n).max(axis=2)
+            # added in step order from 0.0, as running totals add; a pairwise sum would round otherwise
+            estimates = np.cumsum(np.vstack([np.zeros(self.members), maxima]), axis=0)[-1].tolist()
         return [
             Trajectory(
                 times.copy() if k else times,
@@ -745,7 +742,7 @@ def _dop853_steps(run: _Run) -> None:
         t_new = t + h
         stages[_DOP_STAGES] = f_new = run.node_field(t_new, y_new)
         rows = None
-        if run.table is not None:
+        if run.interp is not None:
             if fill(_DOP_STAGES + 1, stages.shape[0]) is None:
                 run.reject(non_finite=True)
                 h *= 0.1
@@ -928,9 +925,9 @@ def _ndf_steps(run: _Run, jac) -> None:
 
     For ``ndf`` that node is t0; for ``auto`` it is where the DOP853 phase
     found the run stiff. The Newton tolerance and when J is evaluated are
-    set out in the module docstring. Each accepted step hands its node the
-    backward differences 1..order of its interpolant, which a sampled run
-    keeps. A non-finite error estimate or state rejects the step like a
+    set out in the module docstring. In a sampled run each accepted step
+    hands its record a copy of the backward differences 1..order of its
+    interpolant. A non-finite error estimate or state rejects the step like a
     non-finite field.
     """
     cfg, rhs, tf = run.cfg, run.rhs, run.tf
@@ -1006,7 +1003,8 @@ def _ndf_steps(run: _Run, jac) -> None:
         abs_y = abs_y_new
         j_fresh = False
         _fold_correction(diffs, order, corr)
-        run.accept_ndf(t, y, abs_err, diffs[1 : order + 1])
+        # the next steps move diffs in place, so a sampled run keeps a copy
+        run.accept(t, y, abs_err, interp=None if run.interp is None else diffs[1 : order + 1].copy())
         n_equal += 1
         if n_equal < order + 1:
             continue

@@ -25,10 +25,10 @@ rule over a vector of times: ``_at_times`` calls ``fn.stack(ts) -> (m,
 ...)`` once on the float array ``ts`` where ``fn`` carries one, and ``fn``
 once per t otherwise or where the stack raises ArithmeticError or
 ValueError. The forcing f(0, t) + delta(t) has one rule, ``_rhs_at_origin``:
-delta(t) through ``_at_times``, and f(0, t) through ``_at_times`` on
-``f.origin``, the callable of t giving f(0, t), where ``f`` carries one, or
-from ``eval_field`` at the origin once per t otherwise. ``config``'s delta,
-alpha and f(0, t) carry stacks, each value with the bits of one call per t.
+delta(t) and f(0, t) both through ``_at_times``, f(0, t) on ``f.origin``,
+the callable of t giving f(0, t), where ``f`` carries one, and on
+t -> f(0, t) otherwise. ``config``'s delta, alpha and f(0, t) carry stacks,
+each value with the bits of one call per t.
 
 This module is the one place that checks what a user callable returns: f,
 jac and delta evaluated here, f and delta as ``integrate``'s run closure
@@ -243,18 +243,15 @@ def eval_rhs(sys: SystemSpec, x, t: float) -> np.ndarray:
 def _rhs_at_origin(sys: SystemSpec, ts) -> np.ndarray:
     """f(0, t) + delta(t) at every t of the vector ``ts``: one finite array (N, n).
 
-    f(0, t) from ``_at_times`` on ``sys.f.origin``, a callable of t, where f
-    carries one, and from ``eval_field`` at the origin once per t otherwise;
-    delta(t) from ``_at_times``. Where a value is bad, one ``eval_rhs`` per t
-    names the first bad t, and f before delta at one t.
+    f(0, t) and delta(t) from ``_at_times``, f(0, t) on ``sys.f.origin``, a
+    callable of t, where f carries one, and on t -> f(0, t) otherwise. Where
+    a value is bad, one ``eval_rhs`` per t names the first bad t, x, and f
+    before delta at one t.
     """
     zero = np.zeros(sys.dim)
-    origin = getattr(sys.f, "origin", None)
+    origin = getattr(sys.f, "origin", None) or (lambda t: sys.f(zero, t))
     try:
-        if origin is None:
-            forcing = np.array([eval_field(sys, zero, t) for t in ts])
-        else:
-            forcing = _at_times("f", origin, ts, (sys.dim,))
+        forcing = _at_times("f", origin, ts, (sys.dim,))
         return forcing if sys.delta is None else forcing + _at_times("delta", sys.delta, ts, (sys.dim,))
     except EvaluationError:
         for t in ts:

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import os
 import re
 import stat
@@ -17,6 +18,8 @@ from logstab.demos import run_demo_example1
 from logstab.errors import EvaluationError, InvalidInputError
 
 from conftest import without_stacks
+
+certify_module = importlib.import_module("logstab.certify")
 
 CONFIG = """
 [system]
@@ -217,6 +220,19 @@ class TestCertifyCommand:
         out = tmp_path / "out"
         assert main(["certify", "--config", str(cfg), "--out", str(out), "--tf", tf]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_a_sweep_out_of_memory_exits_three_before_any_file(self, config_file, tmp_path, capsys, monkeypatch):
+        # an 8-D box at 33 points per axis asks numpy for 10.2 TiB; the sampler raises as numpy does, allocating nothing
+        message = "Unable to allocate 10.2 TiB for an array with shape (8, 33, 33, 33, 33, 33, 33, 33, 33)"
+
+        def sample_states(domain, plan):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(certify_module, "sample_states", sample_states)
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(config_file), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
         assert not out.exists() or not any(out.iterdir())
 
     def test_weight_of_wrong_size_exits_two(self, tmp_path, capsys):

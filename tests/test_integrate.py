@@ -984,7 +984,6 @@ class TestNDF:
         monkeypatch.setattr(integrate_module, "jacobian", record("jac", integrate_module.jacobian))
         monkeypatch.setattr(integrate_module, "_iteration_inverse", record("inv", integrate_module._iteration_inverse))
         monkeypatch.setattr(_Run, "accept", record("accept", _Run.accept))
-        monkeypatch.setattr(_Run, "accept_ndf", record("accept", _Run.accept_ndf))
         integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 20.0, IntegratorConfig(method=method))
         assert events.count("inv") > 100
         fresh = True
@@ -1150,27 +1149,27 @@ class TestDOP853:
 
     def test_intervals_of_the_ndf_phase_sample_the_step_interpolant(self, fig1_system, monkeypatch):
         runs, steps = [], []
-        trajectories, accept_ndf = _Run.trajectories, _Run.accept_ndf
+        trajectories, accept = _Run.trajectories, _Run.accept
 
         def keep(run, *args):
             runs.append(run)
             return trajectories(run, *args)
 
-        def record(run, t, y, err, diffs):
-            if run.table is not None:
-                steps.append(diffs.copy())  # a view of the step rule's own differences, which the next step moves
-            accept_ndf(run, t, y, err, diffs)
+        def record(run, t, y, err, f=None, interp=None):
+            if f is None and interp is not None:  # an NDF node of a sampled run: its step's differences
+                steps.append(interp.copy())
+            accept(run, t, y, err, f, interp)
 
         monkeypatch.setattr(_Run, "trajectories", keep)
-        monkeypatch.setattr(_Run, "accept_ndf", record)
+        monkeypatch.setattr(_Run, "accept", record)
         grid = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0)
         mid = 0.5 * (grid.times[:-1] + grid.times[1:])
         dense = integrate(fig1_system, np.array([-2.0, 5.0]), 0.0, 6.0, sample_times=mid)
         ndf = mid > grid.stiff_from
         assert dense.stiff_from == grid.stiff_from
-        # only a sampled run keeps a table, and it takes the differences of each NDF step
+        # only a sampled run keeps step records, and it takes the differences of each NDF step
         grid_run, dense_run = runs
-        assert grid_run.table is None and dense_run.table is not None and len(steps) == ndf.sum()
+        assert grid_run.interp is None and dense_run.interp is not None and len(steps) == ndf.sum()
         # Newton's backward formula on each interval's own differences, term by term
         for diffs, i in zip(steps, np.flatnonzero(ndf)):
             s = (mid[i] - grid.times[i + 1]) / (grid.times[i + 1] - grid.times[i])
@@ -1477,6 +1476,18 @@ class TestEnsemble:
         assert same_run(member, alone)
         for got, want in ((member.times, alone.times), (member.states, alone.states)):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method", ["auto", "ndf", "rk4"])
+    def test_members_sampled_at_their_own_grid_nodes_are_their_grid_states(self, fig1_system, method):
+        cfg = IntegratorConfig(method=method)
+        starts = np.array(DEMO_STARTS)
+        grid = integrate_many(fig1_system, starts, 0.0, 6.0, cfg)
+        dense = integrate_many(fig1_system, starts, 0.0, 6.0, cfg, sample_times=grid[0].times)
+        assert (grid[0].stiff_from is not None) == (method == "auto")
+        for on_grid, sampled in zip(grid, dense):
+            assert np.array_equal(sampled.times, on_grid.times)
+            assert np.array_equal(sampled.states, on_grid.states)
+            assert sampled.error_estimate == on_grid.error_estimate
 
     def test_criterion_04_members_stay_within_their_budgets_of_their_single_runs(self, fig1_system):
         # the 40 starts of acceptance criterion 04's 20 pairs, on its grid

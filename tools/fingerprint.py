@@ -21,15 +21,17 @@ measure (``exact=``).
 The corpus: the demo field (fig1 and fig2 from (-2, 5)) under ``auto``, ``ndf``
 and ``rk4``, on the integrator's grid and sampled every 0.05, to tf = 3 and 20;
 ``auto`` sampled to tf = 1 and 6 from the six starts of the tf = 1 no-switch tests;
-the six tf = 6 starts of fig1 as one ``integrate_many`` ensemble run, sampled every
-0.05 (a tree without ``integrate_many`` runs them one at a time);
+those six starts of fig1 as one ``integrate_many`` ensemble run, under ``auto`` and
+``ndf`` to tf = 6 and under ``rk4`` to tf = 3, sampled every 0.05 (a tree without
+``integrate_many`` runs them one at a time);
 fig1 from (-2, 5) under ``auto`` and ``ndf`` to tf = 6, sampled at the nodes of
 its own grid run and at their midpoints (the ``auto`` run crosses its hand-off);
 Prothero-Robinson (lambda = -1e4, solution sin t) under ``ndf`` to tf = 10 at
 ``rel_tol`` 1e-6 and 1e-9, on the grid and at 201 samples; ``integrate_fundamental`` of a
 quadratic A(t) at n = 2, 4 and 8, and of a stiff constant 3x3 A (eigenvalues -2000, -1
 and -0.5) under ``ndf`` to tf = 1, on the grid and at 21 samples, whose NDF steps invert
-one 3x3 block; ``check_transition_bounds`` on such systems
+one 3x3 block, and of that quadratic A(t) at n = 20 at the 21 samples;
+``check_transition_bounds`` on the n = 2, 4 and 8 systems
 under four norms, and on two whose envelopes overflow and underflow (the
 rotation [[0, 1000], [-1000, 0]] under l1 with 200 pairs, diag(-1000, -1)
 under l2); the demo field without delta under ``auto`` to tf = 6, across its
@@ -295,15 +297,17 @@ def _corpus(logstab):
                 name = f"demo/{variant}/auto/sampled/tf{tf:g}/x0={x0[0]:g},{x0[1]:g}"
                 yield name, run(variant, x0, tf, "auto", True), (variant, x0)
 
-    def ensemble():
-        """fig1's six starts to tf = 6 as one ensemble run, or one run each on a tree without ``integrate_many``."""
-        grid = np.linspace(0.0, 6.0, 121)
+    def ensemble(method, tf):
+        """fig1's six starts to tf as one ensemble run sampled every 0.05, or one run each without ``integrate_many``."""
+        grid = np.linspace(0.0, tf, int(round(tf / 0.05)) + 1)
+        cfg = logstab.IntegratorConfig(method=method)
         many = getattr(importlib.import_module("logstab.integrate"), "integrate_many", None)
         if many is None:
-            return [logstab.integrate(demo["fig1"], np.array(x0), 0.0, 6.0, sample_times=grid) for x0 in STARTS]
-        return many(demo["fig1"], np.array(STARTS), 0.0, 6.0, sample_times=grid)
+            return [logstab.integrate(demo["fig1"], np.array(x0), 0.0, tf, cfg, sample_times=grid) for x0 in STARTS]
+        return many(demo["fig1"], np.array(STARTS), 0.0, tf, cfg, sample_times=grid)
 
-    yield "ensemble/demo/auto/tf6", ensemble, None
+    for method, tf in (("auto", 6.0), ("ndf", 6.0), ("rk4", 3.0)):
+        yield f"ensemble/demo/{method}/tf{tf:g}", lambda method=method, tf=tf: ensemble(method, tf), None
     for method in ("auto", "ndf"):
         for at in ("nodes", "midpoints"):
             yield f"demo/fig1/{method}/{at}/tf6", (
@@ -325,18 +329,18 @@ def _corpus(logstab):
                 )
             ), lambda times: np.sin(times)[:, None]
 
-    kinds = ("l1", "l2", "linf", "weighted")
-    for n in (2, 4, 8):
+    def quadratic(n):
+        """A(t) = C0 + t C1 + t^2 C2 and a weight P, each from the generator seeded [n, 3]."""
         rng = np.random.default_rng([n, 3])
         c0, c1, c2 = [c * np.sqrt(n) / np.linalg.norm(c) for c in rng.normal(size=(3, n, n))]
         m = rng.normal(size=(n, n))
-        weight = m @ m.T + n * np.eye(n)
+        return (lambda t: c0 + t * c1 + (t * t) * c2), m @ m.T + n * np.eye(n)
 
-        def a_fn(t, c0=c0, c1=c1, c2=c2):
-            return c0 + t * c1 + (t * t) * c2
-
+    kinds = ("l1", "l2", "linf", "weighted")
+    ts = np.linspace(0.0, 1.0, 21)
+    for n in (2, 4, 8):
+        a_fn, weight = quadratic(n)
         yield f"fundamental/n={n}/grid", lambda a_fn=a_fn: logstab.integrate_fundamental(a_fn, 0.0, 1.0), None
-        ts = np.linspace(0.0, 1.0, 21)
         yield f"fundamental/n={n}/sampled", (
             lambda a_fn=a_fn: logstab.integrate_fundamental(a_fn, 0.0, 1.0, sample_times=ts)
         ), None
@@ -345,6 +349,8 @@ def _corpus(logstab):
             yield f"transition_bounds/n={n}/{tag}", (
                 lambda a_fn=a_fn, kind=kind: logstab.check_transition_bounds(a_fn, kind, 0.0, 1.0, seed=n)
             ), None
+    a_fn, _ = quadratic(20)
+    yield "fundamental/n=20/sampled", lambda: logstab.integrate_fundamental(a_fn, 0.0, 1.0, sample_times=ts), None
 
     # a stiff 3x3 A under ndf, against its exact Phi(t) = W exp(t Lambda) W^-1, row-major
     v = np.eye(3) + 0.3 * np.random.default_rng(5).normal(size=(3, 3))
